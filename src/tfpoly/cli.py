@@ -75,8 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--route",
         choices=("checked", "recursion", "shift"),
-        default="checked",
-        help="computation route; checked runs both and compares",
+        default="recursion",
+        help="deletion-contraction (the default), the corank-nullity "
+        "subset expansion shifted to x - 1, y - 1, or both compared (checked)",
     )
 
     graph_cmd("whitney", "corank-nullity polynomial")
@@ -186,7 +187,7 @@ def _dispatch(args) -> int:
 
     g = parse_graph_file(args.graph)
     if cmd == "tutte":
-        return _emit_poly(args, cmd, g, tutte(g, args.route))
+        return _emit_poly(args, cmd, g, tutte(g, args.route, guard))
     if cmd == "whitney":
         return _emit_poly(args, cmd, g, whitney(g, guard))
     if cmd == "omega":

@@ -37,14 +37,12 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .algebra import MultiPoly, interpolate_univariate
-from .config import VerificationError, check_state_space
+from .config import VerificationError, check_state_space, state_guard
 from .graph import (
     EdgeSubset,
     MultiGraph,
     Orientation,
     components_count,
-    contract,
-    delete,
     rank_nullity,
     subset_rank_table,
 )
@@ -67,12 +65,118 @@ U = MultiPoly.var("u")
 V = MultiPoly.var("v")
 
 
-# -- subset expansions -------------------------------------------------------
+# -- Tutte polynomial and its evaluations ---------------------------------------
+
+# A minor in the deletion-contraction below is a flat tuple u1, v1, k1,
+# u2, v2, k2, ... of parallel classes, sorted: k edges between vertices
+# u < v, where the vertices that carry edges are renumbered 0, 1, 2, ...
+# in their order.  Flat tuples keep the memo small, and the renumbering
+# lets minors reached along different branches share one memo entry.
+# The graph's loops come out up front as a power of y, and the k - 1
+# loops left by contracting a class go into the recursion's coefficients.
+Minor = tuple[int, ...]
 
 
-@functools.lru_cache(maxsize=None)
-def whitney(g: MultiGraph, guard: int | None = None) -> MultiPoly:
-    """Corank-nullity generating function over all edge subsets."""
+def _minor(classes) -> Minor:
+    """Minor of (a, b, k) triples: parallel classes merged, vertices
+    renumbered in order."""
+    mult: dict[tuple[int, int], int] = {}
+    for a, b, k in classes:
+        key = (a, b) if a < b else (b, a)
+        mult[key] = mult.get(key, 0) + k
+    rank = {v: i for i, v in enumerate(sorted({v for pair in mult for v in pair}))}
+    return tuple(
+        n for (u, v), k in sorted(mult.items()) for n in (rank[u], rank[v], k)
+    )
+
+
+def _contract_first(minor: Minor) -> Minor:
+    """Contract the first class; its other k - 1 edges become loops, which
+    the caller accounts for."""
+    u, v = minor[0], minor[1]
+    return _minor(
+        (u if a == v else a, u if b == v else b, k)
+        for a, b, k in zip(minor[3::3], minor[4::3], minor[5::3])
+    )
+
+
+def _first_class_on_cycle(minor: Minor) -> bool:
+    """Whether the ends of the first class stay connected without it."""
+    u, v = minor[0], minor[1]
+    adj: dict[int, list[int]] = {}
+    for a, b in zip(minor[3::3], minor[4::3]):
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    seen = {u}
+    stack = [u]
+    while stack:
+        for w in adj.get(stack.pop(), ()):
+            if w == v:
+                return True
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return False
+
+
+def _tutte_recursion(g: MultiGraph, guard: int | None = None) -> MultiPoly:
+    """Tutte polynomial by deletion-contraction of whole parallel classes.
+
+    For a class of k edges, T(G) = T(G - P) + (1 + y + ... + y^(k-1)) T(G / P)
+    when its ends stay connected without it, and (x + y + ... + y^(k-1))
+    T(G / P) when it is a bridge class.  Minors are memoised for this call
+    only, and each one is charged its classes plus the terms of its
+    polynomial against the state guard, which so bounds both the time and
+    the memo's memory.  An explicit stack keeps deep minors off the
+    interpreter's call stack.
+    """
+    limit = state_guard(guard)
+    loops = len(g.loop_ids())
+    root = _minor((t, h, 1) for t, h in g.edges if t != h)
+    # the term x^i y^j is keyed i * stride + j: y-degrees stay below stride
+    stride = g.edge_count + 1
+    # finished polynomials as (keys, coefficients): two tuples are a
+    # fraction of the memory of a dict
+    memo: dict[Minor, tuple[tuple[int, ...], tuple[int, ...]]] = {(): ((0,), (1,))}
+    spent = 0
+    # (minor, None) asks for a minor; (minor, (deleted, contracted)) comes
+    # back up once both are in the memo (deleted is None for a bridge class)
+    stack: list[tuple[Minor, tuple[Minor | None, Minor] | None]] = [(root, None)]
+    while stack:
+        minor, plan = stack.pop()
+        if minor in memo:
+            continue
+        if plan is None:
+            deleted = (
+                _minor(zip(minor[3::3], minor[4::3], minor[5::3]))
+                if _first_class_on_cycle(minor)
+                else None
+            )
+            plan = (deleted, _contract_first(minor))
+            stack.append((minor, plan))
+            stack.extend((m, None) for m in plan if m is not None and m not in memo)
+            continue
+        deleted, contracted = plan
+        k = minor[2]
+        terms = dict(zip(*memo[deleted])) if deleted is not None else {}
+        lead = 0 if deleted is not None else stride
+        for key, c in zip(*memo[contracted]):
+            terms[key + lead] = terms.get(key + lead, 0) + c
+            for s in range(1, k):
+                terms[key + s] = terms.get(key + s, 0) + c
+        memo[minor] = (tuple(terms), tuple(terms.values()))
+        spent += len(minor) // 3 + len(terms)
+        if spent > limit:
+            check_state_space(spent, guard, "Tutte deletion-contraction")
+    return MultiPoly(
+        ("x", "y"),
+        {(key // stride, key % stride + loops): c for key, c in zip(*memo[root])},
+    )
+
+
+def whitney_by_subsets(g: MultiGraph, guard: int | None = None) -> MultiPoly:
+    """Corank-nullity generating function summed over all edge subsets;
+    the oracle for `whitney` and the `shift` route of `tutte`."""
     table = subset_rank_table(g, guard)
     r = table[(1 << g.edge_count) - 1]
     terms: dict[tuple[int, int], int] = {}
@@ -83,45 +187,51 @@ def whitney(g: MultiGraph, guard: int | None = None) -> MultiPoly:
     return MultiPoly(("x", "y"), terms)
 
 
-def _is_bridge(g: MultiGraph, e: int) -> bool:
-    full = EdgeSubset.full(g.edge_count)
-    r_full, _ = rank_nullity(g, full)
-    r_less, _ = rank_nullity(g, EdgeSubset(full.mask ^ (1 << e), g.edge_count))
-    return r_less < r_full
-
-
-@functools.lru_cache(maxsize=None)
-def _tutte_recursion(g: MultiGraph) -> MultiPoly:
-    if g.edge_count == 0:
-        return MultiPoly.const(1)
-    e = 0
-    if g.is_loop(e):
-        rest, _ = delete(g, e)
-        return Y * _tutte_recursion(rest)
-    if _is_bridge(g, e):
-        rest, _ = contract(g, e)
-        return X * _tutte_recursion(rest)
-    deleted, _ = delete(g, e)
-    contracted, _ = contract(g, e)
-    return _tutte_recursion(deleted) + _tutte_recursion(contracted)
-
-
-def tutte(g: MultiGraph, route: str = "checked") -> MultiPoly:
-    """Tutte polynomial by deletion-contraction, by the Whitney shift,
-    or both with an equality check (the default)."""
+def tutte(g: MultiGraph, route: str = "recursion", guard: int | None = None) -> MultiPoly:
+    """Tutte polynomial by deletion-contraction (the default), by the
+    Whitney shift of the subset expansion, or both with an equality
+    check.  The guard bounds the deletion-contraction; the subset
+    expansion keeps its own edge cap."""
     if route == "recursion":
-        return _tutte_recursion(g)
+        return _tutte_recursion(g, guard)
     if route == "shift":
-        return whitney(g).substitute({"x": X - 1, "y": Y - 1})
+        return whitney_by_subsets(g).substitute({"x": X - 1, "y": Y - 1})
     if route == "checked":
-        a = _tutte_recursion(g)
-        b = whitney(g).substitute({"x": X - 1, "y": Y - 1})
+        # the subset expansion refuses large graphs at once, so it goes first
+        b = whitney_by_subsets(g).substitute({"x": X - 1, "y": Y - 1})
+        a = _tutte_recursion(g, guard)
         if a != b:
             raise VerificationError(
                 f"tutte routes disagree on {g.fingerprint()}: {a} vs {b}"
             )
         return a
     raise ValueError(f"unknown route {route!r}")
+
+
+def whitney(g: MultiGraph, guard: int | None = None) -> MultiPoly:
+    """Corank-nullity polynomial R(x, y) = T(x + 1, y + 1)."""
+    return _tutte_recursion(g, guard).substitute({"x": X + 1, "y": Y + 1})
+
+
+def tension_poly(g: MultiGraph, var: str = "t", guard: int | None = None) -> MultiPoly:
+    """Nowhere-zero tension counting polynomial (-1)^r T(1 - t, 0)."""
+    r, _ = rank_nullity(g)
+    t = MultiPoly.var(var)
+    return (-1) ** r * _tutte_recursion(g, guard).substitute({"x": 1 - t, "y": 0})
+
+
+def flow_poly(g: MultiGraph, var: str = "t", guard: int | None = None) -> MultiPoly:
+    """Nowhere-zero flow counting polynomial (-1)^n T(0, 1 - t)."""
+    _, n = rank_nullity(g)
+    t = MultiPoly.var(var)
+    return (-1) ** n * _tutte_recursion(g, guard).substitute({"x": 0, "y": 1 - t})
+
+
+def chromatic_poly(g: MultiGraph, var: str = "t", guard: int | None = None) -> MultiPoly:
+    """Proper colouring polynomial: t^(components) times the tension
+    polynomial."""
+    c = components_count(g)
+    return MultiPoly.monomial((var,), (c,)) * tension_poly(g, var, guard)
 
 
 def omega(g: MultiGraph, route: str = "expansion", guard: int | None = None) -> MultiPoly:
@@ -229,7 +339,7 @@ def integral_complementary_count(g: MultiGraph, p: int, q: int) -> int:
     )
 
 
-# -- interpolated one-variable families ---------------------------------------
+# -- interpolated one-variable families (tension and flow oracles) -----------
 
 
 def _count_nowhere_zero_tensions(g: MultiGraph, q: int, guard: int | None = None) -> int:
@@ -252,27 +362,24 @@ def _count_nowhere_zero_flows(g: MultiGraph, q: int, guard: int | None = None) -
     return total
 
 
-@functools.lru_cache(maxsize=None)
-def tension_poly(g: MultiGraph, var: str = "t", guard: int | None = None) -> MultiPoly:
-    """Nowhere-zero tension counting polynomial (degree = rank)."""
+def tension_poly_by_enumeration(
+    g: MultiGraph, var: str = "t", guard: int | None = None
+) -> MultiPoly:
+    """Nowhere-zero tension polynomial interpolated from brute counts over
+    Z_q; the oracle for `tension_poly`."""
     r, _ = rank_nullity(g)
     samples = [(q, _count_nowhere_zero_tensions(g, q, guard)) for q in range(1, r + 4)]
     return interpolate_univariate(samples, r, var)
 
 
-@functools.lru_cache(maxsize=None)
-def flow_poly(g: MultiGraph, var: str = "t", guard: int | None = None) -> MultiPoly:
-    """Nowhere-zero flow counting polynomial (degree = nullity)."""
+def flow_poly_by_enumeration(
+    g: MultiGraph, var: str = "t", guard: int | None = None
+) -> MultiPoly:
+    """Nowhere-zero flow polynomial interpolated from brute counts over
+    Z_q; the oracle for `flow_poly`."""
     _, n = rank_nullity(g)
     samples = [(q, _count_nowhere_zero_flows(g, q, guard)) for q in range(1, n + 4)]
     return interpolate_univariate(samples, n, var)
-
-
-def chromatic_poly(g: MultiGraph, var: str = "t", guard: int | None = None) -> MultiPoly:
-    """Proper colouring polynomial: t^(components) times the tension
-    polynomial."""
-    c = components_count(g)
-    return MultiPoly.monomial((var,), (c,)) * tension_poly(g, var, guard)
 
 
 @functools.lru_cache(maxsize=None)
@@ -413,16 +520,6 @@ class IdentityReport:
 
     def lines(self) -> list[str]:
         return [c.line() for c in self.checks]
-
-
-@dataclass(frozen=True)
-class PolynomialReport:
-    """CLI-facing bundle: which invariant, of which graph, by which route."""
-
-    name: str
-    route: str
-    graph: str
-    poly: MultiPoly
 
 
 def _outcome(name: str, passed: bool, *details: str) -> CheckOutcome:

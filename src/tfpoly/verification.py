@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+from .algebra import MultiPoly
 from .arrangements import (
     FiniteCosetProduct,
     ambient_product,
@@ -24,9 +25,11 @@ from .arrangements import (
 )
 from .config import VerificationError
 from .fixtures import all_fixtures, fixture
-from .graph import MultiGraph, Orientation, subset_rank_table
+from .graph import MultiGraph, Orientation, components_count, subset_rank_table
 from .invariants import (
     chromatic_poly,
+    flow_poly,
+    flow_poly_by_enumeration,
     integral_complementary_count,
     kappa_rho,
     omega,
@@ -36,9 +39,12 @@ from .invariants import (
     whitney_weighted_sums,
     pair_integral_identities,
     specialization_check,
+    tension_poly,
+    tension_poly_by_enumeration,
     tutte,
     tutte_value_triples,
     whitney,
+    whitney_by_subsets,
 )
 from .orientations import (
     class_bc_profile,
@@ -535,6 +541,29 @@ def criterion_12(guard: int | None = None) -> CheckResult:
     )
 
 
+# -- 13: production routes against their oracles ----------------------------------------
+
+
+def criterion_13(guard: int | None = None) -> CheckResult:
+    col = _Collector()
+    for name, g in all_fixtures():
+        want_tension = tension_poly_by_enumeration(g, "t", guard)
+        want_flow = flow_poly_by_enumeration(g, "t", guard)
+        want_chromatic = MultiPoly.monomial(("t",), (components_count(g),)) * want_tension
+        want_whitney = whitney_by_subsets(g, guard)
+        for what, got, want in (
+            ("tension", tension_poly(g, "t", guard), want_tension),
+            ("flow", flow_poly(g, "t", guard), want_flow),
+            ("chromatic", chromatic_poly(g, "t", guard), want_chromatic),
+            ("whitney", whitney(g, guard), want_whitney),
+        ):
+            col.expect(got == want, f"{name}: {what} {got}, oracle {want}")
+    return col.result(
+        "tension, flow, chromatic and corank-nullity polynomials from the Tutte "
+        "polynomial equal brute counts and the subset expansion"
+    )
+
+
 # -- suites -------------------------------------------------------------------------------
 
 
@@ -551,15 +580,16 @@ CRITERIA: dict[int, Callable[..., CheckResult]] = {
     10: criterion_10,
     11: criterion_11,
     12: criterion_12,
+    13: criterion_13,
 }
 
 SUITES: dict[str, tuple[int, ...]] = {
     "arrangement": (1, 11),
     "orientation": (3, 9, 10),
-    "reciprocity": (2, 4, 5, 6, 12),
+    "reciprocity": (2, 4, 5, 6, 12, 13),
     "whitney": (7,),
     "integrals": (8,),
-    "all": tuple(range(1, 13)),
+    "all": tuple(range(1, 14)),
 }
 
 

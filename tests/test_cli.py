@@ -1,13 +1,24 @@
 """End-to-end command line tests, run in process through main()."""
 
+import itertools
 import json
+import time
 
 import pytest
 
 from tfpoly.algebra import MultiPoly
 from tfpoly.cli import main
 from tfpoly.fixtures import FIXTURE_TEXTS, fixture
+from tfpoly.graph import MultiGraph
+from tfpoly.graphio import format_graph
 from tfpoly.invariants import psi_family
+
+
+def grid(rows: int, cols: int) -> MultiGraph:
+    edges = [
+        (r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)
+    ] + [((r - 1) * cols + c, r * cols + c) for r in range(1, rows) for c in range(cols)]
+    return MultiGraph(rows * cols, tuple(edges))
 
 
 @pytest.fixture
@@ -23,6 +34,30 @@ def graph_file(tmp_path):
 def test_tutte_text_output(graph_file, capsys):
     assert main(["tutte", graph_file("k3")]) == 0
     assert capsys.readouterr().out.strip() == "x^2 + x + y"
+
+
+def test_tutte_default_route_reaches_k7(tmp_path, capsys):
+    # 21 edges: beyond the subset expansion's cap, which the default
+    # route no longer builds
+    path = tmp_path / "k7.graph"
+    path.write_text(format_graph(MultiGraph(7, tuple(itertools.combinations(range(7), 2)))))
+    assert main(["--json", "tutte", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    poly = MultiPoly.from_json(payload["variables"], payload["poly"])
+    assert poly.evaluate(x=1, y=1) == 7**5  # Cayley: spanning trees of K7
+
+
+@pytest.mark.parametrize("command", ["tutte", "whitney", "tension", "flow", "chromatic"])
+def test_recursion_guard_refuses_grid(tmp_path, capsys, command):
+    path = tmp_path / "grid.graph"
+    path.write_text(format_graph(grid(5, 5)))
+    started = time.perf_counter()
+    assert main([command, "--guard", "100000", str(path)]) == 2
+    assert time.perf_counter() - started < 30
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: Tutte deletion-contraction needs")
+    assert "guard is 100000" in captured.err
 
 
 def test_omega_brute_on_loop(graph_file, capsys):

@@ -6,19 +6,22 @@ T(0,2) totally cyclic orientations, T(2,2) = 2^|E|, duality swaps the
 triangle and theta values, and a loop multiplies T by y.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from tfpoly.algebra import MultiPoly
+from tfpoly.config import GuardExceeded
 from tfpoly.fixtures import fixture, fixture_names
-from tfpoly.graph import EdgeSubset, Orientation, components_count
+from tfpoly.graph import EdgeSubset, MultiGraph, Orientation, components_count
 from tfpoly.invariants import (
     QUADRANTS,
     chromatic_poly,
     exact_level_count,
     exact_level_report,
     flow_poly,
+    flow_poly_by_enumeration,
     integral_flow_poly,
     integral_tension_poly,
     kappa_rho,
@@ -30,9 +33,11 @@ from tfpoly.invariants import (
     pair_integral_identities,
     specialization_check,
     tension_poly,
+    tension_poly_by_enumeration,
     tutte,
     tutte_value_triples,
     whitney,
+    whitney_by_subsets,
 )
 from tfpoly.tensionflow import FiniteAbelianGroup
 
@@ -110,6 +115,71 @@ def test_tutte_routes_agree(name):
 def test_whitney_is_shifted_tutte(name):
     g = fixture(name)
     assert whitney(g) == TUTTE[name].substitute({"x": X + 1, "y": Y + 1})
+
+
+def seeded_multigraph(seed: int, vertices: int, edges: int) -> MultiGraph:
+    """Connected multigraph with a loop, a parallel pair, and distinct
+    further edges, wired by the seed."""
+    rng = random.Random(seed)
+    tree = [(v, rng.randrange(v)) for v in range(1, vertices)]
+    loop = rng.randrange(vertices)
+    pairs = tree + [(loop, loop), rng.choice(tree)]
+    fresh = [
+        (a, b)
+        for b in range(vertices)
+        for a in range(b)
+        if (b, a) not in tree
+    ]
+    rng.shuffle(fresh)
+    pairs += fresh[: edges - len(pairs)]
+    rng.shuffle(pairs)
+    return MultiGraph(vertices, tuple(pairs))
+
+
+ORACLE_GRAPHS = {
+    "w4": MultiGraph(
+        5, ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (4, 1))
+    ),
+    "prism": MultiGraph(
+        6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5))
+    ),
+    "multi_4_7": seeded_multigraph(4, 4, 7),
+    "multi_5_8": seeded_multigraph(5, 5, 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+def test_production_routes_match_oracles(name):
+    g = ORACLE_GRAPHS[name]
+    if name.startswith("multi"):
+        links = [tuple(sorted(g.edges[e])) for e in g.non_loop_ids()]
+        assert g.loop_ids() and len(set(links)) < len(links)
+    assert tension_poly(g) == tension_poly_by_enumeration(g)
+    assert flow_poly(g) == flow_poly_by_enumeration(g)
+    assert whitney(g) == whitney_by_subsets(g)
+    assert tutte(g, "checked") == tutte(g)
+
+
+def test_whitney_has_no_subset_cap():
+    # 17 edges: over the subset expansion's 16-edge cap, which only the
+    # oracle still has
+    g = seeded_multigraph(17, 7, 17)
+    with pytest.raises(GuardExceeded):
+        whitney_by_subsets(g)
+    w = whitney(g)
+    assert w == tutte(g).substitute({"x": X + 1, "y": Y + 1})
+    assert w.evaluate(x=1, y=1) == 2**17
+
+
+def test_recursion_guard_is_per_call():
+    # a memo left over from an earlier call must not let a later call
+    # with a smaller guard through
+    g = fixture("k4")
+    assert tutte(g) == TUTTE["k4"]
+    with pytest.raises(GuardExceeded):
+        tutte(g, guard=10)
+    with pytest.raises(GuardExceeded):
+        tension_poly(g, guard=10)
 
 
 @pytest.mark.parametrize("name", sorted(OMEGA))
