@@ -23,7 +23,7 @@ from .invariants import (
     psi_family,
     tension_poly,
     tutte,
-    tutte_value_triples,
+    tutte_value,
     whitney,
 )
 from .orientations import cut_eulerian_classes
@@ -54,12 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             help="override the enumeration guard (also settable via TFPOLY_GUARD)",
             **({"default": None} if top else miss),
-        )
-        p.add_argument(
-            "--jobs",
-            type=int,
-            help="worker threads for orientation sums",
-            **({"default": 1} if top else miss),
         )
 
     add_common(parser, top=True)
@@ -111,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     graph_cmd("classify-orientations", "cut-Eulerian classes, one JSON object per line")
 
-    p = graph_cmd("tutte-values", "Tutte value from windowed orientation triples")
+    p = graph_cmd("tutte-values", "Tutte value T(+-p, +-q), signs from --quadrant")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--quadrant", choices=("++", "+-", "-+", "--"), default="++")
@@ -214,11 +208,11 @@ def _dispatch(args) -> int:
         return _emit_poly(args, cmd, g, chromatic_poly(g, "t", guard))
     if cmd == "kappa":
         kind = "psi_z" if args.integral else "psi"
-        poly = psi_family(g, kind, jobs=args.jobs, guard=guard)
+        poly = psi_family(g, kind, guard)
         return _emit_poly(args, cmd, g, poly.substitute({"z": 1, "w": 1}))
     if cmd == "psi":
         kind = ("bar_" if args.dual else "") + ("psi_z" if args.integral else "psi")
-        return _emit_poly(args, cmd, g, psi_family(g, kind, jobs=args.jobs, guard=guard))
+        return _emit_poly(args, cmd, g, psi_family(g, kind, guard))
     if cmd == "classify-orientations":
         classes = cut_eulerian_classes(g, guard)
         rows = [
@@ -237,7 +231,7 @@ def _dispatch(args) -> int:
                 print(json.dumps(row))
         return 0
     if cmd == "tutte-values":
-        value = tutte_value_triples(g, args.p, args.q, args.quadrant, guard)
+        value = tutte_value(g, args.p, args.q, args.quadrant, guard)
         return _emit_value(args, cmd, g, value)
     raise AssertionError(f"unhandled command {cmd!r}")
 

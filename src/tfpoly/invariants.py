@@ -24,6 +24,15 @@ Conventions used throughout:
   single combinatorial orientation but its integer flow window counts
   both signs, so the lattice-point definitions (which these sums must
   reproduce) see every loop twice.  Loopless graphs are unaffected.
+  These orientation sums (psi_by_orientations) are kept as oracles.
+  psi_family computes the same polynomials as a convolution over the
+  cyclic flats X (closed sets whose restriction has no bridge):
+      psi(x,y,z,w) = sum over X of z^|E - X| w^|X| tau(G/X; x) phi(G|X; y),
+  with the tension and flow polynomials of the minors for psi and their
+  integral counterparts for psi_z; a loop's nonzero integer flows with
+  |g| < t number 2(t - 1), so the factor 2 per loop needs no special
+  case there.  The closed sums follow by reciprocity,
+      bar(x,y,z,w) = (-1)^n psi(-x,-y,-z,w).
 
 All identity checkers return report objects; nothing is asserted
 silently.
@@ -32,16 +41,16 @@ silently.
 from __future__ import annotations
 
 import functools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .algebra import MultiPoly, interpolate_univariate
-from .config import VerificationError, check_state_space, state_guard
+from .config import VerificationError, check_edge_count, check_state_space, state_guard
 from .graph import (
     EdgeSubset,
     MultiGraph,
     Orientation,
+    _UnionFind,
     components_count,
     rank_nullity,
     subset_rank_table,
@@ -388,7 +397,8 @@ def integral_tension_poly(g: MultiGraph, var: str = "t", guard: int | None = Non
     r, _ = rank_nullity(g)
     o = Orientation.reference(g)
     samples = []
-    for q in range(1, r + 4):
+    # largest box first: a graph over the guard is refused before any work
+    for q in range(r + 3, 0, -1):
         cnt = sum(1 for _ in enumerate_integral_tensions(g, o, q, "strict_support", guard=guard))
         samples.append((q, cnt))
     # integer-valued but not integer-coefficient in general (lattice point
@@ -402,7 +412,7 @@ def integral_flow_poly(g: MultiGraph, var: str = "t", guard: int | None = None) 
     _, n = rank_nullity(g)
     o = Orientation.reference(g)
     samples = []
-    for q in range(1, n + 4):
+    for q in range(n + 3, 0, -1):
         cnt = sum(1 for _ in enumerate_integral_flows(g, o, q, "strict_support", guard=guard))
         samples.append((q, cnt))
     return interpolate_univariate(samples, n, var, integral=False)
@@ -454,14 +464,11 @@ def kappa_rho(
 PSI_KINDS = ("psi", "bar_psi", "psi_z", "bar_psi_z")
 
 
-def psi_family(
-    g: MultiGraph,
-    which: str = "psi_z",
-    jobs: int = 1,
-    guard: int | None = None,
+def psi_by_orientations(
+    g: MultiGraph, which: str = "psi_z", guard: int | None = None
 ) -> MultiPoly:
     """Weighted orientation sums of kappa window polynomials, in
-    variables (x, y, z, w).
+    variables (x, y, z, w); the oracle for `psi_family`.
 
     psi / bar_psi: open / closed kappa over one representative per
     cut-Eulerian class.  psi_z / bar_psi_z: open / closed kappa over
@@ -476,21 +483,85 @@ def psi_family(
     else:
         reps = [cls.representative for cls in cut_eulerian_classes(g, guard)]
         multiplier = 1
-
-    def term(o: Orientation) -> MultiPoly:
-        b, c = classify_edges(g, o)
-        return MultiPoly(("z", "w"), {(b.size, c.size): multiplier}) * kappa_rho(
-            g, o, mode, guard
-        )
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(term, reps))
-    else:
-        parts = [term(o) for o in reps]
     total = MultiPoly.zero(("x", "y", "z", "w"))
-    for part in parts:
-        total = total + part
+    for o in reps:
+        b, c = classify_edges(g, o)
+        weight = MultiPoly(("z", "w"), {(b.size, c.size): multiplier})
+        total = total + weight * kappa_rho(g, o, mode, guard)
+    return total
+
+
+def _cyclic_flat_minors(g: MultiGraph, guard: int | None = None):
+    """(G/X, G|X, |X|) for every cyclic flat X: every loop is in X, no
+    other edge has both ends joined by X, and G|X has no bridge."""
+    non_loops = g.non_loop_ids()
+    check_edge_count(len(non_loops), guard, "cyclic flat scan")
+    loops = list(g.loop_ids())
+    for bits in range(1 << len(non_loops)):
+        inside = [e for i, e in enumerate(non_loops) if bits >> i & 1]
+        outside = [e for i, e in enumerate(non_loops) if not bits >> i & 1]
+        uf = _UnionFind(g.vertex_count)
+        for e in inside:
+            uf.union(*g.edges[e])
+        if any(uf.find(t) == uf.find(h) for t, h in (g.edges[e] for e in outside)):
+            continue
+        if any(_is_bridge(g, inside, e) for e in inside):
+            continue
+        label: dict[int, int] = {}
+        part = [label.setdefault(uf.find(v), len(label)) for v in range(g.vertex_count)]
+        contracted = MultiGraph(
+            len(label), tuple((part[t], part[h]) for t, h in (g.edges[e] for e in outside))
+        )
+        restricted = MultiGraph(g.vertex_count, tuple(g.edges[e] for e in inside + loops))
+        yield contracted, restricted, len(inside) + len(loops)
+
+
+def _is_bridge(g: MultiGraph, edges: list[int], bridge: int) -> bool:
+    """Whether the ends of `bridge` fall apart without it in (V, edges)."""
+    uf = _UnionFind(g.vertex_count)
+    for e in edges:
+        if e != bridge:
+            uf.union(*g.edges[e])
+    t, h = g.edges[bridge]
+    return uf.find(t) != uf.find(h)
+
+
+def psi_family(
+    g: MultiGraph, which: str = "psi_z", guard: int | None = None
+) -> MultiPoly:
+    """The psi family in variables (x, y, z, w), as the convolution over
+    cyclic flats X of z^|E - X| w^|X| tau(G/X; x) phi(G|X; y).
+
+    psi takes the tension and flow polynomials of the minors, psi_z the
+    integral ones; bar_psi and bar_psi_z follow by reciprocity,
+    bar(x,y,z,w) = (-1)^n psi(-x,-y,-z,w).  The values equal the
+    orientation sums of `psi_by_orientations` (see the module
+    docstring).  The scan over edge subsets keeps the edge cap of the
+    orientation enumeration on the non-loop edges; the guard bounds each
+    minor's polynomial.
+    """
+    if which not in PSI_KINDS:
+        raise ValueError(f"unknown psi kind {which!r}")
+    if which.startswith("bar_"):
+        _, n = rank_nullity(g)
+        open_poly = psi_family(g, which[len("bar_"):], guard)
+        negated = [i for i, v in enumerate(open_poly.variables) if v in ("x", "y", "z")]
+        return MultiPoly(
+            open_poly.variables,
+            {
+                exps: -c if (n + sum(exps[i] for i in negated)) & 1 else c
+                for exps, c in open_poly.terms.items()
+            },
+        )
+    if which == "psi_z":
+        tension, flow = integral_tension_poly, integral_flow_poly
+    else:
+        tension, flow = tension_poly, flow_poly
+    m = g.edge_count
+    total = MultiPoly.zero(("x", "y", "z", "w"))
+    for contracted, restricted, size in _cyclic_flat_minors(g, guard):
+        weight = MultiPoly(("z", "w"), {(m - size, size): 1})
+        total = total + weight * tension(contracted, "x", guard) * flow(restricted, "y", guard)
     return total
 
 
@@ -530,15 +601,18 @@ def _outcome(name: str, passed: bool, *details: str) -> CheckOutcome:
 
 
 def reciprocity_check(g: MultiGraph, guard: int | None = None) -> IdentityReport:
-    """Sign reciprocity between the open and closed psi sums, for the
-    modular pair, the integral pair, and every single orientation."""
+    """Sign reciprocity between the open and closed orientation sums of
+    `psi_by_orientations`, for the modular pair, the integral pair, and
+    every single orientation.  The production `psi_family` derives its
+    closed sums by this reciprocity, so checking it there would prove
+    nothing."""
     r, n = rank_nullity(g)
     sr = -1 if r & 1 else 1
     sn = -1 if n & 1 else 1
     checks: list[CheckOutcome] = []
     for which, bar in (("psi", "bar_psi"), ("psi_z", "bar_psi_z")):
-        open_poly = psi_family(g, which, guard=guard)
-        closed_poly = psi_family(g, bar, guard=guard)
+        open_poly = psi_by_orientations(g, which, guard)
+        closed_poly = psi_by_orientations(g, bar, guard)
         lhs = open_poly.negate_vars(["x", "y"])
         via_z = sn * closed_poly.negate_vars(["z"])
         via_w = sr * closed_poly.negate_vars(["w"])
@@ -586,11 +660,13 @@ def specialization_check(
     ),
     guard: int | None = None,
 ) -> IdentityReport:
-    """Pin (z, w) in the psi sums and compare against the directly
-    defined counting polynomials and brute counts."""
+    """Pin (z, w) in the orientation sums of `psi_by_orientations` and
+    compare against the directly defined counting polynomials and brute
+    counts.  (In the convolution of `psi_family`, psi(x,y,1,0) is the
+    single term of the empty X, so checking it there would prove nothing.)"""
     checks: list[CheckOutcome] = []
-    psi_z = psi_family(g, "psi_z", guard=guard)
-    psi_m = psi_family(g, "psi", guard=guard)
+    psi_z = psi_by_orientations(g, "psi_z", guard)
+    psi_m = psi_by_orientations(g, "psi", guard)
 
     tz = integral_tension_poly(g, "x", guard)
     fz = integral_flow_poly(g, "y", guard)
@@ -677,11 +753,30 @@ def specialization_check(
 QUADRANTS = ("++", "+-", "-+", "--")
 
 
+def _check_quadrant(p: int, q: int, quadrant: str) -> None:
+    if quadrant not in QUADRANTS:
+        raise ValueError(f"unknown quadrant {quadrant!r}")
+    if p < 1 or q < 1:
+        raise ValueError("p and q must be positive")
+
+
+def tutte_value(
+    g: MultiGraph, p: int, q: int, quadrant: str = "++", guard: int | None = None
+) -> int:
+    """T(G; +-p, +-q), the signs read from the quadrant, evaluated from
+    the Tutte polynomial; `tutte_value_triples` is its oracle."""
+    _check_quadrant(p, q, quadrant)
+    x = p if quadrant[0] == "+" else -p
+    y = q if quadrant[1] == "+" else -q
+    return tutte(g, "recursion", guard).evaluate(x=x, y=y)
+
+
 def tutte_value_triples(
     g: MultiGraph, p: int, q: int, quadrant: str = "++", guard: int | None = None
 ) -> int:
     """Signed count of (class representative, windowed tension, windowed
-    flow) triples reproducing T(G; +-p, +-q).
+    flow) triples reproducing T(G; +-p, +-q); the oracle for
+    `tutte_value`, checked by criterion 3.
 
     Windows per quadrant, with B and C the bond and circuit parts of
     the representative:
@@ -690,10 +785,7 @@ def tutte_value_triples(
       +-: 0 <= f < p;  g = 0 on B, 0 < g <= q on C; sign (-1)^(n<C>)
       --: both one-sided windows;       sign (-1)^(r + |C|)
     """
-    if quadrant not in QUADRANTS:
-        raise ValueError(f"unknown quadrant {quadrant!r}")
-    if p < 1 or q < 1:
-        raise ValueError("p and q must be positive")
+    _check_quadrant(p, q, quadrant)
     r, _ = rank_nullity(g)
     total = 0
     full = EdgeSubset.full(g.edge_count)

@@ -34,6 +34,8 @@ from .invariants import (
     kappa_rho,
     omega,
     omega_value,
+    PSI_KINDS,
+    psi_by_orientations,
     psi_family,
     reciprocity_check,
     whitney_weighted_sums,
@@ -564,6 +566,21 @@ def criterion_13(guard: int | None = None) -> CheckResult:
     )
 
 
+# -- 14: the psi convolution against the orientation sums -------------------------------
+
+
+def criterion_14(guard: int | None = None) -> CheckResult:
+    col = _Collector()
+    for name, g in all_fixtures():
+        for kind in PSI_KINDS:
+            got = psi_family(g, kind, guard)
+            want = psi_by_orientations(g, kind, guard)
+            col.expect(got == want, f"{name}: {kind} {got}, orientation sum {want}")
+    return col.result(
+        "psi family as a convolution over cyclic flats equals the orientation sums"
+    )
+
+
 # -- suites -------------------------------------------------------------------------------
 
 
@@ -581,15 +598,16 @@ CRITERIA: dict[int, Callable[..., CheckResult]] = {
     11: criterion_11,
     12: criterion_12,
     13: criterion_13,
+    14: criterion_14,
 }
 
 SUITES: dict[str, tuple[int, ...]] = {
     "arrangement": (1, 11),
     "orientation": (3, 9, 10),
-    "reciprocity": (2, 4, 5, 6, 12, 13),
+    "reciprocity": (2, 4, 5, 6, 12, 13, 14),
     "whitney": (7,),
     "integrals": (8,),
-    "all": tuple(range(1, 14)),
+    "all": tuple(range(1, 15)),
 }
 
 

@@ -157,12 +157,54 @@ def test_verify_rejects_unknown_suite(capsys):
     assert exc.value.code == 2
 
 
-def test_jobs_do_not_change_output(graph_file, capsys):
-    path = graph_file("k3")
-    assert main(["psi", "--jobs", "1", path]) == 0
-    serial = capsys.readouterr().out
-    assert main(["psi", "--jobs", "4", path]) == 0
-    assert capsys.readouterr().out == serial
+def test_jobs_flag_is_gone(graph_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["psi", "--jobs", "2", graph_file("k3")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+
+def test_psi_scan_keeps_the_edge_cap(tmp_path, capsys):
+    # 17 non-loop edges, one over the cap; the loop does not count
+    path = tmp_path / "long.graph"
+    edges = tuple((i, i + 1) for i in range(17)) + ((0, 0),)
+    path.write_text(format_graph(MultiGraph(18, edges)))
+    assert main(["psi", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "over 17 edges, guard is 16 edges" in captured.err
+
+
+@pytest.fixture
+def k5_file(tmp_path):
+    path = tmp_path / "k5.graph"
+    path.write_text(format_graph(MultiGraph(5, tuple(itertools.combinations(range(5), 2)))))
+    return str(path)
+
+
+def test_psi_reaches_k5(k5_file, capsys):
+    assert main(["--json", "psi", k5_file]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    poly = MultiPoly.from_json(payload["variables"], payload["poly"])
+    # z = 1, w = 0 leaves the tension polynomial (t-1)(t-2)(t-3)(t-4)
+    assert poly.evaluate(x=5, y=0, z=1, w=0) == 24
+
+
+def test_integral_psi_refuses_k5_quickly(k5_file, capsys):
+    # the integral flow polynomial of K5 (nullity 6) needs a box of 16^6
+    started = time.perf_counter()
+    assert main(["psi", "--integral", k5_file]) == 2
+    assert time.perf_counter() - started < 10
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: integral flow enumeration needs 16777216 states")
+
+
+def test_tutte_values_rejects_non_positive_orders(graph_file, capsys):
+    assert main(["tutte-values", "--p", "0", "--q", "2", graph_file("k3")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "error: p and q must be positive"
 
 
 def test_guard_env_variable(graph_file, capsys, monkeypatch):

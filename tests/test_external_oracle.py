@@ -10,21 +10,12 @@ nx = pytest.importorskip("networkx")
 sympy = pytest.importorskip("sympy")
 
 from hypothesis import given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
 
 from tfpoly.algebra import MultiPoly  # noqa: E402
 from tfpoly.graph import MultiGraph  # noqa: E402
 from tfpoly.invariants import tutte  # noqa: E402
 
-
-@st.composite
-def multigraphs(draw) -> MultiGraph:
-    """Up to 5 vertices and 9 edges; with so few vertices, loops and
-    parallel edges come up in most draws."""
-    n = draw(st.integers(1, 5))
-    vertex = st.integers(0, n - 1)
-    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=9))
-    return MultiGraph(n, tuple(edges))
+from graph_strategies import multigraphs  # noqa: E402
 
 
 def networkx_tutte(g: MultiGraph) -> MultiPoly:

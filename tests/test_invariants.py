@@ -16,6 +16,7 @@ from tfpoly.config import GuardExceeded
 from tfpoly.fixtures import fixture, fixture_names
 from tfpoly.graph import EdgeSubset, MultiGraph, Orientation, components_count
 from tfpoly.invariants import (
+    PSI_KINDS,
     QUADRANTS,
     chromatic_poly,
     exact_level_count,
@@ -27,6 +28,7 @@ from tfpoly.invariants import (
     kappa_rho,
     omega,
     omega_value,
+    psi_by_orientations,
     psi_family,
     reciprocity_check,
     whitney_weighted_sums,
@@ -290,9 +292,10 @@ def test_psi_rejects_unknown_kind():
         psi_family(fixture("k3"), "psi_q")
 
 
-def test_psi_parallel_matches_serial():
+def test_psi_convolution_matches_orientation_sums():
     g = fixture("k4me")
-    assert psi_family(g, "psi_z", jobs=4) == psi_family(g, "psi_z", jobs=1)
+    for kind in PSI_KINDS:
+        assert psi_family(g, kind) == psi_by_orientations(g, kind), kind
 
 
 @pytest.mark.parametrize("name", fixture_names())
