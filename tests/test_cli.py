@@ -200,6 +200,14 @@ def test_integral_psi_refuses_k5_quickly(k5_file, capsys):
     assert captured.err.startswith("error: integral flow enumeration needs 16777216 states")
 
 
+def test_tutte_values_reach_k7(tmp_path, capsys):
+    # 21 non-loop edges: beyond the orientation enumeration's cap
+    path = tmp_path / "k7.graph"
+    path.write_text(format_graph(MultiGraph(7, tuple(itertools.combinations(range(7), 2)))))
+    assert main(["tutte-values", "--p", "1", "--q", "1", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == str(7**5)
+
+
 def test_tutte_values_rejects_non_positive_orders(graph_file, capsys):
     assert main(["tutte-values", "--p", "0", "--q", "2", graph_file("k3")]) == 2
     captured = capsys.readouterr()
