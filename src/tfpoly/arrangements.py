@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .algebra import MultiPoly, rational_rank
-from .config import check_ambient, check_edge_count
+from .config import check_state_space
 from .graph import EdgeSubset, MultiGraph, Orientation, incidence_matrix
 from .tensionflow import Element, FiniteAbelianGroup
 
@@ -166,12 +166,13 @@ def finite_semilattice(
     guard: int | None = None,
 ) -> IntersectionPoset:
     """Close the arrangement under intersection (dropping empties) and
-    order the flats by containment; the ambient space is the top."""
+    order the flats by containment; the ambient space is the top.
+    Charges the ambient order in states."""
     ambient = tuple(ambient)
     size = 1
     for grp in ambient:
         size *= grp.order
-    check_ambient(size, guard)
+    check_state_space(size, guard, "finite arrangement closure")
     top = ambient_product(ambient)
     flats: list[FiniteCosetProduct] = [top]
     keys = {top.factors}
@@ -202,12 +203,13 @@ def complement_count(
     members: Sequence[FiniteCosetProduct],
     guard: int | None = None,
 ) -> int:
-    """Number of ambient points lying in no arrangement member (direct count)."""
+    """Number of ambient points lying in no arrangement member (direct
+    count); charges the ambient order in states."""
     ambient = tuple(ambient)
     size = 1
     for grp in ambient:
         size *= grp.order
-    check_ambient(size, guard)
+    check_state_space(size, guard, "complement count")
     count = 0
     for point in itertools.product(*(list(grp.elements()) for grp in ambient)):
         if not any(m.contains(point) for m in members):
@@ -272,10 +274,12 @@ def graphic_semilattice(g: MultiGraph, guard: int | None = None) -> Intersection
 
     Every edge subset X determines a flat; X and Y coincide exactly
     when dims(X) = dims(Y) = dims(X union Y), so each flat is keyed by
-    its closure (the largest subset with the same dims).
+    its closure (the largest subset with the same dims).  Each subset's
+    dims come from a V x E incidence rank, so the scan charges
+    2^E x E x V states.
     """
-    check_edge_count(g.edge_count, guard, "graphic flat enumeration")
     m = g.edge_count
+    check_state_space((1 << m) * m * g.vertex_count, guard, "graphic flat enumeration")
     dims: dict[int, tuple[int, int]] = {}
     for mask in range(1 << m):
         dims[mask] = graphic_flat_dims(g, EdgeSubset(mask, m))

@@ -1,24 +1,20 @@
-"""Size guards and shared error types.
+"""The state guard and shared error types.
 
-Every enumeration in this package is exponential in some parameter, so
-each one estimates its state space up front and refuses to start when
-the estimate crosses a guard.  Guards are deliberate speed bumps, not
-hard limits: callers can raise them explicitly, and the environment
-variable ``TFPOLY_GUARD`` overrides the global state-space guard.
+Every exponential loop in this package (enumerations of tensions, flows
+and pairs, scans over edge subsets and orientations, the Tutte
+recursion, finite arrangement closures) charges the work it will do, in
+states computed from its input, against one guard and refuses to start
+when the charge crosses it.  The guard is a deliberate speed bump, not
+a hard limit: callers can pass a larger one explicitly, and the
+environment variable ``TFPOLY_GUARD`` overrides the default.
 """
 
 from __future__ import annotations
 
 import os
 
-# Upper bound on the number of states any single enumeration may visit.
+# Upper bound on the number of states any single loop may visit.
 DEFAULT_STATE_GUARD = 10_000_000
-
-# Upper bound on edge count for subset/orientation enumerations (2^E work).
-DEFAULT_EDGE_GUARD = 16
-
-# Upper bound on the ambient order of a finite group product.
-DEFAULT_AMBIENT_GUARD = 1_000_000
 
 GUARD_ENV = "TFPOLY_GUARD"
 
@@ -41,31 +37,7 @@ def state_guard(override: int | None = None) -> int:
     return DEFAULT_STATE_GUARD
 
 
-def edge_guard(override: int | None = None) -> int:
-    if override is not None:
-        return int(override)
-    return DEFAULT_EDGE_GUARD
-
-
-def ambient_guard(override: int | None = None) -> int:
-    if override is not None:
-        return int(override)
-    return DEFAULT_AMBIENT_GUARD
-
-
 def check_state_space(size: int, guard: int | None = None, what: str = "enumeration") -> None:
     limit = state_guard(guard)
     if size > limit:
         raise GuardExceeded(f"{what} needs {size} states, guard is {limit}")
-
-
-def check_edge_count(count: int, guard: int | None = None, what: str = "enumeration") -> None:
-    limit = edge_guard(guard)
-    if count > limit:
-        raise GuardExceeded(f"{what} over {count} edges, guard is {limit} edges")
-
-
-def check_ambient(size: int, guard: int | None = None) -> None:
-    limit = ambient_guard(guard)
-    if size > limit:
-        raise GuardExceeded(f"ambient group of order {size}, guard is {limit}")

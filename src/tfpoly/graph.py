@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .config import check_edge_count
+from .config import check_state_space
 
 
 @dataclass(frozen=True)
@@ -191,10 +191,16 @@ def components_count(g: MultiGraph) -> int:
     return g.vertex_count - r
 
 
-@functools.lru_cache(maxsize=None)
 def subset_rank_table(g: MultiGraph, guard: int | None = None) -> tuple[int, ...]:
-    """rank<X> for every edge subset mask, indexed by mask."""
-    check_edge_count(g.edge_count, guard, "subset rank table")
+    """rank<X> for every edge subset mask, indexed by mask; charges
+    2^E x E states.  The charge comes before the cache, so a cached
+    table never slips past a smaller guard."""
+    check_state_space((1 << g.edge_count) * g.edge_count, guard, "subset rank table")
+    return _subset_rank_table(g)
+
+
+@functools.lru_cache(maxsize=None)
+def _subset_rank_table(g: MultiGraph) -> tuple[int, ...]:
     table = [0] * (1 << g.edge_count)
     for mask in range(1, 1 << g.edge_count):
         low = mask & -mask
@@ -210,49 +216,6 @@ def subset_rank_table(g: MultiGraph, guard: int | None = None) -> tuple[int, ...
 
 
 # -- minors --------------------------------------------------------------
-
-
-def delete(g: MultiGraph, e: int) -> tuple[MultiGraph, dict[int, int]]:
-    """Remove edge e; vertices unchanged.  Returns (graph, old id -> new id)."""
-    if not 0 <= e < g.edge_count:
-        raise ValueError(f"edge id {e} out of range")
-    edges = []
-    mapping: dict[int, int] = {}
-    for old, pair in enumerate(g.edges):
-        if old == e:
-            continue
-        mapping[old] = len(edges)
-        edges.append(pair)
-    return MultiGraph(g.vertex_count, tuple(edges)), mapping
-
-
-def contract(g: MultiGraph, e: int) -> tuple[MultiGraph, dict[int, int]]:
-    """Identify the endpoints of e and drop e; contracting a loop deletes it.
-
-    Vertices renumber densely (the larger endpoint collapses onto the
-    smaller, later vertices shift down); surviving edges keep their
-    relative order.
-    """
-    if not 0 <= e < g.edge_count:
-        raise ValueError(f"edge id {e} out of range")
-    t, h = g.edges[e]
-    if t == h:
-        return delete(g, e)
-    lo, hi = min(t, h), max(t, h)
-
-    def vmap(v: int) -> int:
-        if v == hi:
-            return lo
-        return v - 1 if v > hi else v
-
-    edges = []
-    mapping: dict[int, int] = {}
-    for old, (a, b) in enumerate(g.edges):
-        if old == e:
-            continue
-        mapping[old] = len(edges)
-        edges.append((vmap(a), vmap(b)))
-    return MultiGraph(g.vertex_count - 1, tuple(edges)), mapping
 
 
 def restriction(g: MultiGraph, o: Orientation, x: EdgeSubset) -> tuple[MultiGraph, Orientation, dict[int, int]]:
@@ -315,8 +278,11 @@ def is_totally_cyclic(g: MultiGraph, o: Orientation) -> bool:
 
 
 def directed_circuits(g: MultiGraph, o: Orientation, guard: int | None = None) -> list[EdgeSubset]:
-    """All edge sets carrying a simple directed cycle of (G, o)."""
-    check_edge_count(g.edge_count, guard, "directed circuit enumeration")
+    """All edge sets carrying a simple directed cycle of (G, o); charges
+    2^E x E states."""
+    check_state_space(
+        (1 << g.edge_count) * g.edge_count, guard, "directed circuit enumeration"
+    )
     out: list[EdgeSubset] = []
     for mask in range(1, 1 << g.edge_count):
         indeg: dict[int, int] = {}
@@ -362,11 +328,14 @@ def _component_vertex_sets(g: MultiGraph) -> list[set[int]]:
 
 
 def bonds(g: MultiGraph, guard: int | None = None) -> list[EdgeSubset]:
-    """All bonds (minimal non-empty edge cuts), as edge subsets."""
-    check_edge_count(g.edge_count, guard, "bond enumeration")
+    """All bonds (minimal non-empty edge cuts), as edge subsets; charges
+    E states for each vertex bipartition tried, 2^(|C| - 1) per component C."""
+    comps = _component_vertex_sets(g)
+    sides = sum(1 << (len(comp) - 1) for comp in comps)
+    check_state_space(sides * g.edge_count, guard, "bond enumeration")
     seen: set[int] = set()
     out: list[EdgeSubset] = []
-    for comp in _component_vertex_sets(g):
+    for comp in comps:
         verts = sorted(comp)
         if len(verts) < 2:
             continue

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .algebra import MultiPoly, interpolate_univariate
-from .config import VerificationError, check_edge_count, check_state_space, state_guard
+from .config import VerificationError, check_state_space, state_guard
 from .graph import (
     EdgeSubset,
     MultiGraph,
@@ -63,7 +63,9 @@ from .tensionflow import (
     count_pairs,
     enumerate_integral_flows,
     enumerate_integral_tensions,
+    pair_support_histogram,
     pred_nowhere_zero,
+    support_pair_counts,
 )
 
 X = MultiPoly.var("x")
@@ -199,15 +201,14 @@ def whitney_by_subsets(g: MultiGraph, guard: int | None = None) -> MultiPoly:
 def tutte(g: MultiGraph, route: str = "recursion", guard: int | None = None) -> MultiPoly:
     """Tutte polynomial by deletion-contraction (the default), by the
     Whitney shift of the subset expansion, or both with an equality
-    check.  The guard bounds the deletion-contraction; the subset
-    expansion keeps its own edge cap."""
+    check.  The guard bounds each route."""
     if route == "recursion":
         return _tutte_recursion(g, guard)
     if route == "shift":
-        return whitney_by_subsets(g).substitute({"x": X - 1, "y": Y - 1})
+        return whitney_by_subsets(g, guard).substitute({"x": X - 1, "y": Y - 1})
     if route == "checked":
-        # the subset expansion refuses large graphs at once, so it goes first
-        b = whitney_by_subsets(g).substitute({"x": X - 1, "y": Y - 1})
+        # the subset expansion is charged up front, so it refuses first
+        b = whitney_by_subsets(g, guard).substitute({"x": X - 1, "y": Y - 1})
         a = _tutte_recursion(g, guard)
         if a != b:
             raise VerificationError(
@@ -287,28 +288,13 @@ def support_histogram(
 ) -> dict[tuple[int, int], int]:
     """Counts of (supp f, supp g) mask pairs over all (tension over Z_p,
     flow over Z_q) pairs.  Supports are orientation independent."""
-    o = Orientation.reference(g)
-    zp = FiniteAbelianGroup.cyclic(p)
-    zq = FiniteAbelianGroup.cyclic(q)
-    r, n = rank_nullity(g)
-    check_state_space(p**r * q**n, guard, "modular pair histogram")
-    flows = []
-    for values in _iter_flow_values(g, o, zq, guard):
-        mask = 0
-        for e, val in enumerate(values):
-            if any(val):
-                mask |= 1 << e
-        flows.append(mask)
-    hist: dict[tuple[int, int], int] = {}
-    for values in _iter_tension_values(g, o, zp, guard):
-        fm = 0
-        for e, val in enumerate(values):
-            if any(val):
-                fm |= 1 << e
-        for gm in flows:
-            key = (fm, gm)
-            hist[key] = hist.get(key, 0) + 1
-    return hist
+    return pair_support_histogram(
+        g,
+        Orientation.reference(g),
+        FiniteAbelianGroup.cyclic(p),
+        FiniteAbelianGroup.cyclic(q),
+        guard,
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -318,16 +304,11 @@ def integral_support_histogram(
     """Counts of (supp f, supp g) mask pairs over integer pairs with
     |f| < p and |g| < q everywhere (zeros allowed)."""
     o = Orientation.reference(g)
-    flows = [
-        fn.support_mask() for fn in enumerate_integral_flows(g, o, q, "box", guard=guard)
-    ]
-    hist: dict[tuple[int, int], int] = {}
-    for fn in enumerate_integral_tensions(g, o, p, "box", guard=guard):
-        fm = fn.support_mask()
-        for gm in flows:
-            key = (fm, gm)
-            hist[key] = hist.get(key, 0) + 1
-    return hist
+    tens = enumerate_integral_tensions(g, o, p, "box", guard=guard)
+    flows = enumerate_integral_flows(g, o, q, "box", guard=guard)
+    return support_pair_counts(
+        (fn.support_mask() for fn in tens), (fn.support_mask() for fn in flows)
+    )
 
 
 def modular_complementary_count(g: MultiGraph, p: int, q: int) -> int:
@@ -493,9 +474,10 @@ def psi_by_orientations(
 
 def _cyclic_flat_minors(g: MultiGraph, guard: int | None = None):
     """(G/X, G|X, |X|) for every cyclic flat X: every loop is in X, no
-    other edge has both ends joined by X, and G|X has no bridge."""
+    other edge has both ends joined by X, and G|X has no bridge.  The
+    scan over subsets of the E' non-loop edges charges 2^E' x E' states."""
     non_loops = g.non_loop_ids()
-    check_edge_count(len(non_loops), guard, "cyclic flat scan")
+    check_state_space((1 << len(non_loops)) * len(non_loops), guard, "cyclic flat scan")
     loops = list(g.loop_ids())
     for bits in range(1 << len(non_loops)):
         inside = [e for i, e in enumerate(non_loops) if bits >> i & 1]
@@ -536,8 +518,7 @@ def psi_family(
     integral ones; bar_psi and bar_psi_z follow by reciprocity,
     bar(x,y,z,w) = (-1)^n psi(-x,-y,-z,w).  The values equal the
     orientation sums of `psi_by_orientations` (see the module
-    docstring).  The scan over edge subsets keeps the edge cap of the
-    orientation enumeration on the non-loop edges; the guard bounds each
+    docstring).  The guard bounds the scan for cyclic flats and each
     minor's polynomial.
     """
     if which not in PSI_KINDS:
@@ -836,12 +817,11 @@ def tutte_value_triples(
 # -- two-variable brute identities ----------------------------------------------
 
 
-def _omega_xy_size(g: MultiGraph, x_mask: int, y_mask: int, p: int, q: int) -> int:
+def _omega_xy_size(table: Sequence[int], x_mask: int, y_mask: int, p: int, q: int) -> int:
     """|T_X x F_Y|: tensions vanishing on X times flows vanishing on Y,
-    over groups of orders p and q."""
-    table = subset_rank_table(g)
-    m = g.edge_count
-    full = (1 << m) - 1
+    over groups of orders p and q; table is the graph's subset rank
+    table."""
+    full = len(table) - 1
     r = table[full]
     dim_t = r - table[x_mask]
     comp = full & ~y_mask
@@ -931,14 +911,16 @@ def pair_integral_identities(
     genuinely different swapped reading "ker f inside supp g"; the
     report records which readings validate against the subset formula.
     """
+    m = g.edge_count
+    # the subset sums below run over 3^E pairs Y inside X and 4^E pairs (Z, W)
+    check_state_space(3**m + 4**m, guard, "pair integral subset sums")
     hist = support_histogram(g, p, q, guard)
     table = subset_rank_table(g, guard)
-    m = g.edge_count
     full = (1 << m) - 1
     r, n = rank_nullity(g)
 
     def nu(x_mask: int, y_mask: int) -> int:
-        return _omega_xy_size(g, x_mask, y_mask, p, q)
+        return _omega_xy_size(table, x_mask, y_mask, p, q)
 
     def mono_uv(i: int, j: int, c: int = 1) -> MultiPoly:
         return MultiPoly(("u", "v"), {(i, j): c})
@@ -1158,20 +1140,22 @@ def exact_level_report(
     The flow-dimension reading n<W^c> is the one that matches the
     filter; the rank reading r<W^c> is reported for diagnosis.
     """
-    table = subset_rank_table(g, guard)
     m = g.edge_count
     full = (1 << m) - 1
+    x_comp = full & ~x.mask
+    y_comp = full & ~y.mask
+    # inclusion-exclusion over the supersets of X and of Y
+    check_state_space(
+        1 << (x_comp.bit_count() + y_comp.bit_count()), guard, "level inclusion-exclusion"
+    )
+    table = subset_rank_table(g, guard)
     r = table[full]
     hist = support_histogram(g, p, q, guard)
-    want_f = full & ~x.mask
-    want_g = full & ~y.mask
     filtered = sum(
-        cnt for (fm, gm), cnt in hist.items() if fm == want_f and gm == want_g
+        cnt for (fm, gm), cnt in hist.items() if fm == x_comp and gm == y_comp
     )
     n_val = 0
     r_val = 0
-    x_comp = full & ~x.mask
-    y_comp = full & ~y.mask
     for s in _submasks(x_comp):
         z_mask = x.mask | s
         sz = s.bit_count()

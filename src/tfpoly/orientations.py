@@ -31,7 +31,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .config import VerificationError, check_edge_count
+from .config import VerificationError, check_state_space, state_guard
 from .graph import (
     EdgeSubset,
     MultiGraph,
@@ -43,13 +43,18 @@ from .graph import (
     is_totally_cyclic,
     restriction,
 )
-from .tensionflow import enumerate_integral_flows, enumerate_integral_tensions
+from .tensionflow import (
+    enumerate_integral_flows,
+    enumerate_integral_tensions,
+    support_pair_counts,
+)
 
 
 def all_orientations(g: MultiGraph, guard: int | None = None) -> list[Orientation]:
-    """Every orientation, in lexicographic flip order; loops stay False."""
+    """Every orientation, in lexicographic flip order; loops stay False.
+    Charges 2^E' states, E' the non-loop edge count."""
     non_loops = g.non_loop_ids()
-    check_edge_count(len(non_loops), guard, "orientation enumeration")
+    check_state_space(1 << len(non_loops), guard, "orientation enumeration")
     out = []
     for bits in itertools.product((False, True), repeat=len(non_loops)):
         flips = [False] * g.edge_count
@@ -97,10 +102,20 @@ class OrientationClass:
     c_size: int
 
 
-@functools.lru_cache(maxsize=None)
 def cut_eulerian_classes(g: MultiGraph, guard: int | None = None) -> tuple[OrientationClass, ...]:
     """Partition the orientation space by the move closure of reversing
-    one directed circuit or one directed bond."""
+    one directed circuit or one directed bond.  The closure scans the
+    2^E edge subsets once per orientation, so it charges 2^E' x 2^E
+    states (E' the non-loop edges).  The charge comes before the cache,
+    which is keyed by the resolved guard."""
+    check_state_space(
+        (1 << len(g.non_loop_ids())) << g.edge_count, guard, "orientation class closure"
+    )
+    return _cut_eulerian_classes(g, state_guard(guard))
+
+
+@functools.lru_cache(maxsize=None)
+def _cut_eulerian_classes(g: MultiGraph, guard: int) -> tuple[OrientationClass, ...]:
     orientations = all_orientations(g, guard)
     index = {o.flips: o for o in orientations}
     seen: set[tuple[bool, ...]] = set()
@@ -141,16 +156,13 @@ def zero_one_pair_count(g: MultiGraph, o: Orientation, guard: int | None = None)
     """Number of pairs (f, g): f a {0,1} tension, g a {0,1} flow with
     g = 0 on loops, and f(e) g(e) = 0 everywhere."""
     full = EdgeSubset.full(g.edge_count)
-    tens = [
-        fn.support_mask()
-        for fn in enumerate_integral_tensions(g, o, 1, "closed", window=full, guard=guard)
-    ]
     non_loops = EdgeSubset.of(g.edge_count, g.non_loop_ids())
-    flows = [
-        fn.support_mask()
-        for fn in enumerate_integral_flows(g, o, 1, "closed", window=non_loops, guard=guard)
-    ]
-    return sum(1 for fm in tens for gm in flows if fm & gm == 0)
+    tens = enumerate_integral_tensions(g, o, 1, "closed", window=full, guard=guard)
+    flows = enumerate_integral_flows(g, o, 1, "closed", window=non_loops, guard=guard)
+    hist = support_pair_counts(
+        (fn.support_mask() for fn in tens), (fn.support_mask() for fn in flows)
+    )
+    return sum(cnt for (fm, gm), cnt in hist.items() if fm & gm == 0)
 
 
 def class_size_check(g: MultiGraph, cls: OrientationClass, guard: int | None = None) -> int:

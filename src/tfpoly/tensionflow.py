@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
@@ -106,11 +107,7 @@ class GroupElementFunction:
         return len(self.values)
 
     def support_mask(self) -> int:
-        mask = 0
-        for e, val in enumerate(self.values):
-            if any(val):
-                mask |= 1 << e
-        return mask
+        return _support_mask(self.values)
 
     def support(self) -> EdgeSubset:
         return EdgeSubset(self.support_mask(), self.width)
@@ -642,6 +639,43 @@ def pred_all(fm: int, gm: int, full: int) -> bool:
     return True
 
 
+def support_pair_counts(
+    tension_masks: Iterable[int], flow_masks: Iterable[int]
+) -> dict[tuple[int, int], int]:
+    """Counts of (supp f, supp g) over every pair of a tension and a flow,
+    given the support masks of each.  Tensions and flows range
+    independently, so each count is a product of two support counts."""
+    flows = Counter(flow_masks)
+    return {
+        (fm, gm): a * b for fm, a in Counter(tension_masks).items() for gm, b in flows.items()
+    }
+
+
+def _support_mask(values: Sequence[Element]) -> int:
+    mask = 0
+    for e, val in enumerate(values):
+        if any(val):
+            mask |= 1 << e
+    return mask
+
+
+def pair_support_histogram(
+    g: MultiGraph,
+    o: Orientation,
+    grp_a: FiniteAbelianGroup,
+    grp_b: FiniteAbelianGroup,
+    guard: int | None = None,
+) -> dict[tuple[int, int], int]:
+    """Counts of (supp f, supp g) over all (tension f over grp_a, flow g
+    over grp_b) pairs; charges one state per pair counted."""
+    r, n = rank_nullity(g)
+    check_state_space(grp_a.order**r * grp_b.order**n, guard, "pair enumeration")
+    return support_pair_counts(
+        (_support_mask(values) for values in _iter_tension_values(g, o, grp_a, guard)),
+        (_support_mask(values) for values in _iter_flow_values(g, o, grp_b, guard)),
+    )
+
+
 def count_pairs(
     g: MultiGraph,
     o: Orientation,
@@ -655,25 +689,11 @@ def count_pairs(
     flow g over grp_b) pairs satisfying the predicate; weight defaults
     to 1, making this a plain count.  Exact brute enumeration.
     """
-    r, n = rank_nullity(g)
-    check_state_space(grp_a.order**r * grp_b.order**n, guard, "pair enumeration")
     full = (1 << g.edge_count) - 1
-    flows = []
-    for values in _iter_flow_values(g, o, grp_b, guard):
-        mask = 0
-        for e, val in enumerate(values):
-            if any(val):
-                mask |= 1 << e
-        flows.append(mask)
     total: Union[int, MultiPoly] = 0
-    for values in _iter_tension_values(g, o, grp_a, guard):
-        fm = 0
-        for e, val in enumerate(values):
-            if any(val):
-                fm |= 1 << e
-        for gm in flows:
-            if predicate(fm, gm, full):
-                total = total + (1 if weight is None else weight(fm, gm, full))
+    for (fm, gm), cnt in pair_support_histogram(g, o, grp_a, grp_b, guard).items():
+        if predicate(fm, gm, full):
+            total = total + cnt * (1 if weight is None else weight(fm, gm, full))
     return total
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 import time
 
 import pytest
@@ -37,8 +38,8 @@ def test_tutte_text_output(graph_file, capsys):
 
 
 def test_tutte_default_route_reaches_k7(tmp_path, capsys):
-    # 21 edges: beyond the subset expansion's cap, which the default
-    # route no longer builds
+    # 21 edges: the subset expansion would need 2^21 x 21 states, over
+    # the default guard; the default route does not build it
     path = tmp_path / "k7.graph"
     path.write_text(format_graph(MultiGraph(7, tuple(itertools.combinations(range(7), 2)))))
     assert main(["--json", "tutte", str(path)]) == 0
@@ -164,15 +165,59 @@ def test_jobs_flag_is_gone(graph_file, capsys):
     assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
 
-def test_psi_scan_keeps_the_edge_cap(tmp_path, capsys):
-    # 17 non-loop edges, one over the cap; the loop does not count
+def test_psi_scan_is_charged_in_states(tmp_path, capsys):
+    # the scan over the non-loop edges charges 2^E' x E' states: 17 edges
+    # fit the default guard, 24 do not; the loop does not count
     path = tmp_path / "long.graph"
     edges = tuple((i, i + 1) for i in range(17)) + ((0, 0),)
     path.write_text(format_graph(MultiGraph(18, edges)))
+    assert main(["psi", str(path)]) == 0
+    capsys.readouterr()
+    path.write_text(format_graph(MultiGraph(25, tuple((i, i + 1) for i in range(24)))))
     assert main(["psi", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "over 17 edges, guard is 16 edges" in captured.err
+    assert captured.err.startswith("error: cyclic flat scan needs")
+    assert captured.err.rstrip().endswith("states, guard is 10000000")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["omega"],
+        ["omega", "--via", "arrangement"],
+        ["tutte", "--route", "shift"],
+        ["psi"],
+        ["classify-orientations"],
+    ],
+    ids=["omega", "omega-arrangement", "tutte-shift", "psi", "classify-orientations"],
+)
+def test_env_guard_reaches_every_scan(graph_file, capsys, monkeypatch, command):
+    monkeypatch.setenv("TFPOLY_GUARD", "100")
+    assert main([*command, graph_file("k4")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.search(r"needs \d+ states, guard is 100$", captured.err)
+
+
+def test_subset_table_guard_counts_states(graph_file, capsys):
+    assert main(["omega", "--guard", "5", graph_file("k4")]) == 2
+    err = capsys.readouterr().err
+    assert err.strip() == "error: subset rank table needs 384 states, guard is 5"
+
+
+def test_class_closure_refuses_k5_plus_two_quickly(tmp_path, capsys):
+    # 12 non-loop edges: the closure would visit 2^12 orientations times
+    # 2^12 circuit masks
+    path = tmp_path / "k5pp.graph"
+    edges = tuple(itertools.combinations(range(5), 2)) + ((0, 1), (2, 3))
+    path.write_text(format_graph(MultiGraph(5, edges)))
+    started = time.perf_counter()
+    assert main(["classify-orientations", str(path)]) == 2
+    assert time.perf_counter() - started < 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: orientation class closure needs 16777216 states")
 
 
 @pytest.fixture
@@ -201,7 +246,7 @@ def test_integral_psi_refuses_k5_quickly(k5_file, capsys):
 
 
 def test_tutte_values_reach_k7(tmp_path, capsys):
-    # 21 non-loop edges: beyond the orientation enumeration's cap
+    # 21 non-loop edges: far beyond any orientation enumeration
     path = tmp_path / "k7.graph"
     path.write_text(format_graph(MultiGraph(7, tuple(itertools.combinations(range(7), 2)))))
     assert main(["tutte-values", "--p", "1", "--q", "1", str(path)]) == 0

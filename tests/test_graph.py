@@ -13,9 +13,7 @@ from tfpoly.graph import (
     arc,
     bonds,
     components_count,
-    contract,
     coupling,
-    delete,
     directed_bonds,
     directed_circuits,
     incidence_matrix,
@@ -72,49 +70,6 @@ def test_components():
 def test_constructor_validates_endpoints():
     with pytest.raises(ValueError):
         MultiGraph(2, ((0, 2),))
-
-
-# -- minors ----------------------------------------------------------------
-
-
-def test_delete_keeps_vertices():
-    g, emap = delete(fixture("k3"), 1)
-    assert g.vertex_count == 3
-    assert g.edges == ((0, 1), (0, 2))
-    assert emap == {0: 0, 2: 1}
-
-
-def test_contract_merges_endpoints():
-    g, emap = contract(fixture("k3"), 0)
-    assert g.vertex_count == 2
-    assert g.edge_count == 2
-    assert emap == {1: 0, 2: 1}
-    # the two remaining triangle sides become parallel edges
-    assert rank_nullity(g) == (1, 1)
-
-
-def test_contract_loop_is_delete():
-    g = fixture("k3_loop")
-    loop = g.loop_ids()[0]
-    assert contract(g, loop)[0] == delete(g, loop)[0]
-
-
-def test_contract_parallel_edge_makes_loop():
-    g, _ = contract(fixture("digon"), 0)
-    assert g.edge_count == 1 and g.is_loop(0)
-
-
-@pytest.mark.parametrize("name", ["k3", "k4me", "digon", "k3_loop"])
-def test_deletion_contraction_rank_arithmetic(name):
-    g = fixture(name)
-    r, _ = rank_nullity(g)
-    for e in range(g.edge_count):
-        rd, _ = rank_nullity(delete(g, e)[0])
-        rc, _ = rank_nullity(contract(g, e)[0])
-        if g.is_loop(e):
-            assert rd == r and rc == r
-        else:
-            assert rc == r - 1 and rd in (r, r - 1)
 
 
 # -- cuts and circuits ---------------------------------------------------------

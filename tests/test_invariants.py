@@ -162,15 +162,16 @@ def test_production_routes_match_oracles(name):
     assert tutte(g, "checked") == tutte(g)
 
 
-def test_whitney_has_no_subset_cap():
-    # 17 edges: over the subset expansion's 16-edge cap, which only the
-    # oracle still has
+def test_whitney_by_subsets_is_charged_in_states():
+    # the subset expansion charges 2^E x E states: 17 edges fit the
+    # default guard, 20 do not
     g = seeded_multigraph(17, 7, 17)
-    with pytest.raises(GuardExceeded):
-        whitney_by_subsets(g)
     w = whitney(g)
+    assert whitney_by_subsets(g) == w
     assert w == tutte(g).substitute({"x": X + 1, "y": Y + 1})
     assert w.evaluate(x=1, y=1) == 2**17
+    with pytest.raises(GuardExceeded):
+        whitney_by_subsets(seeded_multigraph(20, 7, 20))
 
 
 def test_recursion_guard_is_per_call():
