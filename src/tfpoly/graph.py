@@ -381,10 +381,11 @@ def _induced_connected(g: MultiGraph, verts: set[int]) -> bool:
     return seen == verts
 
 
-def directed_bonds(g: MultiGraph, o: Orientation, guard: int | None = None) -> list[EdgeSubset]:
-    """Bonds whose arrows all cross the cut the same way under o."""
+def directed_bonds(g: MultiGraph, o: Orientation, bond_list: list[EdgeSubset]) -> list[EdgeSubset]:
+    """The bonds of bond_list (the bonds of g, from `bonds`) whose arrows
+    all cross the cut the same way under o."""
     out: list[EdgeSubset] = []
-    for bond in bonds(g, guard):
+    for bond in bond_list:
         side = _bond_side(g, bond)
         forward = backward = 0
         for e in bond.members():

@@ -282,12 +282,16 @@ def omega_value(
 # -- support histograms (shared brute enumerations) ---------------------------
 
 
-@functools.lru_cache(maxsize=None)
 def support_histogram(
     g: MultiGraph, p: int, q: int, guard: int | None = None
 ) -> dict[tuple[int, int], int]:
     """Counts of (supp f, supp g) mask pairs over all (tension over Z_p,
     flow over Z_q) pairs.  Supports are orientation independent."""
+    return _support_histogram(g, p, q, state_guard(guard))
+
+
+@functools.lru_cache(maxsize=None)
+def _support_histogram(g: MultiGraph, p: int, q: int, guard: int) -> dict[tuple[int, int], int]:
     return pair_support_histogram(
         g,
         Orientation.reference(g),
@@ -297,34 +301,42 @@ def support_histogram(
     )
 
 
-@functools.lru_cache(maxsize=None)
 def integral_support_histogram(
     g: MultiGraph, p: int, q: int, guard: int | None = None
 ) -> dict[tuple[int, int], int]:
     """Counts of (supp f, supp g) mask pairs over integer pairs with
     |f| < p and |g| < q everywhere (zeros allowed)."""
+    return _integral_support_histogram(g, p, q, state_guard(guard))
+
+
+@functools.lru_cache(maxsize=None)
+def _integral_support_histogram(
+    g: MultiGraph, p: int, q: int, guard: int
+) -> dict[tuple[int, int], int]:
     o = Orientation.reference(g)
     tens = enumerate_integral_tensions(g, o, p, "box", guard=guard)
     flows = enumerate_integral_flows(g, o, q, "box", guard=guard)
     return support_pair_counts(
-        (fn.support_mask() for fn in tens), (fn.support_mask() for fn in flows)
+        (fn.support_mask() for fn in tens), (fn.support_mask() for fn in flows), guard
     )
 
 
-def modular_complementary_count(g: MultiGraph, p: int, q: int) -> int:
+def modular_complementary_count(g: MultiGraph, p: int, q: int, guard: int | None = None) -> int:
     full = (1 << g.edge_count) - 1
     return sum(
         cnt
-        for (fm, gm), cnt in support_histogram(g, p, q).items()
+        for (fm, gm), cnt in support_histogram(g, p, q, guard).items()
         if gm == full & ~fm
     )
 
 
-def integral_complementary_count(g: MultiGraph, p: int, q: int) -> int:
+def integral_complementary_count(
+    g: MultiGraph, p: int, q: int, guard: int | None = None
+) -> int:
     full = (1 << g.edge_count) - 1
     return sum(
         cnt
-        for (fm, gm), cnt in integral_support_histogram(g, p, q).items()
+        for (fm, gm), cnt in integral_support_histogram(g, p, q, guard).items()
         if gm == full & ~fm
     )
 
@@ -372,9 +384,13 @@ def flow_poly_by_enumeration(
     return interpolate_univariate(samples, n, var)
 
 
-@functools.lru_cache(maxsize=None)
 def integral_tension_poly(g: MultiGraph, var: str = "t", guard: int | None = None) -> MultiPoly:
     """Counting polynomial of nowhere-zero integer tensions with |f| < t."""
+    return _integral_tension_poly(g, var, state_guard(guard))
+
+
+@functools.lru_cache(maxsize=None)
+def _integral_tension_poly(g: MultiGraph, var: str, guard: int) -> MultiPoly:
     r, _ = rank_nullity(g)
     o = Orientation.reference(g)
     samples = []
@@ -387,9 +403,13 @@ def integral_tension_poly(g: MultiGraph, var: str = "t", guard: int | None = Non
     return interpolate_univariate(samples, r, var, integral=False)
 
 
-@functools.lru_cache(maxsize=None)
 def integral_flow_poly(g: MultiGraph, var: str = "t", guard: int | None = None) -> MultiPoly:
     """Counting polynomial of nowhere-zero integer flows with |g| < t."""
+    return _integral_flow_poly(g, var, state_guard(guard))
+
+
+@functools.lru_cache(maxsize=None)
+def _integral_flow_poly(g: MultiGraph, var: str, guard: int) -> MultiPoly:
     _, n = rank_nullity(g)
     o = Orientation.reference(g)
     samples = []
@@ -402,7 +422,6 @@ def integral_flow_poly(g: MultiGraph, var: str = "t", guard: int | None = None) 
 # -- per-orientation window polynomials ---------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
 def kappa_rho(
     g: MultiGraph, o: Orientation, mode: str = "open", guard: int | None = None
 ) -> MultiPoly:
@@ -414,6 +433,11 @@ def kappa_rho(
     """
     if mode not in ("open", "closed"):
         raise ValueError(f"unknown mode {mode!r}")
+    return _kappa_rho(g, o, mode, state_guard(guard))
+
+
+@functools.lru_cache(maxsize=None)
+def _kappa_rho(g: MultiGraph, o: Orientation, mode: str, guard: int) -> MultiPoly:
     b, c = classify_edges(g, o)
     r, n = rank_nullity(g)
     t_samples = []
@@ -704,11 +728,11 @@ def specialization_check(
     bad_z = []
     bad_m = []
     for p, q in grid:
-        want_z = integral_complementary_count(g, p, q)
+        want_z = integral_complementary_count(g, p, q, guard)
         got_z = kz.evaluate(x=p, y=q)
         if got_z != want_z:
             bad_z.append(f"({p},{q}): poly {got_z} vs count {want_z}")
-        want_m = modular_complementary_count(g, p, q)
+        want_m = modular_complementary_count(g, p, q, guard)
         got_m = km.evaluate(x=p, y=q)
         if got_m != want_m:
             bad_m.append(f"({p},{q}): poly {got_m} vs count {want_m}")

@@ -36,6 +36,7 @@ from .graph import (
     EdgeSubset,
     MultiGraph,
     Orientation,
+    bonds,
     directed_bonds,
     directed_circuits,
     is_acyclic,
@@ -123,6 +124,7 @@ def _cut_eulerian_classes(g: MultiGraph, guard: int) -> tuple[OrientationClass, 
     loop_mask = 0
     for e in g.loop_ids():
         loop_mask |= 1 << e
+    bond_list = bonds(g, guard)
     for start in orientations:
         if start.flips in seen:
             continue
@@ -132,7 +134,7 @@ def _cut_eulerian_classes(g: MultiGraph, guard: int) -> tuple[OrientationClass, 
         while stack:
             cur = stack.pop()
             component.append(cur)
-            moves = directed_circuits(g, cur, guard) + directed_bonds(g, cur, guard)
+            moves = directed_circuits(g, cur, guard) + directed_bonds(g, cur, bond_list)
             for subset in moves:
                 # reversing a loop keeps the orientation: loops never flip
                 flip_mask = subset.mask & ~loop_mask
@@ -160,7 +162,7 @@ def zero_one_pair_count(g: MultiGraph, o: Orientation, guard: int | None = None)
     tens = enumerate_integral_tensions(g, o, 1, "closed", window=full, guard=guard)
     flows = enumerate_integral_flows(g, o, 1, "closed", window=non_loops, guard=guard)
     hist = support_pair_counts(
-        (fn.support_mask() for fn in tens), (fn.support_mask() for fn in flows)
+        (fn.support_mask() for fn in tens), (fn.support_mask() for fn in flows), guard
     )
     return sum(cnt for (fm, gm), cnt in hist.items() if fm & gm == 0)
 

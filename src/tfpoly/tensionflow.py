@@ -6,16 +6,24 @@ circuits vanish), and a flow is an edge function with zero boundary at
 every vertex.  Loops contribute nothing to boundaries, so a loop's flow
 value is free while its tension value is forced to zero.
 
-Enumeration strategies (each bijective, so the counts below are exact):
+Enumeration strategies.  Tensions and flows are orthogonal complements,
+so a spanning forest gives coordinates for both, and one table of
+fundamental circuits (each co-forest edge with the signed forest path
+that closes it) derives the remaining edges:
 
-* modular tensions: coboundaries of potentials with one vertex pinned
-  to zero per component, |A|^rank many;
-* modular flows: free values on the co-forest edges of a spanning
-  forest, extended over fundamental circuits, |A|^nullity many;
-* integral tensions in a window: window values on forest edges,
-  extension by potential integration, off-forest values filtered;
-* integral flows in a window: window values on co-forest edges,
-  extension by the fundamental circuit matrix, forest values filtered.
+* modular tensions: free values on the forest edges, each co-forest
+  edge e getting minus the signed sum around its circuit, |A|^rank many;
+* modular flows: free values on the co-forest edges, each forest edge
+  getting the transposed sum over the circuits through it,
+  |A|^nullity many;
+* integral tensions and flows in a window: window values on the free
+  edges, extended in the same way, the derived values filtered against
+  their windows.
+
+Each extension is bijective, so the counts above are exact.  The same
+table decides `is_tension` (zero sum around every fundamental circuit)
+and gives the bases of `lattice_index`: the fundamental bond of a forest
+edge is the unit tension there.
 
 The classification flags for a (tension, flow) pair are named by their
 defining support formulas rather than by words, because descriptive
@@ -35,7 +43,7 @@ from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .algebra import MultiPoly, smith_normal_form
 from .config import check_state_space
-from .graph import EdgeSubset, MultiGraph, Orientation, arc, rank_nullity, spanning_forest
+from .graph import EdgeSubset, MultiGraph, Orientation, arc, spanning_forest
 
 Element = tuple[int, ...]
 
@@ -233,76 +241,103 @@ def coboundary(
     return IntegerEdgeFunction(tuple(vals_i))
 
 
-def _forest_adjacency(g: MultiGraph) -> list[list[tuple[int, int]]]:
-    """vertex -> [(edge id, other endpoint)] over spanning forest edges."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.vertex_count)]
-    for e in spanning_forest(g):
-        t, h = g.edges[e]
-        adj[t].append((e, h))
-        adj[h].append((e, t))
-    return adj
+# -- fundamental circuit table ----------------------------------------------
 
 
 @functools.lru_cache(maxsize=None)
-def _forest_order(g: MultiGraph) -> tuple[tuple[int, int, int], ...]:
-    """BFS traversal of the spanning forest: (edge id, known vertex, new vertex).
+def _circuit_table(
+    g: MultiGraph, o: Orientation
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]]:
+    """(forest, co-forest, circuits): for each co-forest edge e, in id
+    order, its fundamental circuit as (forest index, sign) terms, so that
+    e + sum(sign * forest[index]) is a flow (the circuit traversed in the
+    direction of e).
 
-    Component roots are the lowest-numbered unvisited vertices.
+    Tensions and flows are orthogonal, so the table gives coordinates for
+    both: a tension is fixed by its forest values, each co-forest edge e
+    getting -sum(sign * value); a flow by its co-forest values, each
+    forest edge getting the transposed sum.  Loops have empty circuits.
     """
-    adj = _forest_adjacency(g)
-    seen = [False] * g.vertex_count
-    order: list[tuple[int, int, int]] = []
+    forest = spanning_forest(g)
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.vertex_count)]
+    for i, a in enumerate(forest):
+        t, h = g.edges[a]
+        adj[t].append((i, h))
+        adj[h].append((i, t))
+    # parent[v] = (forest index of the edge up, parent vertex); roots have none
+    parent: list[tuple[int, int] | None] = [None] * g.vertex_count
+    depth = [-1] * g.vertex_count
     for root in range(g.vertex_count):
-        if seen[root]:
+        if depth[root] >= 0:
             continue
-        seen[root] = True
+        depth[root] = 0
         queue = [root]
-        while queue:
-            v = queue.pop()
-            for e, w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    order.append((e, v, w))
+        for v in queue:
+            for i, w in adj[v]:
+                if depth[w] < 0:
+                    depth[w] = depth[v] + 1
+                    parent[w] = (i, v)
                     queue.append(w)
-    return tuple(order)
-
-
-def _potential_from_forest_values(
-    g: MultiGraph, o: Orientation, forest_vals: dict[int, int]
-) -> list[int]:
-    """Integrate integer forest-edge values into a potential (roots at 0)."""
-    p = [0] * g.vertex_count
-    for e, known, new in _forest_order(g):
+    in_forest = set(forest)
+    coforest = tuple(e for e in range(g.edge_count) if e not in in_forest)
+    circuits = []
+    for e in coforest:
         t, h = arc(g, o, e)
-        c = forest_vals[e]
-        # c = p[t] - p[h]
-        if new == h:
-            p[h] = p[t] - c
-        else:
-            p[t] = p[h] + c
-    return p
+        # close e = (t, h) by the forest path h -> t: up from h, then down to t
+        up: list[tuple[int, int]] = []
+        down: list[tuple[int, int]] = []
+        while h != t:
+            if depth[h] >= depth[t]:
+                i, u = parent[h]
+                up.append((i, 1 if arc(g, o, forest[i]) == (h, u) else -1))
+                h = u
+            else:
+                i, u = parent[t]
+                down.append((i, 1 if arc(g, o, forest[i]) == (u, t) else -1))
+                t = u
+        circuits.append(tuple(up + down[::-1]))
+    return forest, coforest, tuple(circuits)
+
+
+def _coordinates(g: MultiGraph, o: Orientation, tensions: bool):
+    """(free edges, dependent edges, rows): a tension (or flow) takes free
+    values on the forest (co-forest), and dependent edge j gets
+    sum(coefficient * free value[index]) over the (index, coefficient)
+    terms of rows[j]."""
+    forest, coforest, circuits = _circuit_table(g, o)
+    if tensions:
+        return forest, coforest, [[(i, -s) for i, s in row] for row in circuits]
+    columns: list[list[tuple[int, int]]] = [[] for _ in forest]
+    for j, row in enumerate(circuits):
+        for i, s in row:
+            columns[i].append((j, s))
+    return coforest, forest, columns
+
+
+def _placement(free: Sequence[int], dependent: Sequence[int]) -> list[int]:
+    """Position of each edge id in free + dependent."""
+    order = list(free) + list(dependent)
+    return sorted(range(len(order)), key=order.__getitem__)
+
+
+def _group_sum(grp: FiniteAbelianGroup, row, vals: Sequence[Element]) -> Element:
+    """sum(c * vals[i]) over the (i, c) terms of row."""
+    return tuple(
+        sum(c * vals[i][k] for i, c in row) % m for k, m in enumerate(grp.cyclic_orders)
+    )
 
 
 def is_tension(g: MultiGraph, o: Orientation, fn: EdgeFunction) -> bool:
-    """True iff fn is a coboundary: integrate along the forest, re-derive."""
+    """True iff fn sums to zero around every fundamental circuit, that is,
+    iff fn is the tension that its forest values determine."""
     if fn.width != g.edge_count:
         raise ValueError("edge function width does not match graph")
+    forest, coforest, rows = _coordinates(g, o, True)
+    vals = [fn.values[a] for a in forest]
+    pairs = zip(coforest, rows)
     if isinstance(fn, GroupElementFunction):
-        grp = fn.group
-        p = [grp.zero] * g.vertex_count
-        for e, known, new in _forest_order(g):
-            t, h = arc(g, o, e)
-            c = fn.values[e]
-            if new == h:
-                p[h] = grp.sub(p[t], c)
-            else:
-                p[t] = grp.add(p[h], c)
-        derived = coboundary(g, o, p, grp)
-        return derived.values == fn.values
-    forest_vals = {e: fn.values[e] for e in spanning_forest(g)}
-    p_int = _potential_from_forest_values(g, o, forest_vals)
-    derived_int = coboundary(g, o, p_int)
-    return derived_int.values == fn.values
+        return all(fn.values[e] == _group_sum(fn.group, row, vals) for e, row in pairs)
+    return all(fn.values[e] == sum(c * vals[i] for i, c in row) for e, row in pairs)
 
 
 def is_flow(g: MultiGraph, o: Orientation, fn: EdgeFunction) -> bool:
@@ -312,119 +347,14 @@ def is_flow(g: MultiGraph, o: Orientation, fn: EdgeFunction) -> bool:
     return all(v == 0 for v in b)
 
 
-# -- fundamental circuit vectors ------------------------------------------
-
-
-@functools.lru_cache(maxsize=None)
-def fundamental_circuit_vectors(g: MultiGraph, o: Orientation) -> tuple[tuple[int, ...], ...]:
-    """For each co-forest edge e (in id order), the signed incidence of the
-    fundamental circuit of e: +1 on e, +-1 on the forest path closing it.
-
-    These are integer flows and form a basis of the integral flow lattice.
-    """
-    forest = set(spanning_forest(g))
-    adj = _forest_adjacency(g)
-
-    def forest_path(src: int, dst: int) -> list[tuple[int, int, int]]:
-        # list of (edge, from, to) walking src -> dst inside the forest
-        if src == dst:
-            return []
-        prev: dict[int, tuple[int, int]] = {src: (-1, -1)}
-        queue = [src]
-        while queue:
-            v = queue.pop(0)
-            if v == dst:
-                break
-            for e, w in adj[v]:
-                if w not in prev:
-                    prev[w] = (e, v)
-                    queue.append(w)
-        path = []
-        v = dst
-        while v != src:
-            e, u = prev[v]
-            path.append((e, u, v))
-            v = u
-        path.reverse()
-        return path
-
-    vectors = []
-    for e in range(g.edge_count):
-        if e in forest:
-            continue
-        vec = [0] * g.edge_count
-        vec[e] = 1
-        t, h = arc(g, o, e)
-        for a, frm, to in forest_path(h, t):
-            at, ah = arc(g, o, a)
-            vec[a] = 1 if (at, ah) == (frm, to) else -1
-        vectors.append(tuple(vec))
-    return tuple(vectors)
-
-
-@functools.lru_cache(maxsize=None)
-def fundamental_bond_vectors(g: MultiGraph, o: Orientation) -> tuple[tuple[int, ...], ...]:
-    """For each forest edge a (in id order), the signed incidence of the
-    fundamental bond of a: coboundary of the shore containing a's tail.
-
-    These are integer tensions and form a basis of the integral tension
-    lattice.
-    """
-    forest = spanning_forest(g)
-    vectors = []
-    for a in forest:
-        others = [e for e in forest if e != a]
-        # shore of arc-tail(a) in forest - a
-        adj: list[list[int]] = [[] for _ in range(g.vertex_count)]
-        for e in others:
-            t, h = g.edges[e]
-            adj[t].append(h)
-            adj[h].append(t)
-        at, _ = arc(g, o, a)
-        shore = {at}
-        stack = [at]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in shore:
-                    shore.add(w)
-                    stack.append(w)
-        vec = []
-        for e in range(g.edge_count):
-            t, h = arc(g, o, e)
-            vec.append((1 if t in shore else 0) - (1 if h in shore else 0))
-        vectors.append(tuple(vec))
-    return tuple(vectors)
-
-
 # -- modular enumeration ----------------------------------------------------
-
-
-def _pinned_roots(g: MultiGraph) -> tuple[int, ...]:
-    """One root per component: the lowest vertex id."""
-    roots = []
-    seen = [False] * g.vertex_count
-    adj = _forest_adjacency(g)
-    for v in range(g.vertex_count):
-        if seen[v]:
-            continue
-        roots.append(v)
-        stack = [v]
-        seen[v] = True
-        while stack:
-            u = stack.pop()
-            for _, w in adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-    return tuple(roots)
 
 
 def enumerate_tensions(
     g: MultiGraph, o: Orientation, grp: FiniteAbelianGroup, guard: int | None = None
 ) -> Iterator[GroupElementFunction]:
-    """All tensions over grp: coboundaries of potentials with one pinned
-    root per component.  Exactly |grp|^rank functions, each once."""
+    """All tensions over grp: free forest values extended over fundamental
+    circuits.  Exactly |grp|^rank functions, each once."""
     for values in _iter_tension_values(g, o, grp, guard):
         yield GroupElementFunction(grp, values)
 
@@ -432,18 +362,7 @@ def enumerate_tensions(
 def _iter_tension_values(
     g: MultiGraph, o: Orientation, grp: FiniteAbelianGroup, guard: int | None = None
 ) -> Iterator[tuple[Element, ...]]:
-    roots = set(_pinned_roots(g))
-    free = [v for v in range(g.vertex_count) if v not in roots]
-    r, _ = rank_nullity(g)
-    check_state_space(grp.order ** len(free), guard, "tension enumeration")
-    assert len(free) == r  # pinning one root per component leaves rank many
-    arcs = [arc(g, o, e) for e in range(g.edge_count)]
-    zero = grp.zero
-    for combo in itertools.product(list(grp.elements()), repeat=len(free)):
-        p = {v: combo[i] for i, v in enumerate(free)}
-        for v in roots:
-            p[v] = zero
-        yield tuple(grp.sub(p[t], p[h]) for t, h in arcs)
+    yield from _iter_group_values(g, o, grp, True, guard, "tension enumeration")
 
 
 def enumerate_flows(
@@ -458,23 +377,23 @@ def enumerate_flows(
 def _iter_flow_values(
     g: MultiGraph, o: Orientation, grp: FiniteAbelianGroup, guard: int | None = None
 ) -> Iterator[tuple[Element, ...]]:
-    forest = spanning_forest(g)
-    coforest = [e for e in range(g.edge_count) if e not in forest]
-    check_state_space(grp.order ** len(coforest), guard, "flow enumeration")
-    circuits = fundamental_circuit_vectors(g, o)
-    zero = grp.zero
-    for combo in itertools.product(list(grp.elements()), repeat=len(coforest)):
-        vals = [zero] * g.edge_count
-        for vec, c in zip(circuits, combo):
-            if grp.is_zero(c):
-                continue
-            neg_c = grp.neg(c)
-            for e, s in enumerate(vec):
-                if s == 1:
-                    vals[e] = grp.add(vals[e], c)
-                elif s == -1:
-                    vals[e] = grp.add(vals[e], neg_c)
-        yield tuple(vals)
+    yield from _iter_group_values(g, o, grp, False, guard, "flow enumeration")
+
+
+def _iter_group_values(
+    g: MultiGraph,
+    o: Orientation,
+    grp: FiniteAbelianGroup,
+    tensions: bool,
+    guard: int | None,
+    what: str,
+) -> Iterator[tuple[Element, ...]]:
+    free, dependent, rows = _coordinates(g, o, tensions)
+    check_state_space(grp.order ** len(free), guard, what)
+    place = _placement(free, dependent)
+    for combo in itertools.product(list(grp.elements()), repeat=len(free)):
+        vals = combo + tuple(_group_sum(grp, row, combo) for row in rows)
+        yield tuple([vals[k] for k in place])
 
 
 # -- integral enumeration ----------------------------------------------------
@@ -493,20 +412,6 @@ def _window_candidates(mode: str, bound: int, in_window: bool) -> list[int]:
         return [v for v in range(-bound + 1, bound) if v != 0]
     if mode == "box":
         return list(range(-bound + 1, bound))
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _window_ok(mode: str, bound: int, in_window: bool, v: int) -> bool:
-    if not in_window:
-        return v == 0
-    if mode == "open":
-        return 0 < v < bound
-    if mode == "closed":
-        return 0 <= v <= bound
-    if mode == "strict_support":
-        return v != 0 and -bound < v < bound
-    if mode == "box":
-        return -bound < v < bound
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -544,36 +449,13 @@ def enumerate_integral_tensions(
       strict_support: f(e) != 0 and |f(e)| < bound     (nowhere-zero)
       box:            |f(e)| < bound                   (zeros allowed)
 
-    Enumerates window values on forest edges, integrates to a potential,
-    and filters the derived off-forest values against their windows.
+    Enumerates window values on forest edges, extends them over the
+    fundamental circuits, and filters the co-forest values against their
+    windows.
     """
-    if mode not in INTEGRAL_MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    window = _resolve_window(g, window, zero_set)
-    forest = spanning_forest(g)
-    cand = [_window_candidates(mode, bound, e in window) for e in forest]
-    space = 1
-    for c in cand:
-        space *= len(c)
-    check_state_space(space, guard, "integral tension enumeration")
-    arcs = [arc(g, o, e) for e in range(g.edge_count)]
-    nonforest = [e for e in range(g.edge_count) if e not in forest]
-    for combo in itertools.product(*cand):
-        forest_vals = dict(zip(forest, combo))
-        p = _potential_from_forest_values(g, o, forest_vals)
-        vals = [0] * g.edge_count
-        ok = True
-        for e in forest:
-            vals[e] = forest_vals[e]
-        for e in nonforest:
-            t, h = arcs[e]
-            v = p[t] - p[h]
-            if not _window_ok(mode, bound, e in window, v):
-                ok = False
-                break
-            vals[e] = v
-        if ok:
-            yield IntegerEdgeFunction(tuple(vals))
+    yield from _iter_integral(
+        g, o, True, bound, mode, window, zero_set, guard, "integral tension enumeration"
+    )
 
 
 def enumerate_integral_flows(
@@ -590,31 +472,48 @@ def enumerate_integral_flows(
     Enumerates window values on co-forest edges, extends over the
     fundamental circuit matrix, and filters forest values.
     """
+    yield from _iter_integral(
+        g, o, False, bound, mode, window, zero_set, guard, "integral flow enumeration"
+    )
+
+
+def _iter_integral(
+    g: MultiGraph,
+    o: Orientation,
+    tensions: bool,
+    bound: int,
+    mode: str,
+    window: EdgeSubset | None,
+    zero_set: EdgeSubset | None,
+    guard: int | None,
+    what: str,
+) -> Iterator[IntegerEdgeFunction]:
     if mode not in INTEGRAL_MODES:
         raise ValueError(f"unknown mode {mode!r}")
     window = _resolve_window(g, window, zero_set)
-    forest = spanning_forest(g)
-    coforest = [e for e in range(g.edge_count) if e not in forest]
-    cand = [_window_candidates(mode, bound, e in window) for e in coforest]
+    free, dependent, rows = _coordinates(g, o, tensions)
+    cand = [_window_candidates(mode, bound, e in window) for e in free]
     space = 1
     for c in cand:
         space *= len(c)
-    check_state_space(space, guard, "integral flow enumeration")
-    circuits = fundamental_circuit_vectors(g, o)
+    check_state_space(space, guard, what)
+    checks = [
+        (row, set(_window_candidates(mode, bound, e in window)))
+        for e, row in zip(dependent, rows)
+    ]
+    place = _placement(free, dependent)
     for combo in itertools.product(*cand):
-        vals = [0] * g.edge_count
-        for vec, c in zip(circuits, combo):
-            if c:
-                for e, s in enumerate(vec):
-                    if s:
-                        vals[e] += s * c
-        ok = True
-        for e in forest:
-            if not _window_ok(mode, bound, e in window, vals[e]):
-                ok = False
+        derived = []
+        for row, allowed in checks:
+            v = 0
+            for i, c in row:
+                v += c * combo[i]
+            if v not in allowed:
                 break
-        if ok:
-            yield IntegerEdgeFunction(tuple(vals))
+            derived.append(v)
+        else:
+            vals = combo + tuple(derived)
+            yield IntegerEdgeFunction(tuple([vals[k] for k in place]))
 
 
 # -- weighted pair counting ---------------------------------------------------
@@ -640,15 +539,16 @@ def pred_all(fm: int, gm: int, full: int) -> bool:
 
 
 def support_pair_counts(
-    tension_masks: Iterable[int], flow_masks: Iterable[int]
+    tension_masks: Iterable[int], flow_masks: Iterable[int], guard: int | None = None
 ) -> dict[tuple[int, int], int]:
     """Counts of (supp f, supp g) over every pair of a tension and a flow,
     given the support masks of each.  Tensions and flows range
-    independently, so each count is a product of two support counts."""
+    independently, so each count is a product of two support counts;
+    the product charges one state per pair of distinct supports."""
+    tensions = Counter(tension_masks)
     flows = Counter(flow_masks)
-    return {
-        (fm, gm): a * b for fm, a in Counter(tension_masks).items() for gm, b in flows.items()
-    }
+    check_state_space(len(tensions) * len(flows), guard, "support pair product")
+    return {(fm, gm): a * b for fm, a in tensions.items() for gm, b in flows.items()}
 
 
 def _support_mask(values: Sequence[Element]) -> int:
@@ -667,12 +567,13 @@ def pair_support_histogram(
     guard: int | None = None,
 ) -> dict[tuple[int, int], int]:
     """Counts of (supp f, supp g) over all (tension f over grp_a, flow g
-    over grp_b) pairs; charges one state per pair counted."""
-    r, n = rank_nullity(g)
-    check_state_space(grp_a.order**r * grp_b.order**n, guard, "pair enumeration")
+    over grp_b) pairs.  The two enumerations charge |grp_a|^rank and
+    |grp_b|^nullity states, and their product one state per pair of
+    distinct supports."""
     return support_pair_counts(
         (_support_mask(values) for values in _iter_tension_values(g, o, grp_a, guard)),
         (_support_mask(values) for values in _iter_flow_values(g, o, grp_b, guard)),
+        guard,
     )
 
 
@@ -744,10 +645,20 @@ def lattice_index(g: MultiGraph, o: Orientation) -> int:
     whose columns are the fundamental bond and circuit basis vectors.
     Equals the number of maximal forests of the graph.
     """
-    cols = list(fundamental_bond_vectors(g, o)) + list(fundamental_circuit_vectors(g, o))
     m = g.edge_count
     if m == 0:
         return 1
+    cols = []
+    # the unit tension at a forest edge is its fundamental bond, and the
+    # unit flow at a co-forest edge its fundamental circuit
+    for tensions in (True, False):
+        free, dependent, rows = _coordinates(g, o, tensions)
+        for k, a in enumerate(free):
+            col = [0] * m
+            col[a] = 1
+            for e, row in zip(dependent, rows):
+                col[e] = sum(c for i, c in row if i == k)
+            cols.append(col)
     rows = [[col[e] for col in cols] for e in range(m)]
     diag = smith_normal_form(rows)
     index = 1

@@ -125,11 +125,11 @@ def criterion_1(guard: int | None = None) -> CheckResult:
 def criterion_2(guard: int | None = None) -> CheckResult:
     col = _Collector()
     for name, g in all_fixtures():
-        a = tutte(g, "recursion")
-        b = tutte(g, "shift")
+        a = tutte(g, "recursion", guard)
+        b = tutte(g, "shift", guard)
         col.expect(a == b, f"{name}: recursion {a} != shift {b}")
         try:
-            tutte(g, "checked")
+            tutte(g, "checked", guard)
         except VerificationError as exc:
             col.expect(False, f"{name}: checked route raised: {exc}")
     return col.result(
@@ -154,7 +154,8 @@ def criterion_3(guard: int | None = None) -> CheckResult:
     col = _Collector()
     for name, g in all_fixtures():
         classes = cut_eulerian_classes(g, guard)
-        t11 = tutte(g, "recursion").evaluate(x=1, y=1)
+        t_poly = tutte(g, "recursion", guard)
+        t11 = t_poly.evaluate(x=1, y=1)
         forests = _maximal_forest_count(g, guard)
         index = lattice_index(g, Orientation.reference(g))
         col.expect(
@@ -164,7 +165,6 @@ def criterion_3(guard: int | None = None) -> CheckResult:
         )
         if len(g.non_loop_ids()) > 5:
             continue
-        t_poly = tutte(g, "recursion")
         for p, q in itertools.product((1, 2, 3), repeat=2):
             for quadrant, (a, b) in (
                 ("++", (p, q)),
@@ -382,10 +382,10 @@ def criterion_10(guard: int | None = None) -> CheckResult:
                     )
                     buckets.setdefault(key, []).append((f, h))
             total_pairs = sum(len(v) for v in buckets.values())
+            count = integral_complementary_count(g, p, q, guard)
             col.expect(
-                total_pairs == integral_complementary_count(g, p, q),
-                f"{name} ({p},{q}): bucketed {total_pairs} pairs, "
-                f"count says {integral_complementary_count(g, p, q)}",
+                total_pairs == count,
+                f"{name} ({p},{q}): bucketed {total_pairs} pairs, count says {count}",
             )
             for key, members in buckets.items():
                 f0, h0 = members[0]

@@ -7,6 +7,8 @@ integer or polynomial identities; there are no tolerances to tune.
 
 import pytest
 
+from tfpoly import verification
+from tfpoly.config import GuardExceeded
 from tfpoly.verification import SUITES, run_criteria
 
 CRITERIA = SUITES["all"]
@@ -23,3 +25,9 @@ def test_criterion(num, results, capsys):
     with capsys.disabled():
         print(f"{'PASS' if res.passed else 'FAIL'} criterion {num}: {res.name}")
     assert res.passed, "\n".join(res.lines)
+
+
+@pytest.mark.parametrize("num", CRITERIA)
+def test_criterion_obeys_the_guard(num):
+    with pytest.raises(GuardExceeded):
+        verification.CRITERIA[num](guard=1)

@@ -245,6 +245,18 @@ def test_integral_psi_refuses_k5_quickly(k5_file, capsys):
     assert captured.err.startswith("error: integral flow enumeration needs 16777216 states")
 
 
+def test_omega_brute_charges_enumerations_not_pairs(k5_file, capsys):
+    # 6^4 tensions, 6^6 flows and 52 x 314 distinct support pairs fit the
+    # default guard; the 6^10 pairs they count would not
+    command = ["omega", "--via", "brute", "--p", "6", "--q", "6"]
+    assert main([*command, k5_file]) == 0
+    assert capsys.readouterr().out.strip() == "45570190"
+    assert main([*command, "--guard", "1000", k5_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "error: tension enumeration needs 1296 states, guard is 1000"
+
+
 def test_tutte_values_reach_k7(tmp_path, capsys):
     # 21 non-loop edges: far beyond any orientation enumeration
     path = tmp_path / "k7.graph"

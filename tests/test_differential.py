@@ -8,24 +8,79 @@ nullity of at most 3, which keeps the test to a few seconds: both
 routes enumerate integer flows in boxes that grow as a power of the
 nullity, and at nullity 4 the orientation sums alone take about 2.5 s
 for a triangle with doubled edges.
+
+The tension and flow enumerators, which all extend free forest or
+co-forest values over one table of fundamental circuits, are compared
+with the definitions themselves on graphs of at most five edges:
+coboundaries of every potential, functions of zero boundary, and the
+filter of the whole window box.
 """
+
+import itertools
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tfpoly.graph import rank_nullity
+from tfpoly.graph import EdgeSubset, MultiGraph, Orientation, arc, rank_nullity
 from tfpoly.invariants import (
     PSI_KINDS,
     QUADRANTS,
     psi_by_orientations,
     psi_family,
+    tutte,
     tutte_value,
     tutte_value_triples,
+)
+from tfpoly.tensionflow import (
+    INTEGRAL_MODES,
+    FiniteAbelianGroup,
+    GroupElementFunction,
+    IntegerEdgeFunction,
+    boundary,
+    coboundary,
+    enumerate_flows,
+    enumerate_integral_flows,
+    enumerate_integral_tensions,
+    enumerate_tensions,
+    lattice_index,
 )
 
 from graph_strategies import multigraphs
 
 SMALL = multigraphs(max_edges=6).filter(lambda g: rank_nullity(g)[1] <= 3)
+GROUPS = (FiniteAbelianGroup.cyclic(3), FiniteAbelianGroup((2, 2)))
+
+
+@st.composite
+def oriented(draw):
+    """A multigraph of at most five edges with a random orientation."""
+    g = draw(multigraphs(max_edges=5))
+    flips = draw(st.lists(st.booleans(), min_size=g.edge_count, max_size=g.edge_count))
+    flips = [b and not g.is_loop(e) for e, b in enumerate(flips)]
+    return g, Orientation.for_graph(g, flips)
+
+
+def is_potential_difference(g: MultiGraph, o: Orientation, values) -> bool:
+    """Whether values = p(tail) - p(head) for some integer potential p:
+    spread p along the edges from a zero at each unreached vertex, then
+    check every edge."""
+    arcs = [arc(g, o, e) for e in range(g.edge_count)]
+    p: dict[int, int] = {}
+    for root in range(g.vertex_count):
+        if root in p:
+            continue
+        p[root] = 0
+        grown = True
+        while grown:
+            grown = False
+            for (t, h), v in zip(arcs, values):
+                if t in p and h not in p:
+                    p[h] = p[t] - v
+                    grown = True
+                elif h in p and t not in p:
+                    p[t] = p[h] + v
+                    grown = True
+    return all(p[t] - p[h] == v for (t, h), v in zip(arcs, values))
 
 
 @settings(max_examples=40, deadline=None)
@@ -40,3 +95,60 @@ def test_psi_family_matches_orientation_sums(g):
 def test_tutte_values_match_triples(g, p, q):
     for quadrant in QUADRANTS:
         assert tutte_value(g, p, q, quadrant) == tutte_value_triples(g, p, q, quadrant), quadrant
+
+
+@settings(max_examples=30, deadline=None)
+@given(oriented())
+def test_modular_tensions_and_flows_match_definitions(go):
+    g, o = go
+    for grp in GROUPS:
+        elements = list(grp.elements())
+        tensions = [fn.values for fn in enumerate_tensions(g, o, grp)]
+        assert len(set(tensions)) == len(tensions)
+        coboundaries = {
+            coboundary(g, o, p, grp).values
+            for p in itertools.product(elements, repeat=g.vertex_count)
+        }
+        assert set(tensions) == coboundaries
+        flows = [fn.values for fn in enumerate_flows(g, o, grp)]
+        assert len(set(flows)) == len(flows)
+        zero_boundary = {
+            values
+            for values in itertools.product(elements, repeat=g.edge_count)
+            if all(grp.is_zero(v) for v in boundary(g, o, GroupElementFunction(grp, values)))
+        }
+        assert set(flows) == zero_boundary
+
+
+@settings(max_examples=30, deadline=None)
+@given(oriented(), st.data())
+def test_integral_tensions_and_flows_match_the_window_box(go, data):
+    g, o = go
+    mask = data.draw(st.integers(0, (1 << g.edge_count) - 1))
+    window = EdgeSubset(mask, g.edge_count)
+    for mode in INTEGRAL_MODES:
+        box = {
+            "open": range(1, 2),
+            "closed": range(0, 3),
+            "strict_support": (-1, 1),
+            "box": range(-1, 2),
+        }[mode]
+        candidates = [box if e in window else (0,) for e in range(g.edge_count)]
+        in_box = list(itertools.product(*candidates))
+        tensions = [
+            fn.values for fn in enumerate_integral_tensions(g, o, 2, mode, window=window)
+        ]
+        assert len(set(tensions)) == len(tensions)
+        assert set(tensions) == {v for v in in_box if is_potential_difference(g, o, v)}
+        flows = [fn.values for fn in enumerate_integral_flows(g, o, 2, mode, window=window)]
+        assert len(set(flows)) == len(flows)
+        assert set(flows) == {
+            v for v in in_box if not any(boundary(g, o, IntegerEdgeFunction(v)))
+        }
+
+
+@settings(max_examples=30, deadline=None)
+@given(oriented())
+def test_lattice_index_counts_maximal_forests(go):
+    g, o = go
+    assert lattice_index(g, o) == tutte(g).evaluate(x=1, y=1)

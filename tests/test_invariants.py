@@ -23,9 +23,12 @@ from tfpoly.invariants import (
     exact_level_report,
     flow_poly,
     flow_poly_by_enumeration,
+    integral_complementary_count,
     integral_flow_poly,
+    integral_support_histogram,
     integral_tension_poly,
     kappa_rho,
+    modular_complementary_count,
     omega,
     omega_value,
     psi_by_orientations,
@@ -34,6 +37,7 @@ from tfpoly.invariants import (
     whitney_weighted_sums,
     pair_integral_identities,
     specialization_check,
+    support_histogram,
     tension_poly,
     tension_poly_by_enumeration,
     tutte,
@@ -241,6 +245,38 @@ def test_integral_polynomials():
     assert p.coefficient(t=3) == Fraction(14, 3)
     for t in range(1, 9):
         assert p.evaluate(t=t) == int(p.evaluate(t=t))
+
+
+@pytest.mark.parametrize(
+    "compute",
+    [
+        lambda g: kappa_rho(g, Orientation.reference(g), "open"),
+        lambda g: integral_tension_poly(g, "y"),
+        lambda g: integral_flow_poly(g, "y"),
+        lambda g: support_histogram(g, 3, 3),
+        lambda g: integral_support_histogram(g, 3, 3),
+    ],
+    ids=[
+        "kappa_rho",
+        "integral_tension_poly",
+        "integral_flow_poly",
+        "support_histogram",
+        "integral_support_histogram",
+    ],
+)
+def test_cached_result_does_not_skip_a_smaller_env_guard(monkeypatch, compute):
+    g = fixture("k4")
+    compute(g)  # cached under the default guard
+    monkeypatch.setenv("TFPOLY_GUARD", "10")
+    with pytest.raises(GuardExceeded, match="guard is 10$"):
+        compute(g)
+
+
+@pytest.mark.parametrize("count", [modular_complementary_count, integral_complementary_count])
+def test_complementary_counts_obey_the_guard(count):
+    assert count(fixture("k3"), 2, 2) > 0
+    with pytest.raises(GuardExceeded):
+        count(fixture("k3"), 2, 2, guard=1)
 
 
 # -- per-orientation window polynomials ---------------------------------------

@@ -2,8 +2,9 @@
 
 import pytest
 
+from tfpoly import orientations
 from tfpoly.fixtures import fixture, fixture_names
-from tfpoly.graph import Orientation, is_acyclic, is_totally_cyclic, restriction
+from tfpoly.graph import MultiGraph, Orientation, is_acyclic, is_totally_cyclic, restriction
 from tfpoly.invariants import tutte
 from tfpoly.orientations import (
     all_orientations,
@@ -108,3 +109,19 @@ def test_loop_class_is_singleton():
     classes = cut_eulerian_classes(g)
     assert len(classes) == 1 and len(classes[0].members) == 1
     assert classes[0].b_size == 0 and classes[0].c_size == 1
+
+
+def test_class_closure_computes_bonds_once(monkeypatch):
+    calls = []
+    real = orientations.bonds
+
+    def counted(g, guard=None):
+        calls.append(g)
+        return real(g, guard)
+
+    monkeypatch.setattr(orientations, "bonds", counted)
+    # a 4-cycle with a chord, in an edge order no other test caches
+    g = MultiGraph(4, ((2, 3), (0, 2), (1, 2), (3, 0), (0, 1)))
+    classes = cut_eulerian_classes(g)
+    assert len(classes) == tutte(g).evaluate(x=1, y=1)
+    assert calls == [g]

@@ -29,6 +29,7 @@ from tfpoly.tensionflow import (
     pred_disjoint_supports,
     pred_nowhere_zero,
     reorient,
+    support_pair_counts,
 )
 
 Z2 = FiniteAbelianGroup.cyclic(2)
@@ -282,3 +283,11 @@ def test_guard_stops_huge_enumerations():
     o = Orientation.reference(g)
     with pytest.raises(GuardExceeded):
         count_pairs(g, o, Z4, Z4, pred_nowhere_zero, guard=10)
+
+
+def test_support_product_charges_distinct_support_pairs():
+    # three distinct tension supports times two distinct flow supports
+    tensions, flows = [1, 2, 2, 3], [1, 1, 4]
+    assert support_pair_counts(tensions, flows, guard=6)[(2, 1)] == 4
+    with pytest.raises(GuardExceeded, match="support pair product needs 6 states, guard is 5"):
+        support_pair_counts(tensions, flows, guard=5)
