@@ -15,8 +15,11 @@ Two backends share one semilattice machinery:
   value lambda(Omega_X) = x^(dim of tensions vanishing on X) *
   y^(dim of flows vanishing on X); two subsets give the same flat
   exactly when both dimension pairs match the pair of their union.
-  The characteristic polynomial in (x, y) equals the nowhere-zero
-  pair-counting polynomial of the graph.
+  The dimensions are read from the union-find subset rank table:
+  r(E) - r(X) for tensions and |E - X| - r(E - X) for flows; rational
+  ranks of incidence submatrices (`graphic_flat_dims`) are kept as an
+  oracle only.  The characteristic polynomial in (x, y) equals the
+  nowhere-zero pair-counting polynomial of the graph.
 
 Mobius values are taken against the top (the ambient space), with
 mu(top, top) = 1 and sum of mu over any upper interval zero.
@@ -30,7 +33,7 @@ from typing import Iterable, Sequence
 
 from .algebra import MultiPoly, rational_rank
 from .config import check_state_space
-from .graph import EdgeSubset, MultiGraph, Orientation, incidence_matrix
+from .graph import EdgeSubset, MultiGraph, Orientation, incidence_matrix, subset_rank_table
 from .tensionflow import Element, FiniteAbelianGroup
 
 
@@ -253,7 +256,8 @@ class GraphicFlat:
 
 def graphic_flat_dims(g: MultiGraph, x: EdgeSubset) -> tuple[int, int]:
     """(dim of tensions vanishing on X, dim of flows vanishing on X),
-    over the rationals, via ranks of incidence submatrices."""
+    over the rationals, via ranks of incidence submatrices.  An oracle
+    for `subset_flat_dims`, which the arrangement route reads."""
     o = Orientation.reference(g)
     inc = incidence_matrix(g, o)
     full_rank = rational_rank(inc)
@@ -269,39 +273,44 @@ def graphic_flat_dims(g: MultiGraph, x: EdgeSubset) -> tuple[int, int]:
     return dim_t, dim_f
 
 
+def subset_flat_dims(g: MultiGraph, guard: int | None = None) -> list[tuple[int, int]]:
+    """(dim_t, dim_f) of every edge subset X, indexed by mask, read from
+    the subset rank table: dim_t = r(E) - r(X) and dim_f = |E - X| - r(E - X).
+    Charges what `subset_rank_table` charges."""
+    table = subset_rank_table(g, guard)
+    full = (1 << g.edge_count) - 1
+    r = table[full]
+    return [
+        (r - table[mask], (full ^ mask).bit_count() - table[full ^ mask])
+        for mask in range(full + 1)
+    ]
+
+
 def graphic_semilattice(g: MultiGraph, guard: int | None = None) -> IntersectionPoset:
     """Flats of the edge arrangement over the tension-flow product space.
 
     Every edge subset X determines a flat; X and Y coincide exactly
     when dims(X) = dims(Y) = dims(X union Y), so each flat is keyed by
-    its closure (the largest subset with the same dims).  Each subset's
-    dims come from a V x E incidence rank, so the scan charges
-    2^E x E x V states.
+    its closure (the largest subset with the same dims), and the flats
+    are the closed masks.  The dims come from the subset rank table, so
+    the scan charges 2^E x E states; once the F flats are known, the
+    containment table charges F^2.
     """
     m = g.edge_count
-    check_state_space((1 << m) * m * g.vertex_count, guard, "graphic flat enumeration")
-    dims: dict[int, tuple[int, int]] = {}
-    for mask in range(1 << m):
-        dims[mask] = graphic_flat_dims(g, EdgeSubset(mask, m))
-    closures: dict[int, int] = {}
-    for mask in range(1 << m):
-        cl = mask
-        for e in range(m):
-            if mask >> e & 1:
-                continue
-            if dims[mask | (1 << e)] == dims[mask]:
-                cl |= 1 << e
-        closures[mask] = cl
-    flat_masks = sorted(set(closures.values()))
-    elements = [
-        GraphicFlat(EdgeSubset(mask, m), *dims[mask]) for mask in flat_masks
+    check_state_space((1 << m) * m, guard, "graphic flat enumeration")
+    dims = subset_flat_dims(g, guard)
+    bits = [1 << e for e in range(m)]
+    flat_masks = [
+        mask
+        for mask, d in enumerate(dims)
+        if all(mask & bit or dims[mask | bit] != d for bit in bits)
     ]
+    check_state_space(len(flat_masks) ** 2, guard, "flat containment table")
+    # the top, the ambient space, is the closure of the empty set
+    top = flat_masks.index(sum(bit for bit in bits if dims[bit] == dims[0]))
     # containment of subgroups is reverse containment of closed edge sets
-    leq = [
-        [a.edges.mask | b.edges.mask == a.edges.mask for b in elements]
-        for a in elements
-    ]
-    top = flat_masks.index(closures[0])
+    leq = [[a | b == a for b in flat_masks] for a in flat_masks]
+    elements = [GraphicFlat(EdgeSubset(mask, m), *dims[mask]) for mask in flat_masks]
     weights = [
         MultiPoly(("x", "y"), {(f.dim_tension, f.dim_flow): 1}) for f in elements
     ]

@@ -201,17 +201,39 @@ def subset_rank_table(g: MultiGraph, guard: int | None = None) -> tuple[int, ...
 
 @functools.lru_cache(maxsize=None)
 def _subset_rank_table(g: MultiGraph) -> tuple[int, ...]:
-    table = [0] * (1 << g.edge_count)
-    for mask in range(1, 1 << g.edge_count):
-        low = mask & -mask
-        e = low.bit_length() - 1
-        rest = mask ^ low
+    # One pass in counting order over a union-find that can undo its
+    # latest unions (union by size, no path compression).  Its stack
+    # holds the edges of the current mask, lowest id on top, so going
+    # from mask - 1 to mask pops the trailing one-bits and pushes one edge.
+    m = g.edge_count
+    parent = list(range(g.vertex_count))
+    size = [1] * g.vertex_count
+    hung: list[int] = []  # per pushed edge: the root it hung below another, or -1
+    table = [0] * (1 << m)
+    rank = 0
+    for mask in range(1, 1 << m):
+        e = (mask & -mask).bit_length() - 1
+        for _ in range(e):
+            child = hung.pop()
+            if child >= 0:
+                size[parent[child]] -= size[child]
+                parent[child] = child
+                rank -= 1
         t, h = g.edges[e]
+        while parent[t] != t:
+            t = parent[t]
+        while parent[h] != h:
+            h = parent[h]
         if t == h:
-            table[mask] = table[rest]
-            continue
-        # recompute from scratch; desk scale keeps this cheap
-        table[mask] = rank_nullity(g, EdgeSubset(mask, g.edge_count))[0]
+            hung.append(-1)
+        else:
+            if size[t] > size[h]:
+                t, h = h, t
+            parent[t] = h
+            size[h] += size[t]
+            hung.append(t)
+            rank += 1
+        table[mask] = rank
     return tuple(table)
 
 
@@ -381,12 +403,14 @@ def _induced_connected(g: MultiGraph, verts: set[int]) -> bool:
     return seen == verts
 
 
-def directed_bonds(g: MultiGraph, o: Orientation, bond_list: list[EdgeSubset]) -> list[EdgeSubset]:
-    """The bonds of bond_list (the bonds of g, from `bonds`) whose arrows
-    all cross the cut the same way under o."""
+def directed_bonds(
+    g: MultiGraph, o: Orientation, shores: list[tuple[EdgeSubset, set[int]]]
+) -> list[EdgeSubset]:
+    """The bonds whose arrows all cross the cut the same way under o;
+    shores pairs each bond of g (from `bonds`) with its `bond_side`,
+    which does not depend on o."""
     out: list[EdgeSubset] = []
-    for bond in bond_list:
-        side = _bond_side(g, bond)
+    for bond, side in shores:
         forward = backward = 0
         for e in bond.members():
             t, h = arc(g, o, e)
@@ -399,7 +423,7 @@ def directed_bonds(g: MultiGraph, o: Orientation, bond_list: list[EdgeSubset]) -
     return out
 
 
-def _bond_side(g: MultiGraph, bond: EdgeSubset) -> set[int]:
+def bond_side(g: MultiGraph, bond: EdgeSubset) -> set[int]:
     """One shore of the cut: vertices reachable without crossing the bond."""
     t0, _ = g.edges[bond.members()[0]]
     seen = {t0}

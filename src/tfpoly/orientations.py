@@ -36,6 +36,7 @@ from .graph import (
     EdgeSubset,
     MultiGraph,
     Orientation,
+    bond_side,
     bonds,
     directed_bonds,
     directed_circuits,
@@ -124,7 +125,7 @@ def _cut_eulerian_classes(g: MultiGraph, guard: int) -> tuple[OrientationClass, 
     loop_mask = 0
     for e in g.loop_ids():
         loop_mask |= 1 << e
-    bond_list = bonds(g, guard)
+    shores = [(bond, bond_side(g, bond)) for bond in bonds(g, guard)]
     for start in orientations:
         if start.flips in seen:
             continue
@@ -134,7 +135,7 @@ def _cut_eulerian_classes(g: MultiGraph, guard: int) -> tuple[OrientationClass, 
         while stack:
             cur = stack.pop()
             component.append(cur)
-            moves = directed_circuits(g, cur, guard) + directed_bonds(g, cur, bond_list)
+            moves = directed_circuits(g, cur, guard) + directed_bonds(g, cur, shores)
             for subset in moves:
                 # reversing a loop keeps the orientation: loops never flip
                 flip_mask = subset.mask & ~loop_mask

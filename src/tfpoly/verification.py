@@ -21,11 +21,13 @@ from .arrangements import (
     ambient_product,
     complement_count,
     finite_semilattice,
+    graphic_flat_dims,
     product_valuation,
+    subset_flat_dims,
 )
 from .config import VerificationError
 from .fixtures import all_fixtures, fixture
-from .graph import MultiGraph, Orientation, components_count, subset_rank_table
+from .graph import EdgeSubset, MultiGraph, Orientation, components_count, subset_rank_table
 from .invariants import (
     chromatic_poly,
     flow_poly,
@@ -581,6 +583,21 @@ def criterion_14(guard: int | None = None) -> CheckResult:
     )
 
 
+# -- 15: the rank table against rational incidence ranks -------------------------------
+
+
+def criterion_15(guard: int | None = None) -> CheckResult:
+    col = _Collector()
+    for name, g in all_fixtures():
+        dims = subset_flat_dims(g, guard)
+        for mask, got in enumerate(dims):
+            want = graphic_flat_dims(g, EdgeSubset(mask, g.edge_count))
+            col.expect(got == want, f"{name} mask {mask:#x}: rank table {got}, rational {want}")
+    return col.result(
+        "flat dimensions from the subset rank table equal rational incidence ranks"
+    )
+
+
 # -- suites -------------------------------------------------------------------------------
 
 
@@ -599,15 +616,16 @@ CRITERIA: dict[int, Callable[..., CheckResult]] = {
     12: criterion_12,
     13: criterion_13,
     14: criterion_14,
+    15: criterion_15,
 }
 
 SUITES: dict[str, tuple[int, ...]] = {
-    "arrangement": (1, 11),
+    "arrangement": (1, 11, 15),
     "orientation": (3, 9, 10),
     "reciprocity": (2, 4, 5, 6, 12, 13, 14),
     "whitney": (7,),
     "integrals": (8,),
-    "all": tuple(range(1, 15)),
+    "all": tuple(range(1, 16)),
 }
 
 

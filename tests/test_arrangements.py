@@ -1,7 +1,10 @@
 """Finite coset-product arrangements and the graphic arrangement."""
 
+import itertools
+
 import pytest
 
+from tfpoly import arrangements
 from tfpoly.fixtures import fixture
 from tfpoly.invariants import omega
 from tfpoly.tensionflow import FiniteAbelianGroup
@@ -14,8 +17,9 @@ from tfpoly.arrangements import (
     graphic_semilattice,
     product_valuation,
     subgroup_closure,
+    subset_flat_dims,
 )
-from tfpoly.graph import EdgeSubset
+from tfpoly.graph import EdgeSubset, MultiGraph
 
 Z2 = FiniteAbelianGroup.cyclic(2)
 Z4 = FiniteAbelianGroup.cyclic(4)
@@ -126,3 +130,33 @@ def test_graphic_characteristic_polynomial_is_omega(name):
 def test_graphic_semilattice_of_edgeless_graph():
     chi = graphic_semilattice(fixture("e2")).characteristic_polynomial()
     assert chi == 1
+
+
+RANK_TABLE_GRAPHS = {
+    "k33": MultiGraph(6, tuple((i, 3 + j) for i in range(3) for j in range(3))),
+    "prism": MultiGraph(
+        6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5))
+    ),
+    "w5": MultiGraph(
+        6, tuple((0, i) for i in range(1, 6)) + tuple((i, i % 5 + 1) for i in range(1, 6))
+    ),
+    "k5": MultiGraph(5, tuple(itertools.combinations(range(5), 2))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANK_TABLE_GRAPHS))
+def test_subset_flat_dims_match_rational_ranks(name):
+    g = RANK_TABLE_GRAPHS[name]
+    dims = subset_flat_dims(g)
+    assert len(dims) == 1 << g.edge_count
+    for mask, got in enumerate(dims):
+        assert got == graphic_flat_dims(g, EdgeSubset(mask, g.edge_count)), mask
+
+
+def test_arrangement_route_does_no_gaussian_elimination(monkeypatch):
+    def refuse(matrix):
+        raise AssertionError("the arrangement route reached rational_rank")
+
+    monkeypatch.setattr(arrangements, "rational_rank", refuse)
+    g = fixture("k4")
+    assert omega(g, "arrangement") == omega(g, "expansion")

@@ -227,6 +227,39 @@ def k5_file(tmp_path):
     return str(path)
 
 
+def petersen() -> MultiGraph:
+    outer = tuple((i, (i + 1) % 5) for i in range(5))
+    inner = tuple((5 + i, 5 + (i + 2) % 5) for i in range(5))
+    spokes = tuple((i, 5 + i) for i in range(5))
+    return MultiGraph(10, outer + inner + spokes)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [petersen(), MultiGraph(6, tuple(itertools.combinations(range(6), 2)))],
+    ids=["petersen", "k6"],
+)
+def test_arrangement_route_refuses_large_flat_tables_quickly(tmp_path, capsys, g):
+    # 15 edges: the 2^15 x 15 flat scan fits the default guard, but the
+    # 11,693 and 15,203 flats would need a containment table of F^2 entries
+    path = tmp_path / "g.graph"
+    path.write_text(format_graph(g))
+    started = time.perf_counter()
+    assert main(["omega", "--via", "arrangement", str(path)]) == 2
+    assert time.perf_counter() - started < 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.match(r"error: flat containment table needs \d+ states", captured.err)
+
+
+def test_arrangement_route_reaches_k5(k5_file, capsys):
+    # 429 flats: the containment table fits the default guard
+    assert main(["--json", "omega", "--via", "arrangement", k5_file]) == 0
+    via_arrangement = capsys.readouterr().out
+    assert main(["--json", "omega", k5_file]) == 0
+    assert via_arrangement == capsys.readouterr().out
+
+
 def test_psi_reaches_k5(k5_file, capsys):
     assert main(["--json", "psi", k5_file]) == 0
     payload = json.loads(capsys.readouterr().out)

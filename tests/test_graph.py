@@ -11,6 +11,7 @@ from tfpoly.graph import (
     MultiGraph,
     Orientation,
     arc,
+    bond_side,
     bonds,
     components_count,
     coupling,
@@ -96,7 +97,8 @@ def test_directed_structures_on_reference_k3():
     assert is_acyclic(g, o)
     assert not is_totally_cyclic(g, o)
     assert directed_circuits(g, o) == []
-    assert sorted(b.members() for b in directed_bonds(g, o, bonds(g))) == [(0, 2), (1, 2)]
+    shores = [(b, bond_side(g, b)) for b in bonds(g)]
+    assert sorted(b.members() for b in directed_bonds(g, o, shores)) == [(0, 2), (1, 2)]
 
 
 def test_directed_circuit_appears_after_one_flip():

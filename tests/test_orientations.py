@@ -4,7 +4,14 @@ import pytest
 
 from tfpoly import orientations
 from tfpoly.fixtures import fixture, fixture_names
-from tfpoly.graph import MultiGraph, Orientation, is_acyclic, is_totally_cyclic, restriction
+from tfpoly.graph import (
+    MultiGraph,
+    Orientation,
+    bonds,
+    is_acyclic,
+    is_totally_cyclic,
+    restriction,
+)
 from tfpoly.invariants import tutte
 from tfpoly.orientations import (
     all_orientations,
@@ -125,3 +132,21 @@ def test_class_closure_computes_bonds_once(monkeypatch):
     classes = cut_eulerian_classes(g)
     assert len(classes) == tutte(g).evaluate(x=1, y=1)
     assert calls == [g]
+
+
+def test_class_closure_finds_each_bond_side_once(monkeypatch):
+    calls = []
+    real = orientations.bond_side
+
+    def counted(g, bond):
+        calls.append(bond.mask)
+        return real(g, bond)
+
+    monkeypatch.setattr(orientations, "bond_side", counted)
+    # K3,3 with its edges in an order no other test caches: 24 bonds and
+    # 512 orientations, but a bond's shores do not depend on the orientation
+    g = MultiGraph(6, tuple((i, 3 + j) for j in range(3) for i in range(3)))
+    classes = cut_eulerian_classes(g)
+    assert len(classes) == tutte(g).evaluate(x=1, y=1)
+    assert sorted(calls) == [bond.mask for bond in bonds(g)]
+    assert len(calls) == 24
