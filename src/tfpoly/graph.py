@@ -201,10 +201,8 @@ def subset_rank_table(g: MultiGraph, guard: int | None = None) -> tuple[int, ...
 
 @functools.lru_cache(maxsize=None)
 def _subset_rank_table(g: MultiGraph) -> tuple[int, ...]:
-    # One pass in counting order over a union-find that can undo its
-    # latest unions (union by size, no path compression).  Its stack
-    # holds the edges of the current mask, lowest id on top, so going
-    # from mask - 1 to mask pops the trailing one-bits and pushes one edge.
+    # counting order: mask - 1 -> mask pops the trailing one-bit edges (the
+    # last pushed) and pushes one; without path compression unions undo
     m = g.edge_count
     parent = list(range(g.vertex_count))
     size = [1] * g.vertex_count
