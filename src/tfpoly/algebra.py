@@ -12,9 +12,8 @@ orientation sums are integral again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 # Canonical variable order.  Variables outside this list sort after it,
 # alphabetically.  Printing and JSON serialisation follow this order.
@@ -394,59 +393,14 @@ def interpolate_univariate(
 
 # -- exact matrices ----------------------------------------------------
 
-Entry = Union[int, Fraction]
 
-
-@dataclass(frozen=True)
-class RationalMatrix:
-    """Dense matrix over the rationals (entries int or Fraction)."""
-
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Entry]]) -> "RationalMatrix":
-        rows = [tuple(Fraction(x) for x in row) for row in rows]
-        if rows and any(len(r) != len(rows[0]) for r in rows):
-            raise ValueError("ragged matrix")
-        return cls(tuple(rows))
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.entries), len(self.entries[0]) if self.entries else 0)
-
-
-@dataclass(frozen=True)
-class IntMatrix:
-    """Dense matrix over the integers."""
-
-    entries: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        rows = [tuple(int(x) for x in row) for row in rows]
-        if rows and any(len(r) != len(rows[0]) for r in rows):
-            raise ValueError("ragged matrix")
-        return cls(tuple(rows))
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.entries), len(self.entries[0]) if self.entries else 0)
-
-
-def _rows_of(matrix) -> list[list]:
-    if isinstance(matrix, (RationalMatrix, IntMatrix)):
-        return [list(r) for r in matrix.entries]
-    return [list(r) for r in matrix]
-
-
-def rational_rank(matrix) -> int:
+def rational_rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
     """Exact rank over Q by fraction-free integer elimination.
 
-    Accepts a RationalMatrix, IntMatrix, or a plain sequence of rows.
-    Rows are scaled to integers first (rank-preserving), then eliminated
+    Takes a plain sequence of rows of ints or Fractions.  Rows are
+    scaled to integers first (rank-preserving), then eliminated
     by cross-multiplication which stays in Z throughout.
     """
-    rows = _rows_of(matrix)
     if not rows or not rows[0]:
         return 0
     work: list[list[int]] = []
@@ -482,14 +436,14 @@ def _gcd(a: int, b: int) -> int:
     return a
 
 
-def smith_normal_form(matrix) -> tuple[int, ...]:
+def smith_normal_form(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Diagonal of the Smith normal form: non-negative d_1 | d_2 | ...
 
     Returns min(rows, cols) entries, trailing zeros for rank deficiency.
     For a square non-singular matrix the product of the entries is the
     index of the column lattice in Z^n (= |det|).
     """
-    A = [[int(x) for x in row] for row in _rows_of(matrix)]
+    A = [[int(x) for x in row] for row in rows]
     m = len(A)
     n = len(A[0]) if A else 0
     size = min(m, n)

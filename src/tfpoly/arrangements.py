@@ -244,16 +244,6 @@ def product_valuation(
 # -- graphic backend ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GraphicFlat:
-    """Flat of the graphic arrangement: the subgroup of (tension, flow)
-    pairs vanishing on a closed edge subset."""
-
-    edges: EdgeSubset
-    dim_tension: int
-    dim_flow: int
-
-
 def graphic_flat_dims(g: MultiGraph, x: EdgeSubset) -> tuple[int, int]:
     """(dim of tensions vanishing on X, dim of flows vanishing on X),
     over the rationals, via ranks of incidence submatrices.  An oracle
@@ -310,8 +300,6 @@ def graphic_semilattice(g: MultiGraph, guard: int | None = None) -> Intersection
     top = flat_masks.index(sum(bit for bit in bits if dims[bit] == dims[0]))
     # containment of subgroups is reverse containment of closed edge sets
     leq = [[a | b == a for b in flat_masks] for a in flat_masks]
-    elements = [GraphicFlat(EdgeSubset(mask, m), *dims[mask]) for mask in flat_masks]
-    weights = [
-        MultiPoly(("x", "y"), {(f.dim_tension, f.dim_flow): 1}) for f in elements
-    ]
+    elements = [EdgeSubset(mask, m) for mask in flat_masks]
+    weights = [MultiPoly(("x", "y"), {dims[mask]: 1}) for mask in flat_masks]
     return IntersectionPoset(elements, leq, top, weights)

@@ -6,8 +6,6 @@ stays well under the state-space guard on these.
 
 from __future__ import annotations
 
-import functools
-
 from .graph import MultiGraph
 from .graphio import parse_graph_text
 
@@ -39,7 +37,6 @@ def fixture_names() -> tuple[str, ...]:
     return tuple(FIXTURE_TEXTS)
 
 
-@functools.lru_cache(maxsize=None)
 def fixture(name: str) -> MultiGraph:
     try:
         text = FIXTURE_TEXTS[name]

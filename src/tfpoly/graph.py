@@ -440,26 +440,6 @@ def bond_side(g: MultiGraph, bond: EdgeSubset) -> set[int]:
     return seen
 
 
-def coupling(
-    g: MultiGraph,
-    o1: Orientation,
-    o2: Orientation,
-    support: EdgeSubset | None = None,
-) -> tuple[int, ...]:
-    """[o1, o2](e): +1 where the orientations agree, -1 where they differ,
-    0 outside the support.  Loops never differ."""
-    if support is None:
-        support = EdgeSubset.full(g.edge_count)
-    vals = []
-    for e in range(g.edge_count):
-        if e not in support:
-            vals.append(0)
-        else:
-            vals.append(-1 if o1.flips[e] != o2.flips[e] else 1)
-    return tuple(vals)
-
-
-@functools.lru_cache(maxsize=None)
 def spanning_forest(g: MultiGraph) -> tuple[int, ...]:
     """Greedy maximal forest (lowest edge ids win); loops never enter."""
     uf = _UnionFind(g.vertex_count)

@@ -33,16 +33,11 @@ Conventions used throughout:
   |g| < t number 2(t - 1), so the factor 2 per loop needs no special
   case there.  The closed sums follow by reciprocity,
       bar(x,y,z,w) = (-1)^n psi(-x,-y,-z,w).
-
-All identity checkers return report objects; nothing is asserted
-silently.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Callable, Sequence
 
 from .algebra import MultiPoly, interpolate_univariate
 from .config import VerificationError, check_state_space, state_guard
@@ -70,10 +65,6 @@ from .tensionflow import (
 
 X = MultiPoly.var("x")
 Y = MultiPoly.var("y")
-Z = MultiPoly.var("z")
-W = MultiPoly.var("w")
-U = MultiPoly.var("u")
-V = MultiPoly.var("v")
 
 
 # -- Tutte polynomial and its evaluations ---------------------------------------
@@ -410,6 +401,13 @@ def integral_flow_poly(g: MultiGraph, var: str = "t", guard: int | None = None) 
 
 @functools.lru_cache(maxsize=None)
 def _integral_flow_poly(g: MultiGraph, var: str, guard: int) -> MultiPoly:
+    loops = g.loop_ids()
+    if loops:
+        # a loop's flow value is free: each loop multiplies the count by
+        # its 2(t - 1) nonzero values with |g| < t
+        t = MultiPoly.var(var)
+        rest = MultiGraph(g.vertex_count, tuple(g.edges[e] for e in g.non_loop_ids()))
+        return (2 * (t - 1)) ** len(loops) * _integral_flow_poly(rest, var, guard)
     _, n = rank_nullity(g)
     o = Orientation.reference(g)
     samples = []
@@ -570,189 +568,6 @@ def psi_family(
     return total
 
 
-# -- report plumbing -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CheckOutcome:
-    name: str
-    passed: bool
-    details: tuple[str, ...] = ()
-
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        suffix = f" [{'; '.join(self.details)}]" if self.details and not self.passed else ""
-        return f"{status} {self.name}{suffix}"
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    graph: str
-    checks: tuple[CheckOutcome, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def lines(self) -> list[str]:
-        return [c.line() for c in self.checks]
-
-
-def _outcome(name: str, passed: bool, *details: str) -> CheckOutcome:
-    return CheckOutcome(name, bool(passed), tuple(details) if not passed else ())
-
-
-# -- reciprocity and specialization --------------------------------------------
-
-
-def reciprocity_check(g: MultiGraph, guard: int | None = None) -> IdentityReport:
-    """Sign reciprocity between the open and closed orientation sums of
-    `psi_by_orientations`, for the modular pair, the integral pair, and
-    every single orientation.  The production `psi_family` derives its
-    closed sums by this reciprocity, so checking it there would prove
-    nothing."""
-    r, n = rank_nullity(g)
-    sr = -1 if r & 1 else 1
-    sn = -1 if n & 1 else 1
-    checks: list[CheckOutcome] = []
-    for which, bar in (("psi", "bar_psi"), ("psi_z", "bar_psi_z")):
-        open_poly = psi_by_orientations(g, which, guard)
-        closed_poly = psi_by_orientations(g, bar, guard)
-        lhs = open_poly.negate_vars(["x", "y"])
-        via_z = sn * closed_poly.negate_vars(["z"])
-        via_w = sr * closed_poly.negate_vars(["w"])
-        checks.append(
-            _outcome(
-                f"{which}(-x,-y,z,w) = (-1)^n {bar}(x,y,-z,w)",
-                lhs == via_z,
-                f"lhs={lhs}",
-                f"rhs={via_z}",
-            )
-        )
-        checks.append(
-            _outcome(
-                f"{which}(-x,-y,z,w) = (-1)^r {bar}(x,y,z,-w)",
-                lhs == via_w,
-                f"lhs={lhs}",
-                f"rhs={via_w}",
-            )
-        )
-    per_orientation_ok = True
-    witness: tuple[str, ...] = ()
-    for o in all_orientations(g, guard):
-        b, c = classify_edges(g, o)
-        sign = -1 if (r + c.size) & 1 else 1
-        lhs = kappa_rho(g, o, "open", guard).negate_vars(["x", "y"])
-        rhs = sign * kappa_rho(g, o, "closed", guard)
-        if lhs != rhs:
-            per_orientation_ok = False
-            witness = (f"flips={o.flips}", f"lhs={lhs}", f"rhs={rhs}")
-            break
-    checks.append(
-        _outcome(
-            "kappa(-x,-y) = (-1)^(r+|C|) kappa_closed(x,y) for every orientation",
-            per_orientation_ok,
-            *witness,
-        )
-    )
-    return IdentityReport(g.fingerprint(), tuple(checks))
-
-
-def specialization_check(
-    g: MultiGraph,
-    grid: Sequence[tuple[int, int]] = tuple(
-        (p, q) for p in (2, 3, 4) for q in (2, 3, 4)
-    ),
-    guard: int | None = None,
-) -> IdentityReport:
-    """Pin (z, w) in the orientation sums of `psi_by_orientations` and
-    compare against the directly defined counting polynomials and brute
-    counts.  (In the convolution of `psi_family`, psi(x,y,1,0) is the
-    single term of the empty X, so checking it there would prove nothing.)"""
-    checks: list[CheckOutcome] = []
-    psi_z = psi_by_orientations(g, "psi_z", guard)
-    psi_m = psi_by_orientations(g, "psi", guard)
-
-    tz = integral_tension_poly(g, "x", guard)
-    fz = integral_flow_poly(g, "y", guard)
-    checks.append(
-        _outcome(
-            "psi_z(x,y,1,0) = integral tension polynomial",
-            psi_z.substitute({"z": 1, "w": 0}) == tz,
-            f"got={psi_z.substitute({'z': 1, 'w': 0})}",
-            f"want={tz}",
-        )
-    )
-    checks.append(
-        _outcome(
-            "psi_z(x,y,0,1) = integral flow polynomial",
-            psi_z.substitute({"z": 0, "w": 1}) == fz,
-            f"got={psi_z.substitute({'z': 0, 'w': 1})}",
-            f"want={fz}",
-        )
-    )
-    # with no edges both sums are the empty product 1, not 0
-    origin = MultiPoly.const(1) if g.edge_count == 0 else MultiPoly.zero(())
-    checks.append(
-        _outcome(
-            "psi_z(x,y,0,0) = 0 (1 when edgeless)",
-            psi_z.substitute({"z": 0, "w": 0}) == origin,
-        )
-    )
-    tm = tension_poly(g, "x", guard)
-    fm = flow_poly(g, "y", guard)
-    checks.append(
-        _outcome(
-            "psi(x,y,1,0) = tension polynomial",
-            psi_m.substitute({"z": 1, "w": 0}) == tm,
-            f"got={psi_m.substitute({'z': 1, 'w': 0})}",
-            f"want={tm}",
-        )
-    )
-    checks.append(
-        _outcome(
-            "psi(x,y,0,1) = flow polynomial",
-            psi_m.substitute({"z": 0, "w": 1}) == fm,
-            f"got={psi_m.substitute({'z': 0, 'w': 1})}",
-            f"want={fm}",
-        )
-    )
-    checks.append(
-        _outcome(
-            "psi(x,y,0,0) = 0 (1 when edgeless)",
-            psi_m.substitute({"z": 0, "w": 0}) == origin,
-        )
-    )
-    kz = psi_z.substitute({"z": 1, "w": 1})
-    km = psi_m.substitute({"z": 1, "w": 1})
-    bad_z = []
-    bad_m = []
-    for p, q in grid:
-        want_z = integral_complementary_count(g, p, q, guard)
-        got_z = kz.evaluate(x=p, y=q)
-        if got_z != want_z:
-            bad_z.append(f"({p},{q}): poly {got_z} vs count {want_z}")
-        want_m = modular_complementary_count(g, p, q, guard)
-        got_m = km.evaluate(x=p, y=q)
-        if got_m != want_m:
-            bad_m.append(f"({p},{q}): poly {got_m} vs count {want_m}")
-    checks.append(
-        _outcome(
-            "psi_z(p,q,1,1) = integer complementary pair count on the grid",
-            not bad_z,
-            *bad_z,
-        )
-    )
-    checks.append(
-        _outcome(
-            "psi(p,q,1,1) = modular complementary pair count on the grid",
-            not bad_m,
-            *bad_m,
-        )
-    )
-    return IdentityReport(g.fingerprint(), tuple(checks))
-
-
 # -- Tutte values from orientation triples --------------------------------------
 
 QUADRANTS = ("++", "+-", "-+", "--")
@@ -838,19 +653,7 @@ def tutte_value_triples(
     return total
 
 
-# -- two-variable brute identities ----------------------------------------------
-
-
-def _omega_xy_size(table: Sequence[int], x_mask: int, y_mask: int, p: int, q: int) -> int:
-    """|T_X x F_Y|: tensions vanishing on X times flows vanishing on Y,
-    over groups of orders p and q; table is the graph's subset rank
-    table."""
-    full = len(table) - 1
-    r = table[full]
-    dim_t = r - table[x_mask]
-    comp = full & ~y_mask
-    dim_f = comp.bit_count() - table[comp]
-    return p**dim_t * q**dim_f
+# -- weighted support sums ------------------------------------------------------
 
 
 def whitney_weighted_sums(g: MultiGraph, p: int, q: int, guard: int | None = None) -> tuple[int, int]:
@@ -876,335 +679,3 @@ def whitney_weighted_sums(g: MultiGraph, p: int, q: int, guard: int | None = Non
     if r & 1:
         signed_sum = -signed_sum
     return disjoint_sum, signed_sum
-
-
-def _submasks(mask: int):
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
-def _hist_weighted_sum(
-    hist: dict[tuple[int, int], int],
-    domain: Callable[[int, int], bool],
-    weight: Callable[[int, int], MultiPoly | int],
-    start: MultiPoly | int = 0,
-):
-    total = start
-    for (fm, gm), cnt in hist.items():
-        if domain(fm, gm):
-            total = total + cnt * weight(fm, gm)
-    return total
-
-
-@dataclass(frozen=True)
-class PairIntegralReport:
-    graph: str
-    p: int
-    q: int
-    checks: tuple[CheckOutcome, ...]
-    domain_readings: tuple[tuple[str, bool], ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    @property
-    def validating_readings(self) -> tuple[str, ...]:
-        return tuple(name for name, ok in self.domain_readings if ok)
-
-    def lines(self) -> list[str]:
-        out = [c.line() for c in self.checks]
-        for name, ok in self.domain_readings:
-            out.append(f"{'PASS' if ok else 'FAIL'} domain reading: {name}")
-        return out
-
-
-def pair_integral_identities(
-    g: MultiGraph, p: int, q: int, guard: int | None = None
-) -> PairIntegralReport:
-    """Finite-integral identities over the pair space, all checked as
-    exact polynomial identities at group orders (p, q).
-
-    The disjoint-support integral is also evaluated under both stated
-    domain phrasings ("supp f inside ker g" and "supp g inside ker f",
-    which are contrapositives and define the same set) and under the
-    genuinely different swapped reading "ker f inside supp g"; the
-    report records which readings validate against the subset formula.
-    """
-    m = g.edge_count
-    # the subset sums below run over 3^E pairs Y inside X and 4^E pairs (Z, W)
-    check_state_space(3**m + 4**m, guard, "pair integral subset sums")
-    hist = support_histogram(g, p, q, guard)
-    table = subset_rank_table(g, guard)
-    full = (1 << m) - 1
-    r, n = rank_nullity(g)
-
-    def nu(x_mask: int, y_mask: int) -> int:
-        return _omega_xy_size(table, x_mask, y_mask, p, q)
-
-    def mono_uv(i: int, j: int, c: int = 1) -> MultiPoly:
-        return MultiPoly(("u", "v"), {(i, j): c})
-
-    checks: list[CheckOutcome] = []
-
-    # shared LHS weights
-    def weight_uv(fm: int, gm: int) -> MultiPoly:
-        return mono_uv((full & ~fm).bit_count(), gm.bit_count())
-
-    # RHS of the disjoint-support integral:
-    # sum over Y inside X of (uv)^|Y| (u - uv - 1)^(|X|-|Y|) nu(X, Y^c)
-    uv = U * V
-    aux = U - uv - 1
-    acc1: dict[tuple[int, int], int] = {}
-    for x_mask in range(1 << m):
-        for y_mask in _submasks(x_mask):
-            key = (y_mask.bit_count(), (x_mask & ~y_mask).bit_count())
-            acc1[key] = acc1.get(key, 0) + nu(x_mask, full & ~y_mask)
-    uv_pows = [uv**k for k in range(m + 1)]
-    aux_pows = [aux**k for k in range(m + 1)]
-    rhs1 = MultiPoly.zero(("u", "v"))
-    for (i, j), coeff in sorted(acc1.items()):
-        rhs1 = rhs1 + coeff * uv_pows[i] * aux_pows[j]
-
-    readings = []
-    zero_uv = MultiPoly.zero(("u", "v"))
-    # supp f inside ker g: fm avoids gm's support
-    lhs_display = _hist_weighted_sum(
-        hist, lambda fm, gm: fm & ~(full & ~gm) == 0, weight_uv, zero_uv
-    )
-    readings.append(("supp f inside ker g (disjoint supports)", lhs_display == rhs1))
-    # supp g inside ker f: same set, by contraposition
-    lhs_text = _hist_weighted_sum(
-        hist, lambda fm, gm: gm & ~(full & ~fm) == 0, weight_uv, zero_uv
-    )
-    readings.append(("supp g inside ker f (same set, contrapositive)", lhs_text == rhs1))
-    lhs_swapped = _hist_weighted_sum(
-        hist, lambda fm, gm: (full & ~fm) & ~gm == 0, weight_uv, zero_uv
-    )
-    readings.append(("ker f inside supp g (swapped)", lhs_swapped == rhs1))
-    checks.append(
-        _outcome(
-            "disjoint-support integral of u^|ker f| v^|supp g| matches its subset formula",
-            lhs_display == rhs1,
-            f"lhs={lhs_display}",
-            f"rhs={rhs1}",
-        )
-    )
-
-    # complementary integral of u^|ker f|:
-    # sum over Y inside X of u^|Y| (-u - 1)^(|X|-|Y|) nu(X, Y^c)
-    neg_aux = -U - 1
-    neg_aux_pows = [neg_aux**k for k in range(m + 1)]
-    u_pows = [U**k for k in range(m + 1)]
-    rhs2 = MultiPoly.zero(("u",))
-    for (i, j), coeff in sorted(acc1.items()):
-        rhs2 = rhs2 + coeff * u_pows[i] * neg_aux_pows[j]
-    lhs2 = _hist_weighted_sum(
-        hist,
-        lambda fm, gm: gm == full & ~fm,
-        lambda fm, gm: MultiPoly(("u",), {((full & ~fm).bit_count(),): 1}),
-        MultiPoly.zero(("u",)),
-    )
-    checks.append(
-        _outcome(
-            "complementary integral of u^|ker f| matches its subset formula",
-            lhs2 == rhs2,
-            f"lhs={lhs2}",
-            f"rhs={rhs2}",
-        )
-    )
-
-    # at u = -1 the complementary integral gives the Whitney polynomial
-    # at negated arguments, up to the sign (-1)^r
-    w_poly = whitney(g, guard)
-    want = w_poly.evaluate(x=-p, y=-q)
-    got = lhs2.substitute({"u": -1})
-    got_int = got.evaluate() if isinstance(got, MultiPoly) else got
-    if r & 1:
-        got_int = -got_int
-    checks.append(
-        _outcome(
-            "signed complementary count at u=-1 equals Whitney at (-p,-q)",
-            got_int == want,
-            f"got={got_int}",
-            f"want={want}",
-        )
-    )
-
-    # weighted complementary integral of z^|supp f| w^|supp g|:
-    # sum over Y inside X of z^(|E|-|X|) w^|Y| (-z - w)^(|X|-|Y|) nu(X, Y^c)
-    zw = -Z - W
-    zw_pows = [zw**k for k in range(m + 1)]
-    rhs3 = MultiPoly.zero(("z", "w"))
-    for (i, j), coeff in sorted(acc1.items()):
-        rhs3 = rhs3 + coeff * MultiPoly(("z", "w"), {(m - i - j, i): 1}) * zw_pows[j]
-    lhs3 = _hist_weighted_sum(
-        hist,
-        lambda fm, gm: gm == full & ~fm,
-        lambda fm, gm: MultiPoly(("z", "w"), {(fm.bit_count(), gm.bit_count()): 1}),
-        MultiPoly.zero(("z", "w")),
-    )
-    checks.append(
-        _outcome(
-            "complementary integral of z^|supp f| w^|supp g| matches its subset formula",
-            lhs3 == rhs3,
-            f"lhs={lhs3}",
-            f"rhs={rhs3}",
-        )
-    )
-
-    # covering integral of u^|ker f| v^|supp g| over ker f inside supp g:
-    # sum over pairs (Z, W) of (-1)^|Z| v^|W| (1-u)^|Z cap W|
-    #   (1-v)^(|E|-|Z cup W|) (uv-v+1)^(|Z|-|W|... on Z minus W) nu(Z, W^c)
-    one_minus_u = 1 - U
-    one_minus_v = 1 - V
-    mix = U * V - V + 1
-    omu_pows = [one_minus_u**k for k in range(m + 1)]
-    omv_pows = [one_minus_v**k for k in range(m + 1)]
-    mix_pows = [mix**k for k in range(m + 1)]
-    acc4: dict[tuple[int, int, int, int], int] = {}
-    for z_mask in range(1 << m):
-        sign = -1 if z_mask.bit_count() & 1 else 1
-        for w_mask in range(1 << m):
-            key = (
-                (z_mask & w_mask).bit_count(),
-                (full & ~(z_mask | w_mask)).bit_count(),
-                (z_mask & ~w_mask).bit_count(),
-                w_mask.bit_count(),
-            )
-            acc4[key] = acc4.get(key, 0) + sign * nu(z_mask, full & ~w_mask)
-    rhs4 = MultiPoly.zero(("u", "v"))
-    for (a, b, c, d), coeff in sorted(acc4.items()):
-        if coeff:
-            rhs4 = rhs4 + coeff * omu_pows[a] * omv_pows[b] * mix_pows[c] * mono_uv(0, d)
-    lhs4 = _hist_weighted_sum(
-        hist, lambda fm, gm: (full & ~fm) & ~gm == 0, weight_uv, zero_uv
-    )
-    checks.append(
-        _outcome(
-            "covering integral of u^|ker f| v^|supp g| matches its double subset formula",
-            lhs4 == rhs4,
-            f"lhs={lhs4}",
-            f"rhs={rhs4}",
-        )
-    )
-
-    # nowhere-zero pair count (no edge where f and g both vanish) as an
-    # alternating sum of subgroup sizes
-    nwz = _hist_weighted_sum(hist, lambda fm, gm: fm | gm == full, lambda fm, gm: 1)
-    alt = 0
-    for z_mask in range(1 << m):
-        sign = -1 if z_mask.bit_count() & 1 else 1
-        alt += sign * nu(z_mask, z_mask)
-    checks.append(
-        _outcome(
-            "nowhere-zero pair count equals the alternating subgroup-size sum",
-            nwz == alt,
-            f"count={nwz}",
-            f"sum={alt}",
-        )
-    )
-
-    # weight 2^(|ker f| - |supp g|) on disjoint supports gives Whitney at (p, q)
-    disjoint_sum, _ = whitney_weighted_sums(g, p, q, guard)
-    want_r = w_poly.evaluate(x=p, y=q)
-    checks.append(
-        _outcome(
-            "disjoint-support weight 2^(|ker f|-|supp g|) equals Whitney at (p,q)",
-            disjoint_sum == want_r,
-            f"got={disjoint_sum}",
-            f"want={want_r}",
-        )
-    )
-
-    # support-weight collapse:
-    # sum over disjoint pairs of u^|supp g| (u+1)^(|ker f|-|supp g|)
-    #   = sum over X of u^|X| nu(X, X^c)
-    lhs5 = _hist_weighted_sum(
-        hist,
-        lambda fm, gm: fm & gm == 0,
-        lambda fm, gm: MultiPoly(("u",), {(gm.bit_count(),): 1})
-        * (U + 1) ** ((full & ~fm) & ~gm).bit_count(),
-        MultiPoly.zero(("u",)),
-    )
-    # second index of nu is the flow-vanishing set, here X^c
-    rhs5 = MultiPoly.zero(("u",))
-    for x_mask in range(1 << m):
-        rhs5 = rhs5 + MultiPoly(
-            ("u",), {(x_mask.bit_count(),): nu(x_mask, full & ~x_mask)}
-        )
-    checks.append(
-        _outcome(
-            "disjoint-support weight u^|supp g| (u+1)^(|ker f|-|supp g|) "
-            "collapses to the diagonal subgroup sum",
-            lhs5 == rhs5,
-            f"lhs={lhs5}",
-            f"rhs={rhs5}",
-        )
-    )
-
-    return PairIntegralReport(
-        g.fingerprint(), p, q, tuple(checks), tuple(readings)
-    )
-
-
-# -- exact kernel level counts ---------------------------------------------------
-
-
-def exact_level_report(
-    g: MultiGraph, p: int, q: int, x: EdgeSubset, y: EdgeSubset, guard: int | None = None
-) -> tuple[int, int, int]:
-    """(filter count, inclusion-exclusion with flow-dimension exponent,
-    same with the rank exponent) for pairs with ker f = X, ker g = Y.
-
-    The flow-dimension reading n<W^c> is the one that matches the
-    filter; the rank reading r<W^c> is reported for diagnosis.
-    """
-    m = g.edge_count
-    full = (1 << m) - 1
-    x_comp = full & ~x.mask
-    y_comp = full & ~y.mask
-    # inclusion-exclusion over the supersets of X and of Y
-    check_state_space(
-        1 << (x_comp.bit_count() + y_comp.bit_count()), guard, "level inclusion-exclusion"
-    )
-    table = subset_rank_table(g, guard)
-    r = table[full]
-    hist = support_histogram(g, p, q, guard)
-    filtered = sum(
-        cnt for (fm, gm), cnt in hist.items() if fm == x_comp and gm == y_comp
-    )
-    n_val = 0
-    r_val = 0
-    for s in _submasks(x_comp):
-        z_mask = x.mask | s
-        sz = s.bit_count()
-        pf = p ** (r - table[z_mask])
-        for t in _submasks(y_comp):
-            w_mask = y.mask | t
-            sign = -1 if (sz + t.bit_count()) & 1 else 1
-            wc = full & ~w_mask
-            n_val += sign * pf * q ** (wc.bit_count() - table[wc])
-            r_val += sign * pf * q ** table[wc]
-    return filtered, n_val, r_val
-
-
-def exact_level_count(
-    g: MultiGraph, p: int, q: int, x: EdgeSubset, y: EdgeSubset, guard: int | None = None
-) -> int:
-    """Number of (tension, flow) pairs over (Z_p, Z_q) with ker f = X and
-    ker g = Y, cross-checked against the inclusion-exclusion formula."""
-    filtered, n_val, r_val = exact_level_report(g, p, q, x, y, guard)
-    if filtered != n_val:
-        note = "the rank reading matches instead" if filtered == r_val else (
-            "neither exponent reading matches"
-        )
-        raise VerificationError(
-            f"level count mismatch on {g.fingerprint()} X={x.members()} Y={y.members()}: "
-            f"filter {filtered}, formula {n_val} ({note})"
-        )
-    return filtered

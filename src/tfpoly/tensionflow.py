@@ -24,13 +24,6 @@ Each extension is bijective, so the counts above are exact.  The same
 table decides `is_tension` (zero sum around every fundamental circuit)
 and gives the bases of `lattice_index`: the fundamental bond of a forest
 edge is the unit tension there.
-
-The classification flags for a (tension, flow) pair are named by their
-defining support formulas rather than by words, because descriptive
-names for these conditions are used inconsistently in the literature.
-Note two coincidences that hold by pure logic: "supp f and supp g
-disjoint" is the same condition as "supp g contained in ker f", and
-"ker f contained in supp g" is the same as "nowhere-zero pair".
 """
 
 from __future__ import annotations
@@ -149,44 +142,6 @@ class IntegerEdgeFunction:
 
 
 EdgeFunction = Union[GroupElementFunction, IntegerEdgeFunction]
-
-
-@dataclass(frozen=True)
-class TensionFlowPair:
-    tension: EdgeFunction
-    flow: EdgeFunction
-
-    def __post_init__(self):
-        if self.tension.width != self.flow.width:
-            raise ValueError("tension and flow widths differ")
-
-    @property
-    def width(self) -> int:
-        return self.tension.width
-
-
-@dataclass(frozen=True)
-class PairClassification:
-    """Support/kernel conditions of a pair; see the module docstring."""
-
-    nowhere_zero: bool                 # supp f union supp g = E
-    supp_f_in_ker_g: bool              # disjoint supports
-    complementary: bool                # supp g = ker f exactly
-    ker_f_in_supp_g: bool              # coincides with nowhere_zero
-    supp_g_in_ker_f: bool              # coincides with supp_f_in_ker_g
-
-
-def classify_pair(pair: TensionFlowPair) -> PairClassification:
-    full = (1 << pair.width) - 1
-    fm = pair.tension.support_mask()
-    gm = pair.flow.support_mask()
-    return PairClassification(
-        nowhere_zero=(fm | gm) == full,
-        supp_f_in_ker_g=(fm & gm) == 0,
-        complementary=gm == (full & ~fm),
-        ker_f_in_supp_g=(full & ~fm & ~gm) == 0,
-        supp_g_in_ker_f=(gm & fm) == 0,
-    )
 
 
 # -- boundary and coboundary ---------------------------------------------
@@ -518,24 +473,27 @@ def _iter_integral(
 
 # -- weighted pair counting ---------------------------------------------------
 
-# predicates receive (supp f mask, supp g mask, full mask)
+# predicates receive (supp f mask, supp g mask, full mask); each is named
+# by its defining support formula, because descriptive names for these
+# conditions are used inconsistently in the literature
 PairPredicate = Callable[[int, int, int], bool]
 
 
 def pred_nowhere_zero(fm: int, gm: int, full: int) -> bool:
+    """supp f union supp g = E; by pure logic the same condition as
+    "ker f contained in supp g"."""
     return (fm | gm) == full
 
 
 def pred_complementary(fm: int, gm: int, full: int) -> bool:
+    """supp g = ker f exactly."""
     return gm == (full & ~fm)
 
 
 def pred_disjoint_supports(fm: int, gm: int, full: int) -> bool:
+    """supp f and supp g disjoint; by pure logic the same condition as
+    "supp g contained in ker f"."""
     return (fm & gm) == 0
-
-
-def pred_all(fm: int, gm: int, full: int) -> bool:
-    return True
 
 
 def support_pair_counts(
@@ -598,44 +556,7 @@ def count_pairs(
     return total
 
 
-# -- reorientation, reduction, lattice index ----------------------------------
-
-
-def reorient(
-    g: MultiGraph, pair: TensionFlowPair, src: Orientation, dst: Orientation
-) -> TensionFlowPair:
-    """Transport a pair between orientations: values flip sign on edges
-    where the orientations disagree.  Involutive; supports unchanged."""
-
-    def convert(fn: EdgeFunction) -> EdgeFunction:
-        if isinstance(fn, GroupElementFunction):
-            vals = []
-            for e in range(g.edge_count):
-                v = fn.values[e]
-                vals.append(fn.group.neg(v) if src.flips[e] != dst.flips[e] else v)
-            return GroupElementFunction(fn.group, tuple(vals))
-        vals_i = []
-        for e in range(g.edge_count):
-            v = fn.values[e]
-            vals_i.append(-v if src.flips[e] != dst.flips[e] else v)
-        return IntegerEdgeFunction(tuple(vals_i))
-
-    return TensionFlowPair(convert(pair.tension), convert(pair.flow))
-
-
-def modular_reduce(g: MultiGraph, pair: TensionFlowPair, p: int, q: int) -> TensionFlowPair:
-    """Reduce an integer pair mod (Z_p, Z_q).  Supports may shrink."""
-    if p < 1 or q < 1:
-        raise ValueError("moduli must be >= 1")
-    if not isinstance(pair.tension, IntegerEdgeFunction) or not isinstance(
-        pair.flow, IntegerEdgeFunction
-    ):
-        raise TypeError("modular_reduce expects an integer pair")
-    zp = FiniteAbelianGroup.cyclic(p)
-    zq = FiniteAbelianGroup.cyclic(q)
-    f = GroupElementFunction(zp, tuple((v % p,) for v in pair.tension.values))
-    h = GroupElementFunction(zq, tuple((v % q,) for v in pair.flow.values))
-    return TensionFlowPair(f, h)
+# -- lattice index --------------------------------------------------------------
 
 
 def lattice_index(g: MultiGraph, o: Orientation) -> int:

@@ -4,6 +4,12 @@ Each criterion checks one dual-route identity: a quantity computed two
 independent ways must agree exactly.  Every check is exact integer or
 exact polynomial equality; there are no tolerances anywhere.
 
+The identity checkers behind criteria 4, 5 and 8 (`reciprocity_check`,
+`specialization_check`, `pair_integral_identities`) live here too; each
+returns one `CheckResult` per identity, whose lines hold the failure
+details.  `CheckResult` is the only result type, and `_Collector`
+builds every one of them.
+
 The criteria are grouped into named suites for the command line
 ``verify`` subcommand; the full list runs in well under a minute.
 """
@@ -25,24 +31,32 @@ from .arrangements import (
     product_valuation,
     subset_flat_dims,
 )
-from .config import VerificationError
+from .config import VerificationError, check_state_space
 from .fixtures import all_fixtures, fixture
-from .graph import EdgeSubset, MultiGraph, Orientation, components_count, subset_rank_table
+from .graph import (
+    EdgeSubset,
+    MultiGraph,
+    Orientation,
+    components_count,
+    rank_nullity,
+    subset_rank_table,
+)
 from .invariants import (
     chromatic_poly,
     flow_poly,
     flow_poly_by_enumeration,
     integral_complementary_count,
+    integral_flow_poly,
+    integral_tension_poly,
     kappa_rho,
+    modular_complementary_count,
     omega,
     omega_value,
     PSI_KINDS,
     psi_by_orientations,
     psi_family,
-    reciprocity_check,
+    support_histogram,
     whitney_weighted_sums,
-    pair_integral_identities,
-    specialization_check,
     tension_poly,
     tension_poly_by_enumeration,
     tutte,
@@ -51,6 +65,7 @@ from .invariants import (
     whitney_by_subsets,
 )
 from .orientations import (
+    all_orientations,
     class_bc_profile,
     class_size_check,
     classify_edges,
@@ -74,17 +89,32 @@ class CheckResult:
 
 
 class _Collector:
-    """Accumulates failure detail lines for one criterion."""
+    """Builds the result of one check from the expectations it failed:
+    their detail lines, then any extra lines."""
 
     def __init__(self) -> None:
+        self.passed = True
         self.bad: list[str] = []
 
-    def expect(self, ok: bool, detail: str) -> None:
+    def expect(self, ok: bool, *details: str) -> None:
         if not ok:
-            self.bad.append(detail)
+            self.passed = False
+            self.bad.extend(details)
 
     def result(self, name: str, *extra: str) -> CheckResult:
-        return CheckResult(name, not self.bad, tuple(self.bad) + tuple(extra))
+        return CheckResult(name, self.passed, tuple(self.bad) + tuple(extra))
+
+
+def _identity(name: str, ok: bool, *details: str) -> CheckResult:
+    """One identity's result; its details are kept only when it fails."""
+    col = _Collector()
+    col.expect(ok, *details)
+    return col.result(name)
+
+
+def _failure_line(check: CheckResult) -> str:
+    suffix = f" [{'; '.join(check.lines)}]" if check.lines else ""
+    return f"FAIL {check.name}{suffix}"
 
 
 # -- 1: nowhere-zero pair polynomial routes ------------------------------------
@@ -189,21 +219,167 @@ def criterion_3(guard: int | None = None) -> CheckResult:
 # -- 4 and 5: reciprocity and specializations -------------------------------------
 
 
+def reciprocity_check(g: MultiGraph, guard: int | None = None) -> list[CheckResult]:
+    """Sign reciprocity between the open and closed orientation sums of
+    `psi_by_orientations`, for the modular pair, the integral pair, and
+    every single orientation.  The production `psi_family` derives its
+    closed sums by this reciprocity, so checking it there would prove
+    nothing."""
+    r, n = rank_nullity(g)
+    sr = -1 if r & 1 else 1
+    sn = -1 if n & 1 else 1
+    checks: list[CheckResult] = []
+    for which, bar in (("psi", "bar_psi"), ("psi_z", "bar_psi_z")):
+        open_poly = psi_by_orientations(g, which, guard)
+        closed_poly = psi_by_orientations(g, bar, guard)
+        lhs = open_poly.negate_vars(["x", "y"])
+        via_z = sn * closed_poly.negate_vars(["z"])
+        via_w = sr * closed_poly.negate_vars(["w"])
+        checks.append(
+            _identity(
+                f"{which}(-x,-y,z,w) = (-1)^n {bar}(x,y,-z,w)",
+                lhs == via_z,
+                f"lhs={lhs}",
+                f"rhs={via_z}",
+            )
+        )
+        checks.append(
+            _identity(
+                f"{which}(-x,-y,z,w) = (-1)^r {bar}(x,y,z,-w)",
+                lhs == via_w,
+                f"lhs={lhs}",
+                f"rhs={via_w}",
+            )
+        )
+    per_orientation_ok = True
+    witness: tuple[str, ...] = ()
+    for o in all_orientations(g, guard):
+        b, c = classify_edges(g, o)
+        sign = -1 if (r + c.size) & 1 else 1
+        lhs = kappa_rho(g, o, "open", guard).negate_vars(["x", "y"])
+        rhs = sign * kappa_rho(g, o, "closed", guard)
+        if lhs != rhs:
+            per_orientation_ok = False
+            witness = (f"flips={o.flips}", f"lhs={lhs}", f"rhs={rhs}")
+            break
+    checks.append(
+        _identity(
+            "kappa(-x,-y) = (-1)^(r+|C|) kappa_closed(x,y) for every orientation",
+            per_orientation_ok,
+            *witness,
+        )
+    )
+    return checks
+
+
+def specialization_check(
+    g: MultiGraph,
+    grid: Sequence[tuple[int, int]] = tuple(
+        (p, q) for p in (2, 3, 4) for q in (2, 3, 4)
+    ),
+    guard: int | None = None,
+) -> list[CheckResult]:
+    """Pin (z, w) in the orientation sums of `psi_by_orientations` and
+    compare against the directly defined counting polynomials and brute
+    counts.  (In the convolution of `psi_family`, psi(x,y,1,0) is the
+    single term of the empty X, so checking it there would prove nothing.)"""
+    checks: list[CheckResult] = []
+    psi_z = psi_by_orientations(g, "psi_z", guard)
+    psi_m = psi_by_orientations(g, "psi", guard)
+
+    tz = integral_tension_poly(g, "x", guard)
+    fz = integral_flow_poly(g, "y", guard)
+    checks.append(
+        _identity(
+            "psi_z(x,y,1,0) = integral tension polynomial",
+            psi_z.substitute({"z": 1, "w": 0}) == tz,
+            f"got={psi_z.substitute({'z': 1, 'w': 0})}",
+            f"want={tz}",
+        )
+    )
+    checks.append(
+        _identity(
+            "psi_z(x,y,0,1) = integral flow polynomial",
+            psi_z.substitute({"z": 0, "w": 1}) == fz,
+            f"got={psi_z.substitute({'z': 0, 'w': 1})}",
+            f"want={fz}",
+        )
+    )
+    # with no edges both sums are the empty product 1, not 0
+    origin = MultiPoly.const(1) if g.edge_count == 0 else MultiPoly.zero(())
+    checks.append(
+        _identity(
+            "psi_z(x,y,0,0) = 0 (1 when edgeless)",
+            psi_z.substitute({"z": 0, "w": 0}) == origin,
+        )
+    )
+    tm = tension_poly(g, "x", guard)
+    fm = flow_poly(g, "y", guard)
+    checks.append(
+        _identity(
+            "psi(x,y,1,0) = tension polynomial",
+            psi_m.substitute({"z": 1, "w": 0}) == tm,
+            f"got={psi_m.substitute({'z': 1, 'w': 0})}",
+            f"want={tm}",
+        )
+    )
+    checks.append(
+        _identity(
+            "psi(x,y,0,1) = flow polynomial",
+            psi_m.substitute({"z": 0, "w": 1}) == fm,
+            f"got={psi_m.substitute({'z': 0, 'w': 1})}",
+            f"want={fm}",
+        )
+    )
+    checks.append(
+        _identity(
+            "psi(x,y,0,0) = 0 (1 when edgeless)",
+            psi_m.substitute({"z": 0, "w": 0}) == origin,
+        )
+    )
+    kz = psi_z.substitute({"z": 1, "w": 1})
+    km = psi_m.substitute({"z": 1, "w": 1})
+    bad_z = []
+    bad_m = []
+    for p, q in grid:
+        want_z = integral_complementary_count(g, p, q, guard)
+        got_z = kz.evaluate(x=p, y=q)
+        if got_z != want_z:
+            bad_z.append(f"({p},{q}): poly {got_z} vs count {want_z}")
+        want_m = modular_complementary_count(g, p, q, guard)
+        got_m = km.evaluate(x=p, y=q)
+        if got_m != want_m:
+            bad_m.append(f"({p},{q}): poly {got_m} vs count {want_m}")
+    checks.append(
+        _identity(
+            "psi_z(p,q,1,1) = integer complementary pair count on the grid",
+            not bad_z,
+            *bad_z,
+        )
+    )
+    checks.append(
+        _identity(
+            "psi(p,q,1,1) = modular complementary pair count on the grid",
+            not bad_m,
+            *bad_m,
+        )
+    )
+    return checks
+
+
 def criterion_4(guard: int | None = None) -> CheckResult:
     col = _Collector()
     for name, g in all_fixtures():
-        report = reciprocity_check(g, guard)
-        for check in report.checks:
-            col.expect(check.passed, f"{name}: {check.line()}")
+        for check in reciprocity_check(g, guard):
+            col.expect(check.passed, f"{name}: {_failure_line(check)}")
     return col.result("open/closed window sums satisfy sign reciprocity")
 
 
 def criterion_5(guard: int | None = None) -> CheckResult:
     col = _Collector()
     for name, g in all_fixtures():
-        report = specialization_check(g, guard=guard)
-        for check in report.checks:
-            col.expect(check.passed, f"{name}: {check.line()}")
+        for check in specialization_check(g, guard=guard):
+            col.expect(check.passed, f"{name}: {_failure_line(check)}")
     return col.result(
         "window sums specialise to the tension, flow, and complementary-pair counts"
     )
@@ -301,16 +477,287 @@ def criterion_7(guard: int | None = None) -> CheckResult:
 # -- 8: pair-space integral identities ---------------------------------------------
 
 
+U = MultiPoly.var("u")
+V = MultiPoly.var("v")
+Z = MultiPoly.var("z")
+W = MultiPoly.var("w")
+
+
+def _omega_xy_size(table: Sequence[int], x_mask: int, y_mask: int, p: int, q: int) -> int:
+    """|T_X x F_Y|: tensions vanishing on X times flows vanishing on Y,
+    over groups of orders p and q; table is the graph's subset rank
+    table."""
+    full = len(table) - 1
+    r = table[full]
+    dim_t = r - table[x_mask]
+    comp = full & ~y_mask
+    dim_f = comp.bit_count() - table[comp]
+    return p**dim_t * q**dim_f
+
+
+def _submasks(mask: int):
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
+
+
+def _hist_weighted_sum(
+    hist: dict[tuple[int, int], int],
+    domain: Callable[[int, int], bool],
+    weight: Callable[[int, int], MultiPoly | int],
+    start: MultiPoly | int = 0,
+):
+    total = start
+    for (fm, gm), cnt in hist.items():
+        if domain(fm, gm):
+            total = total + cnt * weight(fm, gm)
+    return total
+
+
+def pair_integral_identities(
+    g: MultiGraph, p: int, q: int, guard: int | None = None
+) -> tuple[list[CheckResult], list[CheckResult]]:
+    """Finite-integral identities over the pair space, all checked as
+    exact polynomial identities at group orders (p, q).
+
+    The disjoint-support integral is also evaluated under both stated
+    domain phrasings ("supp f inside ker g" and "supp g inside ker f",
+    which are contrapositives and define the same set) and under the
+    genuinely different swapped reading "ker f inside supp g".  Returns
+    one result per identity, and one per reading, which passes when the
+    reading validates against the subset formula.
+    """
+    m = g.edge_count
+    # the subset sums below run over 3^E pairs Y inside X and 4^E pairs (Z, W)
+    check_state_space(3**m + 4**m, guard, "pair integral subset sums")
+    hist = support_histogram(g, p, q, guard)
+    table = subset_rank_table(g, guard)
+    full = (1 << m) - 1
+    r, n = rank_nullity(g)
+
+    def nu(x_mask: int, y_mask: int) -> int:
+        return _omega_xy_size(table, x_mask, y_mask, p, q)
+
+    def mono_uv(i: int, j: int, c: int = 1) -> MultiPoly:
+        return MultiPoly(("u", "v"), {(i, j): c})
+
+    checks: list[CheckResult] = []
+
+    # shared LHS weights
+    def weight_uv(fm: int, gm: int) -> MultiPoly:
+        return mono_uv((full & ~fm).bit_count(), gm.bit_count())
+
+    # RHS of the disjoint-support integral:
+    # sum over Y inside X of (uv)^|Y| (u - uv - 1)^(|X|-|Y|) nu(X, Y^c)
+    uv = U * V
+    aux = U - uv - 1
+    acc1: dict[tuple[int, int], int] = {}
+    for x_mask in range(1 << m):
+        for y_mask in _submasks(x_mask):
+            key = (y_mask.bit_count(), (x_mask & ~y_mask).bit_count())
+            acc1[key] = acc1.get(key, 0) + nu(x_mask, full & ~y_mask)
+    uv_pows = [uv**k for k in range(m + 1)]
+    aux_pows = [aux**k for k in range(m + 1)]
+    rhs1 = MultiPoly.zero(("u", "v"))
+    for (i, j), coeff in sorted(acc1.items()):
+        rhs1 = rhs1 + coeff * uv_pows[i] * aux_pows[j]
+
+    readings: list[CheckResult] = []
+    zero_uv = MultiPoly.zero(("u", "v"))
+    # supp f inside ker g: fm avoids gm's support
+    lhs_display = _hist_weighted_sum(
+        hist, lambda fm, gm: fm & ~(full & ~gm) == 0, weight_uv, zero_uv
+    )
+    readings.append(_identity("supp f inside ker g (disjoint supports)", lhs_display == rhs1))
+    # supp g inside ker f: same set, by contraposition
+    lhs_text = _hist_weighted_sum(
+        hist, lambda fm, gm: gm & ~(full & ~fm) == 0, weight_uv, zero_uv
+    )
+    readings.append(
+        _identity("supp g inside ker f (same set, contrapositive)", lhs_text == rhs1)
+    )
+    lhs_swapped = _hist_weighted_sum(
+        hist, lambda fm, gm: (full & ~fm) & ~gm == 0, weight_uv, zero_uv
+    )
+    readings.append(_identity("ker f inside supp g (swapped)", lhs_swapped == rhs1))
+    checks.append(
+        _identity(
+            "disjoint-support integral of u^|ker f| v^|supp g| matches its subset formula",
+            lhs_display == rhs1,
+            f"lhs={lhs_display}",
+            f"rhs={rhs1}",
+        )
+    )
+
+    # complementary integral of u^|ker f|:
+    # sum over Y inside X of u^|Y| (-u - 1)^(|X|-|Y|) nu(X, Y^c)
+    neg_aux = -U - 1
+    neg_aux_pows = [neg_aux**k for k in range(m + 1)]
+    u_pows = [U**k for k in range(m + 1)]
+    rhs2 = MultiPoly.zero(("u",))
+    for (i, j), coeff in sorted(acc1.items()):
+        rhs2 = rhs2 + coeff * u_pows[i] * neg_aux_pows[j]
+    lhs2 = _hist_weighted_sum(
+        hist,
+        lambda fm, gm: gm == full & ~fm,
+        lambda fm, gm: MultiPoly(("u",), {((full & ~fm).bit_count(),): 1}),
+        MultiPoly.zero(("u",)),
+    )
+    checks.append(
+        _identity(
+            "complementary integral of u^|ker f| matches its subset formula",
+            lhs2 == rhs2,
+            f"lhs={lhs2}",
+            f"rhs={rhs2}",
+        )
+    )
+
+    # at u = -1 the complementary integral gives the Whitney polynomial
+    # at negated arguments, up to the sign (-1)^r
+    w_poly = whitney(g, guard)
+    want = w_poly.evaluate(x=-p, y=-q)
+    got = lhs2.substitute({"u": -1})
+    got_int = got.evaluate() if isinstance(got, MultiPoly) else got
+    if r & 1:
+        got_int = -got_int
+    checks.append(
+        _identity(
+            "signed complementary count at u=-1 equals Whitney at (-p,-q)",
+            got_int == want,
+            f"got={got_int}",
+            f"want={want}",
+        )
+    )
+
+    # weighted complementary integral of z^|supp f| w^|supp g|:
+    # sum over Y inside X of z^(|E|-|X|) w^|Y| (-z - w)^(|X|-|Y|) nu(X, Y^c)
+    zw = -Z - W
+    zw_pows = [zw**k for k in range(m + 1)]
+    rhs3 = MultiPoly.zero(("z", "w"))
+    for (i, j), coeff in sorted(acc1.items()):
+        rhs3 = rhs3 + coeff * MultiPoly(("z", "w"), {(m - i - j, i): 1}) * zw_pows[j]
+    lhs3 = _hist_weighted_sum(
+        hist,
+        lambda fm, gm: gm == full & ~fm,
+        lambda fm, gm: MultiPoly(("z", "w"), {(fm.bit_count(), gm.bit_count()): 1}),
+        MultiPoly.zero(("z", "w")),
+    )
+    checks.append(
+        _identity(
+            "complementary integral of z^|supp f| w^|supp g| matches its subset formula",
+            lhs3 == rhs3,
+            f"lhs={lhs3}",
+            f"rhs={rhs3}",
+        )
+    )
+
+    # covering integral of u^|ker f| v^|supp g| over ker f inside supp g:
+    # sum over pairs (Z, W) of (-1)^|Z| v^|W| (1-u)^|Z cap W|
+    #   (1-v)^(|E|-|Z cup W|) (uv-v+1)^(|Z|-|W|... on Z minus W) nu(Z, W^c)
+    one_minus_u = 1 - U
+    one_minus_v = 1 - V
+    mix = U * V - V + 1
+    omu_pows = [one_minus_u**k for k in range(m + 1)]
+    omv_pows = [one_minus_v**k for k in range(m + 1)]
+    mix_pows = [mix**k for k in range(m + 1)]
+    acc4: dict[tuple[int, int, int, int], int] = {}
+    for z_mask in range(1 << m):
+        sign = -1 if z_mask.bit_count() & 1 else 1
+        for w_mask in range(1 << m):
+            key = (
+                (z_mask & w_mask).bit_count(),
+                (full & ~(z_mask | w_mask)).bit_count(),
+                (z_mask & ~w_mask).bit_count(),
+                w_mask.bit_count(),
+            )
+            acc4[key] = acc4.get(key, 0) + sign * nu(z_mask, full & ~w_mask)
+    rhs4 = MultiPoly.zero(("u", "v"))
+    for (a, b, c, d), coeff in sorted(acc4.items()):
+        if coeff:
+            rhs4 = rhs4 + coeff * omu_pows[a] * omv_pows[b] * mix_pows[c] * mono_uv(0, d)
+    lhs4 = _hist_weighted_sum(
+        hist, lambda fm, gm: (full & ~fm) & ~gm == 0, weight_uv, zero_uv
+    )
+    checks.append(
+        _identity(
+            "covering integral of u^|ker f| v^|supp g| matches its double subset formula",
+            lhs4 == rhs4,
+            f"lhs={lhs4}",
+            f"rhs={rhs4}",
+        )
+    )
+
+    # nowhere-zero pair count (no edge where f and g both vanish) as an
+    # alternating sum of subgroup sizes
+    nwz = _hist_weighted_sum(hist, lambda fm, gm: fm | gm == full, lambda fm, gm: 1)
+    alt = 0
+    for z_mask in range(1 << m):
+        sign = -1 if z_mask.bit_count() & 1 else 1
+        alt += sign * nu(z_mask, z_mask)
+    checks.append(
+        _identity(
+            "nowhere-zero pair count equals the alternating subgroup-size sum",
+            nwz == alt,
+            f"count={nwz}",
+            f"sum={alt}",
+        )
+    )
+
+    # weight 2^(|ker f| - |supp g|) on disjoint supports gives Whitney at (p, q)
+    disjoint_sum, _ = whitney_weighted_sums(g, p, q, guard)
+    want_r = w_poly.evaluate(x=p, y=q)
+    checks.append(
+        _identity(
+            "disjoint-support weight 2^(|ker f|-|supp g|) equals Whitney at (p,q)",
+            disjoint_sum == want_r,
+            f"got={disjoint_sum}",
+            f"want={want_r}",
+        )
+    )
+
+    # support-weight collapse:
+    # sum over disjoint pairs of u^|supp g| (u+1)^(|ker f|-|supp g|)
+    #   = sum over X of u^|X| nu(X, X^c)
+    lhs5 = _hist_weighted_sum(
+        hist,
+        lambda fm, gm: fm & gm == 0,
+        lambda fm, gm: MultiPoly(("u",), {(gm.bit_count(),): 1})
+        * (U + 1) ** ((full & ~fm) & ~gm).bit_count(),
+        MultiPoly.zero(("u",)),
+    )
+    # second index of nu is the flow-vanishing set, here X^c
+    rhs5 = MultiPoly.zero(("u",))
+    for x_mask in range(1 << m):
+        rhs5 = rhs5 + MultiPoly(
+            ("u",), {(x_mask.bit_count(),): nu(x_mask, full & ~x_mask)}
+        )
+    checks.append(
+        _identity(
+            "disjoint-support weight u^|supp g| (u+1)^(|ker f|-|supp g|) "
+            "collapses to the diagonal subgroup sum",
+            lhs5 == rhs5,
+            f"lhs={lhs5}",
+            f"rhs={rhs5}",
+        )
+    )
+
+    return checks, readings
+
+
 def criterion_8(guard: int | None = None) -> CheckResult:
     col = _Collector()
     always_valid: dict[str, bool] = {}
     for name, g in all_fixtures():
         for p, q in itertools.product((2, 3), repeat=2):
-            report = pair_integral_identities(g, p, q, guard)
-            for check in report.checks:
-                col.expect(check.passed, f"{name} ({p},{q}): {check.line()}")
-            for reading, ok in report.domain_readings:
-                always_valid[reading] = always_valid.get(reading, True) and ok
+            checks, readings = pair_integral_identities(g, p, q, guard)
+            for check in checks:
+                col.expect(check.passed, f"{name} ({p},{q}): {_failure_line(check)}")
+            for reading in readings:
+                ok = always_valid.get(reading.name, True) and reading.passed
+                always_valid[reading.name] = ok
     survivors = [r for r, ok in always_valid.items() if ok]
     # the two contrapositive phrasings describe one domain; the swapped
     # reading must fail somewhere

@@ -5,10 +5,14 @@ plain pytest run.  All comparisons inside the criteria are exact
 integer or polynomial identities; there are no tolerances to tune.
 """
 
+import re
+
 import pytest
 
 from tfpoly import verification
+from tfpoly.algebra import MultiPoly
 from tfpoly.config import GuardExceeded
+from tfpoly.fixtures import fixture_names
 from tfpoly.verification import SUITES, run_criteria
 
 CRITERIA = SUITES["all"]
@@ -31,3 +35,20 @@ def test_criterion(num, results, capsys):
 def test_criterion_obeys_the_guard(num):
     with pytest.raises(GuardExceeded):
         verification.CRITERIA[num](guard=1)
+
+
+def test_failing_identity_shows_both_sides(monkeypatch):
+    real = verification.psi_by_orientations
+
+    def wrong_open_sums(g, which, guard=None):
+        # an x in the open sums only: no closed sum can balance it
+        poly = real(g, which, guard)
+        return poly if which.startswith("bar_") else poly + MultiPoly.var("x")
+
+    monkeypatch.setattr(verification, "psi_by_orientations", wrong_open_sums)
+    res = verification.criterion_4()
+    assert not res.passed
+    failed = [re.fullmatch(r"(\w+): FAIL (.+) \[lhs=(.+); rhs=(.+)\]", line) for line in res.lines]
+    assert all(failed), res.lines
+    # the psi and psi_z pairs fail both ways on every fixture
+    assert [m.group(1) for m in failed] == [n for n in fixture_names() for _ in range(4)]

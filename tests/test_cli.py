@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from tfpoly import verification
 from tfpoly.algebra import MultiPoly
 from tfpoly.cli import main
 from tfpoly.fixtures import FIXTURE_TEXTS, fixture
@@ -152,6 +153,29 @@ def test_verify_json_payload(capsys):
     assert all(row["passed"] for row in payload["results"])
 
 
+def test_verify_prints_a_failing_criterion_with_its_details(monkeypatch, capsys):
+    real = verification.whitney_weighted_sums
+
+    def off_by_one(g, p, q, guard=None):
+        return tuple(v + 1 for v in real(g, p, q, guard))
+
+    monkeypatch.setattr(verification, "whitney_weighted_sums", off_by_one)
+    assert main(["verify", "--suite", "whitney"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == (
+        "FAIL criterion 7: weighted complementary sums reproduce the "
+        "corank-nullity polynomial at (p,q) and (-p,-q)"
+    )
+    # e2 has corank-nullity polynomial 1
+    assert lines[1:3] == [
+        "    e2 (2,2): weighted sum 2, polynomial 1",
+        "    e2 (2,2): signed sum 2, polynomial 1",
+    ]
+    # two sums at nine (p, q) on each of the ten fixtures
+    assert len(lines) == 1 + 2 * 9 * len(FIXTURE_TEXTS)
+    assert all(line.startswith("    ") for line in lines[1:])
+
+
 def test_verify_rejects_unknown_suite(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "everything"])
@@ -276,6 +300,24 @@ def test_integral_psi_refuses_k5_quickly(k5_file, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: integral flow enumeration needs 16777216 states")
+
+
+def test_integral_psi_factors_out_loops(tmp_path, capsys):
+    # each loop multiplies the integral flow polynomial by 2(t - 1); with
+    # the loops in the flow box, both graphs needed 16^6 states
+    six_loops = tmp_path / "six_loops.graph"
+    six_loops.write_text(format_graph(MultiGraph(1, ((0, 0),) * 6)))
+    mixed = tmp_path / "mixed.graph"
+    mixed.write_text(format_graph(MultiGraph(2, ((0, 1),) * 5 + ((0, 0), (1, 1)))))
+    commands = (["psi", "--integral"], ["kappa", "--integral"], ["psi", "--integral", "--dual"])
+    for path, command in itertools.product((six_loops, mixed), commands):
+        assert main([*command, str(path)]) == 0, (path.name, command)
+        capsys.readouterr()
+    assert main(["--json", "psi", "--integral", str(six_loops)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    poly = MultiPoly.from_json(payload["variables"], payload["poly"])
+    y, w = MultiPoly.var("y"), MultiPoly.var("w")
+    assert poly == (2 * (y - 1)) ** 6 * w**6
 
 
 def test_omega_brute_charges_enumerations_not_pairs(k5_file, capsys):

@@ -13,7 +13,9 @@ The tension and flow enumerators, which all extend free forest or
 co-forest values over one table of fundamental circuits, are compared
 with the definitions themselves on graphs of at most five edges:
 coboundaries of every potential, functions of zero boundary, and the
-filter of the whole window box.
+filter of the whole window box.  The modular ones are also reoriented
+(every non-loop edge reversed, its value negated) and must stay
+tensions and flows there, by `is_tension` and `is_flow`.
 
 The subset rank table, built in one rollback union-find pass, is
 compared with a fresh union-find per subset on graphs of at most ten
@@ -55,6 +57,8 @@ from tfpoly.tensionflow import (
     enumerate_integral_flows,
     enumerate_integral_tensions,
     enumerate_tensions,
+    is_flow,
+    is_tension,
     lattice_index,
 )
 
@@ -131,6 +135,18 @@ def test_modular_tensions_and_flows_match_definitions(go):
             if all(grp.is_zero(v) for v in boundary(g, o, GroupElementFunction(grp, values)))
         }
         assert set(flows) == zero_boundary
+        # reversing every non-loop edge negates its value, and keeps a
+        # tension a tension and a flow a flow
+        reversed_o = Orientation.for_graph(
+            g, [not b and not g.is_loop(e) for e, b in enumerate(o.flips)]
+        )
+        tension_set, flow_set = set(tensions), set(flows)
+        for values in tension_set | flow_set:
+            moved = GroupElementFunction(
+                grp, tuple(v if g.is_loop(e) else grp.neg(v) for e, v in enumerate(values))
+            )
+            assert is_tension(g, reversed_o, moved) == (values in tension_set)
+            assert is_flow(g, reversed_o, moved) == (values in flow_set)
 
 
 @settings(max_examples=30, deadline=None)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tfpoly.algebra import RationalMatrix, rational_rank
+from tfpoly.algebra import rational_rank
 from tfpoly.fixtures import fixture, fixture_names
 from tfpoly.graph import (
     EdgeSubset,
@@ -14,7 +14,6 @@ from tfpoly.graph import (
     bond_side,
     bonds,
     components_count,
-    coupling,
     directed_bonds,
     directed_circuits,
     incidence_matrix,
@@ -128,7 +127,7 @@ def test_arc_respects_flips():
 def test_incidence_rank_is_graph_rank(name):
     g = fixture(name)
     m = incidence_matrix(g, Orientation.reference(g))
-    assert rational_rank(RationalMatrix.from_rows(m)) == rank_nullity(g)[0]
+    assert rational_rank(m) == rank_nullity(g)[0]
 
 
 def test_incidence_loop_column_is_zero():
@@ -136,14 +135,6 @@ def test_incidence_loop_column_is_zero():
     m = incidence_matrix(g, Orientation.reference(g))
     loop = g.loop_ids()[0]
     assert all(row[loop] == 0 for row in m)
-
-
-def test_coupling_signs():
-    g = fixture("k3")
-    ref = Orientation.reference(g)
-    flipped = Orientation.for_graph(g, [True, False, False])
-    assert coupling(g, ref, ref) == (1, 1, 1)
-    assert coupling(g, ref, flipped) == (-1, 1, 1)
 
 
 def test_restriction():

@@ -1,10 +1,6 @@
 """Tension and flow groups, modular and integral."""
 
-import itertools
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from tfpoly.config import GuardExceeded
 from tfpoly.fixtures import fixture, fixture_names
@@ -12,9 +8,7 @@ from tfpoly.graph import EdgeSubset, Orientation, rank_nullity
 from tfpoly.invariants import tutte
 from tfpoly.tensionflow import (
     FiniteAbelianGroup,
-    TensionFlowPair,
     boundary,
-    classify_pair,
     coboundary,
     count_pairs,
     enumerate_flows,
@@ -24,11 +18,9 @@ from tfpoly.tensionflow import (
     is_flow,
     is_tension,
     lattice_index,
-    modular_reduce,
     pred_complementary,
     pred_disjoint_supports,
     pred_nowhere_zero,
-    reorient,
     support_pair_counts,
 )
 
@@ -148,52 +140,6 @@ def test_predicates():
     assert not pred_complementary(0b100, 0b001, full)
 
 
-def test_classify_pair_flag_relations():
-    g = fixture("digon")
-    o = Orientation.reference(g)
-    seen = set()
-    for f in enumerate_tensions(g, o, Z3):
-        for h in enumerate_flows(g, o, Z3):
-            c = classify_pair(TensionFlowPair(f, h))
-            assert c.ker_f_in_supp_g == c.nowhere_zero
-            assert c.supp_g_in_ker_f == c.supp_f_in_ker_g
-            seen.add((c.nowhere_zero, c.complementary, c.supp_f_in_ker_g))
-    assert (True, False, False) in seen
-    assert (False, False, True) in seen
-
-
-# -- modular reduction ------------------------------------------------------------
-
-
-def test_modular_reduce_kills_multiples():
-    g = fixture("k3")
-    o = Orientation.reference(g)
-    for f in enumerate_integral_tensions(g, o, 3, "strict_support"):
-        scaled_f = type(f)(tuple(3 * v for v in f.values))
-        pair = TensionFlowPair(scaled_f, next(enumerate_integral_flows(g, o, 2, "strict_support")))
-        red = modular_reduce(g, pair, 3, 2)
-        assert red.tension.support_mask() == 0
-
-
-def test_modular_reduce_preserves_tension_and_flow():
-    g = fixture("k4")
-    o = Orientation.reference(g)
-    f = next(enumerate_integral_tensions(g, o, 4, "strict_support"))
-    h = next(enumerate_integral_flows(g, o, 4, "strict_support"))
-    red = modular_reduce(g, pair=TensionFlowPair(f, h), p=3, q=3)
-    assert is_tension(g, o, red.tension)
-    assert is_flow(g, o, red.flow)
-
-
-def test_modular_reduce_rejects_bad_orders():
-    g = fixture("edge")
-    o = Orientation.reference(g)
-    f = next(enumerate_integral_tensions(g, o, 2, "strict_support"))
-    h = next(enumerate_integral_flows(g, o, 2, "closed", window=EdgeSubset.empty(1)))
-    with pytest.raises(ValueError):
-        modular_reduce(g, TensionFlowPair(f, h), 0, 2)
-
-
 # -- integral windows -------------------------------------------------------------
 
 
@@ -240,29 +186,6 @@ def test_integral_enumeration_values_are_in_window():
     for h in enumerate_integral_flows(g, o, 5, "strict_support"):
         assert all(0 < abs(v) < 5 for v in h.values)
         assert is_flow(g, o, h)
-
-
-# -- reorientation ------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("name", ["k3", "digon", "k3_loop"])
-def test_reorient_round_trip(name):
-    g = fixture(name)
-    src = Orientation.reference(g)
-    flips = [e % 2 == 0 for e in g.non_loop_ids()]
-    all_flips = [False] * g.edge_count
-    for e, fl in zip(g.non_loop_ids(), flips):
-        all_flips[e] = fl
-    dst = Orientation.for_graph(g, all_flips)
-    for f in enumerate_tensions(g, src, Z3):
-        for h in enumerate_flows(g, src, Z3):
-            pair = TensionFlowPair(f, h)
-            moved = reorient(g, pair, src, dst)
-            assert is_tension(g, dst, moved.tension)
-            assert is_flow(g, dst, moved.flow)
-            assert moved.tension.support_mask() == f.support_mask()
-            back = reorient(g, moved, dst, src)
-            assert back == pair
 
 
 # -- lattice index ---------------------------------------------------------------
