@@ -1,5 +1,6 @@
 """Exact algebra substrate: sparse polynomials, univariate
-interpolation, rational matrix rank, and Smith normal form.
+interpolation, rational matrix rank, determinant and adjugate, and
+Smith normal form.
 
 Everything here is exact; there is no floating point anywhere.
 Polynomial coefficients are arbitrary precision integers or exact
@@ -427,6 +428,36 @@ def rational_rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
         rank += 1
         col += 1
     return rank
+
+
+def det_adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(det A, adj A) of a nonsingular square integer matrix, exactly.
+
+    Gauss-Jordan elimination over the rationals gives det A and A^-1;
+    adj A = det A * A^-1 has integer entries.
+    """
+    n = len(rows)
+    work = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(rows)
+    ]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if work[i][col]), None)
+        if pivot is None:
+            raise ValueError("singular matrix has no adjugate by inversion")
+        if pivot != col:
+            work[col], work[pivot] = work[pivot], work[col]
+            det = -det
+        p = work[col][col]
+        det *= p
+        work[col] = [x / p for x in work[col]]
+        for i in range(n):
+            f = work[i][col]
+            if i != col and f:
+                work[i] = [x - f * y for x, y in zip(work[i], work[col])]
+    d = int(det)
+    return d, tuple(tuple(int(d * x) for x in row[n:]) for row in work)
 
 
 def _gcd(a: int, b: int) -> int:

@@ -218,7 +218,7 @@ def _dispatch(args) -> int:
         rows = [
             {
                 "representative": [int(b) for b in cls.representative.flips],
-                "size": len(cls.members),
+                "size": cls.size,
                 "b_size": cls.b_size,
                 "c_size": cls.c_size,
             }

@@ -254,12 +254,14 @@ def restriction(g: MultiGraph, o: Orientation, x: EdgeSubset) -> tuple[MultiGrap
 # -- orientation structure ------------------------------------------------
 
 
-def _out_neighbors(g: MultiGraph, o: Orientation) -> list[list[int]]:
+def _out_neighbors(g: MultiGraph, o: Orientation, mask: int = -1) -> list[list[int]]:
+    """Out-neighbours under o along the edges in mask (all edges by default)."""
     adj: list[list[int]] = [[] for _ in range(g.vertex_count)]
     for e in range(g.edge_count):
-        t, h = arc(g, o, e)
-        if t != h:
-            adj[t].append(h)
+        if mask >> e & 1:
+            t, h = arc(g, o, e)
+            if t != h:
+                adj[t].append(h)
     return adj
 
 
@@ -287,6 +289,63 @@ def is_edge_cyclic(g: MultiGraph, o: Orientation, e: int) -> bool:
     # a simple directed path head -> tail cannot reuse e, so plain
     # reachability suffices
     return _reaches(_out_neighbors(g, o), h, t)
+
+
+def _strong_components(adj: list[list[int]]) -> list[int]:
+    """Strong component id of every vertex: Tarjan's algorithm (SIAM J.
+    Comput. 1, 1972), iterative so that long paths need no recursion."""
+    n = len(adj)
+    index = [-1] * n
+    low = [0] * n
+    comp = [-1] * n
+    stack: list[int] = []
+    counter = found = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, 0)]
+        while work:
+            v, i = work[-1]
+            if i < len(adj[v]):
+                work[-1] = (v, i + 1)
+                w = adj[v][i]
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    work.append((w, 0))
+                elif comp[w] < 0:  # w is still on the stack
+                    low[v] = min(low[v], index[w])
+                continue
+            work.pop()
+            if work:
+                u = work[-1][0]
+                low[u] = min(low[u], low[v])
+            if low[v] == index[v]:
+                while True:
+                    w = stack.pop()
+                    comp[w] = found
+                    if w == v:
+                        break
+                found += 1
+    return comp
+
+
+def cyclic_edges(g: MultiGraph, o: Orientation, x: EdgeSubset | None = None) -> EdgeSubset:
+    """The edges of X on a directed circuit of (V, X) under o, from one
+    strong-components pass: an arc t -> h is on one exactly when t and
+    h share a strong component, and a loop always is.  X defaults to E."""
+    mask = (1 << g.edge_count) - 1 if x is None else x.mask
+    adj = _out_neighbors(g, o, mask)
+    comp = _strong_components(adj)
+    cyclic = 0
+    for e, (t, h) in enumerate(g.edges):
+        if mask >> e & 1 and comp[t] == comp[h]:
+            cyclic |= 1 << e
+    return EdgeSubset(cyclic, g.edge_count)
 
 
 def is_acyclic(g: MultiGraph, o: Orientation) -> bool:

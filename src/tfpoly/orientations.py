@@ -9,9 +9,15 @@ totally cyclic.
 
 Two orientations are cut-Eulerian equivalent when one can be turned
 into the other by repeatedly reversing all edges of a directed circuit
-or of a directed bond.  Classes are computed as the closure of that
-move relation.  The number of classes equals the Tutte value T(G;1,1),
-the number of maximal forests.
+or of a directed bond.  That happens exactly when their indegree
+divisors are linearly equivalent, that is when the difference of the
+indegree vectors lies in the image of the Laplacian (Gioan, European
+J. Combin. 28, 2007; Backman, "Riemann-Roch theory for graph
+orientations", Adv. Math. 309, 2017).  So `cut_eulerian_classes` keys
+each orientation by its divisor class in one pass, and the classes
+form a torsor for the graph's Jacobian: their number is the Tutte
+value T(G;1,1), the number of maximal forests.  The move closure itself,
+`cut_eulerian_classes_by_moves`, is kept as the oracle.
 
 Class size: reversing a directed circuit or bond never changes which
 edges are cyclic, and the class of rho has exactly as many members as
@@ -29,21 +35,22 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
-from .config import VerificationError, check_state_space, state_guard
+from .algebra import det_adjugate
+from .config import VerificationError, check_state_space
 from .graph import (
     EdgeSubset,
     MultiGraph,
     Orientation,
+    _component_vertex_sets,
     bond_side,
     bonds,
+    cyclic_edges,
     directed_bonds,
     directed_circuits,
-    is_acyclic,
-    is_edge_cyclic,
-    is_totally_cyclic,
-    restriction,
 )
 from .tensionflow import (
     enumerate_integral_flows,
@@ -69,21 +76,16 @@ def all_orientations(g: MultiGraph, guard: int | None = None) -> list[Orientatio
 def classify_edges(g: MultiGraph, o: Orientation) -> tuple[EdgeSubset, EdgeSubset]:
     """(B, C): edges on directed bonds, edges on directed circuits.
 
-    Asserts the partition property: B and C are complementary, the
-    restriction to B is acyclic and the restriction to C is totally
-    cyclic.
+    C comes from one strong-components pass.  Asserts the partition
+    property, by one more pass on each restriction: B and C are
+    complementary, the restriction to B is acyclic and the restriction
+    to C is totally cyclic.
     """
-    c_mask = 0
-    for e in range(g.edge_count):
-        if is_edge_cyclic(g, o, e):
-            c_mask |= 1 << e
-    c = EdgeSubset(c_mask, g.edge_count)
+    c = cyclic_edges(g, o)
     b = c.complement()
-    sub_b, o_b, _ = restriction(g, o, b)
-    sub_c, o_c, _ = restriction(g, o, c)
-    if not is_acyclic(sub_b, o_b):
+    if cyclic_edges(g, o, b).mask:
         raise AssertionError("acyclic part of the partition is not acyclic")
-    if not is_totally_cyclic(sub_c, o_c):
+    if cyclic_edges(g, o, c) != c:
         raise AssertionError("cyclic part of the partition is not totally cyclic")
     return b, c
 
@@ -92,36 +94,135 @@ def classify_edges(g: MultiGraph, o: Orientation) -> tuple[EdgeSubset, EdgeSubse
 class OrientationClass:
     """A cut-Eulerian equivalence class.
 
-    representative is the lexicographically least member; b_size and
-    c_size are computed from the representative (they are observed to
-    be constant across members on all shipped fixtures, but that
-    constancy is reported by diagnostics rather than assumed).
+    representative is the lexicographically least member and size the
+    member count; b_size and c_size are computed from the
+    representative (criterion 9 checks on the fixtures that every
+    member of the move closure's class has the same sizes).
     """
 
-    members: tuple[Orientation, ...]
     representative: Orientation
+    size: int
     b_size: int
     c_size: int
 
 
+def _key_columns(g: MultiGraph) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
+    """Per vertex, the key of one unit of indegree there; and the
+    modulus of each key coordinate.
+
+    Each component with a root r (its least vertex) and reduced
+    Laplacian L0 (rows and columns of its other vertices) owns a block
+    of coordinates: the key of an indegree vector x is adj(L0) x mod
+    det(L0), x restricted to the block.  The root's column is zero, and
+    an isolated vertex owns no coordinate.
+    """
+    cols: list[list[int]] = [[] for _ in range(g.vertex_count)]
+    mods: list[int] = []
+    for comp in _component_vertex_sets(g):
+        others = sorted(comp)[1:]
+        local = {v: i for i, v in enumerate(others)}
+        lap = [[0] * len(others) for _ in others]
+        for t, h in g.edges:
+            if t == h:
+                continue
+            for a, b in ((t, h), (h, t)):
+                if a in local:
+                    lap[local[a]][local[a]] += 1
+                    if b in local:
+                        lap[local[a]][local[b]] -= 1
+        det, adj = det_adjugate(lap)
+        for v in range(g.vertex_count):
+            j = local.get(v)
+            cols[v].extend(0 if j is None else adj[i][j] % det for i in range(len(others)))
+        mods.extend([det] * len(others))
+    return [tuple(col) for col in cols], tuple(mods)
+
+
+def _partial_sums(
+    choices: list[tuple[tuple[int, ...], tuple[int, ...]]], width: int
+) -> list[tuple[int, ...]]:
+    """The sum of one column per (kept, flipped) choice, for every
+    choice vector in lexicographic order (kept before flipped)."""
+    sums = [(0,) * width]
+    for kept, flipped in choices:
+        sums = [tuple(map(operator.add, s, c)) for s in sums for c in (kept, flipped)]
+    return sums
+
+
+def divisor_class_keys(g: MultiGraph) -> Iterator[tuple[int, ...]]:
+    """The divisor class of the indegree vector of every orientation, in
+    the lexicographic flip order of `all_orientations`: equal keys mean
+    linearly equivalent indegree divisors, that is the same
+    cut-Eulerian class.
+
+    The key is linear in the indegrees, so it is the sum of one column
+    per non-loop edge (the one at its head); the sums over the leading
+    and the trailing half of the edges are tabulated once.
+    """
+    cols, mods = _key_columns(g)
+    choices = [(cols[h], cols[t]) for t, h in (g.edges[e] for e in g.non_loop_ids())]
+    half = len(choices) // 2
+    trailing = _partial_sums(choices[half:], len(mods))
+    for lead in _partial_sums(choices[:half], len(mods)):
+        for trail in trailing:
+            yield tuple(map(operator.mod, map(operator.add, lead, trail), mods))
+
+
 def cut_eulerian_classes(g: MultiGraph, guard: int | None = None) -> tuple[OrientationClass, ...]:
-    """Partition the orientation space by the move closure of reversing
-    one directed circuit or one directed bond.  The closure scans the
-    2^E edge subsets once per orientation, so it charges 2^E' x 2^E
-    states (E' the non-loop edges).  The charge comes before the cache,
-    which is keyed by the resolved guard."""
+    """The cut-Eulerian classes in order of their representatives, by
+    one lexicographic pass over the orientations: each is keyed by its
+    indegree divisor class (`divisor_class_keys`), and the first
+    orientation with a key represents its class.  Per orientation the
+    pass builds a key of fewer than V coordinates and, for a
+    representative, sorts its E edges by strong components, so it
+    charges 2^E' x (E + V) states (E' the non-loop edges).  The charge
+    comes before the cache."""
     check_state_space(
-        (1 << len(g.non_loop_ids())) << g.edge_count, guard, "orientation class closure"
+        (1 << len(g.non_loop_ids())) * (g.edge_count + g.vertex_count),
+        guard,
+        "orientation class key",
     )
-    return _cut_eulerian_classes(g, state_guard(guard))
+    return _cut_eulerian_classes(g)
 
 
 @functools.lru_cache(maxsize=None)
-def _cut_eulerian_classes(g: MultiGraph, guard: int) -> tuple[OrientationClass, ...]:
+def _cut_eulerian_classes(g: MultiGraph) -> tuple[OrientationClass, ...]:
+    found: dict[tuple[int, ...], list[int]] = {}  # key -> [first index, size]
+    for index, key in enumerate(divisor_class_keys(g)):
+        if key in found:
+            found[key][1] += 1
+        else:
+            found[key] = [index, 1]
+    non_loops = g.non_loop_ids()
+    classes = []
+    for index, size in found.values():
+        # the index counts in lexicographic flip order: the first non-loop
+        # edge is its most significant bit
+        flips = [False] * g.edge_count
+        for i, e in enumerate(reversed(non_loops)):
+            flips[e] = bool(index >> i & 1)
+        rep = Orientation(tuple(flips))
+        b, c = classify_edges(g, rep)
+        classes.append(OrientationClass(rep, size, b.size, c.size))
+    return tuple(classes)
+
+
+def cut_eulerian_classes_by_moves(
+    g: MultiGraph, guard: int | None = None
+) -> tuple[tuple[Orientation, ...], ...]:
+    """The oracle of `cut_eulerian_classes`: the closure of the moves
+    that reverse one directed circuit or one directed bond.  Each class
+    is a member tuple in lexicographic flip order, and the classes come
+    in the order of their least members.  The closure scans the 2^E
+    edge subsets once per orientation, so it charges 2^E' x 2^E
+    states."""
+    check_state_space(
+        (1 << len(g.non_loop_ids())) << g.edge_count, guard, "orientation class closure"
+    )
     orientations = all_orientations(g, guard)
     index = {o.flips: o for o in orientations}
     seen: set[tuple[bool, ...]] = set()
-    classes: list[OrientationClass] = []
+    classes: list[tuple[Orientation, ...]] = []
     loop_mask = 0
     for e in g.loop_ids():
         loop_mask |= 1 << e
@@ -145,13 +246,7 @@ def _cut_eulerian_classes(g: MultiGraph, guard: int) -> tuple[OrientationClass, 
                 if flips not in seen:
                     seen.add(flips)
                     stack.append(index[flips])
-        component.sort(key=lambda o: o.flips)
-        rep = component[0]
-        b, c = classify_edges(g, rep)
-        classes.append(
-            OrientationClass(tuple(component), rep, b.size, c.size)
-        )
-    classes.sort(key=lambda cls: cls.representative.flips)
+        classes.append(tuple(sorted(component, key=lambda o: o.flips)))
     return tuple(classes)
 
 
@@ -172,18 +267,19 @@ def class_size_check(g: MultiGraph, cls: OrientationClass, guard: int | None = N
     """Recompute the class size from 0-1 tension-flow pairs and compare
     with the member count; raises VerificationError on mismatch."""
     count = zero_one_pair_count(g, cls.representative, guard)
-    if count != len(cls.members):
+    if count != cls.size:
         raise VerificationError(
             f"class of {cls.representative.flips} on {g.fingerprint()}: "
-            f"0-1 pair count {count} != member count {len(cls.members)}"
+            f"0-1 pair count {count} != member count {cls.size}"
         )
     return count
 
 
-def class_bc_profile(g: MultiGraph, cls: OrientationClass) -> set[tuple[int, int]]:
-    """Diagnostic: the set of (|B|, |C|) values across class members."""
+def class_bc_profile(g: MultiGraph, members: Sequence[Orientation]) -> set[tuple[int, int]]:
+    """Diagnostic: the set of (|B|, |C|) values across the members of
+    one class of `cut_eulerian_classes_by_moves`."""
     profile = set()
-    for member in cls.members:
+    for member in members:
         b, c = classify_edges(g, member)
         profile.add((b.size, c.size))
     return profile

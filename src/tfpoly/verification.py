@@ -70,6 +70,8 @@ from .orientations import (
     class_size_check,
     classify_edges,
     cut_eulerian_classes,
+    cut_eulerian_classes_by_moves,
+    divisor_class_keys,
 )
 from .tensionflow import (
     FiniteAbelianGroup,
@@ -781,7 +783,7 @@ def criterion_9(guard: int | None = None) -> CheckResult:
     col = _Collector()
     for name, g in all_fixtures():
         classes = cut_eulerian_classes(g, guard)
-        total = sum(len(cls.members) for cls in classes)
+        total = sum(cls.size for cls in classes)
         col.expect(
             total == 2 ** len(g.non_loop_ids()),
             f"{name}: class sizes sum to {total}",
@@ -791,10 +793,11 @@ def criterion_9(guard: int | None = None) -> CheckResult:
                 class_size_check(g, cls, guard)
             except VerificationError as exc:
                 col.expect(False, f"{name}: {exc}")
-            profile = class_bc_profile(g, cls)
+        for members in cut_eulerian_classes_by_moves(g, guard):
+            profile = class_bc_profile(g, members)
             col.expect(
                 len(profile) == 1,
-                f"{name}: class of {cls.representative.flips} has mixed "
+                f"{name}: class of {members[0].flips} has mixed "
                 f"bond/circuit sizes {sorted(profile)}",
             )
     return col.result("orientation class sizes match the pinned {0,1} pair counts")
@@ -1045,6 +1048,35 @@ def criterion_15(guard: int | None = None) -> CheckResult:
     )
 
 
+# -- 16: divisor-class keys against the move closure -----------------------------------
+
+
+def criterion_16(guard: int | None = None) -> CheckResult:
+    col = _Collector()
+    for name, g in all_fixtures():
+        classes = cut_eulerian_classes(g, guard)
+        closure = cut_eulerian_classes_by_moves(g, guard)
+        by_key: dict[tuple[int, ...], set[tuple[bool, ...]]] = {}
+        for o, key in zip(all_orientations(g, guard), divisor_class_keys(g)):
+            by_key.setdefault(key, set()).add(o.flips)
+        key_parts = {frozenset(part) for part in by_key.values()}
+        move_parts = {frozenset(o.flips for o in members) for members in closure}
+        col.expect(
+            key_parts == move_parts,
+            f"{name}: {len(key_parts)} key classes, {len(move_parts)} closure classes, "
+            f"{len(key_parts & move_parts)} shared",
+        )
+        got = [(cls.representative.flips, cls.size) for cls in classes]
+        want = [(members[0].flips, len(members)) for members in closure]
+        col.expect(got == want, f"{name}: (representative, size) {got}, closure {want}")
+        index = lattice_index(g, Orientation.reference(g))
+        col.expect(len(classes) == index, f"{name}: {len(classes)} classes, lattice index {index}")
+    return col.result(
+        "orientation classes keyed by indegree divisor class equal the move closure's "
+        "classes, least members and sizes"
+    )
+
+
 # -- suites -------------------------------------------------------------------------------
 
 
@@ -1064,15 +1096,16 @@ CRITERIA: dict[int, Callable[..., CheckResult]] = {
     13: criterion_13,
     14: criterion_14,
     15: criterion_15,
+    16: criterion_16,
 }
 
 SUITES: dict[str, tuple[int, ...]] = {
     "arrangement": (1, 11, 15),
-    "orientation": (3, 9, 10),
+    "orientation": (3, 9, 10, 16),
     "reciprocity": (2, 4, 5, 6, 12, 13, 14),
     "whitney": (7,),
     "integrals": (8,),
-    "all": tuple(range(1, 16)),
+    "all": tuple(range(1, 17)),
 }
 
 

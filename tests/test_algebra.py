@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from tfpoly.algebra import (
     InterpolationError,
     MultiPoly,
+    det_adjugate,
     interpolate_univariate,
     rational_rank,
     smith_normal_form,
@@ -311,3 +312,27 @@ def test_smith_normal_form_determinant(rows):
     for d in diag:
         prod *= d
     assert prod == abs(det)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.integers(-5, 5), min_size=3, max_size=3), min_size=3, max_size=3
+    )
+)
+def test_adjugate_times_matrix_is_determinant(rows):
+    a, b, c = rows
+    det = (
+        a[0] * (b[1] * c[2] - b[2] * c[1])
+        - a[1] * (b[0] * c[2] - b[2] * c[0])
+        + a[2] * (b[0] * c[1] - b[1] * c[0])
+    )
+    if det == 0:
+        with pytest.raises(ValueError):
+            det_adjugate(rows)
+        return
+    got_det, adj = det_adjugate(rows)
+    assert got_det == det
+    for i in range(3):
+        for j in range(3):
+            assert sum(rows[i][k] * adj[k][j] for k in range(3)) == (det if i == j else 0)

@@ -13,7 +13,7 @@ from tfpoly.cli import main
 from tfpoly.fixtures import FIXTURE_TEXTS, fixture
 from tfpoly.graph import MultiGraph
 from tfpoly.graphio import format_graph
-from tfpoly.invariants import psi_family
+from tfpoly.invariants import psi_family, tutte
 
 
 def grid(rows: int, cols: int) -> MultiGraph:
@@ -230,18 +230,28 @@ def test_subset_table_guard_counts_states(graph_file, capsys):
     assert err.strip() == "error: subset rank table needs 384 states, guard is 5"
 
 
-def test_class_closure_refuses_k5_plus_two_quickly(tmp_path, capsys):
-    # 12 non-loop edges: the closure would visit 2^12 orientations times
-    # 2^12 circuit masks
+def test_class_key_reaches_k5_plus_two(tmp_path, capsys):
+    # 12 non-loop edges: the move closure would have visited 2^12
+    # orientations times 2^12 circuit masks
+    g = MultiGraph(5, tuple(itertools.combinations(range(5), 2)) + ((0, 1), (2, 3)))
     path = tmp_path / "k5pp.graph"
-    edges = tuple(itertools.combinations(range(5), 2)) + ((0, 1), (2, 3))
-    path.write_text(format_graph(MultiGraph(5, edges)))
+    path.write_text(format_graph(g))
+    assert main(["classify-orientations", str(path)]) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(rows) == tutte(g).evaluate(x=1, y=1)
+    assert sum(row["size"] for row in rows) == 2**12
+
+
+def test_class_key_refuses_k7_quickly(tmp_path, capsys):
+    # 2^21 orientations, each charged for 21 edges and 7 vertices
+    path = tmp_path / "k7.graph"
+    path.write_text(format_graph(MultiGraph(7, tuple(itertools.combinations(range(7), 2)))))
     started = time.perf_counter()
     assert main(["classify-orientations", str(path)]) == 2
     assert time.perf_counter() - started < 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: orientation class closure needs 16777216 states")
+    assert captured.err.startswith("error: orientation class key needs 58720256 states")
 
 
 @pytest.fixture
@@ -256,6 +266,22 @@ def petersen() -> MultiGraph:
     inner = tuple((5 + i, 5 + (i + 2) % 5) for i in range(5))
     spokes = tuple((i, 5 + i) for i in range(5))
     return MultiGraph(10, outer + inner + spokes)
+
+
+@pytest.mark.parametrize(
+    ("g", "count"),
+    [(petersen(), 2000), (MultiGraph(6, tuple(itertools.combinations(range(6), 2))), 1296)],
+    ids=["petersen", "k6"],
+)
+def test_classify_orientations_reaches_15_edges(tmp_path, capsys, g, count):
+    path = tmp_path / "g.graph"
+    path.write_text(format_graph(g))
+    started = time.perf_counter()
+    assert main(["--json", "classify-orientations", str(path)]) == 0
+    assert time.perf_counter() - started < 10
+    rows = json.loads(capsys.readouterr().out)["classes"]
+    assert len(rows) == count
+    assert sum(row["size"] for row in rows) == 2**15
 
 
 @pytest.mark.parametrize(

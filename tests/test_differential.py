@@ -17,6 +17,11 @@ filter of the whole window box.  The modular ones are also reoriented
 (every non-loop edge reversed, its value negated) and must stay
 tensions and flows there, by `is_tension` and `is_flow`.
 
+The orientation classes keyed by indegree divisor class are compared
+with the move closure on graphs of at most six edges, disconnected
+ones included: the same least members and sizes, and bond and circuit
+sizes equal to a reachability search per edge on the least member.
+
 The subset rank table, built in one rollback union-find pass, is
 compared with a fresh union-find per subset on graphs of at most ten
 edges, and the two routes of the nowhere-zero pair polynomial, which
@@ -33,6 +38,7 @@ from tfpoly.graph import (
     MultiGraph,
     Orientation,
     arc,
+    is_edge_cyclic,
     rank_nullity,
     subset_rank_table,
 )
@@ -46,6 +52,7 @@ from tfpoly.invariants import (
     tutte_value,
     tutte_value_triples,
 )
+from tfpoly.orientations import cut_eulerian_classes, cut_eulerian_classes_by_moves
 from tfpoly.tensionflow import (
     INTEGRAL_MODES,
     FiniteAbelianGroup,
@@ -112,6 +119,21 @@ def test_psi_family_matches_orientation_sums(g):
 def test_tutte_values_match_triples(g, p, q):
     for quadrant in QUADRANTS:
         assert tutte_value(g, p, q, quadrant) == tutte_value_triples(g, p, q, quadrant), quadrant
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraphs(max_edges=6))
+def test_key_classes_match_the_move_closure(g):
+    got = [
+        (cls.representative, cls.size, cls.b_size, cls.c_size)
+        for cls in cut_eulerian_classes(g)
+    ]
+    want = []
+    for members in cut_eulerian_classes_by_moves(g):
+        least = members[0]
+        c_size = sum(is_edge_cyclic(g, least, e) for e in range(g.edge_count))
+        want.append((least, len(members), g.edge_count - c_size, c_size))
+    assert got == want
 
 
 @settings(max_examples=30, deadline=None)

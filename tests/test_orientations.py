@@ -1,4 +1,11 @@
-"""Orientation space and its cut-Eulerian equivalence classes."""
+"""Orientation space and its cut-Eulerian equivalence classes.
+
+The production classes come from one pass keyed by indegree divisor
+class; the tests that look inside a class compare them with the member
+tuples of the move closure, `cut_eulerian_classes_by_moves`.  The
+strong-components edge classification is compared with a reachability
+search per edge, `is_edge_cyclic`.
+"""
 
 import pytest
 
@@ -9,6 +16,7 @@ from tfpoly.graph import (
     Orientation,
     bonds,
     is_acyclic,
+    is_edge_cyclic,
     is_totally_cyclic,
     restriction,
 )
@@ -19,6 +27,7 @@ from tfpoly.orientations import (
     class_size_check,
     classify_edges,
     cut_eulerian_classes,
+    cut_eulerian_classes_by_moves,
     zero_one_pair_count,
 )
 
@@ -60,45 +69,48 @@ def test_edge_classification_partitions(name):
         cg, co, _ = restriction(g, o, c)
         assert is_acyclic(bg, bo)
         assert is_totally_cyclic(cg, co)
+        # the strong-components pass finds what a search per edge finds
+        assert c.members() == tuple(e for e in range(g.edge_count) if is_edge_cyclic(g, o, e))
 
 
 @pytest.mark.parametrize("name", sorted(CLASS_SIZES))
 def test_class_size_multisets(name):
     g = fixture(name)
     classes = cut_eulerian_classes(g)
-    assert sorted(len(c.members) for c in classes) == CLASS_SIZES[name]
+    assert sorted(c.size for c in classes) == CLASS_SIZES[name]
 
 
 @pytest.mark.parametrize("name", fixture_names())
 def test_classes_partition_and_count_forests(name):
     g = fixture(name)
-    classes = cut_eulerian_classes(g)
-    seen = [o for cls in classes for o in cls.members]
+    closure = cut_eulerian_classes_by_moves(g)
+    seen = [o for members in closure for o in members]
     assert len(seen) == len(set(seen)) == 2 ** len(g.non_loop_ids())
-    assert len(classes) == tutte(g).evaluate(x=1, y=1)
+    assert [c.size for c in cut_eulerian_classes(g)] == [len(m) for m in closure]
+    assert len(closure) == tutte(g).evaluate(x=1, y=1)
 
 
 @pytest.mark.parametrize("name", fixture_names())
 def test_representative_is_lex_least(name):
     g = fixture(name)
-    for cls in cut_eulerian_classes(g):
-        assert cls.representative == min(cls.members, key=lambda o: o.flips)
-        assert cls.representative in cls.members
+    closure = cut_eulerian_classes_by_moves(g)
+    for cls, members in zip(cut_eulerian_classes(g), closure, strict=True):
+        assert cls.representative == min(members, key=lambda o: o.flips)
 
 
 @pytest.mark.parametrize("name", fixture_names())
 def test_class_sizes_equal_pinned_pair_counts(name):
     g = fixture(name)
     for cls in cut_eulerian_classes(g):
-        assert class_size_check(g, cls) == len(cls.members)
+        assert class_size_check(g, cls) == cls.size
 
 
 @pytest.mark.parametrize("name", fixture_names())
 def test_bc_sizes_constant_within_class(name):
     g = fixture(name)
-    for cls in cut_eulerian_classes(g):
-        profile = class_bc_profile(g, cls)
-        assert profile == {(cls.b_size, cls.c_size)}
+    closure = cut_eulerian_classes_by_moves(g)
+    for cls, members in zip(cut_eulerian_classes(g), closure, strict=True):
+        assert class_bc_profile(g, members) == {(cls.b_size, cls.c_size)}
 
 
 def test_zero_one_pair_count_examples():
@@ -114,7 +126,7 @@ def test_zero_one_pair_count_examples():
 def test_loop_class_is_singleton():
     g = fixture("loop")
     classes = cut_eulerian_classes(g)
-    assert len(classes) == 1 and len(classes[0].members) == 1
+    assert len(classes) == 1 and classes[0].size == 1
     assert classes[0].b_size == 0 and classes[0].c_size == 1
 
 
@@ -127,9 +139,9 @@ def test_class_closure_computes_bonds_once(monkeypatch):
         return real(g, guard)
 
     monkeypatch.setattr(orientations, "bonds", counted)
-    # a 4-cycle with a chord, in an edge order no other test caches
+    # a 4-cycle with a chord
     g = MultiGraph(4, ((2, 3), (0, 2), (1, 2), (3, 0), (0, 1)))
-    classes = cut_eulerian_classes(g)
+    classes = cut_eulerian_classes_by_moves(g)
     assert len(classes) == tutte(g).evaluate(x=1, y=1)
     assert calls == [g]
 
@@ -143,10 +155,10 @@ def test_class_closure_finds_each_bond_side_once(monkeypatch):
         return real(g, bond)
 
     monkeypatch.setattr(orientations, "bond_side", counted)
-    # K3,3 with its edges in an order no other test caches: 24 bonds and
-    # 512 orientations, but a bond's shores do not depend on the orientation
+    # K3,3: 24 bonds and 512 orientations, but a bond's shores do not
+    # depend on the orientation
     g = MultiGraph(6, tuple((i, 3 + j) for j in range(3) for i in range(3)))
-    classes = cut_eulerian_classes(g)
+    classes = cut_eulerian_classes_by_moves(g)
     assert len(classes) == tutte(g).evaluate(x=1, y=1)
     assert sorted(calls) == [bond.mask for bond in bonds(g)]
     assert len(calls) == 24
