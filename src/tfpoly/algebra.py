@@ -9,11 +9,22 @@ to plain ints.  Every counting polynomial of a whole graph has integer
 coefficients; rationals appear only in single-orientation window
 polynomials (lattice point counts of one rational polytope), whose
 orientation sums are integral again.
+
+Every ``MultiPoly`` keeps one term invariant: no coefficient is zero;
+each coefficient is an ``int``, or a ``Fraction`` only when it is not
+integral; and each exponent tuple has one non-negative entry per
+variable.  The public constructor ``MultiPoly(variables, terms)`` is
+the only place input is validated.  Arithmetic (``+``, ``-``, ``*``,
+``**`` and ``substitute``) keeps the invariant by construction: a sum
+or product of such terms only needs its zero coefficients dropped and
+its integral Fractions turned into ints, which the private builder
+``_from_sums`` does without re-checking anything else.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
 # Canonical variable order.  Variables outside this list sort after it,
@@ -30,6 +41,8 @@ Coeff = Union[int, "Fraction"]
 
 def _norm_coeff(value) -> Coeff:
     """Exact coefficient: int, or Fraction when not integral."""
+    if type(value) is int:
+        return value
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else value
     if isinstance(value, int):
@@ -54,10 +67,14 @@ class MultiPoly:
     """Sparse multivariate polynomial with exact coefficients.
 
     ``variables`` is an ordered tuple of names; ``terms`` maps exponent
-    tuples (one entry per variable) to non-zero coefficients (ints, or
-    Fractions for the rational window polynomials).  Equality is
-    semantic: variables that occur in no term are ignored, so x + 1
-    over (x, y) equals x + 1 over (x,).
+    tuples (one non-negative entry per variable) to non-zero
+    coefficients: ints, or Fractions that are not integral (only the
+    rational window polynomials have them).  The constructor validates
+    its input and merges it into that form; it is the only place input
+    is checked.  Arithmetic results keep the form by construction and
+    are built without the checks.  Equality is semantic: variables that
+    occur in no term are ignored, so x + 1 over (x, y) equals x + 1
+    over (x,).
     """
 
     __slots__ = ("variables", "terms")
@@ -94,7 +111,7 @@ class MultiPoly:
 
     @classmethod
     def const(cls, value: Coeff) -> "MultiPoly":
-        return cls((), {(): _norm_coeff(value)} if value else {})
+        return _from_sums((), {(): _norm_coeff(value)})
 
     @classmethod
     def var(cls, name: str) -> "MultiPoly":
@@ -115,7 +132,7 @@ class MultiPoly:
             return self
         variables = tuple(self.variables[i] for i in used)
         terms = {tuple(e[i] for i in used): c for e, c in self.terms.items()}
-        return MultiPoly(variables, terms)
+        return _from_sums(variables, terms)
 
     def canonical(self) -> tuple:
         p = self.pruned()
@@ -125,10 +142,10 @@ class MultiPoly:
         return (variables, tuple(sorted(terms.items())))
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = MultiPoly.const(other)
         if not isinstance(other, MultiPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = MultiPoly.const(other)
         return self.canonical() == other.canonical()
 
     def __hash__(self) -> int:
@@ -140,28 +157,31 @@ class MultiPoly:
     def _coerce(value: Union["MultiPoly", Coeff]) -> "MultiPoly":
         if isinstance(value, MultiPoly):
             return value
-        if isinstance(value, (int, Fraction)):
-            return MultiPoly.const(value)
-        raise TypeError(f"cannot treat {type(value).__name__} as a polynomial")
+        return MultiPoly.const(_scalar(value))
 
     def _aligned(self, other: "MultiPoly") -> tuple[tuple[str, ...], dict, dict]:
         if self.variables == other.variables:
             return self.variables, self.terms, other.terms
+        # a constant lines up with any variables without a remap
+        if not other.variables:
+            return self.variables, self.terms, _lifted(other, len(self.variables))
+        if not self.variables:
+            return other.variables, _lifted(self, len(other.variables)), other.terms
         merged = tuple(sorted(set(self.variables) | set(other.variables), key=_var_key))
         return merged, _remap(self, merged), _remap(other, merged)
 
     def __add__(self, other):
         other = self._coerce(other)
         variables, a, b = self._aligned(other)
-        terms = dict(a)
+        sums = dict(a)
         for exps, coeff in b.items():
-            terms[exps] = terms.get(exps, 0) + coeff
-        return MultiPoly(variables, terms)
+            sums[exps] = sums.get(exps, 0) + coeff
+        return _from_sums(variables, sums)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.variables, {e: -c for e, c in self.terms.items()})
+        return _from_sums(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -170,14 +190,20 @@ class MultiPoly:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
+        # a number or a constant polynomial scales the coefficients
+        if not isinstance(other, MultiPoly):
+            return _scaled(self, _scalar(other))
+        if not other.variables:
+            return _scaled(self, other.terms.get((), 0))
+        if not self.variables:
+            return _scaled(other, self.terms.get((), 0))
         variables, a, b = self._aligned(other)
-        terms: dict[tuple[int, ...], int] = {}
+        sums: dict[tuple[int, ...], Coeff] = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
-                e = tuple(i + j for i, j in zip(e1, e2))
-                terms[e] = terms.get(e, 0) + c1 * c2
-        return MultiPoly(variables, terms)
+                e = tuple(map(add, e1, e2))
+                sums[e] = sums.get(e, 0) + c1 * c2
+        return _from_sums(variables, sums)
 
     __rmul__ = __mul__
 
@@ -189,8 +215,9 @@ class MultiPoly:
         while exp:
             if exp & 1:
                 result = result * base
-            base = base * base
             exp >>= 1
+            if exp:
+                base = base * base
         return result
 
     # -- substitution and evaluation ----------------------------------
@@ -208,12 +235,17 @@ class MultiPoly:
                 factors.append(self._coerce(mapping[name]))
             else:
                 factors.append(MultiPoly.var(name))
+        # each power of each factor is computed once, on first use
+        powers: list[dict[int, MultiPoly]] = [{} for _ in factors]
         total = MultiPoly.zero()
-        for exps, coeff in sorted(self.terms.items()):
+        for exps, coeff in self.terms.items():
             term = MultiPoly.const(coeff)
-            for base, e in zip(factors, exps):
+            for base, done, e in zip(factors, powers, exps):
                 if e:
-                    term = term * base**e
+                    power = done.get(e)
+                    if power is None:
+                        power = done[e] = base**e
+                    term = term * power
             total = total + term
         return total
 
@@ -223,12 +255,20 @@ class MultiPoly:
 
     def evaluate(self, **values: int) -> Coeff:
         """Evaluate at integer arguments; extra names are ignored, but a
-        value is required for every variable that actually occurs.  The
-        result is an int whenever the value is integral."""
+        value is required for every variable that actually occurs.  Each
+        value must be an int or an integral Fraction, else TypeError.
+        The result is an int whenever the value is integral."""
+        ints: dict[str, int] = {}
+        for name, value in values.items():
+            if isinstance(value, Fraction) and value.denominator == 1:
+                value = value.numerator
+            elif not isinstance(value, int):
+                raise TypeError(f"value of {name} must be an integer, got {value!r}")
+            ints[name] = value
         missing = [
             v
             for i, v in enumerate(self.variables)
-            if v not in values and any(e[i] for e in self.terms)
+            if v not in ints and any(e[i] for e in self.terms)
         ]
         if missing:
             raise KeyError(f"missing value(s) for: {missing}")
@@ -237,7 +277,7 @@ class MultiPoly:
             prod = coeff
             for name, e in zip(self.variables, exps):
                 if e:
-                    prod *= int(values[name]) ** e
+                    prod *= ints[name] ** e
             total += prod
         return _norm_coeff(total)
 
@@ -307,6 +347,40 @@ class MultiPoly:
     def from_json(cls, variables: Sequence[str], items: Iterable[Mapping]) -> "MultiPoly":
         terms = {tuple(item["exps"]): Fraction(item["coeff"]) for item in items}
         return cls(tuple(variables), terms)
+
+
+def _from_sums(variables: tuple[str, ...], sums: Mapping[tuple[int, ...], Coeff]) -> MultiPoly:
+    """The polynomial with the given sums, which the arithmetic computed
+    from operands that keep the term invariant: zero sums are dropped
+    and integral Fractions become ints; nothing is validated."""
+    poly = object.__new__(MultiPoly)
+    object.__setattr__(poly, "variables", variables)
+    object.__setattr__(
+        poly,
+        "terms",
+        {
+            e: c.numerator if type(c) is not int and c.denominator == 1 else c
+            for e, c in sums.items()
+            if c
+        },
+    )
+    return poly
+
+
+def _scalar(value) -> Coeff:
+    """The operand itself when it is an int or a Fraction."""
+    if type(value) is int or isinstance(value, (int, Fraction)):
+        return value
+    raise TypeError(f"cannot treat {type(value).__name__} as a polynomial")
+
+
+def _scaled(poly: MultiPoly, scalar: Coeff) -> MultiPoly:
+    return _from_sums(poly.variables, {e: c * scalar for e, c in poly.terms.items()})
+
+
+def _lifted(constant: MultiPoly, width: int) -> dict[tuple[int, ...], Coeff]:
+    """Terms of a polynomial over no variables, over `width` variables."""
+    return {(0,) * width: c for c in constant.terms.values()}
 
 
 def _remap(poly: MultiPoly, variables: tuple[str, ...]) -> dict[tuple[int, ...], int]:

@@ -621,8 +621,7 @@ def pair_integral_identities(
     # at negated arguments, up to the sign (-1)^r
     w_poly = whitney(g, guard)
     want = w_poly.evaluate(x=-p, y=-q)
-    got = lhs2.substitute({"u": -1})
-    got_int = got.evaluate() if isinstance(got, MultiPoly) else got
+    got_int = lhs2.substitute({"u": -1}).evaluate()
     if r & 1:
         got_int = -got_int
     checks.append(

@@ -19,12 +19,28 @@ X = MultiPoly.var("x")
 Y = MultiPoly.var("y")
 
 
-def small_polys(variables=("x", "y")):
+# operands over differing variable tuples, so arithmetic must line them
+# up; the empty tuple gives constants, which take the scalar path
+VARIABLE_TUPLES = ((), ("x",), ("y", "x"), ("x", "y", "z"))
+SMALL_FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def small_polys(draw):
+    variables = draw(st.sampled_from(VARIABLE_TUPLES))
     exps = st.tuples(*(st.integers(0, 3) for _ in variables))
-    coeffs = st.integers(-9, 9)
-    return st.dictionaries(exps, coeffs, max_size=5).map(
-        lambda terms: MultiPoly(variables, terms)
-    )
+    coeffs = st.integers(-9, 9) | SMALL_FRACTIONS
+    return MultiPoly(variables, draw(st.dictionaries(exps, coeffs, max_size=5)))
+
+
+def assert_canonical(p):
+    """The term invariant: what the constructor would make of the terms,
+    with no zero coefficient and no integral Fraction."""
+    assert MultiPoly(p.variables, p.terms).terms == p.terms
+    for exps, coeff in p.terms.items():
+        assert len(exps) == len(p.variables)
+        assert coeff != 0
+        assert type(coeff) is int or (type(coeff) is Fraction and coeff.denominator != 1)
 
 
 # -- construction and canonical form ------------------------------------
@@ -51,6 +67,14 @@ def test_rational_coefficients_survive():
     p = MultiPoly(("x",), {(1,): Fraction(1, 2)})
     assert p.terms[(1,)] == Fraction(1, 2)
     assert (p + p).terms[(1,)] == 1
+
+
+def test_equality_with_numbers_matches_coercion():
+    assert MultiPoly.const(Fraction(1, 2)) == Fraction(1, 2)
+    assert MultiPoly.const(Fraction(4, 2)) == 2
+    assert MultiPoly.const(Fraction(1, 2)) != Fraction(1, 3)
+    assert X != Fraction(1, 2)
+    assert MultiPoly.const(1) != 1.0
 
 
 def test_equality_ignores_unused_variables():
@@ -106,12 +130,35 @@ def test_neutral_elements(a):
 
 
 @settings(max_examples=25, deadline=None)
-@given(small_polys(), st.integers(-4, 4), st.integers(-4, 4))
-def test_evaluation_is_a_ring_hom(a, x, y):
+@given(small_polys(), st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4))
+def test_evaluation_is_a_ring_hom(a, x, y, z):
     b = X * Y - 2
-    lhs = (a * b + a).evaluate(x=x, y=y)
-    rhs = a.evaluate(x=x, y=y) * b.evaluate(x=x, y=y) + a.evaluate(x=x, y=y)
+    at = {"x": x, "y": y, "z": z}
+    lhs = (a * b + a).evaluate(**at)
+    rhs = a.evaluate(**at) * b.evaluate(**at) + a.evaluate(**at)
     assert lhs == rhs
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_polys(), small_polys(), st.integers(-3, 3), SMALL_FRACTIONS, st.integers(0, 3))
+def test_arithmetic_results_keep_the_term_invariant(a, b, k, f, n):
+    results = [
+        a + b,
+        a - b,
+        -a,
+        a * b,
+        k * a,
+        a * k,
+        f * a,
+        0 * a,
+        Fraction(0) * a,
+        Fraction(2, 1) * a,
+        a**n,
+        a.substitute({"x": b, "y": -1}),
+        a.substitute({"z": f, "x": 2 * X}),
+    ]
+    for r in results:
+        assert_canonical(r)
 
 
 def test_pow():
@@ -150,6 +197,16 @@ def test_evaluate_requires_used_variables_only():
     # y is carried but unused here, so no value is needed
     q = MultiPoly(("x", "y"), {(1, 0): 1})
     assert q.evaluate(x=5) == 5
+
+
+def test_evaluate_takes_integers_only():
+    p = X * X
+    assert p.evaluate(x=Fraction(6, 3)) == 4
+    assert type(p.evaluate(x=Fraction(6, 3))) is int
+    with pytest.raises(TypeError):
+        p.evaluate(x=Fraction(1, 2))
+    with pytest.raises(TypeError):
+        p.evaluate(x=2.9)
 
 
 def test_coefficient_lookup():
