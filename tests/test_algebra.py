@@ -63,6 +63,15 @@ def test_integral_fractions_normalize_to_int():
     assert c == 2 and isinstance(c, int)
 
 
+def test_constructors_refuse_floats():
+    with pytest.raises(TypeError):
+        MultiPoly.const(0.0)
+    with pytest.raises(TypeError):
+        MultiPoly(("x",), {(1,): 0.5})
+    with pytest.raises(TypeError):
+        X * 0.5
+
+
 def test_rational_coefficients_survive():
     p = MultiPoly(("x",), {(1,): Fraction(1, 2)})
     assert p.terms[(1,)] == Fraction(1, 2)
