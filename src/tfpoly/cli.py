@@ -13,7 +13,6 @@ from typing import Sequence
 
 from .algebra import MultiPoly
 from .config import GuardExceeded, VerificationError
-from .graph import MultiGraph
 from .graphio import ParseError, parse_graph_file
 from .invariants import (
     chromatic_poly,
@@ -31,41 +30,22 @@ from .tensionflow import FiniteAbelianGroup
 from .verification import SUITES, run_suite
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tfpoly",
-        description="Tension-flow counting polynomials of multigraphs.",
+# the shared flags live on both the main parser and every subparser so they
+# may be given on either side of the subcommand; the subparser copies
+# suppress their defaults so an absent flag keeps the value the main parser
+# already put in the namespace
+def _add_common(p: argparse.ArgumentParser, top: bool) -> None:
+    miss = {} if top else {"default": argparse.SUPPRESS}
+    p.add_argument("--json", action="store_true", help="emit JSON instead of text", **miss)
+    p.add_argument(
+        "--guard",
+        type=int,
+        help="override the enumeration guard (also settable via TFPOLY_GUARD)",
+        **miss,
     )
 
-    # the shared flags live on both the main parser and every subparser so
-    # they may be given on either side of the subcommand; the subparser
-    # copies suppress their defaults so an absent flag keeps the value the
-    # main parser already put in the namespace
-    def add_common(p: argparse.ArgumentParser, top: bool) -> None:
-        miss = {} if top else {"default": argparse.SUPPRESS}
-        p.add_argument(
-            "--json",
-            action="store_true",
-            help="emit JSON instead of text",
-            **({} if top else miss),
-        )
-        p.add_argument(
-            "--guard",
-            type=int,
-            help="override the enumeration guard (also settable via TFPOLY_GUARD)",
-            **({"default": None} if top else miss),
-        )
 
-    add_common(parser, top=True)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def graph_cmd(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
-        add_common(p, top=False)
-        p.add_argument("graph", help="path to a graph file")
-        return p
-
-    p = graph_cmd("tutte", "Tutte polynomial")
+def _tutte_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--route",
         choices=("checked", "recursion", "shift"),
@@ -74,9 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
         "subset expansion shifted to x - 1, y - 1, or both compared (checked)",
     )
 
-    graph_cmd("whitney", "corank-nullity polynomial")
 
-    p = graph_cmd("omega", "nowhere-zero pair polynomial")
+def _omega_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--via",
         choices=("expansion", "arrangement", "brute"),
@@ -87,11 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, default=None, help="tension group order")
     p.add_argument("--q", type=int, default=None, help="flow group order")
 
-    graph_cmd("tension", "nowhere-zero tension polynomial")
-    graph_cmd("flow", "nowhere-zero flow polynomial")
-    graph_cmd("chromatic", "proper colouring polynomial")
 
-    p = graph_cmd("kappa", "complementary pair polynomial (psi at z = w = 1)")
+def _kappa_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--integral",
         action="store_true",
@@ -99,29 +75,97 @@ def build_parser() -> argparse.ArgumentParser:
         "representatives (modular pairs)",
     )
 
-    p = graph_cmd("psi", "orientation-sum polynomial in (x, y, z, w)")
+
+def _psi_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--integral", action="store_true", help="sum over all orientations")
     p.add_argument("--dual", action="store_true", help="closed windows instead of open")
 
-    graph_cmd("classify-orientations", "cut-Eulerian classes, one JSON object per line")
 
-    p = graph_cmd("tutte-values", "Tutte value T(+-p, +-q), signs from --quadrant")
+def _tutte_values_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--quadrant", choices=("++", "+-", "-+", "--"), default="++")
 
-    p = sub.add_parser("verify", help="run the self-verification suites")
-    add_common(p, top=False)
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--suite",
         choices=sorted(SUITES),
         default="all",
         help="which suite to run (default: all criteria)",
     )
+
+
+# name -> (help text, takes a graph file, adds the command's own arguments)
+COMMANDS = {
+    "tutte": ("Tutte polynomial", True, _tutte_args),
+    "whitney": ("corank-nullity polynomial", True, None),
+    "omega": ("nowhere-zero pair polynomial", True, _omega_args),
+    "tension": ("nowhere-zero tension polynomial", True, None),
+    "flow": ("nowhere-zero flow polynomial", True, None),
+    "chromatic": ("proper colouring polynomial", True, None),
+    "kappa": ("complementary pair polynomial (psi at z = w = 1)", True, _kappa_args),
+    "psi": ("orientation-sum polynomial in (x, y, z, w)", True, _psi_args),
+    "classify-orientations": ("cut-Eulerian classes, one JSON object per line", True, None),
+    "tutte-values": (
+        "Tutte value T(+-p, +-q), signs from --quadrant",
+        True,
+        _tutte_values_args,
+    ),
+    "verify": ("run the self-verification suites", False, _verify_args),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The tfpoly parser: every subcommand, or only the one named.
+
+    A one-command parser names all of them in its usage, so its main-level
+    usage and errors read exactly as the full parser's do.  The full parser
+    keeps the default metavar, which its "invalid choice" error names.
+    """
+    parser = argparse.ArgumentParser(
+        prog="tfpoly",
+        description="Tension-flow counting polynomials of multigraphs.",
+    )
+    _add_common(parser, top=True)
+    if command is None:
+        sub = parser.add_subparsers(dest="command", required=True)
+        names = tuple(COMMANDS)
+    else:
+        metavar = "{" + ",".join(COMMANDS) + "}"
+        sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+        names = (command,)
+    for name in names:
+        help_text, takes_graph, add_own = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        _add_common(p, top=False)
+        if takes_graph:
+            p.add_argument("graph", help="path to a graph file")
+        if add_own is not None:
+            add_own(p)
     return parser
 
 
-def _emit_poly(args, name: str, g: MultiGraph, poly: MultiPoly) -> int:
+def _requested_command(argv: Sequence[str]) -> str | None:
+    """The subcommand argv names, if the shared flags alone come before it.
+
+    Skips only exact `--json`, `--guard N` and `--guard=N`; anything else
+    (help, an abbreviation, an unknown name) leaves the answer to the full
+    parser.
+    """
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        if token == "--guard":
+            i += 2
+        elif token == "--json" or token.startswith("--guard="):
+            i += 1
+        else:
+            return token if token in COMMANDS else None
+    return None
+
+
+def _emit_poly(args, name: str, poly: MultiPoly) -> int:
     if args.json:
         print(
             json.dumps(
@@ -138,7 +182,7 @@ def _emit_poly(args, name: str, g: MultiGraph, poly: MultiPoly) -> int:
     return 0
 
 
-def _emit_value(args, name: str, g: MultiGraph, value: int) -> int:
+def _emit_value(args, name: str, value: int) -> int:
     if args.json:
         print(json.dumps({"invariant": name, "graph": args.graph, "value": value}))
     else:
@@ -181,9 +225,9 @@ def _dispatch(args) -> int:
 
     g = parse_graph_file(args.graph)
     if cmd == "tutte":
-        return _emit_poly(args, cmd, g, tutte(g, args.route, guard))
+        return _emit_poly(args, cmd, tutte(g, args.route, guard))
     if cmd == "whitney":
-        return _emit_poly(args, cmd, g, whitney(g, guard))
+        return _emit_poly(args, cmd, whitney(g, guard))
     if cmd == "omega":
         if args.via == "brute":
             if args.p is None or args.q is None:
@@ -195,24 +239,27 @@ def _dispatch(args) -> int:
                 FiniteAbelianGroup.cyclic(args.q),
                 guard,
             )
-            return _emit_value(args, cmd, g, value)
+            return _emit_value(args, cmd, value)
+        if (args.p is None) != (args.q is None):
+            print("error: --p and --q must be given together", file=sys.stderr)
+            return 2
         poly = omega(g, args.via, guard)
-        if args.p is not None and args.q is not None:
-            return _emit_value(args, cmd, g, poly.evaluate(x=args.p, y=args.q))
-        return _emit_poly(args, cmd, g, poly)
+        if args.p is not None:
+            return _emit_value(args, cmd, poly.evaluate(x=args.p, y=args.q))
+        return _emit_poly(args, cmd, poly)
     if cmd == "tension":
-        return _emit_poly(args, cmd, g, tension_poly(g, "t", guard))
+        return _emit_poly(args, cmd, tension_poly(g, "t", guard))
     if cmd == "flow":
-        return _emit_poly(args, cmd, g, flow_poly(g, "t", guard))
+        return _emit_poly(args, cmd, flow_poly(g, "t", guard))
     if cmd == "chromatic":
-        return _emit_poly(args, cmd, g, chromatic_poly(g, "t", guard))
+        return _emit_poly(args, cmd, chromatic_poly(g, "t", guard))
     if cmd == "kappa":
         kind = "psi_z" if args.integral else "psi"
         poly = psi_family(g, kind, guard)
-        return _emit_poly(args, cmd, g, poly.substitute({"z": 1, "w": 1}))
+        return _emit_poly(args, cmd, poly.substitute({"z": 1, "w": 1}))
     if cmd == "psi":
         kind = ("bar_" if args.dual else "") + ("psi_z" if args.integral else "psi")
-        return _emit_poly(args, cmd, g, psi_family(g, kind, guard))
+        return _emit_poly(args, cmd, psi_family(g, kind, guard))
     if cmd == "classify-orientations":
         classes = cut_eulerian_classes(g, guard)
         rows = [
@@ -232,13 +279,14 @@ def _dispatch(args) -> int:
         return 0
     if cmd == "tutte-values":
         value = tutte_value(g, args.p, args.q, args.quadrant, guard)
-        return _emit_value(args, cmd, g, value)
+        return _emit_value(args, cmd, value)
     raise AssertionError(f"unhandled command {cmd!r}")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(_requested_command(argv)).parse_args(argv)
     # argparse eats the value "--" after an equals sign (it looks like the
     # positional separator) and leaves [] behind; restore the intended value
     if getattr(args, "quadrant", None) == []:

@@ -32,9 +32,12 @@ def state_guard(override: int | None = None) -> int:
     if override is not None:
         return int(override)
     env = os.environ.get(GUARD_ENV)
-    if env is not None:
+    if env is None:
+        return DEFAULT_STATE_GUARD
+    try:
         return int(env)
-    return DEFAULT_STATE_GUARD
+    except ValueError:
+        raise ValueError(f"{GUARD_ENV} must be an integer, not {env!r}") from None
 
 
 def check_state_space(size: int, guard: int | None = None, what: str = "enumeration") -> None:

@@ -1,5 +1,6 @@
 """End-to-end command line tests, run in process through main()."""
 
+import argparse
 import itertools
 import json
 import re
@@ -7,9 +8,9 @@ import time
 
 import pytest
 
-from tfpoly import verification
+from tfpoly import cli, verification
 from tfpoly.algebra import MultiPoly
-from tfpoly.cli import main
+from tfpoly.cli import COMMANDS, build_parser, main
 from tfpoly.fixtures import FIXTURE_TEXTS, fixture
 from tfpoly.graph import MultiGraph
 from tfpoly.graphio import format_graph
@@ -137,6 +138,15 @@ def test_malformed_file_is_input_error(tmp_path, capsys):
 def test_brute_requires_group_orders(graph_file, capsys):
     assert main(["omega", "--via", "brute", graph_file("k3")]) == 2
     assert "needs --p and --q" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("orders", [["--p", "2"], ["--q", "3"]], ids=["p", "q"])
+def test_omega_takes_both_group_orders_or_neither(graph_file, capsys, orders):
+    # one order alone used to be ignored: the polynomial was printed
+    assert main(["omega", *orders, graph_file("k3")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --p and --q must be given together\n"
 
 
 def test_verify_single_suite(capsys):
@@ -381,6 +391,14 @@ def test_guard_env_variable(graph_file, capsys, monkeypatch):
     assert "guard" in capsys.readouterr().err
 
 
+def test_guard_env_variable_must_be_an_integer(graph_file, capsys, monkeypatch):
+    monkeypatch.setenv("TFPOLY_GUARD", "abc")
+    assert main(["tutte", graph_file("k3")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: TFPOLY_GUARD must be an integer, not 'abc'\n"
+
+
 def test_guard_flag_beats_env(graph_file, capsys, monkeypatch):
     monkeypatch.setenv("TFPOLY_GUARD", "2")
     path = graph_file("k3")
@@ -399,3 +417,77 @@ def test_classify_orientations_lines(graph_file, capsys):
     for row in rows:
         assert row["b_size"] + row["c_size"] == 3
         assert len(row["representative"]) == 3
+
+
+# shared flags before or after the command, in every spelling main's scan skips
+SHARED_FLAGS = ([], ["--json"], ["--guard", "7"], ["--guard=7"], ["--guard", "-5"], ["--json", "--guard=7"])
+OWN_ARGS = {
+    "tutte": [[], ["--route", "shift"], ["--ro", "checked"]],
+    "omega": [[], ["--via", "brute", "--p", "2", "--q", "3"], ["--vi", "arrangement"]],
+    "kappa": [[], ["--integral"], ["--int"]],
+    "psi": [[], ["--integral", "--dual"], ["--int", "--du"]],
+    "tutte-values": [["--p", "2", "--q", "3", "--quadrant=--"], ["--p", "2", "--q", "3", "--quadrant", "+-"]],
+    "verify": [[], ["--suite", "whitney"], ["--su", "all"]],
+}
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_one_command_parser_reads_argv_as_the_full_parser(command):
+    graph = ["g.graph"] if COMMANDS[command][1] else []
+    for before, after, own in itertools.product(SHARED_FLAGS, SHARED_FLAGS, OWN_ARGS.get(command, [[]])):
+        argv = [*before, command, *own, *after, *graph]
+        assert build_parser(command).parse_args(argv) == build_parser().parse_args(argv), argv
+
+
+def _run_main(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+HELP_AND_ERRORS = [
+    [],
+    ["--help"],
+    *([command, "--help"] for command in COMMANDS),
+    ["psi"],
+    ["--guard", "abc", "psi", "g.graph"],
+    ["psi", "--foo", "g.graph"],
+    ["psi", "g.graph", "extra"],
+    ["--guard", "--json", "psi", "g.graph"],
+    ["nope", "g.graph"],
+    ["tut", "g.graph"],
+]
+
+
+@pytest.mark.parametrize("argv", HELP_AND_ERRORS, ids=" ".join)
+def test_main_answers_help_and_usage_errors_as_the_full_parser(capsys, monkeypatch, argv):
+    got = _run_main(argv, capsys)
+    assert got[0] in (0, 2)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert _run_main(argv, capsys) == got
+
+
+@pytest.mark.parametrize(
+    ("flags", "built"),
+    [
+        (["--json"], ["tutte"]),
+        (["--guard=7", "--json", "--guard", "100"], ["tutte"]),
+        (["--gu", "100"], list(COMMANDS)),
+    ],
+    ids=["json", "guards", "abbreviated"],
+)
+def test_main_builds_only_the_requested_subparser(graph_file, capsys, monkeypatch, flags, built):
+    calls = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        calls.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    assert main([*flags, "tutte", graph_file("k3")]) == 0
+    assert calls == built
