@@ -23,6 +23,7 @@ its integral Fractions turned into ints, which the private builder
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping, Sequence, Union
@@ -403,67 +404,72 @@ def interpolate_univariate(
     var: str = "t",
     integral: bool = True,
 ) -> MultiPoly:
-    """Fit the unique polynomial of degree <= degree_bound through the
-    first degree_bound+1 samples and verify it on the rest.
+    """Fit the unique polynomial p of degree <= degree_bound through the
+    degree_bound+1 lowest samples and verify it on the rest.
 
-    Samples beyond the fit window act as verification points; a non-zero
-    residual there or a duplicated abscissa raises InterpolationError.
-    With integral=True (the default) a non-integer coefficient is also an
-    error; counting polynomials for a single orientation are the one place
-    rational coefficients are legitimate, and they pass integral=False.
+    The abscissae, in any order, must be consecutive integers a, a+1,
+    ...; a gap or a duplicated abscissa raises InterpolationError, as
+    does a sample beyond the fit that p misses.  The fit stays in
+    integers: with d = degree_bound, the forward differences at a give
+    d! p in the falling-factorial basis (t - a)(t - a - 1)..., which is
+    expanded, checked against the extra samples, and divided by d! once
+    at the end.  With integral=True (the default) a non-integer
+    coefficient is also an error; counting polynomials for a single
+    orientation are the one place rational coefficients are legitimate,
+    and they pass integral=False.
     """
     if degree_bound < 0:
         raise InterpolationError("degree bound must be non-negative")
-    pts = [(int(a), int(b)) for a, b in samples]
-    seen = set()
-    for a, _ in pts:
-        if a in seen:
+    pts = sorted((int(a), int(b)) for a, b in samples)
+    for (a, _), (nxt, _) in zip(pts, pts[1:]):
+        if nxt == a:
             raise InterpolationError(f"duplicate sample point t={a}")
-        seen.add(a)
+        if nxt != a + 1:
+            raise InterpolationError(
+                f"sample points must be consecutive integers: t={a} is followed by t={nxt}"
+            )
     need = degree_bound + 1
     if len(pts) < need:
         raise InterpolationError(f"need {need} samples for degree {degree_bound}, got {len(pts)}")
 
-    fit, check = pts[:need], pts[need:]
-    # Newton's divided differences, exact rationals
-    xs = [Fraction(a) for a, _ in fit]
-    coeffs = [Fraction(b) for _, b in fit]
-    for level in range(1, need):
-        for i in range(need - 1, level - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - level])
-    # expand Newton form to monomial coefficients
-    mono = [Fraction(0)] * need
-    acc = [Fraction(1)]  # product (t - x_0)...(t - x_{k-1})
+    start = pts[0][0]
+    scale = math.factorial(degree_bound)
+    values = [b for _, b in pts[:need]]
+    # scaled[i] is the coefficient of t^i in d! p; falling holds
+    # (t - start)(t - start - 1)...(t - start - k + 1), weight d!/k!
+    scaled = [0] * need
+    falling = [1]
+    weight = scale
     for k in range(need):
-        for i, c in enumerate(acc):
-            mono[i] += coeffs[k] * c
-        nxt = [Fraction(0)] * (len(acc) + 1)
-        for i, c in enumerate(acc):
-            nxt[i] -= c * xs[k]
-            nxt[i + 1] += c
-        acc = nxt
+        if k:
+            weight //= k
+            shifted = [0] + falling
+            for i, c in enumerate(falling):
+                shifted[i] -= (start + k - 1) * c
+            falling = shifted
+            values = [b - a for a, b in zip(values, values[1:])]
+        for i, c in enumerate(falling):
+            scaled[i] += values[0] * weight * c
 
-    def value_at(t: int) -> Fraction:
-        total = Fraction(0)
-        power = Fraction(1)
-        for c in mono:
-            total += c * power
-            power *= t
-        return total
-
-    for a, b in check:
-        got = value_at(a)
-        if got != b:
+    for a, b in pts[need:]:
+        got = 0
+        for c in reversed(scaled):
+            got = got * a + c
+        if got != scale * b:
             raise InterpolationError(
-                f"verification failed at t={a}: fit gives {got}, sample says {b}"
+                f"verification failed at t={a}: fit gives {Fraction(got, scale)}, sample says {b}"
             )
     out: dict[tuple[int, ...], Coeff] = {}
-    for i, c in enumerate(mono):
-        if integral and c.denominator != 1:
-            raise InterpolationError(f"non-integer coefficient {c} of {var}^{i}")
-        if c:
-            out[(i,)] = _norm_coeff(c)
-    return MultiPoly((var,), out)
+    for i, c in enumerate(scaled):
+        if c % scale:
+            if integral:
+                raise InterpolationError(
+                    f"non-integer coefficient {Fraction(c, scale)} of {var}^{i}"
+                )
+            out[(i,)] = Fraction(c, scale)
+        elif c:
+            out[(i,)] = c // scale
+    return _from_sums((var,), out)
 
 
 # -- exact matrices ----------------------------------------------------

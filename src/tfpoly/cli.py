@@ -12,7 +12,7 @@ import sys
 from typing import Sequence
 
 from .algebra import MultiPoly
-from .config import GuardExceeded, VerificationError
+from .config import GuardExceeded, VerificationError, state_guard
 from .graphio import ParseError, parse_graph_file
 from .invariants import (
     chromatic_poly,
@@ -192,7 +192,7 @@ def _emit_value(args, name: str, value: int) -> int:
 
 def _dispatch(args) -> int:
     cmd = args.command
-    guard = args.guard
+    guard = state_guard(args.guard)
     if cmd == "verify":
         results = run_suite(args.suite, guard)
         ok = all(res.passed for _, res in results)

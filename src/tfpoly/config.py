@@ -28,16 +28,26 @@ class VerificationError(RuntimeError):
 
 
 def state_guard(override: int | None = None) -> int:
-    """Active state-space guard: explicit override, else env, else default."""
+    """Active state-space guard: explicit override, else env, else default.
+
+    A guard below one would refuse every input, so it is a ValueError
+    that names the value and where it came from.
+    """
     if override is not None:
-        return int(override)
+        guard = int(override)
+        if guard < 1:
+            raise ValueError(f"guard must be positive, not {guard}")
+        return guard
     env = os.environ.get(GUARD_ENV)
     if env is None:
         return DEFAULT_STATE_GUARD
     try:
-        return int(env)
+        guard = int(env)
     except ValueError:
         raise ValueError(f"{GUARD_ENV} must be an integer, not {env!r}") from None
+    if guard < 1:
+        raise ValueError(f"{GUARD_ENV} must be positive, not {env!r}")
+    return guard
 
 
 def check_state_space(size: int, guard: int | None = None, what: str = "enumeration") -> None:

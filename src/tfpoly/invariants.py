@@ -58,6 +58,7 @@ from .tensionflow import (
     count_pairs,
     enumerate_integral_flows,
     enumerate_integral_tensions,
+    integral_window_counts,
     pair_support_histogram,
     pred_nowhere_zero,
     support_pair_counts,
@@ -383,15 +384,12 @@ def integral_tension_poly(g: MultiGraph, var: str = "t", guard: int | None = Non
 @functools.lru_cache(maxsize=None)
 def _integral_tension_poly(g: MultiGraph, var: str, guard: int) -> MultiPoly:
     r, _ = rank_nullity(g)
-    o = Orientation.reference(g)
-    samples = []
-    # largest box first: a graph over the guard is refused before any work
-    for q in range(r + 3, 0, -1):
-        cnt = sum(1 for _ in enumerate_integral_tensions(g, o, q, "strict_support", guard=guard))
-        samples.append((q, cnt))
+    counts = integral_window_counts(
+        g, Orientation.reference(g), True, r + 3, "strict_support", guard=guard
+    )
     # integer-valued but not integer-coefficient in general (lattice point
     # counts live in the binomial basis)
-    return interpolate_univariate(samples, r, var, integral=False)
+    return interpolate_univariate(_samples(counts), r, var, integral=False)
 
 
 def integral_flow_poly(g: MultiGraph, var: str = "t", guard: int | None = None) -> MultiPoly:
@@ -409,12 +407,16 @@ def _integral_flow_poly(g: MultiGraph, var: str, guard: int) -> MultiPoly:
         rest = MultiGraph(g.vertex_count, tuple(g.edges[e] for e in g.non_loop_ids()))
         return (2 * (t - 1)) ** len(loops) * _integral_flow_poly(rest, var, guard)
     _, n = rank_nullity(g)
-    o = Orientation.reference(g)
-    samples = []
-    for q in range(n + 3, 0, -1):
-        cnt = sum(1 for _ in enumerate_integral_flows(g, o, q, "strict_support", guard=guard))
-        samples.append((q, cnt))
-    return interpolate_univariate(samples, n, var, integral=False)
+    counts = integral_window_counts(
+        g, Orientation.reference(g), False, n + 3, "strict_support", guard=guard
+    )
+    return interpolate_univariate(_samples(counts), n, var, integral=False)
+
+
+def _samples(counts: list[int]) -> list[tuple[int, int]]:
+    """(bound, count) at bounds 1..top, which fit a polynomial of degree
+    top - 3 with two samples to spare."""
+    return list(enumerate(counts))[1:]
 
 
 # -- per-orientation window polynomials ---------------------------------------
@@ -438,29 +440,13 @@ def kappa_rho(
 def _kappa_rho(g: MultiGraph, o: Orientation, mode: str, guard: int) -> MultiPoly:
     b, c = classify_edges(g, o)
     r, n = rank_nullity(g)
-    t_samples = []
-    for val in range(1, r + 4):
-        cnt = sum(
-            1
-            for _ in enumerate_integral_tensions(
-                g, o, val, mode, window=b, zero_set=c, guard=guard
-            )
-        )
-        t_samples.append((val, cnt))
-    f_samples = []
-    for val in range(1, n + 4):
-        cnt = sum(
-            1
-            for _ in enumerate_integral_flows(
-                g, o, val, mode, window=c, zero_set=b, guard=guard
-            )
-        )
-        f_samples.append((val, cnt))
+    t_counts = integral_window_counts(g, o, True, r + 3, mode, b, c, guard)
+    f_counts = integral_window_counts(g, o, False, n + 3, mode, c, b, guard)
     # a single orientation's window counts need not have integer
     # coefficients (the transitive triangle gives (x-1)(x-2)/2); the
     # denominators cancel in any sum over a full orientation class
-    t_poly = interpolate_univariate(t_samples, r, "x", integral=False)
-    f_poly = interpolate_univariate(f_samples, n, "y", integral=False)
+    t_poly = interpolate_univariate(_samples(t_counts), r, "x", integral=False)
+    f_poly = interpolate_univariate(_samples(f_counts), n, "y", integral=False)
     return t_poly * f_poly
 
 
@@ -560,11 +546,26 @@ def psi_family(
         tension, flow = integral_tension_poly, integral_flow_poly
     else:
         tension, flow = tension_poly, flow_poly
+    minors = list(_cyclic_flat_minors(g, guard))
+    # the factors tau(G/X) and phi(G|X) of every minor, each with the
+    # number of free edges of its largest counting box (the rank of G/X,
+    # the loopless nullity of G|X); they are computed largest box first,
+    # so that a graph over the guard is refused before any count is made
+    factors = []
+    for contracted, restricted, _ in minors:
+        rank, _ = rank_nullity(contracted)
+        _, nullity = rank_nullity(restricted)
+        factors.append((rank, tension, contracted, "x"))
+        factors.append((nullity - len(restricted.loop_ids()), flow, restricted, "y"))
+    polys = {}
+    for i in sorted(range(len(factors)), key=lambda i: -factors[i][0]):
+        _, poly, minor, var = factors[i]
+        polys[i] = poly(minor, var, guard)
     m = g.edge_count
     total = MultiPoly.zero(("x", "y", "z", "w"))
-    for contracted, restricted, size in _cyclic_flat_minors(g, guard):
+    for k, (_, _, size) in enumerate(minors):
         weight = MultiPoly(("z", "w"), {(m - size, size): 1})
-        total = total + weight * tension(contracted, "x", guard) * flow(restricted, "y", guard)
+        total = total + weight * polys[2 * k] * polys[2 * k + 1]
     return total
 
 
@@ -614,34 +615,14 @@ def tutte_value_triples(
         b, c = classify_edges(g, o)
         rc, nc = rank_nullity(g, c)
         if quadrant[0] == "+":
-            tens = sum(
-                1
-                for _ in enumerate_integral_tensions(
-                    g, o, p - 1, "closed", window=full, guard=guard
-                )
-            )
+            tens = integral_window_counts(g, o, True, p - 1, "closed", full, guard=guard)[-1]
         else:
             # 0 < f <= p on B is the open window at bound p + 1
-            tens = sum(
-                1
-                for _ in enumerate_integral_tensions(
-                    g, o, p + 1, "open", window=b, zero_set=c, guard=guard
-                )
-            )
+            tens = integral_window_counts(g, o, True, p + 1, "open", b, c, guard)[-1]
         if quadrant[1] == "+":
-            flows = sum(
-                1
-                for _ in enumerate_integral_flows(
-                    g, o, q - 1, "closed", window=full, guard=guard
-                )
-            )
+            flows = integral_window_counts(g, o, False, q - 1, "closed", full, guard=guard)[-1]
         else:
-            flows = sum(
-                1
-                for _ in enumerate_integral_flows(
-                    g, o, q + 1, "open", window=c, zero_set=b, guard=guard
-                )
-            )
+            flows = integral_window_counts(g, o, False, q + 1, "open", c, b, guard)[-1]
         sign = 1
         if quadrant == "-+":
             sign = -1 if (r - rc) & 1 else 1

@@ -17,8 +17,10 @@ that closes it) derives the remaining edges:
   getting the transposed sum over the circuits through it,
   |A|^nullity many;
 * integral tensions and flows in a window: window values on the free
-  edges, extended in the same way, the derived values filtered against
-  their windows.
+  edges, extended in the same way, each derived value filtered against
+  its window as soon as the free values it reads are set.  The windows
+  grow with their bound, so one walk of the box at the largest bound
+  counts the functions at every bound (`integral_window_counts`).
 
 Each extension is bijective, so the counts above are exact.  The same
 table decides `is_tension` (zero sum around every fundamental circuit)
@@ -408,9 +410,7 @@ def enumerate_integral_tensions(
     fundamental circuits, and filters the co-forest values against their
     windows.
     """
-    yield from _iter_integral(
-        g, o, True, bound, mode, window, zero_set, guard, "integral tension enumeration"
-    )
+    yield from _integral_functions(g, o, True, bound, mode, window, zero_set, guard)
 
 
 def enumerate_integral_flows(
@@ -427,12 +427,39 @@ def enumerate_integral_flows(
     Enumerates window values on co-forest edges, extends over the
     fundamental circuit matrix, and filters forest values.
     """
-    yield from _iter_integral(
-        g, o, False, bound, mode, window, zero_set, guard, "integral flow enumeration"
+    yield from _integral_functions(g, o, False, bound, mode, window, zero_set, guard)
+
+
+def integral_window_counts(
+    g: MultiGraph,
+    o: Orientation,
+    tensions: bool,
+    top: int,
+    mode: str = "strict_support",
+    window: EdgeSubset | None = None,
+    zero_set: EdgeSubset | None = None,
+    guard: int | None = None,
+) -> list[int]:
+    """How many functions `enumerate_integral_tensions` (or, with
+    tensions=False, `enumerate_integral_flows`) yields at each bound
+    0..top, from one walk of the box at top.
+
+    The windows grow with the bound, so each point of that box is filed
+    under the least bound that admits it: its largest |value| for closed
+    windows, one more for the others (which admit nothing on a window
+    edge at bound 0).  Prefix sums then give every count.  The guard is
+    charged the box at top, as the enumeration at top charges it.
+    """
+    window = _resolve_window(g, window, zero_set)
+    shift = 1 if mode != "closed" and window.mask else 0
+    least = Counter(
+        max(map(abs, vals), default=0) + shift
+        for vals in _iter_integral(g, o, tensions, top, mode, window, guard)
     )
+    return list(itertools.accumulate(least[bound] for bound in range(top + 1)))
 
 
-def _iter_integral(
+def _integral_functions(
     g: MultiGraph,
     o: Orientation,
     tensions: bool,
@@ -441,34 +468,71 @@ def _iter_integral(
     window: EdgeSubset | None,
     zero_set: EdgeSubset | None,
     guard: int | None,
-    what: str,
 ) -> Iterator[IntegerEdgeFunction]:
+    window = _resolve_window(g, window, zero_set)
+    free, dependent, _ = _coordinates(g, o, tensions)
+    place = _placement(free, dependent)
+    for vals in _iter_integral(g, o, tensions, bound, mode, window, guard):
+        yield IntegerEdgeFunction(tuple([vals[k] for k in place]))
+
+
+def _iter_integral(
+    g: MultiGraph,
+    o: Orientation,
+    tensions: bool,
+    bound: int,
+    mode: str,
+    window: EdgeSubset,
+    guard: int | None,
+) -> Iterator[tuple[int, ...]]:
+    """Values, free edges first and then dependent ones (see
+    `_coordinates`), of every integer tension or flow that lies in the
+    `mode` window at `bound` on the edges of `window` and is zero on
+    the others."""
     if mode not in INTEGRAL_MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    window = _resolve_window(g, window, zero_set)
     free, dependent, rows = _coordinates(g, o, tensions)
     cand = [_window_candidates(mode, bound, e in window) for e in free]
     space = 1
     for c in cand:
         space *= len(c)
+    what = "integral tension enumeration" if tensions else "integral flow enumeration"
     check_state_space(space, guard, what)
-    checks = [
-        (row, set(_window_candidates(mode, bound, e in window)))
-        for e, row in zip(dependent, rows)
-    ]
-    place = _placement(free, dependent)
-    for combo in itertools.product(*cand):
-        derived = []
-        for row, allowed in checks:
-            v = 0
-            for i, c in row:
-                v += c * combo[i]
-            if v not in allowed:
-                break
-            derived.append(v)
+    # each dependent edge is checked as soon as the free values its row
+    # reads are set, so a partial assignment that already fails is not
+    # extended; a row that reads nothing is always 0
+    checks_at = [[] for _ in free]
+    for j, (e, row) in enumerate(zip(dependent, rows)):
+        allowed = set(_window_candidates(mode, bound, e in window))
+        if row:  # (free index, coefficient) terms, each index once
+            checks_at[max(row)[0]].append((j, row, allowed))
+        elif 0 not in allowed:
+            return
+    derived = [0] * len(dependent)
+    if not free:
+        yield tuple(derived)
+        return
+    vals = [0] * len(free)
+    last = len(free) - 1
+    # depth-first over the free values in the order of itertools.product
+    levels = [iter(cand[0])]
+    while levels:
+        d = len(levels) - 1
+        for vals[d] in levels[d]:  # sets the value of free edge d
+            for j, row, allowed in checks_at[d]:
+                v = 0
+                for i, c in row:
+                    v += c * vals[i]
+                if v not in allowed:
+                    break
+                derived[j] = v
+            else:
+                if d < last:
+                    levels.append(iter(cand[d + 1]))
+                    break
+                yield tuple(vals) + tuple(derived)
         else:
-            vals = combo + tuple(derived)
-            yield IntegerEdgeFunction(tuple([vals[k] for k in place]))
+            levels.pop()
 
 
 # -- weighted pair counting ---------------------------------------------------

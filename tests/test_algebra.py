@@ -310,6 +310,38 @@ def test_interpolation_integrality_gate():
     assert p.terms == {(2,): Fraction(1, 2), (1,): Fraction(-1, 2)}
 
 
+def test_interpolation_accepts_samples_in_any_order():
+    f = lambda t: t**3 - 4 * t + 7
+    samples = [(t, f(t)) for t in range(2, 8)]
+    want = MultiPoly.var("t") ** 3 - 4 * MultiPoly.var("t") + 7
+    assert interpolate_univariate(samples[::-1], 3) == want
+    assert interpolate_univariate(samples[3:] + samples[:3], 3) == want
+
+
+def test_interpolation_needs_consecutive_points():
+    samples = [(1, 1), (2, 4), (4, 16), (5, 25)]
+    with pytest.raises(InterpolationError, match="consecutive integers: t=2 is followed by t=4"):
+        interpolate_univariate(samples, 2)
+
+
+@pytest.mark.parametrize("wrong", [1, 5])
+def test_interpolation_reports_a_wrong_sample_at_either_end(wrong):
+    samples = [(t, t * t + (1 if t == wrong else 0)) for t in range(1, 6)]
+    with pytest.raises(InterpolationError, match="verification failed"):
+        interpolate_univariate(samples, 2)
+    with pytest.raises(InterpolationError, match="verification failed"):
+        interpolate_univariate(samples[::-1], 2)
+
+
+def test_interpolation_returns_fraction_coefficients():
+    # the transitive triangle's tension window count (x - 1)(x - 2)/2
+    samples = [(x, (x - 1) * (x - 2) // 2) for x in range(1, 6)]
+    p = interpolate_univariate(samples, 2, "x", integral=False)
+    assert p.terms == {(2,): Fraction(1, 2), (1,): Fraction(-3, 2), (0,): 1}
+    assert all(type(c) in (int, Fraction) for c in p.terms.values())
+    assert type(p.terms[(0,)]) is int
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.lists(st.integers(-6, 6), min_size=1, max_size=4))
 def test_interpolation_inverts_evaluation(coeffs):

@@ -8,8 +8,9 @@ import time
 
 import pytest
 
-from tfpoly import cli, verification
+from tfpoly import cli, invariants, verification
 from tfpoly.algebra import MultiPoly
+from tfpoly.config import GuardExceeded
 from tfpoly.cli import COMMANDS, build_parser, main
 from tfpoly.fixtures import FIXTURE_TEXTS, fixture
 from tfpoly.graph import MultiGraph
@@ -338,6 +339,32 @@ def test_integral_psi_refuses_k5_quickly(k5_file, capsys):
     assert captured.err.startswith("error: integral flow enumeration needs 16777216 states")
 
 
+def test_integral_psi_refuses_k6_before_counting_a_minor(tmp_path, capsys, monkeypatch):
+    # the flow box of K6 itself (nullity 10) is the largest; it is charged
+    # before any smaller minor is counted
+    path = tmp_path / "k6.graph"
+    path.write_text(format_graph(MultiGraph(6, tuple(itertools.combinations(range(6), 2)))))
+    outcomes = []
+    count = invariants.integral_window_counts
+
+    def spy(*args, **kwargs):
+        try:
+            counts = count(*args, **kwargs)
+        except GuardExceeded:
+            outcomes.append("refused")
+            raise
+        outcomes.append("counted")
+        return counts
+
+    monkeypatch.setattr(invariants, "integral_window_counts", spy)
+    invariants._integral_tension_poly.cache_clear()
+    invariants._integral_flow_poly.cache_clear()
+    assert main(["psi", "--integral", str(path)]) == 2
+    assert outcomes == ["refused"]
+    want = f"error: integral flow enumeration needs {24**10} states"
+    assert capsys.readouterr().err.startswith(want)
+
+
 def test_integral_psi_factors_out_loops(tmp_path, capsys):
     # each loop multiplies the integral flow polynomial by 2(t - 1); with
     # the loops in the flow box, both graphs needed 16^6 states
@@ -397,6 +424,22 @@ def test_guard_env_variable_must_be_an_integer(graph_file, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: TFPOLY_GUARD must be an integer, not 'abc'\n"
+
+
+@pytest.mark.parametrize(("flag", "env", "message"), [
+    (["--guard", "0"], None, "guard must be positive, not 0"),
+    (["--guard", "-5"], None, "guard must be positive, not -5"),
+    (["--guard=-5"], None, "guard must be positive, not -5"),
+    ([], "0", "TFPOLY_GUARD must be positive, not '0'"),
+    ([], "-3", "TFPOLY_GUARD must be positive, not '-3'"),
+])
+def test_guard_must_be_positive(graph_file, capsys, monkeypatch, flag, env, message):
+    if env is not None:
+        monkeypatch.setenv("TFPOLY_GUARD", env)
+    assert main([*flag, "psi", graph_file("k3")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_guard_flag_beats_env(graph_file, capsys, monkeypatch):

@@ -1,12 +1,17 @@
 """Tension and flow groups, modular and integral."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from graph_strategies import multigraphs
 from tfpoly.config import GuardExceeded
 from tfpoly.fixtures import fixture, fixture_names
 from tfpoly.graph import EdgeSubset, Orientation, rank_nullity
 from tfpoly.invariants import tutte
+from tfpoly.orientations import classify_edges
 from tfpoly.tensionflow import (
+    INTEGRAL_MODES,
     FiniteAbelianGroup,
     boundary,
     coboundary,
@@ -15,6 +20,7 @@ from tfpoly.tensionflow import (
     enumerate_integral_flows,
     enumerate_integral_tensions,
     enumerate_tensions,
+    integral_window_counts,
     is_flow,
     is_tension,
     lattice_index,
@@ -196,6 +202,44 @@ def test_lattice_index_counts_maximal_forests(name):
     g = fixture(name)
     o = Orientation.reference(g)
     assert lattice_index(g, o) == tutte(g).evaluate(x=1, y=1)
+
+
+# -- window counts from one walk ----------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    g=multigraphs(max_vertices=4, max_edges=5),
+    data=st.data(),
+    mode=st.sampled_from(INTEGRAL_MODES),
+    tensions=st.booleans(),
+    top=st.integers(0, 3),
+)
+def test_window_counts_match_enumeration_at_every_bound(g, data, mode, tensions, top):
+    flips = data.draw(st.lists(st.booleans(), min_size=g.edge_count, max_size=g.edge_count))
+    loops = set(g.loop_ids())
+    o = Orientation.for_graph(g, [flip and e not in loops for e, flip in enumerate(flips)])
+    b, c = classify_edges(g, o)
+    window, zero_set = data.draw(
+        st.sampled_from([(b, c) if tensions else (c, b), (EdgeSubset.full(g.edge_count), None)])
+    )
+    enumerate_integral = enumerate_integral_tensions if tensions else enumerate_integral_flows
+    want = [
+        sum(1 for _ in enumerate_integral(g, o, bound, mode, window, zero_set))
+        for bound in range(top + 1)
+    ]
+    assert integral_window_counts(g, o, tensions, top, mode, window, zero_set) == want
+
+
+def test_window_counts_charge_the_largest_box():
+    g = fixture("k4")
+    o = Orientation.reference(g)
+    # three forest edges, four nonzero values each with |f| < 3
+    assert integral_window_counts(g, o, True, 3, guard=64)[3] == sum(
+        1 for _ in enumerate_integral_tensions(g, o, 3)
+    )
+    with pytest.raises(GuardExceeded, match="tension enumeration needs 64 states, guard is 63"):
+        integral_window_counts(g, o, True, 3, guard=63)
 
 
 # -- guard -----------------------------------------------------------------------
