@@ -51,6 +51,11 @@ def _norm_coeff(value) -> Coeff:
     raise TypeError(f"coefficient must be exact (int or Fraction), got {type(value).__name__}")
 
 
+def _is_integer(value) -> bool:
+    """An int, or a Fraction with denominator 1."""
+    return isinstance(value, int) or (isinstance(value, Fraction) and value.denominator == 1)
+
+
 def _var_key(name: str) -> tuple[int, str]:
     try:
         return (VARIABLE_ORDER.index(name), name)
@@ -261,11 +266,9 @@ class MultiPoly:
         The result is an int whenever the value is integral."""
         ints: dict[str, int] = {}
         for name, value in values.items():
-            if isinstance(value, Fraction) and value.denominator == 1:
-                value = value.numerator
-            elif not isinstance(value, int):
+            if not _is_integer(value):
                 raise TypeError(f"value of {name} must be an integer, got {value!r}")
-            ints[name] = value
+            ints[name] = int(value)
         missing = [
             v
             for i, v in enumerate(self.variables)
@@ -407,20 +410,26 @@ def interpolate_univariate(
     """Fit the unique polynomial p of degree <= degree_bound through the
     degree_bound+1 lowest samples and verify it on the rest.
 
-    The abscissae, in any order, must be consecutive integers a, a+1,
-    ...; a gap or a duplicated abscissa raises InterpolationError, as
-    does a sample beyond the fit that p misses.  The fit stays in
-    integers: with d = degree_bound, the forward differences at a give
-    d! p in the falling-factorial basis (t - a)(t - a - 1)..., which is
-    expanded, checked against the extra samples, and divided by d! once
-    at the end.  With integral=True (the default) a non-integer
+    Each sample is a pair of ints or integral Fractions, else
+    TypeError.  The abscissae, in any order, must be consecutive
+    integers a, a+1, ...; a gap or a duplicated abscissa raises
+    InterpolationError, as does a sample beyond the fit that p misses.
+    The fit stays in integers: with d = degree_bound, the forward
+    differences at a give d! p in the falling-factorial basis
+    (t - a)(t - a - 1)..., which is expanded, checked against the extra
+    samples, and divided by d! once at the end.  With integral=True (the default) a non-integer
     coefficient is also an error; counting polynomials for a single
     orientation are the one place rational coefficients are legitimate,
     and they pass integral=False.
     """
     if degree_bound < 0:
         raise InterpolationError("degree bound must be non-negative")
-    pts = sorted((int(a), int(b)) for a, b in samples)
+    pts = []
+    for a, b in samples:
+        if not (_is_integer(a) and _is_integer(b)):
+            raise TypeError(f"sample {(a, b)!r} must be a pair of integers")
+        pts.append((int(a), int(b)))
+    pts.sort()
     for (a, _), (nxt, _) in zip(pts, pts[1:]):
         if nxt == a:
             raise InterpolationError(f"duplicate sample point t={a}")
@@ -487,9 +496,7 @@ def rational_rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
     work: list[list[int]] = []
     for row in rows:
         fracs = [Fraction(x) for x in row]
-        scale = 1
-        for f in fracs:
-            scale = scale * f.denominator // _gcd(scale, f.denominator)
+        scale = math.lcm(*(f.denominator for f in fracs))
         work.append([int(f * scale) for f in fracs])
     m, n = len(work), len(work[0])
     rank = 0
@@ -540,20 +547,18 @@ def det_adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[tuple[int, .
     return d, tuple(tuple(int(d * x) for x in row[n:]) for row in work)
 
 
-def _gcd(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def smith_normal_form(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Diagonal of the Smith normal form: non-negative d_1 | d_2 | ...
 
     Returns min(rows, cols) entries, trailing zeros for rank deficiency.
     For a square non-singular matrix the product of the entries is the
-    index of the column lattice in Z^n (= |det|).
+    index of the column lattice in Z^n (= |det|).  Each entry must be an
+    int or an integral Fraction, else TypeError.
     """
+    for row in rows:
+        for x in row:
+            if not _is_integer(x):
+                raise TypeError(f"matrix entry {x!r} must be an integer")
     A = [[int(x) for x in row] for row in rows]
     m = len(A)
     n = len(A[0]) if A else 0

@@ -42,15 +42,9 @@ from .tensionflow import Element, FiniteAbelianGroup
 
 @dataclass(frozen=True)
 class FiniteCosetProduct:
-    """Product of one coset per ambient factor, materialised as sets.
-
-    generators/shifts record how members were constructed; elements
-    produced by intersection carry factors only.
-    """
+    """Product of one coset per ambient factor, materialised as sets."""
 
     factors: tuple[frozenset[Element], ...]
-    generators: tuple[tuple[Element, ...], ...] | None = None
-    shifts: tuple[Element, ...] | None = None
 
     @classmethod
     def from_subgroup(
@@ -70,11 +64,7 @@ class FiniteCosetProduct:
             sub = subgroup_closure(grp, gens)
             shift = grp.reduce(shift)
             factors.append(frozenset(grp.add(shift, a) for a in sub))
-        return cls(
-            tuple(factors),
-            tuple(tuple(grp.reduce(x) for x in gens) for grp, gens in zip(ambient, generators)),
-            tuple(grp.reduce(s) for grp, s in zip(ambient, shifts)),
-        )
+        return cls(tuple(factors))
 
     @property
     def size(self) -> int:
@@ -135,31 +125,29 @@ class IntersectionPoset:
     top: int
     weights: list[MultiPoly]
 
+    def _mobius_values(self) -> list[int]:
+        """mu(x, top) for every element, by index, in one pass from the
+        top down: an element lies below fewer flats than anything
+        strictly under it, so taking the elements by how many flats lie
+        above them gives every mu(y) with y > x before mu(x) =
+        -sum of those mu(y)."""
+        n = len(self.elements)
+        above = [[j for j in range(n) if j != i and self.leq[i][j]] for i in range(n)]
+        mu = [0] * n
+        for i in sorted(range(n), key=lambda i: len(above[i])):
+            mu[i] = 1 if i == self.top else -sum(mu[j] for j in above[i])
+        return mu
+
     def mobius(self, x) -> int:
         """mu(x, top) for an element or element index."""
         if not isinstance(x, int):
             x = self.elements.index(x)
-        if not hasattr(self, "_memo"):
-            self._memo: dict[int, int] = {}
-        return self._mobius_by_index(x)
-
-    def _mobius_by_index(self, i: int) -> int:
-        if i in self._memo:
-            return self._memo[i]
-        if i == self.top:
-            self._memo[i] = 1
-            return 1
-        total = 0
-        for j in range(len(self.elements)):
-            if j != i and self.leq[i][j]:
-                total += self._mobius_by_index(j)
-        self._memo[i] = -total
-        return -total
+        return self._mobius_values()[x]
 
     def characteristic_polynomial(self) -> MultiPoly:
         total = MultiPoly.zero()
-        for i in range(len(self.elements)):
-            total = total + self.mobius(i) * self.weights[i]
+        for mu, weight in zip(self._mobius_values(), self.weights):
+            total = total + mu * weight
         return total
 
 

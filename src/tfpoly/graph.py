@@ -15,7 +15,6 @@ minimal edge cut all of whose arrows cross one way.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -120,7 +119,7 @@ class EdgeSubset:
 
     @property
     def size(self) -> int:
-        return bin(self.mask).count("1")
+        return self.mask.bit_count()
 
     def complement(self) -> "EdgeSubset":
         return EdgeSubset(self.mask ^ ((1 << self.width) - 1), self.width)
@@ -193,14 +192,8 @@ def components_count(g: MultiGraph) -> int:
 
 def subset_rank_table(g: MultiGraph, guard: int | None = None) -> tuple[int, ...]:
     """rank<X> for every edge subset mask, indexed by mask; charges
-    2^E x E states.  The charge comes before the cache, so a cached
-    table never slips past a smaller guard."""
+    2^E x E states."""
     check_state_space((1 << g.edge_count) * g.edge_count, guard, "subset rank table")
-    return _subset_rank_table(g)
-
-
-@functools.lru_cache(maxsize=None)
-def _subset_rank_table(g: MultiGraph) -> tuple[int, ...]:
     # counting order: mask - 1 -> mask pops the trailing one-bit edges (the
     # last pushed) and pushes one; without path compression unions undo
     m = g.edge_count

@@ -282,6 +282,7 @@ def support_histogram(
     return _support_histogram(g, p, q, state_guard(guard))
 
 
+# kept: verify repeats it (210 hits to 310 misses); without it verify-suite ran 3.2% slower
 @functools.lru_cache(maxsize=None)
 def _support_histogram(g: MultiGraph, p: int, q: int, guard: int) -> dict[tuple[int, int], int]:
     return pair_support_histogram(
@@ -298,13 +299,6 @@ def integral_support_histogram(
 ) -> dict[tuple[int, int], int]:
     """Counts of (supp f, supp g) mask pairs over integer pairs with
     |f| < p and |g| < q everywhere (zeros allowed)."""
-    return _integral_support_histogram(g, p, q, state_guard(guard))
-
-
-@functools.lru_cache(maxsize=None)
-def _integral_support_histogram(
-    g: MultiGraph, p: int, q: int, guard: int
-) -> dict[tuple[int, int], int]:
     o = Orientation.reference(g)
     tens = enumerate_integral_tensions(g, o, p, "box", guard=guard)
     flows = enumerate_integral_flows(g, o, q, "box", guard=guard)
@@ -378,11 +372,6 @@ def flow_poly_by_enumeration(
 
 def integral_tension_poly(g: MultiGraph, var: str = "t", guard: int | None = None) -> MultiPoly:
     """Counting polynomial of nowhere-zero integer tensions with |f| < t."""
-    return _integral_tension_poly(g, var, state_guard(guard))
-
-
-@functools.lru_cache(maxsize=None)
-def _integral_tension_poly(g: MultiGraph, var: str, guard: int) -> MultiPoly:
     r, _ = rank_nullity(g)
     counts = integral_window_counts(
         g, Orientation.reference(g), True, r + 3, "strict_support", guard=guard
@@ -394,18 +383,13 @@ def _integral_tension_poly(g: MultiGraph, var: str, guard: int) -> MultiPoly:
 
 def integral_flow_poly(g: MultiGraph, var: str = "t", guard: int | None = None) -> MultiPoly:
     """Counting polynomial of nowhere-zero integer flows with |g| < t."""
-    return _integral_flow_poly(g, var, state_guard(guard))
-
-
-@functools.lru_cache(maxsize=None)
-def _integral_flow_poly(g: MultiGraph, var: str, guard: int) -> MultiPoly:
     loops = g.loop_ids()
     if loops:
         # a loop's flow value is free: each loop multiplies the count by
         # its 2(t - 1) nonzero values with |g| < t
         t = MultiPoly.var(var)
         rest = MultiGraph(g.vertex_count, tuple(g.edges[e] for e in g.non_loop_ids()))
-        return (2 * (t - 1)) ** len(loops) * _integral_flow_poly(rest, var, guard)
+        return (2 * (t - 1)) ** len(loops) * integral_flow_poly(rest, var, guard)
     _, n = rank_nullity(g)
     counts = integral_window_counts(
         g, Orientation.reference(g), False, n + 3, "strict_support", guard=guard
@@ -436,6 +420,7 @@ def kappa_rho(
     return _kappa_rho(g, o, mode, state_guard(guard))
 
 
+# kept: verify repeats it (1843 hits to 543 misses); without it verify makes 17% more calls
 @functools.lru_cache(maxsize=None)
 def _kappa_rho(g: MultiGraph, o: Orientation, mode: str, guard: int) -> MultiPoly:
     b, c = classify_edges(g, o)

@@ -185,6 +185,7 @@ def cut_eulerian_classes(g: MultiGraph, guard: int | None = None) -> tuple[Orien
     return _cut_eulerian_classes(g)
 
 
+# kept: verify repeats it (798 hits to 30 misses); without it verify makes 9.9% more calls
 @functools.lru_cache(maxsize=None)
 def _cut_eulerian_classes(g: MultiGraph) -> tuple[OrientationClass, ...]:
     found: dict[tuple[int, ...], list[int]] = {}  # key -> [first index, size]

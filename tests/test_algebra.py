@@ -283,6 +283,8 @@ def test_interpolation_recovers_polynomial():
     samples = [(t, f(t)) for t in range(6)]
     p = interpolate_univariate(samples, 3)
     assert p == 2 * MultiPoly.var("t") ** 3 - MultiPoly.var("t") + 5
+    # integral Fractions are integers too
+    assert interpolate_univariate([(Fraction(a), Fraction(b)) for a, b in samples], 3) == p
 
 
 def test_interpolation_checks_extra_samples():
@@ -342,6 +344,20 @@ def test_interpolation_returns_fraction_coefficients():
     assert type(p.terms[(0,)]) is int
 
 
+@pytest.mark.parametrize(
+    "samples",
+    [
+        [(0, 0.5), (1, 1.7)],
+        [(0, Fraction(1, 2)), (1, Fraction(7, 2))],
+        [(0.9, 0), (1.2, 1)],
+    ],
+)
+def test_interpolation_refuses_non_integer_samples(samples):
+    # int() would truncate these to t, 3t and t without a word
+    with pytest.raises(TypeError, match=r"sample \(0"):
+        interpolate_univariate(samples, 1)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.lists(st.integers(-6, 6), min_size=1, max_size=4))
 def test_interpolation_inverts_evaluation(coeffs):
@@ -370,6 +386,15 @@ def test_smith_normal_form_basics():
     assert smith_normal_form([[0, 0], [0, 0]]) == (0, 0)
     # non-square: diagonal has min(m, n) entries
     assert smith_normal_form([[2, 0, 0], [0, 3, 0]]) == (1, 6)
+    assert smith_normal_form([[Fraction(4, 2), 0], [0, Fraction(3)]]) == (1, 6)
+
+
+@pytest.mark.parametrize(
+    "rows", [[[Fraction(1, 2), 0], [0, 2.7]], [[1, 0], [0, 2.7]], [[1, 0], [0, 2.0]]]
+)
+def test_smith_normal_form_refuses_non_integer_entries(rows):
+    with pytest.raises(TypeError, match="matrix entry"):
+        smith_normal_form(rows)
 
 
 def test_smith_normal_form_divisibility_chain():

@@ -82,8 +82,19 @@ def test_mobius_of_single_member():
     ambient = [Z6]
     sub = FiniteCosetProduct.from_subgroup(ambient, [[(3,)]])
     poset = finite_semilattice(ambient, [sub])
+    fields = dict(vars(poset))
     assert poset.mobius(sub) == -1
+    assert poset.characteristic_polynomial().evaluate() == 4
     assert complement_count(ambient, [sub]) == 4
+    assert vars(poset) == fields  # no memo is attached
+
+
+def test_subgroup_and_intersection_with_equal_factors_are_equal():
+    ambient = [Z4, Z2]
+    evens = FiniteCosetProduct.from_subgroup(ambient, [[(2,)], [(1,)]])
+    meet = evens.intersect(ambient_product(ambient))
+    assert meet == evens
+    assert len(finite_semilattice(ambient, [evens, meet]).elements) == 2
 
 
 def test_empty_arrangement_complement_is_everything():

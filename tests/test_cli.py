@@ -357,8 +357,6 @@ def test_integral_psi_refuses_k6_before_counting_a_minor(tmp_path, capsys, monke
         return counts
 
     monkeypatch.setattr(invariants, "integral_window_counts", spy)
-    invariants._integral_tension_poly.cache_clear()
-    invariants._integral_flow_poly.cache_clear()
     assert main(["psi", "--integral", str(path)]) == 2
     assert outcomes == ["refused"]
     want = f"error: integral flow enumeration needs {24**10} states"

@@ -14,7 +14,7 @@ import pytest
 from tfpoly.algebra import MultiPoly
 from tfpoly.config import GuardExceeded
 from tfpoly.fixtures import fixture, fixture_names
-from tfpoly.graph import MultiGraph, Orientation, components_count
+from tfpoly.graph import MultiGraph, Orientation, components_count, subset_rank_table
 from tfpoly.invariants import (
     PSI_KINDS,
     QUADRANTS,
@@ -40,6 +40,7 @@ from tfpoly.invariants import (
     whitney,
     whitney_by_subsets,
 )
+from tfpoly.orientations import cut_eulerian_classes
 from tfpoly.tensionflow import FiniteAbelianGroup
 from tfpoly.verification import (
     pair_integral_identities,
@@ -255,6 +256,8 @@ def test_integral_polynomials():
         lambda g: integral_flow_poly(g, "y"),
         lambda g: support_histogram(g, 3, 3),
         lambda g: integral_support_histogram(g, 3, 3),
+        cut_eulerian_classes,
+        subset_rank_table,
     ],
     ids=[
         "kappa_rho",
@@ -262,6 +265,8 @@ def test_integral_polynomials():
         "integral_flow_poly",
         "support_histogram",
         "integral_support_histogram",
+        "cut_eulerian_classes",
+        "subset_rank_table",
     ],
 )
 def test_cached_result_does_not_skip_a_smaller_env_guard(monkeypatch, compute):
