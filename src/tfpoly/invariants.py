@@ -452,15 +452,20 @@ def psi_by_orientations(
         raise ValueError(f"unknown psi kind {which!r}")
     mode = "closed" if which.startswith("bar") else "open"
     if which.endswith("_z"):
-        reps = all_orientations(g, guard)
+        reps = []
+        for o in all_orientations(g, guard):
+            b, c = classify_edges(g, o)
+            reps.append((o, b.size, c.size))
         multiplier = 2 ** len(g.loop_ids())
     else:
-        reps = [cls.representative for cls in cut_eulerian_classes(g, guard)]
+        reps = [
+            (cls.representative, cls.b_size, cls.c_size)
+            for cls in cut_eulerian_classes(g, guard)
+        ]
         multiplier = 1
     total = MultiPoly.zero(("x", "y", "z", "w"))
-    for o in reps:
-        b, c = classify_edges(g, o)
-        weight = MultiPoly(("z", "w"), {(b.size, c.size): multiplier})
+    for o, b_size, c_size in reps:
+        weight = MultiPoly(("z", "w"), {(b_size, c_size): multiplier})
         total = total + weight * kappa_rho(g, o, mode, guard)
     return total
 
@@ -597,8 +602,8 @@ def tutte_value_triples(
     full = EdgeSubset.full(g.edge_count)
     for cls in cut_eulerian_classes(g, guard):
         o = cls.representative
-        b, c = classify_edges(g, o)
-        rc, nc = rank_nullity(g, c)
+        if quadrant != "++":  # "++" reads neither B nor C
+            b, c = classify_edges(g, o)
         if quadrant[0] == "+":
             tens = integral_window_counts(g, o, True, p - 1, "closed", full, guard=guard)[-1]
         else:
@@ -610,11 +615,13 @@ def tutte_value_triples(
             flows = integral_window_counts(g, o, False, q + 1, "open", c, b, guard)[-1]
         sign = 1
         if quadrant == "-+":
+            rc, _ = rank_nullity(g, c)
             sign = -1 if (r - rc) & 1 else 1
         elif quadrant == "+-":
+            _, nc = rank_nullity(g, c)
             sign = -1 if nc & 1 else 1
         elif quadrant == "--":
-            sign = -1 if (r + c.size) & 1 else 1
+            sign = -1 if (r + cls.c_size) & 1 else 1
         total += sign * tens * flows
     return total
 

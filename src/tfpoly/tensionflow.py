@@ -18,9 +18,15 @@ that closes it) derives the remaining edges:
   |A|^nullity many;
 * integral tensions and flows in a window: window values on the free
   edges, extended in the same way, each derived value filtered against
-  its window as soon as the free values it reads are set.  The windows
-  grow with their bound, so one walk of the box at the largest bound
-  counts the functions at every bound (`integral_window_counts`).
+  its window as soon as the free values it reads are set.
+  `integral_window_counts` counts them at every bound from one walk at
+  the largest bound, since the windows grow with their bound.  It walks
+  every free value but the last: each edge that reads the last value
+  does so with coefficient +-1, so at each bound the last value ranges
+  over one interval, minus single points for nowhere-zero windows.
+  Nowhere-zero windows are symmetric, so when the first free edge is
+  in the window, only its positive values are walked, and counted
+  twice.  The generators stay the oracle for these counts.
 
 Each extension is bijective, so the counts above are exact.  The same
 table decides `is_tension` (zero sum around every fundamental circuit)
@@ -445,19 +451,142 @@ def integral_window_counts(
     tensions=False, `enumerate_integral_flows`) yields at each bound
     0..top, from one walk of the box at top.
 
-    The windows grow with the bound, so each point of that box is filed
-    under the least bound that admits it: its largest |value| for closed
-    windows, one more for the others (which admit nothing on a window
-    edge at bound 0).  Prefix sums then give every count.  The guard is
-    charged the box at top, as the enumeration at top charges it.
+    The walk sets every free value but the last, as the enumeration
+    does, and keeps the largest |value| set so far, M.  The windows grow
+    with the bound, so those values lie in the window at bound b exactly
+    when b >= M + shift: shift is 0 for closed windows and 1 for the
+    others, which admit nothing on a window edge at bound 0.  The last
+    free value x is counted, not walked: at each bound, the last free
+    edge and every dependent edge that reads x confine x to one interval
+    (see `_last_value_bounds`).  Under strict_support with the first
+    free edge in the window, f -> -f pairs the points with a positive
+    first value with those with a negative one and fixes none, so only
+    the positive half is walked.  The guard is charged the walked box.
     """
     window = _resolve_window(g, window, zero_set)
     shift = 1 if mode != "closed" and window.mask else 0
-    least = Counter(
-        max(map(abs, vals), default=0) + shift
-        for vals in _iter_integral(g, o, tensions, top, mode, window, guard)
-    )
-    return list(itertools.accumulate(least[bound] for bound in range(top + 1)))
+    counts = [0] * (top + 1)
+    walk = _integral_walk(g, o, tensions, top, mode, window, guard, counting=True)
+    if walk is None:
+        return counts
+    free, dependent, cand, checks_at, weight = walk
+    if not free:
+        return [int(bound >= shift) for bound in range(top + 1)]
+    last = len(free) - 1
+    bounds = _last_value_bounds(mode, window, free[last], dependent, checks_at[last])
+    vals = [0] * last
+
+    def tally(m: int) -> None:
+        """Count the last value at every bound, for the values set in vals
+        with largest |value| m: x lies in [max(p0, p1 - b), min(q0, q1 + b)]
+        and is none of the values in skip."""
+        p0 = p1 = -top
+        q0 = q1 = top
+        skip = []
+        for row, lo, lo_moves, hi, hi_moves, nonzero in bounds:
+            u = 0
+            for i, c in row:
+                u += c * vals[i]
+            if lo_moves:
+                if u + lo > p1:
+                    p1 = u + lo
+            elif u + lo > p0:
+                p0 = u + lo
+            if hi_moves:
+                if u + hi < q1:
+                    q1 = u + hi
+            elif u + hi < q0:
+                q0 = u + hi
+            if nonzero and u not in skip:
+                skip.append(u)
+        for bound in range(m + shift, top + 1):
+            lo = p1 - bound if p1 - bound > p0 else p0
+            hi = q1 + bound if q1 + bound < q0 else q0
+            if lo <= hi:
+                n = hi - lo + 1
+                for u in skip:
+                    if lo <= u <= hi:
+                        n -= 1
+                counts[bound] += n
+
+    if last == 0:
+        tally(0)
+    # depth first over every free value but the last, in the order of
+    # the enumeration; most[d] is the largest |value| set before level d
+    most = [0] * last
+    levels = [iter(cand[0])] if last else []
+    while levels:
+        d = len(levels) - 1
+        for vals[d] in levels[d]:
+            m = most[d]
+            if abs(vals[d]) > m:
+                m = abs(vals[d])
+            for _, row, allowed in checks_at[d]:
+                v = 0
+                for i, c in row:
+                    v += c * vals[i]
+                if v not in allowed:
+                    break
+                if abs(v) > m:
+                    m = abs(v)
+            else:
+                if d + 1 < last:
+                    most[d + 1] = m
+                    levels.append(iter(cand[d + 1]))
+                    break
+                tally(m)
+        else:
+            levels.pop()
+    return [weight * n for n in counts]
+
+
+# the windows of `_window_candidates` by their ends at bound b: (lo,
+# lo_moves, hi, hi_moves) for lo - lo_moves * b <= v <= hi + hi_moves * b;
+# kept apart from the candidate lists, which the enumeration oracle walks
+_WINDOW_ENDS = {
+    "off": (0, 0, 0, 0),
+    "open": (1, 0, -1, 1),
+    "closed": (0, 0, 0, 1),
+    "strict_support": (1, 1, -1, 1),
+    "box": (1, 1, -1, 1),
+}
+
+
+def _last_value_bounds(
+    mode: str,
+    window: EdgeSubset,
+    last_edge: int,
+    dependent: Sequence[int],
+    last_checks: Sequence[tuple[int, list[tuple[int, int]], set[int]]],
+) -> list[tuple[list[tuple[int, int]], int, int, int, int, bool]]:
+    """The bounds that the last free value x must meet, one per edge
+    that reads it: the last free edge, value x, and each dependent edge
+    checked at the last level, value s + c * x with s the sum of its other
+    terms.  The coefficient c is +-1 (an entry of a fundamental circuit),
+    so the value is c * (x - u) with u = -c * s, and its window at bound
+    b puts x in [u + lo - lo_moves * b, u + hi + hi_moves * b]: the
+    window itself for c = 1, mirrored for c = -1.
+
+    Each bound is (row, lo, lo_moves, hi, hi_moves, nonzero), where u is
+    the sum of coefficient * free value over the terms of row, and
+    nonzero says that x = u is excluded too (a strict_support window).
+    """
+    out = []
+
+    def add(row, c, in_window):
+        lo, lo_moves, hi, hi_moves = _WINDOW_ENDS[mode if in_window else "off"]
+        if c == -1:
+            lo, lo_moves, hi, hi_moves = -hi, hi_moves, -lo, lo_moves
+        nonzero = in_window and mode == "strict_support"
+        out.append((row, lo, lo_moves, hi, hi_moves, nonzero))
+
+    add([], 1, last_edge in window)
+    for j, row, _ in last_checks:
+        (_, c), *others = sorted(row, reverse=True)  # the term of x first
+        if c not in (1, -1):
+            raise ArithmeticError(f"fundamental circuit coefficient {c} is not 1 or -1")
+        add([(k, -c * a) for k, a in others], c, dependent[j] in window)
+    return out
 
 
 def _integral_functions(
@@ -477,6 +606,53 @@ def _integral_functions(
         yield IntegerEdgeFunction(tuple([vals[k] for k in place]))
 
 
+def _integral_walk(
+    g: MultiGraph,
+    o: Orientation,
+    tensions: bool,
+    bound: int,
+    mode: str,
+    window: EdgeSubset,
+    guard: int | None,
+    counting: bool,
+):
+    """The set-up of the walks over free values at `bound`: (free edges,
+    dependent edges, candidate values per free edge, checks per free
+    edge, weight), or None when a dependent edge that reads no free
+    value refuses its value 0.
+
+    Each dependent edge j is checked, as (j, row, allowed values), at
+    the free edge of largest index that its row reads, so a partial
+    assignment that already fails is not extended.  The enumeration walks every free
+    edge.  The counter (counting=True) walks all but the last, and under
+    strict_support with the first free edge in the window only its
+    positive values, each walked point then standing for weight = 2.
+    The guard is charged the walked box."""
+    if mode not in INTEGRAL_MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    free, dependent, rows = _coordinates(g, o, tensions)
+    cand = [_window_candidates(mode, bound, e in window) for e in free]
+    walked, weight = cand, 1
+    if counting:
+        if mode == "strict_support" and len(free) > 1 and free[0] in window:
+            cand[0] = [v for v in cand[0] if v > 0]
+            weight = 2
+        walked = cand[:-1]
+    space = 1
+    for c in walked:
+        space *= len(c)
+    what = "integral tension enumeration" if tensions else "integral flow enumeration"
+    check_state_space(space, guard, what)
+    checks_at = [[] for _ in free]
+    for j, (e, row) in enumerate(zip(dependent, rows)):
+        allowed = set(_window_candidates(mode, bound, e in window))
+        if row:  # (free index, coefficient) terms, each index once
+            checks_at[max(row)[0]].append((j, row, allowed))
+        elif 0 not in allowed:  # a row that reads nothing is always 0
+            return None
+    return free, dependent, cand, checks_at, weight
+
+
 def _iter_integral(
     g: MultiGraph,
     o: Orientation,
@@ -490,25 +666,10 @@ def _iter_integral(
     `_coordinates`), of every integer tension or flow that lies in the
     `mode` window at `bound` on the edges of `window` and is zero on
     the others."""
-    if mode not in INTEGRAL_MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    free, dependent, rows = _coordinates(g, o, tensions)
-    cand = [_window_candidates(mode, bound, e in window) for e in free]
-    space = 1
-    for c in cand:
-        space *= len(c)
-    what = "integral tension enumeration" if tensions else "integral flow enumeration"
-    check_state_space(space, guard, what)
-    # each dependent edge is checked as soon as the free values its row
-    # reads are set, so a partial assignment that already fails is not
-    # extended; a row that reads nothing is always 0
-    checks_at = [[] for _ in free]
-    for j, (e, row) in enumerate(zip(dependent, rows)):
-        allowed = set(_window_candidates(mode, bound, e in window))
-        if row:  # (free index, coefficient) terms, each index once
-            checks_at[max(row)[0]].append((j, row, allowed))
-        elif 0 not in allowed:
-            return
+    walk = _integral_walk(g, o, tensions, bound, mode, window, guard, counting=False)
+    if walk is None:
+        return
+    free, dependent, cand, checks_at, _ = walk
     derived = [0] * len(dependent)
     if not free:
         yield tuple(derived)

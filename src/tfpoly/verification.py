@@ -393,12 +393,13 @@ def criterion_5(guard: int | None = None) -> CheckResult:
 def _direct_window_count(
     g: MultiGraph,
     o: Orientation,
+    b: EdgeSubset,
+    c: EdgeSubset,
     bound_t: int,
     bound_f: int,
     mode: str,
     guard: int | None,
 ) -> tuple[int, int]:
-    b, c = classify_edges(g, o)
     tens = sum(
         1
         for _ in enumerate_integral_tensions(
@@ -419,17 +420,18 @@ def criterion_6(guard: int | None = None) -> CheckResult:
     grid = tuple(itertools.product((2, 3), repeat=2))
     zw = tuple(itertools.product((-1, 0, 1, 2), repeat=2))
     for name, g in all_fixtures():
-        classes = cut_eulerian_classes(g, guard)
+        reps = [
+            (cls.representative, *classify_edges(g, cls.representative))
+            for cls in cut_eulerian_classes(g, guard)
+        ]
         psi_p = psi_family(g, "psi", guard=guard)
         bar_p = psi_family(g, "bar_psi", guard=guard)
         for p, q in grid:
             open_counts = []
             closed_counts = []
-            for cls in classes:
-                o = cls.representative
-                b, c = classify_edges(g, o)
-                ot, of = _direct_window_count(g, o, p, q, "open", guard)
-                ct, cf = _direct_window_count(g, o, p, q, "closed", guard)
+            for o, b, c in reps:
+                ot, of = _direct_window_count(g, o, b, c, p, q, "open", guard)
+                ct, cf = _direct_window_count(g, o, b, c, p, q, "closed", guard)
                 open_counts.append((b.size, c.size, ot * of))
                 closed_counts.append((b.size, c.size, ct * cf))
             for r, s in zw:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from graph_strategies import multigraphs
 from tfpoly.config import GuardExceeded
 from tfpoly.fixtures import fixture, fixture_names
-from tfpoly.graph import EdgeSubset, Orientation, rank_nullity
+from tfpoly.graph import EdgeSubset, MultiGraph, Orientation, rank_nullity
 from tfpoly.invariants import tutte
 from tfpoly.orientations import classify_edges
 from tfpoly.tensionflow import (
@@ -213,15 +213,23 @@ def test_lattice_index_counts_maximal_forests(name):
     data=st.data(),
     mode=st.sampled_from(INTEGRAL_MODES),
     tensions=st.booleans(),
-    top=st.integers(0, 3),
+    top=st.integers(0, 4),
 )
 def test_window_counts_match_enumeration_at_every_bound(g, data, mode, tensions, top):
-    flips = data.draw(st.lists(st.booleans(), min_size=g.edge_count, max_size=g.edge_count))
+    width = g.edge_count
+    flips = data.draw(st.lists(st.booleans(), min_size=width, max_size=width))
     loops = set(g.loop_ids())
     o = Orientation.for_graph(g, [flip and e not in loops for e, flip in enumerate(flips)])
     b, c = classify_edges(g, o)
+    drawn = data.draw(st.lists(st.booleans(), min_size=width, max_size=width))
     window, zero_set = data.draw(
-        st.sampled_from([(b, c) if tensions else (c, b), (EdgeSubset.full(g.edge_count), None)])
+        st.sampled_from(
+            [
+                (b, c) if tensions else (c, b),
+                (EdgeSubset.full(width), None),
+                (EdgeSubset.of(width, [e for e in range(width) if drawn[e]]), None),
+            ]
+        )
     )
     enumerate_integral = enumerate_integral_tensions if tensions else enumerate_integral_flows
     want = [
@@ -231,15 +239,27 @@ def test_window_counts_match_enumeration_at_every_bound(g, data, mode, tensions,
     assert integral_window_counts(g, o, tensions, top, mode, window, zero_set) == want
 
 
-def test_window_counts_charge_the_largest_box():
+@pytest.mark.parametrize("tensions", [True, False])
+@pytest.mark.parametrize("mode", INTEGRAL_MODES)
+def test_window_counts_match_enumeration_on_the_wheel(mode, tensions):
+    # the wheel W4: hub 0, rim 1..4; rank and nullity 4
+    g = MultiGraph(5, ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4), (4, 1)))
+    o = Orientation.reference(g)
+    enumerate_integral = enumerate_integral_tensions if tensions else enumerate_integral_flows
+    want = [sum(1 for _ in enumerate_integral(g, o, bound, mode)) for bound in range(5)]
+    assert integral_window_counts(g, o, tensions, 4, mode) == want
+
+
+def test_window_counts_charge_the_walked_box():
     g = fixture("k4")
     o = Orientation.reference(g)
-    # three forest edges, four nonzero values each with |f| < 3
-    assert integral_window_counts(g, o, True, 3, guard=64)[3] == sum(
+    # three forest edges with four nonzero values each (|f| < 3); the
+    # counter walks the positive half of the first and all of the second
+    assert integral_window_counts(g, o, True, 3, guard=8)[3] == sum(
         1 for _ in enumerate_integral_tensions(g, o, 3)
     )
-    with pytest.raises(GuardExceeded, match="tension enumeration needs 64 states, guard is 63"):
-        integral_window_counts(g, o, True, 3, guard=63)
+    with pytest.raises(GuardExceeded, match="tension enumeration needs 8 states, guard is 7"):
+        integral_window_counts(g, o, True, 3, guard=7)
 
 
 # -- guard -----------------------------------------------------------------------
