@@ -7,11 +7,22 @@ states computed from its input, against one guard and refuses to start
 when the charge crosses it.  The guard is a deliberate speed bump, not
 a hard limit: callers can pass a larger one explicitly, and the
 environment variable ``TFPOLY_GUARD`` overrides the default.
+
+Results that one verification run asks for again and again are kept in
+one memo that lives only as long as the run: `run_scope` opens it, and
+functions decorated with `memoised_in_run` store their results there
+while it is open and are plain calls when it is not.  The memo is
+keyed on the arguments as passed, guard included, so a call under a
+different guard is computed, and charged, afresh.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import functools
 import os
+from typing import Callable, Iterator, TypeVar
 
 # Upper bound on the number of states any single loop may visit.
 DEFAULT_STATE_GUARD = 10_000_000
@@ -54,3 +65,45 @@ def check_state_space(size: int, guard: int | None = None, what: str = "enumerat
     limit = state_guard(guard)
     if size > limit:
         raise GuardExceeded(f"{what} needs {size} states, guard is {limit}")
+
+
+# -- the run-scoped memo --------------------------------------------------------
+
+_RUN_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "tfpoly_run_memo", default=None
+)
+
+_F = TypeVar("_F", bound=Callable)
+
+
+@contextlib.contextmanager
+def run_scope() -> Iterator[None]:
+    """Keep the results of `memoised_in_run` functions until the block
+    exits, however it exits; an enclosing scope's memo is set aside
+    meanwhile."""
+    memo: dict = {}
+    token = _RUN_MEMO.set(memo)
+    try:
+        yield
+    finally:
+        _RUN_MEMO.reset(token)
+        memo.clear()
+
+
+def memoised_in_run(func: _F) -> _F:
+    """Store func's results, keyed on its arguments, while a run scope is
+    open; outside one, call func plainly."""
+
+    @functools.wraps(func)
+    def wrapper(*args, **kwargs):
+        memo = _RUN_MEMO.get()
+        if memo is None:
+            return func(*args, **kwargs)
+        key = (func, args, tuple(kwargs.items()))
+        try:
+            return memo[key]
+        except KeyError:
+            value = memo[key] = func(*args, **kwargs)
+            return value
+
+    return wrapper  # type: ignore[return-value]

@@ -37,10 +37,8 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-import functools
-
 from .algebra import MultiPoly, interpolate_univariate
-from .config import VerificationError, check_state_space, state_guard
+from .config import VerificationError, check_state_space, memoised_in_run, state_guard
 from .graph import (
     EdgeSubset,
     MultiGraph,
@@ -274,17 +272,12 @@ def omega_value(
 # -- support histograms (shared brute enumerations) ---------------------------
 
 
+@memoised_in_run
 def support_histogram(
     g: MultiGraph, p: int, q: int, guard: int | None = None
 ) -> dict[tuple[int, int], int]:
     """Counts of (supp f, supp g) mask pairs over all (tension over Z_p,
     flow over Z_q) pairs.  Supports are orientation independent."""
-    return _support_histogram(g, p, q, state_guard(guard))
-
-
-# kept: verify repeats it (210 hits to 310 misses); without it verify-suite ran 3.2% slower
-@functools.lru_cache(maxsize=None)
-def _support_histogram(g: MultiGraph, p: int, q: int, guard: int) -> dict[tuple[int, int], int]:
     return pair_support_histogram(
         g,
         Orientation.reference(g),
@@ -406,6 +399,7 @@ def _samples(counts: list[int]) -> list[tuple[int, int]]:
 # -- per-orientation window polynomials ---------------------------------------
 
 
+@memoised_in_run
 def kappa_rho(
     g: MultiGraph, o: Orientation, mode: str = "open", guard: int | None = None
 ) -> MultiPoly:
@@ -417,13 +411,14 @@ def kappa_rho(
     """
     if mode not in ("open", "closed"):
         raise ValueError(f"unknown mode {mode!r}")
-    return _kappa_rho(g, o, mode, state_guard(guard))
-
-
-# kept: verify repeats it (1843 hits to 543 misses); without it verify makes 17% more calls
-@functools.lru_cache(maxsize=None)
-def _kappa_rho(g: MultiGraph, o: Orientation, mode: str, guard: int) -> MultiPoly:
     b, c = classify_edges(g, o)
+    return _kappa(g, o, b, c, mode, guard)
+
+
+def _kappa(
+    g: MultiGraph, o: Orientation, b: EdgeSubset, c: EdgeSubset, mode: str, guard: int | None
+) -> MultiPoly:
+    """`kappa_rho` from o's bond part b and circuit part c."""
     r, n = rank_nullity(g)
     t_counts = integral_window_counts(g, o, True, r + 3, mode, b, c, guard)
     f_counts = integral_window_counts(g, o, False, n + 3, mode, c, b, guard)
@@ -437,37 +432,55 @@ def _kappa_rho(g: MultiGraph, o: Orientation, mode: str, guard: int) -> MultiPol
 
 PSI_KINDS = ("psi", "bar_psi", "psi_z", "bar_psi_z")
 
+# one orientation's part of the walk: (o, |B|, |C|, open kappa, closed kappa)
+OrientationKappas = tuple[Orientation, int, int, MultiPoly, MultiPoly]
+
+
+@memoised_in_run
+def orientation_sums(
+    g: MultiGraph, guard: int | None = None
+) -> tuple[dict[str, MultiPoly], tuple[OrientationKappas, ...]]:
+    """One walk over the orientations: each is classified once and its
+    open and closed kappa fitted once.  Returns the four psi kinds by
+    name and, in lexicographic flip order, every orientation's
+    (o, |B|, |C|, open kappa, closed kappa).
+
+    psi / bar_psi sum z^|B| w^|C| times the open / closed kappa over one
+    representative per cut-Eulerian class; psi_z / bar_psi_z over all
+    orientations, times 2 per loop (see the module docstring).
+    """
+    classes = cut_eulerian_classes(g, guard)
+    kappas = []
+    for o in all_orientations(g, guard):
+        b, c = classify_edges(g, o)
+        open_kappa = _kappa(g, o, b, c, "open", guard)
+        kappas.append((o, b.size, c.size, open_kappa, _kappa(g, o, b, c, "closed", guard)))
+    by_flips = {k[0].flips: k for k in kappas}
+    reps = [by_flips[cls.representative.flips] for cls in classes]
+    sums = {}
+    for which, members, multiplier in (
+        ("psi", reps, 1),
+        ("psi_z", kappas, 2 ** len(g.loop_ids())),
+    ):
+        open_sum = closed_sum = MultiPoly.zero(("x", "y", "z", "w"))
+        for _, b_size, c_size, open_kappa, closed_kappa in members:
+            weight = MultiPoly(("z", "w"), {(b_size, c_size): multiplier})
+            open_sum = open_sum + weight * open_kappa
+            closed_sum = closed_sum + weight * closed_kappa
+        sums[which] = open_sum
+        sums["bar_" + which] = closed_sum
+    return sums, tuple(kappas)
+
 
 def psi_by_orientations(
     g: MultiGraph, which: str = "psi_z", guard: int | None = None
 ) -> MultiPoly:
     """Weighted orientation sums of kappa window polynomials, in
-    variables (x, y, z, w); the oracle for `psi_family`.
-
-    psi / bar_psi: open / closed kappa over one representative per
-    cut-Eulerian class.  psi_z / bar_psi_z: open / closed kappa over
-    all orientations, times 2 per loop (see the module docstring).
-    """
+    variables (x, y, z, w), read from `orientation_sums`; the oracle for
+    `psi_family`."""
     if which not in PSI_KINDS:
         raise ValueError(f"unknown psi kind {which!r}")
-    mode = "closed" if which.startswith("bar") else "open"
-    if which.endswith("_z"):
-        reps = []
-        for o in all_orientations(g, guard):
-            b, c = classify_edges(g, o)
-            reps.append((o, b.size, c.size))
-        multiplier = 2 ** len(g.loop_ids())
-    else:
-        reps = [
-            (cls.representative, cls.b_size, cls.c_size)
-            for cls in cut_eulerian_classes(g, guard)
-        ]
-        multiplier = 1
-    total = MultiPoly.zero(("x", "y", "z", "w"))
-    for o, b_size, c_size in reps:
-        weight = MultiPoly(("z", "w"), {(b_size, c_size): multiplier})
-        total = total + weight * kappa_rho(g, o, mode, guard)
-    return total
+    return orientation_sums(g, guard)[0][which]
 
 
 def _cyclic_flat_minors(g: MultiGraph, guard: int | None = None):

@@ -12,6 +12,9 @@ builds every one of them.
 
 The criteria are grouped into named suites for the command line
 ``verify`` subcommand; the full list runs in well under a minute.
+`run_criteria` runs them inside one run scope (`config.run_scope`), so
+what several criteria ask for, such as the orientation sums, is
+computed once per run and dropped when the run ends.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .arrangements import (
     product_valuation,
     subset_flat_dims,
 )
-from .config import VerificationError, check_state_space
+from .config import VerificationError, check_state_space, run_scope, state_guard
 from .fixtures import all_fixtures, fixture
 from .graph import (
     EdgeSubset,
@@ -52,6 +55,7 @@ from .invariants import (
     modular_complementary_count,
     omega,
     omega_value,
+    orientation_sums,
     PSI_KINDS,
     psi_by_orientations,
     psi_family,
@@ -224,9 +228,9 @@ def criterion_3(guard: int | None = None) -> CheckResult:
 def reciprocity_check(g: MultiGraph, guard: int | None = None) -> list[CheckResult]:
     """Sign reciprocity between the open and closed orientation sums of
     `psi_by_orientations`, for the modular pair, the integral pair, and
-    every single orientation.  The production `psi_family` derives its
-    closed sums by this reciprocity, so checking it there would prove
-    nothing."""
+    every single orientation of the same walk (`orientation_sums`).  The
+    production `psi_family` derives its closed sums by this reciprocity,
+    so checking it there would prove nothing."""
     r, n = rank_nullity(g)
     sr = -1 if r & 1 else 1
     sn = -1 if n & 1 else 1
@@ -255,11 +259,10 @@ def reciprocity_check(g: MultiGraph, guard: int | None = None) -> list[CheckResu
         )
     per_orientation_ok = True
     witness: tuple[str, ...] = ()
-    for o in all_orientations(g, guard):
-        b, c = classify_edges(g, o)
-        sign = -1 if (r + c.size) & 1 else 1
-        lhs = kappa_rho(g, o, "open", guard).negate_vars(["x", "y"])
-        rhs = sign * kappa_rho(g, o, "closed", guard)
+    for o, _, c_size, open_kappa, closed_kappa in orientation_sums(g, guard)[1]:
+        sign = -1 if (r + c_size) & 1 else 1
+        lhs = open_kappa.negate_vars(["x", "y"])
+        rhs = sign * closed_kappa
         if lhs != rhs:
             per_orientation_ok = False
             witness = (f"flips={o.flips}", f"lhs={lhs}", f"rhs={rhs}")
@@ -274,17 +277,16 @@ def reciprocity_check(g: MultiGraph, guard: int | None = None) -> list[CheckResu
     return checks
 
 
-def specialization_check(
-    g: MultiGraph,
-    grid: Sequence[tuple[int, int]] = tuple(
-        (p, q) for p in (2, 3, 4) for q in (2, 3, 4)
-    ),
-    guard: int | None = None,
-) -> list[CheckResult]:
+# the (p, q) values at which criterion 5 compares complementary pair counts
+SPECIALIZATION_GRID = tuple((p, q) for p in (2, 3, 4) for q in (2, 3, 4))
+
+
+def specialization_check(g: MultiGraph, guard: int | None = None) -> list[CheckResult]:
     """Pin (z, w) in the orientation sums of `psi_by_orientations` and
     compare against the directly defined counting polynomials and brute
-    counts.  (In the convolution of `psi_family`, psi(x,y,1,0) is the
-    single term of the empty X, so checking it there would prove nothing.)"""
+    counts, the latter on `SPECIALIZATION_GRID`.  (In the convolution of
+    `psi_family`, psi(x,y,1,0) is the single term of the empty X, so
+    checking it there would prove nothing.)"""
     checks: list[CheckResult] = []
     psi_z = psi_by_orientations(g, "psi_z", guard)
     psi_m = psi_by_orientations(g, "psi", guard)
@@ -343,7 +345,7 @@ def specialization_check(
     km = psi_m.substitute({"z": 1, "w": 1})
     bad_z = []
     bad_m = []
-    for p, q in grid:
+    for p, q in SPECIALIZATION_GRID:
         want_z = integral_complementary_count(g, p, q, guard)
         got_z = kz.evaluate(x=p, y=q)
         if got_z != want_z:
@@ -380,7 +382,7 @@ def criterion_4(guard: int | None = None) -> CheckResult:
 def criterion_5(guard: int | None = None) -> CheckResult:
     col = _Collector()
     for name, g in all_fixtures():
-        for check in specialization_check(g, guard=guard):
+        for check in specialization_check(g, guard):
             col.expect(check.passed, f"{name}: {_failure_line(check)}")
     return col.result(
         "window sums specialise to the tension, flow, and complementary-pair counts"
@@ -897,6 +899,7 @@ _FACTOR_CHOICES: tuple[tuple[int, ...], ...] = (
     (2, 4),
     (3, 3),
 )
+_TRIALS = 60  # random arrangements per run of criterion 11
 
 
 def _random_member(
@@ -912,11 +915,11 @@ def _random_member(
     return FiniteCosetProduct.from_subgroup(ambient, generators, shifts)
 
 
-def criterion_11(guard: int | None = None, trials: int = 60) -> CheckResult:
+def criterion_11(guard: int | None = None) -> CheckResult:
     col = _Collector()
     rng = random.Random(20260816)
     done = 0
-    while done < trials:
+    while done < _TRIALS:
         ambient = tuple(
             FiniteAbelianGroup(rng.choice(_FACTOR_CHOICES))
             for _ in range(rng.randrange(1, 4))
@@ -1113,10 +1116,12 @@ SUITES: dict[str, tuple[int, ...]] = {
 def run_criteria(
     numbers: Iterable[int], guard: int | None = None
 ) -> list[tuple[int, CheckResult]]:
-    out = []
-    for num in numbers:
-        out.append((num, CRITERIA[num](guard)))
-    return out
+    """Run the numbered criteria in one run scope, under the guard
+    resolved once, so that every memo key carries the run's guard and no
+    memo outlives the run."""
+    guard = state_guard(guard)
+    with run_scope():
+        return [(num, CRITERIA[num](guard)) for num in numbers]
 
 
 def run_suite(name: str, guard: int | None = None) -> list[tuple[int, CheckResult]]:

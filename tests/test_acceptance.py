@@ -13,7 +13,7 @@ from tfpoly import verification
 from tfpoly.algebra import MultiPoly
 from tfpoly.config import GuardExceeded
 from tfpoly.fixtures import fixture_names
-from tfpoly.verification import SUITES, run_criteria
+from tfpoly.verification import SUITES, run_criteria, run_suite
 
 CRITERIA = SUITES["all"]
 
@@ -29,6 +29,12 @@ def test_criterion(num, results, capsys):
     with capsys.disabled():
         print(f"{'PASS' if res.passed else 'FAIL'} criterion {num}: {res.name}")
     assert res.passed, "\n".join(res.lines)
+
+
+@pytest.mark.parametrize("suite", [name for name in SUITES if name != "all"])
+def test_each_suite_alone_matches_the_full_run(suite, results):
+    # each suite is a run of its own, with a memo of its own
+    assert run_suite(suite) == [(num, results[num]) for num in SUITES[suite]]
 
 
 @pytest.mark.parametrize("num", CRITERIA)

@@ -265,6 +265,18 @@ def test_class_key_refuses_k7_quickly(tmp_path, capsys):
     assert captured.err.startswith("error: orientation class key needs 58720256 states")
 
 
+def test_class_key_ignores_isolated_vertices(tmp_path, capsys):
+    # an isolated vertex owns no key coordinate, so 4,000 of them cost
+    # only the one pass that finds the components
+    path = tmp_path / "sparse.graph"
+    path.write_text(format_graph(MultiGraph(4002, ((0, 1),))))
+    started = time.perf_counter()
+    assert main(["classify-orientations", str(path)]) == 0
+    assert time.perf_counter() - started < 2
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert rows == [{"representative": [0], "size": 2, "b_size": 1, "c_size": 0}]
+
+
 @pytest.fixture
 def k5_file(tmp_path):
     path = tmp_path / "k5.graph"

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from tfpoly.algebra import MultiPoly
-from tfpoly.config import GuardExceeded
+from tfpoly.config import DEFAULT_STATE_GUARD, GuardExceeded, run_scope, state_guard
 from tfpoly.fixtures import fixture, fixture_names
 from tfpoly.graph import MultiGraph, Orientation, components_count, subset_rank_table
 from tfpoly.invariants import (
@@ -248,10 +248,20 @@ def test_integral_polynomials():
         assert p.evaluate(t=t) == int(p.evaluate(t=t))
 
 
+def _kappa_twice_in_one_run(g):
+    # memoised under the default guard, then asked for under the active
+    # guard, passed explicitly as a criterion passes it
+    o = Orientation.reference(g)
+    with run_scope():
+        kappa_rho(g, o, "open", DEFAULT_STATE_GUARD)
+        kappa_rho(g, o, "open", state_guard())
+
+
 @pytest.mark.parametrize(
     "compute",
     [
         lambda g: kappa_rho(g, Orientation.reference(g), "open"),
+        _kappa_twice_in_one_run,
         lambda g: integral_tension_poly(g, "y"),
         lambda g: integral_flow_poly(g, "y"),
         lambda g: support_histogram(g, 3, 3),
@@ -261,6 +271,7 @@ def test_integral_polynomials():
     ],
     ids=[
         "kappa_rho",
+        "kappa_rho_in_one_run",
         "integral_tension_poly",
         "integral_flow_poly",
         "support_histogram",

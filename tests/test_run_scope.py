@@ -1,0 +1,82 @@
+"""The run-scoped memo: results are kept only while a verification run
+is open, and nothing is left behind when the run ends, however it ends."""
+
+import pytest
+
+from tfpoly import config, invariants, tensionflow, verification
+from tfpoly.config import GuardExceeded, run_scope
+from tfpoly.fixtures import fixture
+from tfpoly.graph import Orientation
+from tfpoly.invariants import kappa_rho
+from tfpoly.verification import run_criteria
+
+
+@pytest.fixture
+def kappa_spy(monkeypatch):
+    """The (orientation, mode) of every kappa that is computed, not
+    read from a memo."""
+    computed = []
+    real = invariants._kappa
+
+    def spy(g, o, b, c, mode, guard):
+        computed.append((o.flips, mode))
+        return real(g, o, b, c, mode, guard)
+
+    monkeypatch.setattr(invariants, "_kappa", spy)
+    return computed
+
+
+def test_nothing_is_memoised_outside_a_run(kappa_spy):
+    g = fixture("k3")
+    o = Orientation.reference(g)
+    assert kappa_rho(g, o, "open") == kappa_rho(g, o, "open")
+    assert len(kappa_spy) == 2
+
+
+def test_a_run_computes_each_result_once(kappa_spy):
+    g = fixture("k3")
+    o = Orientation.reference(g)
+    with run_scope():
+        assert kappa_rho(g, o, "open") == kappa_rho(g, o, "open")
+    assert len(kappa_spy) == 1
+
+
+def _memo_watcher(monkeypatch, num):
+    """Wrap criterion num so that it records the memo of its run, and
+    how many entries that memo held when the criterion was done."""
+    seen = []
+    real = verification.CRITERIA[num]
+
+    def watched(guard):
+        memo = config._RUN_MEMO.get()
+        seen.append(memo)
+        # charges nothing, so it is memoised even under guard=1
+        g = fixture("k3")
+        tensionflow._circuit_table(g, Orientation.reference(g))
+        try:
+            return real(guard)
+        finally:
+            seen.append(len(memo))
+
+    monkeypatch.setitem(verification.CRITERIA, num, watched)
+    return seen
+
+
+def test_the_memo_is_empty_once_the_run_returns(monkeypatch):
+    seen = _memo_watcher(monkeypatch, 4)
+    [(_, result)] = run_criteria([4])
+    assert result.passed
+    memo, entries = seen
+    assert entries > 1
+    assert memo == {}
+    assert config._RUN_MEMO.get() is None
+
+
+def test_the_memo_is_empty_once_a_criterion_is_refused(monkeypatch):
+    seen = _memo_watcher(monkeypatch, 4)
+    with pytest.raises(GuardExceeded):
+        run_criteria([4], guard=1)
+    memo, entries = seen
+    assert entries == 1
+    assert memo == {}
+    assert config._RUN_MEMO.get() is None
