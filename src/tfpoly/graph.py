@@ -7,10 +7,11 @@ bits relative to that reference; loops carry exactly one orientation,
 so their bit is pinned to False.
 
 Rank of an edge subset X is |V| minus the number of components of
-(V, X); nullity is |X| minus rank.  A directed circuit is an edge set
-carrying a simple directed cycle (every touched vertex has in-degree
-and out-degree one, and the set is connected); a directed bond is a
-minimal edge cut all of whose arrows cross one way.
+(V, X); nullity is |X| minus rank.  A circuit is the edge set of a
+simple cycle, a loop included; it is a directed circuit under an
+orientation when it carries a directed cycle, that is when its arcs
+have pairwise distinct tails.  A directed bond is a minimal edge cut
+all of whose arrows cross one way.
 """
 
 from __future__ import annotations
@@ -247,25 +248,26 @@ def restriction(g: MultiGraph, o: Orientation, x: EdgeSubset) -> tuple[MultiGrap
 # -- orientation structure ------------------------------------------------
 
 
-def _out_neighbors(g: MultiGraph, o: Orientation, mask: int = -1) -> list[list[int]]:
-    """Out-neighbours under o along the edges in mask (all edges by default)."""
-    adj: list[list[int]] = [[] for _ in range(g.vertex_count)]
+def _out_neighbors(g: MultiGraph, o: Orientation, mask: int = -1) -> dict[int, list[int]]:
+    """Out-neighbours under o along the edges in mask (all edges by
+    default), keyed by the vertices that have an out-arc."""
+    adj: dict[int, list[int]] = {}
     for e in range(g.edge_count):
         if mask >> e & 1:
             t, h = arc(g, o, e)
             if t != h:
-                adj[t].append(h)
+                adj.setdefault(t, []).append(h)
     return adj
 
 
-def _reaches(adj: list[list[int]], src: int, dst: int) -> bool:
+def _reaches(adj: dict[int, list[int]], src: int, dst: int) -> bool:
     if src == dst:
         return True
     seen = {src}
     stack = [src]
     while stack:
         v = stack.pop()
-        for w in adj[v]:
+        for w in adj.get(v, ()):
             if w == dst:
                 return True
             if w not in seen:
@@ -284,17 +286,18 @@ def is_edge_cyclic(g: MultiGraph, o: Orientation, e: int) -> bool:
     return _reaches(_out_neighbors(g, o), h, t)
 
 
-def _strong_components(adj: list[list[int]]) -> list[int]:
-    """Strong component id of every vertex: Tarjan's algorithm (SIAM J.
-    Comput. 1, 1972), iterative so that long paths need no recursion."""
-    n = len(adj)
-    index = [-1] * n
-    low = [0] * n
-    comp = [-1] * n
+def _strong_components(adj: dict[int, list[int]]) -> dict[int, int]:
+    """Strong component ids: Tarjan's algorithm (SIAM J. Comput. 1,
+    1972), iterative so that long paths need no recursion.  Searches
+    start only at vertices with an out-arc, so a vertex that none
+    reaches gets no id: it shares no arc with another vertex."""
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    comp: dict[int, int] = {}
     stack: list[int] = []
     counter = found = 0
-    for root in range(n):
-        if index[root] >= 0:
+    for root in adj:
+        if root in index:
             continue
         index[root] = low[root] = counter
         counter += 1
@@ -302,15 +305,16 @@ def _strong_components(adj: list[list[int]]) -> list[int]:
         work = [(root, 0)]
         while work:
             v, i = work[-1]
-            if i < len(adj[v]):
+            out = adj.get(v, ())
+            if i < len(out):
                 work[-1] = (v, i + 1)
-                w = adj[v][i]
-                if index[w] < 0:
+                w = out[i]
+                if w not in index:
                     index[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
                     work.append((w, 0))
-                elif comp[w] < 0:  # w is still on the stack
+                elif w not in comp:  # w is still on the stack
                     low[v] = min(low[v], index[w])
                 continue
             work.pop()
@@ -332,11 +336,10 @@ def cyclic_edges(g: MultiGraph, o: Orientation, x: EdgeSubset | None = None) -> 
     strong-components pass: an arc t -> h is on one exactly when t and
     h share a strong component, and a loop always is.  X defaults to E."""
     mask = (1 << g.edge_count) - 1 if x is None else x.mask
-    adj = _out_neighbors(g, o, mask)
-    comp = _strong_components(adj)
+    comp = _strong_components(_out_neighbors(g, o, mask))
     cyclic = 0
     for e, (t, h) in enumerate(g.edges):
-        if mask >> e & 1 and comp[t] == comp[h]:
+        if mask >> e & 1 and comp.get(t) == comp.get(h):
             cyclic |= 1 << e
     return EdgeSubset(cyclic, g.edge_count)
 
@@ -349,42 +352,31 @@ def is_totally_cyclic(g: MultiGraph, o: Orientation) -> bool:
     return all(is_edge_cyclic(g, o, e) for e in range(g.edge_count))
 
 
-def directed_circuits(g: MultiGraph, o: Orientation, guard: int | None = None) -> list[EdgeSubset]:
-    """All edge sets carrying a simple directed cycle of (G, o); charges
-    2^E x E states."""
-    check_state_space(
-        (1 << g.edge_count) * g.edge_count, guard, "directed circuit enumeration"
-    )
+def circuits(g: MultiGraph, guard: int | None = None) -> list[EdgeSubset]:
+    """All circuits (edge sets of simple cycles, loops included), in mask
+    order: the sets of nullity one that keep their rank without any one
+    of their edges, read from `subset_rank_table`, whose charge they pay."""
+    table = subset_rank_table(g, guard)
+    bits = [1 << e for e in range(g.edge_count)]
+    return [
+        EdgeSubset(mask, g.edge_count)
+        for mask, rank in enumerate(table)
+        if mask.bit_count() == rank + 1
+        and all(table[mask ^ b] == rank for b in bits if mask & b)
+    ]
+
+
+def directed_circuits(
+    g: MultiGraph, o: Orientation, circuits: list[EdgeSubset]
+) -> list[EdgeSubset]:
+    """The circuits that carry a directed cycle under o: those whose arcs
+    have pairwise distinct tails.  circuits are the circuits of g (from
+    `circuits`), which do not depend on o."""
     out: list[EdgeSubset] = []
-    for mask in range(1, 1 << g.edge_count):
-        indeg: dict[int, int] = {}
-        outdeg: dict[int, int] = {}
-        ok = True
-        uf = _UnionFind(g.vertex_count)
-        parts = 0
-        touched: set[int] = set()
-        for e in range(g.edge_count):
-            if not mask >> e & 1:
-                continue
-            t, h = arc(g, o, e)
-            outdeg[t] = outdeg.get(t, 0) + 1
-            indeg[h] = indeg.get(h, 0) + 1
-            if outdeg[t] > 1 or indeg[h] > 1:
-                ok = False
-                break
-            touched.update((t, h))
-            if t != h:
-                uf.union(t, h)
-        if not ok:
-            continue
-        verts = touched
-        if not verts:
-            continue
-        if any(indeg.get(v, 0) != 1 or outdeg.get(v, 0) != 1 for v in verts):
-            continue
-        roots = {uf.find(v) for v in verts}
-        if len(roots) == 1:
-            out.append(EdgeSubset(mask, g.edge_count))
+    for circuit in circuits:
+        tails = {arc(g, o, e)[0] for e in circuit.members()}
+        if len(tails) == circuit.size:
+            out.append(circuit)
     return out
 
 

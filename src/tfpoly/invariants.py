@@ -26,7 +26,8 @@ Conventions used throughout:
   reproduce) see every loop twice.  Loopless graphs are unaffected.
   These orientation sums (psi_by_orientations) are kept as oracles.
   psi_family computes the same polynomials as a convolution over the
-  cyclic flats X (closed sets whose restriction has no bridge):
+  cyclic flats X (closed sets whose restriction has no bridge, read
+  from the subset rank table of the non-loop edges):
       psi(x,y,z,w) = sum over X of z^|E - X| w^|X| tau(G/X; x) phi(G|X; y),
   with the tension and flow polynomials of the minors for psi and their
   integral counterparts for psi_z; a loop's nonzero integer flows with
@@ -477,29 +478,35 @@ def psi_by_orientations(
 ) -> MultiPoly:
     """Weighted orientation sums of kappa window polynomials, in
     variables (x, y, z, w), read from `orientation_sums`; the oracle for
-    `psi_family`."""
+    `psi_family`.  Outside a run scope nothing is kept between calls, so
+    each call walks the orientations for all four kinds: read several
+    kinds from one `orientation_sums` call instead."""
     if which not in PSI_KINDS:
         raise ValueError(f"unknown psi kind {which!r}")
     return orientation_sums(g, guard)[0][which]
 
 
 def _cyclic_flat_minors(g: MultiGraph, guard: int | None = None):
-    """(G/X, G|X, |X|) for every cyclic flat X: every loop is in X, no
-    other edge has both ends joined by X, and G|X has no bridge.  The
-    scan over subsets of the E' non-loop edges charges 2^E' x E' states."""
+    """(G/X, G|X, |X|) for every cyclic flat X: every loop is in X, and
+    among the non-loop edges X is a flat without coloops.  The scan reads
+    the subset rank table of the E' non-loop edges: adding an edge
+    outside X raises its rank and removing one inside keeps it.  It
+    charges 2^E' x E' states."""
     non_loops = g.non_loop_ids()
     check_state_space((1 << len(non_loops)) * len(non_loops), guard, "cyclic flat scan")
+    table = subset_rank_table(
+        MultiGraph(g.vertex_count, tuple(g.edges[e] for e in non_loops)), guard
+    )
+    bits = [1 << i for i in range(len(non_loops))]
     loops = list(g.loop_ids())
-    for bits in range(1 << len(non_loops)):
-        inside = [e for i, e in enumerate(non_loops) if bits >> i & 1]
-        outside = [e for i, e in enumerate(non_loops) if not bits >> i & 1]
+    for x, rank in enumerate(table):
+        if any((table[x ^ b] == rank) != bool(x & b) for b in bits):
+            continue
+        inside = [e for i, e in enumerate(non_loops) if x >> i & 1]
+        outside = [e for i, e in enumerate(non_loops) if not x >> i & 1]
         uf = _UnionFind(g.vertex_count)
         for e in inside:
             uf.union(*g.edges[e])
-        if any(uf.find(t) == uf.find(h) for t, h in (g.edges[e] for e in outside)):
-            continue
-        if any(_is_bridge(g, inside, e) for e in inside):
-            continue
         label: dict[int, int] = {}
         part = [label.setdefault(uf.find(v), len(label)) for v in range(g.vertex_count)]
         contracted = MultiGraph(
@@ -507,16 +514,6 @@ def _cyclic_flat_minors(g: MultiGraph, guard: int | None = None):
         )
         restricted = MultiGraph(g.vertex_count, tuple(g.edges[e] for e in inside + loops))
         yield contracted, restricted, len(inside) + len(loops)
-
-
-def _is_bridge(g: MultiGraph, edges: list[int], bridge: int) -> bool:
-    """Whether the ends of `bridge` fall apart without it in (V, edges)."""
-    uf = _UnionFind(g.vertex_count)
-    for e in edges:
-        if e != bridge:
-            uf.union(*g.edges[e])
-    t, h = g.edges[bridge]
-    return uf.find(t) != uf.find(h)
 
 
 def psi_family(
@@ -615,8 +612,7 @@ def tutte_value_triples(
     full = EdgeSubset.full(g.edge_count)
     for cls in cut_eulerian_classes(g, guard):
         o = cls.representative
-        if quadrant != "++":  # "++" reads neither B nor C
-            b, c = classify_edges(g, o)
+        b, c = cls.b, cls.c
         if quadrant[0] == "+":
             tens = integral_window_counts(g, o, True, p - 1, "closed", full, guard=guard)[-1]
         else:

@@ -47,6 +47,7 @@ from .graph import (
     _component_vertex_sets,
     bond_side,
     bonds,
+    circuits,
     cyclic_edges,
     directed_bonds,
     directed_circuits,
@@ -94,15 +95,23 @@ class OrientationClass:
     """A cut-Eulerian equivalence class.
 
     representative is the lexicographically least member and size the
-    member count; b_size and c_size are computed from the
-    representative (criterion 9 checks on the fixtures that every
-    member of the move closure's class has the same sizes).
+    member count; b and c are the representative's bond and circuit
+    parts (criterion 9 checks on the fixtures that every member of the
+    move closure's class has the same sizes).
     """
 
     representative: Orientation
     size: int
-    b_size: int
-    c_size: int
+    b: EdgeSubset
+    c: EdgeSubset
+
+    @property
+    def b_size(self) -> int:
+        return self.b.size
+
+    @property
+    def c_size(self) -> int:
+        return self.c.size
 
 
 def _key_columns(g: MultiGraph) -> tuple[list[tuple[int, ...]], tuple[int, ...]]:
@@ -198,8 +207,7 @@ def cut_eulerian_classes(g: MultiGraph, guard: int | None = None) -> tuple[Orien
         for i, e in enumerate(reversed(non_loops)):
             flips[e] = bool(index >> i & 1)
         rep = Orientation(tuple(flips))
-        b, c = classify_edges(g, rep)
-        classes.append(OrientationClass(rep, size, b.size, c.size))
+        classes.append(OrientationClass(rep, size, *classify_edges(g, rep)))
     return tuple(classes)
 
 
@@ -209,9 +217,10 @@ def cut_eulerian_classes_by_moves(
     """The oracle of `cut_eulerian_classes`: the closure of the moves
     that reverse one directed circuit or one directed bond.  Each class
     is a member tuple in lexicographic flip order, and the classes come
-    in the order of their least members.  The closure scans the 2^E
-    edge subsets once per orientation, so it charges 2^E' x 2^E
-    states."""
+    in the order of their least members.  The circuits and bonds of g
+    are found once, each charging its own scan, and each orientation
+    visited only filters them, so the up-front charge of 2^E' x 2^E
+    states is an upper bound on the closure's work."""
     check_state_space(
         (1 << len(g.non_loop_ids())) << g.edge_count, guard, "orientation class closure"
     )
@@ -223,6 +232,7 @@ def cut_eulerian_classes_by_moves(
     for e in g.loop_ids():
         loop_mask |= 1 << e
     shores = [(bond, bond_side(g, bond)) for bond in bonds(g, guard)]
+    cycles = circuits(g, guard)
     for start in orientations:
         if start.flips in seen:
             continue
@@ -232,7 +242,7 @@ def cut_eulerian_classes_by_moves(
         while stack:
             cur = stack.pop()
             component.append(cur)
-            moves = directed_circuits(g, cur, guard) + directed_bonds(g, cur, shores)
+            moves = directed_circuits(g, cur, cycles) + directed_bonds(g, cur, shores)
             for subset in moves:
                 # reversing a loop keeps the orientation: loops never flip
                 flip_mask = subset.mask & ~loop_mask

@@ -46,7 +46,7 @@ from tfpoly.invariants import (
     PSI_KINDS,
     omega,
     QUADRANTS,
-    psi_by_orientations,
+    orientation_sums,
     psi_family,
     tutte,
     tutte_value,
@@ -110,8 +110,9 @@ def is_potential_difference(g: MultiGraph, o: Orientation, values) -> bool:
 @settings(max_examples=40, deadline=None)
 @given(SMALL)
 def test_psi_family_matches_orientation_sums(g):
+    sums = orientation_sums(g)[0]  # one walk gives all four kinds
     for kind in PSI_KINDS:
-        assert psi_family(g, kind) == psi_by_orientations(g, kind), kind
+        assert psi_family(g, kind) == sums[kind], kind
 
 
 @settings(max_examples=40, deadline=None)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from graph_strategies import multigraphs
 from tfpoly.algebra import rational_rank
 from tfpoly.fixtures import fixture, fixture_names
 from tfpoly.graph import (
@@ -13,6 +14,7 @@ from tfpoly.graph import (
     arc,
     bond_side,
     bonds,
+    circuits,
     components_count,
     directed_bonds,
     directed_circuits,
@@ -95,7 +97,7 @@ def test_directed_structures_on_reference_k3():
     o = Orientation.reference(g)
     assert is_acyclic(g, o)
     assert not is_totally_cyclic(g, o)
-    assert directed_circuits(g, o) == []
+    assert directed_circuits(g, o, circuits(g)) == []
     shores = [(b, bond_side(g, b)) for b in bonds(g)]
     assert sorted(b.members() for b in directed_bonds(g, o, shores)) == [(0, 2), (1, 2)]
 
@@ -103,15 +105,30 @@ def test_directed_structures_on_reference_k3():
 def test_directed_circuit_appears_after_one_flip():
     g = fixture("k3")
     o = Orientation.for_graph(g, [False, False, True])  # 0->1, 1->2, 2->0
-    assert [c.members() for c in directed_circuits(g, o)] == [(0, 1, 2)]
+    assert [c.members() for c in directed_circuits(g, o, circuits(g))] == [(0, 1, 2)]
     assert is_totally_cyclic(g, o)
 
 
 def test_loop_is_a_directed_circuit():
     g = fixture("loop")
     o = Orientation.reference(g)
-    assert [c.members() for c in directed_circuits(g, o)] == [(0,)]
+    assert [c.members() for c in directed_circuits(g, o, circuits(g))] == [(0,)]
     assert is_totally_cyclic(g, o)
+
+
+@settings(max_examples=80, deadline=None)
+@given(multigraphs(max_edges=6))
+def test_circuits_match_their_definition(g):
+    # a circuit: nullity one, and a forest once any one edge is removed
+    want = []
+    for mask in range(1 << g.edge_count):
+        x = EdgeSubset(mask, g.edge_count)
+        if rank_nullity(g, x)[1] == 1 and all(
+            rank_nullity(g, EdgeSubset(mask & ~(1 << e), g.edge_count))[1] == 0
+            for e in x.members()
+        ):
+            want.append(x)
+    assert circuits(g) == want
 
 
 def test_arc_respects_flips():

@@ -7,6 +7,9 @@ strong-components edge classification is compared with a reachability
 search per edge, `is_edge_cyclic`.
 """
 
+import itertools
+import time
+
 import pytest
 
 from tfpoly import orientations
@@ -15,6 +18,7 @@ from tfpoly.graph import (
     MultiGraph,
     Orientation,
     bonds,
+    circuits,
     is_acyclic,
     is_edge_cyclic,
     is_totally_cyclic,
@@ -162,3 +166,40 @@ def test_class_closure_finds_each_bond_side_once(monkeypatch):
     assert len(classes) == tutte(g).evaluate(x=1, y=1)
     assert sorted(calls) == [bond.mask for bond in bonds(g)]
     assert len(calls) == 24
+
+
+def test_class_closure_finds_circuits_once(monkeypatch):
+    calls = []
+    real = orientations.circuits
+
+    def counted(g, guard=None):
+        calls.append(g)
+        return real(g, guard)
+
+    monkeypatch.setattr(orientations, "circuits", counted)
+    # K4: 64 orientations, but the circuits of g do not depend on them
+    g = fixture("k4")
+    classes = cut_eulerian_classes_by_moves(g)
+    assert len(classes) == tutte(g).evaluate(x=1, y=1)
+    assert calls == [g]
+    assert len(circuits(g)) == 7
+
+
+def test_isolated_vertices_cost_the_class_pass_little():
+    # the strong-components passes start only at vertices with an
+    # out-arc, so 2,000 isolated vertices beside K5 add little to its
+    # 125 representatives' classification; passes that visit every
+    # vertex take about 60 times as long on the padded graph
+    k5 = tuple(itertools.combinations(range(5), 2))
+
+    def best_of_five(g):
+        times = []
+        for _ in range(5):
+            started = time.perf_counter()
+            cut_eulerian_classes(g)
+            times.append(time.perf_counter() - started)
+        return min(times)
+
+    plain = best_of_five(MultiGraph(5, k5))
+    padded = best_of_five(MultiGraph(2005, k5))
+    assert padded < 4 * plain
