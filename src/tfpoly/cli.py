@@ -1,19 +1,21 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 verification failure, 2 bad input (malformed
-graph file, guard exceeded, usage errors).
+Exit codes: 0 success (also when the reader closes stdout early), 1
+verification failure, 2 bad input (malformed graph file, guard
+exceeded, usage errors).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
 from .algebra import MultiPoly
 from .config import GuardExceeded, VerificationError, state_guard
-from .graphio import ParseError, parse_graph_file
+from .graphio import parse_graph_file
 from .invariants import (
     chromatic_poly,
     flow_poly,
@@ -292,17 +294,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     if getattr(args, "quadrant", None) == []:
         args.quadrant = "--"
     try:
-        return _dispatch(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except GuardExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        code = _dispatch(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`| head -1`): stop quietly, with stdout
+        # pointed at the null device so that the flush at exit fails no more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    except (OSError, GuardExceeded, ValueError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except VerificationError as exc:

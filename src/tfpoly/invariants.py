@@ -11,6 +11,10 @@ Conventions used throughout:
   counts nowhere-zero (tension, flow) pairs when x, y are the group
   orders; the count depends only on the orders, not the group
   structures.
+* The brute modular pair counts (omega_value, modular_complementary_count,
+  whitney_weighted_sums) are sums over one histogram,
+  tensionflow.pair_support_histogram, which a verification run
+  computes once per graph and pair of groups.
 * For an orientation rho with bond part B and circuit part C,
   kappa_rho(G;x,y) is the product of the open window counts
       #{integer tensions: f = 0 on C, 0 < f < x on B} and
@@ -54,12 +58,10 @@ from .tensionflow import (
     FiniteAbelianGroup,
     _iter_flow_values,
     _iter_tension_values,
-    count_pairs,
     enumerate_integral_flows,
     enumerate_integral_tensions,
     integral_window_counts,
     pair_support_histogram,
-    pred_nowhere_zero,
     support_pair_counts,
 )
 
@@ -265,27 +267,17 @@ def omega_value(
     guard: int | None = None,
 ) -> int:
     """Brute count of nowhere-zero (tension over grp_a, flow over grp_b)
-    pairs; depends only on the group orders."""
-    o = Orientation.reference(g)
-    return count_pairs(g, o, grp_a, grp_b, pred_nowhere_zero, guard=guard)
+    pairs, those whose supports cover E; depends only on the group
+    orders."""
+    full = (1 << g.edge_count) - 1
+    return sum(
+        cnt
+        for (fm, gm), cnt in pair_support_histogram(g, grp_a, grp_b, guard).items()
+        if fm | gm == full
+    )
 
 
 # -- support histograms (shared brute enumerations) ---------------------------
-
-
-@memoised_in_run
-def support_histogram(
-    g: MultiGraph, p: int, q: int, guard: int | None = None
-) -> dict[tuple[int, int], int]:
-    """Counts of (supp f, supp g) mask pairs over all (tension over Z_p,
-    flow over Z_q) pairs.  Supports are orientation independent."""
-    return pair_support_histogram(
-        g,
-        Orientation.reference(g),
-        FiniteAbelianGroup.cyclic(p),
-        FiniteAbelianGroup.cyclic(q),
-        guard,
-    )
 
 
 def integral_support_histogram(
@@ -303,11 +295,10 @@ def integral_support_histogram(
 
 def modular_complementary_count(g: MultiGraph, p: int, q: int, guard: int | None = None) -> int:
     full = (1 << g.edge_count) - 1
-    return sum(
-        cnt
-        for (fm, gm), cnt in support_histogram(g, p, q, guard).items()
-        if gm == full & ~fm
+    hist = pair_support_histogram(
+        g, FiniteAbelianGroup.cyclic(p), FiniteAbelianGroup.cyclic(q), guard
     )
+    return sum(cnt for (fm, gm), cnt in hist.items() if gm == full & ~fm)
 
 
 def integral_complementary_count(
@@ -324,24 +315,16 @@ def integral_complementary_count(
 # -- interpolated one-variable families (tension and flow oracles) -----------
 
 
-def _count_nowhere_zero_tensions(g: MultiGraph, q: int, guard: int | None = None) -> int:
-    o = Orientation.reference(g)
+def _count_nowhere_zero(g: MultiGraph, q: int, tensions: bool, guard: int | None = None) -> int:
+    """Brute count of the nowhere-zero tensions (or, with tensions=False,
+    flows) over Z_q."""
+    values_of = _iter_tension_values if tensions else _iter_flow_values
     grp = FiniteAbelianGroup.cyclic(q)
-    total = 0
-    for values in _iter_tension_values(g, o, grp, guard):
-        if all(any(v) for v in values):
-            total += 1
-    return total
-
-
-def _count_nowhere_zero_flows(g: MultiGraph, q: int, guard: int | None = None) -> int:
-    o = Orientation.reference(g)
-    grp = FiniteAbelianGroup.cyclic(q)
-    total = 0
-    for values in _iter_flow_values(g, o, grp, guard):
-        if all(any(v) for v in values):
-            total += 1
-    return total
+    return sum(
+        1
+        for values in values_of(g, Orientation.reference(g), grp, guard)
+        if all(any(v) for v in values)
+    )
 
 
 def tension_poly_by_enumeration(
@@ -350,7 +333,7 @@ def tension_poly_by_enumeration(
     """Nowhere-zero tension polynomial interpolated from brute counts over
     Z_q; the oracle for `tension_poly`."""
     r, _ = rank_nullity(g)
-    samples = [(q, _count_nowhere_zero_tensions(g, q, guard)) for q in range(1, r + 4)]
+    samples = [(q, _count_nowhere_zero(g, q, True, guard)) for q in range(1, r + 4)]
     return interpolate_univariate(samples, r, var)
 
 
@@ -360,7 +343,7 @@ def flow_poly_by_enumeration(
     """Nowhere-zero flow polynomial interpolated from brute counts over
     Z_q; the oracle for `flow_poly`."""
     _, n = rank_nullity(g)
-    samples = [(q, _count_nowhere_zero_flows(g, q, guard)) for q in range(1, n + 4)]
+    samples = [(q, _count_nowhere_zero(g, q, False, guard)) for q in range(1, n + 4)]
     return interpolate_univariate(samples, n, var)
 
 
@@ -646,7 +629,9 @@ def whitney_weighted_sums(g: MultiGraph, p: int, q: int, guard: int | None = Non
     * (-1)^r times the sum of (-1)^|supp g| over complementary pairs,
       which reproduces it at (-p, -q).
     """
-    hist = support_histogram(g, p, q, guard)
+    hist = pair_support_histogram(
+        g, FiniteAbelianGroup.cyclic(p), FiniteAbelianGroup.cyclic(q), guard
+    )
     m = g.edge_count
     full = (1 << m) - 1
     r, _ = rank_nullity(g)

@@ -32,6 +32,12 @@ Each extension is bijective, so the counts above are exact.  The same
 table decides `is_tension` (zero sum around every fundamental circuit)
 and gives the bases of `lattice_index`: the fundamental bond of a forest
 edge is the unit tension there.
+
+Every brute count of modular (tension, flow) pairs is a sum over one
+histogram, `pair_support_histogram`: the number of pairs with each
+(supp f, supp g).  Supports do not depend on the orientation, so it is
+keyed on the graph and the two groups alone, and a verification run
+enumerates each such pair of groups once.
 """
 
 from __future__ import annotations
@@ -39,9 +45,9 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
-from .algebra import MultiPoly, smith_normal_form
+from .algebra import smith_normal_form
 from .config import check_state_space, memoised_in_run
 from .graph import EdgeSubset, MultiGraph, Orientation, arc, spanning_forest
 
@@ -695,29 +701,7 @@ def _iter_integral(
             levels.pop()
 
 
-# -- weighted pair counting ---------------------------------------------------
-
-# predicates receive (supp f mask, supp g mask, full mask); each is named
-# by its defining support formula, because descriptive names for these
-# conditions are used inconsistently in the literature
-PairPredicate = Callable[[int, int, int], bool]
-
-
-def pred_nowhere_zero(fm: int, gm: int, full: int) -> bool:
-    """supp f union supp g = E; by pure logic the same condition as
-    "ker f contained in supp g"."""
-    return (fm | gm) == full
-
-
-def pred_complementary(fm: int, gm: int, full: int) -> bool:
-    """supp g = ker f exactly."""
-    return gm == (full & ~fm)
-
-
-def pred_disjoint_supports(fm: int, gm: int, full: int) -> bool:
-    """supp f and supp g disjoint; by pure logic the same condition as
-    "supp g contained in ker f"."""
-    return (fm & gm) == 0
+# -- support pair histogram ---------------------------------------------------
 
 
 def support_pair_counts(
@@ -741,43 +725,24 @@ def _support_mask(values: Sequence[Element]) -> int:
     return mask
 
 
+@memoised_in_run
 def pair_support_histogram(
     g: MultiGraph,
-    o: Orientation,
     grp_a: FiniteAbelianGroup,
     grp_b: FiniteAbelianGroup,
     guard: int | None = None,
 ) -> dict[tuple[int, int], int]:
     """Counts of (supp f, supp g) over all (tension f over grp_a, flow g
-    over grp_b) pairs.  The two enumerations charge |grp_a|^rank and
+    over grp_b) pairs, enumerated in the reference orientation (supports
+    do not depend on it).  The two enumerations charge |grp_a|^rank and
     |grp_b|^nullity states, and their product one state per pair of
     distinct supports."""
+    o = Orientation.reference(g)
     return support_pair_counts(
         (_support_mask(values) for values in _iter_tension_values(g, o, grp_a, guard)),
         (_support_mask(values) for values in _iter_flow_values(g, o, grp_b, guard)),
         guard,
     )
-
-
-def count_pairs(
-    g: MultiGraph,
-    o: Orientation,
-    grp_a: FiniteAbelianGroup,
-    grp_b: FiniteAbelianGroup,
-    predicate: PairPredicate,
-    weight: Callable[[int, int, int], Union[int, MultiPoly]] | None = None,
-    guard: int | None = None,
-):
-    """Sum of weight(supp f, supp g, E) over (tension f over grp_a,
-    flow g over grp_b) pairs satisfying the predicate; weight defaults
-    to 1, making this a plain count.  Exact brute enumeration.
-    """
-    full = (1 << g.edge_count) - 1
-    total: Union[int, MultiPoly] = 0
-    for (fm, gm), cnt in pair_support_histogram(g, o, grp_a, grp_b, guard).items():
-        if predicate(fm, gm, full):
-            total = total + cnt * (1 if weight is None else weight(fm, gm, full))
-    return total
 
 
 # -- lattice index --------------------------------------------------------------

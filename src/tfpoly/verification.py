@@ -7,8 +7,9 @@ exact polynomial equality; there are no tolerances anywhere.
 The identity checkers behind criteria 4, 5 and 8 (`reciprocity_check`,
 `specialization_check`, `pair_integral_identities`) live here too; each
 returns one `CheckResult` per identity, whose lines hold the failure
-details.  `CheckResult` is the only result type, and `_Collector`
-builds every one of them.
+details.  `CheckResult` is the only result type: `_identity` builds one
+from the two sides of an identity, formatting them only when they
+differ, and `_Collector` builds one per criterion.
 
 The criteria are grouped into named suites for the command line
 ``verify`` subcommand; the full list runs in well under a minute.
@@ -59,7 +60,6 @@ from .invariants import (
     PSI_KINDS,
     psi_by_orientations,
     psi_family,
-    support_histogram,
     whitney_weighted_sums,
     tension_poly,
     tension_poly_by_enumeration,
@@ -84,6 +84,7 @@ from .tensionflow import (
     enumerate_integral_flows,
     enumerate_integral_tensions,
     lattice_index,
+    pair_support_histogram,
 )
 
 
@@ -111,11 +112,16 @@ class _Collector:
         return CheckResult(name, self.passed, tuple(self.bad) + tuple(extra))
 
 
-def _identity(name: str, ok: bool, *details: str) -> CheckResult:
-    """One identity's result; its details are kept only when it fails."""
-    col = _Collector()
-    col.expect(ok, *details)
-    return col.result(name)
+def _identity(
+    name: str, lhs, rhs, labels: tuple[str, str] | None = ("lhs", "rhs")
+) -> CheckResult:
+    """The result of the identity lhs == rhs.  Only when the sides differ
+    are they formatted, as one line each under their labels (no lines
+    when labels is None)."""
+    if lhs == rhs:
+        return CheckResult(name, True)
+    lines = () if labels is None else (f"{labels[0]}={lhs}", f"{labels[1]}={rhs}")
+    return CheckResult(name, False, lines)
 
 
 def _failure_line(check: CheckResult) -> str:
@@ -241,37 +247,21 @@ def reciprocity_check(g: MultiGraph, guard: int | None = None) -> list[CheckResu
         lhs = open_poly.negate_vars(["x", "y"])
         via_z = sn * closed_poly.negate_vars(["z"])
         via_w = sr * closed_poly.negate_vars(["w"])
-        checks.append(
-            _identity(
-                f"{which}(-x,-y,z,w) = (-1)^n {bar}(x,y,-z,w)",
-                lhs == via_z,
-                f"lhs={lhs}",
-                f"rhs={via_z}",
-            )
-        )
-        checks.append(
-            _identity(
-                f"{which}(-x,-y,z,w) = (-1)^r {bar}(x,y,z,-w)",
-                lhs == via_w,
-                f"lhs={lhs}",
-                f"rhs={via_w}",
-            )
-        )
-    per_orientation_ok = True
+        checks.append(_identity(f"{which}(-x,-y,z,w) = (-1)^n {bar}(x,y,-z,w)", lhs, via_z))
+        checks.append(_identity(f"{which}(-x,-y,z,w) = (-1)^r {bar}(x,y,z,-w)", lhs, via_w))
     witness: tuple[str, ...] = ()
     for o, _, c_size, open_kappa, closed_kappa in orientation_sums(g, guard)[1]:
         sign = -1 if (r + c_size) & 1 else 1
         lhs = open_kappa.negate_vars(["x", "y"])
         rhs = sign * closed_kappa
         if lhs != rhs:
-            per_orientation_ok = False
             witness = (f"flips={o.flips}", f"lhs={lhs}", f"rhs={rhs}")
             break
     checks.append(
-        _identity(
+        CheckResult(
             "kappa(-x,-y) = (-1)^(r+|C|) kappa_closed(x,y) for every orientation",
-            per_orientation_ok,
-            *witness,
+            not witness,
+            witness,
         )
     )
     return checks
@@ -293,53 +283,38 @@ def specialization_check(g: MultiGraph, guard: int | None = None) -> list[CheckR
 
     tz = integral_tension_poly(g, "x", guard)
     fz = integral_flow_poly(g, "y", guard)
+    at_10 = {"z": 1, "w": 0}
+    at_01 = {"z": 0, "w": 1}
+    at_00 = {"z": 0, "w": 0}
+    got_want = ("got", "want")
     checks.append(
         _identity(
             "psi_z(x,y,1,0) = integral tension polynomial",
-            psi_z.substitute({"z": 1, "w": 0}) == tz,
-            f"got={psi_z.substitute({'z': 1, 'w': 0})}",
-            f"want={tz}",
+            psi_z.substitute(at_10),
+            tz,
+            got_want,
         )
     )
     checks.append(
         _identity(
-            "psi_z(x,y,0,1) = integral flow polynomial",
-            psi_z.substitute({"z": 0, "w": 1}) == fz,
-            f"got={psi_z.substitute({'z': 0, 'w': 1})}",
-            f"want={fz}",
+            "psi_z(x,y,0,1) = integral flow polynomial", psi_z.substitute(at_01), fz, got_want
         )
     )
     # with no edges both sums are the empty product 1, not 0
     origin = MultiPoly.const(1) if g.edge_count == 0 else MultiPoly.zero(())
     checks.append(
-        _identity(
-            "psi_z(x,y,0,0) = 0 (1 when edgeless)",
-            psi_z.substitute({"z": 0, "w": 0}) == origin,
-        )
+        _identity("psi_z(x,y,0,0) = 0 (1 when edgeless)", psi_z.substitute(at_00), origin, None)
     )
     tm = tension_poly(g, "x", guard)
     fm = flow_poly(g, "y", guard)
     checks.append(
-        _identity(
-            "psi(x,y,1,0) = tension polynomial",
-            psi_m.substitute({"z": 1, "w": 0}) == tm,
-            f"got={psi_m.substitute({'z': 1, 'w': 0})}",
-            f"want={tm}",
-        )
+        _identity("psi(x,y,1,0) = tension polynomial", psi_m.substitute(at_10), tm, got_want)
     )
     checks.append(
-        _identity(
-            "psi(x,y,0,1) = flow polynomial",
-            psi_m.substitute({"z": 0, "w": 1}) == fm,
-            f"got={psi_m.substitute({'z': 0, 'w': 1})}",
-            f"want={fm}",
-        )
+        _identity("psi(x,y,0,1) = flow polynomial", psi_m.substitute(at_01), fm, got_want)
     )
     checks.append(
-        _identity(
-            "psi(x,y,0,0) = 0 (1 when edgeless)",
-            psi_m.substitute({"z": 0, "w": 0}) == origin,
-        )
+        _identity("psi(x,y,0,0) = 0 (1 when edgeless)", psi_m.substitute(at_00), origin, None)
     )
     kz = psi_z.substitute({"z": 1, "w": 1})
     km = psi_m.substitute({"z": 1, "w": 1})
@@ -355,17 +330,17 @@ def specialization_check(g: MultiGraph, guard: int | None = None) -> list[CheckR
         if got_m != want_m:
             bad_m.append(f"({p},{q}): poly {got_m} vs count {want_m}")
     checks.append(
-        _identity(
+        CheckResult(
             "psi_z(p,q,1,1) = integer complementary pair count on the grid",
             not bad_z,
-            *bad_z,
+            tuple(bad_z),
         )
     )
     checks.append(
-        _identity(
+        CheckResult(
             "psi(p,q,1,1) = modular complementary pair count on the grid",
             not bad_m,
-            *bad_m,
+            tuple(bad_m),
         )
     )
     return checks
@@ -489,18 +464,6 @@ Z = MultiPoly.var("z")
 W = MultiPoly.var("w")
 
 
-def _omega_xy_size(table: Sequence[int], x_mask: int, y_mask: int, p: int, q: int) -> int:
-    """|T_X x F_Y|: tensions vanishing on X times flows vanishing on Y,
-    over groups of orders p and q; table is the graph's subset rank
-    table."""
-    full = len(table) - 1
-    r = table[full]
-    dim_t = r - table[x_mask]
-    comp = full & ~y_mask
-    dim_f = comp.bit_count() - table[comp]
-    return p**dim_t * q**dim_f
-
-
 def _submasks(mask: int):
     sub = mask
     while True:
@@ -539,13 +502,17 @@ def pair_integral_identities(
     m = g.edge_count
     # the subset sums below run over 3^E pairs Y inside X and 4^E pairs (Z, W)
     check_state_space(3**m + 4**m, guard, "pair integral subset sums")
-    hist = support_histogram(g, p, q, guard)
+    hist = pair_support_histogram(
+        g, FiniteAbelianGroup.cyclic(p), FiniteAbelianGroup.cyclic(q), guard
+    )
     table = subset_rank_table(g, guard)
     full = (1 << m) - 1
     r, n = rank_nullity(g)
-
-    def nu(x_mask: int, y_mask: int) -> int:
-        return _omega_xy_size(table, x_mask, y_mask, p, q)
+    # nu(X, Y) = |T_X x F_Y|, the pairs with f = 0 on X and g = 0 on Y, is
+    # tens[X] * flows[E - Y]: the tensions over Z_p vanishing on X times
+    # the flows over Z_q supported inside E - Y
+    tens = [p ** (r - rank) for rank in table]
+    flows = [q ** (mask.bit_count() - rank) for mask, rank in enumerate(table)]
 
     def mono_uv(i: int, j: int, c: int = 1) -> MultiPoly:
         return MultiPoly(("u", "v"), {(i, j): c})
@@ -564,7 +531,7 @@ def pair_integral_identities(
     for x_mask in range(1 << m):
         for y_mask in _submasks(x_mask):
             key = (y_mask.bit_count(), (x_mask & ~y_mask).bit_count())
-            acc1[key] = acc1.get(key, 0) + nu(x_mask, full & ~y_mask)
+            acc1[key] = acc1.get(key, 0) + tens[x_mask] * flows[y_mask]
     uv_pows = [uv**k for k in range(m + 1)]
     aux_pows = [aux**k for k in range(m + 1)]
     rhs1 = MultiPoly.zero(("u", "v"))
@@ -577,24 +544,25 @@ def pair_integral_identities(
     lhs_display = _hist_weighted_sum(
         hist, lambda fm, gm: fm & ~(full & ~gm) == 0, weight_uv, zero_uv
     )
-    readings.append(_identity("supp f inside ker g (disjoint supports)", lhs_display == rhs1))
+    readings.append(
+        _identity("supp f inside ker g (disjoint supports)", lhs_display, rhs1, None)
+    )
     # supp g inside ker f: same set, by contraposition
     lhs_text = _hist_weighted_sum(
         hist, lambda fm, gm: gm & ~(full & ~fm) == 0, weight_uv, zero_uv
     )
     readings.append(
-        _identity("supp g inside ker f (same set, contrapositive)", lhs_text == rhs1)
+        _identity("supp g inside ker f (same set, contrapositive)", lhs_text, rhs1, None)
     )
     lhs_swapped = _hist_weighted_sum(
         hist, lambda fm, gm: (full & ~fm) & ~gm == 0, weight_uv, zero_uv
     )
-    readings.append(_identity("ker f inside supp g (swapped)", lhs_swapped == rhs1))
+    readings.append(_identity("ker f inside supp g (swapped)", lhs_swapped, rhs1, None))
     checks.append(
         _identity(
             "disjoint-support integral of u^|ker f| v^|supp g| matches its subset formula",
-            lhs_display == rhs1,
-            f"lhs={lhs_display}",
-            f"rhs={rhs1}",
+            lhs_display,
+            rhs1,
         )
     )
 
@@ -615,9 +583,8 @@ def pair_integral_identities(
     checks.append(
         _identity(
             "complementary integral of u^|ker f| matches its subset formula",
-            lhs2 == rhs2,
-            f"lhs={lhs2}",
-            f"rhs={rhs2}",
+            lhs2,
+            rhs2,
         )
     )
 
@@ -631,9 +598,9 @@ def pair_integral_identities(
     checks.append(
         _identity(
             "signed complementary count at u=-1 equals Whitney at (-p,-q)",
-            got_int == want,
-            f"got={got_int}",
-            f"want={want}",
+            got_int,
+            want,
+            ("got", "want"),
         )
     )
 
@@ -653,9 +620,8 @@ def pair_integral_identities(
     checks.append(
         _identity(
             "complementary integral of z^|supp f| w^|supp g| matches its subset formula",
-            lhs3 == rhs3,
-            f"lhs={lhs3}",
-            f"rhs={rhs3}",
+            lhs3,
+            rhs3,
         )
     )
 
@@ -678,7 +644,7 @@ def pair_integral_identities(
                 (z_mask & ~w_mask).bit_count(),
                 w_mask.bit_count(),
             )
-            acc4[key] = acc4.get(key, 0) + sign * nu(z_mask, full & ~w_mask)
+            acc4[key] = acc4.get(key, 0) + sign * tens[z_mask] * flows[w_mask]
     rhs4 = MultiPoly.zero(("u", "v"))
     for (a, b, c, d), coeff in sorted(acc4.items()):
         if coeff:
@@ -689,9 +655,8 @@ def pair_integral_identities(
     checks.append(
         _identity(
             "covering integral of u^|ker f| v^|supp g| matches its double subset formula",
-            lhs4 == rhs4,
-            f"lhs={lhs4}",
-            f"rhs={rhs4}",
+            lhs4,
+            rhs4,
         )
     )
 
@@ -701,13 +666,13 @@ def pair_integral_identities(
     alt = 0
     for z_mask in range(1 << m):
         sign = -1 if z_mask.bit_count() & 1 else 1
-        alt += sign * nu(z_mask, z_mask)
+        alt += sign * tens[z_mask] * flows[full & ~z_mask]
     checks.append(
         _identity(
             "nowhere-zero pair count equals the alternating subgroup-size sum",
-            nwz == alt,
-            f"count={nwz}",
-            f"sum={alt}",
+            nwz,
+            alt,
+            ("count", "sum"),
         )
     )
 
@@ -717,9 +682,9 @@ def pair_integral_identities(
     checks.append(
         _identity(
             "disjoint-support weight 2^(|ker f|-|supp g|) equals Whitney at (p,q)",
-            disjoint_sum == want_r,
-            f"got={disjoint_sum}",
-            f"want={want_r}",
+            disjoint_sum,
+            want_r,
+            ("got", "want"),
         )
     )
 
@@ -737,15 +702,14 @@ def pair_integral_identities(
     rhs5 = MultiPoly.zero(("u",))
     for x_mask in range(1 << m):
         rhs5 = rhs5 + MultiPoly(
-            ("u",), {(x_mask.bit_count(),): nu(x_mask, full & ~x_mask)}
+            ("u",), {(x_mask.bit_count(),): tens[x_mask] * flows[x_mask]}
         )
     checks.append(
         _identity(
             "disjoint-support weight u^|supp g| (u+1)^(|ker f|-|supp g|) "
             "collapses to the diagonal subgroup sum",
-            lhs5 == rhs5,
-            f"lhs={lhs5}",
-            f"rhs={rhs5}",
+            lhs5,
+            rhs5,
         )
     )
 

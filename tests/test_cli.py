@@ -3,11 +3,15 @@
 import argparse
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 
 import pytest
 
+import tfpoly
 from tfpoly import cli, invariants, verification
 from tfpoly.algebra import MultiPoly
 from tfpoly.config import GuardExceeded
@@ -551,3 +555,23 @@ def test_main_builds_only_the_requested_subparser(graph_file, capsys, monkeypatc
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
     assert main([*flags, "tutte", graph_file("k3")]) == 0
     assert calls == built
+
+
+def test_a_reader_that_closes_early_ends_the_command_quietly(tmp_path):
+    # K6 has 1,296 orientation classes, one line each: far more than a
+    # pipe holds, so the command is still writing when the reader leaves
+    path = tmp_path / "k6.graph"
+    path.write_text(format_graph(MultiGraph(6, tuple(itertools.combinations(range(6), 2)))))
+    src = os.path.dirname(os.path.dirname(tfpoly.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tfpoly", "classify-orientations", str(path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert json.loads(proc.stdout.readline())["size"] > 0
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (0, b"")

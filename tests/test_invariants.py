@@ -32,7 +32,6 @@ from tfpoly.invariants import (
     psi_by_orientations,
     psi_family,
     whitney_weighted_sums,
-    support_histogram,
     tension_poly,
     tension_poly_by_enumeration,
     tutte,
@@ -41,7 +40,7 @@ from tfpoly.invariants import (
     whitney_by_subsets,
 )
 from tfpoly.orientations import cut_eulerian_classes
-from tfpoly.tensionflow import FiniteAbelianGroup
+from tfpoly.tensionflow import FiniteAbelianGroup, pair_support_histogram
 from tfpoly.verification import (
     pair_integral_identities,
     reciprocity_check,
@@ -264,7 +263,9 @@ def _kappa_twice_in_one_run(g):
         _kappa_twice_in_one_run,
         lambda g: integral_tension_poly(g, "y"),
         lambda g: integral_flow_poly(g, "y"),
-        lambda g: support_histogram(g, 3, 3),
+        lambda g: pair_support_histogram(
+            g, FiniteAbelianGroup.cyclic(3), FiniteAbelianGroup.cyclic(3)
+        ),
         lambda g: integral_support_histogram(g, 3, 3),
         cut_eulerian_classes,
         subset_rank_table,
@@ -274,7 +275,7 @@ def _kappa_twice_in_one_run(g):
         "kappa_rho_in_one_run",
         "integral_tension_poly",
         "integral_flow_poly",
-        "support_histogram",
+        "pair_support_histogram",
         "integral_support_histogram",
         "cut_eulerian_classes",
         "subset_rank_table",

@@ -7,7 +7,13 @@ from tfpoly import config, invariants, tensionflow, verification
 from tfpoly.config import GuardExceeded, run_scope
 from tfpoly.fixtures import fixture
 from tfpoly.graph import Orientation
-from tfpoly.invariants import kappa_rho
+from tfpoly.invariants import (
+    kappa_rho,
+    modular_complementary_count,
+    omega_value,
+    whitney_weighted_sums,
+)
+from tfpoly.tensionflow import FiniteAbelianGroup
 from tfpoly.verification import run_criteria
 
 
@@ -39,6 +45,25 @@ def test_a_run_computes_each_result_once(kappa_spy):
     with run_scope():
         assert kappa_rho(g, o, "open") == kappa_rho(g, o, "open")
     assert len(kappa_spy) == 1
+
+
+def test_a_run_enumerates_the_pairs_of_two_groups_once(monkeypatch):
+    # criteria 1, 5, 7 and 8 all read the (Z_p, Z_q) support histogram
+    enumerated = []
+    real = tensionflow._iter_tension_values
+
+    def spy(g, o, grp, guard=None):
+        enumerated.append(grp)
+        return real(g, o, grp, guard)
+
+    monkeypatch.setattr(tensionflow, "_iter_tension_values", spy)
+    g = fixture("k4")
+    z2, z3 = FiniteAbelianGroup.cyclic(2), FiniteAbelianGroup.cyclic(3)
+    with run_scope():
+        omega_value(g, z2, z3)
+        modular_complementary_count(g, 2, 3)
+        whitney_weighted_sums(g, 2, 3)
+    assert enumerated == [z2]
 
 
 def _memo_watcher(monkeypatch, num):

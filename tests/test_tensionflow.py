@@ -8,14 +8,13 @@ from graph_strategies import multigraphs
 from tfpoly.config import GuardExceeded
 from tfpoly.fixtures import fixture, fixture_names
 from tfpoly.graph import EdgeSubset, MultiGraph, Orientation, rank_nullity
-from tfpoly.invariants import tutte
+from tfpoly.invariants import omega_value, tutte
 from tfpoly.orientations import classify_edges
 from tfpoly.tensionflow import (
     INTEGRAL_MODES,
     FiniteAbelianGroup,
     boundary,
     coboundary,
-    count_pairs,
     enumerate_flows,
     enumerate_integral_flows,
     enumerate_integral_tensions,
@@ -24,9 +23,6 @@ from tfpoly.tensionflow import (
     is_flow,
     is_tension,
     lattice_index,
-    pred_complementary,
-    pred_disjoint_supports,
-    pred_nowhere_zero,
     support_pair_counts,
 )
 
@@ -117,33 +113,7 @@ def test_tension_flow_orthogonality(name, n):
 def test_count_depends_on_order_not_structure():
     for name in ("k3", "digon", "k3_loop"):
         g = fixture(name)
-        o = Orientation.reference(g)
-        a = count_pairs(g, o, Z4, Z4, pred_nowhere_zero)
-        b = count_pairs(g, o, KLEIN, KLEIN, pred_nowhere_zero)
-        assert a == b
-
-
-def test_count_pairs_weight():
-    g = fixture("edge")
-    o = Orientation.reference(g)
-    total = count_pairs(
-        g, o, Z3, Z3, lambda fm, gm, full: True, lambda fm, gm, full: 10 + fm
-    )
-    # f in {0,1,2}, g forced to 0; support mask is 1 for the two nonzero f
-    assert total == 10 + 11 + 11
-
-
-# -- predicates ---------------------------------------------------------------
-
-
-def test_predicates():
-    full = 0b111
-    assert pred_nowhere_zero(0b101, 0b011, full)
-    assert not pred_nowhere_zero(0b001, 0b011, full)
-    assert pred_disjoint_supports(0b100, 0b011, full)
-    assert not pred_disjoint_supports(0b110, 0b011, full)
-    assert pred_complementary(0b100, 0b011, full)
-    assert not pred_complementary(0b100, 0b001, full)
+        assert omega_value(g, Z4, Z4) == omega_value(g, KLEIN, KLEIN)
 
 
 # -- integral windows -------------------------------------------------------------
@@ -266,10 +236,8 @@ def test_window_counts_charge_the_walked_box():
 
 
 def test_guard_stops_huge_enumerations():
-    g = fixture("k4")
-    o = Orientation.reference(g)
     with pytest.raises(GuardExceeded):
-        count_pairs(g, o, Z4, Z4, pred_nowhere_zero, guard=10)
+        omega_value(fixture("k4"), Z4, Z4, guard=10)
 
 
 def test_support_product_charges_distinct_support_pairs():
