@@ -50,19 +50,21 @@ def _add_common(p: argparse.ArgumentParser, top: bool) -> None:
 def _tutte_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--route",
-        choices=("checked", "recursion", "shift"),
-        default="recursion",
-        help="deletion-contraction (the default), the corank-nullity "
-        "subset expansion shifted to x - 1, y - 1, or both compared (checked)",
+        choices=("checked", "frontier", "recursion", "shift"),
+        default="frontier",
+        help="the frontier sum of the corank-nullity polynomial shifted to "
+        "x - 1, y - 1 (the default), deletion-contraction, the subset "
+        "expansion shifted the same way, or frontier and shift compared (checked)",
     )
 
 
 def _omega_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--via",
-        choices=("expansion", "arrangement", "brute"),
-        default="expansion",
-        help="signed subset expansion, arrangement characteristic "
+        choices=("frontier", "expansion", "arrangement", "brute"),
+        default="frontier",
+        help="frontier sum of the signed subset expansion (the default), the "
+        "same expansion over all 2^E subsets, arrangement characteristic "
         "polynomial, or brute pair count (brute needs --p and --q)",
     )
     p.add_argument("--p", type=int, default=None, help="tension group order")

@@ -1,10 +1,11 @@
 """The state guard and shared error types.
 
 Every exponential loop in this package (enumerations of tensions, flows
-and pairs, scans over edge subsets and orientations, the Tutte
-recursion, finite arrangement closures) charges the work it will do, in
-states computed from its input, against one guard and refuses to start
-when the charge crosses it.  The guard is a deliberate speed bump, not
+and pairs, scans over edge subsets and orientations, finite arrangement
+closures) charges the work it will do, in states computed from its
+input, against one guard and refuses to start when the charge crosses
+it.  The Tutte recursion and the frontier sums charge their states as
+they make them, and stop when the sum crosses it.  The guard is a deliberate speed bump, not
 a hard limit: callers can pass a larger one explicitly, and the
 environment variable ``TFPOLY_GUARD`` overrides the default.
 

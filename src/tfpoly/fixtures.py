@@ -6,6 +6,8 @@ stays well under the state-space guard on these.
 
 from __future__ import annotations
 
+import itertools
+
 from .graph import MultiGraph
 from .graphio import parse_graph_text
 
@@ -47,3 +49,16 @@ def fixture(name: str) -> MultiGraph:
 
 def all_fixtures() -> list[tuple[str, MultiGraph]]:
     return [(name, fixture(name)) for name in fixture_names()]
+
+
+def small_ladder() -> list[tuple[str, MultiGraph]]:
+    """K3,3, the prism (two triangles joined by a perfect matching) and
+    the wheel W5 (hub 0, rim 1..5): 9, 9 and 10 edges, larger than any
+    fixture and still small enough for the 2^E subset oracles."""
+    k33 = MultiGraph(6, tuple((i, 3 + j) for i, j in itertools.product(range(3), repeat=2)))
+    prism = MultiGraph(
+        6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5))
+    )
+    spokes = tuple((0, i) for i in range(1, 6))
+    w5 = MultiGraph(6, spokes + tuple((i, i % 5 + 1) for i in range(1, 6)))
+    return [("k33", k33), ("prism", prism), ("w5", w5)]

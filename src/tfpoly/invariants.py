@@ -11,6 +11,14 @@ Conventions used throughout:
   counts nowhere-zero (tension, flow) pairs when x, y are the group
   orders; the count depends only on the orders, not the group
   structures.
+* Both sums are computed edge by edge over frontier partitions
+  (`frontier.whitney_terms`, `frontier.omega_terms`).  R gives T by a
+  binomial shift in integers, the tension polynomial as
+  (-1)^r R(-t,-1), the flow polynomial as (-1)^n R(-1,-t), and the
+  values of `tutte_value` with no polynomial built.  The
+  deletion-contraction recursion and the sums over all 2^E subsets
+  are kept as the oracles of `verify` and behind their explicit route
+  names.
 * The brute modular pair counts (omega_value, modular_complementary_count,
   whitney_weighted_sums) are sums over one histogram,
   tensionflow.pair_support_histogram, which a verification run
@@ -42,8 +50,11 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+from math import comb
+
 from .algebra import MultiPoly, interpolate_univariate
 from .config import VerificationError, check_state_space, memoised_in_run, state_guard
+from .frontier import omega_terms, whitney_terms
 from .graph import (
     EdgeSubset,
     MultiGraph,
@@ -191,10 +202,28 @@ def whitney_by_subsets(g: MultiGraph, guard: int | None = None) -> MultiPoly:
     return MultiPoly(("x", "y"), terms)
 
 
-def tutte(g: MultiGraph, route: str = "recursion", guard: int | None = None) -> MultiPoly:
-    """Tutte polynomial by deletion-contraction (the default), by the
-    Whitney shift of the subset expansion, or both with an equality
-    check.  The guard bounds each route."""
+def _shifted_down(terms: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
+    """The terms of R(x - 1, y - 1) from those of R(x, y): each power
+    expanded by the binomial theorem, one variable at a time."""
+    for axis in (0, 1):
+        out: dict[tuple[int, int], int] = {}
+        for exps, c in terms.items():
+            top = exps[axis]
+            for k in range(top + 1):
+                key = (k, exps[1]) if axis == 0 else (exps[0], k)
+                step = comb(top, k) * c
+                out[key] = out.get(key, 0) + (-step if (top - k) & 1 else step)
+        terms = out
+    return terms
+
+
+def tutte(g: MultiGraph, route: str = "frontier", guard: int | None = None) -> MultiPoly:
+    """Tutte polynomial T(x, y) = R(x - 1, y - 1) from the frontier sum
+    of R (the default), by deletion-contraction, by the same shift of
+    the subset expansion, or the frontier and the shift compared
+    (checked).  The guard bounds each route."""
+    if route == "frontier":
+        return MultiPoly(("x", "y"), _shifted_down(whitney_terms(g, guard)))
     if route == "recursion":
         return _tutte_recursion(g, guard)
     if route == "shift":
@@ -202,7 +231,7 @@ def tutte(g: MultiGraph, route: str = "recursion", guard: int | None = None) -> 
     if route == "checked":
         # the subset expansion is charged up front, so it refuses first
         b = whitney_by_subsets(g, guard).substitute({"x": X - 1, "y": Y - 1})
-        a = _tutte_recursion(g, guard)
+        a = tutte(g, "frontier", guard)
         if a != b:
             raise VerificationError(
                 f"tutte routes disagree on {g.fingerprint()}: {a} vs {b}"
@@ -212,22 +241,32 @@ def tutte(g: MultiGraph, route: str = "recursion", guard: int | None = None) -> 
 
 
 def whitney(g: MultiGraph, guard: int | None = None) -> MultiPoly:
-    """Corank-nullity polynomial R(x, y) = T(x + 1, y + 1)."""
-    return _tutte_recursion(g, guard).substitute({"x": X + 1, "y": Y + 1})
+    """Corank-nullity polynomial R(x, y), from the frontier sum."""
+    return MultiPoly(("x", "y"), whitney_terms(g, guard))
+
+
+def _whitney_at_minus_one(g: MultiGraph, keep: int, var: str, guard: int | None) -> MultiPoly:
+    """R with the variable at index keep set to -t and the other to -1,
+    times (-1)^r (keep 0: the tension polynomial) or (-1)^n (keep 1:
+    the flow polynomial)."""
+    sign = rank_nullity(g)[keep]
+    terms: dict[tuple[int], int] = {}
+    for exps, c in whitney_terms(g, guard).items():
+        key = (exps[keep],)
+        terms[key] = terms.get(key, 0) + (-c if (sign + exps[0] + exps[1]) & 1 else c)
+    return MultiPoly((var,), terms)
 
 
 def tension_poly(g: MultiGraph, var: str = "t", guard: int | None = None) -> MultiPoly:
-    """Nowhere-zero tension counting polynomial (-1)^r T(1 - t, 0)."""
-    r, _ = rank_nullity(g)
-    t = MultiPoly.var(var)
-    return (-1) ** r * _tutte_recursion(g, guard).substitute({"x": 1 - t, "y": 0})
+    """Nowhere-zero tension counting polynomial (-1)^r T(1 - t, 0),
+    which is (-1)^r R(-t, -1)."""
+    return _whitney_at_minus_one(g, 0, var, guard)
 
 
 def flow_poly(g: MultiGraph, var: str = "t", guard: int | None = None) -> MultiPoly:
-    """Nowhere-zero flow counting polynomial (-1)^n T(0, 1 - t)."""
-    _, n = rank_nullity(g)
-    t = MultiPoly.var(var)
-    return (-1) ** n * _tutte_recursion(g, guard).substitute({"x": 0, "y": 1 - t})
+    """Nowhere-zero flow counting polynomial (-1)^n T(0, 1 - t), which is
+    (-1)^n R(-1, -t)."""
+    return _whitney_at_minus_one(g, 1, var, guard)
 
 
 def chromatic_poly(g: MultiGraph, var: str = "t", guard: int | None = None) -> MultiPoly:
@@ -237,10 +276,12 @@ def chromatic_poly(g: MultiGraph, var: str = "t", guard: int | None = None) -> M
     return MultiPoly.monomial((var,), (c,)) * tension_poly(g, var, guard)
 
 
-def omega(g: MultiGraph, route: str = "expansion", guard: int | None = None) -> MultiPoly:
-    """Signed subset expansion counting nowhere-zero pairs, either
-    directly or as the characteristic polynomial of the graphic
-    arrangement."""
+def omega(g: MultiGraph, route: str = "frontier", guard: int | None = None) -> MultiPoly:
+    """Signed subset expansion counting nowhere-zero pairs: by the
+    frontier sum (the default), over the 2^E subsets directly, or as the
+    characteristic polynomial of the graphic arrangement."""
+    if route == "frontier":
+        return MultiPoly(("x", "y"), omega_terms(g, guard))
     if route == "expansion":
         table = subset_rank_table(g, guard)
         m = g.edge_count
@@ -280,6 +321,7 @@ def omega_value(
 # -- support histograms (shared brute enumerations) ---------------------------
 
 
+@memoised_in_run
 def integral_support_histogram(
     g: MultiGraph, p: int, q: int, guard: int | None = None
 ) -> dict[tuple[int, int], int]:
@@ -567,12 +609,13 @@ def _check_quadrant(p: int, q: int, quadrant: str) -> None:
 def tutte_value(
     g: MultiGraph, p: int, q: int, quadrant: str = "++", guard: int | None = None
 ) -> int:
-    """T(G; +-p, +-q), the signs read from the quadrant, evaluated from
-    the Tutte polynomial; `tutte_value_triples` is its oracle."""
+    """T(G; +-p, +-q), the signs read from the quadrant: R(x - 1, y - 1)
+    summed from the frontier terms of R, with no polynomial built;
+    `tutte_value_triples` is its oracle."""
     _check_quadrant(p, q, quadrant)
-    x = p if quadrant[0] == "+" else -p
-    y = q if quadrant[1] == "+" else -q
-    return tutte(g, "recursion", guard).evaluate(x=x, y=y)
+    x = (p if quadrant[0] == "+" else -p) - 1
+    y = (q if quadrant[1] == "+" else -q) - 1
+    return sum(c * x**i * y**j for (i, j), c in whitney_terms(g, guard).items())
 
 
 def tutte_value_triples(

@@ -37,6 +37,20 @@ def test_each_suite_alone_matches_the_full_run(suite, results):
     assert run_suite(suite) == [(num, results[num]) for num in SUITES[suite]]
 
 
+def test_a_passing_run_formats_no_polynomial(monkeypatch):
+    # details are built only for a comparison that fails
+    formatted = []
+    real = MultiPoly.__str__
+
+    def spy(self):
+        formatted.append(self)
+        return real(self)
+
+    monkeypatch.setattr(MultiPoly, "__str__", spy)
+    assert all(res.passed for _, res in run_suite("all"))
+    assert formatted == []
+
+
 @pytest.mark.parametrize("num", CRITERIA)
 def test_criterion_obeys_the_guard(num):
     with pytest.raises(GuardExceeded):

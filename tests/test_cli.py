@@ -55,17 +55,51 @@ def test_tutte_default_route_reaches_k7(tmp_path, capsys):
     assert poly.evaluate(x=1, y=1) == 7**5  # Cayley: spanning trees of K7
 
 
-@pytest.mark.parametrize("command", ["tutte", "whitney", "tension", "flow", "chromatic"])
-def test_recursion_guard_refuses_grid(tmp_path, capsys, command):
+@pytest.mark.parametrize(
+    ("command", "guard", "what"),
+    [(["tutte", "--route", "recursion"], "100000", "Tutte deletion-contraction")]
+    # the frontier sum charges the 5x5 grid 38,753 states in all
+    + [([c], "10000", "Whitney frontier sum") for c in ("whitney", "tension", "flow", "chromatic")],
+    ids=["tutte", "whitney", "tension", "flow", "chromatic"],
+)
+def test_recursion_guard_refuses_grid(tmp_path, capsys, command, guard, what):
     path = tmp_path / "grid.graph"
     path.write_text(format_graph(grid(5, 5)))
     started = time.perf_counter()
-    assert main([command, "--guard", "100000", str(path)]) == 2
+    assert main([*command, "--guard", guard, str(path)]) == 2
     assert time.perf_counter() - started < 30
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: Tutte deletion-contraction needs")
-    assert "guard is 100000" in captured.err
+    assert captured.err.startswith(f"error: {what} needs")
+    assert f"guard is {guard}" in captured.err
+
+
+def test_default_route_reaches_the_6x6_grid(tmp_path, capsys):
+    # the deletion-contraction memo refused this grid at the default
+    # guard after 16 s; the frontier holds at most 132 partitions
+    path = tmp_path / "grid6.graph"
+    path.write_text(format_graph(grid(6, 6)))
+    started = time.perf_counter()
+    assert main(["--json", "tutte", str(path)]) == 0
+    assert time.perf_counter() - started < 10
+    payload = json.loads(capsys.readouterr().out)
+    poly = MultiPoly.from_json(payload["variables"], payload["poly"])
+    assert poly.evaluate(x=2, y=2) == 2**60
+    assert poly.evaluate(x=1, y=1) == 32565539635200  # spanning trees (Kirchhoff)
+
+
+def test_default_omega_reaches_k8(tmp_path, capsys):
+    # 28 edges: the 2^E subset table would need 7.5 * 10^9 states
+    path = tmp_path / "k8.graph"
+    path.write_text(format_graph(MultiGraph(8, tuple(itertools.combinations(range(8), 2)))))
+    started = time.perf_counter()
+    assert main(["--json", "omega", str(path)]) == 0
+    assert time.perf_counter() - started < 10
+    payload = json.loads(capsys.readouterr().out)
+    poly = MultiPoly.from_json(payload["variables"], payload["poly"])
+    # over a one-element flow group the tension must be nowhere zero:
+    # omega(t, 1) is K8's tension polynomial, P(K8; t) / t
+    assert [poly.evaluate(x=t, y=1) for t in (7, 8, 9)] == [0, 5040, 40320]
 
 
 def test_omega_brute_on_loop(graph_file, capsys):
@@ -186,9 +220,12 @@ def test_verify_prints_a_failing_criterion_with_its_details(monkeypatch, capsys)
         "    e2 (2,2): weighted sum 2, polynomial 1",
         "    e2 (2,2): signed sum 2, polynomial 1",
     ]
-    # two sums at nine (p, q) on each of the ten fixtures
-    assert len(lines) == 1 + 2 * 9 * len(FIXTURE_TEXTS)
-    assert all(line.startswith("    ") for line in lines[1:])
+    # two sums at nine (p, q) on each of the ten fixtures, then the
+    # suite's other criterion, which passes
+    details = 2 * 9 * len(FIXTURE_TEXTS)
+    assert len(lines) == 1 + details + 1
+    assert all(line.startswith("    ") for line in lines[1 : 1 + details])
+    assert lines[-1].startswith("PASS criterion 17:")
 
 
 def test_verify_rejects_unknown_suite(capsys):
@@ -223,7 +260,7 @@ def test_psi_scan_is_charged_in_states(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command",
     [
-        ["omega"],
+        ["omega", "--via", "expansion"],
         ["omega", "--via", "arrangement"],
         ["tutte", "--route", "shift"],
         ["psi"],
@@ -240,9 +277,19 @@ def test_env_guard_reaches_every_scan(graph_file, capsys, monkeypatch, command):
 
 
 def test_subset_table_guard_counts_states(graph_file, capsys):
-    assert main(["omega", "--guard", "5", graph_file("k4")]) == 2
+    assert main(["omega", "--via", "expansion", "--guard", "5", graph_file("k4")]) == 2
     err = capsys.readouterr().err
     assert err.strip() == "error: subset rank table needs 384 states, guard is 5"
+
+
+def test_frontier_guard_counts_states(graph_file, capsys):
+    # K4's omega frontier makes 70 states and terms in all
+    assert main(["omega", "--guard", "70", graph_file("k4")]) == 0
+    capsys.readouterr()
+    assert main(["omega", "--guard", "69", graph_file("k4")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: omega frontier sum needs 70 states, guard is 69\n"
 
 
 def test_class_key_reaches_k5_plus_two(tmp_path, capsys):

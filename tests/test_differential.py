@@ -25,7 +25,11 @@ sizes equal to a reachability search per edge on the least member.
 The subset rank table, built in one rollback union-find pass, is
 compared with a fresh union-find per subset on graphs of at most ten
 edges, and the two routes of the nowhere-zero pair polynomial, which
-both read that table, with each other on graphs of at most seven edges.
+both read that table, with each other and with the frontier sum on
+graphs of at most seven edges.  The frontier sums of the corank-nullity
+and nowhere-zero pair polynomials, and the Tutte polynomial shifted
+from the former, are compared with the subset expansions on graphs of
+at most ten edges.
 """
 
 import itertools
@@ -51,6 +55,8 @@ from tfpoly.invariants import (
     tutte,
     tutte_value,
     tutte_value_triples,
+    whitney,
+    whitney_by_subsets,
 )
 from tfpoly.orientations import cut_eulerian_classes, cut_eulerian_classes_by_moves
 from tfpoly.tensionflow import (
@@ -218,4 +224,13 @@ def test_subset_rank_table_matches_rank_nullity(g):
 @settings(max_examples=100, deadline=None)
 @given(multigraphs(max_edges=7))
 def test_omega_routes_agree(g):
-    assert omega(g, "arrangement") == omega(g, "expansion")
+    assert omega(g, "arrangement") == omega(g, "expansion") == omega(g, "frontier")
+
+
+@settings(max_examples=100, deadline=None)
+@given(multigraphs(max_edges=10))
+def test_frontier_sums_match_the_subset_expansions(g):
+    assert whitney(g) == whitney_by_subsets(g)
+    assert omega(g, "frontier") == omega(g, "expansion")
+    # T(x, y) = R(x - 1, y - 1), shifted in integers by the frontier route
+    assert tutte(g, "frontier") == tutte(g, "shift")

@@ -114,7 +114,7 @@ def test_tutte_table(name):
 @pytest.mark.parametrize("name", sorted(TUTTE))
 def test_tutte_routes_agree(name):
     g = fixture(name)
-    assert tutte(g, "recursion") == tutte(g, "shift") == tutte(g, "checked")
+    assert tutte(g, "recursion") == tutte(g, "shift") == tutte(g, "checked") == tutte(g, "frontier")
 
 
 @pytest.mark.parametrize("name", sorted(TUTTE))
@@ -194,6 +194,7 @@ def test_omega_table_and_routes(name):
     g = fixture(name)
     assert omega(g, "expansion") == OMEGA[name]
     assert omega(g, "arrangement") == OMEGA[name]
+    assert omega(g, "frontier") == OMEGA[name]
 
 
 def test_omega_rejects_unknown_route():

@@ -8,6 +8,7 @@ from tfpoly.config import GuardExceeded, run_scope
 from tfpoly.fixtures import fixture
 from tfpoly.graph import Orientation
 from tfpoly.invariants import (
+    integral_support_histogram,
     kappa_rho,
     modular_complementary_count,
     omega_value,
@@ -64,6 +65,24 @@ def test_a_run_enumerates_the_pairs_of_two_groups_once(monkeypatch):
         modular_complementary_count(g, 2, 3)
         whitney_weighted_sums(g, 2, 3)
     assert enumerated == [z2]
+
+
+def test_a_run_enumerates_each_integer_box_once(monkeypatch):
+    # criteria 5 and 10 both read the integer (p, q) support histogram
+    enumerated = []
+    real = invariants.enumerate_integral_tensions
+
+    def spy(g, o, bound, *args, **kwargs):
+        enumerated.append(bound)
+        return real(g, o, bound, *args, **kwargs)
+
+    monkeypatch.setattr(invariants, "enumerate_integral_tensions", spy)
+    g = fixture("k3")
+    with run_scope():
+        first = integral_support_histogram(g, 2, 3)
+        assert integral_support_histogram(g, 2, 3) == first
+        integral_support_histogram(g, 3, 3)
+    assert enumerated == [2, 3]
 
 
 def _memo_watcher(monkeypatch, num):
