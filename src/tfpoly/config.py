@@ -43,13 +43,15 @@ def state_guard(override: int | None = None) -> int:
     """Active state-space guard: explicit override, else env, else default.
 
     A guard below one would refuse every input, so it is a ValueError
-    that names the value and where it came from.
+    that names the value and where it came from.  An override that is
+    not an int is a TypeError, not truncated.
     """
     if override is not None:
-        guard = int(override)
-        if guard < 1:
-            raise ValueError(f"guard must be positive, not {guard}")
-        return guard
+        if not isinstance(override, int):
+            raise TypeError(f"guard must be an integer, not {override!r}")
+        if override < 1:
+            raise ValueError(f"guard must be positive, not {override}")
+        return override
     env = os.environ.get(GUARD_ENV)
     if env is None:
         return DEFAULT_STATE_GUARD

@@ -16,9 +16,9 @@ Conventions used throughout:
   binomial shift in integers, the tension polynomial as
   (-1)^r R(-t,-1), the flow polynomial as (-1)^n R(-1,-t), and the
   values of `tutte_value` with no polynomial built.  The
-  deletion-contraction recursion and the sums over all 2^E subsets
-  are kept as the oracles of `verify` and behind their explicit route
-  names.
+  deletion-contraction recursion (`_tutte_recursion`) and the sums
+  over all 2^E subsets (`whitney_by_subsets`, `omega_by_subsets`) are
+  kept as oracles, which `verify` and the tests call by name.
 * The brute modular pair counts (omega_value, modular_complementary_count,
   whitney_weighted_sums) are sums over one histogram,
   tensionflow.pair_support_histogram, which a verification run
@@ -53,7 +53,7 @@ from __future__ import annotations
 from math import comb
 
 from .algebra import MultiPoly, interpolate_univariate
-from .config import VerificationError, check_state_space, memoised_in_run, state_guard
+from .config import check_state_space, memoised_in_run, state_guard
 from .frontier import omega_terms, whitney_terms
 from .graph import (
     EdgeSubset,
@@ -191,7 +191,7 @@ def _tutte_recursion(g: MultiGraph, guard: int | None = None) -> MultiPoly:
 
 def whitney_by_subsets(g: MultiGraph, guard: int | None = None) -> MultiPoly:
     """Corank-nullity generating function summed over all edge subsets;
-    the oracle for `whitney` and the `shift` route of `tutte`."""
+    the oracle for `whitney`, and for `tutte` once shifted to x - 1, y - 1."""
     table = subset_rank_table(g, guard)
     r = table[(1 << g.edge_count) - 1]
     terms: dict[tuple[int, int], int] = {}
@@ -217,27 +217,11 @@ def _shifted_down(terms: dict[tuple[int, int], int]) -> dict[tuple[int, int], in
     return terms
 
 
-def tutte(g: MultiGraph, route: str = "frontier", guard: int | None = None) -> MultiPoly:
-    """Tutte polynomial T(x, y) = R(x - 1, y - 1) from the frontier sum
-    of R (the default), by deletion-contraction, by the same shift of
-    the subset expansion, or the frontier and the shift compared
-    (checked).  The guard bounds each route."""
-    if route == "frontier":
-        return MultiPoly(("x", "y"), _shifted_down(whitney_terms(g, guard)))
-    if route == "recursion":
-        return _tutte_recursion(g, guard)
-    if route == "shift":
-        return whitney_by_subsets(g, guard).substitute({"x": X - 1, "y": Y - 1})
-    if route == "checked":
-        # the subset expansion is charged up front, so it refuses first
-        b = whitney_by_subsets(g, guard).substitute({"x": X - 1, "y": Y - 1})
-        a = tutte(g, "frontier", guard)
-        if a != b:
-            raise VerificationError(
-                f"tutte routes disagree on {g.fingerprint()}: {a} vs {b}"
-            )
-        return a
-    raise ValueError(f"unknown route {route!r}")
+def tutte(g: MultiGraph, guard: int | None = None) -> MultiPoly:
+    """Tutte polynomial T(x, y) = R(x - 1, y - 1), from the frontier sum
+    of R shifted in integers.  Its oracles are `_tutte_recursion` and
+    `whitney_by_subsets` shifted the same way."""
+    return MultiPoly(("x", "y"), _shifted_down(whitney_terms(g, guard)))
 
 
 def whitney(g: MultiGraph, guard: int | None = None) -> MultiPoly:
@@ -276,29 +260,28 @@ def chromatic_poly(g: MultiGraph, var: str = "t", guard: int | None = None) -> M
     return MultiPoly.monomial((var,), (c,)) * tension_poly(g, var, guard)
 
 
-def omega(g: MultiGraph, route: str = "frontier", guard: int | None = None) -> MultiPoly:
-    """Signed subset expansion counting nowhere-zero pairs: by the
-    frontier sum (the default), over the 2^E subsets directly, or as the
-    characteristic polynomial of the graphic arrangement."""
-    if route == "frontier":
-        return MultiPoly(("x", "y"), omega_terms(g, guard))
-    if route == "expansion":
-        table = subset_rank_table(g, guard)
-        m = g.edge_count
-        full = (1 << m) - 1
-        r = table[full]
-        terms: dict[tuple[int, int], int] = {}
-        for mask in range(1 << m):
-            comp = full ^ mask
-            key = (r - table[mask], comp.bit_count() - table[comp])
-            sign = -1 if mask.bit_count() & 1 else 1
-            terms[key] = terms.get(key, 0) + sign
-        return MultiPoly(("x", "y"), terms)
-    if route == "arrangement":
-        from .arrangements import graphic_semilattice
+def omega(g: MultiGraph, guard: int | None = None) -> MultiPoly:
+    """Signed subset expansion counting nowhere-zero pairs, from the
+    frontier sum.  Its oracles are `omega_by_subsets` and the
+    characteristic polynomial of the graphic arrangement
+    (`arrangements.graphic_semilattice`)."""
+    return MultiPoly(("x", "y"), omega_terms(g, guard))
 
-        return graphic_semilattice(g, guard).characteristic_polynomial()
-    raise ValueError(f"unknown route {route!r}")
+
+def omega_by_subsets(g: MultiGraph, guard: int | None = None) -> MultiPoly:
+    """The signed expansion of `omega` summed over all edge subsets; the
+    oracle for `omega`."""
+    table = subset_rank_table(g, guard)
+    m = g.edge_count
+    full = (1 << m) - 1
+    r = table[full]
+    terms: dict[tuple[int, int], int] = {}
+    for mask in range(1 << m):
+        comp = full ^ mask
+        key = (r - table[mask], comp.bit_count() - table[comp])
+        sign = -1 if mask.bit_count() & 1 else 1
+        terms[key] = terms.get(key, 0) + sign
+    return MultiPoly(("x", "y"), terms)
 
 
 def omega_value(

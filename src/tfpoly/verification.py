@@ -32,6 +32,7 @@ from .arrangements import (
     complement_count,
     finite_semilattice,
     graphic_flat_dims,
+    graphic_semilattice,
     product_valuation,
     subset_flat_dims,
 )
@@ -48,6 +49,7 @@ from .graph import (
 from .invariants import (
     X,
     Y,
+    _tutte_recursion,
     chromatic_poly,
     flow_poly,
     flow_poly_by_enumeration,
@@ -57,6 +59,7 @@ from .invariants import (
     kappa_rho,
     modular_complementary_count,
     omega,
+    omega_by_subsets,
     omega_value,
     orientation_sums,
     PSI_KINDS,
@@ -65,7 +68,6 @@ from .invariants import (
     whitney_weighted_sums,
     tension_poly,
     tension_poly_by_enumeration,
-    tutte,
     tutte_value_triples,
     whitney,
     whitney_by_subsets,
@@ -139,8 +141,8 @@ def criterion_1(guard: int | None = None) -> CheckResult:
     z4 = FiniteAbelianGroup.cyclic(4)
     klein = FiniteAbelianGroup((2, 2))
     for name, g in all_fixtures():
-        via_expansion = omega(g, "expansion", guard)
-        via_arrangement = omega(g, "arrangement", guard)
+        via_expansion = omega_by_subsets(g, guard)
+        via_arrangement = graphic_semilattice(g, guard).characteristic_polynomial()
         if via_expansion != via_arrangement:
             col.expect(False, f"{name}: expansion {via_expansion} != arrangement {via_arrangement}")
         for p, q in itertools.product(range(1, 5), repeat=2):
@@ -169,14 +171,10 @@ def criterion_1(guard: int | None = None) -> CheckResult:
 def criterion_2(guard: int | None = None) -> CheckResult:
     col = _Collector()
     for name, g in all_fixtures():
-        a = tutte(g, "recursion", guard)
-        b = tutte(g, "shift", guard)
+        a = _tutte_recursion(g, guard)
+        b = whitney_by_subsets(g, guard).substitute({"x": X - 1, "y": Y - 1})
         if a != b:
             col.expect(False, f"{name}: recursion {a} != shift {b}")
-        try:
-            tutte(g, "checked", guard)
-        except VerificationError as exc:
-            col.expect(False, f"{name}: checked route raised: {exc}")
     return col.result(
         "Tutte polynomial: deletion-contraction and corank-nullity shift agree"
     )
@@ -199,7 +197,7 @@ def criterion_3(guard: int | None = None) -> CheckResult:
     col = _Collector()
     for name, g in all_fixtures():
         classes = cut_eulerian_classes(g, guard)
-        t_poly = tutte(g, "recursion", guard)
+        t_poly = _tutte_recursion(g, guard)
         t11 = t_poly.evaluate(x=1, y=1)
         forests = _maximal_forest_count(g, guard)
         index = lattice_index(g, Orientation.reference(g))
@@ -465,25 +463,31 @@ Z = MultiPoly.var("z")
 W = MultiPoly.var("w")
 
 
-def _submasks(mask: int):
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
+def _expand(acc: dict[tuple[int, ...], int], factors: Sequence[MultiPoly]) -> MultiPoly:
+    """The sum over acc of c times the product of factors[k]^key[k].
+    Entries sharing a leading exponent are summed before its power
+    multiplies them, and each power is computed once per call."""
+    powers: dict[tuple[int, int], MultiPoly] = {}
 
+    def power(k: int, e: int) -> MultiPoly:
+        if (k, e) not in powers:
+            powers[k, e] = factors[k] ** e
+        return powers[k, e]
 
-def _hist_weighted_sum(
-    hist: dict[tuple[int, int], int],
-    domain: Callable[[int, int], bool],
-    weight: Callable[[int, int], MultiPoly | int],
-    start: MultiPoly | int = 0,
-):
-    total = start
-    for (fm, gm), cnt in hist.items():
-        if domain(fm, gm):
-            total = total + cnt * weight(fm, gm)
+    groups: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+    for key, c in acc.items():
+        if c:
+            groups.setdefault(key[0], []).append((key[1:], c))
+    total = MultiPoly.zero()
+    for lead, rest in groups.items():
+        inner = MultiPoly.zero()
+        for key, c in rest:
+            term = MultiPoly.const(c)
+            for k, e in enumerate(key, 1):
+                if e:
+                    term = term * power(k, e)
+            inner = inner + term
+        total = total + power(0, lead) * inner
     return total
 
 
@@ -499,6 +503,9 @@ def pair_integral_identities(
     genuinely different swapped reading "ker f inside supp g".  Returns
     one result per identity, and one per reading, which passes when the
     reading validates against the subset formula.
+
+    Each side is tallied in integers, keyed by its exponents, and
+    expanded into a polynomial once (`_expand`).
     """
     m = g.edge_count
     # the subset sums below run over 3^E pairs Y inside X and 4^E pairs (Z, W)
@@ -515,129 +522,44 @@ def pair_integral_identities(
     tens = [p ** (r - rank) for rank in table]
     flows = [q ** (mask.bit_count() - rank) for mask, rank in enumerate(table)]
 
-    def mono_uv(i: int, j: int, c: int = 1) -> MultiPoly:
-        return MultiPoly(("u", "v"), {(i, j): c})
+    # the pairs by (|ker f|, |supp g|): with disjoint supports (supp f
+    # inside ker g, or as well supp g inside ker f: the same bit test),
+    # with covering supports (ker f inside supp g), and complementary
+    # ones, which are both and so have |supp g| = |ker f|
+    disjoint: dict[tuple[int, int], int] = {}
+    cover: dict[tuple[int, int], int] = {}
+    comp: dict[tuple[int], int] = {}
+    for (fm, gm), cnt in hist.items():
+        key = (m - fm.bit_count(), gm.bit_count())
+        if fm & gm == 0:
+            disjoint[key] = disjoint.get(key, 0) + cnt
+        if fm | gm == full:
+            cover[key] = cover.get(key, 0) + cnt
+            if fm & gm == 0:
+                comp[key[:1]] = comp.get(key[:1], 0) + cnt
 
-    checks: list[CheckResult] = []
-
-    # shared LHS weights
-    def weight_uv(fm: int, gm: int) -> MultiPoly:
-        return mono_uv((full & ~fm).bit_count(), gm.bit_count())
-
-    # RHS of the disjoint-support integral:
-    # sum over Y inside X of (uv)^|Y| (u - uv - 1)^(|X|-|Y|) nu(X, Y^c)
-    uv = U * V
-    aux = U - uv - 1
+    # sum over Y inside X of nu(X, Y^c), by (|Y|, |X - Y|)
     acc1: dict[tuple[int, int], int] = {}
     for x_mask in range(1 << m):
-        for y_mask in _submasks(x_mask):
-            key = (y_mask.bit_count(), (x_mask & ~y_mask).bit_count())
-            acc1[key] = acc1.get(key, 0) + tens[x_mask] * flows[y_mask]
-    uv_pows = [uv**k for k in range(m + 1)]
-    aux_pows = [aux**k for k in range(m + 1)]
-    rhs1 = MultiPoly.zero(("u", "v"))
-    for (i, j), coeff in sorted(acc1.items()):
-        rhs1 = rhs1 + coeff * uv_pows[i] * aux_pows[j]
-
-    readings: list[CheckResult] = []
-    zero_uv = MultiPoly.zero(("u", "v"))
-    # supp f inside ker g: fm avoids gm's support
-    lhs_display = _hist_weighted_sum(
-        hist, lambda fm, gm: fm & ~(full & ~gm) == 0, weight_uv, zero_uv
-    )
-    readings.append(
-        _identity("supp f inside ker g (disjoint supports)", lhs_display, rhs1, None)
-    )
-    # supp g inside ker f: same set, by contraposition
-    lhs_text = _hist_weighted_sum(
-        hist, lambda fm, gm: gm & ~(full & ~fm) == 0, weight_uv, zero_uv
-    )
-    readings.append(
-        _identity("supp g inside ker f (same set, contrapositive)", lhs_text, rhs1, None)
-    )
-    lhs_swapped = _hist_weighted_sum(
-        hist, lambda fm, gm: (full & ~fm) & ~gm == 0, weight_uv, zero_uv
-    )
-    readings.append(_identity("ker f inside supp g (swapped)", lhs_swapped, rhs1, None))
-    checks.append(
-        _identity(
-            "disjoint-support integral of u^|ker f| v^|supp g| matches its subset formula",
-            lhs_display,
-            rhs1,
-        )
-    )
-
-    # complementary integral of u^|ker f|:
-    # sum over Y inside X of u^|Y| (-u - 1)^(|X|-|Y|) nu(X, Y^c)
-    neg_aux = -U - 1
-    neg_aux_pows = [neg_aux**k for k in range(m + 1)]
-    u_pows = [U**k for k in range(m + 1)]
-    rhs2 = MultiPoly.zero(("u",))
-    for (i, j), coeff in sorted(acc1.items()):
-        rhs2 = rhs2 + coeff * u_pows[i] * neg_aux_pows[j]
-    lhs2 = _hist_weighted_sum(
-        hist,
-        lambda fm, gm: gm == full & ~fm,
-        lambda fm, gm: MultiPoly(("u",), {((full & ~fm).bit_count(),): 1}),
-        MultiPoly.zero(("u",)),
-    )
-    checks.append(
-        _identity(
-            "complementary integral of u^|ker f| matches its subset formula",
-            lhs2,
-            rhs2,
-        )
-    )
-
-    # at u = -1 the complementary integral gives the Whitney polynomial
-    # at negated arguments, up to the sign (-1)^r
-    w_poly = whitney(g, guard)
-    want = w_poly.evaluate(x=-p, y=-q)
-    got_int = lhs2.substitute({"u": -1}).evaluate()
-    if r & 1:
-        got_int = -got_int
-    checks.append(
-        _identity(
-            "signed complementary count at u=-1 equals Whitney at (-p,-q)",
-            got_int,
-            want,
-            ("got", "want"),
-        )
-    )
-
-    # weighted complementary integral of z^|supp f| w^|supp g|:
-    # sum over Y inside X of z^(|E|-|X|) w^|Y| (-z - w)^(|X|-|Y|) nu(X, Y^c)
-    zw = -Z - W
-    zw_pows = [zw**k for k in range(m + 1)]
-    rhs3 = MultiPoly.zero(("z", "w"))
-    for (i, j), coeff in sorted(acc1.items()):
-        rhs3 = rhs3 + coeff * MultiPoly(("z", "w"), {(m - i - j, i): 1}) * zw_pows[j]
-    lhs3 = _hist_weighted_sum(
-        hist,
-        lambda fm, gm: gm == full & ~fm,
-        lambda fm, gm: MultiPoly(("z", "w"), {(fm.bit_count(), gm.bit_count()): 1}),
-        MultiPoly.zero(("z", "w")),
-    )
-    checks.append(
-        _identity(
-            "complementary integral of z^|supp f| w^|supp g| matches its subset formula",
-            lhs3,
-            rhs3,
-        )
-    )
-
-    # covering integral of u^|ker f| v^|supp g| over ker f inside supp g:
-    # sum over pairs (Z, W) of (-1)^|Z| v^|W| (1-u)^|Z cap W|
-    #   (1-v)^(|E|-|Z cup W|) (uv-v+1)^(|Z|-|W|... on Z minus W) nu(Z, W^c)
-    one_minus_u = 1 - U
-    one_minus_v = 1 - V
-    mix = U * V - V + 1
-    omu_pows = [one_minus_u**k for k in range(m + 1)]
-    omv_pows = [one_minus_v**k for k in range(m + 1)]
-    mix_pows = [mix**k for k in range(m + 1)]
+        sub = x_mask
+        while True:
+            key = (sub.bit_count(), (x_mask & ~sub).bit_count())
+            acc1[key] = acc1.get(key, 0) + tens[x_mask] * flows[sub]
+            if sub == 0:
+                break
+            sub = (sub - 1) & x_mask
+    # signed sum over pairs (Z, W) of nu(Z, W^c), by
+    # (|Z cap W|, |E - (Z cup W)|, |Z - W|, |W|); alongside it the
+    # alternating and the diagonal subgroup sums
     acc4: dict[tuple[int, int, int, int], int] = {}
+    alt = 0
+    diag: dict[tuple[int], int] = {}
     for z_mask in range(1 << m):
         sign = -1 if z_mask.bit_count() & 1 else 1
+        alt += sign * tens[z_mask] * flows[full & ~z_mask]
+        diag[(z_mask.bit_count(),)] = (
+            diag.get((z_mask.bit_count(),), 0) + tens[z_mask] * flows[z_mask]
+        )
         for w_mask in range(1 << m):
             key = (
                 (z_mask & w_mask).bit_count(),
@@ -646,32 +568,78 @@ def pair_integral_identities(
                 w_mask.bit_count(),
             )
             acc4[key] = acc4.get(key, 0) + sign * tens[z_mask] * flows[w_mask]
-    rhs4 = MultiPoly.zero(("u", "v"))
-    for (a, b, c, d), coeff in sorted(acc4.items()):
-        if coeff:
-            rhs4 = rhs4 + coeff * omu_pows[a] * omv_pows[b] * mix_pows[c] * mono_uv(0, d)
-    lhs4 = _hist_weighted_sum(
-        hist, lambda fm, gm: (full & ~fm) & ~gm == 0, weight_uv, zero_uv
+
+    checks: list[CheckResult] = []
+
+    # disjoint-support integral of u^|ker f| v^|supp g|:
+    # sum over Y inside X of (uv)^|Y| (u - uv - 1)^(|X|-|Y|) nu(X, Y^c)
+    lhs1 = _expand(disjoint, (U, V))
+    rhs1 = _expand(acc1, (U * V, U - U * V - 1))
+    # the covering integral below has the swapped reading's domain
+    lhs4 = _expand(cover, (U, V))
+    readings = [
+        _identity("supp f inside ker g (disjoint supports)", lhs1, rhs1, None),
+        _identity("supp g inside ker f (same set, contrapositive)", lhs1, rhs1, None),
+        _identity("ker f inside supp g (swapped)", lhs4, rhs1, None),
+    ]
+    checks.append(
+        _identity(
+            "disjoint-support integral of u^|ker f| v^|supp g| matches its subset formula",
+            lhs1,
+            rhs1,
+        )
     )
+
+    # complementary integral of u^|ker f|:
+    # sum over Y inside X of u^|Y| (-u - 1)^(|X|-|Y|) nu(X, Y^c)
+    checks.append(
+        _identity(
+            "complementary integral of u^|ker f| matches its subset formula",
+            _expand(comp, (U,)),
+            _expand(acc1, (U, -U - 1)),
+        )
+    )
+
+    # at u = -1 the complementary integral gives the Whitney polynomial
+    # at negated arguments, up to the sign (-1)^r
+    w_poly = whitney(g, guard)
+    got_int = sum(-c if (k + r) & 1 else c for (k,), c in comp.items())
+    checks.append(
+        _identity(
+            "signed complementary count at u=-1 equals Whitney at (-p,-q)",
+            got_int,
+            w_poly.evaluate(x=-p, y=-q),
+            ("got", "want"),
+        )
+    )
+
+    # weighted complementary integral of z^|supp f| w^|supp g|:
+    # sum over Y inside X of z^(|E|-|X|) w^|Y| (-z - w)^(|X|-|Y|) nu(X, Y^c)
+    checks.append(
+        _identity(
+            "complementary integral of z^|supp f| w^|supp g| matches its subset formula",
+            _expand({(m - k, k): c for (k,), c in comp.items()}, (Z, W)),
+            _expand({(m - i - j, i, j): c for (i, j), c in acc1.items()}, (Z, W, -Z - W)),
+        )
+    )
+
+    # covering integral of u^|ker f| v^|supp g| over ker f inside supp g:
+    # sum over pairs (Z, W) of (-1)^|Z| v^|W| (1-u)^|Z cap W|
+    #   (1-v)^(|E|-|Z cup W|) (uv-v+1)^(|Z|-|W|... on Z minus W) nu(Z, W^c)
     checks.append(
         _identity(
             "covering integral of u^|ker f| v^|supp g| matches its double subset formula",
             lhs4,
-            rhs4,
+            _expand(acc4, (1 - U, 1 - V, U * V - V + 1, V)),
         )
     )
 
     # nowhere-zero pair count (no edge where f and g both vanish) as an
     # alternating sum of subgroup sizes
-    nwz = _hist_weighted_sum(hist, lambda fm, gm: fm | gm == full, lambda fm, gm: 1)
-    alt = 0
-    for z_mask in range(1 << m):
-        sign = -1 if z_mask.bit_count() & 1 else 1
-        alt += sign * tens[z_mask] * flows[full & ~z_mask]
     checks.append(
         _identity(
             "nowhere-zero pair count equals the alternating subgroup-size sum",
-            nwz,
+            sum(cover.values()),
             alt,
             ("count", "sum"),
         )
@@ -679,12 +647,11 @@ def pair_integral_identities(
 
     # weight 2^(|ker f| - |supp g|) on disjoint supports gives Whitney at (p, q)
     disjoint_sum, _ = whitney_weighted_sums(g, p, q, guard)
-    want_r = w_poly.evaluate(x=p, y=q)
     checks.append(
         _identity(
             "disjoint-support weight 2^(|ker f|-|supp g|) equals Whitney at (p,q)",
             disjoint_sum,
-            want_r,
+            w_poly.evaluate(x=p, y=q),
             ("got", "want"),
         )
     )
@@ -692,25 +659,13 @@ def pair_integral_identities(
     # support-weight collapse:
     # sum over disjoint pairs of u^|supp g| (u+1)^(|ker f|-|supp g|)
     #   = sum over X of u^|X| nu(X, X^c)
-    lhs5 = _hist_weighted_sum(
-        hist,
-        lambda fm, gm: fm & gm == 0,
-        lambda fm, gm: MultiPoly(("u",), {(gm.bit_count(),): 1})
-        * (U + 1) ** ((full & ~fm) & ~gm).bit_count(),
-        MultiPoly.zero(("u",)),
-    )
-    # second index of nu is the flow-vanishing set, here X^c
-    rhs5 = MultiPoly.zero(("u",))
-    for x_mask in range(1 << m):
-        rhs5 = rhs5 + MultiPoly(
-            ("u",), {(x_mask.bit_count(),): tens[x_mask] * flows[x_mask]}
-        )
+    # (the second index of nu is the flow-vanishing set, here X^c)
     checks.append(
         _identity(
             "disjoint-support weight u^|supp g| (u+1)^(|ker f|-|supp g|) "
             "collapses to the diagonal subgroup sum",
-            lhs5,
-            rhs5,
+            _expand({(j, i - j): c for (i, j), c in disjoint.items()}, (U, U + 1)),
+            _expand(diag, (U,)),
         )
     )
 
@@ -1057,12 +1012,12 @@ def criterion_17(guard: int | None = None) -> CheckResult:
         frontier_r = whitney(g, guard)
         for what, want in (
             ("subset expansion", whitney_by_subsets(g, guard)),
-            ("recursion", tutte(g, "recursion", guard).substitute({"x": X + 1, "y": Y + 1})),
+            ("recursion", _tutte_recursion(g, guard).substitute({"x": X + 1, "y": Y + 1})),
         ):
             if frontier_r != want:
                 col.expect(False, f"{name}: frontier R {frontier_r}, {what} {want}")
-        frontier_omega = omega(g, "frontier", guard)
-        want = omega(g, "expansion", guard)
+        frontier_omega = omega(g, guard)
+        want = omega_by_subsets(g, guard)
         if frontier_omega != want:
             col.expect(False, f"{name}: frontier omega {frontier_omega}, subset expansion {want}")
     return col.result(

@@ -6,7 +6,7 @@ import pytest
 
 from tfpoly import arrangements
 from tfpoly.fixtures import fixture
-from tfpoly.invariants import omega
+from tfpoly.invariants import omega, omega_by_subsets
 from tfpoly.tensionflow import FiniteAbelianGroup
 from tfpoly.arrangements import (
     FiniteCosetProduct,
@@ -170,4 +170,4 @@ def test_arrangement_route_does_no_gaussian_elimination(monkeypatch):
 
     monkeypatch.setattr(arrangements, "rational_rank", refuse)
     g = fixture("k4")
-    assert omega(g, "arrangement") == omega(g, "expansion")
+    assert graphic_semilattice(g).characteristic_polynomial() == omega_by_subsets(g)

@@ -17,9 +17,9 @@ from tfpoly.algebra import MultiPoly
 from tfpoly.config import GuardExceeded
 from tfpoly.cli import COMMANDS, build_parser, main
 from tfpoly.fixtures import FIXTURE_TEXTS, fixture
-from tfpoly.graph import MultiGraph
+from tfpoly.graph import MultiGraph, subset_rank_table
 from tfpoly.graphio import format_graph
-from tfpoly.invariants import psi_family, tutte
+from tfpoly.invariants import _tutte_recursion, psi_family, tutte
 
 
 def grid(rows: int, cols: int) -> MultiGraph:
@@ -57,21 +57,28 @@ def test_tutte_default_route_reaches_k7(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     ("command", "guard", "what"),
-    [(["tutte", "--route", "recursion"], "100000", "Tutte deletion-contraction")]
+    # the recursion is an oracle with no command of its own: None calls it
+    [(None, "100000", "Tutte deletion-contraction")]
     # the frontier sum charges the 5x5 grid 38,753 states in all
     + [([c], "10000", "Whitney frontier sum") for c in ("whitney", "tension", "flow", "chromatic")],
     ids=["tutte", "whitney", "tension", "flow", "chromatic"],
 )
 def test_recursion_guard_refuses_grid(tmp_path, capsys, command, guard, what):
-    path = tmp_path / "grid.graph"
-    path.write_text(format_graph(grid(5, 5)))
     started = time.perf_counter()
-    assert main([*command, "--guard", guard, str(path)]) == 2
+    if command is None:
+        with pytest.raises(GuardExceeded) as refused:
+            _tutte_recursion(grid(5, 5), int(guard))
+        err = f"error: {refused.value}"
+    else:
+        path = tmp_path / "grid.graph"
+        path.write_text(format_graph(grid(5, 5)))
+        assert main([*command, "--guard", guard, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err
     assert time.perf_counter() - started < 30
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"error: {what} needs")
-    assert f"guard is {guard}" in captured.err
+    assert err.startswith(f"error: {what} needs")
+    assert f"guard is {guard}" in err
 
 
 def test_default_route_reaches_the_6x6_grid(tmp_path, capsys):
@@ -260,13 +267,11 @@ def test_psi_scan_is_charged_in_states(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command",
     [
-        ["omega", "--via", "expansion"],
         ["omega", "--via", "arrangement"],
-        ["tutte", "--route", "shift"],
         ["psi"],
         ["classify-orientations"],
     ],
-    ids=["omega", "omega-arrangement", "tutte-shift", "psi", "classify-orientations"],
+    ids=["omega-arrangement", "psi", "classify-orientations"],
 )
 def test_env_guard_reaches_every_scan(graph_file, capsys, monkeypatch, command):
     monkeypatch.setenv("TFPOLY_GUARD", "100")
@@ -276,10 +281,22 @@ def test_env_guard_reaches_every_scan(graph_file, capsys, monkeypatch, command):
     assert re.search(r"needs \d+ states, guard is 100$", captured.err)
 
 
-def test_subset_table_guard_counts_states(graph_file, capsys):
-    assert main(["omega", "--via", "expansion", "--guard", "5", graph_file("k4")]) == 2
-    err = capsys.readouterr().err
-    assert err.strip() == "error: subset rank table needs 384 states, guard is 5"
+def test_subset_table_guard_counts_states():
+    with pytest.raises(GuardExceeded) as refused:
+        subset_rank_table(fixture("k4"), 5)
+    assert str(refused.value) == "subset rank table needs 384 states, guard is 5"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["tutte", "--route", "recursion"], ["omega", "--via", "expansion"]],
+    ids=["tutte-route", "omega-expansion"],
+)
+def test_oracle_routes_are_not_commands(graph_file, capsys, command):
+    with pytest.raises(SystemExit) as exited:
+        main([*command, graph_file("k4")])
+    assert exited.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_frontier_guard_counts_states(graph_file, capsys):
@@ -533,7 +550,6 @@ def test_classify_orientations_lines(graph_file, capsys):
 # shared flags before or after the command, in every spelling main's scan skips
 SHARED_FLAGS = ([], ["--json"], ["--guard", "7"], ["--guard=7"], ["--guard", "-5"], ["--json", "--guard=7"])
 OWN_ARGS = {
-    "tutte": [[], ["--route", "shift"], ["--ro", "checked"]],
     "omega": [[], ["--via", "brute", "--p", "2", "--q", "3"], ["--vi", "arrangement"]],
     "kappa": [[], ["--integral"], ["--int"]],
     "psi": [[], ["--integral", "--dual"], ["--int", "--du"]],

@@ -24,9 +24,10 @@ sizes equal to a reachability search per edge on the least member.
 
 The subset rank table, built in one rollback union-find pass, is
 compared with a fresh union-find per subset on graphs of at most ten
-edges, and the two routes of the nowhere-zero pair polynomial, which
-both read that table, with each other and with the frontier sum on
-graphs of at most seven edges.  The frontier sums of the corank-nullity
+edges, and the two oracles of the nowhere-zero pair polynomial, the
+subset expansion and the arrangement's characteristic polynomial,
+which both read that table, with each other and with the frontier sum
+on graphs of at most seven edges.  The frontier sums of the corank-nullity
 and nowhere-zero pair polynomials, and the Tutte polynomial shifted
 from the former, are compared with the subset expansions on graphs of
 at most ten edges.
@@ -37,6 +38,7 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tfpoly.arrangements import graphic_semilattice
 from tfpoly.graph import (
     EdgeSubset,
     MultiGraph,
@@ -48,7 +50,10 @@ from tfpoly.graph import (
 )
 from tfpoly.invariants import (
     PSI_KINDS,
+    X,
+    Y,
     omega,
+    omega_by_subsets,
     QUADRANTS,
     orientation_sums,
     psi_family,
@@ -224,13 +229,14 @@ def test_subset_rank_table_matches_rank_nullity(g):
 @settings(max_examples=100, deadline=None)
 @given(multigraphs(max_edges=7))
 def test_omega_routes_agree(g):
-    assert omega(g, "arrangement") == omega(g, "expansion") == omega(g, "frontier")
+    via_arrangement = graphic_semilattice(g).characteristic_polynomial()
+    assert via_arrangement == omega_by_subsets(g) == omega(g)
 
 
 @settings(max_examples=100, deadline=None)
 @given(multigraphs(max_edges=10))
 def test_frontier_sums_match_the_subset_expansions(g):
     assert whitney(g) == whitney_by_subsets(g)
-    assert omega(g, "frontier") == omega(g, "expansion")
-    # T(x, y) = R(x - 1, y - 1), shifted in integers by the frontier route
-    assert tutte(g, "frontier") == tutte(g, "shift")
+    assert omega(g) == omega_by_subsets(g)
+    # T(x, y) = R(x - 1, y - 1), shifted in integers by `tutte`
+    assert tutte(g) == whitney_by_subsets(g).substitute({"x": X - 1, "y": Y - 1})

@@ -12,10 +12,12 @@ from fractions import Fraction
 import pytest
 
 from tfpoly.algebra import MultiPoly
+from tfpoly.arrangements import graphic_semilattice
 from tfpoly.config import DEFAULT_STATE_GUARD, GuardExceeded, run_scope, state_guard
 from tfpoly.fixtures import fixture, fixture_names
 from tfpoly.graph import MultiGraph, Orientation, components_count, subset_rank_table
 from tfpoly.invariants import (
+    _tutte_recursion,
     PSI_KINDS,
     QUADRANTS,
     chromatic_poly,
@@ -28,6 +30,7 @@ from tfpoly.invariants import (
     kappa_rho,
     modular_complementary_count,
     omega,
+    omega_by_subsets,
     omega_value,
     psi_by_orientations,
     psi_family,
@@ -114,7 +117,8 @@ def test_tutte_table(name):
 @pytest.mark.parametrize("name", sorted(TUTTE))
 def test_tutte_routes_agree(name):
     g = fixture(name)
-    assert tutte(g, "recursion") == tutte(g, "shift") == tutte(g, "checked") == tutte(g, "frontier")
+    shifted = whitney_by_subsets(g).substitute({"x": X - 1, "y": Y - 1})
+    assert _tutte_recursion(g) == shifted == tutte(g)
 
 
 @pytest.mark.parametrize("name", sorted(TUTTE))
@@ -163,7 +167,7 @@ def test_production_routes_match_oracles(name):
     assert tension_poly(g) == tension_poly_by_enumeration(g)
     assert flow_poly(g) == flow_poly_by_enumeration(g)
     assert whitney(g) == whitney_by_subsets(g)
-    assert tutte(g, "checked") == tutte(g)
+    assert tutte(g) == whitney_by_subsets(g).substitute({"x": X - 1, "y": Y - 1})
 
 
 def test_whitney_by_subsets_is_charged_in_states():
@@ -189,17 +193,20 @@ def test_recursion_guard_is_per_call():
         tension_poly(g, guard=10)
 
 
+@pytest.mark.parametrize("value", [2.9, 0.5, "3"])
+def test_guard_override_must_be_an_int(value):
+    with pytest.raises(TypeError, match=f"guard must be an integer, not {value!r}"):
+        state_guard(value)
+    with pytest.raises(TypeError):
+        tutte(fixture("k4"), guard=value)
+
+
 @pytest.mark.parametrize("name", sorted(OMEGA))
 def test_omega_table_and_routes(name):
     g = fixture(name)
-    assert omega(g, "expansion") == OMEGA[name]
-    assert omega(g, "arrangement") == OMEGA[name]
-    assert omega(g, "frontier") == OMEGA[name]
-
-
-def test_omega_rejects_unknown_route():
-    with pytest.raises(ValueError):
-        omega(fixture("k3"), "guesswork")
+    assert omega_by_subsets(g) == OMEGA[name]
+    assert graphic_semilattice(g).characteristic_polynomial() == OMEGA[name]
+    assert omega(g) == OMEGA[name]
 
 
 @pytest.mark.parametrize("name", ["k3", "digon", "loop", "k3_loop"])
