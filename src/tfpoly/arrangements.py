@@ -22,7 +22,14 @@ Two backends share one semilattice machinery:
   nowhere-zero pair-counting polynomial of the graph.
 
 Mobius values are taken against the top (the ambient space), with
-mu(top, top) = 1 and sum of mu over any upper interval zero.
+mu(top, top) = 1 and sum of mu over any upper interval zero.  Both
+backends key each flat by its member mask, the arrangement members that
+contain it (for the graphic backend, the closed edge mask): one flat
+contains another exactly when its mask is a subset of the other's.  The
+Mobius values come from one pass over the flats in mask order with one
+bitset per member and one per Mobius value, so no flat-by-flat
+containment table is built; the pass costs the comparable pairs, about
+10^6 on Petersen and K6 where a table would need F^2 > 10^8 entries.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .algebra import MultiPoly, rational_rank
-from .config import check_state_space
+from .config import check_state_space, state_guard
 from .graph import EdgeSubset, MultiGraph, Orientation, incidence_matrix, subset_rank_table
 from .tensionflow import Element, FiniteAbelianGroup
 
@@ -114,41 +121,72 @@ def ambient_product(ambient: Sequence[FiniteAbelianGroup]) -> FiniteCosetProduct
 class IntersectionPoset:
     """Finite meet-semilattice of flats ordered by containment.
 
-    elements[top] is the ambient space; leq[i][j] means element i is
-    contained in element j; weights[i] is the valuation monomial of
-    element i (a constant for the finite backend, x^a y^b for the
-    graphic backend).
+    Each flat is keyed by its member mask: the int whose bit m is set
+    when arrangement member m contains the flat.  Distinct flats have
+    distinct masks, and flat y contains flat x exactly when y's mask is
+    a subset of x's, so no containment table is kept.  The elements are
+    in increasing mask order, which puts the top (the ambient space, in
+    no member) first.  weights[i] is the valuation monomial of element
+    i as (exponents over `variables`, coefficient): a constant for the
+    finite backend, x^a y^b for the graphic backend.  mu[i] is
+    mu(element i, top), computed once when the poset is built.
     """
 
     elements: list
-    leq: list[list[bool]]
-    top: int
-    weights: list[MultiPoly]
-
-    def _mobius_values(self) -> list[int]:
-        """mu(x, top) for every element, by index, in one pass from the
-        top down: an element lies below fewer flats than anything
-        strictly under it, so taking the elements by how many flats lie
-        above them gives every mu(y) with y > x before mu(x) =
-        -sum of those mu(y)."""
-        n = len(self.elements)
-        above = [[j for j in range(n) if j != i and self.leq[i][j]] for i in range(n)]
-        mu = [0] * n
-        for i in sorted(range(n), key=lambda i: len(above[i])):
-            mu[i] = 1 if i == self.top else -sum(mu[j] for j in above[i])
-        return mu
+    variables: tuple[str, ...]
+    weights: list[tuple[tuple[int, ...], int]]
+    mu: list[int]
 
     def mobius(self, x) -> int:
         """mu(x, top) for an element or element index."""
         if not isinstance(x, int):
             x = self.elements.index(x)
-        return self._mobius_values()[x]
+        return self.mu[x]
 
     def characteristic_polynomial(self) -> MultiPoly:
-        total = MultiPoly.zero()
-        for mu, weight in zip(self._mobius_values(), self.weights):
-            total = total + mu * weight
-        return total
+        terms: dict[tuple[int, ...], int] = {}
+        for mu, (exps, coeff) in zip(self.mu, self.weights):
+            terms[exps] = terms.get(exps, 0) + mu * coeff
+        return MultiPoly(self.variables, terms)
+
+
+def _mobius_values(masks: Sequence[int], members: int, guard: int | None = None) -> list[int]:
+    """mu(x, top) for the flats with these member masks, given in
+    increasing order (so masks[0] is the top's), over `members` members.
+
+    Every flat above x has a mask inside x's, so a smaller one, and
+    comes before x.  One pass in mask order keeps, per member m, the
+    bitset without[m] of the flats seen that lack m; the flats above x
+    are the AND of without[m] over the members m outside x's mask.  It
+    also keeps one bitset per Mobius value seen, so mu(x) = -(sum of mu
+    over the flats above x) = -sum over values v of v times the
+    popcount of (above & flats with value v), with no pair visited.
+    Charges the comparable pairs as it finds them, as the flat
+    containment table.
+    """
+    limit = state_guard(guard)
+    full = (1 << members) - 1
+    without = [0] * members
+    by_value: dict[int, int] = {}
+    mu: list[int] = []
+    pairs = 0
+    for i, mask in enumerate(masks):
+        bit = 1 << i
+        above = bit - 1  # every flat seen
+        outside = full ^ mask
+        while outside:
+            low = outside & -outside
+            m = low.bit_length() - 1
+            above &= without[m]
+            without[m] |= bit
+            outside ^= low
+        pairs += above.bit_count()
+        if pairs > limit:
+            check_state_space(pairs, guard, "flat containment table")
+        value = -sum(v * (above & flats).bit_count() for v, flats in by_value.items()) if i else 1
+        mu.append(value)
+        by_value[value] = by_value.get(value, 0) | bit
+    return mu
 
 
 def finite_semilattice(
@@ -156,37 +194,40 @@ def finite_semilattice(
     members: Sequence[FiniteCosetProduct],
     guard: int | None = None,
 ) -> IntersectionPoset:
-    """Close the arrangement under intersection (dropping empties) and
-    order the flats by containment; the ambient space is the top.
-    Charges the ambient order in states."""
+    """Close the arrangement under intersection (dropping empties, which
+    cover nothing) and key each flat by the members that contain it; the
+    ambient space is the top.  A member equal to the ambient space would
+    be the top itself, leaving no trace in the semilattice though it
+    covers every point, so it is a ValueError.  Charges the ambient
+    order in states, then the comparable pairs of flats."""
     ambient = tuple(ambient)
     size = 1
     for grp in ambient:
         size *= grp.order
     check_state_space(size, guard, "finite arrangement closure")
     top = ambient_product(ambient)
-    flats: list[FiniteCosetProduct] = [top]
-    keys = {top.factors}
-    frontier = [m for m in members if not m.is_empty()]
-    for m in frontier:
-        if m.factors not in keys:
-            keys.add(m.factors)
-            flats.append(m)
-    # pairwise closure to a meet-semilattice
-    changed = True
-    while changed:
-        changed = False
-        for a, b in itertools.combinations(list(flats), 2):
-            c = a.intersect(b)
-            if c.is_empty():
-                continue
-            if c.factors not in keys:
-                keys.add(c.factors)
-                flats.append(c)
-                changed = True
-    leq = [[x.is_subset_of(y) for y in flats] for x in flats]
-    weights = [MultiPoly.const(x.size) for x in flats]
-    return IntersectionPoset(flats, leq, 0, weights)
+    for i, m in enumerate(members):
+        if m.factors == top.factors:
+            raise ValueError(f"arrangement member {i} is the whole space")
+    members = [m for m in members if not m.is_empty()]
+    # after member k the flats are the non-empty meets of members 0..k
+    flats = {top.factors: top}
+    for m in members:
+        for flat in list(flats.values()):
+            meet = flat.intersect(m)
+            if not meet.is_empty():
+                flats.setdefault(meet.factors, meet)
+    keyed = sorted(
+        (
+            (sum(1 << i for i, m in enumerate(members) if flat.is_subset_of(m)), flat)
+            for flat in flats.values()
+        ),
+        key=lambda pair: pair[0],
+    )
+    masks = [mask for mask, _ in keyed]
+    elements = [flat for _, flat in keyed]
+    weights = [((), flat.size) for flat in elements]
+    return IntersectionPoset(elements, (), weights, _mobius_values(masks, len(members), guard))
 
 
 def complement_count(
@@ -270,9 +311,14 @@ def graphic_semilattice(g: MultiGraph, guard: int | None = None) -> Intersection
     Every edge subset X determines a flat; X and Y coincide exactly
     when dims(X) = dims(Y) = dims(X union Y), so each flat is keyed by
     its closure (the largest subset with the same dims), and the flats
-    are the closed masks.  The dims come from the subset rank table, so
-    the scan charges 2^E x E states; once the F flats are known, the
-    containment table charges F^2.
+    are the closed masks.  The closed mask is also the member mask, as
+    the flat lies in edge e's member exactly when e is in it, and a
+    flat contains another exactly when its closed mask is a subset of
+    the other's; the top, the closure of the empty set, lies in every
+    closed mask and comes first.  The dims come from the subset rank
+    table, so the scan charges 2^E x E states; the Mobius pass over the
+    F flats then charges their comparable pairs (about 10^6 on Petersen
+    and K6, against F^2 > 10^8), with no containment table.
     """
     m = g.edge_count
     check_state_space((1 << m) * m, guard, "graphic flat enumeration")
@@ -283,11 +329,6 @@ def graphic_semilattice(g: MultiGraph, guard: int | None = None) -> Intersection
         for mask, d in enumerate(dims)
         if all(mask & bit or dims[mask | bit] != d for bit in bits)
     ]
-    check_state_space(len(flat_masks) ** 2, guard, "flat containment table")
-    # the top, the ambient space, is the closure of the empty set
-    top = flat_masks.index(sum(bit for bit in bits if dims[bit] == dims[0]))
-    # containment of subgroups is reverse containment of closed edge sets
-    leq = [[a | b == a for b in flat_masks] for a in flat_masks]
     elements = [EdgeSubset(mask, m) for mask in flat_masks]
-    weights = [MultiPoly(("x", "y"), {dims[mask]: 1}) for mask in flat_masks]
-    return IntersectionPoset(elements, leq, top, weights)
+    weights = [(dims[mask], 1) for mask in flat_masks]
+    return IntersectionPoset(elements, ("x", "y"), weights, _mobius_values(flat_masks, m, guard))

@@ -1,8 +1,11 @@
 """Finite coset-product arrangements and the graphic arrangement."""
 
+import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tfpoly import arrangements
 from tfpoly.fixtures import fixture
@@ -20,6 +23,8 @@ from tfpoly.arrangements import (
     subset_flat_dims,
 )
 from tfpoly.graph import EdgeSubset, MultiGraph
+
+from graph_strategies import multigraphs
 
 Z2 = FiniteAbelianGroup.cyclic(2)
 Z4 = FiniteAbelianGroup.cyclic(4)
@@ -97,6 +102,20 @@ def test_subgroup_and_intersection_with_equal_factors_are_equal():
     assert len(finite_semilattice(ambient, [evens, meet]).elements) == 2
 
 
+@pytest.mark.parametrize("with_point", [False, True], ids=["alone", "with-point"])
+def test_member_equal_to_the_whole_space_is_refused(with_point):
+    # every point lies in such a member, yet it is the top itself, so
+    # the semilattice would count the whole space (6, or 5 with a point)
+    ambient = [Z2, FiniteAbelianGroup.cyclic(3)]
+    members = [ambient_product(ambient)]
+    if with_point:
+        members.insert(0, FiniteCosetProduct.from_subgroup(ambient, [[], []], [(1,), (2,)]))
+    assert complement_count(ambient, members) == 0
+    whole = len(members) - 1
+    with pytest.raises(ValueError, match=f"^arrangement member {whole} is the whole space"):
+        finite_semilattice(ambient, members)
+
+
 def test_empty_arrangement_complement_is_everything():
     ambient = [Z4, Z2]
     assert complement_count(ambient, []) == 8
@@ -171,3 +190,67 @@ def test_arrangement_route_does_no_gaussian_elimination(monkeypatch):
     monkeypatch.setattr(arrangements, "rational_rank", refuse)
     g = fixture("k4")
     assert graphic_semilattice(g).characteristic_polynomial() == omega_by_subsets(g)
+
+
+# -- the Mobius pass against the definition --------------------------------------
+
+
+def mobius_by_definition(poset, contains):
+    """mu(x, top) for every element from an explicit containment table:
+    contains(a, b) says element a contains element b, and mu(x) is
+    minus the sum of mu over the elements strictly containing x."""
+    n = len(poset.elements)
+    table = [[contains(poset.elements[j], poset.elements[i]) for j in range(n)] for i in range(n)]
+    [top] = [i for i in range(n) if all(table[j][i] for j in range(n))]
+
+    @functools.cache
+    def mu(i):
+        return 1 if i == top else -sum(mu(j) for j in range(n) if j != i and table[i][j])
+
+    return [mu(i) for i in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraphs(max_vertices=5, max_edges=8))
+def test_graphic_mobius_pass_matches_the_definition(g):
+    poset = graphic_semilattice(g)
+    dims = subset_flat_dims(g)
+    # the flat of a contains the flat of b when meeting them changes nothing
+    oracle = mobius_by_definition(poset, lambda a, b: dims[a.mask | b.mask] == dims[b.mask])
+    assert poset.mu == oracle
+    assert poset.characteristic_polynomial() == omega_by_subsets(g)
+
+
+SMALL_GROUPS = [FiniteAbelianGroup(orders) for orders in ((2,), (3,), (4,), (2, 2), (6,))]
+
+
+@st.composite
+def finite_arrangements(draw):
+    ambient = draw(st.lists(st.sampled_from(SMALL_GROUPS), min_size=1, max_size=3))
+    top = ambient_product(ambient)
+
+    def element(grp):
+        return st.tuples(*(st.integers(0, m - 1) for m in grp.cyclic_orders))
+
+    members = []
+    for _ in range(draw(st.integers(0, 4))):
+        gens = [draw(st.lists(element(grp), max_size=2)) for grp in ambient]
+        shifts = [draw(element(grp)) for grp in ambient]
+        member = FiniteCosetProduct.from_subgroup(ambient, gens, shifts)
+        if member.factors != top.factors:
+            members.append(member)
+    return ambient, members
+
+
+@settings(max_examples=80, deadline=None)
+@given(finite_arrangements())
+def test_finite_mobius_pass_matches_the_definition(arrangement):
+    ambient, members = arrangement
+    poset = finite_semilattice(ambient, members)
+
+    def points(flat):
+        return set(itertools.product(*flat.factors))
+
+    oracle = mobius_by_definition(poset, lambda a, b: points(b) <= points(a))
+    assert poset.mu == oracle
+    assert poset.characteristic_polynomial().evaluate() == complement_count(ambient, members)

@@ -375,26 +375,42 @@ def test_classify_orientations_reaches_15_edges(tmp_path, capsys, g, count):
     assert sum(row["size"] for row in rows) == 2**15
 
 
-@pytest.mark.parametrize(
+PETERSEN_AND_K6 = pytest.mark.parametrize(
     "g",
     [petersen(), MultiGraph(6, tuple(itertools.combinations(range(6), 2)))],
     ids=["petersen", "k6"],
 )
-def test_arrangement_route_refuses_large_flat_tables_quickly(tmp_path, capsys, g):
-    # 15 edges: the 2^15 x 15 flat scan fits the default guard, but the
-    # 11,693 and 15,203 flats would need a containment table of F^2 entries
+
+
+@PETERSEN_AND_K6
+def test_arrangement_route_reaches_15_edges(tmp_path, capsys, g):
+    # 11,693 and 15,203 flats: an F^2 containment table would need over
+    # 10^8 entries, the Mobius pass meets about 10^6 comparable pairs
     path = tmp_path / "g.graph"
     path.write_text(format_graph(g))
     started = time.perf_counter()
-    assert main(["omega", "--via", "arrangement", str(path)]) == 2
-    assert time.perf_counter() - started < 2
+    assert main(["--json", "omega", "--via", "arrangement", str(path)]) == 0
+    assert time.perf_counter() - started < 10
+    via_arrangement = capsys.readouterr().out
+    assert main(["--json", "omega", str(path)]) == 0
+    assert via_arrangement == capsys.readouterr().out
+
+
+@PETERSEN_AND_K6
+def test_arrangement_route_charges_comparable_pairs(tmp_path, capsys, g):
+    # the 2^15 x 15 flat scan fits this guard, the comparable pairs do not
+    path = tmp_path / "g.graph"
+    path.write_text(format_graph(g))
+    assert main(["omega", "--via", "arrangement", "--guard", "500000", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert re.match(r"error: flat containment table needs \d+ states", captured.err)
+    assert re.match(
+        r"error: flat containment table needs \d+ states, guard is 500000$", captured.err
+    )
 
 
 def test_arrangement_route_reaches_k5(k5_file, capsys):
-    # 429 flats: the containment table fits the default guard
+    # 429 flats and 7,935 comparable pairs
     assert main(["--json", "omega", "--via", "arrangement", k5_file]) == 0
     via_arrangement = capsys.readouterr().out
     assert main(["--json", "omega", k5_file]) == 0
