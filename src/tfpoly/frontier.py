@@ -6,15 +6,23 @@ state: the partition that the chosen edges induce on the frontier, the
 vertices seen so far that still have an edge to come.  A vertex leaves
 the frontier with its last edge, so the number of states grows with the
 frontier's width, not with 2^E.  Each state carries a dict of integer
-terms keyed rank * stride + nullity, the packing the Tutte recursion
-uses.  This is the transfer matrix of Sekine, Imai and Tani, "Computing
-the Tutte polynomial of a graph of moderate size" (ISAAC 1995), and of
-Bedini and Jacobsen, J. Phys. A 43 (2010) 385001.
+terms keyed by counters packed into one int, such as rank * stride +
+nullity, the packing the Tutte recursion uses.  This is the transfer
+matrix of Sekine, Imai and Tani, "Computing the Tutte polynomial of a
+graph of moderate size" (ISAAC 1995), and of Bedini and Jacobsen,
+J. Phys. A 43 (2010) 385001.
 
 * Whitney's R(G;x,y) = sum over X of x^(r - r<X>) y^(n<X>) needs one
   partition, that of X: each edge is left out, or joins X.
 * omega(G;x,y) = sum over X of (-1)^|X| x^(r - r<X>) y^(n<E - X>) needs
   two, of X and of E - X: each edge joins one of them.
+* The modular psi(G;x,y,z,w) = sum over A within U of w^|A|
+  (-(w + z))^|U - A| z^|E - U| x^(r - r<U>) y^(n<A>) needs two nested
+  ones, of U and of A: each edge is left out of U, joins U only, or
+  joins both.  This is the convolution over cyclic flats X of
+  z^|E - X| w^|X| tau(G/X; x) phi(G|X; y) with tau and phi expanded
+  over subsets (U contains X, A lies within X) and summed over every X,
+  as tau(G/X) phi(G|X) = 0 unless X is a cyclic flat.
 
 Edge order decides the width, so the order is greedy (`edge_order`).
 Every layer of states is charged, as it is made, its states plus their
@@ -23,15 +31,17 @@ terms against the state guard, summed over the layers.
 
 from __future__ import annotations
 
+from math import comb
 from typing import Sequence
 
-from .config import check_state_space, state_guard
+from .config import check_state_space, memoised_in_run, state_guard
 from .graph import MultiGraph, rank_nullity
 
-# What an edge does in one branch of the sum: the partition it joins
-# (None: none), the key shift when it joins two blocks and when it
-# closes a cycle, and the sign it gives the terms.
-Role = tuple[int | None, int, int, int]
+# What an edge does in one branch of the sum: for each partition it
+# joins, (partition, key shift when it joins two blocks, key shift when
+# it closes a cycle); then a key shift it always adds, and the sign it
+# gives the terms.
+Role = tuple[tuple[tuple[int, int, int], ...], int, int]
 
 
 def edge_order(g: MultiGraph) -> list[int]:
@@ -134,21 +144,31 @@ def _frontier_sum(
                     m = moves[p] = _moves(p, len(fresh), pu, pv, keep)
                 moved.append(m)
             kept = tuple(m[0] for m in moved)
-            for which, join, close, sign in roles:
-                if which is None:
-                    target, shift = kept, 0
-                elif moved[which][1] is None:
-                    target, shift = kept, close
-                else:
-                    target = kept[:which] + (moved[which][1],) + kept[which + 1 :]
-                    shift = join
+            for joins, shift, sign in roles:
+                target = kept
+                for which, join, close in joins:
+                    joined = moved[which][1]
+                    if joined is None:
+                        shift += close
+                    else:
+                        target = target[:which] + (joined,) + target[which + 1 :]
+                        shift += join
                 into = nxt.get(target)
                 if into is None:
-                    nxt[target] = {k + shift: sign * c for k, c in terms.items()}
+                    if sign < 0:
+                        nxt[target] = {k + shift: -c for k, c in terms.items()}
+                    elif shift:
+                        nxt[target] = {k + shift: c for k, c in terms.items()}
+                    else:
+                        nxt[target] = terms.copy()
+                elif sign < 0:
+                    for k, c in terms.items():
+                        k += shift
+                        into[k] = into.get(k, 0) - c
                 else:
                     for k, c in terms.items():
                         k += shift
-                        into[k] = into.get(k, 0) + sign * c
+                        into[k] = into.get(k, 0) + c
         layer = nxt
         spent += len(layer) + sum(len(terms) for terms in layer.values())
         if spent > limit:
@@ -158,12 +178,15 @@ def _frontier_sum(
     return terms
 
 
+@memoised_in_run
 def whitney_terms(g: MultiGraph, guard: int | None = None) -> dict[tuple[int, int], int]:
     """The terms of Whitney's corank-nullity polynomial R(G;x,y), as
-    {(r - r<X>, n<X>): number of subsets X}."""
+    {(r - r<X>, n<X>): number of subsets X}.  Within a run scope the
+    tension, flow, chromatic, Tutte and Whitney polynomials of a graph
+    all read one dict, so no caller may change it."""
     stride = g.edge_count + 1
     r, _ = rank_nullity(g)
-    roles = ((None, 0, 0, 1), (0, stride, 1, 1))
+    roles = (((), 0, 1), (((0, stride, 1),), 0, 1))
     terms = _frontier_sum(g, 1, roles, "Whitney frontier sum", guard)
     return {(r - k // stride, k % stride): c for k, c in terms.items()}
 
@@ -173,6 +196,36 @@ def omega_terms(g: MultiGraph, guard: int | None = None) -> dict[tuple[int, int]
     count of the subsets X}; cancelled terms are dropped."""
     stride = g.edge_count + 1
     r, _ = rank_nullity(g)
-    roles = ((0, stride, 0, -1), (1, 0, 1, 1))
+    roles = ((((0, stride, 0),), 0, -1), (((1, 0, 1),), 0, 1))
     terms = _frontier_sum(g, 2, roles, "omega frontier sum", guard)
     return {(r - k // stride, k % stride): c for k, c in terms.items() if c}
+
+
+def psi_terms(g: MultiGraph, guard: int | None = None) -> dict[tuple[int, int, int, int], int]:
+    """The terms of the modular psi(G;x,y,z,w), as {(i, j, k, l):
+    coefficient of x^i y^j z^k w^l}; cancelled terms are dropped.
+
+    Partition 0 is that of U, partition 1 that of A, within U.  The key
+    packs r<U>, n<A>, |A| and |U - A|, in that order, stride E + 1;
+    (-(w + z))^|U - A| is expanded by the binomial theorem at the end.
+    """
+    m = g.edge_count
+    stride = m + 1
+    rank_step = stride**3
+    r, _ = rank_nullity(g)
+    roles = (
+        ((), 0, 1),  # out of U: z
+        (((0, rank_step, 0),), 1, 1),  # in U - A: -(w + z)
+        (((0, rank_step, 0), (1, 0, stride**2)), stride, 1),  # in A: w
+    )
+    out: dict[tuple[int, int, int, int], int] = {}
+    for key, c in _frontier_sum(g, 2, roles, "psi frontier sum", guard).items():
+        key, b = divmod(key, stride)
+        key, a = divmod(key, stride)
+        rank, nullity = divmod(key, stride)
+        if b & 1:
+            c = -c
+        for j in range(b + 1):
+            exps = (r - rank, nullity, m - a - j, a + j)
+            out[exps] = out.get(exps, 0) + comb(b, j) * c
+    return {exps: c for exps, c in out.items() if c}

@@ -37,14 +37,20 @@ Conventions used throughout:
   both signs, so the lattice-point definitions (which these sums must
   reproduce) see every loop twice.  Loopless graphs are unaffected.
   These orientation sums (psi_by_orientations) are kept as oracles.
-  psi_family computes the same polynomials as a convolution over the
-  cyclic flats X (closed sets whose restriction has no bridge, read
-  from the subset rank table of the non-loop edges):
+  The same polynomials are convolutions over the cyclic flats X
+  (closed sets whose restriction has no bridge, read from the subset
+  rank table of the non-loop edges):
       psi(x,y,z,w) = sum over X of z^|E - X| w^|X| tau(G/X; x) phi(G|X; y),
   with the tension and flow polynomials of the minors for psi and their
   integral counterparts for psi_z; a loop's nonzero integer flows with
   |g| < t number 2(t - 1), so the factor 2 per loop needs no special
-  case there.  The closed sums follow by reciprocity,
+  case there.  psi_family computes psi_z this way.  The modular psi
+  comes from one frontier sum over nested subsets A within U
+  (`frontier.psi_terms`), which is this convolution with tau and phi
+  expanded over subsets; the convolution itself (psi_by_cyclic_flats)
+  is kept as its oracle.  The integral minors' counts are not
+  Tutte-Grothendieck invariants (Kochol, JCTB 84, 2002), so psi_z has
+  no such expansion.  The closed sums follow by reciprocity,
       bar(x,y,z,w) = (-1)^n psi(-x,-y,-z,w).
 """
 
@@ -54,7 +60,7 @@ from math import comb
 
 from .algebra import MultiPoly, interpolate_univariate
 from .config import check_state_space, memoised_in_run, state_guard
-from .frontier import omega_terms, whitney_terms
+from .frontier import omega_terms, psi_terms, whitney_terms
 from .graph import (
     EdgeSubset,
     MultiGraph,
@@ -527,21 +533,29 @@ def _cyclic_flat_minors(g: MultiGraph, guard: int | None = None):
 def psi_family(
     g: MultiGraph, which: str = "psi_z", guard: int | None = None
 ) -> MultiPoly:
-    """The psi family in variables (x, y, z, w), as the convolution over
-    cyclic flats X of z^|E - X| w^|X| tau(G/X; x) phi(G|X; y).
+    """The psi family in variables (x, y, z, w).
 
-    psi takes the tension and flow polynomials of the minors, psi_z the
-    integral ones; bar_psi and bar_psi_z follow by reciprocity,
-    bar(x,y,z,w) = (-1)^n psi(-x,-y,-z,w).  The values equal the
-    orientation sums of `psi_by_orientations` (see the module
-    docstring).  The guard bounds the scan for cyclic flats and each
-    minor's polynomial.
+    psi is the frontier sum `frontier.psi_terms`; psi_z the convolution
+    over cyclic flats X of z^|E - X| w^|X| tau(G/X; x) phi(G|X; y) with
+    the integral tension and flow polynomials of the minors; bar_psi and
+    bar_psi_z follow by reciprocity, bar(x,y,z,w) = (-1)^n psi(-x,-y,-z,w).
+    The values equal the orientation sums of `psi_by_orientations` (see
+    the module docstring).  The guard bounds the frontier sum, or the
+    scan for cyclic flats and each minor's polynomial.  Within a run
+    scope each kind is computed once per graph and guard.
     """
     if which not in PSI_KINDS:
         raise ValueError(f"unknown psi kind {which!r}")
+    return _psi_kind(g, which, guard)
+
+
+@memoised_in_run
+def _psi_kind(g: MultiGraph, which: str, guard: int | None) -> MultiPoly:
+    """`psi_family` for a known kind; always called with positional
+    arguments, so that every caller shares one memo entry."""
     if which.startswith("bar_"):
         _, n = rank_nullity(g)
-        open_poly = psi_family(g, which[len("bar_"):], guard)
+        open_poly = _psi_kind(g, which[len("bar_"):], guard)
         negated = [i for i, v in enumerate(open_poly.variables) if v in ("x", "y", "z")]
         return MultiPoly(
             open_poly.variables,
@@ -550,10 +564,21 @@ def psi_family(
                 for exps, c in open_poly.terms.items()
             },
         )
-    if which == "psi_z":
-        tension, flow = integral_tension_poly, integral_flow_poly
-    else:
-        tension, flow = tension_poly, flow_poly
+    if which == "psi":
+        return MultiPoly(("x", "y", "z", "w"), psi_terms(g, guard))
+    return _cyclic_flat_convolution(g, integral_tension_poly, integral_flow_poly, guard)
+
+
+def psi_by_cyclic_flats(g: MultiGraph, guard: int | None = None) -> MultiPoly:
+    """The modular psi as the convolution over cyclic flats X of
+    z^|E - X| w^|X| tau(G/X; x) phi(G|X; y); the oracle for the
+    frontier sum of `psi_family`."""
+    return _cyclic_flat_convolution(g, tension_poly, flow_poly, guard)
+
+
+def _cyclic_flat_convolution(g: MultiGraph, tension, flow, guard: int | None) -> MultiPoly:
+    """Sum over cyclic flats X of z^|E - X| w^|X| tension(G/X; x)
+    flow(G|X; y), for the tension and flow polynomial functions given."""
     minors = list(_cyclic_flat_minors(g, guard))
     # the factors tau(G/X) and phi(G|X) of every minor, each with the
     # number of free edges of its largest counting box (the rank of G/X,

@@ -63,6 +63,7 @@ from .invariants import (
     omega_value,
     orientation_sums,
     PSI_KINDS,
+    psi_by_cyclic_flats,
     psi_by_orientations,
     psi_family,
     whitney_weighted_sums,
@@ -273,9 +274,9 @@ SPECIALIZATION_GRID = tuple((p, q) for p in (2, 3, 4) for q in (2, 3, 4))
 def specialization_check(g: MultiGraph, guard: int | None = None) -> list[CheckResult]:
     """Pin (z, w) in the orientation sums of `psi_by_orientations` and
     compare against the directly defined counting polynomials and brute
-    counts, the latter on `SPECIALIZATION_GRID`.  (In the convolution of
-    `psi_family`, psi(x,y,1,0) is the single term of the empty X, so
-    checking it there would prove nothing.)"""
+    counts, the latter on `SPECIALIZATION_GRID`.  (In the convolution
+    over cyclic flats, psi(x,y,1,0) is the single term of the empty X,
+    so checking it there would prove nothing.)"""
     checks: list[CheckResult] = []
     psi_z = psi_by_orientations(g, "psi_z", guard)
     psi_m = psi_by_orientations(g, "psi", guard)
@@ -943,7 +944,7 @@ def criterion_13(guard: int | None = None) -> CheckResult:
     )
 
 
-# -- 14: the psi convolution against the orientation sums -------------------------------
+# -- 14: the psi family against the orientation sums -----------------------------------
 
 
 def criterion_14(guard: int | None = None) -> CheckResult:
@@ -955,7 +956,8 @@ def criterion_14(guard: int | None = None) -> CheckResult:
             if got != want:
                 col.expect(False, f"{name}: {kind} {got}, orientation sum {want}")
     return col.result(
-        "psi family as a convolution over cyclic flats equals the orientation sums"
+        "psi family (frontier sum for the modular pair, convolution over cyclic flats "
+        "for the integral pair) equals the orientation sums"
     )
 
 
@@ -1026,6 +1028,21 @@ def criterion_17(guard: int | None = None) -> CheckResult:
     )
 
 
+# -- 18: the frontier psi against the convolution over cyclic flats -------------------
+
+
+def criterion_18(guard: int | None = None) -> CheckResult:
+    col = _Collector()
+    for name, g in all_fixtures() + small_ladder():
+        got = psi_family(g, "psi", guard)
+        want = psi_by_cyclic_flats(g, guard)
+        if got != want:
+            col.expect(False, f"{name}: frontier psi {got}, cyclic flat convolution {want}")
+    return col.result(
+        "frontier sum of the modular psi equals its convolution over cyclic flats"
+    )
+
+
 # -- suites -------------------------------------------------------------------------------
 
 
@@ -1047,15 +1064,16 @@ CRITERIA: dict[int, Callable[..., CheckResult]] = {
     15: criterion_15,
     16: criterion_16,
     17: criterion_17,
+    18: criterion_18,
 }
 
 SUITES: dict[str, tuple[int, ...]] = {
     "arrangement": (1, 11, 15),
     "orientation": (3, 9, 10, 16),
-    "reciprocity": (2, 4, 5, 6, 12, 13, 14),
+    "reciprocity": (2, 4, 5, 6, 12, 13, 14, 18),
     "whitney": (7, 17),
     "integrals": (8,),
-    "all": tuple(range(1, 18)),
+    "all": tuple(range(1, 19)),
 }
 
 

@@ -249,19 +249,19 @@ def test_jobs_flag_is_gone(graph_file, capsys):
 
 
 def test_psi_scan_is_charged_in_states(tmp_path, capsys):
-    # the scan over the non-loop edges charges 2^E' x E' states: 17 edges
-    # fit the default guard, 24 do not; the loop does not count
+    # psi --integral scans the subsets of the non-loop edges for cyclic
+    # flats and charges 2^E' x E' states, 2^24 x 24 here: the loop does
+    # not count.  Plain psi is a frontier sum and finishes the same graph
     path = tmp_path / "long.graph"
-    edges = tuple((i, i + 1) for i in range(17)) + ((0, 0),)
-    path.write_text(format_graph(MultiGraph(18, edges)))
-    assert main(["psi", str(path)]) == 0
-    capsys.readouterr()
-    path.write_text(format_graph(MultiGraph(25, tuple((i, i + 1) for i in range(24)))))
-    assert main(["psi", str(path)]) == 2
+    edges = tuple((i, i + 1) for i in range(24)) + ((0, 0),)
+    path.write_text(format_graph(MultiGraph(25, edges)))
+    assert main(["psi", "--integral", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: cyclic flat scan needs")
-    assert captured.err.rstrip().endswith("states, guard is 10000000")
+    assert captured.err == "error: cyclic flat scan needs 402653184 states, guard is 10000000\n"
+    assert main(["psi", str(path)]) == 0
+    x, y, z, w = (MultiPoly.var(v) for v in "xyzw")
+    assert capsys.readouterr().out == f"{(x - 1) ** 24 * z**24 * (y - 1) * w}\n"
 
 
 @pytest.mark.parametrize(
@@ -269,9 +269,10 @@ def test_psi_scan_is_charged_in_states(tmp_path, capsys):
     [
         ["omega", "--via", "arrangement"],
         ["psi"],
+        ["psi", "--integral"],
         ["classify-orientations"],
     ],
-    ids=["omega-arrangement", "psi", "classify-orientations"],
+    ids=["omega-arrangement", "psi", "psi-integral", "classify-orientations"],
 )
 def test_env_guard_reaches_every_scan(graph_file, capsys, monkeypatch, command):
     monkeypatch.setenv("TFPOLY_GUARD", "100")
@@ -307,6 +308,39 @@ def test_frontier_guard_counts_states(graph_file, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: omega frontier sum needs 70 states, guard is 69\n"
+
+
+def test_psi_frontier_guard_counts_states(graph_file, capsys):
+    # K4's psi frontier makes 174 states and terms in all; the layers
+    # made before the sum crosses a guard of 100 hold 102
+    assert main(["psi", "--guard", "174", graph_file("k4")]) == 0
+    capsys.readouterr()
+    for guard, spent in ((173, 174), (100, 102)):
+        assert main(["psi", "--guard", str(guard), graph_file("k4")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: psi frontier sum needs {spent} states, guard is {guard}\n"
+
+
+def test_psi_reaches_k7(tmp_path, capsys):
+    # 21 edges: the cyclic flat scan would need 2^21 x 21 states, over
+    # the default guard; the frontier sum does not scan
+    k7 = MultiGraph(7, tuple(itertools.combinations(range(7), 2)))
+    path = tmp_path / "k7.graph"
+    path.write_text(format_graph(k7))
+    started = time.perf_counter()
+    for command in (["psi"], ["psi", "--dual"], ["kappa"]):
+        assert main(["--json", *command, str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        if command == ["psi"]:
+            psi = MultiPoly.from_json(payload["variables"], payload["poly"])
+    assert time.perf_counter() - started < 10
+    x = MultiPoly.var("x")
+    falling = MultiPoly.const(1)
+    for k in range(1, 7):
+        falling = falling * (x - k)
+    assert psi.substitute({"z": 1, "w": 0}) == falling
+    assert psi.substitute({"z": 0, "w": 1}) == invariants.flow_poly(k7, "y")
 
 
 def test_class_key_reaches_k5_plus_two(tmp_path, capsys):

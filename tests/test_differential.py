@@ -1,13 +1,15 @@
 """Production routes against their oracles on random multigraphs.
 
-The psi convolution over cyclic flats is compared with the orientation
-sums it replaced, and the Tutte values of `tutte-values` with the
-signed orientation triples, on hypothesis-generated multigraphs with
-loops and parallel edges.  The graphs have at most six edges and a
-nullity of at most 3, which keeps the test to a few seconds: both
-routes enumerate integer flows in boxes that grow as a power of the
-nullity, and at nullity 4 the orientation sums alone take about 2.5 s
-for a triangle with doubled edges.
+The psi family is compared with the orientation sums, and the Tutte
+values of `tutte-values` with the signed orientation triples, on
+hypothesis-generated multigraphs with loops and parallel edges.  The
+graphs have at most six edges and a nullity of at most 3, which keeps
+the test to a few seconds: both routes enumerate integer flows in boxes
+that grow as a power of the nullity, and at nullity 4 the orientation
+sums alone take about 2.5 s for a triangle with doubled edges.  The
+frontier sum of the modular psi is compared with its convolution over
+cyclic flats on graphs of at most eight edges, and with the orientation
+sums on those of nullity at most 3.
 
 The tension and flow enumerators, which all extend free forest or
 co-forest values over one table of fundamental circuits, are compared
@@ -38,7 +40,9 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tfpoly.algebra import MultiPoly
 from tfpoly.arrangements import graphic_semilattice
+from tfpoly.frontier import psi_terms
 from tfpoly.graph import (
     EdgeSubset,
     MultiGraph,
@@ -56,6 +60,8 @@ from tfpoly.invariants import (
     omega_by_subsets,
     QUADRANTS,
     orientation_sums,
+    psi_by_cyclic_flats,
+    psi_by_orientations,
     psi_family,
     tutte,
     tutte_value,
@@ -124,6 +130,17 @@ def test_psi_family_matches_orientation_sums(g):
     sums = orientation_sums(g)[0]  # one walk gives all four kinds
     for kind in PSI_KINDS:
         assert psi_family(g, kind) == sums[kind], kind
+
+
+@settings(max_examples=100, deadline=None)
+@given(multigraphs(max_edges=8))
+def test_psi_frontier_matches_cyclic_flats_and_orientation_sums(g):
+    frontier_psi = MultiPoly(("x", "y", "z", "w"), psi_terms(g))
+    assert frontier_psi == psi_by_cyclic_flats(g)
+    # the orientation sums' integer flow boxes grow as a power of the
+    # nullity, which is at least 4 on eight edges and five vertices
+    if rank_nullity(g)[1] <= 3:
+        assert frontier_psi == psi_by_orientations(g, "psi")
 
 
 @settings(max_examples=40, deadline=None)

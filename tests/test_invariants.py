@@ -277,6 +277,8 @@ def _kappa_twice_in_one_run(g):
         lambda g: integral_support_histogram(g, 3, 3),
         cut_eulerian_classes,
         subset_rank_table,
+        lambda g: psi_family(g, "bar_psi"),
+        tension_poly,
     ],
     ids=[
         "kappa_rho",
@@ -287,6 +289,8 @@ def _kappa_twice_in_one_run(g):
         "integral_support_histogram",
         "cut_eulerian_classes",
         "subset_rank_table",
+        "psi_family",
+        "whitney_terms",
     ],
 )
 def test_cached_result_does_not_skip_a_smaller_env_guard(monkeypatch, compute):

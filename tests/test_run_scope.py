@@ -1,11 +1,13 @@
 """The run-scoped memo: results are kept only while a verification run
 is open, and nothing is left behind when the run ends, however it ends."""
 
+from collections import Counter
+
 import pytest
 
 from tfpoly import config, invariants, tensionflow, verification
 from tfpoly.config import GuardExceeded, run_scope
-from tfpoly.fixtures import fixture
+from tfpoly.fixtures import all_fixtures, fixture, small_ladder
 from tfpoly.graph import Orientation
 from tfpoly.invariants import (
     integral_support_histogram,
@@ -15,7 +17,7 @@ from tfpoly.invariants import (
     whitney_weighted_sums,
 )
 from tfpoly.tensionflow import FiniteAbelianGroup
-from tfpoly.verification import run_criteria
+from tfpoly.verification import run_criteria, run_suite
 
 
 @pytest.fixture
@@ -83,6 +85,36 @@ def test_a_run_enumerates_each_integer_box_once(monkeypatch):
         assert integral_support_histogram(g, 2, 3) == first
         integral_support_histogram(g, 3, 3)
     assert enumerated == [2, 3]
+
+
+def test_a_run_computes_each_psi_kind_once(monkeypatch):
+    # criterion 6 asks for psi and bar_psi with the guard by keyword,
+    # criterion 14 for all four kinds by position, criterion 18 for psi;
+    # each closed kind is its open kind reflected
+    frontier = []
+    convolutions = []
+    real_terms = invariants.psi_terms
+    real_convolution = invariants._cyclic_flat_convolution
+
+    def terms_spy(g, guard=None):
+        frontier.append(g.fingerprint())
+        return real_terms(g, guard)
+
+    def convolution_spy(g, tension, flow, guard):
+        convolutions.append((g.fingerprint(), tension.__name__))
+        return real_convolution(g, tension, flow, guard)
+
+    monkeypatch.setattr(invariants, "psi_terms", terms_spy)
+    monkeypatch.setattr(invariants, "_cyclic_flat_convolution", convolution_spy)
+    assert all(res.passed for _, res in run_suite("reciprocity"))
+    fixtures = [g.fingerprint() for _, g in all_fixtures()]
+    ladder = [g.fingerprint() for _, g in small_ladder()]
+    assert Counter(frontier) == Counter(fixtures + ladder)
+    # psi_z in production; the modular convolution as criterion 18's oracle
+    assert Counter(convolutions) == Counter(
+        [(fp, "integral_tension_poly") for fp in fixtures]
+        + [(fp, "tension_poly") for fp in fixtures + ladder]
+    )
 
 
 def _memo_watcher(monkeypatch, num):
