@@ -15,10 +15,11 @@ each coefficient is an ``int``, or a ``Fraction`` only when it is not
 integral; and each exponent tuple has one non-negative entry per
 variable.  The public constructor ``MultiPoly(variables, terms)`` is
 the only place input is validated.  Arithmetic (``+``, ``-``, ``*``,
-``**`` and ``substitute``) keeps the invariant by construction: a sum
-or product of such terms only needs its zero coefficients dropped and
-its integral Fractions turned into ints, which the private builder
-``_from_sums`` does without re-checking anything else.
+``**``, ``substitute`` and ``negate_vars``) keeps the invariant by
+construction: a sum or product of such terms only needs its zero
+coefficients dropped and its integral Fractions turned into ints, which
+the private builder ``_from_sums`` does without re-checking anything
+else.  ``substitute`` is the one place a polynomial is composed.
 """
 
 from __future__ import annotations
@@ -204,12 +205,7 @@ class MultiPoly:
         if not self.variables:
             return _scaled(other, self.terms.get((), 0))
         variables, a, b = self._aligned(other)
-        sums: dict[tuple[int, ...], Coeff] = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(map(add, e1, e2))
-                sums[e] = sums.get(e, 0) + c1 * c2
-        return _from_sums(variables, sums)
+        return _from_sums(variables, _product(a, b))
 
     __rmul__ = __mul__
 
@@ -228,36 +224,45 @@ class MultiPoly:
 
     # -- substitution and evaluation ----------------------------------
 
-    def substitute(self, mapping: Mapping[str, Union["MultiPoly", int]]) -> "MultiPoly":
-        """Replace each named variable by a polynomial or integer.
+    def substitute(self, mapping: Mapping[str, Union["MultiPoly", Coeff]]) -> "MultiPoly":
+        """Replace each named variable by a polynomial or number, all at
+        once, so {"x": y, "y": x} swaps x and y.
 
         Names that are not variables of this polynomial are ignored, so
         a family member that degenerated to fewer variables can still be
-        fed the family-wide substitution.
+        fed the family-wide substitution.  The work stays on term dicts:
+        each replacement is lined up with the result's variables once,
+        and each of its powers is computed once, on first use.
         """
-        factors: list[MultiPoly] = []
-        for name in self.variables:
-            if name in mapping:
-                factors.append(self._coerce(mapping[name]))
-            else:
-                factors.append(MultiPoly.var(name))
-        # each power of each factor is computed once, on first use
-        powers: list[dict[int, MultiPoly]] = [{} for _ in factors]
-        total = MultiPoly.zero()
+        bases = [
+            self._coerce(mapping[name]) if name in mapping else MultiPoly.var(name)
+            for name in self.variables
+        ]
+        variables = tuple(sorted({v for b in bases for v in b.variables}, key=_var_key))
+        one = (0,) * len(variables)
+        # powers[k][e] holds the terms of bases[k]^e
+        powers = [[{one: 1}, _remap(b, variables)] for b in bases]
+        sums: dict[tuple[int, ...], Coeff] = {}
         for exps, coeff in self.terms.items():
-            term = MultiPoly.const(coeff)
-            for base, done, e in zip(factors, powers, exps):
+            term = {one: coeff}
+            for done, e in zip(powers, exps):
                 if e:
-                    power = done.get(e)
-                    if power is None:
-                        power = done[e] = base**e
-                    term = term * power
-            total = total + term
-        return total
+                    while len(done) <= e:
+                        done.append(_product(done[-1], done[1]))
+                    term = _product(term, done[e])
+            for e, c in term.items():
+                sums[e] = sums.get(e, 0) + c
+        return _from_sums(variables, sums)
 
     def negate_vars(self, names: Iterable[str]) -> "MultiPoly":
-        """Substitute v -> -v for each named variable."""
-        return self.substitute({n: -MultiPoly.var(n) for n in names})
+        """Substitute v -> -v for each named variable: a term changes
+        sign when its exponents in those variables have an odd sum."""
+        names = set(names)
+        flip = [i for i, v in enumerate(self.variables) if v in names]
+        return _from_sums(
+            self.variables,
+            {e: -c if sum([e[i] for i in flip]) & 1 else c for e, c in self.terms.items()},
+        )
 
     def evaluate(self, **values: int) -> Coeff:
         """Evaluate at integer arguments; extra names are ignored, but a
@@ -369,6 +374,17 @@ def _from_sums(variables: tuple[str, ...], sums: Mapping[tuple[int, ...], Coeff]
         },
     )
     return poly
+
+
+def _product(a: Mapping[tuple[int, ...], Coeff], b: Mapping[tuple[int, ...], Coeff]) -> dict:
+    """The sums of the product of two term dicts over the same
+    variables; a zero sum is kept for `_from_sums` to drop."""
+    sums: dict[tuple[int, ...], Coeff] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            sums[e] = sums.get(e, 0) + c1 * c2
+    return sums
 
 
 def _scalar(value) -> Coeff:

@@ -207,8 +207,22 @@ def psi_terms(g: MultiGraph, guard: int | None = None) -> dict[tuple[int, int, i
 
     Partition 0 is that of U, partition 1 that of A, within U.  The key
     packs r<U>, n<A>, |A| and |U - A|, in that order, stride E + 1;
-    (-(w + z))^|U - A| is expanded by the binomial theorem at the end.
+    (-(w + z))^|U - A| is expanded by the binomial theorem at the end,
+    in integers rather than by `MultiPoly.substitute`, as the step runs
+    on every key of the sum.  A loop adds z - (w + z) + wy = w(y - 1)
+    over its three roles, so the loops are factored out: the sum runs
+    on the rest, and its terms are multiplied by (w(y - 1))^L.
     """
+    loops = len(g.loop_ids())
+    if loops:
+        rest = MultiGraph(g.vertex_count, tuple(g.edges[e] for e in g.non_loop_ids()))
+        out: dict[tuple[int, int, int, int], int] = {}
+        for exps, c in psi_terms(rest, guard).items():
+            for y in range(loops + 1):
+                step = comb(loops, y) * c
+                key = (exps[0], exps[1] + y, exps[2], exps[3] + loops)
+                out[key] = out.get(key, 0) + (-step if (loops - y) & 1 else step)
+        return {exps: c for exps, c in out.items() if c}
     m = g.edge_count
     stride = m + 1
     rank_step = stride**3
@@ -218,7 +232,7 @@ def psi_terms(g: MultiGraph, guard: int | None = None) -> dict[tuple[int, int, i
         (((0, rank_step, 0),), 1, 1),  # in U - A: -(w + z)
         (((0, rank_step, 0), (1, 0, stride**2)), stride, 1),  # in A: w
     )
-    out: dict[tuple[int, int, int, int], int] = {}
+    out = {}
     for key, c in _frontier_sum(g, 2, roles, "psi frontier sum", guard).items():
         key, b = divmod(key, stride)
         key, a = divmod(key, stride)

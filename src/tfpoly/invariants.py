@@ -210,7 +210,8 @@ def whitney_by_subsets(g: MultiGraph, guard: int | None = None) -> MultiPoly:
 
 def _shifted_down(terms: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
     """The terms of R(x - 1, y - 1) from those of R(x, y): each power
-    expanded by the binomial theorem, one variable at a time."""
+    expanded by the binomial theorem, one variable at a time.  Kept in
+    integers, not `MultiPoly.substitute`, as `tutte` is on the hot path."""
     for axis in (0, 1):
         out: dict[tuple[int, int], int] = {}
         for exps, c in terms.items():
@@ -238,7 +239,8 @@ def whitney(g: MultiGraph, guard: int | None = None) -> MultiPoly:
 def _whitney_at_minus_one(g: MultiGraph, keep: int, var: str, guard: int | None) -> MultiPoly:
     """R with the variable at index keep set to -t and the other to -1,
     times (-1)^r (keep 0: the tension polynomial) or (-1)^n (keep 1:
-    the flow polynomial)."""
+    the flow polynomial).  A sign per Whitney term, not
+    `MultiPoly.substitute`, as these polynomials are on the hot path."""
     sign = rank_nullity(g)[keep]
     terms: dict[tuple[int], int] = {}
     for exps, c in whitney_terms(g, guard).items():
@@ -435,8 +437,8 @@ def _kappa(
 ) -> MultiPoly:
     """`kappa_rho` from o's bond part b and circuit part c."""
     r, n = rank_nullity(g)
-    t_counts = integral_window_counts(g, o, True, r + 3, mode, b, c, guard)
-    f_counts = integral_window_counts(g, o, False, n + 3, mode, c, b, guard)
+    t_counts = integral_window_counts(g, o, True, r + 3, mode, b, guard)
+    f_counts = integral_window_counts(g, o, False, n + 3, mode, c, guard)
     # a single orientation's window counts need not have integer
     # coefficients (the transitive triangle gives (x-1)(x-2)/2); the
     # denominators cancel in any sum over a full orientation class
@@ -556,14 +558,7 @@ def _psi_kind(g: MultiGraph, which: str, guard: int | None) -> MultiPoly:
     if which.startswith("bar_"):
         _, n = rank_nullity(g)
         open_poly = _psi_kind(g, which[len("bar_"):], guard)
-        negated = [i for i, v in enumerate(open_poly.variables) if v in ("x", "y", "z")]
-        return MultiPoly(
-            open_poly.variables,
-            {
-                exps: -c if (n + sum(exps[i] for i in negated)) & 1 else c
-                for exps, c in open_poly.terms.items()
-            },
-        )
+        return (-1) ** n * open_poly.negate_vars(("x", "y", "z"))
     if which == "psi":
         return MultiPoly(("x", "y", "z", "w"), psi_terms(g, guard))
     return _cyclic_flat_convolution(g, integral_tension_poly, integral_flow_poly, guard)
@@ -651,11 +646,11 @@ def tutte_value_triples(
             tens = integral_window_counts(g, o, True, p - 1, "closed", full, guard=guard)[-1]
         else:
             # 0 < f <= p on B is the open window at bound p + 1
-            tens = integral_window_counts(g, o, True, p + 1, "open", b, c, guard)[-1]
+            tens = integral_window_counts(g, o, True, p + 1, "open", b, guard)[-1]
         if quadrant[1] == "+":
             flows = integral_window_counts(g, o, False, q - 1, "closed", full, guard=guard)[-1]
         else:
-            flows = integral_window_counts(g, o, False, q + 1, "open", c, b, guard)[-1]
+            flows = integral_window_counts(g, o, False, q + 1, "open", c, guard)[-1]
         sign = 1
         if quadrant == "-+":
             rc, _ = rank_nullity(g, c)

@@ -383,30 +383,12 @@ def _window_candidates(mode: str, bound: int, in_window: bool) -> list[int]:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _resolve_window(
-    g: MultiGraph, window: EdgeSubset | None, zero_set: EdgeSubset | None
-) -> EdgeSubset:
-    width = g.edge_count
-    if window is None and zero_set is None:
-        return EdgeSubset.full(width)
-    if window is None:
-        window = zero_set.complement()
-    elif zero_set is None:
-        zero_set = window.complement()
-    if window.intersection(zero_set).mask:
-        raise ValueError("window and zero set overlap")
-    if window.union(zero_set).mask != (1 << width) - 1:
-        raise ValueError("window and zero set do not cover all edges")
-    return window
-
-
 def enumerate_integral_tensions(
     g: MultiGraph,
     o: Orientation,
     bound: int,
     mode: str = "strict_support",
     window: EdgeSubset | None = None,
-    zero_set: EdgeSubset | None = None,
     guard: int | None = None,
 ) -> Iterator[IntegerEdgeFunction]:
     """Integer tensions with windowed values.
@@ -421,7 +403,7 @@ def enumerate_integral_tensions(
     fundamental circuits, and filters the co-forest values against their
     windows.
     """
-    yield from _integral_functions(g, o, True, bound, mode, window, zero_set, guard)
+    yield from _integral_functions(g, o, True, bound, mode, window, guard)
 
 
 def enumerate_integral_flows(
@@ -430,7 +412,6 @@ def enumerate_integral_flows(
     bound: int,
     mode: str = "strict_support",
     window: EdgeSubset | None = None,
-    zero_set: EdgeSubset | None = None,
     guard: int | None = None,
 ) -> Iterator[IntegerEdgeFunction]:
     """Integer flows with windowed values; see enumerate_integral_tensions.
@@ -438,7 +419,7 @@ def enumerate_integral_flows(
     Enumerates window values on co-forest edges, extends over the
     fundamental circuit matrix, and filters forest values.
     """
-    yield from _integral_functions(g, o, False, bound, mode, window, zero_set, guard)
+    yield from _integral_functions(g, o, False, bound, mode, window, guard)
 
 
 def integral_window_counts(
@@ -448,7 +429,6 @@ def integral_window_counts(
     top: int,
     mode: str = "strict_support",
     window: EdgeSubset | None = None,
-    zero_set: EdgeSubset | None = None,
     guard: int | None = None,
 ) -> list[int]:
     """How many functions `enumerate_integral_tensions` (or, with
@@ -467,7 +447,7 @@ def integral_window_counts(
     first value with those with a negative one and fixes none, so only
     the positive half is walked.  The guard is charged the walked box.
     """
-    window = _resolve_window(g, window, zero_set)
+    window = EdgeSubset.full(g.edge_count) if window is None else window
     shift = 1 if mode != "closed" and window.mask else 0
     counts = [0] * (top + 1)
     walk = _integral_walk(g, o, tensions, top, mode, window, guard, counting=True)
@@ -600,10 +580,9 @@ def _integral_functions(
     bound: int,
     mode: str,
     window: EdgeSubset | None,
-    zero_set: EdgeSubset | None,
     guard: int | None,
 ) -> Iterator[IntegerEdgeFunction]:
-    window = _resolve_window(g, window, zero_set)
+    window = EdgeSubset.full(g.edge_count) if window is None else window
     free, dependent, _ = _coordinates(g, o, tensions)
     place = _placement(free, dependent)
     for vals in _iter_integral(g, o, tensions, bound, mode, window, guard):

@@ -377,18 +377,8 @@ def _direct_window_count(
     mode: str,
     guard: int | None,
 ) -> tuple[int, int]:
-    tens = sum(
-        1
-        for _ in enumerate_integral_tensions(
-            g, o, bound_t, mode, window=b, zero_set=c, guard=guard
-        )
-    )
-    flows = sum(
-        1
-        for _ in enumerate_integral_flows(
-            g, o, bound_f, mode, window=c, zero_set=b, guard=guard
-        )
-    )
+    tens = sum(1 for _ in enumerate_integral_tensions(g, o, bound_t, mode, b, guard))
+    flows = sum(1 for _ in enumerate_integral_flows(g, o, bound_f, mode, c, guard))
     return tens, flows
 
 
@@ -464,34 +454,6 @@ Z = MultiPoly.var("z")
 W = MultiPoly.var("w")
 
 
-def _expand(acc: dict[tuple[int, ...], int], factors: Sequence[MultiPoly]) -> MultiPoly:
-    """The sum over acc of c times the product of factors[k]^key[k].
-    Entries sharing a leading exponent are summed before its power
-    multiplies them, and each power is computed once per call."""
-    powers: dict[tuple[int, int], MultiPoly] = {}
-
-    def power(k: int, e: int) -> MultiPoly:
-        if (k, e) not in powers:
-            powers[k, e] = factors[k] ** e
-        return powers[k, e]
-
-    groups: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-    for key, c in acc.items():
-        if c:
-            groups.setdefault(key[0], []).append((key[1:], c))
-    total = MultiPoly.zero()
-    for lead, rest in groups.items():
-        inner = MultiPoly.zero()
-        for key, c in rest:
-            term = MultiPoly.const(c)
-            for k, e in enumerate(key, 1):
-                if e:
-                    term = term * power(k, e)
-            inner = inner + term
-        total = total + power(0, lead) * inner
-    return total
-
-
 def pair_integral_identities(
     g: MultiGraph, p: int, q: int, guard: int | None = None
 ) -> tuple[list[CheckResult], list[CheckResult]]:
@@ -505,8 +467,9 @@ def pair_integral_identities(
     one result per identity, and one per reading, which passes when the
     reading validates against the subset formula.
 
-    Each side is tallied in integers, keyed by its exponents, and
-    expanded into a polynomial once (`_expand`).
+    Each side is tallied in integers, keyed by its exponents, and made
+    a polynomial once: directly when each exponent is that of a bare
+    variable, else by one `MultiPoly.substitute`.
     """
     m = g.edge_count
     # the subset sums below run over 3^E pairs Y inside X and 4^E pairs (Z, W)
@@ -574,10 +537,10 @@ def pair_integral_identities(
 
     # disjoint-support integral of u^|ker f| v^|supp g|:
     # sum over Y inside X of (uv)^|Y| (u - uv - 1)^(|X|-|Y|) nu(X, Y^c)
-    lhs1 = _expand(disjoint, (U, V))
-    rhs1 = _expand(acc1, (U * V, U - U * V - 1))
+    lhs1 = MultiPoly(("u", "v"), disjoint)
+    rhs1 = MultiPoly(("u", "v"), acc1).substitute({"u": U * V, "v": U - U * V - 1})
     # the covering integral below has the swapped reading's domain
-    lhs4 = _expand(cover, (U, V))
+    lhs4 = MultiPoly(("u", "v"), cover)
     readings = [
         _identity("supp f inside ker g (disjoint supports)", lhs1, rhs1, None),
         _identity("supp g inside ker f (same set, contrapositive)", lhs1, rhs1, None),
@@ -596,8 +559,8 @@ def pair_integral_identities(
     checks.append(
         _identity(
             "complementary integral of u^|ker f| matches its subset formula",
-            _expand(comp, (U,)),
-            _expand(acc1, (U, -U - 1)),
+            MultiPoly(("u",), comp),
+            MultiPoly(("u", "v"), acc1).substitute({"v": -U - 1}),
         )
     )
 
@@ -619,8 +582,10 @@ def pair_integral_identities(
     checks.append(
         _identity(
             "complementary integral of z^|supp f| w^|supp g| matches its subset formula",
-            _expand({(m - k, k): c for (k,), c in comp.items()}, (Z, W)),
-            _expand({(m - i - j, i, j): c for (i, j), c in acc1.items()}, (Z, W, -Z - W)),
+            MultiPoly(("z", "w"), {(m - k, k): c for (k,), c in comp.items()}),
+            MultiPoly(
+                ("z", "w", "s"), {(m - i - j, i, j): c for (i, j), c in acc1.items()}
+            ).substitute({"s": -Z - W}),
         )
     )
 
@@ -631,7 +596,9 @@ def pair_integral_identities(
         _identity(
             "covering integral of u^|ker f| v^|supp g| matches its double subset formula",
             lhs4,
-            _expand(acc4, (1 - U, 1 - V, U * V - V + 1, V)),
+            MultiPoly(("a", "b", "c", "v"), acc4).substitute(
+                {"a": 1 - U, "b": 1 - V, "c": U * V - V + 1}
+            ),
         )
     )
 
@@ -665,8 +632,10 @@ def pair_integral_identities(
         _identity(
             "disjoint-support weight u^|supp g| (u+1)^(|ker f|-|supp g|) "
             "collapses to the diagonal subgroup sum",
-            _expand({(j, i - j): c for (i, j), c in disjoint.items()}, (U, U + 1)),
-            _expand(diag, (U,)),
+            MultiPoly(("u", "s"), {(j, i - j): c for (i, j), c in disjoint.items()}).substitute(
+                {"s": U + 1}
+            ),
+            MultiPoly(("u",), diag),
         )
     )
 

@@ -165,6 +165,7 @@ def test_arithmetic_results_keep_the_term_invariant(a, b, k, f, n):
         a**n,
         a.substitute({"x": b, "y": -1}),
         a.substitute({"z": f, "x": 2 * X}),
+        a.negate_vars(["x", "z"]),
     ]
     for r in results:
         assert_canonical(r)
@@ -189,6 +190,42 @@ def test_substitute_pins_and_ignores():
 def test_substitute_polynomial_composition():
     p = X**2 + 1
     assert p.substitute({"x": Y + 1}) == Y**2 + 2 * Y + 2
+
+
+def _value(p, point):
+    """p at exact (int or Fraction) values, summed term by term."""
+    total = 0
+    for exps, coeff in p.terms.items():
+        for name, e in zip(p.variables, exps):
+            coeff *= point[name] ** e
+        total += coeff
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    small_polys(),
+    small_polys() | st.integers(-3, 3) | SMALL_FRACTIONS,
+    small_polys() | st.integers(-3, 3) | SMALL_FRACTIONS,
+    st.tuples(*(st.integers(-3, 3) for _ in "xyz")),
+)
+def test_substitute_composes(a, b, c, values):
+    point = dict(zip("xyz", values))
+
+    def at(p):
+        return _value(p, point) if isinstance(p, MultiPoly) else p
+
+    # all at once: a y inside b is the old y, not c, and an x inside c is not b
+    inner = {**point, "x": at(b), "y": at(c)}
+    assert _value(a.substitute({"x": b, "y": c}), point) == _value(a, inner)
+    swapped = {**point, "x": point["y"], "y": point["x"]}
+    assert _value(a.substitute({"x": Y, "y": X}), point) == _value(a, swapped)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_polys(), st.sets(st.sampled_from("xyzw")))
+def test_negate_vars_substitutes_minus_each_variable(a, names):
+    assert a.negate_vars(names) == a.substitute({v: -MultiPoly.var(v) for v in names})
 
 
 def test_negate_vars():

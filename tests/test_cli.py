@@ -322,6 +322,18 @@ def test_psi_frontier_guard_counts_states(graph_file, capsys):
         assert captured.err == f"error: psi frontier sum needs {spent} states, guard is {guard}\n"
 
 
+def test_psi_factors_out_loops(tmp_path, capsys):
+    # each loop is the factor w(y - 1), so 8 loops at one vertex make no
+    # frontier state at all; summed over their roles they made 126
+    path = tmp_path / "loops.graph"
+    path.write_text(format_graph(MultiGraph(1, ((0, 0),) * 8)))
+    assert main(["psi", "--guard", "100", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "y^8*w^8 - 8*y^7*w^8 + 28*y^6*w^8 - 56*y^5*w^8 + 70*y^4*w^8"
+        " - 56*y^3*w^8 + 28*y^2*w^8 - 8*y*w^8 + w^8\n"
+    )
+
+
 def test_psi_reaches_k7(tmp_path, capsys):
     # 21 edges: the cyclic flat scan would need 2^21 x 21 states, over
     # the default guard; the frontier sum does not scan

@@ -135,13 +135,8 @@ def test_strict_support_counts():
 def test_open_window_with_zero_set():
     g = fixture("k3")
     o = Orientation.reference(g)  # acyclic: positive tensions exist
-    full, empty = EdgeSubset.full(3), EdgeSubset.empty(3)
-    count = sum(
-        1
-        for _ in enumerate_integral_tensions(
-            g, o, 4, "open", window=full, zero_set=empty
-        )
-    )
+    full = EdgeSubset.full(3)
+    count = sum(1 for _ in enumerate_integral_tensions(g, o, 4, "open", window=full))
     assert count == (4 - 1) * (4 - 2) // 2  # one orientation's share of 3(q-1)(q-2)
 
 
@@ -192,21 +187,21 @@ def test_window_counts_match_enumeration_at_every_bound(g, data, mode, tensions,
     o = Orientation.for_graph(g, [flip and e not in loops for e, flip in enumerate(flips)])
     b, c = classify_edges(g, o)
     drawn = data.draw(st.lists(st.booleans(), min_size=width, max_size=width))
-    window, zero_set = data.draw(
+    window = data.draw(
         st.sampled_from(
             [
-                (b, c) if tensions else (c, b),
-                (EdgeSubset.full(width), None),
-                (EdgeSubset.of(width, [e for e in range(width) if drawn[e]]), None),
+                b if tensions else c,
+                EdgeSubset.full(width),
+                EdgeSubset.of(width, [e for e in range(width) if drawn[e]]),
             ]
         )
     )
     enumerate_integral = enumerate_integral_tensions if tensions else enumerate_integral_flows
     want = [
-        sum(1 for _ in enumerate_integral(g, o, bound, mode, window, zero_set))
+        sum(1 for _ in enumerate_integral(g, o, bound, mode, window))
         for bound in range(top + 1)
     ]
-    assert integral_window_counts(g, o, tensions, top, mode, window, zero_set) == want
+    assert integral_window_counts(g, o, tensions, top, mode, window) == want
 
 
 @pytest.mark.parametrize("tensions", [True, False])
