@@ -383,12 +383,7 @@ def flow_poly_by_enumeration(
 def integral_tension_poly(g: MultiGraph, var: str = "t", guard: int | None = None) -> MultiPoly:
     """Counting polynomial of nowhere-zero integer tensions with |f| < t."""
     r, _ = rank_nullity(g)
-    counts = integral_window_counts(
-        g, Orientation.reference(g), True, r + 3, "strict_support", guard=guard
-    )
-    # integer-valued but not integer-coefficient in general (lattice point
-    # counts live in the binomial basis)
-    return interpolate_univariate(_samples(counts), r, var, integral=False)
+    return _window_poly(g, Orientation.reference(g), True, r, "strict_support", None, var, guard)
 
 
 def integral_flow_poly(g: MultiGraph, var: str = "t", guard: int | None = None) -> MultiPoly:
@@ -401,16 +396,27 @@ def integral_flow_poly(g: MultiGraph, var: str = "t", guard: int | None = None) 
         rest = MultiGraph(g.vertex_count, tuple(g.edges[e] for e in g.non_loop_ids()))
         return (2 * (t - 1)) ** len(loops) * integral_flow_poly(rest, var, guard)
     _, n = rank_nullity(g)
-    counts = integral_window_counts(
-        g, Orientation.reference(g), False, n + 3, "strict_support", guard=guard
-    )
-    return interpolate_univariate(_samples(counts), n, var, integral=False)
+    return _window_poly(g, Orientation.reference(g), False, n, "strict_support", None, var, guard)
 
 
-def _samples(counts: list[int]) -> list[tuple[int, int]]:
-    """(bound, count) at bounds 1..top, which fit a polynomial of degree
-    top - 3 with two samples to spare."""
-    return list(enumerate(counts))[1:]
+def _window_poly(
+    g: MultiGraph,
+    o: Orientation,
+    tensions: bool,
+    degree: int,
+    mode: str,
+    window: EdgeSubset | None,
+    var: str,
+    guard: int | None,
+) -> MultiPoly:
+    """The polynomial in var of degree at most `degree` through the
+    `integral_window_counts` at bounds 1..degree + 1, checked at two
+    more bounds.  Lattice point counts live in the binomial basis, so
+    its coefficients need not be integers: a single orientation's
+    window counts give (x-1)(x-2)/2 on the transitive triangle, and the
+    denominators cancel only in a sum over a full orientation class."""
+    counts = integral_window_counts(g, o, tensions, degree + 3, mode, window, guard)
+    return interpolate_univariate(list(enumerate(counts))[1:], degree, var, integral=False)
 
 
 # -- per-orientation window polynomials ---------------------------------------
@@ -437,14 +443,9 @@ def _kappa(
 ) -> MultiPoly:
     """`kappa_rho` from o's bond part b and circuit part c."""
     r, n = rank_nullity(g)
-    t_counts = integral_window_counts(g, o, True, r + 3, mode, b, guard)
-    f_counts = integral_window_counts(g, o, False, n + 3, mode, c, guard)
-    # a single orientation's window counts need not have integer
-    # coefficients (the transitive triangle gives (x-1)(x-2)/2); the
-    # denominators cancel in any sum over a full orientation class
-    t_poly = interpolate_univariate(_samples(t_counts), r, "x", integral=False)
-    f_poly = interpolate_univariate(_samples(f_counts), n, "y", integral=False)
-    return t_poly * f_poly
+    return _window_poly(g, o, True, r, mode, b, "x", guard) * _window_poly(
+        g, o, False, n, mode, c, "y", guard
+    )
 
 
 PSI_KINDS = ("psi", "bar_psi", "psi_z", "bar_psi_z")

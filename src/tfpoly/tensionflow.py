@@ -18,15 +18,16 @@ that closes it) derives the remaining edges:
   |A|^nullity many;
 * integral tensions and flows in a window: window values on the free
   edges, extended in the same way, each derived value filtered against
-  its window as soon as the free values it reads are set.
-  `integral_window_counts` counts them at every bound from one walk at
-  the largest bound, since the windows grow with their bound.  It walks
-  every free value but the last: each edge that reads the last value
-  does so with coefficient +-1, so at each bound the last value ranges
-  over one interval, minus single points for nowhere-zero windows.
-  Nowhere-zero windows are symmetric, so when the first free edge is
-  in the window, only its positive values are walked, and counted
-  twice.  The generators stay the oracle for these counts.
+  its window as soon as the free values it reads are set.  Each window
+  mode is one row of `_WINDOWS`, its ends as functions of the bound;
+  the candidate lists, the filters and the counts all read that row,
+  and one generator, `_walk`, does every walk.
+  `integral_window_counts` counts at every bound from one walk at the
+  largest bound that stops one free value short: the last value ranges
+  over one interval per bound, less single points for nonzero windows,
+  and a first free edge with a nonzero (so symmetric) window is walked
+  on its positive half only.  The generators stay the oracle for these
+  counts.
 
 Each extension is bijective, so the counts above are exact.  The same
 table decides `is_tension` (zero sum around every fundamental circuit)
@@ -43,12 +44,13 @@ enumerates each such pair of groups once.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
 from .algebra import smith_normal_form
-from .config import check_state_space, memoised_in_run
+from .config import check_state_space, memoised_in_run, state_guard
 from .graph import EdgeSubset, MultiGraph, Orientation, arc, spanning_forest
 
 Element = tuple[int, ...]
@@ -368,19 +370,23 @@ def _iter_group_values(
 
 INTEGRAL_MODES = ("open", "closed", "strict_support", "box")
 
+# each mode's window at bound b, as (lo, lo_moves, hi, hi_moves, nonzero):
+# the integers v with lo - lo_moves * b <= v <= hi + hi_moves * b, less 0
+# when nonzero; _ZERO (0 alone) is the window of the edges outside `window`
+_WINDOWS = {
+    "open": (1, 0, -1, 1, False),  # 0 < v < b
+    "closed": (0, 0, 0, 1, False),  # 0 <= v <= b
+    "strict_support": (1, 1, -1, 1, True),  # v != 0, |v| < b
+    "box": (1, 1, -1, 1, False),  # |v| < b
+}
+_ZERO = (0, 0, 0, 0, False)
 
-def _window_candidates(mode: str, bound: int, in_window: bool) -> list[int]:
-    if not in_window:
-        return [0]
-    if mode == "open":
-        return list(range(1, bound))
-    if mode == "closed":
-        return list(range(0, bound + 1))
-    if mode == "strict_support":
-        return [v for v in range(-bound + 1, bound) if v != 0]
-    if mode == "box":
-        return list(range(-bound + 1, bound))
-    raise ValueError(f"unknown mode {mode!r}")
+
+def _window_values(ends: tuple[int, int, int, int, bool], bound: int) -> list[int]:
+    """The values of the window `ends` at `bound`, in increasing order."""
+    lo, lo_moves, hi, hi_moves, nonzero = ends
+    values = range(lo - lo_moves * bound, hi + hi_moves * bound + 1)
+    return [v for v in values if v] if nonzero else list(values)
 
 
 def enumerate_integral_tensions(
@@ -422,6 +428,27 @@ def enumerate_integral_flows(
     yield from _integral_functions(g, o, False, bound, mode, window, guard)
 
 
+def _integral_functions(
+    g: MultiGraph,
+    o: Orientation,
+    tensions: bool,
+    bound: int,
+    mode: str,
+    window: EdgeSubset | None,
+    guard: int | None,
+) -> Iterator[IntegerEdgeFunction]:
+    """Every integer tension or flow that lies in the `mode` window at
+    `bound` on the edges of `window` and is zero on the others."""
+    free, dependent, _, cand, checks_at = _integral_walk(g, o, tensions, bound, mode, window)
+    _charge(cand, guard, tensions)
+    if checks_at is None:
+        return
+    place = _placement(free, dependent)
+    for vals, derived in _walk(cand, checks_at, len(dependent)):
+        values = vals + derived
+        yield IntegerEdgeFunction(tuple([values[k] for k in place]))
+
+
 def integral_window_counts(
     g: MultiGraph,
     o: Orientation,
@@ -435,35 +462,39 @@ def integral_window_counts(
     tensions=False, `enumerate_integral_flows`) yields at each bound
     0..top, from one walk of the box at top.
 
-    The walk sets every free value but the last, as the enumeration
-    does, and keeps the largest |value| set so far, M.  The windows grow
-    with the bound, so those values lie in the window at bound b exactly
-    when b >= M + shift: shift is 0 for closed windows and 1 for the
-    others, which admit nothing on a window edge at bound 0.  The last
-    free value x is counted, not walked: at each bound, the last free
-    edge and every dependent edge that reads x confine x to one interval
-    (see `_last_value_bounds`).  Under strict_support with the first
-    free edge in the window, f -> -f pairs the points with a positive
-    first value with those with a negative one and fixes none, so only
-    the positive half is walked.  The guard is charged the walked box.
+    `_walk` sets every free value but the last; let M be the largest
+    |value| set.  In each window of `_WINDOWS` a value v of the box
+    at top lies at bound b exactly when b >= |v| - hi, so the values
+    set are all in their windows from bound M + shift on, shift being
+    the largest -hi (at bound 0 a window edge of any mode but closed
+    admits nothing).  The last free value is counted, not walked: at
+    each bound the edges that read it confine it to one interval, less
+    single points for nonzero windows (see `_last_value_bounds`).  A
+    nonzero window is symmetric and f -> -f fixes none of its points,
+    so when the first free edge has one, only its positive values are
+    walked, each point counted twice.  The guard is charged the walked
+    box.
     """
-    window = EdgeSubset.full(g.edge_count) if window is None else window
-    shift = 1 if mode != "closed" and window.mask else 0
+    free, dependent, ends, cand, checks_at = _integral_walk(g, o, tensions, top, mode, window)
+    weight = 1
+    if len(free) > 1 and ends[free[0]][4]:  # nonzero, so symmetric
+        cand[0] = [v for v in cand[0] if v > 0]
+        weight = 2
+    walked = cand[:-1]
+    _charge(walked, guard, tensions)
     counts = [0] * (top + 1)
-    walk = _integral_walk(g, o, tensions, top, mode, window, guard, counting=True)
-    if walk is None:
+    if checks_at is None:
         return counts
-    free, dependent, cand, checks_at, weight = walk
+    shift = -_WINDOWS[mode][2] if _WINDOWS[mode] in ends else 0
     if not free:
         return [int(bound >= shift) for bound in range(top + 1)]
-    last = len(free) - 1
-    bounds = _last_value_bounds(mode, window, free[last], dependent, checks_at[last])
-    vals = [0] * last
-
-    def tally(m: int) -> None:
-        """Count the last value at every bound, for the values set in vals
-        with largest |value| m: x lies in [max(p0, p1 - b), min(q0, q1 + b)]
-        and is none of the values in skip."""
+    bounds = _last_value_bounds(ends, free[-1], dependent, checks_at[-1])
+    for vals, derived in _walk(walked, checks_at, len(dependent)):
+        # the largest |value| set: the dependent values that read x are
+        # not set, and stay 0
+        m = max(map(abs, vals + derived), default=0)
+        # x lies in [max(p0, p1 - b), min(q0, q1 + b)] and is none of
+        # the values in skip
         p0 = p1 = -top
         q0 = q1 = top
         skip = []
@@ -492,178 +523,88 @@ def integral_window_counts(
                     if lo <= u <= hi:
                         n -= 1
                 counts[bound] += n
-
-    if last == 0:
-        tally(0)
-    # depth first over every free value but the last, in the order of
-    # the enumeration; most[d] is the largest |value| set before level d
-    most = [0] * last
-    levels = [iter(cand[0])] if last else []
-    while levels:
-        d = len(levels) - 1
-        for vals[d] in levels[d]:
-            m = most[d]
-            if abs(vals[d]) > m:
-                m = abs(vals[d])
-            for _, row, allowed in checks_at[d]:
-                v = 0
-                for i, c in row:
-                    v += c * vals[i]
-                if v not in allowed:
-                    break
-                if abs(v) > m:
-                    m = abs(v)
-            else:
-                if d + 1 < last:
-                    most[d + 1] = m
-                    levels.append(iter(cand[d + 1]))
-                    break
-                tally(m)
-        else:
-            levels.pop()
     return [weight * n for n in counts]
 
 
-# the windows of `_window_candidates` by their ends at bound b: (lo,
-# lo_moves, hi, hi_moves) for lo - lo_moves * b <= v <= hi + hi_moves * b;
-# kept apart from the candidate lists, which the enumeration oracle walks
-_WINDOW_ENDS = {
-    "off": (0, 0, 0, 0),
-    "open": (1, 0, -1, 1),
-    "closed": (0, 0, 0, 1),
-    "strict_support": (1, 1, -1, 1),
-    "box": (1, 1, -1, 1),
-}
-
-
 def _last_value_bounds(
-    mode: str,
-    window: EdgeSubset,
-    last_edge: int,
-    dependent: Sequence[int],
-    last_checks: Sequence[tuple[int, list[tuple[int, int]], set[int]]],
+    ends: Sequence[tuple], last_edge: int, dependent: Sequence[int], last_checks: Sequence[tuple]
 ) -> list[tuple[list[tuple[int, int]], int, int, int, int, bool]]:
     """The bounds that the last free value x must meet, one per edge
     that reads it: the last free edge, value x, and each dependent edge
-    checked at the last level, value s + c * x with s the sum of its other
-    terms.  The coefficient c is +-1 (an entry of a fundamental circuit),
-    so the value is c * (x - u) with u = -c * s, and its window at bound
-    b puts x in [u + lo - lo_moves * b, u + hi + hi_moves * b]: the
-    window itself for c = 1, mirrored for c = -1.
-
-    Each bound is (row, lo, lo_moves, hi, hi_moves, nonzero), where u is
-    the sum of coefficient * free value over the terms of row, and
-    nonzero says that x = u is excluded too (a strict_support window).
+    checked at the last level, value s + c * x with s the sum of its
+    other terms.  The coefficient c is +-1 (an entry of a fundamental
+    circuit), so the value is c * (x - u) with u = -c * s, and its
+    window (lo, lo_moves, hi, hi_moves, nonzero) at bound b puts x in
+    [u + lo - lo_moves * b, u + hi + hi_moves * b], x != u if nonzero:
+    the window itself for c = 1, mirrored for c = -1.  Each bound is
+    (row, lo, lo_moves, hi, hi_moves, nonzero) after the mirror, u being
+    the sum of coefficient * free value over the terms of row.
     """
-    out = []
-
-    def add(row, c, in_window):
-        lo, lo_moves, hi, hi_moves = _WINDOW_ENDS[mode if in_window else "off"]
-        if c == -1:
-            lo, lo_moves, hi, hi_moves = -hi, hi_moves, -lo, lo_moves
-        nonzero = in_window and mode == "strict_support"
-        out.append((row, lo, lo_moves, hi, hi_moves, nonzero))
-
-    add([], 1, last_edge in window)
+    reads = [(1, [], last_edge)]  # (c, row, edge)
     for j, row, _ in last_checks:
         (_, c), *others = sorted(row, reverse=True)  # the term of x first
         if c not in (1, -1):
             raise ArithmeticError(f"fundamental circuit coefficient {c} is not 1 or -1")
-        add([(k, -c * a) for k, a in others], c, dependent[j] in window)
+        reads.append((c, [(k, -c * a) for k, a in others], dependent[j]))
+    out = []
+    for c, row, edge in reads:
+        lo, lo_moves, hi, hi_moves, nonzero = ends[edge]
+        if c == -1:
+            lo, lo_moves, hi, hi_moves = -hi, hi_moves, -lo, lo_moves
+        out.append((row, lo, lo_moves, hi, hi_moves, nonzero))
     return out
 
 
-def _integral_functions(
-    g: MultiGraph,
-    o: Orientation,
-    tensions: bool,
-    bound: int,
-    mode: str,
-    window: EdgeSubset | None,
-    guard: int | None,
-) -> Iterator[IntegerEdgeFunction]:
-    window = EdgeSubset.full(g.edge_count) if window is None else window
-    free, dependent, _ = _coordinates(g, o, tensions)
-    place = _placement(free, dependent)
-    for vals in _iter_integral(g, o, tensions, bound, mode, window, guard):
-        yield IntegerEdgeFunction(tuple([vals[k] for k in place]))
-
-
 def _integral_walk(
-    g: MultiGraph,
-    o: Orientation,
-    tensions: bool,
-    bound: int,
-    mode: str,
-    window: EdgeSubset,
-    guard: int | None,
-    counting: bool,
+    g: MultiGraph, o: Orientation, tensions: bool, bound: int, mode: str, window: EdgeSubset | None
 ):
-    """The set-up of the walks over free values at `bound`: (free edges,
-    dependent edges, candidate values per free edge, checks per free
-    edge, weight), or None when a dependent edge that reads no free
-    value refuses its value 0.
-
-    Each dependent edge j is checked, as (j, row, allowed values), at
-    the free edge of largest index that its row reads, so a partial
-    assignment that already fails is not extended.  The enumeration walks every free
-    edge.  The counter (counting=True) walks all but the last, and under
-    strict_support with the first free edge in the window only its
-    positive values, each walked point then standing for weight = 2.
-    The guard is charged the walked box."""
+    """The set-up of the walks at `bound`: (free edges, dependent edges,
+    the window of each edge id as a `_WINDOWS` entry, candidate values
+    per free edge, checks per free edge).  Each dependent edge j is
+    checked, as (j, row, allowed values), at the free edge of largest
+    index that its row reads, so a partial assignment that already
+    fails is not extended.  The checks are None when a dependent edge
+    that reads no free value refuses its value 0: nothing is in the
+    window then, and the caller returns, after charging its box."""
     if mode not in INTEGRAL_MODES:
         raise ValueError(f"unknown mode {mode!r}")
     free, dependent, rows = _coordinates(g, o, tensions)
-    cand = [_window_candidates(mode, bound, e in window) for e in free]
-    walked, weight = cand, 1
-    if counting:
-        if mode == "strict_support" and len(free) > 1 and free[0] in window:
-            cand[0] = [v for v in cand[0] if v > 0]
-            weight = 2
-        walked = cand[:-1]
-    space = 1
-    for c in walked:
-        space *= len(c)
-    what = "integral tension enumeration" if tensions else "integral flow enumeration"
-    check_state_space(space, guard, what)
-    checks_at = [[] for _ in free]
+    window = EdgeSubset.full(g.edge_count) if window is None else window
+    ends = [_WINDOWS[mode] if e in window else _ZERO for e in range(g.edge_count)]
+    cand = [_window_values(ends[e], bound) for e in free]
+    checks_at: list | None = [[] for _ in free]
     for j, (e, row) in enumerate(zip(dependent, rows)):
-        allowed = set(_window_candidates(mode, bound, e in window))
+        allowed = set(_window_values(ends[e], bound))
         if row:  # (free index, coefficient) terms, each index once
             checks_at[max(row)[0]].append((j, row, allowed))
         elif 0 not in allowed:  # a row that reads nothing is always 0
-            return None
-    return free, dependent, cand, checks_at, weight
+            checks_at = None
+            break
+    return free, dependent, ends, cand, checks_at
 
 
-def _iter_integral(
-    g: MultiGraph,
-    o: Orientation,
-    tensions: bool,
-    bound: int,
-    mode: str,
-    window: EdgeSubset,
-    guard: int | None,
-) -> Iterator[tuple[int, ...]]:
-    """Values, free edges first and then dependent ones (see
-    `_coordinates`), of every integer tension or flow that lies in the
-    `mode` window at `bound` on the edges of `window` and is zero on
-    the others."""
-    walk = _integral_walk(g, o, tensions, bound, mode, window, guard, counting=False)
-    if walk is None:
+def _charge(box: Sequence[Sequence[int]], guard: int | None, tensions: bool) -> None:
+    what = "integral tension enumeration" if tensions else "integral flow enumeration"
+    check_state_space(math.prod(map(len, box)), guard, what)
+
+
+def _walk(
+    box: Sequence[Sequence[int]], checks_at: Sequence[list], width: int
+) -> Iterator[tuple[list[int], list[int]]]:
+    """Depth first over the values box[0], box[1], ... of the first free
+    edges, in the order of itertools.product, each dependent edge j
+    checked at its level into derived[j].  Yields (vals, derived), the
+    same two lists each time, for each assignment that passes every
+    check."""
+    vals, derived = [0] * len(box), [0] * width
+    if not box:
+        yield vals, derived
         return
-    free, dependent, cand, checks_at, _ = walk
-    derived = [0] * len(dependent)
-    if not free:
-        yield tuple(derived)
-        return
-    vals = [0] * len(free)
-    last = len(free) - 1
-    # depth-first over the free values in the order of itertools.product
-    levels = [iter(cand[0])]
+    depth = len(box)
+    levels = [iter(box[0])]
     while levels:
         d = len(levels) - 1
-        for vals[d] in levels[d]:  # sets the value of free edge d
+        for vals[d] in levels[d]:
             for j, row, allowed in checks_at[d]:
                 v = 0
                 for i, c in row:
@@ -672,10 +613,10 @@ def _iter_integral(
                     break
                 derived[j] = v
             else:
-                if d < last:
-                    levels.append(iter(cand[d + 1]))
+                if d + 1 < depth:
+                    levels.append(iter(box[d + 1]))
                     break
-                yield tuple(vals) + tuple(derived)
+                yield vals, derived
         else:
             levels.pop()
 
@@ -689,10 +630,16 @@ def support_pair_counts(
     """Counts of (supp f, supp g) over every pair of a tension and a flow,
     given the support masks of each.  Tensions and flows range
     independently, so each count is a product of two support counts;
-    the product charges one state per pair of distinct supports."""
+    the product charges one state per pair of distinct supports, as
+    each new flow support arrives, so that a product over the guard is
+    refused before the flows are all read."""
     tensions = Counter(tension_masks)
-    flows = Counter(flow_masks)
-    check_state_space(len(tensions) * len(flows), guard, "support pair product")
+    limit = state_guard(guard)  # read once, not per support
+    flows: Counter[int] = Counter()
+    for gm in flow_masks:
+        if gm not in flows:
+            check_state_space(len(tensions) * (len(flows) + 1), limit, "support pair product")
+        flows[gm] += 1
     return {(fm, gm): a * b for fm, a in tensions.items() for gm, b in flows.items()}
 
 

@@ -15,9 +15,11 @@ The tension and flow enumerators, which all extend free forest or
 co-forest values over one table of fundamental circuits, are compared
 with the definitions themselves on graphs of at most five edges:
 coboundaries of every potential, functions of zero boundary, and the
-filter of the whole window box.  The modular ones are also reoriented
-(every non-loop edge reversed, its value negated) and must stay
-tensions and flows there, by `is_tension` and `is_flow`.
+filter of the whole window box, each mode's window at bounds 0-3 written
+out by hand, which the one-walk window counts must match as well.  The
+modular ones are also reoriented (every non-loop edge reversed, its
+value negated) and must stay tensions and flows there, by `is_tension`
+and `is_flow`.
 
 The orientation classes keyed by indegree divisor class are compared
 with the move closure on graphs of at most six edges, disconnected
@@ -81,6 +83,7 @@ from tfpoly.tensionflow import (
     enumerate_integral_flows,
     enumerate_integral_tensions,
     enumerate_tensions,
+    integral_window_counts,
     is_flow,
     is_tension,
     lattice_index,
@@ -200,31 +203,44 @@ def test_modular_tensions_and_flows_match_definitions(go):
             assert is_flow(g, reversed_o, moved) == (values in flow_set)
 
 
+# each mode's window values at bounds 0, 1, 2 and 3, written out
+WINDOWS = {
+    "open": ((), (), (1,), (1, 2)),
+    "closed": ((0,), (0, 1), (0, 1, 2), (0, 1, 2, 3)),
+    "strict_support": ((), (), (-1, 1), (-2, -1, 1, 2)),
+    "box": ((), (0,), (-1, 0, 1), (-2, -1, 0, 1, 2)),
+}
+
+
 @settings(max_examples=30, deadline=None)
 @given(oriented(), st.data())
 def test_integral_tensions_and_flows_match_the_window_box(go, data):
+    # the enumerators and the one-walk counts read one window table, so
+    # both are held to the windows written out above, at every bound
     g, o = go
     mask = data.draw(st.integers(0, (1 << g.edge_count) - 1))
     window = EdgeSubset(mask, g.edge_count)
     for mode in INTEGRAL_MODES:
-        box = {
-            "open": range(1, 2),
-            "closed": range(0, 3),
-            "strict_support": (-1, 1),
-            "box": range(-1, 2),
-        }[mode]
-        candidates = [box if e in window else (0,) for e in range(g.edge_count)]
-        in_box = list(itertools.product(*candidates))
-        tensions = [
-            fn.values for fn in enumerate_integral_tensions(g, o, 2, mode, window=window)
-        ]
-        assert len(set(tensions)) == len(tensions)
-        assert set(tensions) == {v for v in in_box if is_potential_difference(g, o, v)}
-        flows = [fn.values for fn in enumerate_integral_flows(g, o, 2, mode, window=window)]
-        assert len(set(flows)) == len(flows)
-        assert set(flows) == {
-            v for v in in_box if not any(boundary(g, o, IntegerEdgeFunction(v)))
-        }
+        tension_counts, flow_counts = [], []
+        for bound, box in enumerate(WINDOWS[mode]):
+            candidates = [box if e in window else (0,) for e in range(g.edge_count)]
+            in_box = list(itertools.product(*candidates))
+            tensions = [
+                fn.values for fn in enumerate_integral_tensions(g, o, bound, mode, window=window)
+            ]
+            assert len(set(tensions)) == len(tensions)
+            assert set(tensions) == {v for v in in_box if is_potential_difference(g, o, v)}
+            flows = [
+                fn.values for fn in enumerate_integral_flows(g, o, bound, mode, window=window)
+            ]
+            assert len(set(flows)) == len(flows)
+            assert set(flows) == {
+                v for v in in_box if not any(boundary(g, o, IntegerEdgeFunction(v)))
+            }
+            tension_counts.append(len(tensions))
+            flow_counts.append(len(flows))
+        assert integral_window_counts(g, o, True, 3, mode, window) == tension_counts
+        assert integral_window_counts(g, o, False, 3, mode, window) == flow_counts
 
 
 @settings(max_examples=30, deadline=None)

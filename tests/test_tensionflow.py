@@ -215,6 +215,29 @@ def test_window_counts_match_enumeration_on_the_wheel(mode, tensions):
     assert integral_window_counts(g, o, tensions, 4, mode) == want
 
 
+def test_an_empty_window_is_charged_before_it_returns():
+    # K4 with a loop at vertex 0 and a pendant edge 0-4: the loop's
+    # tension and the pendant edge's flow read no free value and must be
+    # 0, which an open window refuses, so nothing lies in the window;
+    # the box is charged first all the same
+    g = MultiGraph(5, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 0), (0, 4)))
+    o = Orientation.reference(g)
+    assert integral_window_counts(g, o, True, 4, "open") == [0] * 5
+    assert integral_window_counts(g, o, False, 4, "open") == [0] * 5
+    # four free edges with three open values each (0 < f < 4); the counter
+    # walks all but the last
+    for tensions, what in ((True, "tension"), (False, "flow")):
+        with pytest.raises(GuardExceeded, match=f"integral {what} enumeration needs 27 states"):
+            integral_window_counts(g, o, tensions, 4, "open", guard=26)
+    for enumerate_integral, what in (
+        (enumerate_integral_tensions, "tension"),
+        (enumerate_integral_flows, "flow"),
+    ):
+        assert list(enumerate_integral(g, o, 4, "open")) == []
+        with pytest.raises(GuardExceeded, match=f"integral {what} enumeration needs 81 states"):
+            list(enumerate_integral(g, o, 4, "open", guard=80))
+
+
 def test_window_counts_charge_the_walked_box():
     g = fixture("k4")
     o = Orientation.reference(g)
@@ -241,3 +264,12 @@ def test_support_product_charges_distinct_support_pairs():
     assert support_pair_counts(tensions, flows, guard=6)[(2, 1)] == 4
     with pytest.raises(GuardExceeded, match="support pair product needs 6 states, guard is 5"):
         support_pair_counts(tensions, flows, guard=5)
+
+
+def test_support_product_refuses_before_the_flows_run_out():
+    # three distinct tension supports: the second distinct flow support
+    # makes 6 pairs, over the guard, and the rest are never read
+    flows = iter([1, 1, 4, 8, 16])
+    with pytest.raises(GuardExceeded, match="support pair product needs 6 states, guard is 5"):
+        support_pair_counts([1, 2, 2, 3], flows, guard=5)
+    assert list(flows) == [8, 16]
