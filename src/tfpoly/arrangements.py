@@ -257,12 +257,14 @@ def product_valuation(
     counting measure: sum of sign * product of factor sizes.
 
     With check_disjoint=True the pieces are asserted pairwise disjoint
-    (ignoring signs), for testing finite additivity on decompositions.
+    (ignoring signs), for testing finite additivity on decompositions:
+    two products are disjoint when one pair of their factors is.
     """
     if check_disjoint:
         for (_, a), (_, b) in itertools.combinations(pieces, 2):
-            common = a.intersect(b)
-            if not common.is_empty():
+            if len(a.factors) != len(b.factors):
+                raise ValueError("coset products over different ambients")
+            if not any(fa.isdisjoint(fb) for fa, fb in zip(a.factors, b.factors)):
                 raise ValueError("overlapping pieces in a claimed-disjoint decomposition")
     total = 0
     for sign, piece in pieces:

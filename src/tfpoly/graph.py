@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .config import check_state_space
+from .config import check_state_space, memoised_in_run
 
 
 @dataclass(frozen=True)
@@ -191,6 +191,7 @@ def components_count(g: MultiGraph) -> int:
     return g.vertex_count - r
 
 
+@memoised_in_run
 def subset_rank_table(g: MultiGraph, guard: int | None = None) -> tuple[int, ...]:
     """rank<X> for every edge subset mask, indexed by mask; charges
     2^E x E states."""

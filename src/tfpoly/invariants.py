@@ -480,14 +480,25 @@ def orientation_sums(
         ("psi", reps, 1),
         ("psi_z", kappas, 2 ** len(g.loop_ids())),
     ):
-        open_sum = closed_sum = MultiPoly.zero(("x", "y", "z", "w"))
+        open_terms: dict = {}
+        closed_terms: dict = {}
         for _, b_size, c_size, open_kappa, closed_kappa in members:
-            weight = MultiPoly(("z", "w"), {(b_size, c_size): multiplier})
-            open_sum = open_sum + weight * open_kappa
-            closed_sum = closed_sum + weight * closed_kappa
-        sums[which] = open_sum
-        sums["bar_" + which] = closed_sum
+            for terms, kappa in ((open_terms, open_kappa), (closed_terms, closed_kappa)):
+                for (i, j), a in _exponents(kappa, ("x", "y")).items():
+                    key = (i, j, b_size, c_size)
+                    terms[key] = terms.get(key, 0) + multiplier * a
+        sums[which] = MultiPoly(("x", "y", "z", "w"), open_terms)
+        sums["bar_" + which] = MultiPoly(("x", "y", "z", "w"), closed_terms)
     return sums, tuple(kappas)
+
+
+def _exponents(poly: MultiPoly, names: tuple[str, ...]) -> dict:
+    """poly's terms keyed by the exponents of the named variables, read by
+    name, not by position; poly has no other variable."""
+    at = [poly.variables.index(v) if v in poly.variables else None for v in names]
+    return {
+        tuple(0 if k is None else exps[k] for k in at): a for exps, a in poly.terms.items()
+    }
 
 
 def psi_by_orientations(
@@ -591,11 +602,14 @@ def _cyclic_flat_convolution(g: MultiGraph, tension, flow, guard: int | None) ->
         _, poly, minor, var = factors[i]
         polys[i] = poly(minor, var, guard)
     m = g.edge_count
-    total = MultiPoly.zero(("x", "y", "z", "w"))
+    terms: dict = {}
     for k, (_, _, size) in enumerate(minors):
-        weight = MultiPoly(("z", "w"), {(m - size, size): 1})
-        total = total + weight * polys[2 * k] * polys[2 * k + 1]
-    return total
+        tension_terms = _exponents(polys[2 * k], ("x",))
+        for (j,), b in _exponents(polys[2 * k + 1], ("y",)).items():
+            for (i,), a in tension_terms.items():
+                key = (i, j, m - size, size)
+                terms[key] = terms.get(key, 0) + a * b
+    return MultiPoly(("x", "y", "z", "w"), terms)
 
 
 # -- Tutte values from orientation triples --------------------------------------

@@ -73,6 +73,7 @@ def all_orientations(g: MultiGraph, guard: int | None = None) -> list[Orientatio
     return out
 
 
+@memoised_in_run
 def classify_edges(g: MultiGraph, o: Orientation) -> tuple[EdgeSubset, EdgeSubset]:
     """(B, C): edges on directed bonds, edges on directed circuits.
 

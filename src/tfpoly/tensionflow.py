@@ -27,7 +27,9 @@ that closes it) derives the remaining edges:
   over one interval per bound, less single points for nonzero windows,
   and a first free edge with a nonzero (so symmetric) window is walked
   on its positive half only.  The generators stay the oracle for these
-  counts.
+  counts.  An edge outside the window is 0, so its flip changes no
+  count: within a run scope (`config.run_scope`) each count is walked
+  once, keyed with the flips outside the window cleared.
 
 Each extension is bijective, so the counts above are exact.  The same
 table decides `is_tension` (zero sum around every fundamental circuit)
@@ -474,7 +476,28 @@ def integral_window_counts(
     so when the first free edge has one, only its positive values are
     walked, each point counted twice.  The guard is charged the walked
     box.
+
+    An edge outside `window` is 0, and reversing it negates its value,
+    so its flip changes no count: the flips outside the window are
+    cleared, and within a run scope each count is walked once.
     """
+    if window is not None:
+        o = Orientation(tuple([f and e in window for e, f in enumerate(o.flips)]))
+    return list(_window_counts(g, o, tensions, top, mode, window, guard))
+
+
+@memoised_in_run
+def _window_counts(
+    g: MultiGraph,
+    o: Orientation,
+    tensions: bool,
+    top: int,
+    mode: str,
+    window: EdgeSubset | None,
+    guard: int | None,
+) -> tuple[int, ...]:
+    """`integral_window_counts` as a tuple; always called with positional
+    arguments, so that every caller shares one memo entry."""
     free, dependent, ends, cand, checks_at = _integral_walk(g, o, tensions, top, mode, window)
     weight = 1
     if len(free) > 1 and ends[free[0]][4]:  # nonzero, so symmetric
@@ -484,10 +507,10 @@ def integral_window_counts(
     _charge(walked, guard, tensions)
     counts = [0] * (top + 1)
     if checks_at is None:
-        return counts
+        return tuple(counts)
     shift = -_WINDOWS[mode][2] if _WINDOWS[mode] in ends else 0
     if not free:
-        return [int(bound >= shift) for bound in range(top + 1)]
+        return tuple(int(bound >= shift) for bound in range(top + 1))
     bounds = _last_value_bounds(ends, free[-1], dependent, checks_at[-1])
     for vals, derived in _walk(walked, checks_at, len(dependent)):
         # the largest |value| set: the dependent values that read x are
@@ -523,7 +546,7 @@ def integral_window_counts(
                     if lo <= u <= hi:
                         n -= 1
                 counts[bound] += n
-    return [weight * n for n in counts]
+    return tuple(weight * n for n in counts)
 
 
 def _last_value_bounds(

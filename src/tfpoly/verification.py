@@ -845,12 +845,18 @@ def criterion_11(guard: int | None = None) -> CheckResult:
             [rng.choice(list(grp.elements())) for _ in range(rng.randrange(0, 3))]
             for grp in ambient
         ]
+        sub = FiniteCosetProduct.from_subgroup(ambient, gens)
         pieces = []
         covered: set = set()
         for point in itertools.product(*(list(grp.elements()) for grp in ambient)):
             if point in covered:
                 continue
-            coset = FiniteCosetProduct.from_subgroup(ambient, gens, shifts=point)
+            coset = FiniteCosetProduct(
+                tuple(
+                    frozenset(grp.add(shift, a) for a in factor)
+                    for grp, shift, factor in zip(ambient, point, sub.factors)
+                )
+            )
             pieces.append((1, coset))
             covered.update(itertools.product(*(list(f) for f in coset.factors)))
         try:

@@ -16,7 +16,8 @@ co-forest values over one table of fundamental circuits, are compared
 with the definitions themselves on graphs of at most five edges:
 coboundaries of every potential, functions of zero boundary, and the
 filter of the whole window box, each mode's window at bounds 0-3 written
-out by hand, which the one-walk window counts must match as well.  The
+out by hand, which the one-walk window counts must match as well; those
+counts must not change when edges outside the window are reversed.  The
 modular ones are also reoriented (every non-loop edge reversed, its
 value negated) and must stay tensions and flows there, by `is_tension`
 and `is_flow`.
@@ -42,6 +43,7 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tfpoly import tensionflow
 from tfpoly.algebra import MultiPoly
 from tfpoly.arrangements import graphic_semilattice
 from tfpoly.frontier import psi_terms
@@ -241,6 +243,27 @@ def test_integral_tensions_and_flows_match_the_window_box(go, data):
             flow_counts.append(len(flows))
         assert integral_window_counts(g, o, True, 3, mode, window) == tension_counts
         assert integral_window_counts(g, o, False, 3, mode, window) == flow_counts
+
+
+@settings(max_examples=30, deadline=None)
+@given(oriented(), st.data())
+def test_window_counts_ignore_flips_outside_the_window(go, data):
+    # an edge outside the window is 0, so reversing it changes no count;
+    # `integral_window_counts` clears those flips before its memoised
+    # counter, so the counter is held to this with the flips kept
+    g, o = go
+    width = g.edge_count
+    window = EdgeSubset(data.draw(st.integers(0, (1 << width) - 1)), width)
+    outside = data.draw(st.integers(0, (1 << width) - 1)) & ~window.mask
+    flipped = Orientation.for_graph(
+        g, [b ^ (outside >> e & 1 == 1 and not g.is_loop(e)) for e, b in enumerate(o.flips)]
+    )
+    for mode in INTEGRAL_MODES:
+        for tensions in (True, False):
+            counts = integral_window_counts(g, o, tensions, 3, mode, window)
+            for walked in (o, flipped):
+                got = tensionflow._window_counts(g, walked, tensions, 3, mode, window, None)
+                assert list(got) == counts, (mode, tensions, walked)
 
 
 @settings(max_examples=30, deadline=None)

@@ -5,18 +5,20 @@ from collections import Counter
 
 import pytest
 
-from tfpoly import config, invariants, tensionflow, verification
+from tfpoly import config, graph, invariants, tensionflow, verification
 from tfpoly.config import GuardExceeded, run_scope
 from tfpoly.fixtures import all_fixtures, fixture, small_ladder
-from tfpoly.graph import Orientation
+from tfpoly.graph import Orientation, subset_rank_table
 from tfpoly.invariants import (
+    QUADRANTS,
     integral_support_histogram,
     kappa_rho,
     modular_complementary_count,
     omega_value,
+    tutte_value_triples,
     whitney_weighted_sums,
 )
-from tfpoly.tensionflow import FiniteAbelianGroup
+from tfpoly.tensionflow import FiniteAbelianGroup, integral_window_counts
 from tfpoly.verification import run_criteria, run_suite
 
 
@@ -156,3 +158,74 @@ def test_the_memo_is_empty_once_a_criterion_is_refused(monkeypatch):
     assert entries == 1
     assert memo == {}
     assert config._RUN_MEMO.get() is None
+
+
+@pytest.fixture
+def walk_spy(monkeypatch):
+    """The arguments of every window walk that is made, not read from a
+    memo: (flips, tensions, bound, mode, window mask)."""
+    walked = []
+    real = tensionflow._integral_walk
+
+    def spy(g, o, tensions, bound, mode, window):
+        walked.append((o.flips, tensions, bound, mode, window and window.mask))
+        return real(g, o, tensions, bound, mode, window)
+
+    monkeypatch.setattr(tensionflow, "_integral_walk", spy)
+    return walked
+
+
+def test_a_run_walks_each_window_count_once(walk_spy):
+    # over these (p, q) and quadrants tutte_value_triples asks for the
+    # same count up to six times per class; a count is keyed with the
+    # flips outside its window cleared
+    g = fixture("k4")
+    with run_scope():
+        for p in (1, 2, 3):
+            for q in (1, 2, 3):
+                for quadrant in QUADRANTS:
+                    tutte_value_triples(g, p, q, quadrant)
+    assert walk_spy
+    assert max(Counter(walk_spy).values()) == 1
+    for flips, _, _, _, mask in walk_spy:
+        assert not any(f and not mask >> e & 1 for e, f in enumerate(flips))
+
+
+def test_outside_a_run_every_window_count_walks(walk_spy):
+    g = fixture("k3")
+    o = Orientation.reference(g)
+    assert integral_window_counts(g, o, True, 3) == integral_window_counts(g, o, True, 3)
+    assert len(walk_spy) == 2
+
+
+def test_a_returned_window_count_list_is_the_callers_own(walk_spy):
+    g = fixture("k3")
+    o = Orientation.reference(g)
+    with run_scope():
+        counts = integral_window_counts(g, o, False, 3, "closed")
+        want = list(counts)
+        counts[-1] += 1
+        assert integral_window_counts(g, o, False, 3, "closed") == want
+    assert len(walk_spy) == 1
+
+
+def test_a_run_builds_each_subset_rank_table_once(monkeypatch):
+    built = []
+    real = graph.check_state_space
+
+    def spy(size, guard=None, what="enumeration"):
+        if what == "subset rank table":
+            built.append((size, guard))
+        return real(size, guard, what)
+
+    monkeypatch.setattr(graph, "check_state_space", spy)
+    graphs, guards = (fixture("k3"), fixture("k4")), (None, 10**6)
+    with run_scope():
+        for _ in range(2):
+            for g in graphs:
+                for guard in guards:
+                    assert len(subset_rank_table(g, guard)) == 1 << g.edge_count
+    # k3 and k4 differ in edge count, so the charge names the graph
+    assert Counter(built) == Counter(
+        (g.edge_count << g.edge_count, guard) for g in graphs for guard in guards
+    )
