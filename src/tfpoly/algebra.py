@@ -19,7 +19,9 @@ the only place input is validated.  Arithmetic (``+``, ``-``, ``*``,
 construction: a sum or product of such terms only needs its zero
 coefficients dropped and its integral Fractions turned into ints, which
 the private builder ``_from_sums`` does without re-checking anything
-else.  ``substitute`` is the one place a polynomial is composed.
+else.  ``substitute`` is the one place a polynomial is composed; within
+a run scope (``config.run_scope``) it keeps the image of each monomial
+under each mapping for the rest of the run.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ import math
 from fractions import Fraction
 from operator import add
 from typing import Iterable, Mapping, Sequence, Union
+
+from .config import memoised_in_run
 
 # Canonical variable order.  Variables outside this list sort after it,
 # alphabetically.  Printing and JSON serialisation follow this order.
@@ -231,28 +235,20 @@ class MultiPoly:
         Names that are not variables of this polynomial are ignored, so
         a family member that degenerated to fewer variables can still be
         fed the family-wide substitution.  The work stays on term dicts:
-        each replacement is lined up with the result's variables once,
-        and each of its powers is computed once, on first use.
+        each monomial's image comes from `_substitution`, which a run
+        scope keeps for the run, so polynomials fed the same
+        replacements share their monomials' images.
         """
-        bases = [
+        bases = tuple(
             self._coerce(mapping[name]) if name in mapping else MultiPoly.var(name)
             for name in self.variables
-        ]
-        variables = tuple(sorted({v for b in bases for v in b.variables}, key=_var_key))
-        one = (0,) * len(variables)
-        # powers[k][e] holds the terms of bases[k]^e
-        powers = [[{one: 1}, _remap(b, variables)] for b in bases]
+        )
+        images = _substitution(tuple((b.variables, tuple(b.terms.items())) for b in bases))
         sums: dict[tuple[int, ...], Coeff] = {}
         for exps, coeff in self.terms.items():
-            term = {one: coeff}
-            for done, e in zip(powers, exps):
-                if e:
-                    while len(done) <= e:
-                        done.append(_product(done[-1], done[1]))
-                    term = _product(term, done[e])
-            for e, c in term.items():
-                sums[e] = sums.get(e, 0) + c
-        return _from_sums(variables, sums)
+            for e, c in images.image(exps).items():
+                sums[e] = sums.get(e, 0) + coeff * c
+        return _from_sums(images.variables, sums)
 
     def negate_vars(self, names: Iterable[str]) -> "MultiPoly":
         """Substitute v -> -v for each named variable: a term changes
@@ -374,6 +370,47 @@ def _from_sums(variables: tuple[str, ...], sums: Mapping[tuple[int, ...], Coeff]
         },
     )
     return poly
+
+
+class _Substitution:
+    """One substitution of polynomials for variables, on term dicts: the
+    variables of its images, and the image of each monomial, computed
+    on first use from the powers of the replacements, each power also
+    computed once."""
+
+    def __init__(self, bases: Sequence[MultiPoly]):
+        self.variables = tuple(sorted({v for b in bases for v in b.variables}, key=_var_key))
+        self._one = {(0,) * len(self.variables): 1}
+        # powers[k][e] holds the terms of bases[k]^e
+        self._powers = [[self._one, _remap(b, self.variables)] for b in bases]
+        self._images: dict[tuple[int, ...], dict[tuple[int, ...], Coeff]] = {}
+
+    def image(self, exps: tuple[int, ...]) -> dict[tuple[int, ...], Coeff]:
+        """The terms of the image of the monomial with these exponents,
+        one exponent per base; zero sums may be among them."""
+        try:
+            return self._images[exps]
+        except KeyError:
+            pass
+        term = self._one
+        for done, e in zip(self._powers, exps):
+            if e:
+                while len(done) <= e:
+                    done.append(_product(done[-1], done[1]))
+                term = _product(term, done[e])
+        self._images[exps] = term
+        return term
+
+
+@memoised_in_run
+def _substitution(
+    bases: tuple[tuple[tuple[str, ...], tuple[tuple[tuple[int, ...], Coeff], ...]], ...],
+) -> _Substitution:
+    """The substitution of the polynomials given as (variables, terms),
+    one per variable replaced; keyed on exactly those, not on equality
+    of polynomials, so that the images keep the variables they would
+    have had without the memo."""
+    return _Substitution([_from_sums(v, dict(t)) for v, t in bases])
 
 
 def _product(a: Mapping[tuple[int, ...], Coeff], b: Mapping[tuple[int, ...], Coeff]) -> dict:
@@ -503,14 +540,18 @@ def interpolate_univariate(
 def rational_rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
     """Exact rank over Q by fraction-free integer elimination.
 
-    Takes a plain sequence of rows of ints or Fractions.  Rows are
-    scaled to integers first (rank-preserving), then eliminated
-    by cross-multiplication which stays in Z throughout.
+    Takes a plain sequence of rows of ints or Fractions.  A row of ints
+    is eliminated as it is; a row with a Fraction is scaled to integers
+    first (rank-preserving).  Elimination is by cross-multiplication,
+    which stays in Z throughout.
     """
     if not rows or not rows[0]:
         return 0
     work: list[list[int]] = []
     for row in rows:
+        if all(type(x) is int for x in row):
+            work.append(list(row))
+            continue
         fracs = [Fraction(x) for x in row]
         scale = math.lcm(*(f.denominator for f in fracs))
         work.append([int(f * scale) for f in fracs])

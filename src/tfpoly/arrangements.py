@@ -258,14 +258,17 @@ def product_valuation(
 
     With check_disjoint=True the pieces are asserted pairwise disjoint
     (ignoring signs), for testing finite additivity on decompositions:
-    two products are disjoint when one pair of their factors is.
+    they are exactly when their sizes sum to the size of their union,
+    which one pass over their points finds.
     """
     if check_disjoint:
-        for (_, a), (_, b) in itertools.combinations(pieces, 2):
-            if len(a.factors) != len(b.factors):
-                raise ValueError("coset products over different ambients")
-            if not any(fa.isdisjoint(fb) for fa, fb in zip(a.factors, b.factors)):
-                raise ValueError("overlapping pieces in a claimed-disjoint decomposition")
+        if len({len(piece.factors) for _, piece in pieces}) > 1:
+            raise ValueError("coset products over different ambients")
+        union: set[tuple[Element, ...]] = set()
+        for _, piece in pieces:
+            union.update(itertools.product(*piece.factors))
+        if len(union) != sum(piece.size for _, piece in pieces):
+            raise ValueError("overlapping pieces in a claimed-disjoint decomposition")
     total = 0
     for sign, piece in pieces:
         total += sign * piece.size

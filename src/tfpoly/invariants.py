@@ -21,8 +21,10 @@ Conventions used throughout:
   kept as oracles, which `verify` and the tests call by name.
 * The brute modular pair counts (omega_value, modular_complementary_count,
   whitney_weighted_sums) are sums over one histogram,
-  tensionflow.pair_support_histogram, which a verification run
-  computes once per graph and pair of groups.
+  tensionflow.pair_support_histogram, the product of a support count
+  of the tensions and one of the flows.  A verification run keeps each
+  support count, so each group's tensions and flows are enumerated
+  once per graph.
 * For an orientation rho with bond part B and circuit part C,
   kappa_rho(G;x,y) is the product of the open window counts
       #{integer tensions: f = 0 on C, 0 < f < x on B} and
@@ -57,6 +59,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 from math import comb
+from typing import Iterator
 
 from .algebra import MultiPoly, interpolate_univariate
 from .config import check_state_space, memoised_in_run, state_guard
@@ -73,13 +76,14 @@ from .graph import (
 from .orientations import all_orientations, classify_edges, cut_eulerian_classes
 from .tensionflow import (
     FiniteAbelianGroup,
+    _SupportCount,
     _iter_flow_values,
     _iter_tension_values,
+    _support_product,
     enumerate_integral_flows,
     enumerate_integral_tensions,
     integral_window_counts,
     pair_support_histogram,
-    support_pair_counts,
 )
 
 X = MultiPoly.var("x")
@@ -313,16 +317,26 @@ def omega_value(
 
 
 @memoised_in_run
+def _integral_supports(g: MultiGraph, bound: int, tensions: bool, guard: int | None) -> _SupportCount:
+    """The supports of the integer tensions (or flows) with |f| < bound
+    everywhere, in the reference orientation."""
+
+    def read() -> Iterator[int]:
+        enumerate_box = enumerate_integral_tensions if tensions else enumerate_integral_flows
+        o = Orientation.reference(g)
+        return (fn.support_mask() for fn in enumerate_box(g, o, bound, "box", guard=guard))
+
+    return _SupportCount(read)
+
+
 def integral_support_histogram(
     g: MultiGraph, p: int, q: int, guard: int | None = None
 ) -> dict[tuple[int, int], int]:
     """Counts of (supp f, supp g) mask pairs over integer pairs with
-    |f| < p and |g| < q everywhere (zeros allowed)."""
-    o = Orientation.reference(g)
-    tens = enumerate_integral_tensions(g, o, p, "box", guard=guard)
-    flows = enumerate_integral_flows(g, o, q, "box", guard=guard)
-    return support_pair_counts(
-        (fn.support_mask() for fn in tens), (fn.support_mask() for fn in flows), guard
+    |f| < p and |g| < q everywhere (zeros allowed).  Within a run each
+    box is enumerated once, for every pair of bounds it takes part in."""
+    return _support_product(
+        _integral_supports(g, p, True, guard), _integral_supports(g, q, False, guard), guard
     )
 
 
@@ -416,6 +430,14 @@ def _window_poly(
     window counts give (x-1)(x-2)/2 on the transitive triangle, and the
     denominators cancel only in a sum over a full orientation class."""
     counts = integral_window_counts(g, o, tensions, degree + 3, mode, window, guard)
+    return _window_fit(tuple(counts), degree, var)
+
+
+@memoised_in_run
+def _window_fit(counts: tuple[int, ...], degree: int, var: str) -> MultiPoly:
+    """The fit of `_window_poly`, keyed on the counts alone: within a run,
+    windows of different orientations and graphs with equal counts share
+    one fit."""
     return interpolate_univariate(list(enumerate(counts))[1:], degree, var, integral=False)
 
 

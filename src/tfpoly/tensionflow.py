@@ -38,9 +38,14 @@ edge is the unit tension there.
 
 Every brute count of modular (tension, flow) pairs is a sum over one
 histogram, `pair_support_histogram`: the number of pairs with each
-(supp f, supp g).  Supports do not depend on the orientation, so it is
-keyed on the graph and the two groups alone, and a verification run
-enumerates each such pair of groups once.
+(supp f, supp g).  Tensions and flows range independently, so it is
+the product of a support count of the tensions over one group and one
+of the flows over the other.  Supports do not depend on the
+orientation, so each support count is keyed on the graph, the group
+and the side alone, and a verification run enumerates each once, for
+every pair of groups it takes part in.  The flows are read as the
+product charges them, so a product over the guard is refused before
+they are all read, and a later product reads on from there.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .algebra import smith_normal_form
 from .config import check_state_space, memoised_in_run, state_guard
@@ -647,23 +652,74 @@ def _walk(
 # -- support pair histogram ---------------------------------------------------
 
 
+class _SupportCount:
+    """The support masks of one enumeration, counted as they are read.
+
+    `read` starts the enumeration, as an iterable of support masks, and
+    `counts` holds the masks read so far.  A product can stop part way
+    through and leave the rest unread; the next one reads on from
+    there.  A read that raises starts the enumeration over next time,
+    so what it charges is charged again."""
+
+    def __init__(self, read: Callable[[], Iterable[int]]) -> None:
+        self._read = read
+        self._masks: Iterator[int] | None = None
+        self._done = False
+        self.counts: Counter[int] = Counter()
+
+    def distinct(self) -> Iterator[int]:
+        """Each support mask once, in the order first read: those read
+        so far, then each new one as the enumeration reaches it."""
+        yield from list(self.counts)
+        if self._done:
+            return
+        if self._masks is None:
+            self._masks = iter(self._read())
+        counts = self.counts
+        try:
+            for mask in self._masks:
+                if mask in counts:
+                    counts[mask] += 1
+                else:
+                    counts[mask] = 1
+                    yield mask
+        except Exception:
+            # only the enumeration raises in here; a consumer that stops
+            # early closes this generator with GeneratorExit, which is
+            # not an Exception and leaves the rest to be read on
+            self._masks = None
+            counts.clear()
+            raise
+        self._done = True
+
+
 def support_pair_counts(
     tension_masks: Iterable[int], flow_masks: Iterable[int], guard: int | None = None
 ) -> dict[tuple[int, int], int]:
     """Counts of (supp f, supp g) over every pair of a tension and a flow,
-    given the support masks of each.  Tensions and flows range
-    independently, so each count is a product of two support counts;
-    the product charges one state per pair of distinct supports, as
-    each new flow support arrives, so that a product over the guard is
-    refused before the flows are all read."""
-    tensions = Counter(tension_masks)
+    given the support masks of each; see `_support_product`."""
+    return _support_product(
+        _SupportCount(lambda: tension_masks), _SupportCount(lambda: flow_masks), guard
+    )
+
+
+def _support_product(
+    tensions: _SupportCount, flows: _SupportCount, guard: int | None
+) -> dict[tuple[int, int], int]:
+    """Tensions and flows range independently, so each count of a
+    support pair is a product of two support counts.  The tensions are
+    read to the end; the product charges one state per pair of
+    distinct supports, as each new flow support arrives, so that a
+    product over the guard is refused before the flows are all read."""
+    for _ in tensions.distinct():
+        pass
     limit = state_guard(guard)  # read once, not per support
-    flows: Counter[int] = Counter()
-    for gm in flow_masks:
-        if gm not in flows:
-            check_state_space(len(tensions) * (len(flows) + 1), limit, "support pair product")
-        flows[gm] += 1
-    return {(fm, gm): a * b for fm, a in tensions.items() for gm, b in flows.items()}
+    width = len(tensions.counts)
+    for k, _ in enumerate(flows.distinct(), 1):
+        check_state_space(width * k, limit, "support pair product")
+    return {
+        (fm, gm): a * b for fm, a in tensions.counts.items() for gm, b in flows.counts.items()
+    }
 
 
 def _support_mask(values: Sequence[Element]) -> int:
@@ -675,6 +731,19 @@ def _support_mask(values: Sequence[Element]) -> int:
 
 
 @memoised_in_run
+def _modular_supports(
+    g: MultiGraph, grp: FiniteAbelianGroup, tensions: bool, guard: int | None
+) -> _SupportCount:
+    """The supports of the tensions (or flows) over grp, enumerated in
+    the reference orientation (supports do not depend on it)."""
+
+    def read() -> Iterator[int]:
+        values_of = _iter_tension_values if tensions else _iter_flow_values
+        return map(_support_mask, values_of(g, Orientation.reference(g), grp, guard))
+
+    return _SupportCount(read)
+
+
 def pair_support_histogram(
     g: MultiGraph,
     grp_a: FiniteAbelianGroup,
@@ -682,15 +751,13 @@ def pair_support_histogram(
     guard: int | None = None,
 ) -> dict[tuple[int, int], int]:
     """Counts of (supp f, supp g) over all (tension f over grp_a, flow g
-    over grp_b) pairs, enumerated in the reference orientation (supports
-    do not depend on it).  The two enumerations charge |grp_a|^rank and
+    over grp_b) pairs.  The two enumerations charge |grp_a|^rank and
     |grp_b|^nullity states, and their product one state per pair of
-    distinct supports."""
-    o = Orientation.reference(g)
-    return support_pair_counts(
-        (_support_mask(values) for values in _iter_tension_values(g, o, grp_a, guard)),
-        (_support_mask(values) for values in _iter_flow_values(g, o, grp_b, guard)),
-        guard,
+    distinct supports.  Within a run each enumeration is read once, for
+    every pair of groups it takes part in; the product is formed again
+    on each call, which costs one entry per pair of distinct supports."""
+    return _support_product(
+        _modular_supports(g, grp_a, True, guard), _modular_supports(g, grp_b, False, guard), guard
     )
 
 

@@ -15,7 +15,13 @@ The criteria are grouped into named suites for the command line
 ``verify`` subcommand; the full list runs in well under a minute.
 `run_criteria` runs them inside one run scope (`config.run_scope`), so
 what several criteria ask for, such as the orientation sums, is
-computed once per run and dropped when the run ends.
+computed once per run and dropped when the run ends.  What does not
+depend on the group orders is done once per graph: criterion 8's
+subset sums are tallied once, keyed also by the exponents of p and q
+(`_pair_subset_tallies`), the support histograms of every pair of
+groups share one enumeration per group and side, each monomial's image
+under a substitution is computed once, and window polynomials with
+equal counts share one fit.
 """
 
 from __future__ import annotations
@@ -36,7 +42,13 @@ from .arrangements import (
     product_valuation,
     subset_flat_dims,
 )
-from .config import VerificationError, check_state_space, run_scope, state_guard
+from .config import (
+    VerificationError,
+    check_state_space,
+    memoised_in_run,
+    run_scope,
+    state_guard,
+)
 from .fixtures import all_fixtures, fixture, small_ladder
 from .graph import (
     EdgeSubset,
@@ -454,6 +466,70 @@ Z = MultiPoly.var("z")
 W = MultiPoly.var("w")
 
 
+@memoised_in_run
+def _pair_subset_tallies(g: MultiGraph, guard: int | None) -> tuple[dict, dict, dict, dict]:
+    """The subset sums of `pair_integral_identities` with the group
+    orders left as symbols.  nu(X, Y) = |T_X x F_Y|, the pairs with f = 0
+    on X and g = 0 on Y, is p^(r - r<X>) q^(|W| - r<W>) with W = E - Y:
+    the tensions over Z_p vanishing on X times the flows over Z_q
+    supported inside W.  So each sum is tallied in integers by its own
+    key followed by the exponents of p and q, and `_at_orders` reads it
+    at any (p, q).  Returns (acc1, acc4, alt, diag), keyed as the
+    comments below say."""
+    m = g.edge_count
+    table = subset_rank_table(g, guard)
+    full = (1 << m) - 1
+    r, _ = rank_nullity(g)
+    tens = [r - rank for rank in table]
+    flows = [mask.bit_count() - rank for mask, rank in enumerate(table)]
+
+    # sum over Y inside X of nu(X, Y^c), by (|Y|, |X - Y|)
+    acc1: dict[tuple[int, ...], int] = {}
+    for x_mask in range(1 << m):
+        sub = x_mask
+        while True:
+            key = (sub.bit_count(), (x_mask & ~sub).bit_count(), tens[x_mask], flows[sub])
+            acc1[key] = acc1.get(key, 0) + 1
+            if sub == 0:
+                break
+            sub = (sub - 1) & x_mask
+    # signed sum over pairs (Z, W) of nu(Z, W^c), by
+    # (|Z cap W|, |E - (Z cup W)|, |Z - W|, |W|); alongside it the
+    # alternating subgroup sum, by nothing, and the diagonal one, by |Z|
+    acc4: dict[tuple[int, ...], int] = {}
+    alt: dict[tuple[int, ...], int] = {}
+    diag: dict[tuple[int, ...], int] = {}
+    for z_mask in range(1 << m):
+        sign = -1 if z_mask.bit_count() & 1 else 1
+        a = tens[z_mask]
+        key = (a, flows[full & ~z_mask])
+        alt[key] = alt.get(key, 0) + sign
+        key = (z_mask.bit_count(), a, flows[z_mask])
+        diag[key] = diag.get(key, 0) + 1
+        for w_mask in range(1 << m):
+            key = (
+                (z_mask & w_mask).bit_count(),
+                (full & ~(z_mask | w_mask)).bit_count(),
+                (z_mask & ~w_mask).bit_count(),
+                w_mask.bit_count(),
+                a,
+                flows[w_mask],
+            )
+            acc4[key] = acc4.get(key, 0) + sign
+    return acc1, acc4, alt, diag
+
+
+def _at_orders(tally: dict[tuple[int, ...], int], p: int, q: int) -> dict[tuple[int, ...], int]:
+    """A tally of `_pair_subset_tallies` at group orders (p, q): each
+    count times p^a q^b, for the (a, b) that ends its key, summed by the
+    rest of the key."""
+    out: dict[tuple[int, ...], int] = {}
+    for key, cnt in tally.items():
+        rest = key[:-2]
+        out[rest] = out.get(rest, 0) + cnt * p ** key[-2] * q ** key[-1]
+    return out
+
+
 def pair_integral_identities(
     g: MultiGraph, p: int, q: int, guard: int | None = None
 ) -> tuple[list[CheckResult], list[CheckResult]]:
@@ -469,7 +545,9 @@ def pair_integral_identities(
 
     Each side is tallied in integers, keyed by its exponents, and made
     a polynomial once: directly when each exponent is that of a bare
-    variable, else by one `MultiPoly.substitute`.
+    variable, else by one `MultiPoly.substitute`.  The subset sums do
+    not depend on (p, q) but through powers of p and q, so a run tallies
+    them once per graph (`_pair_subset_tallies`).
     """
     m = g.edge_count
     # the subset sums below run over 3^E pairs Y inside X and 4^E pairs (Z, W)
@@ -477,14 +555,10 @@ def pair_integral_identities(
     hist = pair_support_histogram(
         g, FiniteAbelianGroup.cyclic(p), FiniteAbelianGroup.cyclic(q), guard
     )
-    table = subset_rank_table(g, guard)
+    tallies = _pair_subset_tallies(g, guard)
+    acc1, acc4, alt, diag = (_at_orders(tally, p, q) for tally in tallies)
     full = (1 << m) - 1
     r, n = rank_nullity(g)
-    # nu(X, Y) = |T_X x F_Y|, the pairs with f = 0 on X and g = 0 on Y, is
-    # tens[X] * flows[E - Y]: the tensions over Z_p vanishing on X times
-    # the flows over Z_q supported inside E - Y
-    tens = [p ** (r - rank) for rank in table]
-    flows = [q ** (mask.bit_count() - rank) for mask, rank in enumerate(table)]
 
     # the pairs by (|ker f|, |supp g|): with disjoint supports (supp f
     # inside ker g, or as well supp g inside ker f: the same bit test),
@@ -501,37 +575,6 @@ def pair_integral_identities(
             cover[key] = cover.get(key, 0) + cnt
             if fm & gm == 0:
                 comp[key[:1]] = comp.get(key[:1], 0) + cnt
-
-    # sum over Y inside X of nu(X, Y^c), by (|Y|, |X - Y|)
-    acc1: dict[tuple[int, int], int] = {}
-    for x_mask in range(1 << m):
-        sub = x_mask
-        while True:
-            key = (sub.bit_count(), (x_mask & ~sub).bit_count())
-            acc1[key] = acc1.get(key, 0) + tens[x_mask] * flows[sub]
-            if sub == 0:
-                break
-            sub = (sub - 1) & x_mask
-    # signed sum over pairs (Z, W) of nu(Z, W^c), by
-    # (|Z cap W|, |E - (Z cup W)|, |Z - W|, |W|); alongside it the
-    # alternating and the diagonal subgroup sums
-    acc4: dict[tuple[int, int, int, int], int] = {}
-    alt = 0
-    diag: dict[tuple[int], int] = {}
-    for z_mask in range(1 << m):
-        sign = -1 if z_mask.bit_count() & 1 else 1
-        alt += sign * tens[z_mask] * flows[full & ~z_mask]
-        diag[(z_mask.bit_count(),)] = (
-            diag.get((z_mask.bit_count(),), 0) + tens[z_mask] * flows[z_mask]
-        )
-        for w_mask in range(1 << m):
-            key = (
-                (z_mask & w_mask).bit_count(),
-                (full & ~(z_mask | w_mask)).bit_count(),
-                (z_mask & ~w_mask).bit_count(),
-                w_mask.bit_count(),
-            )
-            acc4[key] = acc4.get(key, 0) + sign * tens[z_mask] * flows[w_mask]
 
     checks: list[CheckResult] = []
 
@@ -608,7 +651,7 @@ def pair_integral_identities(
         _identity(
             "nowhere-zero pair count equals the alternating subgroup-size sum",
             sum(cover.values()),
-            alt,
+            alt[()],
             ("count", "sum"),
         )
     )

@@ -14,6 +14,7 @@ from tfpoly.algebra import (
     rational_rank,
     smith_normal_form,
 )
+from tfpoly.config import run_scope
 
 X = MultiPoly.var("x")
 Y = MultiPoly.var("y")
@@ -222,6 +223,33 @@ def test_substitute_composes(a, b, c, values):
     assert _value(a.substitute({"x": Y, "y": X}), point) == _value(a, swapped)
 
 
+@settings(max_examples=60, deadline=None)
+@given(small_polys(), small_polys(), small_polys() | st.integers(-3, 3) | SMALL_FRACTIONS)
+def test_substitute_reads_the_same_in_a_run(a, b, c):
+    # within a run the images of a's monomials are kept and shared with
+    # every polynomial fed the same replacements; what comes out, down
+    # to its variables and terms, is what a call outside a run gives
+    mapping = {"x": b, "y": c}
+    cold = a.substitute(mapping)
+    with run_scope():
+        for _ in range(2):
+            warm = a.substitute(mapping)
+            assert (warm.variables, warm.terms) == (cold.variables, cold.terms)
+
+
+def test_substitute_keeps_its_variables_beside_an_equal_replacement():
+    # x + 1 over (x, y) equals x + 1 over (x,), but a composite with it
+    # carries y, in a run as out of one
+    wide = MultiPoly(("x", "y"), {(1, 0): 1, (0, 0): 1})
+    p = MultiPoly(("t",), {(2,): 1})
+    with run_scope():
+        narrow_first = p.substitute({"t": X + 1})
+        wide_then = p.substitute({"t": wide})
+    assert narrow_first.variables == ("x",)
+    assert wide_then.variables == ("x", "y")
+    assert narrow_first == wide_then
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_polys(), st.sets(st.sampled_from("xyzw")))
 def test_negate_vars_substitutes_minus_each_variable(a, names):
@@ -415,6 +443,15 @@ def test_rational_rank():
     m = [[Fraction(1, 2), 1], [1, 2]]
     assert rational_rank(m) == 1
     assert rational_rank([[0, 0], [0, 0]]) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.integers(-3, 3), min_size=3, max_size=3), min_size=1, max_size=4))
+def test_rational_rank_reads_int_rows_as_their_fractions(rows):
+    # int rows skip the scaling; the same rows as Fractions take it
+    assert rational_rank(rows) == rational_rank([[Fraction(x) for x in row] for row in rows])
+    halves = [[Fraction(x, 2) for x in row] for row in rows]
+    assert rational_rank(halves) == rational_rank(rows)
 
 
 def test_smith_normal_form_basics():

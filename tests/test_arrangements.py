@@ -138,6 +138,27 @@ def test_product_valuation_rejects_overlap():
         product_valuation([(1, whole), (1, evens)], check_disjoint=True)
 
 
+def test_product_valuation_finds_pieces_that_share_one_point():
+    # {0, 2} x Z2, {1, 3} x {0}, {1} x {1} and {3} x {1} tile Z4 x Z2;
+    # {2} x {1} in place of the last meets the first piece in the one
+    # point (2, 1), and the sizes still sum to 8
+    ambient = [Z4, Z2]
+    evens = FiniteCosetProduct.from_subgroup(ambient, [[(2,)], [(1,)]])
+    odds_low = FiniteCosetProduct((frozenset({(1,), (3,)}), frozenset({(0,)})))
+    tiles = [(1, evens), (1, odds_low)]
+    one, three, two = (FiniteCosetProduct((frozenset({(a,)}), frozenset({(1,)}))) for a in (1, 3, 2))
+    assert product_valuation(tiles + [(1, one), (1, three)], check_disjoint=True) == 8
+    with pytest.raises(ValueError, match="overlapping pieces"):
+        product_valuation(tiles + [(1, one), (1, two)], check_disjoint=True)
+
+
+def test_product_valuation_refuses_pieces_over_different_ambients():
+    short = ambient_product([Z4])
+    long = ambient_product([Z4, Z2])
+    with pytest.raises(ValueError, match="coset products over different ambients"):
+        product_valuation([(1, short), (1, long)], check_disjoint=True)
+
+
 # -- graphic backend -----------------------------------------------------------
 
 

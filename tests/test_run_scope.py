@@ -18,7 +18,7 @@ from tfpoly.invariants import (
     tutte_value_triples,
     whitney_weighted_sums,
 )
-from tfpoly.tensionflow import FiniteAbelianGroup, integral_window_counts
+from tfpoly.tensionflow import FiniteAbelianGroup, integral_window_counts, pair_support_histogram
 from tfpoly.verification import run_criteria, run_suite
 
 
@@ -229,3 +229,114 @@ def test_a_run_builds_each_subset_rank_table_once(monkeypatch):
     assert Counter(built) == Counter(
         (g.edge_count << g.edge_count, guard) for g in graphs for guard in guards
     )
+
+
+def test_pair_integral_identities_read_the_same_in_a_warm_run():
+    # the subset tallies and the images of their monomials are shared
+    # across fixtures and group orders within a run
+    orders = [(p, q) for p in (2, 3, 4) for q in (2, 3, 4)]
+    fixtures = list(all_fixtures())
+    with run_scope():
+        for _, g in fixtures:
+            for p, q in orders:
+                verification.pair_integral_identities(g, p, q)
+        warm = [verification.pair_integral_identities(g, p, q) for _, g in fixtures for p, q in orders]
+    cold = [verification.pair_integral_identities(g, p, q) for _, g in fixtures for p, q in orders]
+    assert warm == cold
+    assert all(check.passed for checks, _ in cold for check in checks)
+
+
+def test_a_run_tallies_and_counts_supports_once(monkeypatch):
+    # criterion 8 asks for each fixture's subset tallies at four (p, q);
+    # criteria 1, 5, 7, 8 and 10 ask for the support histograms of many
+    # pairs of groups, each group on each side read once
+    tallied = []
+    real_tallies = verification._pair_subset_tallies.__wrapped__
+
+    def tallies_spy(g, guard):
+        tallied.append(g)
+        return real_tallies(g, guard)
+
+    read = []
+    real_tensions = tensionflow._iter_tension_values
+    real_flows = tensionflow._iter_flow_values
+
+    def tension_spy(g, o, grp, guard=None):
+        read.append((g, grp, "tensions"))
+        return real_tensions(g, o, grp, guard)
+
+    def flow_spy(g, o, grp, guard=None):
+        read.append((g, grp, "flows"))
+        return real_flows(g, o, grp, guard)
+
+    monkeypatch.setattr(verification, "_pair_subset_tallies", config.memoised_in_run(tallies_spy))
+    monkeypatch.setattr(tensionflow, "_iter_tension_values", tension_spy)
+    monkeypatch.setattr(tensionflow, "_iter_flow_values", flow_spy)
+    assert all(res.passed for _, res in run_criteria([1, 5, 7, 8, 10]))
+    assert Counter(tallied) == Counter(g for _, g in all_fixtures())
+    assert read
+    assert max(Counter(read).values()) == 1
+    # the four (Z_p, Z_q) of criterion 8 share two groups per side
+    k4 = fixture("k4")
+    groups = [FiniteAbelianGroup.cyclic(n) for n in (2, 3)]
+    assert {(k4, grp, side) for grp in groups for side in ("tensions", "flows")} <= set(read)
+
+
+def test_a_refused_support_product_leaves_the_flows_unread(monkeypatch):
+    # on K4 the 27 flows over Z_3 have 14 supports, the tensions over
+    # Z_3 14 and over Z_2 8: at guard 112 the product with Z_3 tensions
+    # is refused at the ninth flow support, and the product with Z_2
+    # tensions reads on from there
+    started, read = [], []
+    real = tensionflow._iter_flow_values
+
+    def spy(g, o, grp, guard=None):
+        started.append(grp)
+        for values in real(g, o, grp, guard):
+            read.append(values)
+            yield values
+
+    monkeypatch.setattr(tensionflow, "_iter_flow_values", spy)
+    g = fixture("k4")
+    z2, z3 = FiniteAbelianGroup.cyclic(2), FiniteAbelianGroup.cyclic(3)
+    with run_scope():
+        for _ in range(2):
+            with pytest.raises(GuardExceeded, match="product needs 126 states, guard is 112$"):
+                pair_support_histogram(g, z3, z3, 112)
+            assert 9 <= len(read) < 27
+        hist = pair_support_histogram(g, z2, z3, 112)
+    assert started == [z3]
+    assert len(read) == 27
+    assert hist == pair_support_histogram(g, z2, z3)
+    assert sum(hist.values()) == 2**3 * 3**3
+
+
+def test_an_enumeration_refused_by_its_own_charge_is_refused_again():
+    # the memoised support count does not keep what a refused read saw
+    g = fixture("k4")
+    z3 = FiniteAbelianGroup.cyclic(3)
+    with run_scope():
+        for _ in range(2):
+            with pytest.raises(GuardExceeded, match="tension enumeration needs 27 states"):
+                pair_support_histogram(g, z3, z3, 20)
+
+
+def test_a_run_fits_each_window_polynomial_once(monkeypatch):
+    # criterion 4 asks for 528 window polynomials; equal counts share a
+    # fit across orientations and graphs
+    fitted = []
+    real = invariants.interpolate_univariate
+
+    def spy(samples, degree, var, **kwargs):
+        fitted.append((tuple(samples), degree, var))
+        return real(samples, degree, var, **kwargs)
+
+    monkeypatch.setattr(invariants, "interpolate_univariate", spy)
+    assert all(res.passed for _, res in run_criteria([4]))
+    assert fitted
+    assert max(Counter(fitted).values()) == 1
+    fitted.clear()
+    g = fixture("k3")
+    o = Orientation.reference(g)
+    assert kappa_rho(g, o, "open") == kappa_rho(g, o, "open")
+    assert len(fitted) == 4
