@@ -19,12 +19,13 @@ Conventions used throughout:
   deletion-contraction recursion (`_tutte_recursion`) and the sums
   over all 2^E subsets (`whitney_by_subsets`, `omega_by_subsets`) are
   kept as oracles, which `verify` and the tests call by name.
-* The brute modular pair counts (omega_value, modular_complementary_count,
-  whitney_weighted_sums) are sums over one histogram,
-  tensionflow.pair_support_histogram, the product of a support count
-  of the tensions and one of the flows.  A verification run keeps each
-  support count, so each group's tensions and flows are enumerated
-  once per graph.
+* The brute pair counts (omega_value, the complementary counts,
+  whitney_weighted_sums) each sum one of the pair classes of
+  tensionflow.pair_support_classes (or integral_support_classes): the
+  pairs with disjoint, covering or complementary supports, tallied in
+  one pass over the supports of the tensions and of the flows.  A
+  verification run keeps each support count, so each group's tensions
+  and flows are enumerated once per graph.
 * For an orientation rho with bond part B and circuit part C,
   kappa_rho(G;x,y) is the product of the open window counts
       #{integer tensions: f = 0 on C, 0 < f < x on B} and
@@ -59,7 +60,6 @@ Conventions used throughout:
 from __future__ import annotations
 
 from math import comb
-from typing import Iterator
 
 from .algebra import MultiPoly, interpolate_univariate
 from .config import check_state_space, memoised_in_run, state_guard
@@ -76,14 +76,9 @@ from .graph import (
 from .orientations import all_orientations, classify_edges, cut_eulerian_classes
 from .tensionflow import (
     FiniteAbelianGroup,
-    _SupportCount,
-    _iter_flow_values,
-    _iter_tension_values,
-    _support_product,
-    enumerate_integral_flows,
-    enumerate_integral_tensions,
+    integral_support_classes,
     integral_window_counts,
-    pair_support_histogram,
+    pair_support_classes,
 )
 
 X = MultiPoly.var("x")
@@ -305,73 +300,30 @@ def omega_value(
     """Brute count of nowhere-zero (tension over grp_a, flow over grp_b)
     pairs, those whose supports cover E; depends only on the group
     orders."""
-    full = (1 << g.edge_count) - 1
-    return sum(
-        cnt
-        for (fm, gm), cnt in pair_support_histogram(g, grp_a, grp_b, guard).items()
-        if fm | gm == full
-    )
-
-
-# -- support histograms (shared brute enumerations) ---------------------------
-
-
-@memoised_in_run
-def _integral_supports(g: MultiGraph, bound: int, tensions: bool, guard: int | None) -> _SupportCount:
-    """The supports of the integer tensions (or flows) with |f| < bound
-    everywhere, in the reference orientation."""
-
-    def read() -> Iterator[int]:
-        enumerate_box = enumerate_integral_tensions if tensions else enumerate_integral_flows
-        o = Orientation.reference(g)
-        return (fn.support_mask() for fn in enumerate_box(g, o, bound, "box", guard=guard))
-
-    return _SupportCount(read)
-
-
-def integral_support_histogram(
-    g: MultiGraph, p: int, q: int, guard: int | None = None
-) -> dict[tuple[int, int], int]:
-    """Counts of (supp f, supp g) mask pairs over integer pairs with
-    |f| < p and |g| < q everywhere (zeros allowed).  Within a run each
-    box is enumerated once, for every pair of bounds it takes part in."""
-    return _support_product(
-        _integral_supports(g, p, True, guard), _integral_supports(g, q, False, guard), guard
-    )
+    _, cover, _ = pair_support_classes(g, grp_a, grp_b, guard)
+    return sum(cover.values())
 
 
 def modular_complementary_count(g: MultiGraph, p: int, q: int, guard: int | None = None) -> int:
-    full = (1 << g.edge_count) - 1
-    hist = pair_support_histogram(
+    _, _, comp = pair_support_classes(
         g, FiniteAbelianGroup.cyclic(p), FiniteAbelianGroup.cyclic(q), guard
     )
-    return sum(cnt for (fm, gm), cnt in hist.items() if gm == full & ~fm)
+    return sum(comp.values())
 
 
 def integral_complementary_count(
     g: MultiGraph, p: int, q: int, guard: int | None = None
 ) -> int:
-    full = (1 << g.edge_count) - 1
-    return sum(
-        cnt
-        for (fm, gm), cnt in integral_support_histogram(g, p, q, guard).items()
-        if gm == full & ~fm
-    )
+    _, _, comp = integral_support_classes(g, p, q, guard)
+    return sum(comp.values())
 
 
 # -- interpolated one-variable families (tension and flow oracles) -----------
 
 
-def _count_nowhere_zero(g: MultiGraph, q: int, tensions: bool, guard: int | None = None) -> int:
-    """Brute count of the nowhere-zero tensions (or, with tensions=False,
-    flows) over Z_q."""
-    values_of = _iter_tension_values if tensions else _iter_flow_values
-    grp = FiniteAbelianGroup.cyclic(q)
-    return sum(
-        1
-        for values in values_of(g, Orientation.reference(g), grp, guard)
-        if all(any(v) for v in values)
-    )
+# the only flow (tension) over the trivial group Z_1 is 0, so the pairs
+# covering E with it are the nowhere-zero tensions (flows) alone
+Z1 = FiniteAbelianGroup.cyclic(1)
 
 
 def tension_poly_by_enumeration(
@@ -380,7 +332,9 @@ def tension_poly_by_enumeration(
     """Nowhere-zero tension polynomial interpolated from brute counts over
     Z_q; the oracle for `tension_poly`."""
     r, _ = rank_nullity(g)
-    samples = [(q, _count_nowhere_zero(g, q, True, guard)) for q in range(1, r + 4)]
+    samples = [
+        (q, omega_value(g, FiniteAbelianGroup.cyclic(q), Z1, guard)) for q in range(1, r + 4)
+    ]
     return interpolate_univariate(samples, r, var)
 
 
@@ -390,7 +344,9 @@ def flow_poly_by_enumeration(
     """Nowhere-zero flow polynomial interpolated from brute counts over
     Z_q; the oracle for `flow_poly`."""
     _, n = rank_nullity(g)
-    samples = [(q, _count_nowhere_zero(g, q, False, guard)) for q in range(1, n + 4)]
+    samples = [
+        (q, omega_value(g, Z1, FiniteAbelianGroup.cyclic(q), guard)) for q in range(1, n + 4)
+    ]
     return interpolate_univariate(samples, n, var)
 
 
@@ -712,20 +668,10 @@ def whitney_weighted_sums(g: MultiGraph, p: int, q: int, guard: int | None = Non
     * (-1)^r times the sum of (-1)^|supp g| over complementary pairs,
       which reproduces it at (-p, -q).
     """
-    hist = pair_support_histogram(
+    disjoint, _, comp = pair_support_classes(
         g, FiniteAbelianGroup.cyclic(p), FiniteAbelianGroup.cyclic(q), guard
     )
-    m = g.edge_count
-    full = (1 << m) - 1
     r, _ = rank_nullity(g)
-    disjoint_sum = 0
-    signed_sum = 0
-    for (fm, gm), cnt in hist.items():
-        kerf = full & ~fm
-        if gm & ~kerf == 0:
-            disjoint_sum += cnt * 2 ** (kerf & ~gm).bit_count()
-        if gm == kerf:
-            signed_sum += cnt * (-1 if gm.bit_count() & 1 else 1)
-    if r & 1:
-        signed_sum = -signed_sum
+    disjoint_sum = sum(cnt * 2 ** (k - s) for (k, s), cnt in disjoint.items())
+    signed_sum = sum(-cnt if (k + r) & 1 else cnt for (k,), cnt in comp.items())
     return disjoint_sum, signed_sum

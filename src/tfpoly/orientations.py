@@ -55,7 +55,7 @@ from .graph import (
 from .tensionflow import (
     enumerate_integral_flows,
     enumerate_integral_tensions,
-    support_pair_counts,
+    support_pair_classes,
 )
 
 
@@ -264,10 +264,10 @@ def zero_one_pair_count(g: MultiGraph, o: Orientation, guard: int | None = None)
     non_loops = EdgeSubset.of(g.edge_count, g.non_loop_ids())
     tens = enumerate_integral_tensions(g, o, 1, "closed", window=full, guard=guard)
     flows = enumerate_integral_flows(g, o, 1, "closed", window=non_loops, guard=guard)
-    hist = support_pair_counts(
-        (fn.support_mask() for fn in tens), (fn.support_mask() for fn in flows), guard
+    disjoint, _, _ = support_pair_classes(
+        (fn.support_mask() for fn in tens), (fn.support_mask() for fn in flows), g.edge_count, guard
     )
-    return sum(cnt for (fm, gm), cnt in hist.items() if fm & gm == 0)
+    return sum(disjoint.values())
 
 
 def class_size_check(g: MultiGraph, cls: OrientationClass, guard: int | None = None) -> int:

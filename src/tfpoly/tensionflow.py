@@ -36,16 +36,16 @@ table decides `is_tension` (zero sum around every fundamental circuit)
 and gives the bases of `lattice_index`: the fundamental bond of a forest
 edge is the unit tension there.
 
-Every brute count of modular (tension, flow) pairs is a sum over one
-histogram, `pair_support_histogram`: the number of pairs with each
-(supp f, supp g).  Tensions and flows range independently, so it is
-the product of a support count of the tensions over one group and one
-of the flows over the other.  Supports do not depend on the
+Every brute count of (tension, flow) pairs reads the pair classes of
+`pair_support_classes`: the pairs whose supports are disjoint, cover
+E, or both (complementary).  Tensions and flows range independently,
+so one pass over the pairs of distinct supports of a tension count and
+a flow count fills all three.  Supports do not depend on the
 orientation, so each support count is keyed on the graph, the group
 and the side alone, and a verification run enumerates each once, for
-every pair of groups it takes part in.  The flows are read as the
-product charges them, so a product over the guard is refused before
-they are all read, and a later product reads on from there.
+every pair of groups it takes part in.  The flows are read as the pass
+charges them, so a pass over the guard is refused before they are all
+read, and a later pass reads on from there.
 """
 
 from __future__ import annotations
@@ -649,7 +649,7 @@ def _walk(
             levels.pop()
 
 
-# -- support pair histogram ---------------------------------------------------
+# -- support pair classes ------------------------------------------------------
 
 
 class _SupportCount:
@@ -693,33 +693,48 @@ class _SupportCount:
         self._done = True
 
 
-def support_pair_counts(
-    tension_masks: Iterable[int], flow_masks: Iterable[int], guard: int | None = None
-) -> dict[tuple[int, int], int]:
-    """Counts of (supp f, supp g) over every pair of a tension and a flow,
-    given the support masks of each; see `_support_product`."""
-    return _support_product(
-        _SupportCount(lambda: tension_masks), _SupportCount(lambda: flow_masks), guard
+# (disjoint, cover, comp): the pairs whose supports are disjoint (supp f
+# inside ker g) and those whose supports cover E (ker f inside supp g),
+# each by (|ker f|, |supp g|), and the complementary pairs (both) by |ker f|
+PairClasses = tuple[Counter[tuple[int, int]], Counter[tuple[int, int]], Counter[tuple[int]]]
+
+
+def support_pair_classes(
+    tension_masks: Iterable[int], flow_masks: Iterable[int], width: int, guard: int | None = None
+) -> PairClasses:
+    """The pair classes of every pair of a tension and a flow on `width`
+    edges, given the support masks of each; see `_pair_classes`."""
+    return _pair_classes(
+        _SupportCount(lambda: tension_masks), _SupportCount(lambda: flow_masks), width, guard
     )
 
 
-def _support_product(
-    tensions: _SupportCount, flows: _SupportCount, guard: int | None
-) -> dict[tuple[int, int], int]:
-    """Tensions and flows range independently, so each count of a
-    support pair is a product of two support counts.  The tensions are
-    read to the end; the product charges one state per pair of
-    distinct supports, as each new flow support arrives, so that a
-    product over the guard is refused before the flows are all read."""
+def _pair_classes(
+    tensions: _SupportCount, flows: _SupportCount, width: int, guard: int | None
+) -> PairClasses:
+    """A pair of supports stands for the product of their counts.  The
+    tensions are read to the end; the pass charges one state per pair
+    of distinct supports, as each new flow support arrives, so that a
+    pass over the guard is refused before the flows are all read."""
     for _ in tensions.distinct():
         pass
     limit = state_guard(guard)  # read once, not per support
-    width = len(tensions.counts)
+    distinct = len(tensions.counts)
     for k, _ in enumerate(flows.distinct(), 1):
-        check_state_space(width * k, limit, "support pair product")
-    return {
-        (fm, gm): a * b for fm, a in tensions.counts.items() for gm, b in flows.counts.items()
-    }
+        check_state_space(distinct * k, limit, "support pair product")
+    full = (1 << width) - 1
+    disjoint, cover, comp = Counter(), Counter(), Counter()
+    for fm, a in tensions.counts.items():
+        kernel = width - fm.bit_count()
+        for gm, b in flows.counts.items():
+            key = (kernel, gm.bit_count())
+            if not fm & gm:
+                disjoint[key] += a * b
+            if fm | gm == full:
+                cover[key] += a * b
+                if not fm & gm:
+                    comp[key[:1]] += a * b
+    return disjoint, cover, comp
 
 
 def _support_mask(values: Sequence[Element]) -> int:
@@ -744,21 +759,44 @@ def _modular_supports(
     return _SupportCount(read)
 
 
-def pair_support_histogram(
+@memoised_in_run
+def _integral_supports(
+    g: MultiGraph, bound: int, tensions: bool, guard: int | None
+) -> _SupportCount:
+    """The supports of the integer tensions (or flows) with |f| < bound
+    everywhere, in the reference orientation."""
+
+    def read() -> Iterator[int]:
+        enumerate_box = enumerate_integral_tensions if tensions else enumerate_integral_flows
+        o = Orientation.reference(g)
+        return (fn.support_mask() for fn in enumerate_box(g, o, bound, "box", guard=guard))
+
+    return _SupportCount(read)
+
+
+def pair_support_classes(
     g: MultiGraph,
     grp_a: FiniteAbelianGroup,
     grp_b: FiniteAbelianGroup,
     guard: int | None = None,
-) -> dict[tuple[int, int], int]:
-    """Counts of (supp f, supp g) over all (tension f over grp_a, flow g
-    over grp_b) pairs.  The two enumerations charge |grp_a|^rank and
-    |grp_b|^nullity states, and their product one state per pair of
+) -> PairClasses:
+    """The pair classes of all (tension f over grp_a, flow g over grp_b)
+    pairs.  The two enumerations charge |grp_a|^rank and |grp_b|^nullity
+    states, and the pass over their supports one state per pair of
     distinct supports.  Within a run each enumeration is read once, for
-    every pair of groups it takes part in; the product is formed again
-    on each call, which costs one entry per pair of distinct supports."""
-    return _support_product(
-        _modular_supports(g, grp_a, True, guard), _modular_supports(g, grp_b, False, guard), guard
-    )
+    every pair of groups it takes part in."""
+    tensions = _modular_supports(g, grp_a, True, guard)
+    return _pair_classes(tensions, _modular_supports(g, grp_b, False, guard), g.edge_count, guard)
+
+
+def integral_support_classes(
+    g: MultiGraph, p: int, q: int, guard: int | None = None
+) -> PairClasses:
+    """The pair classes of the integer pairs with |f| < p and |g| < q
+    everywhere (zeros allowed).  Within a run each box is enumerated
+    once, for every pair of bounds it takes part in."""
+    tensions = _integral_supports(g, p, True, guard)
+    return _pair_classes(tensions, _integral_supports(g, q, False, guard), g.edge_count, guard)
 
 
 # -- lattice index --------------------------------------------------------------

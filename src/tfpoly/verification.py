@@ -18,7 +18,7 @@ what several criteria ask for, such as the orientation sums, is
 computed once per run and dropped when the run ends.  What does not
 depend on the group orders is done once per graph: criterion 8's
 subset sums are tallied once, keyed also by the exponents of p and q
-(`_pair_subset_tallies`), the support histograms of every pair of
+(`_pair_subset_tallies`), the support pair classes of every pair of
 groups share one enumeration per group and side, each monomial's image
 under a substitution is computed once, and window polynomials with
 equal counts share one fit.
@@ -96,12 +96,13 @@ from .orientations import (
 )
 from .tensionflow import (
     FiniteAbelianGroup,
+    IntegerEdgeFunction,
     _iter_flow_values,
     _iter_tension_values,
     enumerate_integral_flows,
     enumerate_integral_tensions,
     lattice_index,
-    pair_support_histogram,
+    pair_support_classes,
 )
 
 
@@ -552,29 +553,16 @@ def pair_integral_identities(
     m = g.edge_count
     # the subset sums below run over 3^E pairs Y inside X and 4^E pairs (Z, W)
     check_state_space(3**m + 4**m, guard, "pair integral subset sums")
-    hist = pair_support_histogram(
+    # the pairs with disjoint supports (supp f inside ker g, or as well
+    # supp g inside ker f: the same bit test) and with covering supports
+    # (ker f inside supp g), by (|ker f|, |supp g|), and the
+    # complementary ones, which are both and so have |supp g| = |ker f|
+    disjoint, cover, comp = pair_support_classes(
         g, FiniteAbelianGroup.cyclic(p), FiniteAbelianGroup.cyclic(q), guard
     )
     tallies = _pair_subset_tallies(g, guard)
     acc1, acc4, alt, diag = (_at_orders(tally, p, q) for tally in tallies)
-    full = (1 << m) - 1
     r, n = rank_nullity(g)
-
-    # the pairs by (|ker f|, |supp g|): with disjoint supports (supp f
-    # inside ker g, or as well supp g inside ker f: the same bit test),
-    # with covering supports (ker f inside supp g), and complementary
-    # ones, which are both and so have |supp g| = |ker f|
-    disjoint: dict[tuple[int, int], int] = {}
-    cover: dict[tuple[int, int], int] = {}
-    comp: dict[tuple[int], int] = {}
-    for (fm, gm), cnt in hist.items():
-        key = (m - fm.bit_count(), gm.bit_count())
-        if fm & gm == 0:
-            disjoint[key] = disjoint.get(key, 0) + cnt
-        if fm | gm == full:
-            cover[key] = cover.get(key, 0) + cnt
-            if fm & gm == 0:
-                comp[key[:1]] = comp.get(key[:1], 0) + cnt
 
     checks: list[CheckResult] = []
 
@@ -749,6 +737,14 @@ def _chamber_orientation(g: MultiGraph, total: Sequence[int]) -> Orientation:
     return Orientation.for_graph(g, flips)
 
 
+def _by_support(functions: Iterable[IntegerEdgeFunction]) -> dict[int, list[IntegerEdgeFunction]]:
+    """The functions grouped by support mask, each group in the order read."""
+    out: dict[int, list[IntegerEdgeFunction]] = {}
+    for fn in functions:
+        out.setdefault(fn.support_mask(), []).append(fn)
+    return out
+
+
 def criterion_10(guard: int | None = None) -> CheckResult:
     col = _Collector()
     small = [(name, g) for name, g in all_fixtures() if g.edge_count <= 4]
@@ -757,13 +753,11 @@ def criterion_10(guard: int | None = None) -> CheckResult:
         full = (1 << g.edge_count) - 1
         for p, q in itertools.product((2, 3), repeat=2):
             tens = list(enumerate_integral_tensions(g, o, p, "box", guard=guard))
-            flows = list(enumerate_integral_flows(g, o, q, "box", guard=guard))
+            flows = _by_support(enumerate_integral_flows(g, o, q, "box", guard=guard))
             buckets: dict[tuple, list] = {}
             for f in tens:
-                fm = f.support_mask()
-                for h in flows:
-                    if h.support_mask() != full & ~fm:
-                        continue
+                # the flows complementary to f: supported exactly on ker f
+                for h in flows.get(full ^ f.support_mask(), ()):
                     key = (
                         tuple(v % p for v in f.values),
                         tuple(v % q for v in h.values),
@@ -796,17 +790,15 @@ def criterion_10(guard: int | None = None) -> CheckResult:
                 )
             zp = FiniteAbelianGroup.cyclic(p)
             zq = FiniteAbelianGroup.cyclic(q)
+            mod_flows = _by_support(
+                IntegerEdgeFunction(tuple(v[0] for v in values))
+                for values in _iter_flow_values(g, o, zq, guard)
+            )
             modular = set()
-            mod_flows = []
-            for values in _iter_flow_values(g, o, zq, guard):
-                mod_flows.append(tuple(v[0] for v in values))
             for values in _iter_tension_values(g, o, zp, guard):
-                kf = tuple(v[0] for v in values)
-                fm = sum(1 << e for e, v in enumerate(kf) if v)
-                for kg in mod_flows:
-                    gm = sum(1 << e for e, v in enumerate(kg) if v)
-                    if gm == full & ~fm:
-                        modular.add((kf, kg))
+                f = IntegerEdgeFunction(tuple(v[0] for v in values))
+                for h in mod_flows.get(full ^ f.support_mask(), ()):
+                    modular.add((f.values, h.values))
             col.expect(
                 set(buckets) == modular,
                 f"{name} ({p},{q}): residue image has {len(buckets)} pairs, "
@@ -872,11 +864,7 @@ def criterion_11(guard: int | None = None) -> CheckResult:
             f"trial {done}: characteristic {chi.evaluate()}, complement {direct}",
         )
         a, b = members[0], members[-1]
-        union_size = sum(
-            1
-            for point in itertools.product(*(list(grp.elements()) for grp in ambient))
-            if a.contains(point) or b.contains(point)
-        )
+        union_size = len(set(itertools.product(*a.factors)) | set(itertools.product(*b.factors)))
         via_valuation = product_valuation([(1, a), (1, b), (-1, a.intersect(b))])
         col.expect(
             via_valuation == union_size,

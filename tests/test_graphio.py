@@ -1,8 +1,13 @@
 """Graph file format: one `v n` line, then `e tail head` lines."""
 
+from pathlib import Path
+
 import pytest
 
+from tfpoly.fixtures import fixture, fixture_names
 from tfpoly.graphio import ParseError, format_graph, parse_graph_file, parse_graph_text
+
+FIXTURE_FILES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_basic_parse():
@@ -56,3 +61,12 @@ def test_parse_graph_file(tmp_path):
     path = tmp_path / "g.graph"
     path.write_text("v 2\ne 0 1\n")
     assert parse_graph_file(str(path)).edge_count == 1
+
+
+def test_fixture_files_hold_the_built_in_fixtures():
+    # the README examples and CI read the files, verify and the tests
+    # read fixtures.FIXTURE_TEXTS: the two must hold the same graphs
+    paths = sorted(FIXTURE_FILES.glob("*.graph"))
+    assert [path.stem for path in paths] == sorted(fixture_names())
+    for path in paths:
+        assert parse_graph_file(str(path)) == fixture(path.stem), path.name

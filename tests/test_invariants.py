@@ -25,7 +25,6 @@ from tfpoly.invariants import (
     flow_poly_by_enumeration,
     integral_complementary_count,
     integral_flow_poly,
-    integral_support_histogram,
     integral_tension_poly,
     kappa_rho,
     modular_complementary_count,
@@ -43,7 +42,11 @@ from tfpoly.invariants import (
     whitney_by_subsets,
 )
 from tfpoly.orientations import cut_eulerian_classes
-from tfpoly.tensionflow import FiniteAbelianGroup, pair_support_histogram
+from tfpoly.tensionflow import (
+    FiniteAbelianGroup,
+    integral_support_classes,
+    pair_support_classes,
+)
 from tfpoly.verification import (
     pair_integral_identities,
     reciprocity_check,
@@ -271,10 +274,10 @@ def _kappa_twice_in_one_run(g):
         _kappa_twice_in_one_run,
         lambda g: integral_tension_poly(g, "y"),
         lambda g: integral_flow_poly(g, "y"),
-        lambda g: pair_support_histogram(
+        lambda g: pair_support_classes(
             g, FiniteAbelianGroup.cyclic(3), FiniteAbelianGroup.cyclic(3)
         ),
-        lambda g: integral_support_histogram(g, 3, 3),
+        lambda g: integral_support_classes(g, 3, 3),
         cut_eulerian_classes,
         subset_rank_table,
         lambda g: psi_family(g, "bar_psi"),
@@ -285,8 +288,8 @@ def _kappa_twice_in_one_run(g):
         "kappa_rho_in_one_run",
         "integral_tension_poly",
         "integral_flow_poly",
-        "pair_support_histogram",
-        "integral_support_histogram",
+        "modular_pair_classes",
+        "integral_pair_classes",
         "cut_eulerian_classes",
         "subset_rank_table",
         "psi_family",

@@ -11,14 +11,19 @@ from tfpoly.fixtures import all_fixtures, fixture, small_ladder
 from tfpoly.graph import Orientation, subset_rank_table
 from tfpoly.invariants import (
     QUADRANTS,
-    integral_support_histogram,
     kappa_rho,
     modular_complementary_count,
+    omega,
     omega_value,
     tutte_value_triples,
     whitney_weighted_sums,
 )
-from tfpoly.tensionflow import FiniteAbelianGroup, integral_window_counts, pair_support_histogram
+from tfpoly.tensionflow import (
+    FiniteAbelianGroup,
+    integral_support_classes,
+    integral_window_counts,
+    pair_support_classes,
+)
 from tfpoly.verification import run_criteria, run_suite
 
 
@@ -53,7 +58,7 @@ def test_a_run_computes_each_result_once(kappa_spy):
 
 
 def test_a_run_enumerates_the_pairs_of_two_groups_once(monkeypatch):
-    # criteria 1, 5, 7 and 8 all read the (Z_p, Z_q) support histogram
+    # criteria 1, 5, 7 and 8 all read the (Z_p, Z_q) pair classes
     enumerated = []
     real = tensionflow._iter_tension_values
 
@@ -72,20 +77,20 @@ def test_a_run_enumerates_the_pairs_of_two_groups_once(monkeypatch):
 
 
 def test_a_run_enumerates_each_integer_box_once(monkeypatch):
-    # criteria 5 and 10 both read the integer (p, q) support histogram
+    # criteria 5 and 10 both read the integer (p, q) pair classes
     enumerated = []
-    real = invariants.enumerate_integral_tensions
+    real = tensionflow.enumerate_integral_tensions
 
     def spy(g, o, bound, *args, **kwargs):
         enumerated.append(bound)
         return real(g, o, bound, *args, **kwargs)
 
-    monkeypatch.setattr(invariants, "enumerate_integral_tensions", spy)
+    monkeypatch.setattr(tensionflow, "enumerate_integral_tensions", spy)
     g = fixture("k3")
     with run_scope():
-        first = integral_support_histogram(g, 2, 3)
-        assert integral_support_histogram(g, 2, 3) == first
-        integral_support_histogram(g, 3, 3)
+        first = integral_support_classes(g, 2, 3)
+        assert integral_support_classes(g, 2, 3) == first
+        integral_support_classes(g, 3, 3)
     assert enumerated == [2, 3]
 
 
@@ -248,8 +253,10 @@ def test_pair_integral_identities_read_the_same_in_a_warm_run():
 
 def test_a_run_tallies_and_counts_supports_once(monkeypatch):
     # criterion 8 asks for each fixture's subset tallies at four (p, q);
-    # criteria 1, 5, 7, 8 and 10 ask for the support histograms of many
-    # pairs of groups, each group on each side read once
+    # criteria 1, 5, 7, 8 and 10 ask for the pair classes of many pairs
+    # of groups, and criterion 13 for the nowhere-zero tensions over Z_1
+    # to Z_(r+3) and flows over Z_1 to Z_(n+3); each group on each side
+    # is read once
     tallied = []
     real_tallies = verification._pair_subset_tallies.__wrapped__
 
@@ -272,7 +279,7 @@ def test_a_run_tallies_and_counts_supports_once(monkeypatch):
     monkeypatch.setattr(verification, "_pair_subset_tallies", config.memoised_in_run(tallies_spy))
     monkeypatch.setattr(tensionflow, "_iter_tension_values", tension_spy)
     monkeypatch.setattr(tensionflow, "_iter_flow_values", flow_spy)
-    assert all(res.passed for _, res in run_criteria([1, 5, 7, 8, 10]))
+    assert all(res.passed for _, res in run_criteria([1, 5, 7, 8, 10, 13]))
     assert Counter(tallied) == Counter(g for _, g in all_fixtures())
     assert read
     assert max(Counter(read).values()) == 1
@@ -302,13 +309,14 @@ def test_a_refused_support_product_leaves_the_flows_unread(monkeypatch):
     with run_scope():
         for _ in range(2):
             with pytest.raises(GuardExceeded, match="product needs 126 states, guard is 112$"):
-                pair_support_histogram(g, z3, z3, 112)
+                pair_support_classes(g, z3, z3, 112)
             assert 9 <= len(read) < 27
-        hist = pair_support_histogram(g, z2, z3, 112)
+        classes = pair_support_classes(g, z2, z3, 112)
     assert started == [z3]
     assert len(read) == 27
-    assert hist == pair_support_histogram(g, z2, z3)
-    assert sum(hist.values()) == 2**3 * 3**3
+    assert classes == pair_support_classes(g, z2, z3)
+    _, cover, _ = classes
+    assert sum(cover.values()) == omega(g).evaluate(x=2, y=3)
 
 
 def test_an_enumeration_refused_by_its_own_charge_is_refused_again():
@@ -318,7 +326,7 @@ def test_an_enumeration_refused_by_its_own_charge_is_refused_again():
     with run_scope():
         for _ in range(2):
             with pytest.raises(GuardExceeded, match="tension enumeration needs 27 states"):
-                pair_support_histogram(g, z3, z3, 20)
+                pair_support_classes(g, z3, z3, 20)
 
 
 def test_a_run_fits_each_window_polynomial_once(monkeypatch):

@@ -1,5 +1,7 @@
 """Tension and flow groups, modular and integral."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +25,7 @@ from tfpoly.tensionflow import (
     is_flow,
     is_tension,
     lattice_index,
-    support_pair_counts,
+    support_pair_classes,
 )
 
 Z2 = FiniteAbelianGroup.cyclic(2)
@@ -259,11 +261,15 @@ def test_guard_stops_huge_enumerations():
 
 
 def test_support_product_charges_distinct_support_pairs():
-    # three distinct tension supports times two distinct flow supports
+    # three distinct tension supports times two distinct flow supports,
+    # on three edges: the supports 3 and 4 are complementary, once
     tensions, flows = [1, 2, 2, 3], [1, 1, 4]
-    assert support_pair_counts(tensions, flows, guard=6)[(2, 1)] == 4
+    disjoint, cover, comp = support_pair_classes(tensions, flows, 3, guard=6)
+    assert disjoint == {(2, 1): 1 * 1 + 2 * 2 + 2 * 1, (1, 1): 1}
+    assert cover == {(1, 1): 1}
+    assert comp == {(1,): 1}
     with pytest.raises(GuardExceeded, match="support pair product needs 6 states, guard is 5"):
-        support_pair_counts(tensions, flows, guard=5)
+        support_pair_classes(tensions, flows, 3, guard=5)
 
 
 def test_support_product_refuses_before_the_flows_run_out():
@@ -271,5 +277,35 @@ def test_support_product_refuses_before_the_flows_run_out():
     # makes 6 pairs, over the guard, and the rest are never read
     flows = iter([1, 1, 4, 8, 16])
     with pytest.raises(GuardExceeded, match="support pair product needs 6 states, guard is 5"):
-        support_pair_counts([1, 2, 2, 3], flows, guard=5)
+        support_pair_classes([1, 2, 2, 3], flows, 5, guard=5)
     assert list(flows) == [8, 16]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), width=st.integers(0, 6))
+def test_support_pair_classes_sum_three_predicates_over_the_histogram(data, width):
+    full = (1 << width) - 1
+    masks = st.lists(st.integers(0, full), max_size=10)
+    tensions, flows = data.draw(masks), data.draw(masks)
+    # the oracle: the counts of every (supp f, supp g), an explicit product
+    histogram = {
+        (fm, gm): a * b
+        for fm, a in Counter(tensions).items()
+        for gm, b in Counter(flows).items()
+    }
+    want: tuple[dict, dict, dict] = ({}, {}, {})
+    for (fm, gm), cnt in histogram.items():
+        key = (width - fm.bit_count(), gm.bit_count())
+        for tally, at, holds in (
+            (want[0], key, fm & gm == 0),
+            (want[1], key, fm | gm == full),
+            (want[2], key[:1], fm & gm == 0 and fm | gm == full),
+        ):
+            if holds:
+                tally[at] = tally.get(at, 0) + cnt
+    charge = len(set(tensions)) * len(set(flows))
+    assert support_pair_classes(tensions, flows, width, guard=max(charge, 1)) == want
+    if charge > 1:
+        match = f"support pair product needs {charge} states, guard is {charge - 1}$"
+        with pytest.raises(GuardExceeded, match=match):
+            support_pair_classes(tensions, flows, width, guard=charge - 1)
