@@ -1,6 +1,6 @@
 """Exact algebra substrate: sparse polynomials, univariate
-interpolation, rational matrix rank, determinant and adjugate, and
-Smith normal form.
+interpolation, and rational matrix rank, determinant and adjugate
+from one fraction-free elimination.
 
 Everything here is exact; there is no floating point anywhere.
 Polynomial coefficients are arbitrary precision integers or exact
@@ -537,14 +537,40 @@ def interpolate_univariate(
 # -- exact matrices ----------------------------------------------------
 
 
-def rational_rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
-    """Exact rank over Q by fraction-free integer elimination.
+def _eliminate(work: list[list[int]], width: int) -> tuple[int, int, int]:
+    """Fraction-free Gauss-Jordan elimination of the integer rows `work`,
+    in place, pivoting in the first `width` columns (Bareiss, "Sylvester's
+    identity and multistep integer-preserving Gaussian elimination", Math.
+    Comp. 22, 1968).  At each pivot p every other row becomes
+    (p * row - row[col] * pivot row) / previous pivot, a division that
+    is exact, so every entry stays an integer minor.  Returns (rank, sign
+    of the row swaps, last pivot).  For a nonsingular square A, [A | I]
+    ends as [sign det A * I | sign adj A]."""
+    rank, sign, prev = 0, 1, 1
+    for col in range(width):
+        if rank == len(work):
+            break
+        pivot = next((i for i in range(rank, len(work)) if work[i][col]), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            work[rank], work[pivot] = work[pivot], work[rank]
+            sign = -sign
+        top = work[rank]
+        p = top[col]
+        for i, row in enumerate(work):
+            if i != rank:
+                f = row[col]
+                work[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+        rank += 1
+    return rank, sign, prev
 
-    Takes a plain sequence of rows of ints or Fractions.  A row of ints
-    is eliminated as it is; a row with a Fraction is scaled to integers
-    first (rank-preserving).  Elimination is by cross-multiplication,
-    which stays in Z throughout.
-    """
+
+def rational_rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
+    """Exact rank over Q by fraction-free elimination of rows of ints or
+    Fractions; any other entry, a float included, is a TypeError.  A row
+    with a Fraction is scaled to integers first (rank-preserving)."""
     if not rows or not rows[0]:
         return 0
     work: list[list[int]] = []
@@ -552,129 +578,26 @@ def rational_rank(rows: Sequence[Sequence[int | Fraction]]) -> int:
         if all(type(x) is int for x in row):
             work.append(list(row))
             continue
-        fracs = [Fraction(x) for x in row]
-        scale = math.lcm(*(f.denominator for f in fracs))
-        work.append([int(f * scale) for f in fracs])
-    m, n = len(work), len(work[0])
-    rank = 0
-    col = 0
-    while rank < m and col < n:
-        pivot = next((i for i in range(rank, m) if work[i][col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        a = work[rank][col]
-        for i in range(rank + 1, m):
-            b = work[i][col]
-            if b:
-                work[i] = [a * x - b * y for x, y in zip(work[i], work[rank])]
-        rank += 1
-        col += 1
-    return rank
+        for x in row:
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"matrix entry {x!r} must be an int or a Fraction")
+        scale = math.lcm(*(x.denominator for x in row))
+        work.append([int(x * scale) for x in row])
+    return _eliminate(work, len(work[0]))[0]
 
 
 def det_adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(det A, adj A) of a nonsingular square integer matrix, exactly.
-
-    Gauss-Jordan elimination over the rationals gives det A and A^-1;
-    adj A = det A * A^-1 has integer entries.
-    """
+    """(det A, adj A) of a nonsingular square integer matrix, by
+    fraction-free elimination of [A | I].  An entry that is not an int or
+    an integral Fraction is a TypeError, and a singular A a ValueError."""
     n = len(rows)
-    work = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(rows)
-    ]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if work[i][col]), None)
-        if pivot is None:
-            raise ValueError("singular matrix has no adjugate by inversion")
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        p = work[col][col]
-        det *= p
-        work[col] = [x / p for x in work[col]]
-        for i in range(n):
-            f = work[i][col]
-            if i != col and f:
-                work[i] = [x - f * y for x, y in zip(work[i], work[col])]
-    d = int(det)
-    return d, tuple(tuple(int(d * x) for x in row[n:]) for row in work)
-
-
-def smith_normal_form(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Diagonal of the Smith normal form: non-negative d_1 | d_2 | ...
-
-    Returns min(rows, cols) entries, trailing zeros for rank deficiency.
-    For a square non-singular matrix the product of the entries is the
-    index of the column lattice in Z^n (= |det|).  Each entry must be an
-    int or an integral Fraction, else TypeError.
-    """
-    for row in rows:
+    work = []
+    for i, row in enumerate(rows):
         for x in row:
             if not _is_integer(x):
                 raise TypeError(f"matrix entry {x!r} must be an integer")
-    A = [[int(x) for x in row] for row in rows]
-    m = len(A)
-    n = len(A[0]) if A else 0
-    size = min(m, n)
-    diag: list[int] = []
-    t = 0
-    while t < size:
-        # locate a pivot of least absolute value in the working block
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = abs(A[i][j])
-                if v and (best is None or v < best):
-                    best = v
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        A[t], A[pi] = A[pi], A[t]
-        for row in A:
-            row[t], row[pj] = row[pj], row[t]
-        while True:
-            # clear column t by row operations
-            dirty = False
-            for i in range(t + 1, m):
-                if A[i][t]:
-                    q = A[i][t] // A[t][t]
-                    A[i] = [x - q * y for x, y in zip(A[i], A[t])]
-                    if A[i][t]:
-                        A[t], A[i] = A[i], A[t]
-                        dirty = True
-            if dirty:
-                continue
-            # clear row t by column operations
-            for j in range(t + 1, n):
-                if A[t][j]:
-                    q = A[t][j] // A[t][t]
-                    for row in A:
-                        row[j] -= q * row[t]
-                    if A[t][j]:
-                        for row in A:
-                            row[t], row[j] = row[j], row[t]
-                        dirty = True
-            if dirty:
-                continue
-            # enforce divisibility: fold any non-multiple into the corner
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if A[i][j] % A[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            A[t] = [x + y for x, y in zip(A[t], A[offender])]
-        diag.append(abs(A[t][t]))
-        t += 1
-    diag.extend([0] * (size - len(diag)))
-    return tuple(diag)
+        work.append([int(x) for x in row] + [int(i == j) for j in range(n)])
+    rank, sign, last = _eliminate(work, n)
+    if rank < n:
+        raise ValueError("singular matrix has no adjugate by inversion")
+    return sign * last, tuple(tuple(sign * x for x in row[n:]) for row in work)

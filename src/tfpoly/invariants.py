@@ -59,7 +59,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-from math import comb
+from itertools import accumulate
 
 from .algebra import MultiPoly, interpolate_univariate
 from .config import check_state_space, memoised_in_run, state_guard
@@ -207,27 +207,49 @@ def whitney_by_subsets(g: MultiGraph, guard: int | None = None) -> MultiPoly:
     return MultiPoly(("x", "y"), terms)
 
 
-def _shifted_down(terms: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
-    """The terms of R(x - 1, y - 1) from those of R(x, y): each power
-    expanded by the binomial theorem, one variable at a time.  Kept in
+def _shifted_down(
+    terms: dict[tuple[int, int], int], guard: int | None = None
+) -> dict[tuple[int, int], int]:
+    """The terms of R(x - 1, y - 1) from those of R(x, y), in additions
+    only: a Taylor shift by synthetic division (Horner's rule; Knuth,
+    TAOCP vol. 2, 4.6.4) of each row of equal y exponent, then of each
+    column of equal x exponent, read from the shifted rows with their
+    zeros.  One of degree d takes d(d + 1)/2 additions, all charged
+    before the first.  Kept in
     integers, not `MultiPoly.substitute`, as `tutte` is on the hot path."""
-    for axis in (0, 1):
-        out: dict[tuple[int, int], int] = {}
-        for exps, c in terms.items():
-            top = exps[axis]
-            for k in range(top + 1):
-                key = (k, exps[1]) if axis == 0 else (exps[0], k)
-                step = comb(top, k) * c
-                out[key] = out.get(key, 0) + (-step if (top - k) & 1 else step)
-        terms = out
-    return terms
+
+    def shift(a: list[int]) -> list[int]:
+        # a(x - 1) from a(x), lowest power first: with b_t = (-1)^t a_t,
+        # highest power first, each division by x + 1 takes prefix sums of
+        # b, one entry shorter than the last, in C
+        b = [-c if t & 1 else c for t, c in enumerate(a)][::-1]
+        for k in range(len(b), 1, -1):
+            b[:k] = accumulate(b[:k])
+        return [-c if t & 1 else c for t, c in enumerate(reversed(b))]
+
+    rows: dict[int, list[int]] = {}
+    for (i, j), c in terms.items():
+        row = rows.setdefault(j, [])
+        row += [0] * (i + 1 - len(row))
+        row[i] = c
+    # the y-degree of each column: the last row that reaches it
+    width = max(map(len, rows.values()))
+    tops = [max(j for j, row in rows.items() if len(row) > i) for i in range(width)]
+    degrees = [len(row) - 1 for row in rows.values()] + tops
+    check_state_space(sum(d * (d + 1) // 2 for d in degrees), guard, "Tutte shift")
+    rows = {j: shift(row) for j, row in rows.items()}
+    out: dict[tuple[int, int], int] = {}
+    for i, top in enumerate(tops):
+        column = [rows[j][i] if len(rows.get(j, ())) > i else 0 for j in range(top + 1)]
+        out.update(((i, j), c) for j, c in enumerate(shift(column)) if c)
+    return out
 
 
 def tutte(g: MultiGraph, guard: int | None = None) -> MultiPoly:
     """Tutte polynomial T(x, y) = R(x - 1, y - 1), from the frontier sum
     of R shifted in integers.  Its oracles are `_tutte_recursion` and
     `whitney_by_subsets` shifted the same way."""
-    return MultiPoly(("x", "y"), _shifted_down(whitney_terms(g, guard)))
+    return MultiPoly(("x", "y"), _shifted_down(whitney_terms(g, guard), guard))
 
 
 def whitney(g: MultiGraph, guard: int | None = None) -> MultiPoly:

@@ -51,6 +51,7 @@ from .graph import (
     cyclic_edges,
     directed_bonds,
     directed_circuits,
+    rank_nullity,
 )
 from .tensionflow import (
     enumerate_integral_flows,
@@ -185,11 +186,12 @@ def cut_eulerian_classes(g: MultiGraph, guard: int | None = None) -> tuple[Orien
     one lexicographic pass over the orientations: each is keyed by its
     indegree divisor class (`divisor_class_keys`), and the first
     orientation with a key represents its class.  Per orientation the
-    pass builds a key of fewer than V coordinates and, for a
-    representative, sorts its E edges by strong components, so it
-    charges 2^E' x (E + V) states (E' the non-loop edges)."""
+    pass builds a key of r coordinates (r the rank of g: one per vertex
+    of a component but its root) and, for a representative, sorts its E
+    edges by strong components, so it charges 2^E' x (E + r) states (E'
+    the non-loop edges)."""
     check_state_space(
-        (1 << len(g.non_loop_ids())) * (g.edge_count + g.vertex_count),
+        (1 << len(g.non_loop_ids())) * (g.edge_count + rank_nullity(g)[0]),
         guard,
         "orientation class key",
     )

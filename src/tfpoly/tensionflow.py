@@ -56,7 +56,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
-from .algebra import smith_normal_form
+from .algebra import _eliminate
 from .config import check_state_space, memoised_in_run, state_guard
 from .graph import EdgeSubset, MultiGraph, Orientation, arc, spanning_forest
 
@@ -805,13 +805,11 @@ def integral_support_classes(
 def lattice_index(g: MultiGraph, o: Orientation) -> int:
     """Index of the direct sum (integral tensions + integral flows) in Z^E.
 
-    Computed as the product of Smith normal form invariants of the matrix
-    whose columns are the fundamental bond and circuit basis vectors.
-    Equals the number of maximal forests of the graph.
+    Computed as |det| of the square matrix whose columns are the
+    fundamental bond and circuit basis vectors, by fraction-free
+    elimination.  Equals the number of maximal forests of the graph.
     """
     m = g.edge_count
-    if m == 0:
-        return 1
     cols = []
     # the unit tension at a forest edge is its fundamental bond, and the
     # unit flow at a co-forest edge its fundamental circuit
@@ -823,11 +821,8 @@ def lattice_index(g: MultiGraph, o: Orientation) -> int:
             for e, row in zip(dependent, rows):
                 col[e] = sum(c for i, c in row if i == k)
             cols.append(col)
-    rows = [[col[e] for col in cols] for e in range(m)]
-    diag = smith_normal_form(rows)
-    index = 1
-    for d in diag:
-        if d == 0:
-            raise ArithmeticError("tension-flow lattice is not full rank")
-        index *= d
-    return index
+    # eliminated as rows: the transpose has the same determinant
+    rank, _, last = _eliminate(cols, m)
+    if rank < m:
+        raise ArithmeticError("tension-flow lattice is not full rank")
+    return abs(last)

@@ -1,5 +1,6 @@
 """Exact arithmetic substrate: polynomials, interpolation, matrices."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,6 @@ from tfpoly.algebra import (
     det_adjugate,
     interpolate_univariate,
     rational_rank,
-    smith_normal_form,
 )
 from tfpoly.config import run_scope
 
@@ -454,61 +454,104 @@ def test_rational_rank_reads_int_rows_as_their_fractions(rows):
     assert rational_rank(halves) == rational_rank(rows)
 
 
-def test_smith_normal_form_basics():
-    assert smith_normal_form([[1, 0], [0, 1]]) == (1, 1)
-    assert smith_normal_form([[2, 4], [6, 8]]) == (2, 4)
-    assert smith_normal_form([[0, 0], [0, 0]]) == (0, 0)
-    # non-square: diagonal has min(m, n) entries
-    assert smith_normal_form([[2, 0, 0], [0, 3, 0]]) == (1, 6)
-    assert smith_normal_form([[Fraction(4, 2), 0], [0, Fraction(3)]]) == (1, 6)
-
-
 @pytest.mark.parametrize(
-    "rows", [[[Fraction(1, 2), 0], [0, 2.7]], [[1, 0], [0, 2.7]], [[1, 0], [0, 2.0]]]
+    "rows",
+    [
+        [[Fraction(1, 2), 0], [0, 2.7]],
+        [[1, 0], [0, 2.7]],
+        [[1, 0], [0, 2.0]],
+        [[2.5, 0], [0, 1]],
+    ],
 )
-def test_smith_normal_form_refuses_non_integer_entries(rows):
+def test_matrix_routines_refuse_non_integer_entries(rows):
+    # a float is refused even when it is integral
+    for routine in (rational_rank, det_adjugate):
+        with pytest.raises(TypeError, match="matrix entry"):
+            routine(rows)
+
+
+def test_det_adjugate_refuses_fractions_that_are_not_integral():
+    # rational_rank scales such a row to integers; the adjugate of [1/2]
+    # used to read (0, ((0,),))
     with pytest.raises(TypeError, match="matrix entry"):
-        smith_normal_form(rows)
+        det_adjugate([[Fraction(1, 2)]])
+    assert det_adjugate([[Fraction(4, 2), 0], [0, Fraction(3)]]) == (6, ((3, 0), (0, 2)))
 
 
-def test_smith_normal_form_divisibility_chain():
-    diag = smith_normal_form([[4, 6, 2], [6, 9, 3], [2, 3, 13]])
-    nonzero = [d for d in diag if d]
-    for a, b in zip(nonzero, nonzero[1:]):
-        assert b % a == 0
+@st.composite
+def int_matrices(draw, square=False):
+    """Small integer matrices, many of them singular: a column may be
+    zeroed and the last row may repeat the first."""
+    m = draw(st.integers(1, 4))
+    n = m if square else draw(st.integers(1, 5))
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=m, max_size=m))
+    if draw(st.booleans()):
+        col = draw(st.integers(0, n - 1))
+        for r in rows:
+            r[col] = 0
+    if m > 1 and draw(st.booleans()):
+        rows[-1] = list(rows[0])
+    return rows
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    st.lists(
-        st.lists(st.integers(-5, 5), min_size=3, max_size=3), min_size=3, max_size=3
-    )
-)
-def test_smith_normal_form_row_operation_invariance(rows):
-    # add twice row 0 to row 1 (a unimodular operation)
-    changed = [list(r) for r in rows]
-    changed[1] = [a + 2 * b for a, b in zip(changed[1], changed[0])]
-    assert smith_normal_form(rows) == smith_normal_form(changed)
+def fraction_rank(rows):
+    """Rank by Gaussian elimination over Fractions."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(work[0])):
+        pivot = next((i for i in range(rank, len(work)) if work[i][col]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        for i in range(rank + 1, len(work)):
+            f = work[i][col] / work[rank][col]
+            work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
+        rank += 1
+    return rank
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    st.lists(
-        st.lists(st.integers(-5, 5), min_size=3, max_size=3), min_size=3, max_size=3
-    )
-)
-def test_smith_normal_form_determinant(rows):
-    a, b, c = rows
-    det = (
-        a[0] * (b[1] * c[2] - b[2] * c[1])
-        - a[1] * (b[0] * c[2] - b[2] * c[0])
-        + a[2] * (b[0] * c[1] - b[1] * c[0])
-    )
-    diag = smith_normal_form(rows)
-    prod = 1
-    for d in diag:
-        prod *= d
-    assert prod == abs(det)
+def leibniz(rows):
+    """Determinant as the signed sum over permutations."""
+    total = 0
+    for perm in itertools.permutations(range(len(rows))):
+        term = -1 if sum(a > b for a, b in itertools.combinations(perm, 2)) & 1 else 1
+        for row, j in zip(rows, perm):
+            term *= row[j]
+        total += term
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_matrices())
+def test_rational_rank_matches_fraction_elimination(rows):
+    assert rational_rank(rows) == fraction_rank(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_matrices(square=True))
+def test_det_adjugate_matches_leibniz(rows):
+    n = len(rows)
+    det = leibniz(rows)
+    if det == 0:
+        with pytest.raises(ValueError):
+            det_adjugate(rows)
+        return
+    # adj[i][j] is the (j, i) cofactor
+    cofactor = [
+        [
+            (-1) ** (i + j)
+            * leibniz([[x for c, x in enumerate(row) if c != i] for r, row in enumerate(rows) if r != j])
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    got_det, adj = det_adjugate(rows)
+    assert got_det == det
+    assert [list(row) for row in adj] == cofactor
+    for i in range(n):
+        for j in range(n):
+            assert sum(rows[i][k] * adj[k][j] for k in range(n)) == (det if i == j else 0)
 
 
 @settings(max_examples=30, deadline=None)

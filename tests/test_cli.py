@@ -55,6 +55,17 @@ def test_tutte_default_route_reaches_k7(tmp_path, capsys):
     assert poly.evaluate(x=1, y=1) == 7**5  # Cayley: spanning trees of K7
 
 
+def test_tutte_answers_a_long_path(tmp_path, capsys):
+    # the shift of R = (x + 1)^3000 is charged 4,501,500 states, within
+    # the default guard, and takes additions only
+    path = tmp_path / "path.graph"
+    path.write_text(format_graph(MultiGraph(3001, tuple((i, i + 1) for i in range(3000)))))
+    started = time.perf_counter()
+    assert main(["tutte", str(path)]) == 0
+    assert time.perf_counter() - started < 10
+    assert capsys.readouterr().out == "x^3000\n"
+
+
 @pytest.mark.parametrize(
     ("command", "guard", "what"),
     # the recursion is an oracle with no command of its own: None calls it
@@ -368,7 +379,7 @@ def test_class_key_reaches_k5_plus_two(tmp_path, capsys):
 
 
 def test_class_key_refuses_k7_quickly(tmp_path, capsys):
-    # 2^21 orientations, each charged for 21 edges and 7 vertices
+    # 2^21 orientations, each charged for 21 edges and a key of rank 6
     path = tmp_path / "k7.graph"
     path.write_text(format_graph(MultiGraph(7, tuple(itertools.combinations(range(7), 2)))))
     started = time.perf_counter()
@@ -376,19 +387,27 @@ def test_class_key_refuses_k7_quickly(tmp_path, capsys):
     assert time.perf_counter() - started < 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: orientation class key needs 58720256 states")
+    assert captured.err.startswith("error: orientation class key needs 56623104 states")
 
 
 def test_class_key_ignores_isolated_vertices(tmp_path, capsys):
-    # an isolated vertex owns no key coordinate, so 4,000 of them cost
-    # only the one pass that finds the components
-    path = tmp_path / "sparse.graph"
-    path.write_text(format_graph(MultiGraph(4002, ((0, 1),))))
-    started = time.perf_counter()
-    assert main(["classify-orientations", str(path)]) == 0
-    assert time.perf_counter() - started < 2
-    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    assert rows == [{"representative": [0], "size": 2, "b_size": 1, "c_size": 0}]
+    # an isolated vertex owns no key coordinate and adds nothing to the
+    # rank that the key pass is charged for, so 4,000 or 200,000 of them
+    # cost only the passes that find the components: the classes are
+    # those of the graph without them
+    k4 = tuple(itertools.combinations(range(4), 2))
+    for vertices, edges, classes in ((4002, ((0, 1),), 1), (200_004, k4, 16)):
+        outputs = []
+        for g in (MultiGraph(vertices, edges), MultiGraph(1 + max(map(max, edges)), edges)):
+            path = tmp_path / "sparse.graph"
+            path.write_text(format_graph(g))
+            started = time.perf_counter()
+            assert main(["classify-orientations", str(path)]) == 0
+            assert time.perf_counter() - started < 2
+            outputs.append([json.loads(line) for line in capsys.readouterr().out.splitlines()])
+        assert len(outputs[0]) == classes
+        assert outputs[0] == outputs[1]
+    assert outputs[0][0] == {"representative": [0] * 6, "size": 4, "b_size": 6, "c_size": 0}
 
 
 @pytest.fixture

@@ -35,7 +35,8 @@ which both read that table, with each other and with the frontier sum
 on graphs of at most seven edges.  The frontier sums of the corank-nullity
 and nowhere-zero pair polynomials, and the Tutte polynomial shifted
 from the former, are compared with the subset expansions on graphs of
-at most ten edges.
+at most ten edges, and the shift alone with `MultiPoly.substitute` on
+graphs of at most 24.
 """
 
 import itertools
@@ -296,3 +297,10 @@ def test_frontier_sums_match_the_subset_expansions(g):
     assert omega(g) == omega_by_subsets(g)
     # T(x, y) = R(x - 1, y - 1), shifted in integers by `tutte`
     assert tutte(g) == whitney_by_subsets(g).substitute({"x": X - 1, "y": Y - 1})
+
+
+@settings(max_examples=60, deadline=None)
+@given(multigraphs(max_vertices=8, max_edges=24))
+def test_tutte_shift_matches_substitute(g):
+    # rows and columns of degree up to 24, beyond the subset expansions
+    assert tutte(g) == whitney(g).substitute({"x": X - 1, "y": Y - 1})

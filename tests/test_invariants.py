@@ -17,6 +17,7 @@ from tfpoly.config import DEFAULT_STATE_GUARD, GuardExceeded, run_scope, state_g
 from tfpoly.fixtures import fixture, fixture_names
 from tfpoly.graph import MultiGraph, Orientation, components_count, subset_rank_table
 from tfpoly.invariants import (
+    _shifted_down,
     _tutte_recursion,
     PSI_KINDS,
     QUADRANTS,
@@ -183,6 +184,15 @@ def test_whitney_by_subsets_is_charged_in_states():
     assert w.evaluate(x=1, y=1) == 2**17
     with pytest.raises(GuardExceeded):
         whitney_by_subsets(seeded_multigraph(20, 7, 20))
+
+
+def test_tutte_shift_is_charged_before_it_starts():
+    # a path of 12 edges has R = (x + 1)^12: one row of degree 12, shifted
+    # in 12 * 13 / 2 additions, then columns of degree 0
+    terms = whitney(MultiGraph(13, tuple((i, i + 1) for i in range(12)))).terms
+    assert _shifted_down(terms, guard=78) == {(12, 0): 1}
+    with pytest.raises(GuardExceeded, match="^Tutte shift needs 78 states, guard is 77$"):
+        _shifted_down(terms, guard=77)
 
 
 def test_recursion_guard_is_per_call():
