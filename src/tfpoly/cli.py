@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from typing import Sequence
 
 from .algebra import MultiPoly
@@ -33,154 +34,171 @@ from .tensionflow import FiniteAbelianGroup
 from .verification import SUITES, run_suite
 
 
-# the shared flags live on both the main parser and every subparser so they
-# may be given on either side of the subcommand; the subparser copies
-# suppress their defaults so an absent flag keeps the value the main parser
-# already put in the namespace
-def _add_common(p: argparse.ArgumentParser, top: bool) -> None:
-    miss = {} if top else {"default": argparse.SUPPRESS}
-    p.add_argument("--json", action="store_true", help="emit JSON instead of text", **miss)
-    p.add_argument(
-        "--guard",
-        type=int,
-        help="override the enumeration guard (also settable via TFPOLY_GUARD)",
-        **miss,
-    )
+# (flag, add_argument keywords); the shared flags go on the main parser
+# and on every subparser, so they may be given on either side of the
+# command.  store_true's default is spelled out, as `_read_argv` takes
+# every default from here (None where none is given)
+STORE_TRUE = {"action": "store_true", "default": False}
+COMMON = (
+    ("--json", {**STORE_TRUE, "help": "emit JSON instead of text"}),
+    ("--guard", {"type": int, "help": "override the enumeration guard (also settable via TFPOLY_GUARD)"}),
+)
 
-
-def _omega_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--via",
-        choices=("frontier", "arrangement", "brute"),
-        default="frontier",
-        help="frontier sum of the signed subset expansion (the default), "
-        "characteristic polynomial of the graphic arrangement, or brute pair "
-        "count (brute needs --p and --q)",
-    )
-    p.add_argument("--p", type=int, default=None, help="tension group order")
-    p.add_argument("--q", type=int, default=None, help="flow group order")
-
-
-def _kappa_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--integral",
-        action="store_true",
-        help="sum over all orientations (integer pairs) instead of class "
-        "representatives (modular pairs)",
-    )
-
-
-def _psi_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--integral", action="store_true", help="sum over all orientations")
-    p.add_argument("--dual", action="store_true", help="closed windows instead of open")
-
-
-def _tutte_values_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--quadrant", choices=("++", "+-", "-+", "--"), default="++")
-
-
-def _verify_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--suite",
-        choices=sorted(SUITES),
-        default="all",
-        help="which suite to run (default: all criteria)",
-    )
-
-
-# name -> (help text, takes a graph file, adds the command's own arguments)
+# name -> (help text, takes a graph file, the command's own flags)
 COMMANDS = {
-    "tutte": ("Tutte polynomial", True, None),
-    "whitney": ("corank-nullity polynomial", True, None),
-    "omega": ("nowhere-zero pair polynomial", True, _omega_args),
-    "tension": ("nowhere-zero tension polynomial", True, None),
-    "flow": ("nowhere-zero flow polynomial", True, None),
-    "chromatic": ("proper colouring polynomial", True, None),
-    "kappa": ("complementary pair polynomial (psi at z = w = 1)", True, _kappa_args),
-    "psi": ("orientation-sum polynomial in (x, y, z, w)", True, _psi_args),
-    "classify-orientations": ("cut-Eulerian classes, one JSON object per line", True, None),
-    "tutte-values": (
-        "Tutte value T(+-p, +-q), signs from --quadrant",
-        True,
-        _tutte_values_args,
-    ),
-    "verify": ("run the self-verification suites", False, _verify_args),
+    "tutte": ("Tutte polynomial", True, ()),
+    "whitney": ("corank-nullity polynomial", True, ()),
+    "omega": ("nowhere-zero pair polynomial", True, (
+        ("--via", {
+            "choices": ("frontier", "arrangement", "brute"),
+            "default": "frontier",
+            "help": "frontier sum of the signed subset expansion (the default), characteristic "
+            "polynomial of the graphic arrangement, or brute pair count (brute needs --p and --q)",
+        }),
+        ("--p", {"type": int, "help": "tension group order"}),
+        ("--q", {"type": int, "help": "flow group order"}),
+    )),
+    "tension": ("nowhere-zero tension polynomial", True, ()),
+    "flow": ("nowhere-zero flow polynomial", True, ()),
+    "chromatic": ("proper colouring polynomial", True, ()),
+    "kappa": ("complementary pair polynomial (psi at z = w = 1)", True, (
+        ("--integral", {**STORE_TRUE, "help": "sum over all orientations (integer pairs) "
+                        "instead of class representatives (modular pairs)"}),
+    )),
+    "psi": ("orientation-sum polynomial in (x, y, z, w)", True, (
+        ("--integral", {**STORE_TRUE, "help": "sum over all orientations"}),
+        ("--dual", {**STORE_TRUE, "help": "closed windows instead of open"}),
+    )),
+    "classify-orientations": ("cut-Eulerian classes, one JSON object per line", True, ()),
+    "tutte-values": ("Tutte value T(+-p, +-q), signs from --quadrant", True, (
+        ("--p", {"type": int, "required": True}),
+        ("--q", {"type": int, "required": True}),
+        ("--quadrant", {"choices": ("++", "+-", "-+", "--"), "default": "++"}),
+    )),
+    "verify": ("run the self-verification suites", False, (
+        ("--suite", {
+            "choices": sorted(SUITES),
+            "default": "all",
+            "help": "which suite to run (default: all criteria)",
+        }),
+    )),
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The tfpoly parser: every subcommand, or only the one named.
-
-    A one-command parser names all of them in its usage, so its main-level
-    usage and errors read exactly as the full parser's do.  The full parser
-    keeps the default metavar, which its "invalid choice" error names.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The tfpoly parser, for help, usage errors and the spellings
+    `_read_argv` leaves to it.  The subparsers' copies of the shared
+    flags suppress their defaults, so an absent flag keeps the value the
+    main parser already put in the namespace."""
     parser = argparse.ArgumentParser(
         prog="tfpoly",
         description="Tension-flow counting polynomials of multigraphs.",
     )
-    _add_common(parser, top=True)
-    if command is None:
-        sub = parser.add_subparsers(dest="command", required=True)
-        names = tuple(COMMANDS)
-    else:
-        metavar = "{" + ",".join(COMMANDS) + "}"
-        sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-        names = (command,)
-    for name in names:
-        help_text, takes_graph, add_own = COMMANDS[name]
+    for flag, kwargs in COMMON:
+        parser.add_argument(flag, **kwargs)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, takes_graph, own) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        _add_common(p, top=False)
+        for flag, kwargs in COMMON:
+            p.add_argument(flag, **{**kwargs, "default": argparse.SUPPRESS})
         if takes_graph:
             p.add_argument("graph", help="path to a graph file")
-        if add_own is not None:
-            add_own(p)
+        for flag, kwargs in own:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
-def _requested_command(argv: Sequence[str]) -> str | None:
-    """The subcommand argv names, if the shared flags alone come before it.
-
-    Skips only exact `--json`, `--guard N` and `--guard=N`; anything else
-    (help, an abbreviation, an unknown name) leaves the answer to the full
-    parser.
-    """
+def _read_argv(argv: Sequence[str]) -> argparse.Namespace | None:
+    """argv as `build_parser().parse_args` reads it, when argv is well
+    formed in the plainest spelling: exact flag names, as `--flag value`
+    (a value that does not start with "-") or `--flag=value`, the shared
+    flags on either side of the command, the command's own after it.
+    None for anything else (help, abbreviations, errors, "--"), which
+    is left to argparse."""
+    flags = dict(COMMON)
+    values = {flag[2:]: kwargs.get("default") for flag, kwargs in COMMON}
+    command, positionals = None, []
     i = 0
     while i < len(argv):
         token = argv[i]
-        if token == "--guard":
-            i += 2
-        elif token == "--json" or token.startswith("--guard="):
-            i += 1
+        i += 1
+        if not token.startswith("-"):
+            if command is not None:
+                positionals.append(token)
+            elif token in COMMANDS:
+                command = token
+                _, takes_graph, own = COMMANDS[command]
+                flags.update(own)
+                values.update((flag[2:], kwargs.get("default")) for flag, kwargs in own)
+            else:
+                return None
+            continue
+        flag, eq, value = token.partition("=")
+        kwargs = flags.get(flag)
+        if kwargs is None:
+            return None
+        if kwargs.get("action") == "store_true":
+            if eq:
+                return None
+            value = True
         else:
-            return token if token in COMMANDS else None
-    return None
+            if not eq:
+                if i == len(argv) or argv[i].startswith("-"):
+                    return None
+                value = argv[i]
+                i += 1
+            try:
+                value = kwargs.get("type", str)(value)
+            except ValueError:
+                return None
+            if "choices" in kwargs and value not in kwargs["choices"]:
+                return None
+        values[flag[2:]] = value
+    if command is None or len(positionals) != takes_graph:
+        return None
+    if any(kwargs.get("required") and values[flag[2:]] is None for flag, kwargs in own):
+        return None
+    if takes_graph:
+        values["graph"] = positionals[0]
+    return argparse.Namespace(command=command, **values)
+
+
+@contextmanager
+def _any_int_digits():
+    """No limit on the digits of an int turned into a string (Python
+    refuses over 4,300 by default) while an answer is written; the
+    caller's limit comes back after."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _emit_poly(args, name: str, poly: MultiPoly) -> int:
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "invariant": name,
-                    "graph": args.graph,
-                    "variables": poly.json_variables(),
-                    "poly": poly.to_json(),
-                }
-            )
-        )
-    else:
-        print(poly)
+    with _any_int_digits():
+        if args.json:
+            payload = {
+                "invariant": name,
+                "graph": args.graph,
+                "variables": poly.json_variables(),
+                "poly": poly.to_json(),
+            }
+            print(json.dumps(payload))
+        else:
+            print(poly)
     return 0
 
 
 def _emit_value(args, name: str, value: int) -> int:
-    if args.json:
-        print(json.dumps({"invariant": name, "graph": args.graph, "value": value}))
-    else:
-        print(value)
+    with _any_int_digits():
+        if args.json:
+            print(json.dumps({"invariant": name, "graph": args.graph, "value": value}))
+        else:
+            print(value)
     return 0
 
 
@@ -283,11 +301,14 @@ def _dispatch(args) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(_requested_command(argv)).parse_args(argv)
-    # argparse eats the value "--" after an equals sign (it looks like the
-    # positional separator) and leaves [] behind; restore the intended value
-    if getattr(args, "quadrant", None) == []:
-        args.quadrant = "--"
+    args = _read_argv(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
+        # argparse eats the value "--" after an equals sign (it looks like
+        # the positional separator) and leaves [] behind; restore the
+        # intended value
+        if getattr(args, "quadrant", None) == []:
+            args.quadrant = "--"
     try:
         code = _dispatch(args)
         sys.stdout.flush()

@@ -31,6 +31,7 @@ terms against the state guard, summed over the layers.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from math import comb
 from typing import Sequence
 
@@ -57,7 +58,6 @@ def edge_order(g: MultiGraph) -> list[int]:
             incident[v].append(e)
     seen = [False] * g.vertex_count
     done = [False] * g.edge_count
-    frontier: set[int] = set()
 
     def score(e: int) -> tuple[int, int, int]:
         t, h = g.edges[e]
@@ -68,21 +68,25 @@ def edge_order(g: MultiGraph) -> list[int]:
     # with the frontier empty, no edge left touches a vertex seen so far,
     # so each edge's score is still the one it has now
     starts = iter(sorted(range(g.edge_count), key=score))
+    # the scores of the edges at the frontier, the vertices seen with
+    # edges left.  A score only falls, when an end is first seen or comes
+    # down to one edge left, and is pushed again then, so an edge's
+    # older entries come out after it is done
+    heap: list[tuple[int, int, int]] = []
     order = []
     for _ in range(g.edge_count):
-        if frontier:
-            best = min({e for v in frontier for e in incident[v] if not done[e]}, key=score)
-        else:
-            best = next(e for e in starts if not done[e])
+        while heap and done[heap[0][2]]:
+            heappop(heap)
+        best = heappop(heap)[2] if heap else next(e for e in starts if not done[e])
         done[best] = True
         order.append(best)
         for v in set(g.edges[best]):
-            seen[v] = True
             left[v] -= 1
-            if left[v]:
-                frontier.add(v)
-            else:
-                frontier.discard(v)
+            if not seen[v] or left[v] == 1:
+                seen[v] = True
+                for e in incident[v]:
+                    if not done[e]:
+                        heappush(heap, score(e))
     return order
 
 

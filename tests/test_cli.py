@@ -1,6 +1,8 @@
 """End-to-end command line tests, run in process through main()."""
 
 import argparse
+import contextlib
+import io
 import itertools
 import json
 import os
@@ -10,6 +12,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tfpoly
 from tfpoly import cli, invariants, verification
@@ -628,7 +632,7 @@ def test_classify_orientations_lines(graph_file, capsys):
         assert len(row["representative"]) == 3
 
 
-# shared flags before or after the command, in every spelling main's scan skips
+# shared flags before or after the command, exact and in other spellings
 SHARED_FLAGS = ([], ["--json"], ["--guard", "7"], ["--guard=7"], ["--guard", "-5"], ["--json", "--guard=7"])
 OWN_ARGS = {
     "omega": [[], ["--via", "brute", "--p", "2", "--q", "3"], ["--vi", "arrangement"]],
@@ -637,14 +641,86 @@ OWN_ARGS = {
     "tutte-values": [["--p", "2", "--q", "3", "--quadrant=--"], ["--p", "2", "--q", "3", "--quadrant", "+-"]],
     "verify": [[], ["--suite", "whitney"], ["--su", "all"]],
 }
+CORPUS = [
+    [*before, command, *own, *after, *(["g.graph"] if COMMANDS[command][1] else [])]
+    for command in COMMANDS
+    for before, after, own in itertools.product(SHARED_FLAGS, SHARED_FLAGS, OWN_ARGS.get(command, [[]]))
+] + [
+    # each is read as argparse reads it, or left to argparse
+    ["tutte-values", "--p", "2", "--q", "3", "--quadrant", "-+", "g.graph"],
+    ["tutte-values", "--p", "2", "--q", "3", "--quadrant=-+", "g.graph"],
+    ["tutte-values", "--p", "2", "--quadrant", "+-", "g.graph"],
+    ["tutte-values", "--p", "2", "--q", "3", "--quadrant", "xx", "g.graph"],
+    ["psi", "--json=1", "g.graph"],
+    ["--json", "--guard=abc", "psi", "g.graph"],
+    ["omega", "--p", "-5", "--q", "3", "g.graph"],
+    ["omega", "--", "g.graph"],
+    ["verify", "g.graph"],
+]
+
+# values in and out of each flag's type and choices, one that starts
+# with "-", and "--"
+VALUES = ["7", "-5", "0", "abc", "", "--", "frontier", "brute", "nope", "++", "-+", "all", "whitney"]
+FLAGS = [flag for _, _, own in COMMANDS.values() for flag, _ in own] + [flag for flag, _ in cli.COMMON]
+# pieces no well-formed argv of the command holds: a flag of another
+# command, abbreviations, help, "--", "-5" and stray positionals
+NOISE = st.one_of(
+    st.tuples(st.sampled_from(FLAGS)),
+    st.tuples(st.sampled_from(FLAGS), st.sampled_from(VALUES)),
+    st.sampled_from([("--gu", "7"), ("--int",), ("--du",), ("--vi", "brute"), ("--qua=--",), ("-h",), ("--help",)]),
+    st.sampled_from([("--",), ("-5",), ("g.graph",), ("tut",), ("--json=1",), *((c,) for c in COMMANDS)]),
+)
 
 
-@pytest.mark.parametrize("command", list(COMMANDS))
-def test_one_command_parser_reads_argv_as_the_full_parser(command):
-    graph = ["g.graph"] if COMMANDS[command][1] else []
-    for before, after, own in itertools.product(SHARED_FLAGS, SHARED_FLAGS, OWN_ARGS.get(command, [[]])):
-        argv = [*before, command, *own, *after, *graph]
-        assert build_parser(command).parse_args(argv) == build_parser().parse_args(argv), argv
+def _piece(draw, flag, kwargs):
+    """flag in either spelling, mostly with a value it takes."""
+    if kwargs.get("action") == "store_true":
+        return draw(st.sampled_from([(flag,), (flag,), (f"{flag}=1",)]))
+    valid = st.sampled_from(kwargs.get("choices", ("7", "-5")))
+    value = draw(st.one_of(valid, valid, st.sampled_from(VALUES)))
+    return draw(st.sampled_from([(flag, value), (f"{flag}={value}",)]))
+
+
+@st.composite
+def argvs(draw):
+    """A command with shared flags on either side, its own flags (the
+    required ones mostly) and its graph after it, in any order and
+    spelling, and at times a noisy piece anywhere."""
+    command = draw(st.sampled_from(list(COMMANDS)))
+    _, takes_graph, own = COMMANDS[command]
+
+    def shared():
+        return [_piece(draw, *draw(st.sampled_from(cli.COMMON))) for _ in range(draw(st.integers(0, 2)))]
+
+    after = shared() + [("g.graph",)] * takes_graph
+    after += [_piece(draw, f, kw) for f, kw in own if draw(st.integers(0, 4)) > (0 if kw.get("required") else 2)]
+    pieces = [*shared(), (command,), *draw(st.permutations(after))]
+    for piece in draw(st.lists(NOISE, max_size=1)):
+        pieces.insert(draw(st.integers(0, len(pieces))), piece)
+    return [token for piece in pieces for token in piece]
+
+
+def _with_corpus(test):
+    for argv in CORPUS:
+        test = example(argv)(test)
+    return test
+
+
+@settings(max_examples=400, deadline=None)
+@_with_corpus
+@given(argvs())
+def test_read_argv_equals_the_full_parser(argv):
+    read = cli._read_argv(argv)
+    if read is None:
+        return
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            parsed = build_parser().parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"{argv}: read, but argparse exits")
+    if getattr(parsed, "quadrant", None) == []:
+        parsed.quadrant = "--"
+    assert read == parsed, argv
 
 
 def _run_main(argv, capsys):
@@ -674,31 +750,79 @@ HELP_AND_ERRORS = [
 def test_main_answers_help_and_usage_errors_as_the_full_parser(capsys, monkeypatch, argv):
     got = _run_main(argv, capsys)
     assert got[0] in (0, 2)
-    full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    monkeypatch.setattr(cli, "_read_argv", lambda argv: None)
     assert _run_main(argv, capsys) == got
+
+
+def _counting_parsers(monkeypatch) -> list:
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    return built
 
 
 @pytest.mark.parametrize(
     ("flags", "built"),
     [
-        (["--json"], ["tutte"]),
-        (["--guard=7", "--json", "--guard", "100"], ["tutte"]),
-        (["--gu", "100"], list(COMMANDS)),
+        (["--json"], 0),
+        (["--guard=7", "--json", "--guard", "100"], 0),
+        (["--gu", "100"], 1 + len(COMMANDS)),
     ],
     ids=["json", "guards", "abbreviated"],
 )
 def test_main_builds_only_the_requested_subparser(graph_file, capsys, monkeypatch, flags, built):
-    calls = []
-    add_parser = argparse._SubParsersAction.add_parser
-
-    def counting(self, name, **kwargs):
-        calls.append(name)
-        return add_parser(self, name, **kwargs)
-
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    # well-formed argv builds no parser; the abbreviation builds the full one
+    parsers = _counting_parsers(monkeypatch)
     assert main([*flags, "tutte", graph_file("k3")]) == 0
-    assert calls == built
+    assert len(parsers) == built
+
+
+def test_every_bench_request_is_read_without_argparse(monkeypatch):
+    # the requests of every benchmark workload, as perfbench/run.py spells them
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
+    from workloads import WORKLOADS
+
+    monkeypatch.setattr(cli, "_dispatch", lambda args: 0)
+    parsers = _counting_parsers(monkeypatch)
+    for (name, build), seed in itertools.product(WORKLOADS.items(), (1, 2, 3)):
+        requests = build(seed)[1]
+        assert requests, (name, seed)
+        for _, graph, argv in requests:
+            assert main(argv + ["--json"] + ([f"{graph}.graph"] if graph else [])) == 0
+    assert parsers == []
+
+
+@pytest.mark.parametrize("command", ["omega", "tutte-values"])
+def test_answers_of_any_size_print(graph_file, capsys, command):
+    # p has 4,001 digits, the answer about 8,000: more than Python turns
+    # into a string by default, which main lifts for its answer alone
+    path = graph_file("k3")
+    limit = sys.get_int_max_str_digits()
+    p = 10**4000
+    orders = ["--p", str(p), "--q", "2"]
+    outs = []
+    for flags in ([], ["--json"]):
+        assert main([*flags, command, *orders, path]) == 0
+        assert sys.get_int_max_str_digits() == limit
+        outs.append(capsys.readouterr().out)
+    sys.set_int_max_str_digits(0)
+    try:
+        poly = tutte(fixture("k3")) if command == "tutte-values" else invariants.omega(fixture("k3"))
+        want = str(poly.evaluate(x=p, y=2))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(want) > 4300
+    assert outs == [f"{want}\n", f'{{"invariant": "{command}", "graph": "{path}", "value": {want}}}\n']
+    # input stays limited: 5,000 digits are a usage error
+    with pytest.raises(SystemExit) as exited:
+        main([command, "--p", "1" + "0" * 4999, "--q", "2", path])
+    assert exited.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
 
 
 def test_a_reader_that_closes_early_ends_the_command_quietly(tmp_path):

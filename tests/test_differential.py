@@ -36,18 +36,21 @@ on graphs of at most seven edges.  The frontier sums of the corank-nullity
 and nowhere-zero pair polynomials, and the Tutte polynomial shifted
 from the former, are compared with the subset expansions on graphs of
 at most ten edges, and the shift alone with `MultiPoly.substitute` on
-graphs of at most 24.
+graphs of at most 24.  The greedy edge order, kept in a heap, is
+compared with a copy of its rescanning form on graphs of at most 24
+edges, on K7, on the 8x8 grid, on a 300-edge star and on 300 parallel
+edges with loops.
 """
 
 import itertools
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tfpoly import tensionflow
 from tfpoly.algebra import MultiPoly
 from tfpoly.arrangements import graphic_semilattice
-from tfpoly.frontier import psi_terms
+from tfpoly.frontier import edge_order, psi_terms
 from tfpoly.graph import (
     EdgeSubset,
     MultiGraph,
@@ -304,3 +307,51 @@ def test_frontier_sums_match_the_subset_expansions(g):
 def test_tutte_shift_matches_substitute(g):
     # rows and columns of degree up to 24, beyond the subset expansions
     assert tutte(g) == whitney(g).substitute({"x": X - 1, "y": Y - 1})
+
+
+def rescanned_edge_order(g: MultiGraph) -> list[int]:
+    """`frontier.edge_order` as it was before the heap: each step takes
+    the least score over every unused edge at the frontier vertices."""
+    left = [0] * g.vertex_count
+    incident: list[list[int]] = [[] for _ in range(g.vertex_count)]
+    for e, ends in enumerate(g.edges):
+        for v in set(ends):
+            left[v] += 1
+            incident[v].append(e)
+    seen = [False] * g.vertex_count
+    done = [False] * g.edge_count
+    frontier: set[int] = set()
+
+    def score(e: int) -> tuple[int, int, int]:
+        t, h = g.edges[e]
+        if t == h:
+            return (not seen[t], -(left[t] == 1), e)
+        return (2 - seen[t] - seen[h], -((left[t] == 1) + (left[h] == 1)), e)
+
+    starts = iter(sorted(range(g.edge_count), key=score))
+    order = []
+    for _ in range(g.edge_count):
+        if frontier:
+            best = min({e for v in frontier for e in incident[v] if not done[e]}, key=score)
+        else:
+            best = next(e for e in starts if not done[e])
+        done[best] = True
+        order.append(best)
+        for v in set(g.edges[best]):
+            seen[v] = True
+            left[v] -= 1
+            if left[v]:
+                frontier.add(v)
+            else:
+                frontier.discard(v)
+    return order
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs(max_vertices=8, max_edges=24))
+@example(MultiGraph(7, tuple(itertools.combinations(range(7), 2))))
+@example(MultiGraph(64, tuple((v, v + 1) for v in range(64) if v % 8 < 7) + tuple((v, v + 8) for v in range(56))))
+@example(MultiGraph(301, tuple((0, v) for v in range(1, 301))))
+@example(MultiGraph(2, ((0, 1),) * 300 + ((1, 1),) * 3))
+def test_edge_order_matches_the_rescan(g):
+    assert edge_order(g) == rescanned_edge_order(g)
