@@ -641,12 +641,39 @@ OWN_ARGS = {
     "tutte-values": [["--p", "2", "--q", "3", "--quadrant=--"], ["--p", "2", "--q", "3", "--quadrant", "+-"]],
     "verify": [[], ["--suite", "whitney"], ["--su", "all"]],
 }
+
+
+def _corpus(command):
+    graph = ["g.graph"] if COMMANDS[command][1] else []
+    for before, after, own in itertools.product(SHARED_FLAGS, SHARED_FLAGS, OWN_ARGS.get(command, [[]])):
+        yield [*before, command, *own, *after, *graph]
+
+
+def _check_read_as_the_full_parser(argv):
+    """Whatever `_read_argv` reads, argparse parses to the same namespace."""
+    read = cli._read_argv(argv)
+    if read is None:
+        return
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            parsed = build_parser().parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"{argv}: read, but argparse exits")
+    if getattr(parsed, "quadrant", None) == []:
+        parsed.quadrant = "--"
+    assert read == parsed, argv
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_one_command_parser_reads_argv_as_the_full_parser(command):
+    # the plainest argv of each command is read without argparse
+    assert cli._read_argv(next(_corpus(command))) is not None
+    for argv in _corpus(command):
+        _check_read_as_the_full_parser(argv)
+
+
+# each is read as argparse reads it, or left to argparse
 CORPUS = [
-    [*before, command, *own, *after, *(["g.graph"] if COMMANDS[command][1] else [])]
-    for command in COMMANDS
-    for before, after, own in itertools.product(SHARED_FLAGS, SHARED_FLAGS, OWN_ARGS.get(command, [[]]))
-] + [
-    # each is read as argparse reads it, or left to argparse
     ["tutte-values", "--p", "2", "--q", "3", "--quadrant", "-+", "g.graph"],
     ["tutte-values", "--p", "2", "--q", "3", "--quadrant=-+", "g.graph"],
     ["tutte-values", "--p", "2", "--quadrant", "+-", "g.graph"],
@@ -710,17 +737,7 @@ def _with_corpus(test):
 @_with_corpus
 @given(argvs())
 def test_read_argv_equals_the_full_parser(argv):
-    read = cli._read_argv(argv)
-    if read is None:
-        return
-    try:
-        with contextlib.redirect_stderr(io.StringIO()):
-            parsed = build_parser().parse_args(argv)
-    except SystemExit:
-        pytest.fail(f"{argv}: read, but argparse exits")
-    if getattr(parsed, "quadrant", None) == []:
-        parsed.quadrant = "--"
-    assert read == parsed, argv
+    _check_read_as_the_full_parser(argv)
 
 
 def _run_main(argv, capsys):
