@@ -303,12 +303,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = _read_argv(argv)
     if args is None:
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        args = parser.parse_args(argv)
         # argparse eats the value "--" after an equals sign (it looks like
-        # the positional separator) and leaves [] behind; restore the
-        # intended value
-        if getattr(args, "quadrant", None) == []:
-            args.quadrant = "--"
+        # the positional separator) and leaves [] behind: restore it where
+        # it is a valid value, and refuse it, as `--flag --` is, elsewhere
+        for flag, kwargs in COMMON + COMMANDS[args.command][2]:
+            if getattr(args, flag[2:]) == []:
+                if "--" not in kwargs.get("choices", ()):
+                    parser.error(f"argument {flag}: expected one argument")
+                setattr(args, flag[2:], "--")
     try:
         code = _dispatch(args)
         sys.stdout.flush()

@@ -107,11 +107,18 @@ def _moves(
     top = max(p, default=-1) + 1
     p += tuple(range(top, top + fresh))
     a, b = p[pu], p[pv]
-    # with no vertex retired, p stays canonical
-    kept = p if len(keep) == len(p) else _relabelled(p, keep)
+    if len(keep) < len(p):  # a vertex retires: renumber what is kept
+        if a == b:
+            return _relabelled(p, keep), None
+        return _relabelled(p, keep), _relabelled([a if x == b else x for x in p], keep)
+    # with no vertex retired, p stays canonical, and so does p with block
+    # b > a merged into a and each label above b moved down by one: every
+    # block keeps the place of its first vertex
     if a == b:
-        return kept, None
-    return kept, _relabelled([a if x == b else x for x in p], keep)
+        return p, None
+    if a > b:
+        a, b = b, a
+    return p, tuple([a if x == b else x - 1 if x > b else x for x in p])
 
 
 def _frontier_sum(

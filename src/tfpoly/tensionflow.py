@@ -40,12 +40,16 @@ Every brute count of (tension, flow) pairs reads the pair classes of
 `pair_support_classes`: the pairs whose supports are disjoint, cover
 E, or both (complementary).  Tensions and flows range independently,
 so one pass over the pairs of distinct supports of a tension count and
-a flow count fills all three.  Supports do not depend on the
-orientation, so each support count is keyed on the graph, the group
-and the side alone, and a verification run enumerates each once, for
-every pair of groups it takes part in.  The flows are read as the pass
-charges them, so a pass over the guard is refused before they are all
-read, and a later pass reads on from there.
+a flow count fills all three.  The support counts come from one walk
+(`_support_walk`) that builds no function: it walks every free value
+but the last, and counts the last, as every edge that reads it is zero
+at one point.  A function over a product group A x B is a pair of
+functions, its support the union of theirs, so the counts over a
+product are the OR-product of those over its cyclic factors.  Supports
+do not depend on the orientation, so each support count is keyed on
+the graph, the group (or box bound) and the side alone, and a
+verification run walks each once, for every pair of groups it takes
+part in.  The generators above stay the oracle for these counts.
 """
 
 from __future__ import annotations
@@ -54,11 +58,11 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .algebra import _eliminate
 from .config import check_state_space, memoised_in_run, state_guard
-from .graph import EdgeSubset, MultiGraph, Orientation, arc, spanning_forest
+from .graph import EdgeSubset, MultiGraph, Orientation, arc, rank_nullity, spanning_forest
 
 Element = tuple[int, ...]
 
@@ -554,28 +558,36 @@ def _window_counts(
     return tuple(weight * n for n in counts)
 
 
-def _last_value_bounds(
-    ends: Sequence[tuple], last_edge: int, dependent: Sequence[int], last_checks: Sequence[tuple]
-) -> list[tuple[list[tuple[int, int]], int, int, int, int, bool]]:
-    """The bounds that the last free value x must meet, one per edge
-    that reads it: the last free edge, value x, and each dependent edge
-    checked at the last level, value s + c * x with s the sum of its
-    other terms.  The coefficient c is +-1 (an entry of a fundamental
-    circuit), so the value is c * (x - u) with u = -c * s, and its
-    window (lo, lo_moves, hi, hi_moves, nonzero) at bound b puts x in
-    [u + lo - lo_moves * b, u + hi + hi_moves * b], x != u if nonzero:
-    the window itself for c = 1, mirrored for c = -1.  Each bound is
-    (row, lo, lo_moves, hi, hi_moves, nonzero) after the mirror, u being
-    the sum of coefficient * free value over the terms of row.
-    """
-    reads = [(1, [], last_edge)]  # (c, row, edge)
+def _last_reads(
+    last_edge: int, dependent: Sequence[int], last_checks: Sequence[tuple]
+) -> list[tuple[int, list[tuple[int, int]], int]]:
+    """The edges that read the last free value x, as (c, row, edge): the
+    last free edge, value x, and each dependent edge checked at the last
+    level, value s + c * x with s the sum of its other terms.  The
+    coefficient c is +-1 (an entry of a fundamental circuit), so the
+    value is c * (x - u) with u = -c * s, the sum of coefficient * free
+    value over the terms of row (none for the last free edge, u = 0)."""
+    reads = [(1, [], last_edge)]
     for j, row, _ in last_checks:
         (_, c), *others = sorted(row, reverse=True)  # the term of x first
         if c not in (1, -1):
             raise ArithmeticError(f"fundamental circuit coefficient {c} is not 1 or -1")
         reads.append((c, [(k, -c * a) for k, a in others], dependent[j]))
+    return reads
+
+
+def _last_value_bounds(
+    ends: Sequence[tuple], last_edge: int, dependent: Sequence[int], last_checks: Sequence[tuple]
+) -> list[tuple[list[tuple[int, int]], int, int, int, int, bool]]:
+    """The bounds that the last free value x must meet, one per edge
+    of `_last_reads`: the value c * (x - u) of each has its window (lo,
+    lo_moves, hi, hi_moves, nonzero), which at bound b puts x in
+    [u + lo - lo_moves * b, u + hi + hi_moves * b], x != u if nonzero:
+    the window itself for c = 1, mirrored for c = -1.  Each bound is
+    (row, lo, lo_moves, hi, hi_moves, nonzero) after the mirror.
+    """
     out = []
-    for c, row, edge in reads:
+    for c, row, edge in _last_reads(last_edge, dependent, last_checks):
         lo, lo_moves, hi, hi_moves, nonzero = ends[edge]
         if c == -1:
             lo, lo_moves, hi, hi_moves = -hi, hi_moves, -lo, lo_moves
@@ -649,48 +661,118 @@ def _walk(
             levels.pop()
 
 
+# -- support counts ------------------------------------------------------------
+
+
+@memoised_in_run
+def _support_walk(g: MultiGraph, tensions: bool, modulus: int, bound: int) -> Counter[int]:
+    """The support counts {support mask: count} of the tensions (or
+    flows) over Z_modulus or, with modulus 0, of the integer ones with
+    |f| < bound everywhere, in the reference orientation (supports do
+    not depend on it).  Charges nothing: the caller charges the
+    enumeration that the counts stand for.
+
+    `_walk` sets every free value but the last, each dependent edge at
+    its level; the modular values are sums of residues, read as zero
+    modulo the group.  The last free value x is counted, not walked:
+    every edge that reads it (`_last_reads`) is zero at one point, x = u
+    (modulo the group).  So each x adds one function to the support of
+    the values set plus the edges that read x, less the edges that are
+    zero at x.  Over Z_m x is any residue; in the box each edge that
+    reads x confines it to [u - bound + 1, u + bound - 1].
+    """
+    o = Orientation.reference(g)
+    if modulus:
+        free, dependent, rows = _coordinates(g, o, tensions)
+        box: list[Sequence[int]] = [range(modulus)] * len(free)
+        checks_at: list | None = [[] for _ in free]
+        for j, row in enumerate(rows):
+            if row:  # every sum of the row's terms is admitted
+                n = len(row) * (modulus - 1)
+                checks_at[max(row)[0]].append((j, row, range(-n, n + 1)))
+    else:
+        free, dependent, _, box, checks_at = _integral_walk(g, o, tensions, bound, "box", None)
+        if checks_at is None:
+            return Counter()
+    if not free:
+        return Counter({0: 1})
+    # a box value lies in (-bound, bound), so it is zero modulo 2 * bound
+    # exactly when it is zero
+    zero_mod = modulus or 2 * bound
+    levels = [1 << e for e in free[:-1]]
+    early = [(j, 1 << dependent[j]) for checks in checks_at[:-1] for j, _, _ in checks]
+    reads = [(row, 1 << e) for _, row, e in _last_reads(free[-1], dependent, checks_at[-1])]
+    reach = sum(bit for _, bit in reads)
+    counts: dict[int, int] = {}
+    for vals, derived in _walk(box[:-1], checks_at, len(dependent)):
+        mask = reach
+        for bit, v in zip(levels, vals):
+            if v % zero_mod:
+                mask |= bit
+        for j, bit in early:
+            if derived[j] % zero_mod:
+                mask |= bit
+        zeros: dict[int, int] = {}  # zero point -> the edges zero there
+        for row, bit in reads:
+            u = 0
+            for i, a in row:
+                u += a * vals[i]
+            if modulus:
+                u %= modulus
+            zeros[u] = zeros.get(u, 0) | bit
+        if modulus:
+            lo, hi = 0, modulus - 1
+        else:
+            lo, hi = max(zeros) - bound + 1, min(zeros) + bound - 1
+        n = hi - lo + 1
+        for u, bits in zeros.items():
+            if lo <= u <= hi:
+                n -= 1
+                counts[mask ^ bits] = counts.get(mask ^ bits, 0) + 1
+        if n > 0:
+            counts[mask] = counts.get(mask, 0) + n
+    return Counter(counts)
+
+
+def _or_product(a: Counter[int], b: Counter[int]) -> Counter[int]:
+    """The support counts over A x B from those over A and over B: a
+    function over the product is a pair, its support the union."""
+    out: Counter[int] = Counter()
+    for fm, x in a.items():
+        for gm, y in b.items():
+            out[fm | gm] += x * y
+    return out
+
+
+@memoised_in_run
+def _modular_supports(
+    g: MultiGraph, grp: FiniteAbelianGroup, tensions: bool, guard: int | None
+) -> Counter[int]:
+    """The support counts of the tensions (or flows) over grp, charged
+    |grp|^rank (|grp|^nullity) states, each function one, before any
+    walk: the OR-product of the counts over its cyclic factors."""
+    free = rank_nullity(g)[not tensions]
+    what = "tension enumeration" if tensions else "flow enumeration"
+    check_state_space(grp.order**free, guard, what)
+    counts = Counter({0: 1})  # over the trivial group, and Z_1
+    for m in grp.cyclic_orders:
+        if m > 1:
+            counts = _or_product(counts, _support_walk(g, tensions, m, 0))
+    return counts
+
+
+@memoised_in_run
+def _integral_supports(
+    g: MultiGraph, bound: int, tensions: bool, guard: int | None
+) -> Counter[int]:
+    """The support counts of the integer tensions (or flows) with
+    |f| < bound everywhere, charged the box of their free values."""
+    free = rank_nullity(g)[not tensions]
+    _charge([_window_values(_WINDOWS["box"], bound)] * free, guard, tensions)
+    return _support_walk(g, tensions, 0, bound)
+
+
 # -- support pair classes ------------------------------------------------------
-
-
-class _SupportCount:
-    """The support masks of one enumeration, counted as they are read.
-
-    `read` starts the enumeration, as an iterable of support masks, and
-    `counts` holds the masks read so far.  A product can stop part way
-    through and leave the rest unread; the next one reads on from
-    there.  A read that raises starts the enumeration over next time,
-    so what it charges is charged again."""
-
-    def __init__(self, read: Callable[[], Iterable[int]]) -> None:
-        self._read = read
-        self._masks: Iterator[int] | None = None
-        self._done = False
-        self.counts: Counter[int] = Counter()
-
-    def distinct(self) -> Iterator[int]:
-        """Each support mask once, in the order first read: those read
-        so far, then each new one as the enumeration reaches it."""
-        yield from list(self.counts)
-        if self._done:
-            return
-        if self._masks is None:
-            self._masks = iter(self._read())
-        counts = self.counts
-        try:
-            for mask in self._masks:
-                if mask in counts:
-                    counts[mask] += 1
-                else:
-                    counts[mask] = 1
-                    yield mask
-        except Exception:
-            # only the enumeration raises in here; a consumer that stops
-            # early closes this generator with GeneratorExit, which is
-            # not an Exception and leaves the rest to be read on
-            self._masks = None
-            counts.clear()
-            raise
-        self._done = True
 
 
 # (disjoint, cover, comp): the pairs whose supports are disjoint (supp f
@@ -703,37 +785,46 @@ def support_pair_classes(
     tension_masks: Iterable[int], flow_masks: Iterable[int], width: int, guard: int | None = None
 ) -> PairClasses:
     """The pair classes of every pair of a tension and a flow on `width`
-    edges, given the support masks of each; see `_pair_classes`."""
-    return _pair_classes(
-        _SupportCount(lambda: tension_masks), _SupportCount(lambda: flow_masks), width, guard
-    )
+    edges, given the support masks of each; see `_pair_classes`.  The
+    flow masks are read as the pass charges them, one state per pair of
+    distinct supports as each new flow support arrives, so that a pass
+    over the guard is refused before they are all read."""
+    tensions = Counter(tension_masks)
+    limit = state_guard(guard)  # read once, not per support
+    flows: Counter[int] = Counter()
+    for mask in flow_masks:
+        if mask not in flows:
+            check_state_space(len(tensions) * (len(flows) + 1), limit, "support pair product")
+        flows[mask] += 1
+    return _pair_classes(tensions, flows, width, limit)
 
 
 def _pair_classes(
-    tensions: _SupportCount, flows: _SupportCount, width: int, guard: int | None
+    tensions: Counter[int], flows: Counter[int], width: int, guard: int | None
 ) -> PairClasses:
     """A pair of supports stands for the product of their counts.  The
-    tensions are read to the end; the pass charges one state per pair
-    of distinct supports, as each new flow support arrives, so that a
-    pass over the guard is refused before the flows are all read."""
-    for _ in tensions.distinct():
-        pass
-    limit = state_guard(guard)  # read once, not per support
-    distinct = len(tensions.counts)
-    for k, _ in enumerate(flows.distinct(), 1):
-        check_state_space(distinct * k, limit, "support pair product")
+    pass charges one state per pair of distinct supports, in one step,
+    and a refusal names the first multiple of the number of tension
+    supports over the guard, the count at which a read of the flow
+    supports one by one would stop."""
+    limit = state_guard(guard)
+    distinct = len(tensions)
+    if distinct * len(flows) > limit:
+        check_state_space(distinct * (limit // distinct + 1), limit, "support pair product")
     full = (1 << width) - 1
+    sized = [(gm, b, gm.bit_count()) for gm, b in flows.items()]
     disjoint, cover, comp = Counter(), Counter(), Counter()
-    for fm, a in tensions.counts.items():
-        kernel = width - fm.bit_count()
-        for gm, b in flows.counts.items():
-            key = (kernel, gm.bit_count())
-            if not fm & gm:
-                disjoint[key] += a * b
-            if fm | gm == full:
-                cover[key] += a * b
-                if not fm & gm:
-                    comp[key[:1]] += a * b
+    for fm, a in tensions.items():
+        kernel = full ^ fm
+        k = kernel.bit_count()
+        for gm, b, s in sized:
+            if not fm & gm:  # supp g inside ker f
+                disjoint[k, s] += a * b
+                if gm == kernel:
+                    cover[k, s] += a * b
+                    comp[k,] += a * b
+            elif gm & kernel == kernel:  # ker f inside supp g
+                cover[k, s] += a * b
     return disjoint, cover, comp
 
 
@@ -745,35 +836,6 @@ def _support_mask(values: Sequence[Element]) -> int:
     return mask
 
 
-@memoised_in_run
-def _modular_supports(
-    g: MultiGraph, grp: FiniteAbelianGroup, tensions: bool, guard: int | None
-) -> _SupportCount:
-    """The supports of the tensions (or flows) over grp, enumerated in
-    the reference orientation (supports do not depend on it)."""
-
-    def read() -> Iterator[int]:
-        values_of = _iter_tension_values if tensions else _iter_flow_values
-        return map(_support_mask, values_of(g, Orientation.reference(g), grp, guard))
-
-    return _SupportCount(read)
-
-
-@memoised_in_run
-def _integral_supports(
-    g: MultiGraph, bound: int, tensions: bool, guard: int | None
-) -> _SupportCount:
-    """The supports of the integer tensions (or flows) with |f| < bound
-    everywhere, in the reference orientation."""
-
-    def read() -> Iterator[int]:
-        enumerate_box = enumerate_integral_tensions if tensions else enumerate_integral_flows
-        o = Orientation.reference(g)
-        return (fn.support_mask() for fn in enumerate_box(g, o, bound, "box", guard=guard))
-
-    return _SupportCount(read)
-
-
 def pair_support_classes(
     g: MultiGraph,
     grp_a: FiniteAbelianGroup,
@@ -781,10 +843,10 @@ def pair_support_classes(
     guard: int | None = None,
 ) -> PairClasses:
     """The pair classes of all (tension f over grp_a, flow g over grp_b)
-    pairs.  The two enumerations charge |grp_a|^rank and |grp_b|^nullity
-    states, and the pass over their supports one state per pair of
-    distinct supports.  Within a run each enumeration is read once, for
-    every pair of groups it takes part in."""
+    pairs.  The two support counts charge |grp_a|^rank and
+    |grp_b|^nullity states, and the pass over them one state per pair of
+    distinct supports.  Within a run each count is made once, for every
+    pair of groups it takes part in."""
     tensions = _modular_supports(g, grp_a, True, guard)
     return _pair_classes(tensions, _modular_supports(g, grp_b, False, guard), g.edge_count, guard)
 
@@ -793,8 +855,8 @@ def integral_support_classes(
     g: MultiGraph, p: int, q: int, guard: int | None = None
 ) -> PairClasses:
     """The pair classes of the integer pairs with |f| < p and |g| < q
-    everywhere (zeros allowed).  Within a run each box is enumerated
-    once, for every pair of bounds it takes part in."""
+    everywhere (zeros allowed).  Within a run each box is counted once,
+    for every pair of bounds it takes part in."""
     tensions = _integral_supports(g, p, True, guard)
     return _pair_classes(tensions, _integral_supports(g, q, False, guard), g.edge_count, guard)
 

@@ -771,6 +771,28 @@ def test_main_answers_help_and_usage_errors_as_the_full_parser(capsys, monkeypat
     assert _run_main(argv, capsys) == got
 
 
+# argparse leaves [] for a value "--" given after an equals sign; it is
+# the value "--" for --quadrant (`test_quadrant_values`) and a usage
+# error for every other flag
+DASH_VALUES = [
+    ["omega", "--p=--", "--q=2", "GRAPH"],
+    ["--guard=--", "psi", "GRAPH"],
+    ["tutte-values", "--p=--", "--q", "2", "GRAPH"],
+    ["verify", "--suite=--"],
+    ["omega", "--via=--", "GRAPH"],
+]
+
+
+@pytest.mark.parametrize("argv", DASH_VALUES, ids=" ".join)
+def test_a_dash_value_is_a_usage_error(graph_file, capsys, argv):
+    [flag] = [token[:-3] for token in argv if token.endswith("=--")]
+    argv = [graph_file("k3") if token == "GRAPH" else token for token in argv]
+    code, out, err = _run_main(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: tfpoly ")
+    assert err.endswith(f"tfpoly: error: argument {flag}: expected one argument\n")
+
+
 def _counting_parsers(monkeypatch) -> list:
     built = []
     init = argparse.ArgumentParser.__init__

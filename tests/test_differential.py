@@ -39,18 +39,29 @@ at most ten edges, and the shift alone with `MultiPoly.substitute` on
 graphs of at most 24.  The greedy edge order, kept in a heap, is
 compared with a copy of its rescanning form on graphs of at most 24
 edges, on K7, on the 8x8 grid, on a 300-edge star and on 300 parallel
-edges with loops.
+edges with loops, and the frontier's partition moves with a copy of
+their old form, which renumbered every merged partition.
+
+The support counts behind the brute pair counts, walked without
+building a function, are compared with the supports of every function
+the generators make, over Z_1 to Z_4, Z_2 x Z_2 and Z_2 x Z_3 and in
+the box at bounds 1-3, on graphs of at most seven edges, with each
+guard refusal at one state below the charge.
 """
 
 import itertools
+from collections import Counter
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tfpoly import tensionflow
 from tfpoly.algebra import MultiPoly
 from tfpoly.arrangements import graphic_semilattice
-from tfpoly.frontier import edge_order, psi_terms
+from tfpoly.config import GuardExceeded
+from tfpoly.fixtures import small_ladder
+from tfpoly.frontier import _moves, _relabelled, edge_order, psi_terms
 from tfpoly.graph import (
     EdgeSubset,
     MultiGraph,
@@ -355,3 +366,95 @@ def rescanned_edge_order(g: MultiGraph) -> list[int]:
 @example(MultiGraph(2, ((0, 1),) * 300 + ((1, 1),) * 3))
 def test_edge_order_matches_the_rescan(g):
     assert edge_order(g) == rescanned_edge_order(g)
+
+
+# the groups and box bounds the support walk is held to, and the most
+# functions an oracle enumeration may make in one example
+WALK_GROUPS = ((1,), (2,), (3,), (4,), (2, 2), (2, 3))
+WALK_BOUNDS = (1, 2, 3)
+WALK_LIMIT = 3000
+
+
+@settings(max_examples=100, deadline=None)
+@given(multigraphs(max_edges=7))
+@example(MultiGraph(1, ()))
+@example(MultiGraph(4, ()))
+@example(MultiGraph(5, ((0, 1), (1, 2), (2, 0), (3, 3))))
+@example(MultiGraph(3, ((0, 1), (0, 1), (1, 1), (1, 2), (1, 2), (2, 0))))
+def test_support_walk_matches_the_enumerations(g):
+    # each support count against the histogram of the supports of every
+    # function the generators make, and each guard refusal, one state
+    # under the charge, against the generators' own
+    rank, nullity = rank_nullity(g)
+    for of in [FiniteAbelianGroup(orders) for orders in WALK_GROUPS] + list(WALK_BOUNDS):
+        size = of.order if isinstance(of, FiniteAbelianGroup) else 2 * of - 1
+        for tensions, free in ((True, rank), (False, nullity)):
+            charge = size**free
+            if charge > WALK_LIMIT:
+                continue
+            got = charged_supports(g, tensions, of, charge)
+            assert got == Counter(fn.support_mask() for fn in generated(g, tensions, of, charge))
+            assert 0 not in got.values()
+            if charge > 1:
+                with pytest.raises(GuardExceeded) as refused:
+                    charged_supports(g, tensions, of, charge - 1)
+                with pytest.raises(GuardExceeded) as oracle_refused:
+                    list(generated(g, tensions, of, charge - 1))
+                assert str(refused.value) == str(oracle_refused.value)
+
+
+def charged_supports(g: MultiGraph, tensions: bool, of, guard: int):
+    """The support count of the tensions (or flows) over the group `of`,
+    or in the box at bound `of`, charged against guard."""
+    if isinstance(of, FiniteAbelianGroup):
+        return tensionflow._modular_supports(g, of, tensions, guard)
+    return tensionflow._integral_supports(g, of, tensions, guard)
+
+
+def generated(g: MultiGraph, tensions: bool, of, guard: int):
+    """The functions that `charged_supports` counts, from the generators."""
+    o = Orientation.reference(g)
+    if isinstance(of, FiniteAbelianGroup):
+        return (enumerate_tensions if tensions else enumerate_flows)(g, o, of, guard)
+    enum = enumerate_integral_tensions if tensions else enumerate_integral_flows
+    return enum(g, o, of, "box", guard=guard)
+
+
+def test_support_walk_counts_a_product_from_its_factors():
+    # Z_2 x Z_3 is Z_6: the same supports, counted over K4 and K3,3
+    z6, product = FiniteAbelianGroup.cyclic(6), FiniteAbelianGroup((2, 3))
+    for g in (MultiGraph(4, tuple(itertools.combinations(range(4), 2))), small_ladder()[0][1]):
+        for tensions in (True, False):
+            counts = tensionflow._modular_supports(g, product, tensions, None)
+            assert counts == tensionflow._modular_supports(g, z6, tensions, None)
+            assert sum(counts.values()) == 6 ** rank_nullity(g)[not tensions]
+
+
+def old_moves(p, fresh, pu, pv, keep):
+    """`frontier._moves` as it was before the merge without relabelling:
+    both partitions renumbered by `_relabelled` over the kept positions."""
+    top = max(p, default=-1) + 1
+    p += tuple(range(top, top + fresh))
+    a, b = p[pu], p[pv]
+    kept = p if len(keep) == len(p) else _relabelled(p, keep)
+    if a == b:
+        return kept, None
+    return kept, _relabelled([a if x == b else x for x in p], keep)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_moves_merge_as_the_relabelling_did(data):
+    labels = data.draw(st.lists(st.integers(0, 5), max_size=7))
+    p = _relabelled(labels, range(len(labels)))
+    fresh = data.draw(st.integers(0 if p else 1, 2))
+    width = len(p) + fresh
+    pu, pv = data.draw(st.integers(0, width - 1)), data.draw(st.integers(0, width - 1))
+    # either every vertex stays, the fast path, or some retire
+    keep = data.draw(
+        st.one_of(
+            st.just(list(range(width))),
+            st.lists(st.integers(0, width - 1), unique=True).map(sorted),
+        )
+    )
+    assert _moves(p, fresh, pu, pv, keep) == old_moves(p, fresh, pu, pv, keep)

@@ -57,41 +57,40 @@ def test_a_run_computes_each_result_once(kappa_spy):
     assert len(kappa_spy) == 1
 
 
-def test_a_run_enumerates_the_pairs_of_two_groups_once(monkeypatch):
+@pytest.fixture
+def support_spy(monkeypatch):
+    """(graph, side, modulus, bound) of every support walk that is made,
+    not read from the run memo."""
+    walked = []
+    real = tensionflow._support_walk.__wrapped__
+
+    def spy(g, tensions, modulus, bound):
+        walked.append((g, "tensions" if tensions else "flows", modulus, bound))
+        return real(g, tensions, modulus, bound)
+
+    monkeypatch.setattr(tensionflow, "_support_walk", config.memoised_in_run(spy))
+    return walked
+
+
+def test_a_run_enumerates_the_pairs_of_two_groups_once(support_spy):
     # criteria 1, 5, 7 and 8 all read the (Z_p, Z_q) pair classes
-    enumerated = []
-    real = tensionflow._iter_tension_values
-
-    def spy(g, o, grp, guard=None):
-        enumerated.append(grp)
-        return real(g, o, grp, guard)
-
-    monkeypatch.setattr(tensionflow, "_iter_tension_values", spy)
     g = fixture("k4")
     z2, z3 = FiniteAbelianGroup.cyclic(2), FiniteAbelianGroup.cyclic(3)
     with run_scope():
         omega_value(g, z2, z3)
         modular_complementary_count(g, 2, 3)
         whitney_weighted_sums(g, 2, 3)
-    assert enumerated == [z2]
+    assert support_spy == [(g, "tensions", 2, 0), (g, "flows", 3, 0)]
 
 
-def test_a_run_enumerates_each_integer_box_once(monkeypatch):
+def test_a_run_enumerates_each_integer_box_once(support_spy):
     # criteria 5 and 10 both read the integer (p, q) pair classes
-    enumerated = []
-    real = tensionflow.enumerate_integral_tensions
-
-    def spy(g, o, bound, *args, **kwargs):
-        enumerated.append(bound)
-        return real(g, o, bound, *args, **kwargs)
-
-    monkeypatch.setattr(tensionflow, "enumerate_integral_tensions", spy)
     g = fixture("k3")
     with run_scope():
         first = integral_support_classes(g, 2, 3)
         assert integral_support_classes(g, 2, 3) == first
         integral_support_classes(g, 3, 3)
-    assert enumerated == [2, 3]
+    assert support_spy == [(g, "tensions", 0, 2), (g, "flows", 0, 3), (g, "tensions", 0, 3)]
 
 
 def test_a_run_computes_each_psi_kind_once(monkeypatch):
@@ -253,12 +252,13 @@ def test_pair_integral_identities_read_the_same_in_a_warm_run():
     assert all(check.passed for checks, _ in cold for check in checks)
 
 
-def test_a_run_tallies_and_counts_supports_once(monkeypatch):
+def test_a_run_tallies_and_counts_supports_once(monkeypatch, support_spy):
     # criterion 8 asks for each fixture's subset tallies at four (p, q);
     # criteria 1, 5, 7, 8 and 10 ask for the pair classes of many pairs
     # of groups, and criterion 13 for the nowhere-zero tensions over Z_1
-    # to Z_(r+3) and flows over Z_1 to Z_(n+3); each group on each side
-    # is read once
+    # to Z_(r+3) and flows over Z_1 to Z_(n+3); each cyclic group (a
+    # factor of Z_2 x Z_2 included) and each box on each side is walked
+    # once
     tallied = []
     real_tallies = verification._pair_subset_tallies.__wrapped__
 
@@ -266,56 +266,29 @@ def test_a_run_tallies_and_counts_supports_once(monkeypatch):
         tallied.append(g)
         return real_tallies(g, guard)
 
-    read = []
-    real_tensions = tensionflow._iter_tension_values
-    real_flows = tensionflow._iter_flow_values
-
-    def tension_spy(g, o, grp, guard=None):
-        read.append((g, grp, "tensions"))
-        return real_tensions(g, o, grp, guard)
-
-    def flow_spy(g, o, grp, guard=None):
-        read.append((g, grp, "flows"))
-        return real_flows(g, o, grp, guard)
-
     monkeypatch.setattr(verification, "_pair_subset_tallies", config.memoised_in_run(tallies_spy))
-    monkeypatch.setattr(tensionflow, "_iter_tension_values", tension_spy)
-    monkeypatch.setattr(tensionflow, "_iter_flow_values", flow_spy)
     assert all(res.passed for _, res in run_criteria([1, 5, 7, 8, 10, 13]))
     assert Counter(tallied) == Counter(g for _, g in all_fixtures())
-    assert read
-    assert max(Counter(read).values()) == 1
+    assert support_spy
+    assert max(Counter(support_spy).values()) == 1
     # the four (Z_p, Z_q) of criterion 8 share two groups per side
     k4 = fixture("k4")
-    groups = [FiniteAbelianGroup.cyclic(n) for n in (2, 3)]
-    assert {(k4, grp, side) for grp in groups for side in ("tensions", "flows")} <= set(read)
+    assert {(k4, side, m, 0) for m in (2, 3) for side in ("tensions", "flows")} <= set(support_spy)
 
 
-def test_a_refused_support_product_leaves_the_flows_unread(monkeypatch):
+def test_a_refused_support_product_keeps_the_counts(support_spy):
     # on K4 the 27 flows over Z_3 have 14 supports, the tensions over
     # Z_3 14 and over Z_2 8: at guard 112 the product with Z_3 tensions
-    # is refused at the ninth flow support, and the product with Z_2
-    # tensions reads on from there
-    started, read = [], []
-    real = tensionflow._iter_flow_values
-
-    def spy(g, o, grp, guard=None):
-        started.append(grp)
-        for values in real(g, o, grp, guard):
-            read.append(values)
-            yield values
-
-    monkeypatch.setattr(tensionflow, "_iter_flow_values", spy)
+    # is refused, naming the count at the ninth flow support, and the
+    # product with Z_2 tensions reads the flow counts the refusals made
     g = fixture("k4")
     z2, z3 = FiniteAbelianGroup.cyclic(2), FiniteAbelianGroup.cyclic(3)
     with run_scope():
         for _ in range(2):
             with pytest.raises(GuardExceeded, match="product needs 126 states, guard is 112$"):
                 pair_support_classes(g, z3, z3, 112)
-            assert 9 <= len(read) < 27
         classes = pair_support_classes(g, z2, z3, 112)
-    assert started == [z3]
-    assert len(read) == 27
+    assert support_spy == [(g, "tensions", 3, 0), (g, "flows", 3, 0), (g, "tensions", 2, 0)]
     assert classes == pair_support_classes(g, z2, z3)
     _, cover, _ = classes
     assert sum(cover.values()) == omega(g).evaluate(x=2, y=3)
