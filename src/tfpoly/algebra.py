@@ -68,12 +68,6 @@ def _var_key(name: str) -> tuple[int, str]:
         return (len(VARIABLE_ORDER), name)
 
 
-def _term_key(exps: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    # graded-lex, descending: higher total degree first, then lex on the
-    # exponent vector (x^1 before y^1 under the canonical order)
-    return (-sum(exps), tuple(-e for e in exps))
-
-
 class MultiPoly:
     """Sparse multivariate polynomial with exact coefficients.
 
@@ -134,23 +128,10 @@ class MultiPoly:
 
     # -- canonical form ----------------------------------------------
 
-    def pruned(self) -> "MultiPoly":
-        """Drop variables that occur in no term."""
-        if not self.terms:
-            return MultiPoly((), {})
-        used = [i for i in range(len(self.variables)) if any(e[i] for e in self.terms)]
-        if len(used) == len(self.variables):
-            return self
-        variables = tuple(self.variables[i] for i in used)
-        terms = {tuple(e[i] for i in used): c for e, c in self.terms.items()}
-        return _from_sums(variables, terms)
-
     def canonical(self) -> tuple:
-        p = self.pruned()
-        order = sorted(range(len(p.variables)), key=lambda i: _var_key(p.variables[i]))
-        variables = tuple(p.variables[i] for i in order)
-        terms = {tuple(e[i] for i in order): c for e, c in p.terms.items()}
-        return (variables, tuple(sorted(terms.items())))
+        """The variables that occur and the terms over them, in display order."""
+        variables, terms = self._display()
+        return variables, tuple(terms)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MultiPoly):
@@ -307,13 +288,20 @@ class MultiPoly:
 
     # -- formatting ----------------------------------------------------
 
-    def _display(self) -> tuple[tuple[str, ...], list[tuple[tuple[int, ...], int]]]:
-        p = self.pruned()
-        order = sorted(range(len(p.variables)), key=lambda i: _var_key(p.variables[i]))
-        variables = tuple(p.variables[i] for i in order)
-        terms = [(tuple(e[i] for i in order), c) for e, c in p.terms.items()]
-        terms.sort(key=lambda item: _term_key(item[0]))
-        return variables, terms
+    def _display(self) -> tuple[tuple[str, ...], list[tuple[tuple[int, ...], Coeff]]]:
+        """The variables that occur, in canonical order, and the terms
+        over them in graded-lex order, descending: higher total degree
+        first, then lex on the exponents (x^1 before y^1)."""
+        order = sorted(range(len(self.variables)), key=lambda i: _var_key(self.variables[i]))
+        terms = sorted(
+            ((tuple([e[i] for i in order]), c) for e, c in self.terms.items()),
+            key=lambda item: (sum(item[0]), item[0]),
+            reverse=True,
+        )
+        used = [k for k, column in enumerate(zip(*[e for e, _ in terms])) if any(column)]
+        if len(used) < len(order):
+            terms = [(tuple([e[k] for k in used]), c) for e, c in terms]
+        return tuple(self.variables[order[k]] for k in used), terms
 
     def __str__(self) -> str:
         variables, terms = self._display()
@@ -335,6 +323,12 @@ class MultiPoly:
                 chunks.append(f"+ {body}" if coeff > 0 else f"- {body}")
         return " ".join(chunks)
 
+    @staticmethod
+    def _json_terms(terms: list[tuple[tuple[int, ...], Coeff]]) -> list[dict]:
+        """The JSON term list of `_display`'s terms, coefficients as
+        decimal strings (exact bigints)."""
+        return [{"exps": list(e), "coeff": str(c)} for e, c in terms]
+
     def __repr__(self) -> str:
         return f"MultiPoly({self})"
 
@@ -342,8 +336,7 @@ class MultiPoly:
 
     def to_json(self) -> list[dict]:
         """Term list with coefficients as decimal strings (exact bigints)."""
-        variables, terms = self._display()
-        return [{"exps": list(e), "coeff": str(c)} for e, c in terms]
+        return self._json_terms(self._display()[1])
 
     def json_variables(self) -> list[str]:
         return list(self._display()[0])

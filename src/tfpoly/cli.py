@@ -181,11 +181,12 @@ def _any_int_digits():
 def _emit_poly(args, name: str, poly: MultiPoly) -> int:
     with _any_int_digits():
         if args.json:
+            variables, terms = poly._display()  # one sort for both fields
             payload = {
                 "invariant": name,
                 "graph": args.graph,
-                "variables": poly.json_variables(),
-                "poly": poly.to_json(),
+                "variables": list(variables),
+                "poly": MultiPoly._json_terms(terms),
             }
             print(json.dumps(payload))
         else:

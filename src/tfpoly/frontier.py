@@ -32,7 +32,6 @@ terms against the state guard, summed over the layers.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from math import comb
 from typing import Sequence
 
 from .config import check_state_space, memoised_in_run, state_guard
@@ -220,17 +219,19 @@ def psi_terms(g: MultiGraph, guard: int | None = None) -> dict[tuple[int, int, i
     packs r<U>, n<A>, |A| and |U - A|, in that order, stride E + 1;
     (-(w + z))^|U - A| is expanded by the binomial theorem at the end,
     in integers rather than by `MultiPoly.substitute`, as the step runs
-    on every key of the sum.  A loop adds z - (w + z) + wy = w(y - 1)
-    over its three roles, so the loops are factored out: the sum runs
-    on the rest, and its terms are multiplied by (w(y - 1))^L.
+    on every key of the sum, from one row of binomials per exponent.
+    A loop adds z - (w + z) + wy = w(y - 1) over its three roles, so
+    the loops are factored out: the sum runs on the rest, and its terms
+    are multiplied by (w(y - 1))^L.
     """
     loops = len(g.loop_ids())
     if loops:
         rest = MultiGraph(g.vertex_count, tuple(g.edges[e] for e in g.non_loop_ids()))
         out: dict[tuple[int, int, int, int], int] = {}
+        row = _pascal_row(loops)
         for exps, c in psi_terms(rest, guard).items():
-            for y in range(loops + 1):
-                step = comb(loops, y) * c
+            for y, binomial in enumerate(row):
+                step = binomial * c
                 key = (exps[0], exps[1] + y, exps[2], exps[3] + loops)
                 out[key] = out.get(key, 0) + (-step if (loops - y) & 1 else step)
         return {exps: c for exps, c in out.items() if c}
@@ -244,13 +245,22 @@ def psi_terms(g: MultiGraph, guard: int | None = None) -> dict[tuple[int, int, i
         (((0, rank_step, 0), (1, 0, stride**2)), stride, 1),  # in A: w
     )
     out = {}
+    rows: dict[int, list[int]] = {}
     for key, c in _frontier_sum(g, 2, roles, "psi frontier sum", guard).items():
         key, b = divmod(key, stride)
         key, a = divmod(key, stride)
         rank, nullity = divmod(key, stride)
         if b & 1:
             c = -c
-        for j in range(b + 1):
+        for j, binomial in enumerate(rows.get(b) or rows.setdefault(b, _pascal_row(b))):
             exps = (r - rank, nullity, m - a - j, a + j)
-            out[exps] = out.get(exps, 0) + comb(b, j) * c
+            out[exps] = out.get(exps, 0) + binomial * c
     return {exps: c for exps, c in out.items() if c}
+
+
+def _pascal_row(n: int) -> list[int]:
+    """C(n, 0), C(n, 1), ..., C(n, n), each from the one before."""
+    row = [1]
+    for j in range(n):
+        row.append(row[-1] * (n - j) // (j + 1))
+    return row

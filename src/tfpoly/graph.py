@@ -367,6 +367,53 @@ def circuits(g: MultiGraph, guard: int | None = None) -> list[EdgeSubset]:
     ]
 
 
+def blocks(g: MultiGraph) -> tuple[tuple[int, ...], ...]:
+    """The blocks of g, each as its sorted edge ids, in order of first
+    edge: each loop, each bridge and each maximal 2-connected piece.
+    Hopcroft and Tarjan's low-link search (CACM 16, 1973), iterative so
+    that long paths need no recursion."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.vertex_count)]
+    out = []
+    for e, (t, h) in enumerate(g.edges):
+        if t == h:
+            out.append((e,))
+        else:
+            adj[t].append((h, e))
+            adj[h].append((t, e))
+    index = [-1] * g.vertex_count
+    low = [0] * g.vertex_count
+    counter = itertools.count()
+    stack: list[int] = []  # the edges of the blocks still open
+    for root in range(g.vertex_count):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = next(counter)
+        work = [(root, -1, 0)]  # (vertex, edge it was entered by, next neighbour)
+        while work:
+            v, via, i = work[-1]
+            if i < len(adj[v]):
+                work[-1] = (v, via, i + 1)
+                w, e = adj[v][i]
+                if index[w] < 0:
+                    stack.append(e)
+                    index[w] = low[w] = next(counter)
+                    work.append((w, e, 0))
+                elif e != via and index[w] < index[v]:  # back to an ancestor
+                    stack.append(e)
+                    low[v] = min(low[v], index[w])
+                continue
+            work.pop()
+            if work:
+                u = work[-1][0]
+                low[u] = min(low[u], low[v])
+                if low[v] >= index[u]:  # u cuts v's subtree off: pop its block
+                    block = [stack.pop()]
+                    while block[-1] != via:
+                        block.append(stack.pop())
+                    out.append(tuple(sorted(block)))
+    return tuple(sorted(out))
+
+
 def directed_circuits(
     g: MultiGraph, o: Orientation, circuits: list[EdgeSubset]
 ) -> list[EdgeSubset]:

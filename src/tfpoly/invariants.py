@@ -47,7 +47,10 @@ Conventions used throughout:
   with the tension and flow polynomials of the minors for psi and their
   integral counterparts for psi_z; a loop's nonzero integer flows with
   |g| < t number 2(t - 1), so the factor 2 per loop needs no special
-  case there.  psi_family computes psi_z this way.  The modular psi
+  case there.  psi_family computes psi_z this way, as the product of
+  the convolutions of the blocks of G (`graph.blocks`): loops, bridges
+  and 2-connected blocks are direct summands of the cycle matroid, and
+  integer tensions and flows split over them.  The modular psi
   comes from one frontier sum over nested subsets A within U
   (`frontier.psi_terms`), which is this convolution with tau and phi
   expanded over subsets; the convolution itself (psi_by_cyclic_flats)
@@ -59,6 +62,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import accumulate
 
 from .algebra import MultiPoly, interpolate_univariate
@@ -69,6 +73,7 @@ from .graph import (
     MultiGraph,
     Orientation,
     _UnionFind,
+    blocks,
     components_count,
     rank_nullity,
     subset_rank_table,
@@ -514,34 +519,40 @@ def psi_by_orientations(
     return orientation_sums(g, guard)[0][which]
 
 
+def _relabelled(edges) -> MultiGraph:
+    """The graph of `edges` on the vertices they touch, renumbered in
+    order of first appearance, with sorted ends and edges: the tension
+    and flow polynomials, modular and integral, ignore all three."""
+    label: dict[int, int] = {}
+    pairs = [(label.setdefault(t, len(label)), label.setdefault(h, len(label))) for t, h in edges]
+    return MultiGraph(len(label), tuple(sorted((min(p), max(p)) for p in pairs)))
+
+
 def _cyclic_flat_minors(g: MultiGraph, guard: int | None = None):
-    """(G/X, G|X, |X|) for every cyclic flat X: every loop is in X, and
-    among the non-loop edges X is a flat without coloops.  The scan reads
-    the subset rank table of the E' non-loop edges: adding an edge
-    outside X raises its rank and removing one inside keeps it.  It
-    charges 2^E' x E' states."""
+    """(G/X, G|X, |X|, rank of G/X, loopless nullity of G|X) for every
+    cyclic flat X, each minor `_relabelled`: every loop is in X, and
+    among the non-loop edges X is a flat without coloops.  The scan
+    reads the subset rank table of the E' non-loop edges, r<X> included:
+    adding an edge outside X raises its rank and removing one inside
+    keeps it.  It charges 2^E' x E' states."""
     non_loops = g.non_loop_ids()
     check_state_space((1 << len(non_loops)) * len(non_loops), guard, "cyclic flat scan")
     table = subset_rank_table(
         MultiGraph(g.vertex_count, tuple(g.edges[e] for e in non_loops)), guard
     )
     bits = [1 << i for i in range(len(non_loops))]
-    loops = list(g.loop_ids())
+    loops = [g.edges[e] for e in g.loop_ids()]
     for x, rank in enumerate(table):
         if any((table[x ^ b] == rank) != bool(x & b) for b in bits):
             continue
-        inside = [e for i, e in enumerate(non_loops) if x >> i & 1]
-        outside = [e for i, e in enumerate(non_loops) if not x >> i & 1]
+        inside = [g.edges[e] for i, e in enumerate(non_loops) if x >> i & 1]
+        outside = [g.edges[e] for i, e in enumerate(non_loops) if not x >> i & 1]
         uf = _UnionFind(g.vertex_count)
-        for e in inside:
-            uf.union(*g.edges[e])
-        label: dict[int, int] = {}
-        part = [label.setdefault(uf.find(v), len(label)) for v in range(g.vertex_count)]
-        contracted = MultiGraph(
-            len(label), tuple((part[t], part[h]) for t, h in (g.edges[e] for e in outside))
-        )
-        restricted = MultiGraph(g.vertex_count, tuple(g.edges[e] for e in inside + loops))
-        yield contracted, restricted, len(inside) + len(loops)
+        for t, h in inside:
+            uf.union(t, h)
+        contracted = _relabelled((uf.find(t), uf.find(h)) for t, h in outside)
+        restricted = _relabelled(inside + loops)
+        yield contracted, restricted, len(inside) + len(loops), table[-1] - rank, len(inside) - rank
 
 
 def psi_family(
@@ -549,14 +560,15 @@ def psi_family(
 ) -> MultiPoly:
     """The psi family in variables (x, y, z, w).
 
-    psi is the frontier sum `frontier.psi_terms`; psi_z the convolution
-    over cyclic flats X of z^|E - X| w^|X| tau(G/X; x) phi(G|X; y) with
-    the integral tension and flow polynomials of the minors; bar_psi and
-    bar_psi_z follow by reciprocity, bar(x,y,z,w) = (-1)^n psi(-x,-y,-z,w).
-    The values equal the orientation sums of `psi_by_orientations` (see
-    the module docstring).  The guard bounds the frontier sum, or the
-    scan for cyclic flats and each minor's polynomial.  Within a run
-    scope each kind is computed once per graph and guard.
+    psi is the frontier sum `frontier.psi_terms`; psi_z the product over
+    the blocks of G of the convolution over each block's cyclic flats X
+    of z^|E - X| w^|X| tau(G/X; x) phi(G|X; y) with the integral tension
+    and flow polynomials of the minors; bar_psi and bar_psi_z follow by
+    reciprocity, bar(x,y,z,w) = (-1)^n psi(-x,-y,-z,w).  The values
+    equal the orientation sums of `psi_by_orientations` (see the module
+    docstring).  The guard bounds the frontier sum, or each block's scan
+    for cyclic flats, each minor's polynomial and the block product.
+    Within a run scope each kind is computed once per graph and guard.
     """
     if which not in PSI_KINDS:
         raise ValueError(f"unknown psi kind {which!r}")
@@ -573,43 +585,58 @@ def _psi_kind(g: MultiGraph, which: str, guard: int | None) -> MultiPoly:
         return (-1) ** n * open_poly.negate_vars(("x", "y", "z"))
     if which == "psi":
         return MultiPoly(("x", "y", "z", "w"), psi_terms(g, guard))
-    return _cyclic_flat_convolution(g, integral_tension_poly, integral_flow_poly, guard)
+    # a graph of one block as it is; else each distinct block convolved
+    # once, and multiplied in as often as it occurs
+    found = blocks(g)
+    parts = Counter([g] if len(found) < 2 else (_relabelled(g.edges[e] for e in b) for b in found))
+    polys = _cyclic_flat_convolutions(list(parts), integral_tension_poly, integral_flow_poly, guard)
+    factors = [poly for poly, count in zip(polys, parts.values()) for _ in range(count)]
+    product, spent = factors[0], 0
+    for poly in factors[1:]:
+        spent += len(product.terms) * len(poly.terms)
+        check_state_space(spent, guard, "psi block product")
+        product *= poly
+    return product
 
 
 def psi_by_cyclic_flats(g: MultiGraph, guard: int | None = None) -> MultiPoly:
     """The modular psi as the convolution over cyclic flats X of
-    z^|E - X| w^|X| tau(G/X; x) phi(G|X; y); the oracle for the
-    frontier sum of `psi_family`."""
-    return _cyclic_flat_convolution(g, tension_poly, flow_poly, guard)
+    z^|E - X| w^|X| tau(G/X; x) phi(G|X; y), over the whole graph; the
+    oracle for the frontier sum of `psi_family`."""
+    return _cyclic_flat_convolutions([g], tension_poly, flow_poly, guard)[0]
 
 
-def _cyclic_flat_convolution(g: MultiGraph, tension, flow, guard: int | None) -> MultiPoly:
-    """Sum over cyclic flats X of z^|E - X| w^|X| tension(G/X; x)
-    flow(G|X; y), for the tension and flow polynomial functions given."""
-    minors = list(_cyclic_flat_minors(g, guard))
-    # the factors tau(G/X) and phi(G|X) of every minor, each with the
-    # number of free edges of its largest counting box (the rank of G/X,
-    # the loopless nullity of G|X); they are computed largest box first,
-    # so that a graph over the guard is refused before any count is made
-    factors = []
-    for contracted, restricted, _ in minors:
-        rank, _ = rank_nullity(contracted)
-        _, nullity = rank_nullity(restricted)
-        factors.append((rank, tension, contracted, "x"))
-        factors.append((nullity - len(restricted.loop_ids()), flow, restricted, "y"))
-    polys = {}
-    for i in sorted(range(len(factors)), key=lambda i: -factors[i][0]):
-        _, poly, minor, var = factors[i]
-        polys[i] = poly(minor, var, guard)
-    m = g.edge_count
-    terms: dict = {}
-    for k, (_, _, size) in enumerate(minors):
-        tension_terms = _exponents(polys[2 * k], ("x",))
-        for (j,), b in _exponents(polys[2 * k + 1], ("y",)).items():
-            for (i,), a in tension_terms.items():
-                key = (i, j, m - size, size)
-                terms[key] = terms.get(key, 0) + a * b
-    return MultiPoly(("x", "y", "z", "w"), terms)
+def _cyclic_flat_convolutions(
+    graphs: list[MultiGraph], tension, flow, guard: int | None
+) -> list[MultiPoly]:
+    """For each graph, the sum over its cyclic flats X of z^|E - X| w^|X|
+    tension(G/X; x) flow(G|X; y).  The graphs are scanned largest first;
+    then each distinct minor's factor, over all graphs, is computed once,
+    largest counting box first (its free edges: the rank of G/X, the
+    loopless nullity of G|X), so that a graph over the guard is refused
+    before any count is made.  An edgeless minor's factor is 1."""
+    order = sorted(range(len(graphs)), key=lambda k: -len(graphs[k].non_loop_ids()))
+    minors = {k: list(_cyclic_flat_minors(graphs[k], guard)) for k in order}
+    boxes = {}
+    for found in minors.values():
+        for contracted, restricted, _, rank, nullity in found:
+            boxes[contracted, tension] = rank
+            boxes[restricted, flow] = nullity
+    factors = {}  # each factor's (exponent, coefficient) pairs
+    for minor, poly in sorted(boxes, key=lambda key: -boxes[key]):
+        var = "x" if poly is tension else "y"
+        value = poly(minor, var, guard) if minor.edges else MultiPoly.const(1)
+        factors[minor, poly] = _exponents(value, (var,)).items()
+    out = []
+    for k, g in enumerate(graphs):
+        terms: dict = {}
+        for contracted, restricted, size, _, _ in minors[k]:
+            for (j,), b in factors[restricted, flow]:
+                for (i,), a in factors[contracted, tension]:
+                    key = (i, j, g.edge_count - size, size)
+                    terms[key] = terms.get(key, 0) + a * b
+        out.append(MultiPoly(("x", "y", "z", "w"), terms))
+    return out
 
 
 # -- Tutte values from orientation triples --------------------------------------

@@ -13,3 +13,24 @@ def multigraphs(draw, max_vertices: int = 5, max_edges: int = 9) -> MultiGraph:
     vertex = st.integers(0, n - 1)
     edges = draw(st.lists(st.tuples(vertex, vertex), max_size=max_edges))
     return MultiGraph(n, tuple(edges))
+
+
+@st.composite
+def glued_multigraphs(draw, pieces: int = 3, max_edges: int = 5) -> MultiGraph:
+    """Small multigraphs glued one after another at a vertex, with a
+    pendant edge and a loop here and there: loops, bridges and cut
+    vertices come up in most draws."""
+    vertex_count, edges = 1, []
+    for _ in range(draw(st.integers(1, pieces))):
+        piece = draw(multigraphs(max_vertices=3, max_edges=max_edges))
+        # the piece's vertex 0 is the last vertex so far
+        offset = vertex_count - 1
+        edges += [(offset + t, offset + h) for t, h in piece.edges]
+        vertex_count += piece.vertex_count - 1
+        if draw(st.booleans()):
+            edges.append((draw(st.integers(0, vertex_count - 1)), vertex_count))
+            vertex_count += 1
+        if draw(st.booleans()):
+            v = draw(st.integers(0, vertex_count - 1))
+            edges.append((v, v))
+    return MultiGraph(vertex_count, tuple(edges))

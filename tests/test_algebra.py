@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from tfpoly.algebra import (
     InterpolationError,
     MultiPoly,
+    _var_key,
     det_adjugate,
     interpolate_univariate,
     rational_rank,
@@ -311,6 +312,25 @@ def test_graded_lex_printing():
     # ties in total degree break by the fixed x,y,z,w,u,v,t order
     assert str(X + Y) == "x + y"
     assert str(MultiPoly.var("t") + MultiPoly.var("w")) == "w + t"
+
+
+def _term_key(exps):
+    # graded-lex, descending: higher total degree first, then lex on the
+    # exponent vector (x^1 before y^1 under the canonical order)
+    return (-sum(exps), tuple(-e for e in exps))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_polys() | small_polys().map(lambda p: p.substitute({"x": Y * Y})))
+def test_display_order_is_the_graded_lex_term_key(p):
+    # the unused variables dropped first, the rest in canonical order,
+    # the terms sorted by _term_key
+    used = [v for i, v in enumerate(p.variables) if any(e[i] for e in p.terms)]
+    order = sorted(used, key=_var_key)
+    at = [p.variables.index(v) for v in order]
+    want = [(tuple(e[i] for i in at), c) for e, c in p.terms.items()]
+    want.sort(key=lambda item: _term_key(item[0]))
+    assert p._display() == (tuple(order), want)
 
 
 def test_fraction_printing():

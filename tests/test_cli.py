@@ -23,7 +23,7 @@ from tfpoly.cli import COMMANDS, build_parser, main
 from tfpoly.fixtures import FIXTURE_TEXTS, fixture
 from tfpoly.graph import MultiGraph, subset_rank_table
 from tfpoly.graphio import format_graph
-from tfpoly.invariants import _tutte_recursion, psi_family, tutte
+from tfpoly.invariants import _tutte_recursion, psi_family, tension_poly, tutte
 
 
 def grid(rows: int, cols: int) -> MultiGraph:
@@ -264,19 +264,54 @@ def test_jobs_flag_is_gone(graph_file, capsys):
 
 
 def test_psi_scan_is_charged_in_states(tmp_path, capsys):
-    # psi --integral scans the subsets of the non-loop edges for cyclic
-    # flats and charges 2^E' x E' states, 2^24 x 24 here: the loop does
-    # not count.  Plain psi is a frontier sum and finishes the same graph
+    # psi --integral scans each block's non-loop edges for cyclic flats
+    # and charges 2^E' x E' states, 2^24 x 24 for the 24-edge cycle here:
+    # the loop is a block of its own.  Plain psi is a frontier sum and
+    # finishes the same graph; the cycle's cyclic flats are the empty set
+    # and the whole cycle, and the loop adds a factor w(y - 1)
     path = tmp_path / "long.graph"
-    edges = tuple((i, i + 1) for i in range(24)) + ((0, 0),)
-    path.write_text(format_graph(MultiGraph(25, edges)))
+    cycle = tuple((i, (i + 1) % 24) for i in range(24))
+    path.write_text(format_graph(MultiGraph(24, cycle + ((0, 0),))))
     assert main(["psi", "--integral", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: cyclic flat scan needs 402653184 states, guard is 10000000\n"
     assert main(["psi", str(path)]) == 0
     x, y, z, w = (MultiPoly.var(v) for v in "xyzw")
-    assert capsys.readouterr().out == f"{(x - 1) ** 24 * z**24 * (y - 1) * w}\n"
+    tau = tension_poly(MultiGraph(24, cycle), "x")
+    assert capsys.readouterr().out == f"{(z**24 * tau + w**24 * (y - 1)) * w * (y - 1)}\n"
+
+
+@pytest.mark.parametrize(
+    ("edges", "factor"),
+    [
+        # a bridge is the block 2z(x - 1), a loop the block 2w(y - 1)
+        (tuple((i, i + 1) for i in range(200)), lambda x, y, z, w: 2 * z * (x - 1)),
+        (((0, 0),) * 8, lambda x, y, z, w: 2 * w * (y - 1)),
+    ],
+    ids=["path-200", "loops-8"],
+)
+def test_psi_integral_answers_a_product_of_small_blocks(tmp_path, capsys, edges, factor):
+    path = tmp_path / "blocks.graph"
+    path.write_text(format_graph(MultiGraph(max(map(max, edges)) + 1, edges)))
+    block = factor(*(MultiPoly.var(v) for v in "xyzw"))
+    assert main(["psi", "--integral", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == f"{block ** len(edges)}\n"
+
+
+def test_psi_integral_charges_the_block_product(tmp_path, capsys):
+    # the product of k bridges, k + 1 terms, is multiplied by the next
+    # bridge's 2 terms: 2 x (2 + 3 + ... + 200) = 40,198 states in all
+    path = tmp_path / "path.graph"
+    path.write_text(format_graph(MultiGraph(201, tuple((i, i + 1) for i in range(200)))))
+    assert main(["psi", "--integral", "--guard", "40198", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["psi", "--integral", "--guard", "40197", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: psi block product needs 40198 states, guard is 40197\n"
 
 
 @pytest.mark.parametrize(

@@ -47,16 +47,22 @@ building a function, are compared with the supports of every function
 the generators make, over Z_1 to Z_4, Z_2 x Z_2 and Z_2 x Z_3 and in
 the box at bounds 1-3, on graphs of at most seven edges, with each
 guard refusal at one state below the charge.
+
+psi_z as the product over blocks is compared with the convolution over
+the cyclic flats of the whole graph on small multigraphs glued at cut
+vertices, with bridges and loops, and the binomials of `psi_terms`,
+from one Pascal row per exponent, with a copy of its `math.comb` form.
 """
 
 import itertools
 from collections import Counter
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tfpoly import tensionflow
+from tfpoly import frontier, invariants, tensionflow
 from tfpoly.algebra import MultiPoly
 from tfpoly.arrangements import graphic_semilattice
 from tfpoly.config import GuardExceeded
@@ -75,6 +81,8 @@ from tfpoly.invariants import (
     PSI_KINDS,
     X,
     Y,
+    integral_flow_poly,
+    integral_tension_poly,
     omega,
     omega_by_subsets,
     QUADRANTS,
@@ -106,7 +114,7 @@ from tfpoly.tensionflow import (
     lattice_index,
 )
 
-from graph_strategies import multigraphs
+from graph_strategies import glued_multigraphs, multigraphs
 
 SMALL = multigraphs(max_edges=6).filter(lambda g: rank_nullity(g)[1] <= 3)
 GROUPS = (FiniteAbelianGroup.cyclic(3), FiniteAbelianGroup((2, 2)))
@@ -161,6 +169,65 @@ def test_psi_frontier_matches_cyclic_flats_and_orientation_sums(g):
     # nullity, which is at least 4 on eight edges and five vertices
     if rank_nullity(g)[1] <= 3:
         assert frontier_psi == psi_by_orientations(g, "psi")
+
+
+@settings(max_examples=40, deadline=None)
+@given(glued_multigraphs().filter(lambda g: rank_nullity(g)[1] - len(g.loop_ids()) <= 4))
+@example(  # K4 less an edge, a triangle with a parallel edge, a loop and a bridge
+    MultiGraph(
+        7,
+        ((0, 1), (1, 2), (2, 0), (1, 3), (2, 3), (3, 4), (4, 5), (5, 3), (4, 5), (5, 5), (5, 6)),
+    )
+)
+def test_psi_z_by_blocks_matches_the_whole_convolution(g):
+    # psi_z is the product of its blocks' convolutions; the convolution
+    # over the cyclic flats of the whole graph is the same polynomial
+    whole = invariants._cyclic_flat_convolutions(
+        [g], integral_tension_poly, integral_flow_poly, None
+    )[0]
+    assert psi_family(g, "psi_z") == whole
+    assert psi_family(g, "bar_psi_z") == (-1) ** rank_nullity(g)[1] * whole.negate_vars("xyz")
+
+
+def _psi_terms_by_comb(g: MultiGraph) -> dict:
+    """`psi_terms` as it was, with one math.comb per key and power for
+    (-(w + z))^b and for the loop factor (y - 1)^L."""
+    loops = len(g.loop_ids())
+    if loops:
+        rest = MultiGraph(g.vertex_count, tuple(g.edges[e] for e in g.non_loop_ids()))
+        out: dict = {}
+        for exps, c in _psi_terms_by_comb(rest).items():
+            for y in range(loops + 1):
+                step = comb(loops, y) * c
+                key = (exps[0], exps[1] + y, exps[2], exps[3] + loops)
+                out[key] = out.get(key, 0) + (-step if (loops - y) & 1 else step)
+        return {exps: c for exps, c in out.items() if c}
+    m = g.edge_count
+    stride = m + 1
+    rank_step = stride**3
+    r, _ = rank_nullity(g)
+    roles = (
+        ((), 0, 1),
+        (((0, rank_step, 0),), 1, 1),
+        (((0, rank_step, 0), (1, 0, stride**2)), stride, 1),
+    )
+    out = {}
+    for key, c in frontier._frontier_sum(g, 2, roles, "psi frontier sum", None).items():
+        key, b = divmod(key, stride)
+        key, a = divmod(key, stride)
+        rank, nullity = divmod(key, stride)
+        if b & 1:
+            c = -c
+        for j in range(b + 1):
+            exps = (r - rank, nullity, m - a - j, a + j)
+            out[exps] = out.get(exps, 0) + comb(b, j) * c
+    return {exps: c for exps, c in out.items() if c}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(multigraphs(max_edges=9), glued_multigraphs(max_edges=4)))
+def test_psi_terms_pascal_rows_match_the_comb_expansion(g):
+    assert psi_terms(g) == _psi_terms_by_comb(g)
 
 
 @settings(max_examples=40, deadline=None)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graph_strategies import multigraphs
+from graph_strategies import glued_multigraphs, multigraphs
 from tfpoly.algebra import rational_rank
 from tfpoly.fixtures import fixture, fixture_names
 from tfpoly.graph import (
@@ -12,6 +12,7 @@ from tfpoly.graph import (
     MultiGraph,
     Orientation,
     arc,
+    blocks,
     bond_side,
     bonds,
     circuits,
@@ -129,6 +130,32 @@ def test_circuits_match_their_definition(g):
         ):
             want.append(x)
     assert circuits(g) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(multigraphs(max_edges=8), glued_multigraphs(max_edges=3)))
+def test_blocks_partition_the_edges_along_circuits(g):
+    # two non-loop edges share a block exactly when a circuit holds both
+    found = blocks(g)
+    assert sorted(e for block in found for e in block) == list(range(g.edge_count))
+    assert list(found) == sorted(found) and all(list(b) == sorted(b) for b in found)
+    block_of = {e: k for k, block in enumerate(found) for e in block}
+    together = {(e, f) for c in circuits(g) for e in c for f in c}
+    non_loops = g.non_loop_ids()
+    for e in non_loops:
+        for f in non_loops:
+            assert (block_of[e] == block_of[f]) == (e == f or (e, f) in together), (e, f)
+    assert all((e,) in found for e in g.loop_ids())
+
+
+def test_blocks_of_two_triangles_at_a_vertex_and_a_long_path():
+    bowtie = MultiGraph(5, ((0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2), (4, 4)))
+    assert blocks(bowtie) == ((0, 1, 2), (3, 4, 5), (6,))
+    # iterative: no recursion limit on a path of bridges
+    n = 5000
+    assert blocks(MultiGraph(n + 1, tuple((i, i + 1) for i in range(n)))) == tuple(
+        (e,) for e in range(n)
+    )
 
 
 def test_arc_respects_flips():

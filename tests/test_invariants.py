@@ -6,11 +6,13 @@ T(0,2) totally cyclic orientations, T(2,2) = 2^|E|, duality swaps the
 triangle and theta values, and a loop multiplies T by y.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from tfpoly import tensionflow
 from tfpoly.algebra import MultiPoly
 from tfpoly.arrangements import graphic_semilattice
 from tfpoly.config import DEFAULT_STATE_GUARD, GuardExceeded, run_scope, state_guard
@@ -440,3 +442,23 @@ def test_swapped_domain_reading_fails(name):
     # "ker f inside supp g" is a genuinely different set, not a rephrasing
     _, readings = pair_integral_identities(fixture(name), 2, 3)
     assert "ker f inside supp g (swapped)" not in {c.name for c in readings if c.passed}
+
+
+def test_k5_glued_to_k6_is_refused_before_any_window_is_counted(monkeypatch):
+    # every block is scanned, then the minors of both are counted largest
+    # box first: K6's own flow box comes first and is over the guard
+    counted = []
+    real = tensionflow._window_counts
+
+    def spy(*args):
+        counts = real(*args)
+        counted.append(args[0])
+        return counts
+
+    monkeypatch.setattr(tensionflow, "_window_counts", spy)
+    k5 = tuple(itertools.combinations(range(5), 2))
+    k6 = tuple((4 + i, 4 + j) for i, j in itertools.combinations(range(6), 2))
+    with pytest.raises(GuardExceeded) as refused:
+        psi_family(MultiGraph(10, k5 + k6), "psi_z")
+    assert str(refused.value).startswith("integral flow enumeration needs 1320903770112 states")
+    assert counted == []

@@ -96,31 +96,41 @@ def test_a_run_enumerates_each_integer_box_once(support_spy):
 def test_a_run_computes_each_psi_kind_once(monkeypatch):
     # criterion 6 asks for psi and bar_psi with the guard by keyword,
     # criterion 14 for all four kinds by position, criterion 18 for psi;
-    # each closed kind is its open kind reflected
+    # each closed kind is its open kind reflected.  psi_z convolves a
+    # graph of one block as it is, and otherwise its distinct blocks
     frontier = []
     convolutions = []
     real_terms = invariants.psi_terms
-    real_convolution = invariants._cyclic_flat_convolution
+    real_convolutions = invariants._cyclic_flat_convolutions
 
     def terms_spy(g, guard=None):
         frontier.append(g.fingerprint())
         return real_terms(g, guard)
 
-    def convolution_spy(g, tension, flow, guard):
-        convolutions.append((g.fingerprint(), tension.__name__))
-        return real_convolution(g, tension, flow, guard)
+    def convolutions_spy(graphs, tension, flow, guard):
+        convolutions.append((tuple(g.fingerprint() for g in graphs), tension.__name__))
+        return real_convolutions(graphs, tension, flow, guard)
+
+    def parts(g):
+        found = graph.blocks(g)
+        if len(found) < 2:
+            return (g.fingerprint(),)
+        relabelled = (invariants._relabelled(g.edges[e] for e in block) for block in found)
+        return tuple(dict.fromkeys(part.fingerprint() for part in relabelled))
 
     monkeypatch.setattr(invariants, "psi_terms", terms_spy)
-    monkeypatch.setattr(invariants, "_cyclic_flat_convolution", convolution_spy)
+    monkeypatch.setattr(invariants, "_cyclic_flat_convolutions", convolutions_spy)
     assert all(res.passed for _, res in run_suite("reciprocity"))
     fixtures = [g.fingerprint() for _, g in all_fixtures()]
     ladder = [g.fingerprint() for _, g in small_ladder()]
     assert Counter(frontier) == Counter(fixtures + ladder)
     # psi_z in production; the modular convolution as criterion 18's oracle
     assert Counter(convolutions) == Counter(
-        [(fp, "integral_tension_poly") for fp in fixtures]
-        + [(fp, "tension_poly") for fp in fixtures + ladder]
+        [(parts(g), "integral_tension_poly") for _, g in all_fixtures()]
+        + [((fp,), "tension_poly") for fp in fixtures + ladder]
     )
+    # p3, a path of two bridges, convolves one bridge
+    assert parts(fixture("p3")) == ("v2:0-1",)
 
 
 def _memo_watcher(monkeypatch, num):
