@@ -50,8 +50,10 @@ guard refusal at one state below the charge.
 
 psi_z as the product over blocks is compared with the convolution over
 the cyclic flats of the whole graph on small multigraphs glued at cut
-vertices, with bridges and loops, and the binomials of `psi_terms`,
-from one Pascal row per exponent, with a copy of its `math.comb` form.
+vertices, with bridges and loops, of rank at most 6, where that
+convolution's tension box stays under the guard, and the binomials of
+`psi_terms`, from one Pascal row per exponent, with a copy of its
+`math.comb` form.
 """
 
 import itertools
@@ -171,8 +173,16 @@ def test_psi_frontier_matches_cyclic_flats_and_orientation_sums(g):
         assert frontier_psi == psi_by_orientations(g, "psi")
 
 
+def _oracle_fits(g: MultiGraph) -> bool:
+    # the whole-graph convolution counts integer tensions of G/X in a box
+    # that grows as a power of the rank: at rank 7 it needs 17 million
+    # states, over the default guard, and at rank 6 it takes about a second
+    rank, nullity = rank_nullity(g)
+    return rank <= 6 and nullity - len(g.loop_ids()) <= 4
+
+
 @settings(max_examples=40, deadline=None)
-@given(glued_multigraphs().filter(lambda g: rank_nullity(g)[1] - len(g.loop_ids()) <= 4))
+@given(glued_multigraphs().filter(_oracle_fits))
 @example(  # K4 less an edge, a triangle with a parallel edge, a loop and a bridge
     MultiGraph(
         7,
