@@ -138,6 +138,10 @@ class MultiPoly:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = MultiPoly.const(other)
+        if self.variables == other.variables:
+            # both term dicts are in normal form: no zero coefficients,
+            # integral Fractions stored as ints
+            return self.terms == other.terms
         return self.canonical() == other.canonical()
 
     def __hash__(self) -> int:

@@ -35,11 +35,10 @@ containment table is built; the pass costs the comparable pairs, about
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .algebra import MultiPoly, rational_rank
-from .config import check_state_space, state_guard
+from .config import Record, check_state_space, state_guard
 from .graph import EdgeSubset, MultiGraph, Orientation, incidence_matrix, subset_rank_table
 from .tensionflow import Element, FiniteAbelianGroup
 
@@ -47,11 +46,13 @@ from .tensionflow import Element, FiniteAbelianGroup
 # -- finite backend ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiniteCosetProduct:
+class FiniteCosetProduct(Record):
     """Product of one coset per ambient factor, materialised as sets."""
 
-    factors: tuple[frozenset[Element], ...]
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple[frozenset[Element], ...]):
+        object.__setattr__(self, "factors", factors)
 
     @classmethod
     def from_subgroup(
@@ -117,7 +118,6 @@ def ambient_product(ambient: Sequence[FiniteAbelianGroup]) -> FiniteCosetProduct
 # -- intersection semilattice ----------------------------------------------------
 
 
-@dataclass
 class IntersectionPoset:
     """Finite meet-semilattice of flats ordered by containment.
 
@@ -130,12 +130,40 @@ class IntersectionPoset:
     i as (exponents over `variables`, coefficient): a constant for the
     finite backend, x^a y^b for the graphic backend.  mu[i] is
     mu(element i, top), computed once when the poset is built.
+
+    Unlike the `Record` types it is mutable, and so unhashable; two
+    posets are equal when their four fields are.
     """
 
-    elements: list
-    variables: tuple[str, ...]
-    weights: list[tuple[tuple[int, ...], int]]
-    mu: list[int]
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(
+        self,
+        elements: list,
+        variables: tuple[str, ...],
+        weights: list[tuple[tuple[int, ...], int]],
+        mu: list[int],
+    ):
+        self.elements = elements
+        self.variables = variables
+        self.weights = weights
+        self.mu = mu
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.elements, self.variables, self.weights, self.mu) == (
+            other.elements,
+            other.variables,
+            other.weights,
+            other.mu,
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"IntersectionPoset(elements={self.elements!r}, variables={self.variables!r}, "
+            f"weights={self.weights!r}, mu={self.mu!r})"
+        )
 
     def mobius(self, x) -> int:
         """mu(x, top) for an element or element index."""

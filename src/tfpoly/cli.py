@@ -15,8 +15,7 @@ from contextlib import contextmanager
 from typing import Sequence
 
 from .algebra import MultiPoly
-from .arrangements import graphic_semilattice
-from .config import GuardExceeded, state_guard
+from .config import SUITES, GuardExceeded, state_guard
 from .graphio import parse_graph_file
 from .invariants import (
     chromatic_poly,
@@ -31,7 +30,6 @@ from .invariants import (
 )
 from .orientations import cut_eulerian_classes
 from .tensionflow import FiniteAbelianGroup
-from .verification import SUITES, run_suite
 
 
 # (flag, add_argument keywords); the shared flags go on the main parser
@@ -207,6 +205,8 @@ def _dispatch(args) -> int:
     cmd = args.command
     guard = state_guard(args.guard)
     if cmd == "verify":
+        from .verification import run_suite  # imported here: only verify runs the criteria
+
         results = run_suite(args.suite, guard)
         ok = all(res.passed for _, res in results)
         if args.json:
@@ -257,6 +257,8 @@ def _dispatch(args) -> int:
             print("error: --p and --q must be given together", file=sys.stderr)
             return 2
         if args.via == "arrangement":
+            from .arrangements import graphic_semilattice  # imported here: only this route needs it
+
             poly = graphic_semilattice(g, guard).characteristic_polynomial()
         else:
             poly = omega(g, guard)

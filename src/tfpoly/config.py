@@ -1,4 +1,4 @@
-"""The state guard and shared error types.
+"""The state guard, shared error types, the value base and the suites.
 
 Every exponential loop in this package (enumerations of tensions, flows
 and pairs, scans over edge subsets and orientations, finite arrangement
@@ -15,6 +15,11 @@ functions decorated with `memoised_in_run` store their results there
 while it is open and are plain calls when it is not.  The memo is
 keyed on the arguments as passed, guard included, so a call under a
 different guard is computed, and charged, afresh.
+
+`Record` is the base of the package's value types, and `SUITES` names
+the verification criteria each suite runs; both are kept here, in the
+one module every other imports, so that neither costs an import of its
+own.
 """
 
 from __future__ import annotations
@@ -37,6 +42,54 @@ class GuardExceeded(RuntimeError):
 
 class VerificationError(RuntimeError):
     """An identity that must hold exactly failed on concrete data."""
+
+
+# which criteria of `verification` each suite runs
+SUITES: dict[str, tuple[int, ...]] = {
+    "arrangement": (1, 11, 15),
+    "orientation": (3, 9, 10, 16),
+    "reciprocity": (2, 4, 5, 6, 12, 13, 14, 18),
+    "whitney": (7, 17),
+    "integrals": (8,),
+    "all": tuple(range(1, 19)),
+}
+
+
+class Record:
+    """Base of the value types: the fields are the names in a subclass's
+    `__slots__`, which its `__init__` sets through `object.__setattr__`.
+
+    A record equals a record of the same type with equal fields, hashes
+    as the tuple of its fields, prints as `Name(field=value, ...)`, and
+    copies and pickles through its constructor.  Assigning or deleting
+    an attribute raises.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def state_guard(override: int | None = None) -> int:

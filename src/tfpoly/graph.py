@@ -17,23 +17,36 @@ all of whose arrows cross one way.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .config import check_state_space, memoised_in_run
+from .config import Record, check_state_space, memoised_in_run
+
+# sets a field of a frozen Record; bound once, as graphs and edge subsets
+# are built in the inner loops
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class MultiGraph:
-    vertex_count: int
-    edges: tuple[tuple[int, int], ...]
+class MultiGraph(Record):
+    __slots__ = ("vertex_count", "edges")
 
-    def __post_init__(self):
-        if self.vertex_count < 0:
+    def __init__(self, vertex_count: int, edges: tuple[tuple[int, int], ...]):
+        if vertex_count < 0:
             raise ValueError("negative vertex count")
-        for e, (t, h) in enumerate(self.edges):
-            if not (0 <= t < self.vertex_count and 0 <= h < self.vertex_count):
+        for e, (t, h) in enumerate(edges):
+            if not (0 <= t < vertex_count and 0 <= h < vertex_count):
                 raise ValueError(f"edge {e} endpoint out of range: ({t}, {h})")
+        _set(self, "vertex_count", vertex_count)
+        _set(self, "edges", edges)
+
+    # written out, not Record's by field name, as graphs, orientations and
+    # edge subsets key the run memo
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.vertex_count == other.vertex_count and self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash((self.vertex_count, self.edges))
 
     @property
     def edge_count(self) -> int:
@@ -54,11 +67,21 @@ class MultiGraph:
         return f"v{self.vertex_count}:{body}"
 
 
-@dataclass(frozen=True)
-class Orientation:
+class Orientation(Record):
     """Flip bits relative to the reference orientation; loops never flip."""
 
-    flips: tuple[bool, ...]
+    __slots__ = ("flips",)
+
+    def __init__(self, flips: tuple[bool, ...]):
+        _set(self, "flips", flips)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.flips == other.flips
+
+    def __hash__(self) -> int:
+        return hash((self.flips,))
 
     @classmethod
     def reference(cls, g: MultiGraph) -> "Orientation":
@@ -81,16 +104,24 @@ def arc(g: MultiGraph, o: Orientation, e: int) -> tuple[int, int]:
     return (h, t) if o.flips[e] else (t, h)
 
 
-@dataclass(frozen=True)
-class EdgeSubset:
+class EdgeSubset(Record):
     """Bitset over edge ids; width is the total edge count."""
 
-    mask: int
-    width: int
+    __slots__ = ("mask", "width")
 
-    def __post_init__(self):
-        if self.mask < 0 or self.mask >> self.width:
-            raise ValueError(f"mask {self.mask:#x} does not fit width {self.width}")
+    def __init__(self, mask: int, width: int):
+        if mask < 0 or mask >> width:
+            raise ValueError(f"mask {mask:#x} does not fit width {width}")
+        _set(self, "mask", mask)
+        _set(self, "width", width)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.mask == other.mask and self.width == other.width
+
+    def __hash__(self) -> int:
+        return hash((self.mask, self.width))
 
     @classmethod
     def empty(cls, width: int) -> "EdgeSubset":

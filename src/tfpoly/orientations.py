@@ -35,11 +35,10 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .algebra import det_adjugate
-from .config import VerificationError, check_state_space, memoised_in_run
+from .config import Record, VerificationError, check_state_space, memoised_in_run
 from .graph import (
     EdgeSubset,
     MultiGraph,
@@ -92,8 +91,7 @@ def classify_edges(g: MultiGraph, o: Orientation) -> tuple[EdgeSubset, EdgeSubse
     return b, c
 
 
-@dataclass(frozen=True)
-class OrientationClass:
+class OrientationClass(Record):
     """A cut-Eulerian equivalence class.
 
     representative is the lexicographically least member and size the
@@ -102,10 +100,13 @@ class OrientationClass:
     move closure's class has the same sizes).
     """
 
-    representative: Orientation
-    size: int
-    b: EdgeSubset
-    c: EdgeSubset
+    __slots__ = ("representative", "size", "b", "c")
+
+    def __init__(self, representative: Orientation, size: int, b: EdgeSubset, c: EdgeSubset):
+        object.__setattr__(self, "representative", representative)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
 
     @property
     def b_size(self) -> int:

@@ -57,18 +57,16 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
 from .algebra import _eliminate
-from .config import check_state_space, memoised_in_run, state_guard
+from .config import Record, check_state_space, memoised_in_run, state_guard
 from .graph import EdgeSubset, MultiGraph, Orientation, arc, rank_nullity, spanning_forest
 
 Element = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
+class FiniteAbelianGroup(Record):
     """Direct product of cyclic groups Z_{m_1} x ... x Z_{m_k}.
 
     Elements are tuples of residues, one per factor, always reduced.
@@ -76,11 +74,12 @@ class FiniteAbelianGroup:
     ones; Z_1 factors are legal and behave as expected.
     """
 
-    cyclic_orders: tuple[int, ...]
+    __slots__ = ("cyclic_orders",)
 
-    def __post_init__(self):
-        if any(m < 1 for m in self.cyclic_orders):
+    def __init__(self, cyclic_orders: tuple[int, ...]):
+        if any(m < 1 for m in cyclic_orders):
             raise ValueError("cyclic factor orders must be >= 1")
+        object.__setattr__(self, "cyclic_orders", cyclic_orders)
 
     @classmethod
     def cyclic(cls, m: int) -> "FiniteAbelianGroup":
@@ -116,18 +115,18 @@ class FiniteAbelianGroup:
         return all(x == 0 for x in a)
 
 
-@dataclass(frozen=True)
-class GroupElementFunction:
+class GroupElementFunction(Record):
     """Edge function with values in a finite abelian group."""
 
-    group: FiniteAbelianGroup
-    values: tuple[Element, ...]
+    __slots__ = ("group", "values")
 
-    def __post_init__(self):
-        k = len(self.group.cyclic_orders)
-        for e, val in enumerate(self.values):
-            if len(val) != k or val != self.group.reduce(val):
+    def __init__(self, group: FiniteAbelianGroup, values: tuple[Element, ...]):
+        k = len(group.cyclic_orders)
+        for e, val in enumerate(values):
+            if len(val) != k or val != group.reduce(val):
                 raise ValueError(f"value {val} at edge {e} is not a reduced element")
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "values", values)
 
     @property
     def width(self) -> int:
@@ -143,11 +142,13 @@ class GroupElementFunction:
         return self.support().complement()
 
 
-@dataclass(frozen=True)
-class IntegerEdgeFunction:
+class IntegerEdgeFunction(Record):
     """Edge function with integer values."""
 
-    values: tuple[int, ...]
+    __slots__ = ("values",)
+
+    def __init__(self, values: tuple[int, ...]):
+        object.__setattr__(self, "values", values)
 
     @property
     def width(self) -> int:

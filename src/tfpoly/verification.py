@@ -11,8 +11,8 @@ details.  `CheckResult` is the only result type: `_identity` builds one
 from the two sides of an identity, formatting them only when they
 differ, and `_Collector` builds one per criterion.
 
-The criteria are grouped into named suites for the command line
-``verify`` subcommand; the full list runs in well under a minute.
+The criteria are grouped into named suites (`config.SUITES`) for the
+command line ``verify`` subcommand; the full list runs in well under a minute.
 `run_criteria` runs them inside one run scope (`config.run_scope`), so
 what several criteria ask for, such as the orientation sums, is
 computed once per run and dropped when the run ends.  What does not
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .algebra import MultiPoly
@@ -42,7 +41,9 @@ from .arrangements import (
     product_valuation,
     subset_flat_dims,
 )
-from .config import (
+from .config import (  # SUITES is re-exported: scripts read it from here
+    SUITES,
+    Record,
     VerificationError,
     check_state_space,
     memoised_in_run,
@@ -106,11 +107,13 @@ from .tensionflow import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    lines: tuple[str, ...] = ()
+class CheckResult(Record):
+    __slots__ = ("name", "passed", "lines")
+
+    def __init__(self, name: str, passed: bool, lines: tuple[str, ...] = ()):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "lines", lines)
 
 
 class _Collector:
@@ -1071,15 +1074,6 @@ CRITERIA: dict[int, Callable[..., CheckResult]] = {
     16: criterion_16,
     17: criterion_17,
     18: criterion_18,
-}
-
-SUITES: dict[str, tuple[int, ...]] = {
-    "arrangement": (1, 11, 15),
-    "orientation": (3, 9, 10, 16),
-    "reciprocity": (2, 4, 5, 6, 12, 13, 14, 18),
-    "whitney": (7, 17),
-    "integrals": (8,),
-    "all": tuple(range(1, 19)),
 }
 
 

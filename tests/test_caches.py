@@ -6,12 +6,17 @@ their classes; so the count of cache decorators in the source must
 equal the count of cache objects reachable that way.
 """
 
+import importlib
 import pathlib
+import pkgutil
 import re
 import sys
 
 import tfpoly
-import tfpoly.cli  # noqa: F401  (loads every module the command line reaches)
+
+# every submodule, as the command line loads some only for the commands that run them
+for info in pkgutil.iter_modules(tfpoly.__path__):
+    importlib.import_module(f"tfpoly.{info.name}")
 
 CACHE_DECORATOR = re.compile(r"^\s*@(?:functools\.)?(?:lru_cache|cache)\b", re.MULTILINE)
 
