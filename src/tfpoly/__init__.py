@@ -20,7 +20,7 @@ _EXPORTS = {
         "graphic_semilattice",
         "product_valuation",
     ),
-    "config": ("GuardExceeded", "SUITES", "VerificationError"),
+    "config": ("GuardExceeded", "SUITES", "VerificationError", "guarded"),
     "fixtures": ("all_fixtures", "fixture", "fixture_names"),
     "graph": ("EdgeSubset", "MultiGraph", "Orientation", "rank_nullity"),
     "graphio": ("ParseError", "parse_graph_file", "parse_graph_text"),

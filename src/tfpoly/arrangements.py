@@ -47,12 +47,14 @@ from .tensionflow import Element, FiniteAbelianGroup
 
 
 class FiniteCosetProduct(Record):
-    """Product of one coset per ambient factor, materialised as sets."""
+    """Product of one coset per ambient factor, materialised as sets:
+    the factors are kept as a tuple of frozensets, whatever sequence of
+    sets is given."""
 
     __slots__ = ("factors",)
 
-    def __init__(self, factors: tuple[frozenset[Element], ...]):
-        object.__setattr__(self, "factors", factors)
+    def __init__(self, factors: Sequence[Iterable[Element]]):
+        object.__setattr__(self, "factors", tuple(map(frozenset, factors)))
 
     @classmethod
     def from_subgroup(
@@ -178,7 +180,7 @@ class IntersectionPoset:
         return MultiPoly(self.variables, terms)
 
 
-def _mobius_values(masks: Sequence[int], members: int, guard: int | None = None) -> list[int]:
+def _mobius_values(masks: Sequence[int], members: int) -> list[int]:
     """mu(x, top) for the flats with these member masks, given in
     increasing order (so masks[0] is the top's), over `members` members.
 
@@ -192,7 +194,7 @@ def _mobius_values(masks: Sequence[int], members: int, guard: int | None = None)
     Charges the comparable pairs as it finds them, as the flat
     containment table.
     """
-    limit = state_guard(guard)
+    limit = state_guard()
     full = (1 << members) - 1
     without = [0] * members
     by_value: dict[int, int] = {}
@@ -210,7 +212,7 @@ def _mobius_values(masks: Sequence[int], members: int, guard: int | None = None)
             outside ^= low
         pairs += above.bit_count()
         if pairs > limit:
-            check_state_space(pairs, guard, "flat containment table")
+            check_state_space(pairs, "flat containment table")
         value = -sum(v * (above & flats).bit_count() for v, flats in by_value.items()) if i else 1
         mu.append(value)
         by_value[value] = by_value.get(value, 0) | bit
@@ -220,7 +222,6 @@ def _mobius_values(masks: Sequence[int], members: int, guard: int | None = None)
 def finite_semilattice(
     ambient: Sequence[FiniteAbelianGroup],
     members: Sequence[FiniteCosetProduct],
-    guard: int | None = None,
 ) -> IntersectionPoset:
     """Close the arrangement under intersection (dropping empties, which
     cover nothing) and key each flat by the members that contain it; the
@@ -232,7 +233,7 @@ def finite_semilattice(
     size = 1
     for grp in ambient:
         size *= grp.order
-    check_state_space(size, guard, "finite arrangement closure")
+    check_state_space(size, "finite arrangement closure")
     top = ambient_product(ambient)
     for i, m in enumerate(members):
         if m.factors == top.factors:
@@ -255,13 +256,12 @@ def finite_semilattice(
     masks = [mask for mask, _ in keyed]
     elements = [flat for _, flat in keyed]
     weights = [((), flat.size) for flat in elements]
-    return IntersectionPoset(elements, (), weights, _mobius_values(masks, len(members), guard))
+    return IntersectionPoset(elements, (), weights, _mobius_values(masks, len(members)))
 
 
 def complement_count(
     ambient: Sequence[FiniteAbelianGroup],
     members: Sequence[FiniteCosetProduct],
-    guard: int | None = None,
 ) -> int:
     """Number of ambient points lying in no arrangement member (direct
     count); charges the ambient order in states."""
@@ -269,7 +269,7 @@ def complement_count(
     size = 1
     for grp in ambient:
         size *= grp.order
-    check_state_space(size, guard, "complement count")
+    check_state_space(size, "complement count")
     count = 0
     for point in itertools.product(*(list(grp.elements()) for grp in ambient)):
         if not any(m.contains(point) for m in members):
@@ -325,11 +325,11 @@ def graphic_flat_dims(g: MultiGraph, x: EdgeSubset) -> tuple[int, int]:
     return dim_t, dim_f
 
 
-def subset_flat_dims(g: MultiGraph, guard: int | None = None) -> list[tuple[int, int]]:
+def subset_flat_dims(g: MultiGraph) -> list[tuple[int, int]]:
     """(dim_t, dim_f) of every edge subset X, indexed by mask, read from
     the subset rank table: dim_t = r(E) - r(X) and dim_f = |E - X| - r(E - X).
     Charges what `subset_rank_table` charges."""
-    table = subset_rank_table(g, guard)
+    table = subset_rank_table(g)
     full = (1 << g.edge_count) - 1
     r = table[full]
     return [
@@ -338,7 +338,7 @@ def subset_flat_dims(g: MultiGraph, guard: int | None = None) -> list[tuple[int,
     ]
 
 
-def graphic_semilattice(g: MultiGraph, guard: int | None = None) -> IntersectionPoset:
+def graphic_semilattice(g: MultiGraph) -> IntersectionPoset:
     """Flats of the edge arrangement over the tension-flow product space.
 
     Every edge subset X determines a flat; X and Y coincide exactly
@@ -354,8 +354,8 @@ def graphic_semilattice(g: MultiGraph, guard: int | None = None) -> Intersection
     and K6, against F^2 > 10^8), with no containment table.
     """
     m = g.edge_count
-    check_state_space((1 << m) * m, guard, "graphic flat enumeration")
-    dims = subset_flat_dims(g, guard)
+    check_state_space((1 << m) * m, "graphic flat enumeration")
+    dims = subset_flat_dims(g)
     bits = [1 << e for e in range(m)]
     flat_masks = [
         mask
@@ -364,4 +364,4 @@ def graphic_semilattice(g: MultiGraph, guard: int | None = None) -> Intersection
     ]
     elements = [EdgeSubset(mask, m) for mask in flat_masks]
     weights = [(dims[mask], 1) for mask in flat_masks]
-    return IntersectionPoset(elements, ("x", "y"), weights, _mobius_values(flat_masks, m, guard))
+    return IntersectionPoset(elements, ("x", "y"), weights, _mobius_values(flat_masks, m))

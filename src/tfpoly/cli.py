@@ -15,7 +15,7 @@ from contextlib import contextmanager
 from typing import Sequence
 
 from .algebra import MultiPoly
-from .config import SUITES, GuardExceeded, state_guard
+from .config import SUITES, GuardExceeded, guarded
 from .graphio import parse_graph_file
 from .invariants import (
     chromatic_poly,
@@ -203,11 +203,10 @@ def _emit_value(args, name: str, value: int) -> int:
 
 def _dispatch(args) -> int:
     cmd = args.command
-    guard = state_guard(args.guard)
     if cmd == "verify":
         from .verification import run_suite  # imported here: only verify runs the criteria
 
-        results = run_suite(args.suite, guard)
+        results = run_suite(args.suite)
         ok = all(res.passed for _, res in results)
         if args.json:
             print(
@@ -238,19 +237,16 @@ def _dispatch(args) -> int:
 
     g = parse_graph_file(args.graph)
     if cmd == "tutte":
-        return _emit_poly(args, cmd, tutte(g, guard))
+        return _emit_poly(args, cmd, tutte(g))
     if cmd == "whitney":
-        return _emit_poly(args, cmd, whitney(g, guard))
+        return _emit_poly(args, cmd, whitney(g))
     if cmd == "omega":
         if args.via == "brute":
             if args.p is None or args.q is None:
                 print("error: --via brute needs --p and --q", file=sys.stderr)
                 return 2
             value = omega_value(
-                g,
-                FiniteAbelianGroup.cyclic(args.p),
-                FiniteAbelianGroup.cyclic(args.q),
-                guard,
+                g, FiniteAbelianGroup.cyclic(args.p), FiniteAbelianGroup.cyclic(args.q)
             )
             return _emit_value(args, cmd, value)
         if (args.p is None) != (args.q is None):
@@ -259,27 +255,27 @@ def _dispatch(args) -> int:
         if args.via == "arrangement":
             from .arrangements import graphic_semilattice  # imported here: only this route needs it
 
-            poly = graphic_semilattice(g, guard).characteristic_polynomial()
+            poly = graphic_semilattice(g).characteristic_polynomial()
         else:
-            poly = omega(g, guard)
+            poly = omega(g)
         if args.p is not None:
             return _emit_value(args, cmd, poly.evaluate(x=args.p, y=args.q))
         return _emit_poly(args, cmd, poly)
     if cmd == "tension":
-        return _emit_poly(args, cmd, tension_poly(g, "t", guard))
+        return _emit_poly(args, cmd, tension_poly(g, "t"))
     if cmd == "flow":
-        return _emit_poly(args, cmd, flow_poly(g, "t", guard))
+        return _emit_poly(args, cmd, flow_poly(g, "t"))
     if cmd == "chromatic":
-        return _emit_poly(args, cmd, chromatic_poly(g, "t", guard))
+        return _emit_poly(args, cmd, chromatic_poly(g, "t"))
     if cmd == "kappa":
         kind = "psi_z" if args.integral else "psi"
-        poly = psi_family(g, kind, guard)
+        poly = psi_family(g, kind)
         return _emit_poly(args, cmd, poly.substitute({"z": 1, "w": 1}))
     if cmd == "psi":
         kind = ("bar_" if args.dual else "") + ("psi_z" if args.integral else "psi")
-        return _emit_poly(args, cmd, psi_family(g, kind, guard))
+        return _emit_poly(args, cmd, psi_family(g, kind))
     if cmd == "classify-orientations":
-        classes = cut_eulerian_classes(g, guard)
+        classes = cut_eulerian_classes(g)
         rows = [
             {
                 "representative": [int(b) for b in cls.representative.flips],
@@ -296,7 +292,7 @@ def _dispatch(args) -> int:
                 print(json.dumps(row))
         return 0
     if cmd == "tutte-values":
-        value = tutte_value(g, args.p, args.q, args.quadrant, guard)
+        value = tutte_value(g, args.p, args.q, args.quadrant)
         return _emit_value(args, cmd, value)
     raise AssertionError(f"unhandled command {cmd!r}")
 
@@ -317,7 +313,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                     parser.error(f"argument {flag}: expected one argument")
                 setattr(args, flag[2:], "--")
     try:
-        code = _dispatch(args)
+        with guarded(args.guard):
+            code = _dispatch(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -5,16 +5,18 @@ and pairs, scans over edge subsets and orientations, finite arrangement
 closures) charges the work it will do, in states computed from its
 input, against one guard and refuses to start when the charge crosses
 it.  The Tutte recursion and the frontier sums charge their states as
-they make them, and stop when the sum crosses it.  The guard is a deliberate speed bump, not
-a hard limit: callers can pass a larger one explicitly, and the
-environment variable ``TFPOLY_GUARD`` overrides the default.
+they make them, and stop when the sum crosses it.  The guard is a
+deliberate speed bump, not a hard limit.  It is run context, not an
+argument: `guarded` sets it for a block (the command line runs each
+command in one), `state_guard` reads it, and outside every such block
+the environment variable ``TFPOLY_GUARD`` or else the default applies.
 
 Results that one verification run asks for again and again are kept in
 one memo that lives only as long as the run: `run_scope` opens it, and
 functions decorated with `memoised_in_run` store their results there
 while it is open and are plain calls when it is not.  The memo is
-keyed on the arguments as passed, guard included, so a call under a
-different guard is computed, and charged, afresh.
+keyed on the arguments as passed and on the active guard, so a call
+under a different guard is computed, and charged, afresh.
 
 `Record` is the base of the package's value types, and `SUITES` names
 the verification criteria each suite runs; both are kept here, in the
@@ -92,19 +94,18 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-def state_guard(override: int | None = None) -> int:
-    """Active state-space guard: explicit override, else env, else default.
+_GUARD: contextvars.ContextVar[int | None] = contextvars.ContextVar(
+    "tfpoly_guard", default=None
+)
 
-    A guard below one would refuse every input, so it is a ValueError
-    that names the value and where it came from.  An override that is
-    not an int is a TypeError, not truncated.
-    """
-    if override is not None:
-        if not isinstance(override, int):
-            raise TypeError(f"guard must be an integer, not {override!r}")
-        if override < 1:
-            raise ValueError(f"guard must be positive, not {override}")
-        return override
+
+def state_guard() -> int:
+    """The active guard: that of the innermost `guarded` block, else
+    ``TFPOLY_GUARD``, else the default.  An environment value that is
+    not a positive integer is a ValueError that names it."""
+    guard = _GUARD.get()
+    if guard is not None:
+        return guard
     env = os.environ.get(GUARD_ENV)
     if env is None:
         return DEFAULT_STATE_GUARD
@@ -117,8 +118,29 @@ def state_guard(override: int | None = None) -> int:
     return guard
 
 
-def check_state_space(size: int, guard: int | None = None, what: str = "enumeration") -> None:
-    limit = state_guard(guard)
+@contextlib.contextmanager
+def guarded(guard: int | None = None) -> Iterator[int]:
+    """Run the block under `guard`, or, when it is None, under the guard
+    active on entry; yields the guard.  It is checked once, here: one
+    that is not an int is a TypeError, not truncated, and one below one,
+    which would refuse every input, a ValueError that names it.  A
+    generator charges when it is first advanced, under the guard active
+    then."""
+    if guard is None:
+        guard = state_guard()
+    elif not isinstance(guard, int):
+        raise TypeError(f"guard must be an integer, not {guard!r}")
+    elif guard < 1:
+        raise ValueError(f"guard must be positive, not {guard}")
+    token = _GUARD.set(guard)
+    try:
+        yield guard
+    finally:
+        _GUARD.reset(token)
+
+
+def check_state_space(size: int, what: str = "enumeration") -> None:
+    limit = state_guard()
     if size > limit:
         raise GuardExceeded(f"{what} needs {size} states, guard is {limit}")
 
@@ -147,15 +169,15 @@ def run_scope() -> Iterator[None]:
 
 
 def memoised_in_run(func: _F) -> _F:
-    """Store func's results, keyed on its arguments, while a run scope is
-    open; outside one, call func plainly."""
+    """Store func's results, keyed on its arguments and the active guard,
+    while a run scope is open; outside one, call func plainly."""
 
     @functools.wraps(func)
     def wrapper(*args, **kwargs):
         memo = _RUN_MEMO.get()
         if memo is None:
             return func(*args, **kwargs)
-        key = (func, args, tuple(kwargs.items()))
+        key = (func, state_guard(), args, tuple(kwargs.items()))
         try:
             return memo[key]
         except KeyError:

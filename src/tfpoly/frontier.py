@@ -121,12 +121,12 @@ def _moves(
 
 
 def _frontier_sum(
-    g: MultiGraph, partitions: int, roles: Sequence[Role], what: str, guard: int | None
+    g: MultiGraph, partitions: int, roles: Sequence[Role], what: str
 ) -> dict[int, int]:
     """Sum over the role of every edge, in `edge_order`: the terms
     keyed by the summed shifts, with the product of the signs as
     coefficients."""
-    limit = state_guard(guard)
+    limit = state_guard()
     left = [0] * g.vertex_count
     for ends in g.edges:
         for v in set(ends):
@@ -182,14 +182,14 @@ def _frontier_sum(
         layer = nxt
         spent += len(layer) + sum(len(terms) for terms in layer.values())
         if spent > limit:
-            check_state_space(spent, guard, what)
+            check_state_space(spent, what)
     # every vertex has left the frontier: one state, the empty partitions
     [terms] = layer.values()
     return terms
 
 
 @memoised_in_run
-def whitney_terms(g: MultiGraph, guard: int | None = None) -> dict[tuple[int, int], int]:
+def whitney_terms(g: MultiGraph) -> dict[tuple[int, int], int]:
     """The terms of Whitney's corank-nullity polynomial R(G;x,y), as
     {(r - r<X>, n<X>): number of subsets X}.  Within a run scope the
     tension, flow, chromatic, Tutte and Whitney polynomials of a graph
@@ -197,21 +197,21 @@ def whitney_terms(g: MultiGraph, guard: int | None = None) -> dict[tuple[int, in
     stride = g.edge_count + 1
     r, _ = rank_nullity(g)
     roles = (((), 0, 1), (((0, stride, 1),), 0, 1))
-    terms = _frontier_sum(g, 1, roles, "Whitney frontier sum", guard)
+    terms = _frontier_sum(g, 1, roles, "Whitney frontier sum")
     return {(r - k // stride, k % stride): c for k, c in terms.items()}
 
 
-def omega_terms(g: MultiGraph, guard: int | None = None) -> dict[tuple[int, int], int]:
+def omega_terms(g: MultiGraph) -> dict[tuple[int, int], int]:
     """The terms of omega(G;x,y), as {(r - r<X>, n<E - X>): signed
     count of the subsets X}; cancelled terms are dropped."""
     stride = g.edge_count + 1
     r, _ = rank_nullity(g)
     roles = ((((0, stride, 0),), 0, -1), (((1, 0, 1),), 0, 1))
-    terms = _frontier_sum(g, 2, roles, "omega frontier sum", guard)
+    terms = _frontier_sum(g, 2, roles, "omega frontier sum")
     return {(r - k // stride, k % stride): c for k, c in terms.items() if c}
 
 
-def psi_terms(g: MultiGraph, guard: int | None = None) -> dict[tuple[int, int, int, int], int]:
+def psi_terms(g: MultiGraph) -> dict[tuple[int, int, int, int], int]:
     """The terms of the modular psi(G;x,y,z,w), as {(i, j, k, l):
     coefficient of x^i y^j z^k w^l}; cancelled terms are dropped.
 
@@ -229,7 +229,7 @@ def psi_terms(g: MultiGraph, guard: int | None = None) -> dict[tuple[int, int, i
         rest = MultiGraph(g.vertex_count, tuple(g.edges[e] for e in g.non_loop_ids()))
         out: dict[tuple[int, int, int, int], int] = {}
         row = _pascal_row(loops)
-        for exps, c in psi_terms(rest, guard).items():
+        for exps, c in psi_terms(rest).items():
             for y, binomial in enumerate(row):
                 step = binomial * c
                 key = (exps[0], exps[1] + y, exps[2], exps[3] + loops)
@@ -246,7 +246,7 @@ def psi_terms(g: MultiGraph, guard: int | None = None) -> dict[tuple[int, int, i
     )
     out = {}
     rows: dict[int, list[int]] = {}
-    for key, c in _frontier_sum(g, 2, roles, "psi frontier sum", guard).items():
+    for key, c in _frontier_sum(g, 2, roles, "psi frontier sum").items():
         key, b = divmod(key, stride)
         key, a = divmod(key, stride)
         rank, nullity = divmod(key, stride)

@@ -27,11 +27,16 @@ _set = object.__setattr__
 
 
 class MultiGraph(Record):
+    """Edges given as any sequence of pairs are kept as a tuple of
+    tuples, so that equal graphs compare and hash equal, as keys of the
+    run memo must."""
+
     __slots__ = ("vertex_count", "edges")
 
-    def __init__(self, vertex_count: int, edges: tuple[tuple[int, int], ...]):
+    def __init__(self, vertex_count: int, edges: Sequence[tuple[int, int]]):
         if vertex_count < 0:
             raise ValueError("negative vertex count")
+        edges = tuple([(t, h) for t, h in edges])
         for e, (t, h) in enumerate(edges):
             if not (0 <= t < vertex_count and 0 <= h < vertex_count):
                 raise ValueError(f"edge {e} endpoint out of range: ({t}, {h})")
@@ -68,12 +73,13 @@ class MultiGraph(Record):
 
 
 class Orientation(Record):
-    """Flip bits relative to the reference orientation; loops never flip."""
+    """Flip bits relative to the reference orientation, kept as a tuple;
+    loops never flip."""
 
     __slots__ = ("flips",)
 
-    def __init__(self, flips: tuple[bool, ...]):
-        _set(self, "flips", flips)
+    def __init__(self, flips: Sequence[bool]):
+        _set(self, "flips", tuple(flips))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -223,10 +229,10 @@ def components_count(g: MultiGraph) -> int:
 
 
 @memoised_in_run
-def subset_rank_table(g: MultiGraph, guard: int | None = None) -> tuple[int, ...]:
+def subset_rank_table(g: MultiGraph) -> tuple[int, ...]:
     """rank<X> for every edge subset mask, indexed by mask; charges
     2^E x E states."""
-    check_state_space((1 << g.edge_count) * g.edge_count, guard, "subset rank table")
+    check_state_space((1 << g.edge_count) * g.edge_count, "subset rank table")
     # counting order: mask - 1 -> mask pops the trailing one-bit edges (the
     # last pushed) and pushes one; without path compression unions undo
     m = g.edge_count
@@ -384,11 +390,11 @@ def is_totally_cyclic(g: MultiGraph, o: Orientation) -> bool:
     return all(is_edge_cyclic(g, o, e) for e in range(g.edge_count))
 
 
-def circuits(g: MultiGraph, guard: int | None = None) -> list[EdgeSubset]:
+def circuits(g: MultiGraph) -> list[EdgeSubset]:
     """All circuits (edge sets of simple cycles, loops included), in mask
     order: the sets of nullity one that keep their rank without any one
     of their edges, read from `subset_rank_table`, whose charge they pay."""
-    table = subset_rank_table(g, guard)
+    table = subset_rank_table(g)
     bits = [1 << e for e in range(g.edge_count)]
     return [
         EdgeSubset(mask, g.edge_count)
@@ -470,12 +476,12 @@ def _component_vertex_sets(g: MultiGraph) -> list[set[int]]:
     return list(groups.values())
 
 
-def bonds(g: MultiGraph, guard: int | None = None) -> list[EdgeSubset]:
+def bonds(g: MultiGraph) -> list[EdgeSubset]:
     """All bonds (minimal non-empty edge cuts), as edge subsets; charges
     E states for each vertex bipartition tried, 2^(|C| - 1) per component C."""
     comps = _component_vertex_sets(g)
     sides = sum(1 << (len(comp) - 1) for comp in comps)
-    check_state_space(sides * g.edge_count, guard, "bond enumeration")
+    check_state_space(sides * g.edge_count, "bond enumeration")
     seen: set[int] = set()
     out: list[EdgeSubset] = []
     for comp in comps:

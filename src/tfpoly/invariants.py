@@ -144,7 +144,7 @@ def _first_class_on_cycle(minor: Minor) -> bool:
     return False
 
 
-def _tutte_recursion(g: MultiGraph, guard: int | None = None) -> MultiPoly:
+def _tutte_recursion(g: MultiGraph) -> MultiPoly:
     """Tutte polynomial by deletion-contraction of whole parallel classes.
 
     For a class of k edges, T(G) = T(G - P) + (1 + y + ... + y^(k-1)) T(G / P)
@@ -155,7 +155,7 @@ def _tutte_recursion(g: MultiGraph, guard: int | None = None) -> MultiPoly:
     the memo's memory.  An explicit stack keeps deep minors off the
     interpreter's call stack.
     """
-    limit = state_guard(guard)
+    limit = state_guard()
     loops = len(g.loop_ids())
     root = _minor((t, h, 1) for t, h in g.edges if t != h)
     # the term x^i y^j is keyed i * stride + j: y-degrees stay below stride
@@ -192,17 +192,17 @@ def _tutte_recursion(g: MultiGraph, guard: int | None = None) -> MultiPoly:
         memo[minor] = (tuple(terms), tuple(terms.values()))
         spent += len(minor) // 3 + len(terms)
         if spent > limit:
-            check_state_space(spent, guard, "Tutte deletion-contraction")
+            check_state_space(spent, "Tutte deletion-contraction")
     return MultiPoly(
         ("x", "y"),
         {(key // stride, key % stride + loops): c for key, c in zip(*memo[root])},
     )
 
 
-def whitney_by_subsets(g: MultiGraph, guard: int | None = None) -> MultiPoly:
+def whitney_by_subsets(g: MultiGraph) -> MultiPoly:
     """Corank-nullity generating function summed over all edge subsets;
     the oracle for `whitney`, and for `tutte` once shifted to x - 1, y - 1."""
-    table = subset_rank_table(g, guard)
+    table = subset_rank_table(g)
     r = table[(1 << g.edge_count) - 1]
     terms: dict[tuple[int, int], int] = {}
     for mask in range(1 << g.edge_count):
@@ -212,9 +212,7 @@ def whitney_by_subsets(g: MultiGraph, guard: int | None = None) -> MultiPoly:
     return MultiPoly(("x", "y"), terms)
 
 
-def _shifted_down(
-    terms: dict[tuple[int, int], int], guard: int | None = None
-) -> dict[tuple[int, int], int]:
+def _shifted_down(terms: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
     """The terms of R(x - 1, y - 1) from those of R(x, y), in additions
     only: a Taylor shift by synthetic division (Horner's rule; Knuth,
     TAOCP vol. 2, 4.6.4) of each row of equal y exponent, then of each
@@ -241,7 +239,7 @@ def _shifted_down(
     width = max(map(len, rows.values()))
     tops = [max(j for j, row in rows.items() if len(row) > i) for i in range(width)]
     degrees = [len(row) - 1 for row in rows.values()] + tops
-    check_state_space(sum(d * (d + 1) // 2 for d in degrees), guard, "Tutte shift")
+    check_state_space(sum(d * (d + 1) // 2 for d in degrees), "Tutte shift")
     rows = {j: shift(row) for j, row in rows.items()}
     out: dict[tuple[int, int], int] = {}
     for i, top in enumerate(tops):
@@ -250,62 +248,62 @@ def _shifted_down(
     return out
 
 
-def tutte(g: MultiGraph, guard: int | None = None) -> MultiPoly:
+def tutte(g: MultiGraph) -> MultiPoly:
     """Tutte polynomial T(x, y) = R(x - 1, y - 1), from the frontier sum
     of R shifted in integers.  Its oracles are `_tutte_recursion` and
     `whitney_by_subsets` shifted the same way."""
-    return MultiPoly(("x", "y"), _shifted_down(whitney_terms(g, guard), guard))
+    return MultiPoly(("x", "y"), _shifted_down(whitney_terms(g)))
 
 
-def whitney(g: MultiGraph, guard: int | None = None) -> MultiPoly:
+def whitney(g: MultiGraph) -> MultiPoly:
     """Corank-nullity polynomial R(x, y), from the frontier sum."""
-    return MultiPoly(("x", "y"), whitney_terms(g, guard))
+    return MultiPoly(("x", "y"), whitney_terms(g))
 
 
-def _whitney_at_minus_one(g: MultiGraph, keep: int, var: str, guard: int | None) -> MultiPoly:
+def _whitney_at_minus_one(g: MultiGraph, keep: int, var: str) -> MultiPoly:
     """R with the variable at index keep set to -t and the other to -1,
     times (-1)^r (keep 0: the tension polynomial) or (-1)^n (keep 1:
     the flow polynomial).  A sign per Whitney term, not
     `MultiPoly.substitute`, as these polynomials are on the hot path."""
     sign = rank_nullity(g)[keep]
     terms: dict[tuple[int], int] = {}
-    for exps, c in whitney_terms(g, guard).items():
+    for exps, c in whitney_terms(g).items():
         key = (exps[keep],)
         terms[key] = terms.get(key, 0) + (-c if (sign + exps[0] + exps[1]) & 1 else c)
     return MultiPoly((var,), terms)
 
 
-def tension_poly(g: MultiGraph, var: str = "t", guard: int | None = None) -> MultiPoly:
+def tension_poly(g: MultiGraph, var: str = "t") -> MultiPoly:
     """Nowhere-zero tension counting polynomial (-1)^r T(1 - t, 0),
     which is (-1)^r R(-t, -1)."""
-    return _whitney_at_minus_one(g, 0, var, guard)
+    return _whitney_at_minus_one(g, 0, var)
 
 
-def flow_poly(g: MultiGraph, var: str = "t", guard: int | None = None) -> MultiPoly:
+def flow_poly(g: MultiGraph, var: str = "t") -> MultiPoly:
     """Nowhere-zero flow counting polynomial (-1)^n T(0, 1 - t), which is
     (-1)^n R(-1, -t)."""
-    return _whitney_at_minus_one(g, 1, var, guard)
+    return _whitney_at_minus_one(g, 1, var)
 
 
-def chromatic_poly(g: MultiGraph, var: str = "t", guard: int | None = None) -> MultiPoly:
+def chromatic_poly(g: MultiGraph, var: str = "t") -> MultiPoly:
     """Proper colouring polynomial: t^(components) times the tension
     polynomial."""
     c = components_count(g)
-    return MultiPoly.monomial((var,), (c,)) * tension_poly(g, var, guard)
+    return MultiPoly.monomial((var,), (c,)) * tension_poly(g, var)
 
 
-def omega(g: MultiGraph, guard: int | None = None) -> MultiPoly:
+def omega(g: MultiGraph) -> MultiPoly:
     """Signed subset expansion counting nowhere-zero pairs, from the
     frontier sum.  Its oracles are `omega_by_subsets` and the
     characteristic polynomial of the graphic arrangement
     (`arrangements.graphic_semilattice`)."""
-    return MultiPoly(("x", "y"), omega_terms(g, guard))
+    return MultiPoly(("x", "y"), omega_terms(g))
 
 
-def omega_by_subsets(g: MultiGraph, guard: int | None = None) -> MultiPoly:
+def omega_by_subsets(g: MultiGraph) -> MultiPoly:
     """The signed expansion of `omega` summed over all edge subsets; the
     oracle for `omega`."""
-    table = subset_rank_table(g, guard)
+    table = subset_rank_table(g)
     m = g.edge_count
     full = (1 << m) - 1
     r = table[full]
@@ -322,26 +320,21 @@ def omega_value(
     g: MultiGraph,
     grp_a: FiniteAbelianGroup,
     grp_b: FiniteAbelianGroup,
-    guard: int | None = None,
 ) -> int:
     """Brute count of nowhere-zero (tension over grp_a, flow over grp_b)
     pairs, those whose supports cover E; depends only on the group
     orders."""
-    _, cover, _ = pair_support_classes(g, grp_a, grp_b, guard)
+    _, cover, _ = pair_support_classes(g, grp_a, grp_b)
     return sum(cover.values())
 
 
-def modular_complementary_count(g: MultiGraph, p: int, q: int, guard: int | None = None) -> int:
-    _, _, comp = pair_support_classes(
-        g, FiniteAbelianGroup.cyclic(p), FiniteAbelianGroup.cyclic(q), guard
-    )
+def modular_complementary_count(g: MultiGraph, p: int, q: int) -> int:
+    _, _, comp = pair_support_classes(g, FiniteAbelianGroup.cyclic(p), FiniteAbelianGroup.cyclic(q))
     return sum(comp.values())
 
 
-def integral_complementary_count(
-    g: MultiGraph, p: int, q: int, guard: int | None = None
-) -> int:
-    _, _, comp = integral_support_classes(g, p, q, guard)
+def integral_complementary_count(g: MultiGraph, p: int, q: int) -> int:
+    _, _, comp = integral_support_classes(g, p, q)
     return sum(comp.values())
 
 
@@ -353,37 +346,33 @@ def integral_complementary_count(
 Z1 = FiniteAbelianGroup.cyclic(1)
 
 
-def tension_poly_by_enumeration(
-    g: MultiGraph, var: str = "t", guard: int | None = None
-) -> MultiPoly:
+def tension_poly_by_enumeration(g: MultiGraph, var: str = "t") -> MultiPoly:
     """Nowhere-zero tension polynomial interpolated from brute counts over
     Z_q; the oracle for `tension_poly`."""
     r, _ = rank_nullity(g)
     samples = [
-        (q, omega_value(g, FiniteAbelianGroup.cyclic(q), Z1, guard)) for q in range(1, r + 4)
+        (q, omega_value(g, FiniteAbelianGroup.cyclic(q), Z1)) for q in range(1, r + 4)
     ]
     return interpolate_univariate(samples, r, var)
 
 
-def flow_poly_by_enumeration(
-    g: MultiGraph, var: str = "t", guard: int | None = None
-) -> MultiPoly:
+def flow_poly_by_enumeration(g: MultiGraph, var: str = "t") -> MultiPoly:
     """Nowhere-zero flow polynomial interpolated from brute counts over
     Z_q; the oracle for `flow_poly`."""
     _, n = rank_nullity(g)
     samples = [
-        (q, omega_value(g, Z1, FiniteAbelianGroup.cyclic(q), guard)) for q in range(1, n + 4)
+        (q, omega_value(g, Z1, FiniteAbelianGroup.cyclic(q))) for q in range(1, n + 4)
     ]
     return interpolate_univariate(samples, n, var)
 
 
-def integral_tension_poly(g: MultiGraph, var: str = "t", guard: int | None = None) -> MultiPoly:
+def integral_tension_poly(g: MultiGraph, var: str = "t") -> MultiPoly:
     """Counting polynomial of nowhere-zero integer tensions with |f| < t."""
     r, _ = rank_nullity(g)
-    return _window_poly(g, Orientation.reference(g), True, r, "strict_support", None, var, guard)
+    return _window_poly(g, Orientation.reference(g), True, r, "strict_support", None, var)
 
 
-def integral_flow_poly(g: MultiGraph, var: str = "t", guard: int | None = None) -> MultiPoly:
+def integral_flow_poly(g: MultiGraph, var: str = "t") -> MultiPoly:
     """Counting polynomial of nowhere-zero integer flows with |g| < t."""
     loops = g.loop_ids()
     if loops:
@@ -391,9 +380,9 @@ def integral_flow_poly(g: MultiGraph, var: str = "t", guard: int | None = None) 
         # its 2(t - 1) nonzero values with |g| < t
         t = MultiPoly.var(var)
         rest = MultiGraph(g.vertex_count, tuple(g.edges[e] for e in g.non_loop_ids()))
-        return (2 * (t - 1)) ** len(loops) * integral_flow_poly(rest, var, guard)
+        return (2 * (t - 1)) ** len(loops) * integral_flow_poly(rest, var)
     _, n = rank_nullity(g)
-    return _window_poly(g, Orientation.reference(g), False, n, "strict_support", None, var, guard)
+    return _window_poly(g, Orientation.reference(g), False, n, "strict_support", None, var)
 
 
 def _window_poly(
@@ -404,7 +393,6 @@ def _window_poly(
     mode: str,
     window: EdgeSubset | None,
     var: str,
-    guard: int | None,
 ) -> MultiPoly:
     """The polynomial in var of degree at most `degree` through the
     `integral_window_counts` at bounds 1..degree + 1, checked at two
@@ -412,7 +400,7 @@ def _window_poly(
     its coefficients need not be integers: a single orientation's
     window counts give (x-1)(x-2)/2 on the transitive triangle, and the
     denominators cancel only in a sum over a full orientation class."""
-    counts = integral_window_counts(g, o, tensions, degree + 3, mode, window, guard)
+    counts = integral_window_counts(g, o, tensions, degree + 3, mode, window)
     return _window_fit(tuple(counts), degree, var)
 
 
@@ -428,9 +416,7 @@ def _window_fit(counts: tuple[int, ...], degree: int, var: str) -> MultiPoly:
 
 
 @memoised_in_run
-def kappa_rho(
-    g: MultiGraph, o: Orientation, mode: str = "open", guard: int | None = None
-) -> MultiPoly:
+def kappa_rho(g: MultiGraph, o: Orientation, mode: str = "open") -> MultiPoly:
     """Product of the tension window polynomial in x and the flow window
     polynomial in y for orientation o.
 
@@ -440,17 +426,13 @@ def kappa_rho(
     if mode not in ("open", "closed"):
         raise ValueError(f"unknown mode {mode!r}")
     b, c = classify_edges(g, o)
-    return _kappa(g, o, b, c, mode, guard)
+    return _kappa(g, o, b, c, mode)
 
 
-def _kappa(
-    g: MultiGraph, o: Orientation, b: EdgeSubset, c: EdgeSubset, mode: str, guard: int | None
-) -> MultiPoly:
+def _kappa(g: MultiGraph, o: Orientation, b: EdgeSubset, c: EdgeSubset, mode: str) -> MultiPoly:
     """`kappa_rho` from o's bond part b and circuit part c."""
     r, n = rank_nullity(g)
-    return _window_poly(g, o, True, r, mode, b, "x", guard) * _window_poly(
-        g, o, False, n, mode, c, "y", guard
-    )
+    return _window_poly(g, o, True, r, mode, b, "x") * _window_poly(g, o, False, n, mode, c, "y")
 
 
 PSI_KINDS = ("psi", "bar_psi", "psi_z", "bar_psi_z")
@@ -460,9 +442,7 @@ OrientationKappas = tuple[Orientation, int, int, MultiPoly, MultiPoly]
 
 
 @memoised_in_run
-def orientation_sums(
-    g: MultiGraph, guard: int | None = None
-) -> tuple[dict[str, MultiPoly], tuple[OrientationKappas, ...]]:
+def orientation_sums(g: MultiGraph) -> tuple[dict[str, MultiPoly], tuple[OrientationKappas, ...]]:
     """One walk over the orientations: each is classified once and its
     open and closed kappa fitted once.  Returns the four psi kinds by
     name and, in lexicographic flip order, every orientation's
@@ -472,12 +452,12 @@ def orientation_sums(
     representative per cut-Eulerian class; psi_z / bar_psi_z over all
     orientations, times 2 per loop (see the module docstring).
     """
-    classes = cut_eulerian_classes(g, guard)
+    classes = cut_eulerian_classes(g)
     kappas = []
-    for o in all_orientations(g, guard):
+    for o in all_orientations(g):
         b, c = classify_edges(g, o)
-        open_kappa = _kappa(g, o, b, c, "open", guard)
-        kappas.append((o, b.size, c.size, open_kappa, _kappa(g, o, b, c, "closed", guard)))
+        open_kappa = _kappa(g, o, b, c, "open")
+        kappas.append((o, b.size, c.size, open_kappa, _kappa(g, o, b, c, "closed")))
     by_flips = {k[0].flips: k for k in kappas}
     reps = [by_flips[cls.representative.flips] for cls in classes]
     sums = {}
@@ -506,9 +486,7 @@ def _exponents(poly: MultiPoly, names: tuple[str, ...]) -> dict:
     }
 
 
-def psi_by_orientations(
-    g: MultiGraph, which: str = "psi_z", guard: int | None = None
-) -> MultiPoly:
+def psi_by_orientations(g: MultiGraph, which: str = "psi_z") -> MultiPoly:
     """Weighted orientation sums of kappa window polynomials, in
     variables (x, y, z, w), read from `orientation_sums`; the oracle for
     `psi_family`.  Outside a run scope nothing is kept between calls, so
@@ -516,7 +494,7 @@ def psi_by_orientations(
     kinds from one `orientation_sums` call instead."""
     if which not in PSI_KINDS:
         raise ValueError(f"unknown psi kind {which!r}")
-    return orientation_sums(g, guard)[0][which]
+    return orientation_sums(g)[0][which]
 
 
 def _relabelled(edges) -> MultiGraph:
@@ -528,18 +506,17 @@ def _relabelled(edges) -> MultiGraph:
     return MultiGraph(len(label), tuple(sorted((min(p), max(p)) for p in pairs)))
 
 
-def _cyclic_flat_minors(g: MultiGraph, guard: int | None = None):
+def _cyclic_flat_minors(g: MultiGraph):
     """(G/X, G|X, |X|, rank of G/X, loopless nullity of G|X) for every
     cyclic flat X, each minor `_relabelled`: every loop is in X, and
     among the non-loop edges X is a flat without coloops.  The scan
     reads the subset rank table of the E' non-loop edges, r<X> included:
     adding an edge outside X raises its rank and removing one inside
-    keeps it.  It charges 2^E' x E' states."""
+    keeps it.  It charges 2^E' x E' states when first advanced, under
+    the guard active then."""
     non_loops = g.non_loop_ids()
-    check_state_space((1 << len(non_loops)) * len(non_loops), guard, "cyclic flat scan")
-    table = subset_rank_table(
-        MultiGraph(g.vertex_count, tuple(g.edges[e] for e in non_loops)), guard
-    )
+    check_state_space((1 << len(non_loops)) * len(non_loops), "cyclic flat scan")
+    table = subset_rank_table(MultiGraph(g.vertex_count, tuple(g.edges[e] for e in non_loops)))
     bits = [1 << i for i in range(len(non_loops))]
     loops = [g.edges[e] for e in g.loop_ids()]
     for x, rank in enumerate(table):
@@ -555,9 +532,7 @@ def _cyclic_flat_minors(g: MultiGraph, guard: int | None = None):
         yield contracted, restricted, len(inside) + len(loops), table[-1] - rank, len(inside) - rank
 
 
-def psi_family(
-    g: MultiGraph, which: str = "psi_z", guard: int | None = None
-) -> MultiPoly:
+def psi_family(g: MultiGraph, which: str = "psi_z") -> MultiPoly:
     """The psi family in variables (x, y, z, w).
 
     psi is the frontier sum `frontier.psi_terms`; psi_z the product over
@@ -572,43 +547,41 @@ def psi_family(
     """
     if which not in PSI_KINDS:
         raise ValueError(f"unknown psi kind {which!r}")
-    return _psi_kind(g, which, guard)
+    return _psi_kind(g, which)
 
 
 @memoised_in_run
-def _psi_kind(g: MultiGraph, which: str, guard: int | None) -> MultiPoly:
+def _psi_kind(g: MultiGraph, which: str) -> MultiPoly:
     """`psi_family` for a known kind; always called with positional
     arguments, so that every caller shares one memo entry."""
     if which.startswith("bar_"):
         _, n = rank_nullity(g)
-        open_poly = _psi_kind(g, which[len("bar_"):], guard)
+        open_poly = _psi_kind(g, which[len("bar_"):])
         return (-1) ** n * open_poly.negate_vars(("x", "y", "z"))
     if which == "psi":
-        return MultiPoly(("x", "y", "z", "w"), psi_terms(g, guard))
+        return MultiPoly(("x", "y", "z", "w"), psi_terms(g))
     # a graph of one block as it is; else each distinct block convolved
     # once, and multiplied in as often as it occurs
     found = blocks(g)
     parts = Counter([g] if len(found) < 2 else (_relabelled(g.edges[e] for e in b) for b in found))
-    polys = _cyclic_flat_convolutions(list(parts), integral_tension_poly, integral_flow_poly, guard)
+    polys = _cyclic_flat_convolutions(list(parts), integral_tension_poly, integral_flow_poly)
     factors = [poly for poly, count in zip(polys, parts.values()) for _ in range(count)]
     product, spent = factors[0], 0
     for poly in factors[1:]:
         spent += len(product.terms) * len(poly.terms)
-        check_state_space(spent, guard, "psi block product")
+        check_state_space(spent, "psi block product")
         product *= poly
     return product
 
 
-def psi_by_cyclic_flats(g: MultiGraph, guard: int | None = None) -> MultiPoly:
+def psi_by_cyclic_flats(g: MultiGraph) -> MultiPoly:
     """The modular psi as the convolution over cyclic flats X of
     z^|E - X| w^|X| tau(G/X; x) phi(G|X; y), over the whole graph; the
     oracle for the frontier sum of `psi_family`."""
-    return _cyclic_flat_convolutions([g], tension_poly, flow_poly, guard)[0]
+    return _cyclic_flat_convolutions([g], tension_poly, flow_poly)[0]
 
 
-def _cyclic_flat_convolutions(
-    graphs: list[MultiGraph], tension, flow, guard: int | None
-) -> list[MultiPoly]:
+def _cyclic_flat_convolutions(graphs: list[MultiGraph], tension, flow) -> list[MultiPoly]:
     """For each graph, the sum over its cyclic flats X of z^|E - X| w^|X|
     tension(G/X; x) flow(G|X; y).  The graphs are scanned largest first;
     then each distinct minor's factor, over all graphs, is computed once,
@@ -616,7 +589,7 @@ def _cyclic_flat_convolutions(
     loopless nullity of G|X), so that a graph over the guard is refused
     before any count is made.  An edgeless minor's factor is 1."""
     order = sorted(range(len(graphs)), key=lambda k: -len(graphs[k].non_loop_ids()))
-    minors = {k: list(_cyclic_flat_minors(graphs[k], guard)) for k in order}
+    minors = {k: list(_cyclic_flat_minors(graphs[k])) for k in order}
     boxes = {}
     for found in minors.values():
         for contracted, restricted, _, rank, nullity in found:
@@ -625,7 +598,7 @@ def _cyclic_flat_convolutions(
     factors = {}  # each factor's (exponent, coefficient) pairs
     for minor, poly in sorted(boxes, key=lambda key: -boxes[key]):
         var = "x" if poly is tension else "y"
-        value = poly(minor, var, guard) if minor.edges else MultiPoly.const(1)
+        value = poly(minor, var) if minor.edges else MultiPoly.const(1)
         factors[minor, poly] = _exponents(value, (var,)).items()
     out = []
     for k, g in enumerate(graphs):
@@ -651,21 +624,17 @@ def _check_quadrant(p: int, q: int, quadrant: str) -> None:
         raise ValueError("p and q must be positive")
 
 
-def tutte_value(
-    g: MultiGraph, p: int, q: int, quadrant: str = "++", guard: int | None = None
-) -> int:
+def tutte_value(g: MultiGraph, p: int, q: int, quadrant: str = "++") -> int:
     """T(G; +-p, +-q), the signs read from the quadrant: R(x - 1, y - 1)
     summed from the frontier terms of R, with no polynomial built;
     `tutte_value_triples` is its oracle."""
     _check_quadrant(p, q, quadrant)
     x = (p if quadrant[0] == "+" else -p) - 1
     y = (q if quadrant[1] == "+" else -q) - 1
-    return sum(c * x**i * y**j for (i, j), c in whitney_terms(g, guard).items())
+    return sum(c * x**i * y**j for (i, j), c in whitney_terms(g).items())
 
 
-def tutte_value_triples(
-    g: MultiGraph, p: int, q: int, quadrant: str = "++", guard: int | None = None
-) -> int:
+def tutte_value_triples(g: MultiGraph, p: int, q: int, quadrant: str = "++") -> int:
     """Signed count of (class representative, windowed tension, windowed
     flow) triples reproducing T(G; +-p, +-q); the oracle for
     `tutte_value`, checked by criterion 3.
@@ -681,18 +650,18 @@ def tutte_value_triples(
     r, _ = rank_nullity(g)
     total = 0
     full = EdgeSubset.full(g.edge_count)
-    for cls in cut_eulerian_classes(g, guard):
+    for cls in cut_eulerian_classes(g):
         o = cls.representative
         b, c = cls.b, cls.c
         if quadrant[0] == "+":
-            tens = integral_window_counts(g, o, True, p - 1, "closed", full, guard=guard)[-1]
+            tens = integral_window_counts(g, o, True, p - 1, "closed", full)[-1]
         else:
             # 0 < f <= p on B is the open window at bound p + 1
-            tens = integral_window_counts(g, o, True, p + 1, "open", b, guard)[-1]
+            tens = integral_window_counts(g, o, True, p + 1, "open", b)[-1]
         if quadrant[1] == "+":
-            flows = integral_window_counts(g, o, False, q - 1, "closed", full, guard=guard)[-1]
+            flows = integral_window_counts(g, o, False, q - 1, "closed", full)[-1]
         else:
-            flows = integral_window_counts(g, o, False, q + 1, "open", c, guard)[-1]
+            flows = integral_window_counts(g, o, False, q + 1, "open", c)[-1]
         sign = 1
         if quadrant == "-+":
             rc, _ = rank_nullity(g, c)
@@ -709,7 +678,7 @@ def tutte_value_triples(
 # -- weighted support sums ------------------------------------------------------
 
 
-def whitney_weighted_sums(g: MultiGraph, p: int, q: int, guard: int | None = None) -> tuple[int, int]:
+def whitney_weighted_sums(g: MultiGraph, p: int, q: int) -> tuple[int, int]:
     """(weighted disjoint-support sum, signed complementary sum):
 
     * sum of 2^(|ker f| - |supp g|) over pairs with supp g inside ker f,
@@ -718,7 +687,7 @@ def whitney_weighted_sums(g: MultiGraph, p: int, q: int, guard: int | None = Non
       which reproduces it at (-p, -q).
     """
     disjoint, _, comp = pair_support_classes(
-        g, FiniteAbelianGroup.cyclic(p), FiniteAbelianGroup.cyclic(q), guard
+        g, FiniteAbelianGroup.cyclic(p), FiniteAbelianGroup.cyclic(q)
     )
     r, _ = rank_nullity(g)
     disjoint_sum = sum(cnt * 2 ** (k - s) for (k, s), cnt in disjoint.items())

@@ -59,11 +59,11 @@ from .tensionflow import (
 )
 
 
-def all_orientations(g: MultiGraph, guard: int | None = None) -> list[Orientation]:
+def all_orientations(g: MultiGraph) -> list[Orientation]:
     """Every orientation, in lexicographic flip order; loops stay False.
     Charges 2^E' states, E' the non-loop edge count."""
     non_loops = g.non_loop_ids()
-    check_state_space(1 << len(non_loops), guard, "orientation enumeration")
+    check_state_space(1 << len(non_loops), "orientation enumeration")
     out = []
     for bits in itertools.product((False, True), repeat=len(non_loops)):
         flips = [False] * g.edge_count
@@ -182,7 +182,7 @@ def divisor_class_keys(g: MultiGraph) -> Iterator[tuple[int, ...]]:
 
 
 @memoised_in_run
-def cut_eulerian_classes(g: MultiGraph, guard: int | None = None) -> tuple[OrientationClass, ...]:
+def cut_eulerian_classes(g: MultiGraph) -> tuple[OrientationClass, ...]:
     """The cut-Eulerian classes in order of their representatives, by
     one lexicographic pass over the orientations: each is keyed by its
     indegree divisor class (`divisor_class_keys`), and the first
@@ -193,7 +193,6 @@ def cut_eulerian_classes(g: MultiGraph, guard: int | None = None) -> tuple[Orien
     the non-loop edges)."""
     check_state_space(
         (1 << len(g.non_loop_ids())) * (g.edge_count + rank_nullity(g)[0]),
-        guard,
         "orientation class key",
     )
     found: dict[tuple[int, ...], list[int]] = {}  # key -> [first index, size]
@@ -215,9 +214,7 @@ def cut_eulerian_classes(g: MultiGraph, guard: int | None = None) -> tuple[Orien
     return tuple(classes)
 
 
-def cut_eulerian_classes_by_moves(
-    g: MultiGraph, guard: int | None = None
-) -> tuple[tuple[Orientation, ...], ...]:
+def cut_eulerian_classes_by_moves(g: MultiGraph) -> tuple[tuple[Orientation, ...], ...]:
     """The oracle of `cut_eulerian_classes`: the closure of the moves
     that reverse one directed circuit or one directed bond.  Each class
     is a member tuple in lexicographic flip order, and the classes come
@@ -225,18 +222,16 @@ def cut_eulerian_classes_by_moves(
     are found once, each charging its own scan, and each orientation
     visited only filters them, so the up-front charge of 2^E' x 2^E
     states is an upper bound on the closure's work."""
-    check_state_space(
-        (1 << len(g.non_loop_ids())) << g.edge_count, guard, "orientation class closure"
-    )
-    orientations = all_orientations(g, guard)
+    check_state_space((1 << len(g.non_loop_ids())) << g.edge_count, "orientation class closure")
+    orientations = all_orientations(g)
     index = {o.flips: o for o in orientations}
     seen: set[tuple[bool, ...]] = set()
     classes: list[tuple[Orientation, ...]] = []
     loop_mask = 0
     for e in g.loop_ids():
         loop_mask |= 1 << e
-    shores = [(bond, bond_side(g, bond)) for bond in bonds(g, guard)]
-    cycles = circuits(g, guard)
+    shores = [(bond, bond_side(g, bond)) for bond in bonds(g)]
+    cycles = circuits(g)
     for start in orientations:
         if start.flips in seen:
             continue
@@ -260,23 +255,23 @@ def cut_eulerian_classes_by_moves(
     return tuple(classes)
 
 
-def zero_one_pair_count(g: MultiGraph, o: Orientation, guard: int | None = None) -> int:
+def zero_one_pair_count(g: MultiGraph, o: Orientation) -> int:
     """Number of pairs (f, g): f a {0,1} tension, g a {0,1} flow with
     g = 0 on loops, and f(e) g(e) = 0 everywhere."""
     full = EdgeSubset.full(g.edge_count)
     non_loops = EdgeSubset.of(g.edge_count, g.non_loop_ids())
-    tens = enumerate_integral_tensions(g, o, 1, "closed", window=full, guard=guard)
-    flows = enumerate_integral_flows(g, o, 1, "closed", window=non_loops, guard=guard)
+    tens = enumerate_integral_tensions(g, o, 1, "closed", window=full)
+    flows = enumerate_integral_flows(g, o, 1, "closed", window=non_loops)
     disjoint, _, _ = support_pair_classes(
-        (fn.support_mask() for fn in tens), (fn.support_mask() for fn in flows), g.edge_count, guard
+        (fn.support_mask() for fn in tens), (fn.support_mask() for fn in flows), g.edge_count
     )
     return sum(disjoint.values())
 
 
-def class_size_check(g: MultiGraph, cls: OrientationClass, guard: int | None = None) -> int:
+def class_size_check(g: MultiGraph, cls: OrientationClass) -> int:
     """Recompute the class size from 0-1 tension-flow pairs and compare
     with the member count; raises VerificationError on mismatch."""
-    count = zero_one_pair_count(g, cls.representative, guard)
+    count = zero_one_pair_count(g, cls.representative)
     if count != cls.size:
         raise VerificationError(
             f"class of {cls.representative.flips} on {g.fingerprint()}: "

@@ -76,7 +76,8 @@ class FiniteAbelianGroup(Record):
 
     __slots__ = ("cyclic_orders",)
 
-    def __init__(self, cyclic_orders: tuple[int, ...]):
+    def __init__(self, cyclic_orders: Sequence[int]):
+        cyclic_orders = tuple(cyclic_orders)
         if any(m < 1 for m in cyclic_orders):
             raise ValueError("cyclic factor orders must be >= 1")
         object.__setattr__(self, "cyclic_orders", cyclic_orders)
@@ -333,33 +334,35 @@ def is_flow(g: MultiGraph, o: Orientation, fn: EdgeFunction) -> bool:
 
 
 def enumerate_tensions(
-    g: MultiGraph, o: Orientation, grp: FiniteAbelianGroup, guard: int | None = None
+    g: MultiGraph, o: Orientation, grp: FiniteAbelianGroup
 ) -> Iterator[GroupElementFunction]:
     """All tensions over grp: free forest values extended over fundamental
-    circuits.  Exactly |grp|^rank functions, each once."""
-    for values in _iter_tension_values(g, o, grp, guard):
+    circuits.  Exactly |grp|^rank functions, each once, charged when the
+    generator is first advanced, under the guard active then."""
+    for values in _iter_tension_values(g, o, grp):
         yield GroupElementFunction(grp, values)
 
 
 def _iter_tension_values(
-    g: MultiGraph, o: Orientation, grp: FiniteAbelianGroup, guard: int | None = None
+    g: MultiGraph, o: Orientation, grp: FiniteAbelianGroup
 ) -> Iterator[tuple[Element, ...]]:
-    yield from _iter_group_values(g, o, grp, True, guard, "tension enumeration")
+    yield from _iter_group_values(g, o, grp, True, "tension enumeration")
 
 
 def enumerate_flows(
-    g: MultiGraph, o: Orientation, grp: FiniteAbelianGroup, guard: int | None = None
+    g: MultiGraph, o: Orientation, grp: FiniteAbelianGroup
 ) -> Iterator[GroupElementFunction]:
     """All flows over grp: free co-forest values extended over fundamental
-    circuits.  Exactly |grp|^nullity functions, each once."""
-    for values in _iter_flow_values(g, o, grp, guard):
+    circuits.  Exactly |grp|^nullity functions, each once, charged when
+    the generator is first advanced, under the guard active then."""
+    for values in _iter_flow_values(g, o, grp):
         yield GroupElementFunction(grp, values)
 
 
 def _iter_flow_values(
-    g: MultiGraph, o: Orientation, grp: FiniteAbelianGroup, guard: int | None = None
+    g: MultiGraph, o: Orientation, grp: FiniteAbelianGroup
 ) -> Iterator[tuple[Element, ...]]:
-    yield from _iter_group_values(g, o, grp, False, guard, "flow enumeration")
+    yield from _iter_group_values(g, o, grp, False, "flow enumeration")
 
 
 def _iter_group_values(
@@ -367,11 +370,10 @@ def _iter_group_values(
     o: Orientation,
     grp: FiniteAbelianGroup,
     tensions: bool,
-    guard: int | None,
     what: str,
 ) -> Iterator[tuple[Element, ...]]:
     free, dependent, rows = _coordinates(g, o, tensions)
-    check_state_space(grp.order ** len(free), guard, what)
+    check_state_space(grp.order ** len(free), what)
     place = _placement(free, dependent)
     for combo in itertools.product(list(grp.elements()), repeat=len(free)):
         vals = combo + tuple(_group_sum(grp, row, combo) for row in rows)
@@ -407,7 +409,6 @@ def enumerate_integral_tensions(
     bound: int,
     mode: str = "strict_support",
     window: EdgeSubset | None = None,
-    guard: int | None = None,
 ) -> Iterator[IntegerEdgeFunction]:
     """Integer tensions with windowed values.
 
@@ -419,9 +420,10 @@ def enumerate_integral_tensions(
 
     Enumerates window values on forest edges, extends them over the
     fundamental circuits, and filters the co-forest values against their
-    windows.
+    windows.  The box of window values is charged when the generator is
+    first advanced, under the guard active then.
     """
-    yield from _integral_functions(g, o, True, bound, mode, window, guard)
+    yield from _integral_functions(g, o, True, bound, mode, window)
 
 
 def enumerate_integral_flows(
@@ -430,14 +432,14 @@ def enumerate_integral_flows(
     bound: int,
     mode: str = "strict_support",
     window: EdgeSubset | None = None,
-    guard: int | None = None,
 ) -> Iterator[IntegerEdgeFunction]:
     """Integer flows with windowed values; see enumerate_integral_tensions.
 
     Enumerates window values on co-forest edges, extends over the
-    fundamental circuit matrix, and filters forest values.
+    fundamental circuit matrix, and filters forest values; charged as
+    the tensions are.
     """
-    yield from _integral_functions(g, o, False, bound, mode, window, guard)
+    yield from _integral_functions(g, o, False, bound, mode, window)
 
 
 def _integral_functions(
@@ -447,12 +449,11 @@ def _integral_functions(
     bound: int,
     mode: str,
     window: EdgeSubset | None,
-    guard: int | None,
 ) -> Iterator[IntegerEdgeFunction]:
     """Every integer tension or flow that lies in the `mode` window at
     `bound` on the edges of `window` and is zero on the others."""
     free, dependent, _, cand, checks_at = _integral_walk(g, o, tensions, bound, mode, window)
-    _charge(cand, guard, tensions)
+    _charge(cand, tensions)
     if checks_at is None:
         return
     place = _placement(free, dependent)
@@ -468,7 +469,6 @@ def integral_window_counts(
     top: int,
     mode: str = "strict_support",
     window: EdgeSubset | None = None,
-    guard: int | None = None,
 ) -> list[int]:
     """How many functions `enumerate_integral_tensions` (or, with
     tensions=False, `enumerate_integral_flows`) yields at each bound
@@ -493,7 +493,7 @@ def integral_window_counts(
     """
     if window is not None:
         o = Orientation(tuple([f and e in window for e, f in enumerate(o.flips)]))
-    return list(_window_counts(g, o, tensions, top, mode, window, guard))
+    return list(_window_counts(g, o, tensions, top, mode, window))
 
 
 @memoised_in_run
@@ -504,7 +504,6 @@ def _window_counts(
     top: int,
     mode: str,
     window: EdgeSubset | None,
-    guard: int | None,
 ) -> tuple[int, ...]:
     """`integral_window_counts` as a tuple; always called with positional
     arguments, so that every caller shares one memo entry."""
@@ -514,7 +513,7 @@ def _window_counts(
         cand[0] = [v for v in cand[0] if v > 0]
         weight = 2
     walked = cand[:-1]
-    _charge(walked, guard, tensions)
+    _charge(walked, tensions)
     counts = [0] * (top + 1)
     if checks_at is None:
         return tuple(counts)
@@ -624,9 +623,9 @@ def _integral_walk(
     return free, dependent, ends, cand, checks_at
 
 
-def _charge(box: Sequence[Sequence[int]], guard: int | None, tensions: bool) -> None:
+def _charge(box: Sequence[Sequence[int]], tensions: bool) -> None:
     what = "integral tension enumeration" if tensions else "integral flow enumeration"
-    check_state_space(math.prod(map(len, box)), guard, what)
+    check_state_space(math.prod(map(len, box)), what)
 
 
 def _walk(
@@ -746,15 +745,13 @@ def _or_product(a: Counter[int], b: Counter[int]) -> Counter[int]:
 
 
 @memoised_in_run
-def _modular_supports(
-    g: MultiGraph, grp: FiniteAbelianGroup, tensions: bool, guard: int | None
-) -> Counter[int]:
+def _modular_supports(g: MultiGraph, grp: FiniteAbelianGroup, tensions: bool) -> Counter[int]:
     """The support counts of the tensions (or flows) over grp, charged
     |grp|^rank (|grp|^nullity) states, each function one, before any
     walk: the OR-product of the counts over its cyclic factors."""
     free = rank_nullity(g)[not tensions]
     what = "tension enumeration" if tensions else "flow enumeration"
-    check_state_space(grp.order**free, guard, what)
+    check_state_space(grp.order**free, what)
     counts = Counter({0: 1})  # over the trivial group, and Z_1
     for m in grp.cyclic_orders:
         if m > 1:
@@ -763,13 +760,11 @@ def _modular_supports(
 
 
 @memoised_in_run
-def _integral_supports(
-    g: MultiGraph, bound: int, tensions: bool, guard: int | None
-) -> Counter[int]:
+def _integral_supports(g: MultiGraph, bound: int, tensions: bool) -> Counter[int]:
     """The support counts of the integer tensions (or flows) with
     |f| < bound everywhere, charged the box of their free values."""
     free = rank_nullity(g)[not tensions]
-    _charge([_window_values(_WINDOWS["box"], bound)] * free, guard, tensions)
+    _charge([_window_values(_WINDOWS["box"], bound)] * free, tensions)
     return _support_walk(g, tensions, 0, bound)
 
 
@@ -783,7 +778,7 @@ PairClasses = tuple[Counter[tuple[int, int]], Counter[tuple[int, int]], Counter[
 
 
 def support_pair_classes(
-    tension_masks: Iterable[int], flow_masks: Iterable[int], width: int, guard: int | None = None
+    tension_masks: Iterable[int], flow_masks: Iterable[int], width: int
 ) -> PairClasses:
     """The pair classes of every pair of a tension and a flow on `width`
     edges, given the support masks of each; see `_pair_classes`.  The
@@ -791,27 +786,25 @@ def support_pair_classes(
     distinct supports as each new flow support arrives, so that a pass
     over the guard is refused before they are all read."""
     tensions = Counter(tension_masks)
-    limit = state_guard(guard)  # read once, not per support
+    limit = state_guard()  # read once, not per support
     flows: Counter[int] = Counter()
     for mask in flow_masks:
-        if mask not in flows:
-            check_state_space(len(tensions) * (len(flows) + 1), limit, "support pair product")
+        if mask not in flows and len(tensions) * (len(flows) + 1) > limit:
+            check_state_space(len(tensions) * (len(flows) + 1), "support pair product")
         flows[mask] += 1
-    return _pair_classes(tensions, flows, width, limit)
+    return _pair_classes(tensions, flows, width)
 
 
-def _pair_classes(
-    tensions: Counter[int], flows: Counter[int], width: int, guard: int | None
-) -> PairClasses:
+def _pair_classes(tensions: Counter[int], flows: Counter[int], width: int) -> PairClasses:
     """A pair of supports stands for the product of their counts.  The
     pass charges one state per pair of distinct supports, in one step,
     and a refusal names the first multiple of the number of tension
     supports over the guard, the count at which a read of the flow
     supports one by one would stop."""
-    limit = state_guard(guard)
+    limit = state_guard()
     distinct = len(tensions)
     if distinct * len(flows) > limit:
-        check_state_space(distinct * (limit // distinct + 1), limit, "support pair product")
+        check_state_space(distinct * (limit // distinct + 1), "support pair product")
     full = (1 << width) - 1
     sized = [(gm, b, gm.bit_count()) for gm, b in flows.items()]
     disjoint, cover, comp = Counter(), Counter(), Counter()
@@ -841,25 +834,22 @@ def pair_support_classes(
     g: MultiGraph,
     grp_a: FiniteAbelianGroup,
     grp_b: FiniteAbelianGroup,
-    guard: int | None = None,
 ) -> PairClasses:
     """The pair classes of all (tension f over grp_a, flow g over grp_b)
     pairs.  The two support counts charge |grp_a|^rank and
     |grp_b|^nullity states, and the pass over them one state per pair of
     distinct supports.  Within a run each count is made once, for every
     pair of groups it takes part in."""
-    tensions = _modular_supports(g, grp_a, True, guard)
-    return _pair_classes(tensions, _modular_supports(g, grp_b, False, guard), g.edge_count, guard)
+    tensions = _modular_supports(g, grp_a, True)
+    return _pair_classes(tensions, _modular_supports(g, grp_b, False), g.edge_count)
 
 
-def integral_support_classes(
-    g: MultiGraph, p: int, q: int, guard: int | None = None
-) -> PairClasses:
+def integral_support_classes(g: MultiGraph, p: int, q: int) -> PairClasses:
     """The pair classes of the integer pairs with |f| < p and |g| < q
     everywhere (zeros allowed).  Within a run each box is counted once,
     for every pair of bounds it takes part in."""
-    tensions = _integral_supports(g, p, True, guard)
-    return _pair_classes(tensions, _integral_supports(g, q, False, guard), g.edge_count, guard)
+    tensions = _integral_supports(g, p, True)
+    return _pair_classes(tensions, _integral_supports(g, q, False), g.edge_count)
 
 
 # -- lattice index --------------------------------------------------------------

@@ -47,8 +47,8 @@ from .config import (  # SUITES is re-exported: scripts read it from here
     VerificationError,
     check_state_space,
     memoised_in_run,
+    guarded,
     run_scope,
-    state_guard,
 )
 from .fixtures import all_fixtures, fixture, small_ladder
 from .graph import (
@@ -153,24 +153,22 @@ def _failure_line(check: CheckResult) -> str:
 # -- 1: nowhere-zero pair polynomial routes ------------------------------------
 
 
-def criterion_1(guard: int | None = None) -> CheckResult:
+def criterion_1() -> CheckResult:
     col = _Collector()
     z4 = FiniteAbelianGroup.cyclic(4)
     klein = FiniteAbelianGroup((2, 2))
     for name, g in all_fixtures():
-        via_expansion = omega_by_subsets(g, guard)
-        via_arrangement = graphic_semilattice(g, guard).characteristic_polynomial()
+        via_expansion = omega_by_subsets(g)
+        via_arrangement = graphic_semilattice(g).characteristic_polynomial()
         if via_expansion != via_arrangement:
             col.expect(False, f"{name}: expansion {via_expansion} != arrangement {via_arrangement}")
         for p, q in itertools.product(range(1, 5), repeat=2):
             want = via_expansion.evaluate(x=p, y=q)
-            got = omega_value(
-                g, FiniteAbelianGroup.cyclic(p), FiniteAbelianGroup.cyclic(q), guard
-            )
+            got = omega_value(g, FiniteAbelianGroup.cyclic(p), FiniteAbelianGroup.cyclic(q))
             col.expect(got == want, f"{name} ({p},{q}): brute {got} != poly {want}")
         # the count depends only on the group orders, not the structures
         for grp_a, grp_b in ((z4, klein), (klein, z4), (klein, klein)):
-            got = omega_value(g, grp_a, grp_b, guard)
+            got = omega_value(g, grp_a, grp_b)
             want = via_expansion.evaluate(x=4, y=4)
             col.expect(
                 got == want,
@@ -185,11 +183,11 @@ def criterion_1(guard: int | None = None) -> CheckResult:
 # -- 2: Tutte routes -------------------------------------------------------------
 
 
-def criterion_2(guard: int | None = None) -> CheckResult:
+def criterion_2() -> CheckResult:
     col = _Collector()
     for name, g in all_fixtures():
-        a = _tutte_recursion(g, guard)
-        b = whitney_by_subsets(g, guard).substitute({"x": X - 1, "y": Y - 1})
+        a = _tutte_recursion(g)
+        b = whitney_by_subsets(g).substitute({"x": X - 1, "y": Y - 1})
         if a != b:
             col.expect(False, f"{name}: recursion {a} != shift {b}")
     return col.result(
@@ -200,8 +198,8 @@ def criterion_2(guard: int | None = None) -> CheckResult:
 # -- 3: orientation classes and quadrant values ----------------------------------
 
 
-def _maximal_forest_count(g: MultiGraph, guard: int | None = None) -> int:
-    table = subset_rank_table(g, guard)
+def _maximal_forest_count(g: MultiGraph) -> int:
+    table = subset_rank_table(g)
     r = table[(1 << g.edge_count) - 1]
     return sum(
         1
@@ -210,13 +208,13 @@ def _maximal_forest_count(g: MultiGraph, guard: int | None = None) -> int:
     )
 
 
-def criterion_3(guard: int | None = None) -> CheckResult:
+def criterion_3() -> CheckResult:
     col = _Collector()
     for name, g in all_fixtures():
-        classes = cut_eulerian_classes(g, guard)
-        t_poly = _tutte_recursion(g, guard)
+        classes = cut_eulerian_classes(g)
+        t_poly = _tutte_recursion(g)
         t11 = t_poly.evaluate(x=1, y=1)
-        forests = _maximal_forest_count(g, guard)
+        forests = _maximal_forest_count(g)
         index = lattice_index(g, Orientation.reference(g))
         col.expect(
             len(classes) == t11 == forests == index,
@@ -232,7 +230,7 @@ def criterion_3(guard: int | None = None) -> CheckResult:
                 ("+-", (p, -q)),
                 ("--", (-p, -q)),
             ):
-                got = tutte_value_triples(g, p, q, quadrant, guard)
+                got = tutte_value_triples(g, p, q, quadrant)
                 want = t_poly.evaluate(x=a, y=b)
                 col.expect(
                     got == want,
@@ -247,7 +245,7 @@ def criterion_3(guard: int | None = None) -> CheckResult:
 # -- 4 and 5: reciprocity and specializations -------------------------------------
 
 
-def reciprocity_check(g: MultiGraph, guard: int | None = None) -> list[CheckResult]:
+def reciprocity_check(g: MultiGraph) -> list[CheckResult]:
     """Sign reciprocity between the open and closed orientation sums of
     `psi_by_orientations`, for the modular pair, the integral pair, and
     every single orientation of the same walk (`orientation_sums`).  The
@@ -258,15 +256,15 @@ def reciprocity_check(g: MultiGraph, guard: int | None = None) -> list[CheckResu
     sn = -1 if n & 1 else 1
     checks: list[CheckResult] = []
     for which, bar in (("psi", "bar_psi"), ("psi_z", "bar_psi_z")):
-        open_poly = psi_by_orientations(g, which, guard)
-        closed_poly = psi_by_orientations(g, bar, guard)
+        open_poly = psi_by_orientations(g, which)
+        closed_poly = psi_by_orientations(g, bar)
         lhs = open_poly.negate_vars(["x", "y"])
         via_z = sn * closed_poly.negate_vars(["z"])
         via_w = sr * closed_poly.negate_vars(["w"])
         checks.append(_identity(f"{which}(-x,-y,z,w) = (-1)^n {bar}(x,y,-z,w)", lhs, via_z))
         checks.append(_identity(f"{which}(-x,-y,z,w) = (-1)^r {bar}(x,y,z,-w)", lhs, via_w))
     witness: tuple[str, ...] = ()
-    for o, _, c_size, open_kappa, closed_kappa in orientation_sums(g, guard)[1]:
+    for o, _, c_size, open_kappa, closed_kappa in orientation_sums(g)[1]:
         sign = -1 if (r + c_size) & 1 else 1
         lhs = open_kappa.negate_vars(["x", "y"])
         rhs = sign * closed_kappa
@@ -287,18 +285,18 @@ def reciprocity_check(g: MultiGraph, guard: int | None = None) -> list[CheckResu
 SPECIALIZATION_GRID = tuple((p, q) for p in (2, 3, 4) for q in (2, 3, 4))
 
 
-def specialization_check(g: MultiGraph, guard: int | None = None) -> list[CheckResult]:
+def specialization_check(g: MultiGraph) -> list[CheckResult]:
     """Pin (z, w) in the orientation sums of `psi_by_orientations` and
     compare against the directly defined counting polynomials and brute
     counts, the latter on `SPECIALIZATION_GRID`.  (In the convolution
     over cyclic flats, psi(x,y,1,0) is the single term of the empty X,
     so checking it there would prove nothing.)"""
     checks: list[CheckResult] = []
-    psi_z = psi_by_orientations(g, "psi_z", guard)
-    psi_m = psi_by_orientations(g, "psi", guard)
+    psi_z = psi_by_orientations(g, "psi_z")
+    psi_m = psi_by_orientations(g, "psi")
 
-    tz = integral_tension_poly(g, "x", guard)
-    fz = integral_flow_poly(g, "y", guard)
+    tz = integral_tension_poly(g, "x")
+    fz = integral_flow_poly(g, "y")
     at_10 = {"z": 1, "w": 0}
     at_01 = {"z": 0, "w": 1}
     at_00 = {"z": 0, "w": 0}
@@ -321,8 +319,8 @@ def specialization_check(g: MultiGraph, guard: int | None = None) -> list[CheckR
     checks.append(
         _identity("psi_z(x,y,0,0) = 0 (1 when edgeless)", psi_z.substitute(at_00), origin, None)
     )
-    tm = tension_poly(g, "x", guard)
-    fm = flow_poly(g, "y", guard)
+    tm = tension_poly(g, "x")
+    fm = flow_poly(g, "y")
     checks.append(
         _identity("psi(x,y,1,0) = tension polynomial", psi_m.substitute(at_10), tm, got_want)
     )
@@ -337,11 +335,11 @@ def specialization_check(g: MultiGraph, guard: int | None = None) -> list[CheckR
     bad_z = []
     bad_m = []
     for p, q in SPECIALIZATION_GRID:
-        want_z = integral_complementary_count(g, p, q, guard)
+        want_z = integral_complementary_count(g, p, q)
         got_z = kz.evaluate(x=p, y=q)
         if got_z != want_z:
             bad_z.append(f"({p},{q}): poly {got_z} vs count {want_z}")
-        want_m = modular_complementary_count(g, p, q, guard)
+        want_m = modular_complementary_count(g, p, q)
         got_m = km.evaluate(x=p, y=q)
         if got_m != want_m:
             bad_m.append(f"({p},{q}): poly {got_m} vs count {want_m}")
@@ -362,18 +360,18 @@ def specialization_check(g: MultiGraph, guard: int | None = None) -> list[CheckR
     return checks
 
 
-def criterion_4(guard: int | None = None) -> CheckResult:
+def criterion_4() -> CheckResult:
     col = _Collector()
     for name, g in all_fixtures():
-        for check in reciprocity_check(g, guard):
+        for check in reciprocity_check(g):
             col.expect(check.passed, f"{name}: {_failure_line(check)}")
     return col.result("open/closed window sums satisfy sign reciprocity")
 
 
-def criterion_5(guard: int | None = None) -> CheckResult:
+def criterion_5() -> CheckResult:
     col = _Collector()
     for name, g in all_fixtures():
-        for check in specialization_check(g, guard):
+        for check in specialization_check(g):
             col.expect(check.passed, f"{name}: {_failure_line(check)}")
     return col.result(
         "window sums specialise to the tension, flow, and complementary-pair counts"
@@ -391,30 +389,29 @@ def _direct_window_count(
     bound_t: int,
     bound_f: int,
     mode: str,
-    guard: int | None,
 ) -> tuple[int, int]:
-    tens = sum(1 for _ in enumerate_integral_tensions(g, o, bound_t, mode, b, guard))
-    flows = sum(1 for _ in enumerate_integral_flows(g, o, bound_f, mode, c, guard))
+    tens = sum(1 for _ in enumerate_integral_tensions(g, o, bound_t, mode, b))
+    flows = sum(1 for _ in enumerate_integral_flows(g, o, bound_f, mode, c))
     return tens, flows
 
 
-def criterion_6(guard: int | None = None) -> CheckResult:
+def criterion_6() -> CheckResult:
     col = _Collector()
     grid = tuple(itertools.product((2, 3), repeat=2))
     zw = tuple(itertools.product((-1, 0, 1, 2), repeat=2))
     for name, g in all_fixtures():
         reps = [
             (cls.representative, *classify_edges(g, cls.representative))
-            for cls in cut_eulerian_classes(g, guard)
+            for cls in cut_eulerian_classes(g)
         ]
-        psi_p = psi_family(g, "psi", guard=guard)
-        bar_p = psi_family(g, "bar_psi", guard=guard)
+        psi_p = psi_family(g, "psi")
+        bar_p = psi_family(g, "bar_psi")
         for p, q in grid:
             open_counts = []
             closed_counts = []
             for o, b, c in reps:
-                ot, of = _direct_window_count(g, o, b, c, p, q, "open", guard)
-                ct, cf = _direct_window_count(g, o, b, c, p, q, "closed", guard)
+                ot, of = _direct_window_count(g, o, b, c, p, q, "open")
+                ct, cf = _direct_window_count(g, o, b, c, p, q, "closed")
                 open_counts.append((b.size, c.size, ot * of))
                 closed_counts.append((b.size, c.size, ct * cf))
             for r, s in zw:
@@ -439,12 +436,12 @@ def criterion_6(guard: int | None = None) -> CheckResult:
 # -- 7: weighted complementary sums ------------------------------------------------
 
 
-def criterion_7(guard: int | None = None) -> CheckResult:
+def criterion_7() -> CheckResult:
     col = _Collector()
     for name, g in all_fixtures():
-        w_poly = whitney(g, guard)
+        w_poly = whitney(g)
         for p, q in itertools.product((2, 3, 4), repeat=2):
-            disjoint_sum, signed_sum = whitney_weighted_sums(g, p, q, guard)
+            disjoint_sum, signed_sum = whitney_weighted_sums(g, p, q)
             want_pos = w_poly.evaluate(x=p, y=q)
             want_neg = w_poly.evaluate(x=-p, y=-q)
             col.expect(
@@ -471,7 +468,7 @@ W = MultiPoly.var("w")
 
 
 @memoised_in_run
-def _pair_subset_tallies(g: MultiGraph, guard: int | None) -> tuple[dict, dict, dict, dict]:
+def _pair_subset_tallies(g: MultiGraph) -> tuple[dict, dict, dict, dict]:
     """The subset sums of `pair_integral_identities` with the group
     orders left as symbols.  nu(X, Y) = |T_X x F_Y|, the pairs with f = 0
     on X and g = 0 on Y, is p^(r - r<X>) q^(|W| - r<W>) with W = E - Y:
@@ -481,7 +478,7 @@ def _pair_subset_tallies(g: MultiGraph, guard: int | None) -> tuple[dict, dict, 
     at any (p, q).  Returns (acc1, acc4, alt, diag), keyed as the
     comments below say."""
     m = g.edge_count
-    table = subset_rank_table(g, guard)
+    table = subset_rank_table(g)
     full = (1 << m) - 1
     r, _ = rank_nullity(g)
     tens = [r - rank for rank in table]
@@ -535,7 +532,7 @@ def _at_orders(tally: dict[tuple[int, ...], int], p: int, q: int) -> dict[tuple[
 
 
 def pair_integral_identities(
-    g: MultiGraph, p: int, q: int, guard: int | None = None
+    g: MultiGraph, p: int, q: int
 ) -> tuple[list[CheckResult], list[CheckResult]]:
     """Finite-integral identities over the pair space, all checked as
     exact polynomial identities at group orders (p, q).
@@ -555,15 +552,15 @@ def pair_integral_identities(
     """
     m = g.edge_count
     # the subset sums below run over 3^E pairs Y inside X and 4^E pairs (Z, W)
-    check_state_space(3**m + 4**m, guard, "pair integral subset sums")
+    check_state_space(3**m + 4**m, "pair integral subset sums")
     # the pairs with disjoint supports (supp f inside ker g, or as well
     # supp g inside ker f: the same bit test) and with covering supports
     # (ker f inside supp g), by (|ker f|, |supp g|), and the
     # complementary ones, which are both and so have |supp g| = |ker f|
     disjoint, cover, comp = pair_support_classes(
-        g, FiniteAbelianGroup.cyclic(p), FiniteAbelianGroup.cyclic(q), guard
+        g, FiniteAbelianGroup.cyclic(p), FiniteAbelianGroup.cyclic(q)
     )
-    tallies = _pair_subset_tallies(g, guard)
+    tallies = _pair_subset_tallies(g)
     acc1, acc4, alt, diag = (_at_orders(tally, p, q) for tally in tallies)
     r, n = rank_nullity(g)
 
@@ -600,7 +597,7 @@ def pair_integral_identities(
 
     # at u = -1 the complementary integral gives the Whitney polynomial
     # at negated arguments, up to the sign (-1)^r
-    w_poly = whitney(g, guard)
+    w_poly = whitney(g)
     got_int = sum(-c if (k + r) & 1 else c for (k,), c in comp.items())
     checks.append(
         _identity(
@@ -648,7 +645,7 @@ def pair_integral_identities(
     )
 
     # weight 2^(|ker f| - |supp g|) on disjoint supports gives Whitney at (p, q)
-    disjoint_sum, _ = whitney_weighted_sums(g, p, q, guard)
+    disjoint_sum, _ = whitney_weighted_sums(g, p, q)
     checks.append(
         _identity(
             "disjoint-support weight 2^(|ker f|-|supp g|) equals Whitney at (p,q)",
@@ -676,12 +673,12 @@ def pair_integral_identities(
     return checks, readings
 
 
-def criterion_8(guard: int | None = None) -> CheckResult:
+def criterion_8() -> CheckResult:
     col = _Collector()
     always_valid: dict[str, bool] = {}
     for name, g in all_fixtures():
         for p, q in itertools.product((2, 3), repeat=2):
-            checks, readings = pair_integral_identities(g, p, q, guard)
+            checks, readings = pair_integral_identities(g, p, q)
             for check in checks:
                 col.expect(check.passed, f"{name} ({p},{q}): {_failure_line(check)}")
             for reading in readings:
@@ -706,10 +703,10 @@ def criterion_8(guard: int | None = None) -> CheckResult:
 # -- 9: class sizes ------------------------------------------------------------------
 
 
-def criterion_9(guard: int | None = None) -> CheckResult:
+def criterion_9() -> CheckResult:
     col = _Collector()
     for name, g in all_fixtures():
-        classes = cut_eulerian_classes(g, guard)
+        classes = cut_eulerian_classes(g)
         total = sum(cls.size for cls in classes)
         col.expect(
             total == 2 ** len(g.non_loop_ids()),
@@ -717,10 +714,10 @@ def criterion_9(guard: int | None = None) -> CheckResult:
         )
         for cls in classes:
             try:
-                class_size_check(g, cls, guard)
+                class_size_check(g, cls)
             except VerificationError as exc:
                 col.expect(False, f"{name}: {exc}")
-        for members in cut_eulerian_classes_by_moves(g, guard):
+        for members in cut_eulerian_classes_by_moves(g):
             profile = class_bc_profile(g, members)
             col.expect(
                 len(profile) == 1,
@@ -748,15 +745,15 @@ def _by_support(functions: Iterable[IntegerEdgeFunction]) -> dict[int, list[Inte
     return out
 
 
-def criterion_10(guard: int | None = None) -> CheckResult:
+def criterion_10() -> CheckResult:
     col = _Collector()
     small = [(name, g) for name, g in all_fixtures() if g.edge_count <= 4]
     for name, g in small:
         o = Orientation.reference(g)
         full = (1 << g.edge_count) - 1
         for p, q in itertools.product((2, 3), repeat=2):
-            tens = list(enumerate_integral_tensions(g, o, p, "box", guard=guard))
-            flows = _by_support(enumerate_integral_flows(g, o, q, "box", guard=guard))
+            tens = list(enumerate_integral_tensions(g, o, p, "box"))
+            flows = _by_support(enumerate_integral_flows(g, o, q, "box"))
             buckets: dict[tuple, list] = {}
             for f in tens:
                 # the flows complementary to f: supported exactly on ker f
@@ -767,7 +764,7 @@ def criterion_10(guard: int | None = None) -> CheckResult:
                     )
                     buckets.setdefault(key, []).append((f, h))
             total_pairs = sum(len(v) for v in buckets.values())
-            count = integral_complementary_count(g, p, q, guard)
+            count = integral_complementary_count(g, p, q)
             col.expect(
                 total_pairs == count,
                 f"{name} ({p},{q}): bucketed {total_pairs} pairs, count says {count}",
@@ -785,7 +782,7 @@ def criterion_10(guard: int | None = None) -> CheckResult:
                     )
                 total = [a + b for a, b in zip(f0.values, h0.values)]
                 rho = _chamber_orientation(g, total)
-                expected = kappa_rho(g, rho, "closed", guard).evaluate(x=1, y=1)
+                expected = kappa_rho(g, rho, "closed").evaluate(x=1, y=1)
                 col.expect(
                     len(members) == expected,
                     f"{name} ({p},{q}) bucket {key}: {len(members)} members, "
@@ -795,10 +792,10 @@ def criterion_10(guard: int | None = None) -> CheckResult:
             zq = FiniteAbelianGroup.cyclic(q)
             mod_flows = _by_support(
                 IntegerEdgeFunction(tuple(v[0] for v in values))
-                for values in _iter_flow_values(g, o, zq, guard)
+                for values in _iter_flow_values(g, o, zq)
             )
             modular = set()
-            for values in _iter_tension_values(g, o, zp, guard):
+            for values in _iter_tension_values(g, o, zp):
                 f = IntegerEdgeFunction(tuple(v[0] for v in values))
                 for h in mod_flows.get(full ^ f.support_mask(), ()):
                     modular.add((f.values, h.values))
@@ -843,7 +840,7 @@ def _random_member(
     return FiniteCosetProduct.from_subgroup(ambient, generators, shifts)
 
 
-def criterion_11(guard: int | None = None) -> CheckResult:
+def criterion_11() -> CheckResult:
     col = _Collector()
     rng = random.Random(20260816)
     done = 0
@@ -860,8 +857,8 @@ def criterion_11(guard: int | None = None) -> CheckResult:
         if not members:
             continue
         done += 1
-        chi = finite_semilattice(ambient, members, guard).characteristic_polynomial()
-        direct = complement_count(ambient, members, guard)
+        chi = finite_semilattice(ambient, members).characteristic_polynomial()
+        direct = complement_count(ambient, members)
         col.expect(
             chi.evaluate() == direct,
             f"trial {done}: characteristic {chi.evaluate()}, complement {direct}",
@@ -912,10 +909,10 @@ def criterion_11(guard: int | None = None) -> CheckResult:
 # -- 12: chromatic sanity ---------------------------------------------------------------
 
 
-def criterion_12(guard: int | None = None) -> CheckResult:
+def criterion_12() -> CheckResult:
     col = _Collector()
     g = fixture("k3")
-    poly_value = chromatic_poly(g, guard=guard).evaluate(t=3)
+    poly_value = chromatic_poly(g).evaluate(t=3)
     brute = 0
     for colours in itertools.product(range(3), repeat=g.vertex_count):
         if all(colours[t] != colours[h] for t, h in g.edges):
@@ -932,18 +929,18 @@ def criterion_12(guard: int | None = None) -> CheckResult:
 # -- 13: production routes against their oracles ----------------------------------------
 
 
-def criterion_13(guard: int | None = None) -> CheckResult:
+def criterion_13() -> CheckResult:
     col = _Collector()
     for name, g in all_fixtures():
-        want_tension = tension_poly_by_enumeration(g, "t", guard)
-        want_flow = flow_poly_by_enumeration(g, "t", guard)
+        want_tension = tension_poly_by_enumeration(g, "t")
+        want_flow = flow_poly_by_enumeration(g, "t")
         want_chromatic = MultiPoly.monomial(("t",), (components_count(g),)) * want_tension
-        want_whitney = whitney_by_subsets(g, guard)
+        want_whitney = whitney_by_subsets(g)
         for what, got, want in (
-            ("tension", tension_poly(g, "t", guard), want_tension),
-            ("flow", flow_poly(g, "t", guard), want_flow),
-            ("chromatic", chromatic_poly(g, "t", guard), want_chromatic),
-            ("whitney", whitney(g, guard), want_whitney),
+            ("tension", tension_poly(g, "t"), want_tension),
+            ("flow", flow_poly(g, "t"), want_flow),
+            ("chromatic", chromatic_poly(g, "t"), want_chromatic),
+            ("whitney", whitney(g), want_whitney),
         ):
             if got != want:
                 col.expect(False, f"{name}: {what} {got}, oracle {want}")
@@ -956,12 +953,12 @@ def criterion_13(guard: int | None = None) -> CheckResult:
 # -- 14: the psi family against the orientation sums -----------------------------------
 
 
-def criterion_14(guard: int | None = None) -> CheckResult:
+def criterion_14() -> CheckResult:
     col = _Collector()
     for name, g in all_fixtures():
         for kind in PSI_KINDS:
-            got = psi_family(g, kind, guard)
-            want = psi_by_orientations(g, kind, guard)
+            got = psi_family(g, kind)
+            want = psi_by_orientations(g, kind)
             if got != want:
                 col.expect(False, f"{name}: {kind} {got}, orientation sum {want}")
     return col.result(
@@ -973,10 +970,10 @@ def criterion_14(guard: int | None = None) -> CheckResult:
 # -- 15: the rank table against rational incidence ranks -------------------------------
 
 
-def criterion_15(guard: int | None = None) -> CheckResult:
+def criterion_15() -> CheckResult:
     col = _Collector()
     for name, g in all_fixtures():
-        dims = subset_flat_dims(g, guard)
+        dims = subset_flat_dims(g)
         for mask, got in enumerate(dims):
             want = graphic_flat_dims(g, EdgeSubset(mask, g.edge_count))
             col.expect(got == want, f"{name} mask {mask:#x}: rank table {got}, rational {want}")
@@ -988,13 +985,13 @@ def criterion_15(guard: int | None = None) -> CheckResult:
 # -- 16: divisor-class keys against the move closure -----------------------------------
 
 
-def criterion_16(guard: int | None = None) -> CheckResult:
+def criterion_16() -> CheckResult:
     col = _Collector()
     for name, g in all_fixtures():
-        classes = cut_eulerian_classes(g, guard)
-        closure = cut_eulerian_classes_by_moves(g, guard)
+        classes = cut_eulerian_classes(g)
+        closure = cut_eulerian_classes_by_moves(g)
         by_key: dict[tuple[int, ...], set[tuple[bool, ...]]] = {}
-        for o, key in zip(all_orientations(g, guard), divisor_class_keys(g)):
+        for o, key in zip(all_orientations(g), divisor_class_keys(g)):
             by_key.setdefault(key, set()).add(o.flips)
         key_parts = {frozenset(part) for part in by_key.values()}
         move_parts = {frozenset(o.flips for o in members) for members in closure}
@@ -1017,18 +1014,18 @@ def criterion_16(guard: int | None = None) -> CheckResult:
 # -- 17: the frontier sums against the subset expansions and the recursion ------------
 
 
-def criterion_17(guard: int | None = None) -> CheckResult:
+def criterion_17() -> CheckResult:
     col = _Collector()
     for name, g in all_fixtures() + small_ladder():
-        frontier_r = whitney(g, guard)
+        frontier_r = whitney(g)
         for what, want in (
-            ("subset expansion", whitney_by_subsets(g, guard)),
-            ("recursion", _tutte_recursion(g, guard).substitute({"x": X + 1, "y": Y + 1})),
+            ("subset expansion", whitney_by_subsets(g)),
+            ("recursion", _tutte_recursion(g).substitute({"x": X + 1, "y": Y + 1})),
         ):
             if frontier_r != want:
                 col.expect(False, f"{name}: frontier R {frontier_r}, {what} {want}")
-        frontier_omega = omega(g, guard)
-        want = omega_by_subsets(g, guard)
+        frontier_omega = omega(g)
+        want = omega_by_subsets(g)
         if frontier_omega != want:
             col.expect(False, f"{name}: frontier omega {frontier_omega}, subset expansion {want}")
     return col.result(
@@ -1040,11 +1037,11 @@ def criterion_17(guard: int | None = None) -> CheckResult:
 # -- 18: the frontier psi against the convolution over cyclic flats -------------------
 
 
-def criterion_18(guard: int | None = None) -> CheckResult:
+def criterion_18() -> CheckResult:
     col = _Collector()
     for name, g in all_fixtures() + small_ladder():
-        got = psi_family(g, "psi", guard)
-        want = psi_by_cyclic_flats(g, guard)
+        got = psi_family(g, "psi")
+        want = psi_by_cyclic_flats(g)
         if got != want:
             col.expect(False, f"{name}: frontier psi {got}, cyclic flat convolution {want}")
     return col.result(
@@ -1077,20 +1074,16 @@ CRITERIA: dict[int, Callable[..., CheckResult]] = {
 }
 
 
-def run_criteria(
-    numbers: Iterable[int], guard: int | None = None
-) -> list[tuple[int, CheckResult]]:
+def run_criteria(numbers: Iterable[int]) -> list[tuple[int, CheckResult]]:
     """Run the numbered criteria in one run scope, under the guard
-    resolved once, so that every memo key carries the run's guard and no
-    memo outlives the run."""
-    guard = state_guard(guard)
-    with run_scope():
-        return [(num, CRITERIA[num](guard)) for num in numbers]
+    active on entry, so that no memo outlives the run."""
+    with guarded(), run_scope():
+        return [(num, CRITERIA[num]()) for num in numbers]
 
 
-def run_suite(name: str, guard: int | None = None) -> list[tuple[int, CheckResult]]:
+def run_suite(name: str) -> list[tuple[int, CheckResult]]:
     try:
         numbers = SUITES[name]
     except KeyError:
         raise KeyError(f"unknown suite {name!r}; have {', '.join(SUITES)}") from None
-    return run_criteria(numbers, guard)
+    return run_criteria(numbers)

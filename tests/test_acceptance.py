@@ -11,7 +11,7 @@ import pytest
 
 from tfpoly import verification
 from tfpoly.algebra import MultiPoly
-from tfpoly.config import GuardExceeded
+from tfpoly.config import GuardExceeded, guarded
 from tfpoly.fixtures import fixture_names
 from tfpoly.verification import SUITES, run_criteria, run_suite
 
@@ -53,16 +53,16 @@ def test_a_passing_run_formats_no_polynomial(monkeypatch):
 
 @pytest.mark.parametrize("num", CRITERIA)
 def test_criterion_obeys_the_guard(num):
-    with pytest.raises(GuardExceeded):
-        verification.CRITERIA[num](guard=1)
+    with guarded(1), pytest.raises(GuardExceeded):
+        verification.CRITERIA[num]()
 
 
 def test_failing_identity_shows_both_sides(monkeypatch):
     real = verification.psi_by_orientations
 
-    def wrong_open_sums(g, which, guard=None):
+    def wrong_open_sums(g, which):
         # an x in the open sums only: no closed sum can balance it
-        poly = real(g, which, guard)
+        poly = real(g, which)
         return poly if which.startswith("bar_") else poly + MultiPoly.var("x")
 
     monkeypatch.setattr(verification, "psi_by_orientations", wrong_open_sums)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import tfpoly
 from tfpoly import cli, invariants, verification
 from tfpoly.algebra import MultiPoly
-from tfpoly.config import GuardExceeded
+from tfpoly.config import SUITES, GuardExceeded, guarded
 from tfpoly.cli import COMMANDS, build_parser, main
 from tfpoly.fixtures import FIXTURE_TEXTS, fixture
 from tfpoly.graph import MultiGraph, subset_rank_table
@@ -82,7 +82,8 @@ def test_recursion_guard_refuses_grid(tmp_path, capsys, command, guard, what):
     started = time.perf_counter()
     if command is None:
         with pytest.raises(GuardExceeded) as refused:
-            _tutte_recursion(grid(5, 5), int(guard))
+            with guarded(int(guard)):
+                _tutte_recursion(grid(5, 5))
         err = f"error: {refused.value}"
     else:
         path = tmp_path / "grid.graph"
@@ -227,8 +228,8 @@ def test_verify_json_payload(capsys):
 def test_verify_prints_a_failing_criterion_with_its_details(monkeypatch, capsys):
     real = verification.whitney_weighted_sums
 
-    def off_by_one(g, p, q, guard=None):
-        return tuple(v + 1 for v in real(g, p, q, guard))
+    def off_by_one(g, p, q):
+        return tuple(v + 1 for v in real(g, p, q))
 
     monkeypatch.setattr(verification, "whitney_weighted_sums", off_by_one)
     assert main(["verify", "--suite", "whitney"]) == 1
@@ -332,9 +333,33 @@ def test_env_guard_reaches_every_scan(graph_file, capsys, monkeypatch, command):
     assert re.search(r"needs \d+ states, guard is 100$", captured.err)
 
 
+# each graph command with the flags it needs, on K4, and each suite
+EVERY_REQUEST = [
+    [name, *(["--p", "2", "--q", "3"] if name == "tutte-values" else []), "K4"]
+    for name, (_, takes_graph, _) in COMMANDS.items()
+    if takes_graph
+] + [["verify", "--suite", suite] for suite in sorted(SUITES)]
+
+
+@pytest.mark.parametrize("request_argv", EVERY_REQUEST, ids=" ".join)
+@pytest.mark.parametrize("given", ["flag", "env"])
+def test_every_command_refuses_a_small_guard(graph_file, capsys, monkeypatch, request_argv, given):
+    # the guard reaches every command, given as --guard or TFPOLY_GUARD:
+    # exit 2, nothing on stdout, one error line
+    argv = [graph_file("k4") if arg == "K4" else arg for arg in request_argv]
+    if given == "flag":
+        argv = ["--guard", "5", *argv]
+    else:
+        monkeypatch.setenv("TFPOLY_GUARD", "5")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: [^\n]+ needs \d+ states, guard is 5\n", captured.err)
+
+
 def test_subset_table_guard_counts_states():
-    with pytest.raises(GuardExceeded) as refused:
-        subset_rank_table(fixture("k4"), 5)
+    with guarded(5), pytest.raises(GuardExceeded) as refused:
+        subset_rank_table(fixture("k4"))
     assert str(refused.value) == "subset rank table needs 384 states, guard is 5"
 
 

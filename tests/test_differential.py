@@ -67,7 +67,7 @@ from hypothesis import strategies as st
 from tfpoly import frontier, invariants, tensionflow
 from tfpoly.algebra import MultiPoly
 from tfpoly.arrangements import graphic_semilattice
-from tfpoly.config import GuardExceeded
+from tfpoly.config import GuardExceeded, guarded
 from tfpoly.fixtures import small_ladder
 from tfpoly.frontier import _moves, _relabelled, edge_order, psi_terms
 from tfpoly.graph import (
@@ -192,9 +192,7 @@ def _oracle_fits(g: MultiGraph) -> bool:
 def test_psi_z_by_blocks_matches_the_whole_convolution(g):
     # psi_z is the product of its blocks' convolutions; the convolution
     # over the cyclic flats of the whole graph is the same polynomial
-    whole = invariants._cyclic_flat_convolutions(
-        [g], integral_tension_poly, integral_flow_poly, None
-    )[0]
+    whole = invariants._cyclic_flat_convolutions([g], integral_tension_poly, integral_flow_poly)[0]
     assert psi_family(g, "psi_z") == whole
     assert psi_family(g, "bar_psi_z") == (-1) ** rank_nullity(g)[1] * whole.negate_vars("xyz")
 
@@ -222,7 +220,7 @@ def _psi_terms_by_comb(g: MultiGraph) -> dict:
         (((0, rank_step, 0), (1, 0, stride**2)), stride, 1),
     )
     out = {}
-    for key, c in frontier._frontier_sum(g, 2, roles, "psi frontier sum", None).items():
+    for key, c in frontier._frontier_sum(g, 2, roles, "psi frontier sum").items():
         key, b = divmod(key, stride)
         key, a = divmod(key, stride)
         rank, nullity = divmod(key, stride)
@@ -354,7 +352,7 @@ def test_window_counts_ignore_flips_outside_the_window(go, data):
         for tensions in (True, False):
             counts = integral_window_counts(g, o, tensions, 3, mode, window)
             for walked in (o, flipped):
-                got = tensionflow._window_counts(g, walked, tensions, 3, mode, window, None)
+                got = tensionflow._window_counts(g, walked, tensions, 3, mode, window)
                 assert list(got) == counts, (mode, tensions, walked)
 
 
@@ -469,32 +467,34 @@ def test_support_walk_matches_the_enumerations(g):
             charge = size**free
             if charge > WALK_LIMIT:
                 continue
-            got = charged_supports(g, tensions, of, charge)
-            assert got == Counter(fn.support_mask() for fn in generated(g, tensions, of, charge))
+            with guarded(charge):
+                got = charged_supports(g, tensions, of)
+                assert got == Counter(fn.support_mask() for fn in generated(g, tensions, of))
             assert 0 not in got.values()
             if charge > 1:
-                with pytest.raises(GuardExceeded) as refused:
-                    charged_supports(g, tensions, of, charge - 1)
-                with pytest.raises(GuardExceeded) as oracle_refused:
-                    list(generated(g, tensions, of, charge - 1))
+                with guarded(charge - 1):
+                    with pytest.raises(GuardExceeded) as refused:
+                        charged_supports(g, tensions, of)
+                    with pytest.raises(GuardExceeded) as oracle_refused:
+                        list(generated(g, tensions, of))
                 assert str(refused.value) == str(oracle_refused.value)
 
 
-def charged_supports(g: MultiGraph, tensions: bool, of, guard: int):
+def charged_supports(g: MultiGraph, tensions: bool, of):
     """The support count of the tensions (or flows) over the group `of`,
-    or in the box at bound `of`, charged against guard."""
+    or in the box at bound `of`, charged against the active guard."""
     if isinstance(of, FiniteAbelianGroup):
-        return tensionflow._modular_supports(g, of, tensions, guard)
-    return tensionflow._integral_supports(g, of, tensions, guard)
+        return tensionflow._modular_supports(g, of, tensions)
+    return tensionflow._integral_supports(g, of, tensions)
 
 
-def generated(g: MultiGraph, tensions: bool, of, guard: int):
+def generated(g: MultiGraph, tensions: bool, of):
     """The functions that `charged_supports` counts, from the generators."""
     o = Orientation.reference(g)
     if isinstance(of, FiniteAbelianGroup):
-        return (enumerate_tensions if tensions else enumerate_flows)(g, o, of, guard)
+        return (enumerate_tensions if tensions else enumerate_flows)(g, o, of)
     enum = enumerate_integral_tensions if tensions else enumerate_integral_flows
-    return enum(g, o, of, "box", guard=guard)
+    return enum(g, o, of, "box")
 
 
 def test_support_walk_counts_a_product_from_its_factors():
@@ -502,8 +502,8 @@ def test_support_walk_counts_a_product_from_its_factors():
     z6, product = FiniteAbelianGroup.cyclic(6), FiniteAbelianGroup((2, 3))
     for g in (MultiGraph(4, tuple(itertools.combinations(range(4), 2))), small_ladder()[0][1]):
         for tensions in (True, False):
-            counts = tensionflow._modular_supports(g, product, tensions, None)
-            assert counts == tensionflow._modular_supports(g, z6, tensions, None)
+            counts = tensionflow._modular_supports(g, product, tensions)
+            assert counts == tensionflow._modular_supports(g, z6, tensions)
             assert sum(counts.values()) == 6 ** rank_nullity(g)[not tensions]
 
 

@@ -15,7 +15,7 @@ import pytest
 from tfpoly import tensionflow
 from tfpoly.algebra import MultiPoly
 from tfpoly.arrangements import graphic_semilattice
-from tfpoly.config import DEFAULT_STATE_GUARD, GuardExceeded, run_scope, state_guard
+from tfpoly.config import DEFAULT_STATE_GUARD, GuardExceeded, guarded, run_scope
 from tfpoly.fixtures import fixture, fixture_names
 from tfpoly.graph import MultiGraph, Orientation, components_count, subset_rank_table
 from tfpoly.invariants import (
@@ -192,9 +192,10 @@ def test_tutte_shift_is_charged_before_it_starts():
     # a path of 12 edges has R = (x + 1)^12: one row of degree 12, shifted
     # in 12 * 13 / 2 additions, then columns of degree 0
     terms = whitney(MultiGraph(13, tuple((i, i + 1) for i in range(12)))).terms
-    assert _shifted_down(terms, guard=78) == {(12, 0): 1}
-    with pytest.raises(GuardExceeded, match="^Tutte shift needs 78 states, guard is 77$"):
-        _shifted_down(terms, guard=77)
+    with guarded(78):
+        assert _shifted_down(terms) == {(12, 0): 1}
+    with guarded(77), pytest.raises(GuardExceeded, match="^Tutte shift needs 78 states, guard is 77$"):
+        _shifted_down(terms)
 
 
 def test_recursion_guard_is_per_call():
@@ -202,18 +203,18 @@ def test_recursion_guard_is_per_call():
     # with a smaller guard through
     g = fixture("k4")
     assert tutte(g) == TUTTE["k4"]
-    with pytest.raises(GuardExceeded):
-        tutte(g, guard=10)
-    with pytest.raises(GuardExceeded):
-        tension_poly(g, guard=10)
+    with guarded(10):
+        with pytest.raises(GuardExceeded):
+            tutte(g)
+        with pytest.raises(GuardExceeded):
+            tension_poly(g)
 
 
 @pytest.mark.parametrize("value", [2.9, 0.5, "3"])
 def test_guard_override_must_be_an_int(value):
     with pytest.raises(TypeError, match=f"guard must be an integer, not {value!r}"):
-        state_guard(value)
-    with pytest.raises(TypeError):
-        tutte(fixture("k4"), guard=value)
+        with guarded(value):
+            pass
 
 
 @pytest.mark.parametrize("name", sorted(OMEGA))
@@ -271,12 +272,13 @@ def test_integral_polynomials():
 
 
 def _kappa_twice_in_one_run(g):
-    # memoised under the default guard, then asked for under the active
-    # guard, passed explicitly as a criterion passes it
+    # memoised under the default guard, then asked for in the same run
+    # under the guard active outside that block
     o = Orientation.reference(g)
     with run_scope():
-        kappa_rho(g, o, "open", DEFAULT_STATE_GUARD)
-        kappa_rho(g, o, "open", state_guard())
+        with guarded(DEFAULT_STATE_GUARD):
+            kappa_rho(g, o, "open")
+        kappa_rho(g, o, "open")
 
 
 @pytest.mark.parametrize(
@@ -319,8 +321,8 @@ def test_cached_result_does_not_skip_a_smaller_env_guard(monkeypatch, compute):
 @pytest.mark.parametrize("count", [modular_complementary_count, integral_complementary_count])
 def test_complementary_counts_obey_the_guard(count):
     assert count(fixture("k3"), 2, 2) > 0
-    with pytest.raises(GuardExceeded):
-        count(fixture("k3"), 2, 2, guard=1)
+    with guarded(1), pytest.raises(GuardExceeded):
+        count(fixture("k3"), 2, 2)
 
 
 # -- per-orientation window polynomials ---------------------------------------

@@ -138,9 +138,9 @@ def test_class_closure_computes_bonds_once(monkeypatch):
     calls = []
     real = orientations.bonds
 
-    def counted(g, guard=None):
+    def counted(g):
         calls.append(g)
-        return real(g, guard)
+        return real(g)
 
     monkeypatch.setattr(orientations, "bonds", counted)
     # a 4-cycle with a chord
@@ -172,9 +172,9 @@ def test_class_closure_finds_circuits_once(monkeypatch):
     calls = []
     real = orientations.circuits
 
-    def counted(g, guard=None):
+    def counted(g):
         calls.append(g)
-        return real(g, guard)
+        return real(g)
 
     monkeypatch.setattr(orientations, "circuits", counted)
     # K4: 64 orientations, but the circuits of g do not depend on them

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from tfpoly import config, graph, invariants, tensionflow, verification
-from tfpoly.config import GuardExceeded, run_scope
+from tfpoly.config import DEFAULT_STATE_GUARD, GuardExceeded, guarded, run_scope
 from tfpoly.fixtures import all_fixtures, fixture, small_ladder
 from tfpoly.graph import Orientation, subset_rank_table
 from tfpoly.invariants import (
@@ -34,9 +34,9 @@ def kappa_spy(monkeypatch):
     computed = []
     real = invariants._kappa
 
-    def spy(g, o, b, c, mode, guard):
+    def spy(g, o, b, c, mode):
         computed.append((o.flips, mode))
-        return real(g, o, b, c, mode, guard)
+        return real(g, o, b, c, mode)
 
     monkeypatch.setattr(invariants, "_kappa", spy)
     return computed
@@ -94,8 +94,8 @@ def test_a_run_enumerates_each_integer_box_once(support_spy):
 
 
 def test_a_run_computes_each_psi_kind_once(monkeypatch):
-    # criterion 6 asks for psi and bar_psi with the guard by keyword,
-    # criterion 14 for all four kinds by position, criterion 18 for psi;
+    # criterion 6 asks for psi and bar_psi, criterion 14 for all four
+    # kinds, criterion 18 for psi;
     # each closed kind is its open kind reflected.  psi_z convolves a
     # graph of one block as it is, and otherwise its distinct blocks
     frontier = []
@@ -103,13 +103,13 @@ def test_a_run_computes_each_psi_kind_once(monkeypatch):
     real_terms = invariants.psi_terms
     real_convolutions = invariants._cyclic_flat_convolutions
 
-    def terms_spy(g, guard=None):
+    def terms_spy(g):
         frontier.append(g.fingerprint())
-        return real_terms(g, guard)
+        return real_terms(g)
 
-    def convolutions_spy(graphs, tension, flow, guard):
+    def convolutions_spy(graphs, tension, flow):
         convolutions.append((tuple(g.fingerprint() for g in graphs), tension.__name__))
-        return real_convolutions(graphs, tension, flow, guard)
+        return real_convolutions(graphs, tension, flow)
 
     def parts(g):
         found = graph.blocks(g)
@@ -139,14 +139,14 @@ def _memo_watcher(monkeypatch, num):
     seen = []
     real = verification.CRITERIA[num]
 
-    def watched(guard):
+    def watched():
         memo = config._RUN_MEMO.get()
         seen.append(memo)
-        # charges nothing, so it is memoised even under guard=1
+        # charges nothing, so it is memoised even under a guard of 1
         g = fixture("k3")
         tensionflow._circuit_table(g, Orientation.reference(g))
         try:
-            return real(guard)
+            return real()
         finally:
             seen.append(len(memo))
 
@@ -166,8 +166,8 @@ def test_the_memo_is_empty_once_the_run_returns(monkeypatch):
 
 def test_the_memo_is_empty_once_a_criterion_is_refused(monkeypatch):
     seen = _memo_watcher(monkeypatch, 4)
-    with pytest.raises(GuardExceeded):
-        run_criteria([4], guard=1)
+    with guarded(1), pytest.raises(GuardExceeded):
+        run_criteria([4])
     memo, entries = seen
     # every charge on the edgeless fixture e2 fits a guard of 1, so its
     # results are stored before a later fixture is refused
@@ -229,18 +229,19 @@ def test_a_run_builds_each_subset_rank_table_once(monkeypatch):
     built = []
     real = graph.check_state_space
 
-    def spy(size, guard=None, what="enumeration"):
+    def spy(size, what="enumeration"):
         if what == "subset rank table":
-            built.append((size, guard))
-        return real(size, guard, what)
+            built.append((size, config.state_guard()))
+        return real(size, what)
 
     monkeypatch.setattr(graph, "check_state_space", spy)
-    graphs, guards = (fixture("k3"), fixture("k4")), (None, 10**6)
+    graphs, guards = (fixture("k3"), fixture("k4")), (DEFAULT_STATE_GUARD, 10**6)
     with run_scope():
         for _ in range(2):
             for g in graphs:
                 for guard in guards:
-                    assert len(subset_rank_table(g, guard)) == 1 << g.edge_count
+                    with guarded(guard):
+                        assert len(subset_rank_table(g)) == 1 << g.edge_count
     # k3 and k4 differ in edge count, so the charge names the graph
     assert Counter(built) == Counter(
         (g.edge_count << g.edge_count, guard) for g in graphs for guard in guards
@@ -272,9 +273,9 @@ def test_a_run_tallies_and_counts_supports_once(monkeypatch, support_spy):
     tallied = []
     real_tallies = verification._pair_subset_tallies.__wrapped__
 
-    def tallies_spy(g, guard):
+    def tallies_spy(g):
         tallied.append(g)
-        return real_tallies(g, guard)
+        return real_tallies(g)
 
     monkeypatch.setattr(verification, "_pair_subset_tallies", config.memoised_in_run(tallies_spy))
     assert all(res.passed for _, res in run_criteria([1, 5, 7, 8, 10, 13]))
@@ -293,11 +294,11 @@ def test_a_refused_support_product_keeps_the_counts(support_spy):
     # product with Z_2 tensions reads the flow counts the refusals made
     g = fixture("k4")
     z2, z3 = FiniteAbelianGroup.cyclic(2), FiniteAbelianGroup.cyclic(3)
-    with run_scope():
+    with run_scope(), guarded(112):
         for _ in range(2):
             with pytest.raises(GuardExceeded, match="product needs 126 states, guard is 112$"):
-                pair_support_classes(g, z3, z3, 112)
-        classes = pair_support_classes(g, z2, z3, 112)
+                pair_support_classes(g, z3, z3)
+        classes = pair_support_classes(g, z2, z3)
     assert support_spy == [(g, "tensions", 3, 0), (g, "flows", 3, 0), (g, "tensions", 2, 0)]
     assert classes == pair_support_classes(g, z2, z3)
     _, cover, _ = classes
@@ -308,10 +309,10 @@ def test_an_enumeration_refused_by_its_own_charge_is_refused_again():
     # the memoised support count does not keep what a refused read saw
     g = fixture("k4")
     z3 = FiniteAbelianGroup.cyclic(3)
-    with run_scope():
+    with run_scope(), guarded(20):
         for _ in range(2):
             with pytest.raises(GuardExceeded, match="tension enumeration needs 27 states"):
-                pair_support_classes(g, z3, z3, 20)
+                pair_support_classes(g, z3, z3)
 
 
 def test_a_run_fits_each_window_polynomial_once(monkeypatch):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graph_strategies import multigraphs
-from tfpoly.config import GuardExceeded
+from tfpoly.config import GuardExceeded, guarded
 from tfpoly.fixtures import fixture, fixture_names
 from tfpoly.graph import EdgeSubset, MultiGraph, Orientation, rank_nullity
 from tfpoly.invariants import omega_value, tutte
@@ -229,15 +229,15 @@ def test_an_empty_window_is_charged_before_it_returns():
     # four free edges with three open values each (0 < f < 4); the counter
     # walks all but the last
     for tensions, what in ((True, "tension"), (False, "flow")):
-        with pytest.raises(GuardExceeded, match=f"integral {what} enumeration needs 27 states"):
-            integral_window_counts(g, o, tensions, 4, "open", guard=26)
+        with guarded(26), pytest.raises(GuardExceeded, match=f"integral {what} enumeration needs 27 states"):
+            integral_window_counts(g, o, tensions, 4, "open")
     for enumerate_integral, what in (
         (enumerate_integral_tensions, "tension"),
         (enumerate_integral_flows, "flow"),
     ):
         assert list(enumerate_integral(g, o, 4, "open")) == []
-        with pytest.raises(GuardExceeded, match=f"integral {what} enumeration needs 81 states"):
-            list(enumerate_integral(g, o, 4, "open", guard=80))
+        with guarded(80), pytest.raises(GuardExceeded, match=f"integral {what} enumeration needs 81 states"):
+            list(enumerate_integral(g, o, 4, "open"))
 
 
 def test_window_counts_charge_the_walked_box():
@@ -245,39 +245,40 @@ def test_window_counts_charge_the_walked_box():
     o = Orientation.reference(g)
     # three forest edges with four nonzero values each (|f| < 3); the
     # counter walks the positive half of the first and all of the second
-    assert integral_window_counts(g, o, True, 3, guard=8)[3] == sum(
-        1 for _ in enumerate_integral_tensions(g, o, 3)
-    )
-    with pytest.raises(GuardExceeded, match="tension enumeration needs 8 states, guard is 7"):
-        integral_window_counts(g, o, True, 3, guard=7)
+    with guarded(8):
+        counts = integral_window_counts(g, o, True, 3)
+    assert counts[3] == sum(1 for _ in enumerate_integral_tensions(g, o, 3))
+    with guarded(7), pytest.raises(GuardExceeded, match="tension enumeration needs 8 states, guard is 7"):
+        integral_window_counts(g, o, True, 3)
 
 
 # -- guard -----------------------------------------------------------------------
 
 
 def test_guard_stops_huge_enumerations():
-    with pytest.raises(GuardExceeded):
-        omega_value(fixture("k4"), Z4, Z4, guard=10)
+    with guarded(10), pytest.raises(GuardExceeded):
+        omega_value(fixture("k4"), Z4, Z4)
 
 
 def test_support_product_charges_distinct_support_pairs():
     # three distinct tension supports times two distinct flow supports,
     # on three edges: the supports 3 and 4 are complementary, once
     tensions, flows = [1, 2, 2, 3], [1, 1, 4]
-    disjoint, cover, comp = support_pair_classes(tensions, flows, 3, guard=6)
+    with guarded(6):
+        disjoint, cover, comp = support_pair_classes(tensions, flows, 3)
     assert disjoint == {(2, 1): 1 * 1 + 2 * 2 + 2 * 1, (1, 1): 1}
     assert cover == {(1, 1): 1}
     assert comp == {(1,): 1}
-    with pytest.raises(GuardExceeded, match="support pair product needs 6 states, guard is 5"):
-        support_pair_classes(tensions, flows, 3, guard=5)
+    with guarded(5), pytest.raises(GuardExceeded, match="support pair product needs 6 states, guard is 5"):
+        support_pair_classes(tensions, flows, 3)
 
 
 def test_support_product_refuses_before_the_flows_run_out():
     # three distinct tension supports: the second distinct flow support
     # makes 6 pairs, over the guard, and the rest are never read
     flows = iter([1, 1, 4, 8, 16])
-    with pytest.raises(GuardExceeded, match="support pair product needs 6 states, guard is 5"):
-        support_pair_classes([1, 2, 2, 3], flows, 5, guard=5)
+    with guarded(5), pytest.raises(GuardExceeded, match="support pair product needs 6 states, guard is 5"):
+        support_pair_classes([1, 2, 2, 3], flows, 5)
     assert list(flows) == [8, 16]
 
 
@@ -304,8 +305,9 @@ def test_support_pair_classes_sum_three_predicates_over_the_histogram(data, widt
             if holds:
                 tally[at] = tally.get(at, 0) + cnt
     charge = len(set(tensions)) * len(set(flows))
-    assert support_pair_classes(tensions, flows, width, guard=max(charge, 1)) == want
+    with guarded(max(charge, 1)):
+        assert support_pair_classes(tensions, flows, width) == want
     if charge > 1:
         match = f"support pair product needs {charge} states, guard is {charge - 1}$"
-        with pytest.raises(GuardExceeded, match=match):
-            support_pair_classes(tensions, flows, width, guard=charge - 1)
+        with guarded(charge - 1), pytest.raises(GuardExceeded, match=match):
+            support_pair_classes(tensions, flows, width)

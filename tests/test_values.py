@@ -14,8 +14,9 @@ import pickle
 import pytest
 
 from tfpoly.arrangements import FiniteCosetProduct, IntersectionPoset, finite_semilattice
-from tfpoly.config import Record
+from tfpoly.config import Record, run_scope
 from tfpoly.graph import EdgeSubset, MultiGraph, Orientation
+from tfpoly.invariants import omega_value, tutte
 from tfpoly.orientations import OrientationClass
 from tfpoly.tensionflow import FiniteAbelianGroup, GroupElementFunction, IntegerEdgeFunction
 from tfpoly.verification import CheckResult
@@ -137,3 +138,40 @@ def test_the_intersection_poset_is_mutable_and_unhashable():
     assert IntersectionPoset(poset.elements, (), poset.weights, [1, 0]) == again
     for other in (copy.deepcopy(poset), pickle.loads(pickle.dumps(poset))):
         assert type(other) is IntersectionPoset and other == poset
+
+
+# -- sequences given as lists are kept as tuples ---------------------------------
+
+
+@pytest.mark.parametrize(
+    ("given", "as_tuples"),
+    [
+        (lambda: MultiGraph(3, [(0, 1), [1, 2], (0, 2)]), lambda: MultiGraph(3, ((0, 1), (1, 2), (0, 2)))),
+        (lambda: Orientation([False, True]), lambda: Orientation((False, True))),
+        (lambda: FiniteAbelianGroup([2, 2]), lambda: FiniteAbelianGroup((2, 2))),
+        (
+            lambda: FiniteCosetProduct([{(0,), (1,)}]),
+            lambda: FiniteCosetProduct((frozenset({(0,), (1,)}),)),
+        ),
+    ],
+    ids=["MultiGraph", "Orientation", "FiniteAbelianGroup", "FiniteCosetProduct"],
+)
+def test_lists_are_kept_as_tuples(given, as_tuples):
+    value = given()
+    assert value == as_tuples()
+    assert hash(value) == hash(as_tuples())
+    assert repr(value) == repr(as_tuples())
+
+
+def test_graphs_and_groups_from_lists_key_the_run_memo():
+    g = MultiGraph(3, [(0, 1), (1, 2), (0, 2)])
+    klein = FiniteAbelianGroup([2, 2])
+    want = tutte(g), omega_value(g, klein, klein)
+    with run_scope():
+        assert (tutte(g), omega_value(g, klein, klein)) == want
+
+
+def test_a_whole_space_member_given_as_a_list_is_refused():
+    z2 = FiniteAbelianGroup((2,))
+    with pytest.raises(ValueError, match="member 0 is the whole space"):
+        finite_semilattice([z2], [FiniteCosetProduct([frozenset({(0,), (1,)})])])
