@@ -229,15 +229,17 @@ def test_an_empty_window_is_charged_before_it_returns():
     # four free edges with three open values each (0 < f < 4); the counter
     # walks all but the last
     for tensions, what in ((True, "tension"), (False, "flow")):
-        with guarded(26), pytest.raises(GuardExceeded, match=f"integral {what} enumeration needs 27 states"):
-            integral_window_counts(g, o, tensions, 4, "open")
+        with guarded(26):
+            with pytest.raises(GuardExceeded, match=f"integral {what} enumeration needs 27 states"):
+                integral_window_counts(g, o, tensions, 4, "open")
     for enumerate_integral, what in (
         (enumerate_integral_tensions, "tension"),
         (enumerate_integral_flows, "flow"),
     ):
         assert list(enumerate_integral(g, o, 4, "open")) == []
-        with guarded(80), pytest.raises(GuardExceeded, match=f"integral {what} enumeration needs 81 states"):
-            list(enumerate_integral(g, o, 4, "open"))
+        with guarded(80):
+            with pytest.raises(GuardExceeded, match=f"integral {what} enumeration needs 81 states"):
+                list(enumerate_integral(g, o, 4, "open"))
 
 
 def test_window_counts_charge_the_walked_box():
@@ -248,8 +250,9 @@ def test_window_counts_charge_the_walked_box():
     with guarded(8):
         counts = integral_window_counts(g, o, True, 3)
     assert counts[3] == sum(1 for _ in enumerate_integral_tensions(g, o, 3))
-    with guarded(7), pytest.raises(GuardExceeded, match="tension enumeration needs 8 states, guard is 7"):
-        integral_window_counts(g, o, True, 3)
+    with guarded(7):
+        with pytest.raises(GuardExceeded, match="tension enumeration needs 8 states, guard is 7"):
+            integral_window_counts(g, o, True, 3)
 
 
 # -- guard -----------------------------------------------------------------------
@@ -269,16 +272,18 @@ def test_support_product_charges_distinct_support_pairs():
     assert disjoint == {(2, 1): 1 * 1 + 2 * 2 + 2 * 1, (1, 1): 1}
     assert cover == {(1, 1): 1}
     assert comp == {(1,): 1}
-    with guarded(5), pytest.raises(GuardExceeded, match="support pair product needs 6 states, guard is 5"):
-        support_pair_classes(tensions, flows, 3)
+    with guarded(5):
+        with pytest.raises(GuardExceeded, match="support pair product needs 6 states, guard is 5"):
+            support_pair_classes(tensions, flows, 3)
 
 
 def test_support_product_refuses_before_the_flows_run_out():
     # three distinct tension supports: the second distinct flow support
     # makes 6 pairs, over the guard, and the rest are never read
     flows = iter([1, 1, 4, 8, 16])
-    with guarded(5), pytest.raises(GuardExceeded, match="support pair product needs 6 states, guard is 5"):
-        support_pair_classes([1, 2, 2, 3], flows, 5)
+    with guarded(5):
+        with pytest.raises(GuardExceeded, match="support pair product needs 6 states, guard is 5"):
+            support_pair_classes([1, 2, 2, 3], flows, 5)
     assert list(flows) == [8, 16]
 
 

@@ -146,7 +146,10 @@ def test_the_intersection_poset_is_mutable_and_unhashable():
 @pytest.mark.parametrize(
     ("given", "as_tuples"),
     [
-        (lambda: MultiGraph(3, [(0, 1), [1, 2], (0, 2)]), lambda: MultiGraph(3, ((0, 1), (1, 2), (0, 2)))),
+        (
+            lambda: MultiGraph(3, [(0, 1), [1, 2], (0, 2)]),
+            lambda: MultiGraph(3, ((0, 1), (1, 2), (0, 2))),
+        ),
         (lambda: Orientation([False, True]), lambda: Orientation((False, True))),
         (lambda: FiniteAbelianGroup([2, 2]), lambda: FiniteAbelianGroup((2, 2))),
         (
