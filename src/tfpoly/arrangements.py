@@ -356,12 +356,17 @@ def graphic_semilattice(g: MultiGraph) -> IntersectionPoset:
     m = g.edge_count
     check_state_space((1 << m) * m, "graphic flat enumeration")
     dims = subset_flat_dims(g)
-    bits = [1 << e for e in range(m)]
-    flat_masks = [
-        mask
-        for mask, d in enumerate(dims)
-        if all(mask & bit or dims[mask | bit] != d for bit in bits)
-    ]
+    # a mask is closed when adding no edge keeps its dims: each edge is
+    # tried once on every mask without it, in runs of masks that share
+    # the bits above it
+    closed = bytearray(b"\x01") * (1 << m)
+    for e in range(m):
+        bit = 1 << e
+        for low in range(0, 1 << m, bit << 1):
+            for mask in range(low, low + bit):
+                if dims[mask | bit] == dims[mask]:
+                    closed[mask] = 0
+    flat_masks = [mask for mask in range(1 << m) if closed[mask]]
     elements = [EdgeSubset(mask, m) for mask in flat_masks]
     weights = [(dims[mask], 1) for mask in flat_masks]
     return IntersectionPoset(elements, ("x", "y"), weights, _mobius_values(flat_masks, m))

@@ -16,6 +16,7 @@ from typing import Sequence
 
 from .algebra import MultiPoly
 from .config import SUITES, GuardExceeded, guarded
+from .frontier import omega_at
 from .graphio import parse_graph_file
 from .invariants import (
     chromatic_poly,
@@ -256,6 +257,8 @@ def _dispatch(args) -> int:
             from .arrangements import graphic_semilattice  # imported here: only this route needs it
 
             poly = graphic_semilattice(g).characteristic_polynomial()
+        elif args.p is not None:  # a point needs one int per frontier state
+            return _emit_value(args, cmd, omega_at(g, args.p, args.q))
         else:
             poly = omega(g)
         if args.p is not None:

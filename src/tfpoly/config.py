@@ -51,9 +51,9 @@ SUITES: dict[str, tuple[int, ...]] = {
     "arrangement": (1, 11, 15),
     "orientation": (3, 9, 10, 16),
     "reciprocity": (2, 4, 5, 6, 12, 13, 14, 18),
-    "whitney": (7, 17),
+    "whitney": (7, 17, 19),
     "integrals": (8,),
-    "all": tuple(range(1, 19)),
+    "all": tuple(range(1, 20)),
 }
 
 

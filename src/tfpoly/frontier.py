@@ -5,12 +5,10 @@ the sum over the subsets of the edges taken so far is kept grouped by
 state: the partition that the chosen edges induce on the frontier, the
 vertices seen so far that still have an edge to come.  A vertex leaves
 the frontier with its last edge, so the number of states grows with the
-frontier's width, not with 2^E.  Each state carries a dict of integer
-terms keyed by counters packed into one int, such as rank * stride +
-nullity, the packing the Tutte recursion uses.  This is the transfer
-matrix of Sekine, Imai and Tani, "Computing the Tutte polynomial of a
-graph of moderate size" (ISAAC 1995), and of Bedini and Jacobsen,
-J. Phys. A 43 (2010) 385001.
+frontier's width, not with 2^E.  This is the transfer matrix of Sekine,
+Imai and Tani, "Computing the Tutte polynomial of a graph of moderate
+size" (ISAAC 1995), and of Bedini and Jacobsen, J. Phys. A 43 (2010)
+385001.
 
 * Whitney's R(G;x,y) = sum over X of x^(r - r<X>) y^(n<X>) needs one
   partition, that of X: each edge is left out, or joins X.
@@ -24,9 +22,23 @@ J. Phys. A 43 (2010) 385001.
   over subsets (U contains X, A lies within X) and summed over every X,
   as tau(G/X) phi(G|X) = 0 unless X is a cyclic flat.
 
+One driver (`_frontier`) takes the edges in order, keeps the frontier,
+moves each distinct partition of a layer once, and charges each layer
+against the state guard.  What a state carries is the client's:
+
+* the term client (`_frontier_sum`) carries a dict of integer terms
+  keyed by counters packed into one int, such as rank * stride +
+  nullity, the packing the Tutte recursion uses.  A layer is charged
+  its states plus their terms;
+* the int client (`_frontier_value`) carries the sum's value at one
+  point, for `tutte_value` and `omega --p --q`.  x^(r - r<X>) is
+  x^(k(X) - c): a factor x for each block of X's partition that retires
+  (has no vertex left on the frontier), but the last of each component
+  of G; y^(n) is a factor y per closed cycle.  Nothing is divided, so
+  x = 0 and y = 0 work.  A layer is charged its states.
+
 Edge order decides the width, so the order is greedy (`edge_order`).
-Every layer of states is charged, as it is made, its states plus their
-terms against the state guard, summed over the layers.
+Every layer of states is charged as it is made, summed over the layers.
 """
 
 from __future__ import annotations
@@ -37,11 +49,14 @@ from typing import Sequence
 from .config import check_state_space, memoised_in_run, state_guard
 from .graph import MultiGraph, rank_nullity
 
-# What an edge does in one branch of the sum: for each partition it
+# What an edge does in one branch of a term sum: for each partition it
 # joins, (partition, key shift when it joins two blocks, key shift when
 # it closes a cycle); then a key shift it always adds, and the sign it
 # gives the terms.
 Role = tuple[tuple[tuple[int, int, int], ...], int, int]
+# The same at a point: for each partition it joins, (partition, factor
+# when it closes a cycle); then the factor it always multiplies by.
+PointRole = tuple[tuple[tuple[int, int], ...], int]
 
 
 def edge_order(g: MultiGraph) -> list[int]:
@@ -89,50 +104,76 @@ def edge_order(g: MultiGraph) -> list[int]:
     return order
 
 
-def _relabelled(labels: Sequence[int], keep: Sequence[int]) -> tuple[int, ...]:
-    """The block labels at the kept positions, renumbered in order of
-    first occurrence: the canonical form of a partition."""
-    fresh: dict[int, int] = {}
-    return tuple([fresh.setdefault(labels[i], len(fresh)) for i in keep])
+def _merged(p: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
+    """Canonical p with blocks a and b made one.  Block b's label goes
+    and every label above it moves down by one, so each block keeps the
+    place of its first vertex and the result stays canonical."""
+    if a > b:
+        a, b = b, a
+    return tuple([a if x == b else x - 1 if x > b else x for x in p])
 
 
 def _moves(
-    p: tuple[int, ...], fresh: int, pu: int, pv: int, keep: Sequence[int]
-) -> tuple[tuple[int, ...], tuple[int, ...] | None]:
+    p: tuple[int, ...], fresh: int, pu: int, pv: int, keep: Sequence[int] | None
+) -> tuple[tuple[int, ...], tuple[int, ...] | None, int, int]:
     """Partition p after the edge at positions pu, pv: left out, and
-    joined (None when its ends are in one block already), each over
-    the kept positions.  The fresh vertices come in as singletons;
-    canonical labels run 0, 1, ..., so the next free one is max + 1."""
-    top = max(p, default=-1) + 1
-    p += tuple(range(top, top + fresh))
+    joined (None when its ends are in one block already), each over the
+    kept positions, then how many blocks retire with each (have no kept
+    vertex).  keep is None when every vertex stays.  The fresh vertices
+    come in as singletons; canonical labels run 0, 1, ..., so the next
+    free one is max + 1.  When the frontier empties, a component of G is
+    done (`edge_order` takes them one at a time), and its last block is
+    not counted."""
+    if fresh:
+        top = max(p, default=-1) + 1
+        p += tuple(range(top, top + fresh))
     a, b = p[pu], p[pv]
-    if len(keep) < len(p):  # a vertex retires: renumber what is kept
+    if keep is None:
         if a == b:
-            return _relabelled(p, keep), None
-        return _relabelled(p, keep), _relabelled([a if x == b else x for x in p], keep)
-    # with no vertex retired, p stays canonical, and so does p with block
-    # b > a merged into a and each label above b moved down by one: every
-    # block keeps the place of its first vertex
+            return p, None, 0, 0
+        return p, _merged(p, a, b), 0, 0
+    labels: dict[int, int] = {}
+    kept = tuple([labels.setdefault(p[i], len(labels)) for i in keep])
+    gone = max(p) + 1 - len(labels) - (not keep)
     if a == b:
-        return p, None
-    if a > b:
-        a, b = b, a
-    return p, tuple([a if x == b else x - 1 if x > b else x for x in p])
+        return kept, None, gone, gone
+    a, b = labels.get(a), labels.get(b)
+    if a is None or b is None:
+        # a retiring block joins one that stays, or the two retire as one
+        return kept, kept, gone, gone - 1
+    return kept, _merged(kept, a, b), gone, gone
 
 
-def _frontier_sum(
-    g: MultiGraph, partitions: int, roles: Sequence[Role], what: str
-) -> dict[int, int]:
-    """Sum over the role of every edge, in `edge_order`: the terms
-    keyed by the summed shifts, with the product of the signs as
-    coefficients."""
+class _Moves(dict):
+    """One layer's moves, keyed by partition: each distinct partition
+    moves once, when a state first asks for it."""
+
+    __slots__ = ("edge",)
+
+    def __init__(self, fresh: int, pu: int, pv: int, keep: Sequence[int] | None):
+        self.edge = (fresh, pu, pv, keep)
+
+    def __missing__(self, p: tuple[int, ...]):
+        m = self[p] = _moves(p, *self.edge)
+        return m
+
+
+def _frontier(g: MultiGraph, partitions: int, start, step, what: str):
+    """The driver of every frontier sum, over one partition or two.  It
+    takes the edges in `edge_order`, keeps the frontier's vertices,
+    moves each distinct partition of a layer once, and hands the layer
+    to the client's `step`, as (value, moves, kept forms) per state.
+    `step` returns the next layer and what it is charged, and the
+    charges are summed against the state guard.  A state maps to what
+    the client carries, start at first; at the end one state is left,
+    and its value is returned."""
     limit = state_guard()
     left = [0] * g.vertex_count
     for ends in g.edges:
         for v in set(ends):
             left[v] += 1
     front: list[int] = []  # the frontier's vertices, in the states' order
-    layer: dict[tuple[tuple[int, ...], ...], dict[int, int]] = {((),) * partitions: {0: 1}}
+    layer = {((),) * partitions: start}
     spent = 0
     for e in edge_order(g):
         u, v = g.edges[e]
@@ -141,19 +182,49 @@ def _frontier_sum(
         pu, pv = front.index(u), front.index(v)
         for w in {u, v}:
             left[w] -= 1
-        keep = [i for i, w in enumerate(front) if left[w]]
-        front = [front[i] for i in keep]
-        # states of two partitions share each one with many others
-        moves: dict[tuple[int, ...], tuple] = {}
+        keep: list[int] | None = [i for i, w in enumerate(front) if left[w]]
+        if len(keep) < len(front):
+            front = [front[i] for i in keep]
+        else:
+            keep = None
+        layer, size = step(_moved(layer, _Moves(len(fresh), pu, pv, keep)))
+        spent += size
+        if spent > limit:
+            check_state_space(spent, what)
+    # every vertex has left the frontier: one state, the empty partitions
+    [value] = layer.values()
+    return value
+
+
+def _moved(layer: dict, moves: _Moves):
+    """Each state's value, its partitions' moves and their kept forms."""
+    for state, value in layer.items():
+        if len(state) == 1:
+            m = moves[state[0]]
+            yield value, (m,), (m[0],)
+        else:
+            p, q = state
+            m, n = moves[p], moves[q]
+            yield value, (m, n), (m[0], n[0])
+
+
+def _replaced(kept: tuple, which: int, joined: tuple[int, ...]) -> tuple:
+    """kept with partition `which` (of one or two) joined."""
+    if len(kept) == 1:
+        return (joined,)
+    return (joined, kept[1]) if which == 0 else (kept[0], joined)
+
+
+def _frontier_sum(
+    g: MultiGraph, partitions: int, roles: Sequence[Role], what: str
+) -> dict[int, int]:
+    """The term client: sum over the role of every edge, the terms keyed
+    by the summed shifts, with the product of the signs as coefficients.
+    Each layer is charged its states plus their terms."""
+
+    def step(states):
         nxt: dict[tuple[tuple[int, ...], ...], dict[int, int]] = {}
-        for state, terms in layer.items():
-            moved = []
-            for p in state:
-                m = moves.get(p)
-                if m is None:
-                    m = moves[p] = _moves(p, len(fresh), pu, pv, keep)
-                moved.append(m)
-            kept = tuple(m[0] for m in moved)
+        for terms, moved, kept in states:
             for joins, shift, sign in roles:
                 target = kept
                 for which, join, close in joins:
@@ -161,7 +232,7 @@ def _frontier_sum(
                     if joined is None:
                         shift += close
                     else:
-                        target = target[:which] + (joined,) + target[which + 1 :]
+                        target = _replaced(target, which, joined)
                         shift += join
                 into = nxt.get(target)
                 if into is None:
@@ -179,13 +250,39 @@ def _frontier_sum(
                     for k, c in terms.items():
                         k += shift
                         into[k] = into.get(k, 0) + c
-        layer = nxt
-        spent += len(layer) + sum(len(terms) for terms in layer.values())
-        if spent > limit:
-            check_state_space(spent, what)
-    # every vertex has left the frontier: one state, the empty partitions
-    [terms] = layer.values()
-    return terms
+        return nxt, len(nxt) + sum(map(len, nxt.values()))
+
+    return _frontier(g, partitions, {0: 1}, step, what)
+
+
+def _frontier_value(
+    g: MultiGraph, partitions: int, roles: Sequence[PointRole], x: int, what: str
+) -> int:
+    """The int client: the same kind of sum at one point, one int per
+    state.  A role multiplies by its factor and by the close factor of
+    each partition whose cycle the edge closes, and each block of
+    partition 0 that retires multiplies by x.  Nothing is divided, so x
+    or a factor may be 0.  Each layer is charged its states."""
+
+    def step(states):
+        nxt: dict[tuple[tuple[int, ...], ...], int] = {}
+        for value, moved, kept in states:
+            for joins, factor in roles:
+                target, gone, v = kept, moved[0][2], value * factor
+                for which, close in joins:
+                    m = moved[which]
+                    if m[1] is None:
+                        v *= close
+                    else:
+                        target = _replaced(target, which, m[1])
+                        if which == 0:
+                            gone = m[3]
+                if gone:
+                    v *= x**gone
+                nxt[target] = nxt.get(target, 0) + v
+        return nxt, len(nxt)
+
+    return _frontier(g, partitions, 1, step, what)
 
 
 @memoised_in_run
@@ -209,6 +306,23 @@ def omega_terms(g: MultiGraph) -> dict[tuple[int, int], int]:
     roles = ((((0, stride, 0),), 0, -1), (((1, 0, 1),), 0, 1))
     terms = _frontier_sum(g, 2, roles, "omega frontier sum")
     return {(r - k // stride, k % stride): c for k, c in terms.items() if c}
+
+
+def whitney_at(g: MultiGraph, x: int, y: int) -> int:
+    """R(G; x, y) from one int per state.  x^(r - r<X>) is x^(k(X) - c),
+    a factor x for each block of X that retires but the last of each
+    component of G; y^(n<X>) is a factor y for each edge of X that
+    closes a cycle."""
+    roles = (((), 1), (((0, y),), 1))
+    return _frontier_value(g, 1, roles, x, "Whitney frontier value")
+
+
+def omega_at(g: MultiGraph, x: int, y: int) -> int:
+    """omega(G; x, y) from one int per state: x per block of X that
+    retires, as in `whitney_at`, y per edge of E - X that closes a
+    cycle, and -1 per edge of X."""
+    roles = ((((0, 1),), -1), (((1, y),), 1))
+    return _frontier_value(g, 2, roles, x, "omega frontier value")
 
 
 def psi_terms(g: MultiGraph) -> dict[tuple[int, int, int, int], int]:

@@ -14,8 +14,9 @@ Conventions used throughout:
 * Both sums are computed edge by edge over frontier partitions
   (`frontier.whitney_terms`, `frontier.omega_terms`).  R gives T by a
   binomial shift in integers, the tension polynomial as
-  (-1)^r R(-t,-1), the flow polynomial as (-1)^n R(-1,-t), and the
-  values of `tutte_value` with no polynomial built.  The
+  (-1)^r R(-t,-1) and the flow polynomial as (-1)^n R(-1,-t).  The
+  values of `tutte_value` come from the same sum at one point, one int
+  per state (`frontier.whitney_at`), with no polynomial built.  The
   deletion-contraction recursion (`_tutte_recursion`) and the sums
   over all 2^E subsets (`whitney_by_subsets`, `omega_by_subsets`) are
   kept as oracles, which `verify` and the tests call by name.
@@ -67,7 +68,7 @@ from itertools import accumulate
 
 from .algebra import MultiPoly, interpolate_univariate
 from .config import check_state_space, memoised_in_run, state_guard
-from .frontier import omega_terms, psi_terms, whitney_terms
+from .frontier import omega_terms, psi_terms, whitney_at, whitney_terms
 from .graph import (
     EdgeSubset,
     MultiGraph,
@@ -626,12 +627,13 @@ def _check_quadrant(p: int, q: int, quadrant: str) -> None:
 
 def tutte_value(g: MultiGraph, p: int, q: int, quadrant: str = "++") -> int:
     """T(G; +-p, +-q), the signs read from the quadrant: R(x - 1, y - 1)
-    summed from the frontier terms of R, with no polynomial built;
+    from the frontier sum at that point, one int per state
+    (`frontier.whitney_at`), with no polynomial built;
     `tutte_value_triples` is its oracle."""
     _check_quadrant(p, q, quadrant)
     x = (p if quadrant[0] == "+" else -p) - 1
     y = (q if quadrant[1] == "+" else -q) - 1
-    return sum(c * x**i * y**j for (i, j), c in whitney_terms(g).items())
+    return whitney_at(g, x, y)
 
 
 def tutte_value_triples(g: MultiGraph, p: int, q: int, quadrant: str = "++") -> int:

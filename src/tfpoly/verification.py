@@ -51,6 +51,7 @@ from .config import (  # SUITES is re-exported: scripts read it from here
     run_scope,
 )
 from .fixtures import all_fixtures, fixture, small_ladder
+from .frontier import omega_at
 from .graph import (
     EdgeSubset,
     MultiGraph,
@@ -82,6 +83,7 @@ from .invariants import (
     whitney_weighted_sums,
     tension_poly,
     tension_poly_by_enumeration,
+    tutte_value,
     tutte_value_triples,
     whitney,
     whitney_by_subsets,
@@ -840,6 +842,19 @@ def _random_member(
     return FiniteCosetProduct.from_subgroup(ambient, generators, shifts)
 
 
+def _cosets(grp: FiniteAbelianGroup, sub: frozenset) -> list[frozenset]:
+    """The cosets of the subgroup sub of grp, in the order of their
+    first elements in `grp.elements()`."""
+    out = []
+    covered: set = set()
+    for shift in grp.elements():
+        if shift not in covered:
+            coset = frozenset(grp.add(shift, a) for a in sub)
+            out.append(coset)
+            covered |= coset
+    return out
+
+
 def criterion_11() -> CheckResult:
     col = _Collector()
     rng = random.Random(20260816)
@@ -877,19 +892,10 @@ def criterion_11() -> CheckResult:
             for grp in ambient
         ]
         sub = FiniteCosetProduct.from_subgroup(ambient, gens)
-        pieces = []
-        covered: set = set()
-        for point in itertools.product(*(list(grp.elements()) for grp in ambient)):
-            if point in covered:
-                continue
-            coset = FiniteCosetProduct(
-                tuple(
-                    frozenset(grp.add(shift, a) for a in factor)
-                    for grp, shift, factor in zip(ambient, point, sub.factors)
-                )
-            )
-            pieces.append((1, coset))
-            covered.update(itertools.product(*(list(f) for f in coset.factors)))
+        # the cosets of a product of subgroups are the products of each
+        # factor's cosets, in the order of their least points
+        cosets = [_cosets(grp, factor) for grp, factor in zip(ambient, sub.factors)]
+        pieces = [(1, FiniteCosetProduct(combo)) for combo in itertools.product(*cosets)]
         try:
             total = product_valuation(pieces, check_disjoint=True)
         except ValueError as exc:
@@ -1049,6 +1055,40 @@ def criterion_18() -> CheckResult:
     )
 
 
+# -- 19: the point routes against the subset expansions at a point ------------------
+
+# the points of criterion 19, taken in turn over the graphs: a Tutte
+# value (p, q, quadrant) and an omega point (x, y).  A Tutte value is R
+# at (+-p - 1, +-q - 1), so p = 1 or q = 1 under "+" puts x = 0 or y = 0
+# into the point sum of R
+_POINTS = (
+    ((1, 3, "++"), (0, 3)),
+    ((2, 1, "++"), (3, 0)),
+    ((3, 2, "+-"), (2, 3)),
+    ((2, 3, "-+"), (-2, 3)),
+    ((2, 2, "--"), (2, -3)),
+    ((1, 1, "++"), (-3, -2)),
+)
+
+
+def criterion_19() -> CheckResult:
+    col = _Collector()
+    graphs = all_fixtures() + small_ladder()
+    for (name, g), ((p, q, quadrant), (x, y)) in zip(graphs, itertools.cycle(_POINTS)):
+        a = p if quadrant[0] == "+" else -p
+        b = q if quadrant[1] == "+" else -q
+        got = tutte_value(g, p, q, quadrant)
+        want = whitney_by_subsets(g).evaluate(x=a - 1, y=b - 1)
+        col.expect(got == want, f"{name}: T({a},{b}) {got}, subset expansion {want}")
+        got = omega_at(g, x, y)
+        want = omega_by_subsets(g).evaluate(x=x, y=y)
+        col.expect(got == want, f"{name}: omega({x},{y}) {got}, subset expansion {want}")
+    return col.result(
+        "Tutte values and omega at a point, one int per frontier state, equal the "
+        "subset expansions at that point"
+    )
+
+
 # -- suites -------------------------------------------------------------------------------
 
 
@@ -1071,6 +1111,7 @@ CRITERIA: dict[int, Callable[..., CheckResult]] = {
     16: criterion_16,
     17: criterion_17,
     18: criterion_18,
+    19: criterion_19,
 }
 
 

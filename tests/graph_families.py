@@ -1,6 +1,7 @@
 """Graph families built at a given size n, for tests that pin sizes
 rather than times.  n counts the edges, or the isolated vertices where
-a family grows by those alone."""
+a family grows by those alone.  `complete` and `petersen` are the named
+graphs that several tests build."""
 
 import itertools
 
@@ -34,6 +35,17 @@ def k4_and_isolated(n: int) -> MultiGraph:
 
 def isolated(n: int) -> MultiGraph:
     return MultiGraph(n, ())
+
+
+def complete(n: int) -> MultiGraph:
+    return MultiGraph(n, tuple(itertools.combinations(range(n), 2)))
+
+
+def petersen() -> MultiGraph:
+    outer = tuple((i, (i + 1) % 5) for i in range(5))
+    inner = tuple((5 + i, 5 + (i + 2) % 5) for i in range(5))
+    spokes = tuple((i, 5 + i) for i in range(5))
+    return MultiGraph(10, outer + inner + spokes)
 
 
 FAMILIES = {

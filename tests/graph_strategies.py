@@ -34,3 +34,15 @@ def glued_multigraphs(draw, pieces: int = 3, max_edges: int = 5) -> MultiGraph:
             v = draw(st.integers(0, vertex_count - 1))
             edges.append((v, v))
     return MultiGraph(vertex_count, tuple(edges))
+
+
+@st.composite
+def disjoint_multigraphs(draw, pieces: int = 3, max_edges: int = 5) -> MultiGraph:
+    """Disjoint unions of small multigraphs: several components, loops,
+    parallel edges and isolated vertices come up in most draws."""
+    vertex_count, edges = 0, []
+    for _ in range(draw(st.integers(1, pieces))):
+        piece = draw(multigraphs(max_vertices=3, max_edges=max_edges))
+        edges += [(vertex_count + t, vertex_count + h) for t, h in piece.edges]
+        vertex_count += piece.vertex_count
+    return MultiGraph(vertex_count, tuple(edges))

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from graph_families import petersen
 import tfpoly
 from tfpoly import cli, invariants, verification
 from tfpoly.algebra import MultiPoly
@@ -244,11 +245,12 @@ def test_verify_prints_a_failing_criterion_with_its_details(monkeypatch, capsys)
         "    e2 (2,2): signed sum 2, polynomial 1",
     ]
     # two sums at nine (p, q) on each of the ten fixtures, then the
-    # suite's other criterion, which passes
+    # suite's other criteria, which pass
     details = 2 * 9 * len(FIXTURE_TEXTS)
-    assert len(lines) == 1 + details + 1
+    assert len(lines) == 1 + details + 2
     assert all(line.startswith("    ") for line in lines[1 : 1 + details])
-    assert lines[-1].startswith("PASS criterion 17:")
+    assert lines[-2].startswith("PASS criterion 17:")
+    assert lines[-1].startswith("PASS criterion 19:")
 
 
 def test_verify_rejects_unknown_suite(capsys):
@@ -479,13 +481,6 @@ def k5_file(tmp_path):
     path = tmp_path / "k5.graph"
     path.write_text(format_graph(MultiGraph(5, tuple(itertools.combinations(range(5), 2)))))
     return str(path)
-
-
-def petersen() -> MultiGraph:
-    outer = tuple((i, (i + 1) % 5) for i in range(5))
-    inner = tuple((5 + i, 5 + (i + 2) % 5) for i in range(5))
-    spokes = tuple((i, 5 + i) for i in range(5))
-    return MultiGraph(10, outer + inner + spokes)
 
 
 @pytest.mark.parametrize(

@@ -69,7 +69,7 @@ from tfpoly.algebra import MultiPoly
 from tfpoly.arrangements import graphic_semilattice
 from tfpoly.config import GuardExceeded, guarded
 from tfpoly.fixtures import small_ladder
-from tfpoly.frontier import _moves, _relabelled, edge_order, psi_terms
+from tfpoly.frontier import _moves, edge_order, psi_terms
 from tfpoly.graph import (
     EdgeSubset,
     MultiGraph,
@@ -507,9 +507,17 @@ def test_support_walk_counts_a_product_from_its_factors():
             assert sum(counts.values()) == 6 ** rank_nullity(g)[not tensions]
 
 
+def _relabelled(labels, keep):
+    """The block labels at the kept positions, renumbered in order of
+    first occurrence: the canonical form of a partition."""
+    fresh = {}
+    return tuple([fresh.setdefault(labels[i], len(fresh)) for i in keep])
+
+
 def old_moves(p, fresh, pu, pv, keep):
     """`frontier._moves` as it was before the merge without relabelling:
-    both partitions renumbered by `_relabelled` over the kept positions."""
+    both partitions renumbered by `_relabelled` over the kept positions,
+    with no count of the blocks that retire."""
     top = max(p, default=-1) + 1
     p += tuple(range(top, top + fresh))
     a, b = p[pu], p[pv]
@@ -534,4 +542,14 @@ def test_moves_merge_as_the_relabelling_did(data):
             st.lists(st.integers(0, width - 1), unique=True).map(sorted),
         )
     )
-    assert _moves(p, fresh, pu, pv, keep) == old_moves(p, fresh, pu, pv, keep)
+    every = len(keep) == width
+    kept, joined, gone, gone_joined = _moves(p, fresh, pu, pv, None if every else keep)
+    assert (kept, joined) == old_moves(p, fresh, pu, pv, keep)
+    # the blocks that retire: those before the edge less those after, a
+    # join making two blocks one; the last block of a component of G, as
+    # the frontier empties, is not counted
+    before = len(set(p)) + fresh
+    last = not keep
+    assert gone == before - len(set(kept)) - last
+    if joined is not None:
+        assert gone_joined == before - 1 - len(set(joined)) - last

@@ -54,6 +54,7 @@ def test_a_fresh_cli_import_leaves_out_verify_and_the_arrangement():
     assert [line.split(":")[0] for line in verify_out.splitlines()] == [
         "PASS criterion 7",
         "PASS criterion 17",
+        "PASS criterion 19",
     ]
     assert (omega_code, omega_out) == (0, f"{omega(parse_graph_file(str(K4)))}\n")
     assert {"tfpoly.verification", "tfpoly.arrangements"} <= set(seen["after"])
