@@ -29,37 +29,31 @@ _EXPORTS = {
         "flow_poly",
         "integral_flow_poly",
         "integral_tension_poly",
-        "kappa_rho",
         "omega",
-        "omega_value",
-        "psi_by_orientations",
         "psi_family",
         "tension_poly",
         "tutte",
         "tutte_value",
-        "tutte_value_triples",
         "whitney",
-        "whitney_weighted_sums",
     ),
-    "orientations": (
-        "OrientationClass",
+    "oracles": (
         "all_orientations",
-        "classify_edges",
-        "cut_eulerian_classes",
         "cut_eulerian_classes_by_moves",
-    ),
-    "tensionflow": (
-        "FiniteAbelianGroup",
-        "GroupElementFunction",
-        "IntegerEdgeFunction",
         "enumerate_flows",
         "enumerate_integral_flows",
         "enumerate_integral_tensions",
         "enumerate_tensions",
         "is_flow",
         "is_tension",
+        "kappa_rho",
         "lattice_index",
+        "omega_value",
+        "psi_by_orientations",
+        "tutte_value_triples",
+        "whitney_weighted_sums",
     ),
+    "orientations": ("OrientationClass", "classify_edges", "cut_eulerian_classes"),
+    "tensionflow": ("FiniteAbelianGroup", "GroupElementFunction", "IntegerEdgeFunction"),
     "verification": (
         "CheckResult",
         "pair_integral_identities",

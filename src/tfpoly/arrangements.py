@@ -17,8 +17,8 @@ Two backends share one semilattice machinery:
   exactly when both dimension pairs match the pair of their union.
   The dimensions are read from the union-find subset rank table:
   r(E) - r(X) for tensions and |E - X| - r(E - X) for flows; rational
-  ranks of incidence submatrices (`graphic_flat_dims`) are kept as an
-  oracle only.  The characteristic polynomial in (x, y) equals the
+  ranks of incidence submatrices (`oracles.graphic_flat_dims`) check
+  them.  The characteristic polynomial in (x, y) equals the
   nowhere-zero pair-counting polynomial of the graph.
 
 Mobius values are taken against the top (the ambient space), with
@@ -37,9 +37,9 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Sequence
 
-from .algebra import MultiPoly, rational_rank
+from .algebra import MultiPoly
 from .config import Record, check_state_space, state_guard
-from .graph import EdgeSubset, MultiGraph, Orientation, incidence_matrix, subset_rank_table
+from .graph import EdgeSubset, MultiGraph, subset_rank_table
 from .tensionflow import Element, FiniteAbelianGroup
 
 
@@ -304,25 +304,6 @@ def product_valuation(
 
 
 # -- graphic backend ---------------------------------------------------------------
-
-
-def graphic_flat_dims(g: MultiGraph, x: EdgeSubset) -> tuple[int, int]:
-    """(dim of tensions vanishing on X, dim of flows vanishing on X),
-    over the rationals, via ranks of incidence submatrices.  An oracle
-    for `subset_flat_dims`, which the arrangement route reads."""
-    o = Orientation.reference(g)
-    inc = incidence_matrix(g, o)
-    full_rank = rational_rank(inc)
-
-    def rank_of(cols: Sequence[int]) -> int:
-        if not cols:
-            return 0
-        return rational_rank([[row[c] for c in cols] for row in inc])
-
-    dim_t = full_rank - rank_of(x.members())
-    comp = x.complement().members()
-    dim_f = len(comp) - rank_of(comp)
-    return dim_t, dim_f
 
 
 def subset_flat_dims(g: MultiGraph) -> list[tuple[int, int]]:

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success (also when the reader closes stdout early), 1
 verification failure, 2 bad input (malformed graph file, guard
-exceeded, usage errors).
+exceeded, memory ran out, usage errors).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .invariants import (
     chromatic_poly,
     flow_poly,
     omega,
-    omega_value,
     psi_family,
     tension_poly,
     tutte,
@@ -246,6 +245,8 @@ def _dispatch(args) -> int:
             if args.p is None or args.q is None:
                 print("error: --via brute needs --p and --q", file=sys.stderr)
                 return 2
+            from .oracles import omega_value  # imported here: only this route runs an oracle
+
             value = omega_value(
                 g, FiniteAbelianGroup.cyclic(args.p), FiniteAbelianGroup.cyclic(args.q)
             )
@@ -327,6 +328,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
     except (OSError, GuardExceeded, ValueError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: memory ran out", file=sys.stderr)
         return 2
 
 

@@ -267,22 +267,6 @@ def subset_rank_table(g: MultiGraph) -> tuple[int, ...]:
     return tuple(table)
 
 
-# -- minors --------------------------------------------------------------
-
-
-def restriction(g: MultiGraph, o: Orientation, x: EdgeSubset) -> tuple[MultiGraph, Orientation, dict[int, int]]:
-    """Spanning subgraph on the edges of X, with o restricted."""
-    edges = []
-    flips = []
-    mapping: dict[int, int] = {}
-    for e in x.members():
-        mapping[e] = len(edges)
-        edges.append(g.edges[e])
-        flips.append(o.flips[e])
-    sub = MultiGraph(g.vertex_count, tuple(edges))
-    return sub, Orientation.for_graph(sub, flips), mapping
-
-
 # -- orientation structure ------------------------------------------------
 
 
@@ -296,32 +280,6 @@ def _out_neighbors(g: MultiGraph, o: Orientation, mask: int = -1) -> dict[int, l
             if t != h:
                 adj.setdefault(t, []).append(h)
     return adj
-
-
-def _reaches(adj: dict[int, list[int]], src: int, dst: int) -> bool:
-    if src == dst:
-        return True
-    seen = {src}
-    stack = [src]
-    while stack:
-        v = stack.pop()
-        for w in adj.get(v, ()):
-            if w == dst:
-                return True
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return False
-
-
-def is_edge_cyclic(g: MultiGraph, o: Orientation, e: int) -> bool:
-    """True iff e lies on a directed circuit of (G, o).  Loops always do."""
-    if g.is_loop(e):
-        return True
-    t, h = arc(g, o, e)
-    # a simple directed path head -> tail cannot reuse e, so plain
-    # reachability suffices
-    return _reaches(_out_neighbors(g, o), h, t)
 
 
 def _strong_components(adj: dict[int, list[int]]) -> dict[int, int]:
@@ -382,28 +340,6 @@ def cyclic_edges(g: MultiGraph, o: Orientation, x: EdgeSubset | None = None) -> 
     return EdgeSubset(cyclic, g.edge_count)
 
 
-def is_acyclic(g: MultiGraph, o: Orientation) -> bool:
-    return not any(is_edge_cyclic(g, o, e) for e in range(g.edge_count))
-
-
-def is_totally_cyclic(g: MultiGraph, o: Orientation) -> bool:
-    return all(is_edge_cyclic(g, o, e) for e in range(g.edge_count))
-
-
-def circuits(g: MultiGraph) -> list[EdgeSubset]:
-    """All circuits (edge sets of simple cycles, loops included), in mask
-    order: the sets of nullity one that keep their rank without any one
-    of their edges, read from `subset_rank_table`, whose charge they pay."""
-    table = subset_rank_table(g)
-    bits = [1 << e for e in range(g.edge_count)]
-    return [
-        EdgeSubset(mask, g.edge_count)
-        for mask, rank in enumerate(table)
-        if mask.bit_count() == rank + 1
-        and all(table[mask ^ b] == rank for b in bits if mask & b)
-    ]
-
-
 def blocks(g: MultiGraph) -> tuple[tuple[int, ...], ...]:
     """The blocks of g, each as its sorted edge ids, in order of first
     edge: each loop, each bridge and each maximal 2-connected piece.
@@ -451,20 +387,6 @@ def blocks(g: MultiGraph) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(out))
 
 
-def directed_circuits(
-    g: MultiGraph, o: Orientation, circuits: list[EdgeSubset]
-) -> list[EdgeSubset]:
-    """The circuits that carry a directed cycle under o: those whose arcs
-    have pairwise distinct tails.  circuits are the circuits of g (from
-    `circuits`), which do not depend on o."""
-    out: list[EdgeSubset] = []
-    for circuit in circuits:
-        tails = {arc(g, o, e)[0] for e in circuit.members()}
-        if len(tails) == circuit.size:
-            out.append(circuit)
-    return out
-
-
 def _component_vertex_sets(g: MultiGraph) -> list[set[int]]:
     uf = _UnionFind(g.vertex_count)
     for t, h in g.edges:
@@ -476,99 +398,6 @@ def _component_vertex_sets(g: MultiGraph) -> list[set[int]]:
     return list(groups.values())
 
 
-def bonds(g: MultiGraph) -> list[EdgeSubset]:
-    """All bonds (minimal non-empty edge cuts), as edge subsets; charges
-    E states for each vertex bipartition tried, 2^(|C| - 1) per component C."""
-    comps = _component_vertex_sets(g)
-    sides = sum(1 << (len(comp) - 1) for comp in comps)
-    check_state_space(sides * g.edge_count, "bond enumeration")
-    seen: set[int] = set()
-    out: list[EdgeSubset] = []
-    for comp in comps:
-        verts = sorted(comp)
-        if len(verts) < 2:
-            continue
-        anchor = verts[0]
-        rest = verts[1:]
-        # bipartitions (S, comp - S); fix anchor in S to kill mirror duplicates
-        for r in range(len(rest) + 1):
-            for chosen in itertools.combinations(rest, r):
-                side = {anchor, *chosen}
-                other = comp - side
-                if not other:
-                    continue
-                if not _induced_connected(g, side) or not _induced_connected(g, other):
-                    continue
-                mask = 0
-                for e, (t, h) in enumerate(g.edges):
-                    if (t in side) != (h in side):
-                        mask |= 1 << e
-                if mask and mask not in seen:
-                    seen.add(mask)
-                    out.append(EdgeSubset(mask, g.edge_count))
-    out.sort(key=lambda s: s.mask)
-    return out
-
-
-def _induced_connected(g: MultiGraph, verts: set[int]) -> bool:
-    if not verts:
-        return False
-    adj: dict[int, list[int]] = {v: [] for v in verts}
-    for t, h in g.edges:
-        if t != h and t in verts and h in verts:
-            adj[t].append(h)
-            adj[h].append(t)
-    start = next(iter(verts))
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen == verts
-
-
-def directed_bonds(
-    g: MultiGraph, o: Orientation, shores: list[tuple[EdgeSubset, set[int]]]
-) -> list[EdgeSubset]:
-    """The bonds whose arrows all cross the cut the same way under o;
-    shores pairs each bond of g (from `bonds`) with its `bond_side`,
-    which does not depend on o."""
-    out: list[EdgeSubset] = []
-    for bond, side in shores:
-        forward = backward = 0
-        for e in bond.members():
-            t, h = arc(g, o, e)
-            if t in side:
-                forward += 1
-            else:
-                backward += 1
-        if forward == 0 or backward == 0:
-            out.append(bond)
-    return out
-
-
-def bond_side(g: MultiGraph, bond: EdgeSubset) -> set[int]:
-    """One shore of the cut: vertices reachable without crossing the bond."""
-    t0, _ = g.edges[bond.members()[0]]
-    seen = {t0}
-    stack = [t0]
-    while stack:
-        v = stack.pop()
-        for e, (t, h) in enumerate(g.edges):
-            if e in bond or t == h:
-                continue
-            if t == v and h not in seen:
-                seen.add(h)
-                stack.append(h)
-            elif h == v and t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return seen
-
-
 def spanning_forest(g: MultiGraph) -> tuple[int, ...]:
     """Greedy maximal forest (lowest edge ids win); loops never enter."""
     uf = _UnionFind(g.vertex_count)
@@ -577,14 +406,3 @@ def spanning_forest(g: MultiGraph) -> tuple[int, ...]:
         if t != h and uf.union(t, h):
             forest.append(e)
     return tuple(forest)
-
-
-def incidence_matrix(g: MultiGraph, o: Orientation) -> list[list[int]]:
-    """V x E incidence matrix: +1 at the tail, -1 at the head, loops zero."""
-    rows = [[0] * g.edge_count for _ in range(g.vertex_count)]
-    for e in range(g.edge_count):
-        t, h = arc(g, o, e)
-        if t != h:
-            rows[t][e] += 1
-            rows[h][e] -= 1
-    return rows

@@ -1,4 +1,5 @@
-"""Polynomial invariants of multigraphs built from tensions and flows.
+"""Polynomial invariants of multigraphs built from tensions and flows,
+one route each; `oracles` holds the other routes, which `verify` checks.
 
 Conventions used throughout:
 
@@ -16,17 +17,7 @@ Conventions used throughout:
   binomial shift in integers, the tension polynomial as
   (-1)^r R(-t,-1) and the flow polynomial as (-1)^n R(-1,-t).  The
   values of `tutte_value` come from the same sum at one point, one int
-  per state (`frontier.whitney_at`), with no polynomial built.  The
-  deletion-contraction recursion (`_tutte_recursion`) and the sums
-  over all 2^E subsets (`whitney_by_subsets`, `omega_by_subsets`) are
-  kept as oracles, which `verify` and the tests call by name.
-* The brute pair counts (omega_value, the complementary counts,
-  whitney_weighted_sums) each sum one of the pair classes of
-  tensionflow.pair_support_classes (or integral_support_classes): the
-  pairs with disjoint, covering or complementary supports, tallied in
-  one pass over the supports of the tensions and of the flows.  A
-  verification run keeps each support count, so each group's tensions
-  and flows are enumerated once per graph.
+  per state (`frontier.whitney_at`), with no polynomial built.
 * For an orientation rho with bond part B and circuit part C,
   kappa_rho(G;x,y) is the product of the open window counts
       #{integer tensions: f = 0 on C, 0 < f < x on B} and
@@ -40,7 +31,6 @@ Conventions used throughout:
   single combinatorial orientation but its integer flow window counts
   both signs, so the lattice-point definitions (which these sums must
   reproduce) see every loop twice.  Loopless graphs are unaffected.
-  These orientation sums (psi_by_orientations) are kept as oracles.
   The same polynomials are convolutions over the cyclic flats X
   (closed sets whose restriction has no bridge, read from the subset
   rank table of the non-loop edges):
@@ -54,8 +44,7 @@ Conventions used throughout:
   integer tensions and flows split over them.  The modular psi
   comes from one frontier sum over nested subsets A within U
   (`frontier.psi_terms`), which is this convolution with tau and phi
-  expanded over subsets; the convolution itself (psi_by_cyclic_flats)
-  is kept as its oracle.  The integral minors' counts are not
+  expanded over subsets.  The integral minors' counts are not
   Tutte-Grothendieck invariants (Kochol, JCTB 84, 2002), so psi_z has
   no such expansion.  The closed sums follow by reciprocity,
       bar(x,y,z,w) = (-1)^n psi(-x,-y,-z,w).
@@ -67,7 +56,7 @@ from collections import Counter
 from itertools import accumulate
 
 from .algebra import MultiPoly, interpolate_univariate
-from .config import check_state_space, memoised_in_run, state_guard
+from .config import check_state_space, memoised_in_run
 from .frontier import omega_terms, psi_terms, whitney_at, whitney_terms
 from .graph import (
     EdgeSubset,
@@ -79,138 +68,13 @@ from .graph import (
     rank_nullity,
     subset_rank_table,
 )
-from .orientations import all_orientations, classify_edges, cut_eulerian_classes
-from .tensionflow import (
-    FiniteAbelianGroup,
-    integral_support_classes,
-    integral_window_counts,
-    pair_support_classes,
-)
+from .tensionflow import integral_window_counts
 
 X = MultiPoly.var("x")
 Y = MultiPoly.var("y")
 
 
 # -- Tutte polynomial and its evaluations ---------------------------------------
-
-# A minor in the deletion-contraction below is a flat tuple u1, v1, k1,
-# u2, v2, k2, ... of parallel classes, sorted: k edges between vertices
-# u < v, where the vertices that carry edges are renumbered 0, 1, 2, ...
-# in their order.  Flat tuples keep the memo small, and the renumbering
-# lets minors reached along different branches share one memo entry.
-# The graph's loops come out up front as a power of y, and the k - 1
-# loops left by contracting a class go into the recursion's coefficients.
-Minor = tuple[int, ...]
-
-
-def _minor(classes) -> Minor:
-    """Minor of (a, b, k) triples: parallel classes merged, vertices
-    renumbered in order."""
-    mult: dict[tuple[int, int], int] = {}
-    for a, b, k in classes:
-        key = (a, b) if a < b else (b, a)
-        mult[key] = mult.get(key, 0) + k
-    rank = {v: i for i, v in enumerate(sorted({v for pair in mult for v in pair}))}
-    return tuple(
-        n for (u, v), k in sorted(mult.items()) for n in (rank[u], rank[v], k)
-    )
-
-
-def _contract_first(minor: Minor) -> Minor:
-    """Contract the first class; its other k - 1 edges become loops, which
-    the caller accounts for."""
-    u, v = minor[0], minor[1]
-    return _minor(
-        (u if a == v else a, u if b == v else b, k)
-        for a, b, k in zip(minor[3::3], minor[4::3], minor[5::3])
-    )
-
-
-def _first_class_on_cycle(minor: Minor) -> bool:
-    """Whether the ends of the first class stay connected without it."""
-    u, v = minor[0], minor[1]
-    adj: dict[int, list[int]] = {}
-    for a, b in zip(minor[3::3], minor[4::3]):
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    seen = {u}
-    stack = [u]
-    while stack:
-        for w in adj.get(stack.pop(), ()):
-            if w == v:
-                return True
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return False
-
-
-def _tutte_recursion(g: MultiGraph) -> MultiPoly:
-    """Tutte polynomial by deletion-contraction of whole parallel classes.
-
-    For a class of k edges, T(G) = T(G - P) + (1 + y + ... + y^(k-1)) T(G / P)
-    when its ends stay connected without it, and (x + y + ... + y^(k-1))
-    T(G / P) when it is a bridge class.  Minors are memoised for this call
-    only, and each one is charged its classes plus the terms of its
-    polynomial against the state guard, which so bounds both the time and
-    the memo's memory.  An explicit stack keeps deep minors off the
-    interpreter's call stack.
-    """
-    limit = state_guard()
-    loops = len(g.loop_ids())
-    root = _minor((t, h, 1) for t, h in g.edges if t != h)
-    # the term x^i y^j is keyed i * stride + j: y-degrees stay below stride
-    stride = g.edge_count + 1
-    # finished polynomials as (keys, coefficients): two tuples are a
-    # fraction of the memory of a dict
-    memo: dict[Minor, tuple[tuple[int, ...], tuple[int, ...]]] = {(): ((0,), (1,))}
-    spent = 0
-    # (minor, None) asks for a minor; (minor, (deleted, contracted)) comes
-    # back up once both are in the memo (deleted is None for a bridge class)
-    stack: list[tuple[Minor, tuple[Minor | None, Minor] | None]] = [(root, None)]
-    while stack:
-        minor, plan = stack.pop()
-        if minor in memo:
-            continue
-        if plan is None:
-            deleted = (
-                _minor(zip(minor[3::3], minor[4::3], minor[5::3]))
-                if _first_class_on_cycle(minor)
-                else None
-            )
-            plan = (deleted, _contract_first(minor))
-            stack.append((minor, plan))
-            stack.extend((m, None) for m in plan if m is not None and m not in memo)
-            continue
-        deleted, contracted = plan
-        k = minor[2]
-        terms = dict(zip(*memo[deleted])) if deleted is not None else {}
-        lead = 0 if deleted is not None else stride
-        for key, c in zip(*memo[contracted]):
-            terms[key + lead] = terms.get(key + lead, 0) + c
-            for s in range(1, k):
-                terms[key + s] = terms.get(key + s, 0) + c
-        memo[minor] = (tuple(terms), tuple(terms.values()))
-        spent += len(minor) // 3 + len(terms)
-        if spent > limit:
-            check_state_space(spent, "Tutte deletion-contraction")
-    return MultiPoly(
-        ("x", "y"),
-        {(key // stride, key % stride + loops): c for key, c in zip(*memo[root])},
-    )
-
-
-def whitney_by_subsets(g: MultiGraph) -> MultiPoly:
-    """Corank-nullity generating function summed over all edge subsets;
-    the oracle for `whitney`, and for `tutte` once shifted to x - 1, y - 1."""
-    table = subset_rank_table(g)
-    r = table[(1 << g.edge_count) - 1]
-    terms: dict[tuple[int, int], int] = {}
-    for mask in range(1 << g.edge_count):
-        size = mask.bit_count()
-        key = (r - table[mask], size - table[mask])
-        terms[key] = terms.get(key, 0) + 1
-    return MultiPoly(("x", "y"), terms)
 
 
 def _shifted_down(terms: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
@@ -251,8 +115,7 @@ def _shifted_down(terms: dict[tuple[int, int], int]) -> dict[tuple[int, int], in
 
 def tutte(g: MultiGraph) -> MultiPoly:
     """Tutte polynomial T(x, y) = R(x - 1, y - 1), from the frontier sum
-    of R shifted in integers.  Its oracles are `_tutte_recursion` and
-    `whitney_by_subsets` shifted the same way."""
+    of R shifted in integers."""
     return MultiPoly(("x", "y"), _shifted_down(whitney_terms(g)))
 
 
@@ -295,76 +158,11 @@ def chromatic_poly(g: MultiGraph, var: str = "t") -> MultiPoly:
 
 def omega(g: MultiGraph) -> MultiPoly:
     """Signed subset expansion counting nowhere-zero pairs, from the
-    frontier sum.  Its oracles are `omega_by_subsets` and the
-    characteristic polynomial of the graphic arrangement
-    (`arrangements.graphic_semilattice`)."""
+    frontier sum."""
     return MultiPoly(("x", "y"), omega_terms(g))
 
 
-def omega_by_subsets(g: MultiGraph) -> MultiPoly:
-    """The signed expansion of `omega` summed over all edge subsets; the
-    oracle for `omega`."""
-    table = subset_rank_table(g)
-    m = g.edge_count
-    full = (1 << m) - 1
-    r = table[full]
-    terms: dict[tuple[int, int], int] = {}
-    for mask in range(1 << m):
-        comp = full ^ mask
-        key = (r - table[mask], comp.bit_count() - table[comp])
-        sign = -1 if mask.bit_count() & 1 else 1
-        terms[key] = terms.get(key, 0) + sign
-    return MultiPoly(("x", "y"), terms)
-
-
-def omega_value(
-    g: MultiGraph,
-    grp_a: FiniteAbelianGroup,
-    grp_b: FiniteAbelianGroup,
-) -> int:
-    """Brute count of nowhere-zero (tension over grp_a, flow over grp_b)
-    pairs, those whose supports cover E; depends only on the group
-    orders."""
-    _, cover, _ = pair_support_classes(g, grp_a, grp_b)
-    return sum(cover.values())
-
-
-def modular_complementary_count(g: MultiGraph, p: int, q: int) -> int:
-    _, _, comp = pair_support_classes(g, FiniteAbelianGroup.cyclic(p), FiniteAbelianGroup.cyclic(q))
-    return sum(comp.values())
-
-
-def integral_complementary_count(g: MultiGraph, p: int, q: int) -> int:
-    _, _, comp = integral_support_classes(g, p, q)
-    return sum(comp.values())
-
-
-# -- interpolated one-variable families (tension and flow oracles) -----------
-
-
-# the only flow (tension) over the trivial group Z_1 is 0, so the pairs
-# covering E with it are the nowhere-zero tensions (flows) alone
-Z1 = FiniteAbelianGroup.cyclic(1)
-
-
-def tension_poly_by_enumeration(g: MultiGraph, var: str = "t") -> MultiPoly:
-    """Nowhere-zero tension polynomial interpolated from brute counts over
-    Z_q; the oracle for `tension_poly`."""
-    r, _ = rank_nullity(g)
-    samples = [
-        (q, omega_value(g, FiniteAbelianGroup.cyclic(q), Z1)) for q in range(1, r + 4)
-    ]
-    return interpolate_univariate(samples, r, var)
-
-
-def flow_poly_by_enumeration(g: MultiGraph, var: str = "t") -> MultiPoly:
-    """Nowhere-zero flow polynomial interpolated from brute counts over
-    Z_q; the oracle for `flow_poly`."""
-    _, n = rank_nullity(g)
-    samples = [
-        (q, omega_value(g, Z1, FiniteAbelianGroup.cyclic(q))) for q in range(1, n + 4)
-    ]
-    return interpolate_univariate(samples, n, var)
+# -- integral tension and flow polynomials ------------------------------------
 
 
 def integral_tension_poly(g: MultiGraph, var: str = "t") -> MultiPoly:
@@ -413,69 +211,10 @@ def _window_fit(counts: tuple[int, ...], degree: int, var: str) -> MultiPoly:
     return interpolate_univariate(list(enumerate(counts))[1:], degree, var, integral=False)
 
 
-# -- per-orientation window polynomials ---------------------------------------
-
-
-@memoised_in_run
-def kappa_rho(g: MultiGraph, o: Orientation, mode: str = "open") -> MultiPoly:
-    """Product of the tension window polynomial in x and the flow window
-    polynomial in y for orientation o.
-
-    open:   f = 0 on C, 0 < f < x on B;   g = 0 on B, 0 < g < y on C.
-    closed: f = 0 on C, 0 <= f <= x on B; g = 0 on B, 0 <= g <= y on C.
-    """
-    if mode not in ("open", "closed"):
-        raise ValueError(f"unknown mode {mode!r}")
-    b, c = classify_edges(g, o)
-    return _kappa(g, o, b, c, mode)
-
-
-def _kappa(g: MultiGraph, o: Orientation, b: EdgeSubset, c: EdgeSubset, mode: str) -> MultiPoly:
-    """`kappa_rho` from o's bond part b and circuit part c."""
-    r, n = rank_nullity(g)
-    return _window_poly(g, o, True, r, mode, b, "x") * _window_poly(g, o, False, n, mode, c, "y")
+# -- the psi family ------------------------------------------------------------
 
 
 PSI_KINDS = ("psi", "bar_psi", "psi_z", "bar_psi_z")
-
-# one orientation's part of the walk: (o, |B|, |C|, open kappa, closed kappa)
-OrientationKappas = tuple[Orientation, int, int, MultiPoly, MultiPoly]
-
-
-@memoised_in_run
-def orientation_sums(g: MultiGraph) -> tuple[dict[str, MultiPoly], tuple[OrientationKappas, ...]]:
-    """One walk over the orientations: each is classified once and its
-    open and closed kappa fitted once.  Returns the four psi kinds by
-    name and, in lexicographic flip order, every orientation's
-    (o, |B|, |C|, open kappa, closed kappa).
-
-    psi / bar_psi sum z^|B| w^|C| times the open / closed kappa over one
-    representative per cut-Eulerian class; psi_z / bar_psi_z over all
-    orientations, times 2 per loop (see the module docstring).
-    """
-    classes = cut_eulerian_classes(g)
-    kappas = []
-    for o in all_orientations(g):
-        b, c = classify_edges(g, o)
-        open_kappa = _kappa(g, o, b, c, "open")
-        kappas.append((o, b.size, c.size, open_kappa, _kappa(g, o, b, c, "closed")))
-    by_flips = {k[0].flips: k for k in kappas}
-    reps = [by_flips[cls.representative.flips] for cls in classes]
-    sums = {}
-    for which, members, multiplier in (
-        ("psi", reps, 1),
-        ("psi_z", kappas, 2 ** len(g.loop_ids())),
-    ):
-        open_terms: dict = {}
-        closed_terms: dict = {}
-        for _, b_size, c_size, open_kappa, closed_kappa in members:
-            for terms, kappa in ((open_terms, open_kappa), (closed_terms, closed_kappa)):
-                for (i, j), a in _exponents(kappa, ("x", "y")).items():
-                    key = (i, j, b_size, c_size)
-                    terms[key] = terms.get(key, 0) + multiplier * a
-        sums[which] = MultiPoly(("x", "y", "z", "w"), open_terms)
-        sums["bar_" + which] = MultiPoly(("x", "y", "z", "w"), closed_terms)
-    return sums, tuple(kappas)
 
 
 def _exponents(poly: MultiPoly, names: tuple[str, ...]) -> dict:
@@ -485,17 +224,6 @@ def _exponents(poly: MultiPoly, names: tuple[str, ...]) -> dict:
     return {
         tuple(0 if k is None else exps[k] for k in at): a for exps, a in poly.terms.items()
     }
-
-
-def psi_by_orientations(g: MultiGraph, which: str = "psi_z") -> MultiPoly:
-    """Weighted orientation sums of kappa window polynomials, in
-    variables (x, y, z, w), read from `orientation_sums`; the oracle for
-    `psi_family`.  Outside a run scope nothing is kept between calls, so
-    each call walks the orientations for all four kinds: read several
-    kinds from one `orientation_sums` call instead."""
-    if which not in PSI_KINDS:
-        raise ValueError(f"unknown psi kind {which!r}")
-    return orientation_sums(g)[0][which]
 
 
 def _relabelled(edges) -> MultiGraph:
@@ -541,8 +269,8 @@ def psi_family(g: MultiGraph, which: str = "psi_z") -> MultiPoly:
     of z^|E - X| w^|X| tau(G/X; x) phi(G|X; y) with the integral tension
     and flow polynomials of the minors; bar_psi and bar_psi_z follow by
     reciprocity, bar(x,y,z,w) = (-1)^n psi(-x,-y,-z,w).  The values
-    equal the orientation sums of `psi_by_orientations` (see the module
-    docstring).  The guard bounds the frontier sum, or each block's scan
+    equal the orientation sums of `oracles.psi_by_orientations` (see the
+    module docstring).  The guard bounds the frontier sum, or each block's scan
     for cyclic flats, each minor's polynomial and the block product.
     Within a run scope each kind is computed once per graph and guard.
     """
@@ -573,13 +301,6 @@ def _psi_kind(g: MultiGraph, which: str) -> MultiPoly:
         check_state_space(spent, "psi block product")
         product *= poly
     return product
-
-
-def psi_by_cyclic_flats(g: MultiGraph) -> MultiPoly:
-    """The modular psi as the convolution over cyclic flats X of
-    z^|E - X| w^|X| tau(G/X; x) phi(G|X; y), over the whole graph; the
-    oracle for the frontier sum of `psi_family`."""
-    return _cyclic_flat_convolutions([g], tension_poly, flow_poly)[0]
 
 
 def _cyclic_flat_convolutions(graphs: list[MultiGraph], tension, flow) -> list[MultiPoly]:
@@ -613,7 +334,7 @@ def _cyclic_flat_convolutions(graphs: list[MultiGraph], tension, flow) -> list[M
     return out
 
 
-# -- Tutte values from orientation triples --------------------------------------
+# -- Tutte values ---------------------------------------------------------------
 
 QUADRANTS = ("++", "+-", "-+", "--")
 
@@ -628,70 +349,8 @@ def _check_quadrant(p: int, q: int, quadrant: str) -> None:
 def tutte_value(g: MultiGraph, p: int, q: int, quadrant: str = "++") -> int:
     """T(G; +-p, +-q), the signs read from the quadrant: R(x - 1, y - 1)
     from the frontier sum at that point, one int per state
-    (`frontier.whitney_at`), with no polynomial built;
-    `tutte_value_triples` is its oracle."""
+    (`frontier.whitney_at`), with no polynomial built."""
     _check_quadrant(p, q, quadrant)
     x = (p if quadrant[0] == "+" else -p) - 1
     y = (q if quadrant[1] == "+" else -q) - 1
     return whitney_at(g, x, y)
-
-
-def tutte_value_triples(g: MultiGraph, p: int, q: int, quadrant: str = "++") -> int:
-    """Signed count of (class representative, windowed tension, windowed
-    flow) triples reproducing T(G; +-p, +-q); the oracle for
-    `tutte_value`, checked by criterion 3.
-
-    Windows per quadrant, with B and C the bond and circuit parts of
-    the representative:
-      ++: 0 <= f < p everywhere;        0 <= g < q everywhere
-      -+: f = 0 on C, 0 < f <= p on B;  0 <= g < q; sign (-1)^(r - r<C>)
-      +-: 0 <= f < p;  g = 0 on B, 0 < g <= q on C; sign (-1)^(n<C>)
-      --: both one-sided windows;       sign (-1)^(r + |C|)
-    """
-    _check_quadrant(p, q, quadrant)
-    r, _ = rank_nullity(g)
-    total = 0
-    full = EdgeSubset.full(g.edge_count)
-    for cls in cut_eulerian_classes(g):
-        o = cls.representative
-        b, c = cls.b, cls.c
-        if quadrant[0] == "+":
-            tens = integral_window_counts(g, o, True, p - 1, "closed", full)[-1]
-        else:
-            # 0 < f <= p on B is the open window at bound p + 1
-            tens = integral_window_counts(g, o, True, p + 1, "open", b)[-1]
-        if quadrant[1] == "+":
-            flows = integral_window_counts(g, o, False, q - 1, "closed", full)[-1]
-        else:
-            flows = integral_window_counts(g, o, False, q + 1, "open", c)[-1]
-        sign = 1
-        if quadrant == "-+":
-            rc, _ = rank_nullity(g, c)
-            sign = -1 if (r - rc) & 1 else 1
-        elif quadrant == "+-":
-            _, nc = rank_nullity(g, c)
-            sign = -1 if nc & 1 else 1
-        elif quadrant == "--":
-            sign = -1 if (r + cls.c_size) & 1 else 1
-        total += sign * tens * flows
-    return total
-
-
-# -- weighted support sums ------------------------------------------------------
-
-
-def whitney_weighted_sums(g: MultiGraph, p: int, q: int) -> tuple[int, int]:
-    """(weighted disjoint-support sum, signed complementary sum):
-
-    * sum of 2^(|ker f| - |supp g|) over pairs with supp g inside ker f,
-      which reproduces the Whitney polynomial at (p, q);
-    * (-1)^r times the sum of (-1)^|supp g| over complementary pairs,
-      which reproduces it at (-p, -q).
-    """
-    disjoint, _, comp = pair_support_classes(
-        g, FiniteAbelianGroup.cyclic(p), FiniteAbelianGroup.cyclic(q)
-    )
-    r, _ = rank_nullity(g)
-    disjoint_sum = sum(cnt * 2 ** (k - s) for (k, s), cnt in disjoint.items())
-    signed_sum = sum(-cnt if (k + r) & 1 else cnt for (k,), cnt in comp.items())
-    return disjoint_sum, signed_sum

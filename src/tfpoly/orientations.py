@@ -16,61 +16,18 @@ J. Combin. 28, 2007; Backman, "Riemann-Roch theory for graph
 orientations", Adv. Math. 309, 2017).  So `cut_eulerian_classes` keys
 each orientation by its divisor class in one pass, and the classes
 form a torsor for the graph's Jacobian: their number is the Tutte
-value T(G;1,1), the number of maximal forests.  The move closure itself,
-`cut_eulerian_classes_by_moves`, is kept as the oracle.
-
-Class size: reversing a directed circuit or bond never changes which
-edges are cyclic, and the class of rho has exactly as many members as
-there are pairs (f, g) with f a {0,1}-valued integer tension, g a
-{0,1}-valued integer flow vanishing on loops, and f(e)g(e) = 0 on
-every edge.  (Without the loop pin this pair count is the closed
-(1,1)-dilation count kappa-bar_rho(1,1), which is larger by a factor
-of 2 per loop: a loop's closed flow window has two lattice points but
-loops admit only one orientation.  The pinned count matches the move
-closure on every graph; the unpinned count matches it on loopless
-graphs.)
+value T(G;1,1), the number of maximal forests.  This one pass is the
+production route; the move closure is in `oracles`.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .algebra import det_adjugate
-from .config import Record, VerificationError, check_state_space, memoised_in_run
-from .graph import (
-    EdgeSubset,
-    MultiGraph,
-    Orientation,
-    _component_vertex_sets,
-    bond_side,
-    bonds,
-    circuits,
-    cyclic_edges,
-    directed_bonds,
-    directed_circuits,
-    rank_nullity,
-)
-from .tensionflow import (
-    enumerate_integral_flows,
-    enumerate_integral_tensions,
-    support_pair_classes,
-)
-
-
-def all_orientations(g: MultiGraph) -> list[Orientation]:
-    """Every orientation, in lexicographic flip order; loops stay False.
-    Charges 2^E' states, E' the non-loop edge count."""
-    non_loops = g.non_loop_ids()
-    check_state_space(1 << len(non_loops), "orientation enumeration")
-    out = []
-    for bits in itertools.product((False, True), repeat=len(non_loops)):
-        flips = [False] * g.edge_count
-        for e, b in zip(non_loops, bits):
-            flips[e] = b
-        out.append(Orientation.for_graph(g, flips))
-    return out
+from .config import Record, check_state_space, memoised_in_run
+from .graph import EdgeSubset, MultiGraph, Orientation, _component_vertex_sets, cyclic_edges, rank_nullity
 
 
 @memoised_in_run
@@ -164,7 +121,7 @@ def _partial_sums(
 
 def divisor_class_keys(g: MultiGraph) -> Iterator[tuple[int, ...]]:
     """The divisor class of the indegree vector of every orientation, in
-    the lexicographic flip order of `all_orientations`: equal keys mean
+    lexicographic flip order (`oracles.all_orientations`): equal keys mean
     linearly equivalent indegree divisors, that is the same
     cut-Eulerian class.
 
@@ -212,79 +169,3 @@ def cut_eulerian_classes(g: MultiGraph) -> tuple[OrientationClass, ...]:
         rep = Orientation(tuple(flips))
         classes.append(OrientationClass(rep, size, *classify_edges(g, rep)))
     return tuple(classes)
-
-
-def cut_eulerian_classes_by_moves(g: MultiGraph) -> tuple[tuple[Orientation, ...], ...]:
-    """The oracle of `cut_eulerian_classes`: the closure of the moves
-    that reverse one directed circuit or one directed bond.  Each class
-    is a member tuple in lexicographic flip order, and the classes come
-    in the order of their least members.  The circuits and bonds of g
-    are found once, each charging its own scan, and each orientation
-    visited only filters them, so the up-front charge of 2^E' x 2^E
-    states is an upper bound on the closure's work."""
-    check_state_space((1 << len(g.non_loop_ids())) << g.edge_count, "orientation class closure")
-    orientations = all_orientations(g)
-    index = {o.flips: o for o in orientations}
-    seen: set[tuple[bool, ...]] = set()
-    classes: list[tuple[Orientation, ...]] = []
-    loop_mask = 0
-    for e in g.loop_ids():
-        loop_mask |= 1 << e
-    shores = [(bond, bond_side(g, bond)) for bond in bonds(g)]
-    cycles = circuits(g)
-    for start in orientations:
-        if start.flips in seen:
-            continue
-        component = []
-        stack = [start]
-        seen.add(start.flips)
-        while stack:
-            cur = stack.pop()
-            component.append(cur)
-            moves = directed_circuits(g, cur, cycles) + directed_bonds(g, cur, shores)
-            for subset in moves:
-                # reversing a loop keeps the orientation: loops never flip
-                flip_mask = subset.mask & ~loop_mask
-                flips = tuple(
-                    (not b) if flip_mask >> e & 1 else b for e, b in enumerate(cur.flips)
-                )
-                if flips not in seen:
-                    seen.add(flips)
-                    stack.append(index[flips])
-        classes.append(tuple(sorted(component, key=lambda o: o.flips)))
-    return tuple(classes)
-
-
-def zero_one_pair_count(g: MultiGraph, o: Orientation) -> int:
-    """Number of pairs (f, g): f a {0,1} tension, g a {0,1} flow with
-    g = 0 on loops, and f(e) g(e) = 0 everywhere."""
-    full = EdgeSubset.full(g.edge_count)
-    non_loops = EdgeSubset.of(g.edge_count, g.non_loop_ids())
-    tens = enumerate_integral_tensions(g, o, 1, "closed", window=full)
-    flows = enumerate_integral_flows(g, o, 1, "closed", window=non_loops)
-    disjoint, _, _ = support_pair_classes(
-        (fn.support_mask() for fn in tens), (fn.support_mask() for fn in flows), g.edge_count
-    )
-    return sum(disjoint.values())
-
-
-def class_size_check(g: MultiGraph, cls: OrientationClass) -> int:
-    """Recompute the class size from 0-1 tension-flow pairs and compare
-    with the member count; raises VerificationError on mismatch."""
-    count = zero_one_pair_count(g, cls.representative)
-    if count != cls.size:
-        raise VerificationError(
-            f"class of {cls.representative.flips} on {g.fingerprint()}: "
-            f"0-1 pair count {count} != member count {cls.size}"
-        )
-    return count
-
-
-def class_bc_profile(g: MultiGraph, members: Sequence[Orientation]) -> set[tuple[int, int]]:
-    """Diagnostic: the set of (|B|, |C|) values across the members of
-    one class of `cut_eulerian_classes_by_moves`."""
-    profile = set()
-    for member in members:
-        b, c = classify_edges(g, member)
-        profile.add((b.size, c.size))
-    return profile

@@ -1,4 +1,6 @@
-"""Tension and flow groups of an oriented multigraph.
+"""Tension and flow groups of an oriented multigraph, and one count:
+the integer tensions or flows in a window at every bound, from one walk
+(`integral_window_counts`).  The enumerators are in `oracles`.
 
 For an abelian group A, a tension is an edge function obtained as the
 coboundary of a vertex potential (equivalently: signed sums over
@@ -6,62 +8,34 @@ circuits vanish), and a flow is an edge function with zero boundary at
 every vertex.  Loops contribute nothing to boundaries, so a loop's flow
 value is free while its tension value is forced to zero.
 
-Enumeration strategies.  Tensions and flows are orthogonal complements,
-so a spanning forest gives coordinates for both, and one table of
-fundamental circuits (each co-forest edge with the signed forest path
-that closes it) derives the remaining edges:
+Tensions and flows are orthogonal complements, so a spanning forest
+gives coordinates for both, and one table of fundamental circuits
+(each co-forest edge with the signed forest path that closes it)
+derives the remaining edges: a tension takes free values on the forest
+edges, each co-forest edge getting minus the signed sum around its
+circuit, and a flow free values on the co-forest edges, each forest
+edge getting the transposed sum over the circuits through it.  Each
+extension is bijective.
 
-* modular tensions: free values on the forest edges, each co-forest
-  edge e getting minus the signed sum around its circuit, |A|^rank many;
-* modular flows: free values on the co-forest edges, each forest edge
-  getting the transposed sum over the circuits through it,
-  |A|^nullity many;
-* integral tensions and flows in a window: window values on the free
-  edges, extended in the same way, each derived value filtered against
-  its window as soon as the free values it reads are set.  Each window
-  mode is one row of `_WINDOWS`, its ends as functions of the bound;
-  the candidate lists, the filters and the counts all read that row,
-  and one generator, `_walk`, does every walk.
-  `integral_window_counts` counts at every bound from one walk at the
-  largest bound that stops one free value short: the last value ranges
-  over one interval per bound, less single points for nonzero windows,
-  and a first free edge with a nonzero (so symmetric) window is walked
-  on its positive half only.  The generators stay the oracle for these
-  counts.  An edge outside the window is 0, so its flip changes no
-  count: within a run scope (`config.run_scope`) each count is walked
-  once, keyed with the flips outside the window cleared.
-
-Each extension is bijective, so the counts above are exact.  The same
-table decides `is_tension` (zero sum around every fundamental circuit)
-and gives the bases of `lattice_index`: the fundamental bond of a forest
-edge is the unit tension there.
-
-Every brute count of (tension, flow) pairs reads the pair classes of
-`pair_support_classes`: the pairs whose supports are disjoint, cover
-E, or both (complementary).  Tensions and flows range independently,
-so one pass over the pairs of distinct supports of a tension count and
-a flow count fills all three.  The support counts come from one walk
-(`_support_walk`) that builds no function: it walks every free value
-but the last, and counts the last, as every edge that reads it is zero
-at one point.  A function over a product group A x B is a pair of
-functions, its support the union of theirs, so the counts over a
-product are the OR-product of those over its cyclic factors.  Supports
-do not depend on the orientation, so each support count is keyed on
-the graph, the group (or box bound) and the side alone, and a
-verification run walks each once, for every pair of groups it takes
-part in.  The generators above stay the oracle for these counts.
+In a window, each derived value is filtered against its window as soon
+as the free values it reads are set.  Each window mode is one row of
+`_WINDOWS`, its ends as functions of the bound; the candidate lists,
+the filters and the counts all read that row, and one generator,
+`_walk`, does every walk.  `integral_window_counts` counts at every
+bound from one walk at the largest bound that stops one free value
+short: the last value ranges over one interval per bound, less single
+points for nonzero windows, and a first free edge with a nonzero (so
+symmetric) window is walked on its positive half only.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
-from .algebra import _eliminate
-from .config import Record, check_state_space, memoised_in_run, state_guard
-from .graph import EdgeSubset, MultiGraph, Orientation, arc, rank_nullity, spanning_forest
+from .config import Record, check_state_space, memoised_in_run
+from .graph import EdgeSubset, MultiGraph, Orientation, arc, spanning_forest
 
 Element = tuple[int, ...]
 
@@ -114,6 +88,14 @@ class FiniteAbelianGroup(Record):
 
     def is_zero(self, a: Element) -> bool:
         return all(x == 0 for x in a)
+
+
+def _support_mask(values: Sequence[Element]) -> int:
+    mask = 0
+    for e, val in enumerate(values):
+        if any(val):
+            mask |= 1 << e
+    return mask
 
 
 class GroupElementFunction(Record):
@@ -170,58 +152,6 @@ class IntegerEdgeFunction(Record):
 
 
 EdgeFunction = Union[GroupElementFunction, IntegerEdgeFunction]
-
-
-# -- boundary and coboundary ---------------------------------------------
-
-
-def boundary(g: MultiGraph, o: Orientation, fn: EdgeFunction):
-    """Per-vertex net outflow: +value at the arc tail, -value at the head.
-
-    Loops cancel themselves and contribute nothing.
-    """
-    if fn.width != g.edge_count:
-        raise ValueError("edge function width does not match graph")
-    if isinstance(fn, GroupElementFunction):
-        grp = fn.group
-        acc = [grp.zero] * g.vertex_count
-        for e in range(g.edge_count):
-            t, h = arc(g, o, e)
-            if t == h:
-                continue
-            acc[t] = grp.add(acc[t], fn.values[e])
-            acc[h] = grp.sub(acc[h], fn.values[e])
-        return tuple(acc)
-    acc_i = [0] * g.vertex_count
-    for e in range(g.edge_count):
-        t, h = arc(g, o, e)
-        if t == h:
-            continue
-        acc_i[t] += fn.values[e]
-        acc_i[h] -= fn.values[e]
-    return tuple(acc_i)
-
-
-def coboundary(
-    g: MultiGraph,
-    o: Orientation,
-    potential: Sequence,
-    group: FiniteAbelianGroup | None = None,
-) -> EdgeFunction:
-    """Edge function p(tail) - p(head); loops get zero."""
-    if len(potential) != g.vertex_count:
-        raise ValueError("potential length does not match vertex count")
-    if group is not None:
-        vals = []
-        for e in range(g.edge_count):
-            t, h = arc(g, o, e)
-            vals.append(group.sub(group.reduce(potential[t]), group.reduce(potential[h])))
-        return GroupElementFunction(group, tuple(vals))
-    vals_i = []
-    for e in range(g.edge_count):
-        t, h = arc(g, o, e)
-        vals_i.append(int(potential[t]) - int(potential[h]))
-    return IntegerEdgeFunction(tuple(vals_i))
 
 
 # -- fundamental circuit table ----------------------------------------------
@@ -297,89 +227,6 @@ def _coordinates(g: MultiGraph, o: Orientation, tensions: bool):
     return coforest, forest, columns
 
 
-def _placement(free: Sequence[int], dependent: Sequence[int]) -> list[int]:
-    """Position of each edge id in free + dependent."""
-    order = list(free) + list(dependent)
-    return sorted(range(len(order)), key=order.__getitem__)
-
-
-def _group_sum(grp: FiniteAbelianGroup, row, vals: Sequence[Element]) -> Element:
-    """sum(c * vals[i]) over the (i, c) terms of row."""
-    return tuple(
-        sum(c * vals[i][k] for i, c in row) % m for k, m in enumerate(grp.cyclic_orders)
-    )
-
-
-def is_tension(g: MultiGraph, o: Orientation, fn: EdgeFunction) -> bool:
-    """True iff fn sums to zero around every fundamental circuit, that is,
-    iff fn is the tension that its forest values determine."""
-    if fn.width != g.edge_count:
-        raise ValueError("edge function width does not match graph")
-    forest, coforest, rows = _coordinates(g, o, True)
-    vals = [fn.values[a] for a in forest]
-    pairs = zip(coforest, rows)
-    if isinstance(fn, GroupElementFunction):
-        return all(fn.values[e] == _group_sum(fn.group, row, vals) for e, row in pairs)
-    return all(fn.values[e] == sum(c * vals[i] for i, c in row) for e, row in pairs)
-
-
-def is_flow(g: MultiGraph, o: Orientation, fn: EdgeFunction) -> bool:
-    b = boundary(g, o, fn)
-    if isinstance(fn, GroupElementFunction):
-        return all(fn.group.is_zero(v) for v in b)
-    return all(v == 0 for v in b)
-
-
-# -- modular enumeration ----------------------------------------------------
-
-
-def enumerate_tensions(
-    g: MultiGraph, o: Orientation, grp: FiniteAbelianGroup
-) -> Iterator[GroupElementFunction]:
-    """All tensions over grp: free forest values extended over fundamental
-    circuits.  Exactly |grp|^rank functions, each once, charged when the
-    generator is first advanced, under the guard active then."""
-    for values in _iter_tension_values(g, o, grp):
-        yield GroupElementFunction(grp, values)
-
-
-def _iter_tension_values(
-    g: MultiGraph, o: Orientation, grp: FiniteAbelianGroup
-) -> Iterator[tuple[Element, ...]]:
-    yield from _iter_group_values(g, o, grp, True, "tension enumeration")
-
-
-def enumerate_flows(
-    g: MultiGraph, o: Orientation, grp: FiniteAbelianGroup
-) -> Iterator[GroupElementFunction]:
-    """All flows over grp: free co-forest values extended over fundamental
-    circuits.  Exactly |grp|^nullity functions, each once, charged when
-    the generator is first advanced, under the guard active then."""
-    for values in _iter_flow_values(g, o, grp):
-        yield GroupElementFunction(grp, values)
-
-
-def _iter_flow_values(
-    g: MultiGraph, o: Orientation, grp: FiniteAbelianGroup
-) -> Iterator[tuple[Element, ...]]:
-    yield from _iter_group_values(g, o, grp, False, "flow enumeration")
-
-
-def _iter_group_values(
-    g: MultiGraph,
-    o: Orientation,
-    grp: FiniteAbelianGroup,
-    tensions: bool,
-    what: str,
-) -> Iterator[tuple[Element, ...]]:
-    free, dependent, rows = _coordinates(g, o, tensions)
-    check_state_space(grp.order ** len(free), what)
-    place = _placement(free, dependent)
-    for combo in itertools.product(list(grp.elements()), repeat=len(free)):
-        vals = combo + tuple(_group_sum(grp, row, combo) for row in rows)
-        yield tuple([vals[k] for k in place])
-
-
 # -- integral enumeration ----------------------------------------------------
 
 INTEGRAL_MODES = ("open", "closed", "strict_support", "box")
@@ -401,65 +248,6 @@ def _window_values(ends: tuple[int, int, int, int, bool], bound: int) -> list[in
     lo, lo_moves, hi, hi_moves, nonzero = ends
     values = range(lo - lo_moves * bound, hi + hi_moves * bound + 1)
     return [v for v in values if v] if nonzero else list(values)
-
-
-def enumerate_integral_tensions(
-    g: MultiGraph,
-    o: Orientation,
-    bound: int,
-    mode: str = "strict_support",
-    window: EdgeSubset | None = None,
-) -> Iterator[IntegerEdgeFunction]:
-    """Integer tensions with windowed values.
-
-    Window semantics on edges of `window` (complement forced to zero):
-      open:           0 < f(e) < bound
-      closed:         0 <= f(e) <= bound
-      strict_support: f(e) != 0 and |f(e)| < bound     (nowhere-zero)
-      box:            |f(e)| < bound                   (zeros allowed)
-
-    Enumerates window values on forest edges, extends them over the
-    fundamental circuits, and filters the co-forest values against their
-    windows.  The box of window values is charged when the generator is
-    first advanced, under the guard active then.
-    """
-    yield from _integral_functions(g, o, True, bound, mode, window)
-
-
-def enumerate_integral_flows(
-    g: MultiGraph,
-    o: Orientation,
-    bound: int,
-    mode: str = "strict_support",
-    window: EdgeSubset | None = None,
-) -> Iterator[IntegerEdgeFunction]:
-    """Integer flows with windowed values; see enumerate_integral_tensions.
-
-    Enumerates window values on co-forest edges, extends over the
-    fundamental circuit matrix, and filters forest values; charged as
-    the tensions are.
-    """
-    yield from _integral_functions(g, o, False, bound, mode, window)
-
-
-def _integral_functions(
-    g: MultiGraph,
-    o: Orientation,
-    tensions: bool,
-    bound: int,
-    mode: str,
-    window: EdgeSubset | None,
-) -> Iterator[IntegerEdgeFunction]:
-    """Every integer tension or flow that lies in the `mode` window at
-    `bound` on the edges of `window` and is zero on the others."""
-    free, dependent, _, cand, checks_at = _integral_walk(g, o, tensions, bound, mode, window)
-    _charge(cand, tensions)
-    if checks_at is None:
-        return
-    place = _placement(free, dependent)
-    for vals, derived in _walk(cand, checks_at, len(dependent)):
-        values = vals + derived
-        yield IntegerEdgeFunction(tuple([values[k] for k in place]))
 
 
 def integral_window_counts(
@@ -659,223 +447,3 @@ def _walk(
                 yield vals, derived
         else:
             levels.pop()
-
-
-# -- support counts ------------------------------------------------------------
-
-
-@memoised_in_run
-def _support_walk(g: MultiGraph, tensions: bool, modulus: int, bound: int) -> Counter[int]:
-    """The support counts {support mask: count} of the tensions (or
-    flows) over Z_modulus or, with modulus 0, of the integer ones with
-    |f| < bound everywhere, in the reference orientation (supports do
-    not depend on it).  Charges nothing: the caller charges the
-    enumeration that the counts stand for.
-
-    `_walk` sets every free value but the last, each dependent edge at
-    its level; the modular values are sums of residues, read as zero
-    modulo the group.  The last free value x is counted, not walked:
-    every edge that reads it (`_last_reads`) is zero at one point, x = u
-    (modulo the group).  So each x adds one function to the support of
-    the values set plus the edges that read x, less the edges that are
-    zero at x.  Over Z_m x is any residue; in the box each edge that
-    reads x confines it to [u - bound + 1, u + bound - 1].
-    """
-    o = Orientation.reference(g)
-    if modulus:
-        free, dependent, rows = _coordinates(g, o, tensions)
-        box: list[Sequence[int]] = [range(modulus)] * len(free)
-        checks_at: list | None = [[] for _ in free]
-        for j, row in enumerate(rows):
-            if row:  # every sum of the row's terms is admitted
-                n = len(row) * (modulus - 1)
-                checks_at[max(row)[0]].append((j, row, range(-n, n + 1)))
-    else:
-        free, dependent, _, box, checks_at = _integral_walk(g, o, tensions, bound, "box", None)
-        if checks_at is None:
-            return Counter()
-    if not free:
-        return Counter({0: 1})
-    # a box value lies in (-bound, bound), so it is zero modulo 2 * bound
-    # exactly when it is zero
-    zero_mod = modulus or 2 * bound
-    levels = [1 << e for e in free[:-1]]
-    early = [(j, 1 << dependent[j]) for checks in checks_at[:-1] for j, _, _ in checks]
-    reads = [(row, 1 << e) for _, row, e in _last_reads(free[-1], dependent, checks_at[-1])]
-    reach = sum(bit for _, bit in reads)
-    counts: dict[int, int] = {}
-    for vals, derived in _walk(box[:-1], checks_at, len(dependent)):
-        mask = reach
-        for bit, v in zip(levels, vals):
-            if v % zero_mod:
-                mask |= bit
-        for j, bit in early:
-            if derived[j] % zero_mod:
-                mask |= bit
-        zeros: dict[int, int] = {}  # zero point -> the edges zero there
-        for row, bit in reads:
-            u = 0
-            for i, a in row:
-                u += a * vals[i]
-            if modulus:
-                u %= modulus
-            zeros[u] = zeros.get(u, 0) | bit
-        if modulus:
-            lo, hi = 0, modulus - 1
-        else:
-            lo, hi = max(zeros) - bound + 1, min(zeros) + bound - 1
-        n = hi - lo + 1
-        for u, bits in zeros.items():
-            if lo <= u <= hi:
-                n -= 1
-                counts[mask ^ bits] = counts.get(mask ^ bits, 0) + 1
-        if n > 0:
-            counts[mask] = counts.get(mask, 0) + n
-    return Counter(counts)
-
-
-def _or_product(a: Counter[int], b: Counter[int]) -> Counter[int]:
-    """The support counts over A x B from those over A and over B: a
-    function over the product is a pair, its support the union."""
-    out: Counter[int] = Counter()
-    for fm, x in a.items():
-        for gm, y in b.items():
-            out[fm | gm] += x * y
-    return out
-
-
-@memoised_in_run
-def _modular_supports(g: MultiGraph, grp: FiniteAbelianGroup, tensions: bool) -> Counter[int]:
-    """The support counts of the tensions (or flows) over grp, charged
-    |grp|^rank (|grp|^nullity) states, each function one, before any
-    walk: the OR-product of the counts over its cyclic factors."""
-    free = rank_nullity(g)[not tensions]
-    what = "tension enumeration" if tensions else "flow enumeration"
-    check_state_space(grp.order**free, what)
-    counts = Counter({0: 1})  # over the trivial group, and Z_1
-    for m in grp.cyclic_orders:
-        if m > 1:
-            counts = _or_product(counts, _support_walk(g, tensions, m, 0))
-    return counts
-
-
-@memoised_in_run
-def _integral_supports(g: MultiGraph, bound: int, tensions: bool) -> Counter[int]:
-    """The support counts of the integer tensions (or flows) with
-    |f| < bound everywhere, charged the box of their free values."""
-    free = rank_nullity(g)[not tensions]
-    _charge([_window_values(_WINDOWS["box"], bound)] * free, tensions)
-    return _support_walk(g, tensions, 0, bound)
-
-
-# -- support pair classes ------------------------------------------------------
-
-
-# (disjoint, cover, comp): the pairs whose supports are disjoint (supp f
-# inside ker g) and those whose supports cover E (ker f inside supp g),
-# each by (|ker f|, |supp g|), and the complementary pairs (both) by |ker f|
-PairClasses = tuple[Counter[tuple[int, int]], Counter[tuple[int, int]], Counter[tuple[int]]]
-
-
-def support_pair_classes(
-    tension_masks: Iterable[int], flow_masks: Iterable[int], width: int
-) -> PairClasses:
-    """The pair classes of every pair of a tension and a flow on `width`
-    edges, given the support masks of each; see `_pair_classes`.  The
-    flow masks are read as the pass charges them, one state per pair of
-    distinct supports as each new flow support arrives, so that a pass
-    over the guard is refused before they are all read."""
-    tensions = Counter(tension_masks)
-    limit = state_guard()  # read once, not per support
-    flows: Counter[int] = Counter()
-    for mask in flow_masks:
-        if mask not in flows and len(tensions) * (len(flows) + 1) > limit:
-            check_state_space(len(tensions) * (len(flows) + 1), "support pair product")
-        flows[mask] += 1
-    return _pair_classes(tensions, flows, width)
-
-
-def _pair_classes(tensions: Counter[int], flows: Counter[int], width: int) -> PairClasses:
-    """A pair of supports stands for the product of their counts.  The
-    pass charges one state per pair of distinct supports, in one step,
-    and a refusal names the first multiple of the number of tension
-    supports over the guard, the count at which a read of the flow
-    supports one by one would stop."""
-    limit = state_guard()
-    distinct = len(tensions)
-    if distinct * len(flows) > limit:
-        check_state_space(distinct * (limit // distinct + 1), "support pair product")
-    full = (1 << width) - 1
-    sized = [(gm, b, gm.bit_count()) for gm, b in flows.items()]
-    disjoint, cover, comp = Counter(), Counter(), Counter()
-    for fm, a in tensions.items():
-        kernel = full ^ fm
-        k = kernel.bit_count()
-        for gm, b, s in sized:
-            if not fm & gm:  # supp g inside ker f
-                disjoint[k, s] += a * b
-                if gm == kernel:
-                    cover[k, s] += a * b
-                    comp[k,] += a * b
-            elif gm & kernel == kernel:  # ker f inside supp g
-                cover[k, s] += a * b
-    return disjoint, cover, comp
-
-
-def _support_mask(values: Sequence[Element]) -> int:
-    mask = 0
-    for e, val in enumerate(values):
-        if any(val):
-            mask |= 1 << e
-    return mask
-
-
-def pair_support_classes(
-    g: MultiGraph,
-    grp_a: FiniteAbelianGroup,
-    grp_b: FiniteAbelianGroup,
-) -> PairClasses:
-    """The pair classes of all (tension f over grp_a, flow g over grp_b)
-    pairs.  The two support counts charge |grp_a|^rank and
-    |grp_b|^nullity states, and the pass over them one state per pair of
-    distinct supports.  Within a run each count is made once, for every
-    pair of groups it takes part in."""
-    tensions = _modular_supports(g, grp_a, True)
-    return _pair_classes(tensions, _modular_supports(g, grp_b, False), g.edge_count)
-
-
-def integral_support_classes(g: MultiGraph, p: int, q: int) -> PairClasses:
-    """The pair classes of the integer pairs with |f| < p and |g| < q
-    everywhere (zeros allowed).  Within a run each box is counted once,
-    for every pair of bounds it takes part in."""
-    tensions = _integral_supports(g, p, True)
-    return _pair_classes(tensions, _integral_supports(g, q, False), g.edge_count)
-
-
-# -- lattice index --------------------------------------------------------------
-
-
-def lattice_index(g: MultiGraph, o: Orientation) -> int:
-    """Index of the direct sum (integral tensions + integral flows) in Z^E.
-
-    Computed as |det| of the square matrix whose columns are the
-    fundamental bond and circuit basis vectors, by fraction-free
-    elimination.  Equals the number of maximal forests of the graph.
-    """
-    m = g.edge_count
-    cols = []
-    # the unit tension at a forest edge is its fundamental bond, and the
-    # unit flow at a co-forest edge its fundamental circuit
-    for tensions in (True, False):
-        free, dependent, rows = _coordinates(g, o, tensions)
-        for k, a in enumerate(free):
-            col = [0] * m
-            col[a] = 1
-            for e, row in zip(dependent, rows):
-                col[e] = sum(c for i, c in row if i == k)
-            cols.append(col)
-    # eliminated as rows: the transpose has the same determinant
-    rank, _, last = _eliminate(cols, m)
-    if rank < m:
-        raise ArithmeticError("tension-flow lattice is not full rank")
-    return abs(last)

@@ -36,7 +36,6 @@ from .arrangements import (
     ambient_product,
     complement_count,
     finite_semilattice,
-    graphic_flat_dims,
     graphic_semilattice,
     product_valuation,
     subset_flat_dims,
@@ -63,50 +62,47 @@ from .graph import (
 from .invariants import (
     X,
     Y,
-    _tutte_recursion,
     chromatic_poly,
     flow_poly,
-    flow_poly_by_enumeration,
-    integral_complementary_count,
     integral_flow_poly,
     integral_tension_poly,
-    kappa_rho,
-    modular_complementary_count,
     omega,
-    omega_by_subsets,
-    omega_value,
-    orientation_sums,
     PSI_KINDS,
-    psi_by_cyclic_flats,
-    psi_by_orientations,
     psi_family,
-    whitney_weighted_sums,
     tension_poly,
-    tension_poly_by_enumeration,
+    tutte,
     tutte_value,
-    tutte_value_triples,
     whitney,
-    whitney_by_subsets,
 )
-from .orientations import (
+from .oracles import (
+    _tutte_recursion,
     all_orientations,
     class_bc_profile,
     class_size_check,
-    classify_edges,
-    cut_eulerian_classes,
     cut_eulerian_classes_by_moves,
-    divisor_class_keys,
-)
-from .tensionflow import (
-    FiniteAbelianGroup,
-    IntegerEdgeFunction,
-    _iter_flow_values,
-    _iter_tension_values,
+    enumerate_flows,
     enumerate_integral_flows,
     enumerate_integral_tensions,
+    enumerate_tensions,
+    flow_poly_by_enumeration,
+    graphic_flat_dims,
+    integral_complementary_count,
+    kappa_rho,
     lattice_index,
+    modular_complementary_count,
+    omega_by_subsets,
+    omega_value,
+    orientation_sums,
     pair_support_classes,
+    psi_by_cyclic_flats,
+    psi_by_orientations,
+    tension_poly_by_enumeration,
+    tutte_value_triples,
+    whitney_by_subsets,
+    whitney_weighted_sums,
 )
+from .orientations import classify_edges, cut_eulerian_classes, divisor_class_keys
+from .tensionflow import FiniteAbelianGroup, IntegerEdgeFunction
 
 
 class CheckResult(Record):
@@ -187,11 +183,14 @@ def criterion_1() -> CheckResult:
 
 def criterion_2() -> CheckResult:
     col = _Collector()
-    for name, g in all_fixtures():
-        a = _tutte_recursion(g)
-        b = whitney_by_subsets(g).substitute({"x": X - 1, "y": Y - 1})
-        if a != b:
-            col.expect(False, f"{name}: recursion {a} != shift {b}")
+    for name, g in all_fixtures() + small_ladder():
+        got = tutte(g)
+        for what, want in (
+            ("recursion", _tutte_recursion(g)),
+            ("shift", whitney_by_subsets(g).substitute({"x": X - 1, "y": Y - 1})),
+        ):
+            if got != want:
+                col.expect(False, f"{name}: frontier T {got} != {what} {want}")
     return col.result(
         "Tutte polynomial: deletion-contraction and corank-nullity shift agree"
     )
@@ -793,12 +792,12 @@ def criterion_10() -> CheckResult:
             zp = FiniteAbelianGroup.cyclic(p)
             zq = FiniteAbelianGroup.cyclic(q)
             mod_flows = _by_support(
-                IntegerEdgeFunction(tuple(v[0] for v in values))
-                for values in _iter_flow_values(g, o, zq)
+                IntegerEdgeFunction(tuple(v[0] for v in fn.values))
+                for fn in enumerate_flows(g, o, zq)
             )
             modular = set()
-            for values in _iter_tension_values(g, o, zp):
-                f = IntegerEdgeFunction(tuple(v[0] for v in values))
+            for fn in enumerate_tensions(g, o, zp):
+                f = IntegerEdgeFunction(tuple(v[0] for v in fn.values))
                 for h in mod_flows.get(full ^ f.support_mask(), ()):
                     modular.add((f.values, h.values))
             col.expect(

@@ -17,14 +17,15 @@ from hypothesis import strategies as st
 
 from graph_families import petersen
 import tfpoly
-from tfpoly import cli, invariants, verification
+from tfpoly import cli, invariants, oracles, verification
 from tfpoly.algebra import MultiPoly
 from tfpoly.config import SUITES, GuardExceeded, guarded
 from tfpoly.cli import COMMANDS, build_parser, main
 from tfpoly.fixtures import FIXTURE_TEXTS, fixture
 from tfpoly.graph import MultiGraph, subset_rank_table
 from tfpoly.graphio import format_graph
-from tfpoly.invariants import _tutte_recursion, psi_family, tension_poly, tutte
+from tfpoly.invariants import psi_family, tension_poly, tutte
+from tfpoly.oracles import _tutte_recursion
 
 
 def grid(rows: int, cols: int) -> MultiGraph:
@@ -196,6 +197,16 @@ def test_malformed_file_is_input_error(tmp_path, capsys):
     assert main(["tutte", str(path)]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "vertex 5" in err
+
+
+def test_running_out_of_memory_is_an_input_error(graph_file, capsys, monkeypatch):
+    def exhausted(g):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "tutte", exhausted)
+    assert main(["tutte", graph_file("k3")]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: memory ran out\n")
 
 
 def test_brute_requires_group_orders(graph_file, capsys):
@@ -561,7 +572,7 @@ def test_integral_psi_reaches_k5(k5_file, capsys):
     assert poly.substitute({"z": 1, "w": 0}) == 5 * (t - 1) * (t - 2) * (t - 3) * (t - 4)
     g = MultiGraph(5, tuple(itertools.combinations(range(5), 2)))
     for p, q in ((2, 2), (2, 3), (3, 2)):
-        want = invariants.integral_complementary_count(g, p, q)
+        want = oracles.integral_complementary_count(g, p, q)
         assert poly.evaluate(x=p, y=q, z=1, w=1) == want
 
 

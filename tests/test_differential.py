@@ -64,7 +64,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tfpoly import frontier, invariants, tensionflow
+from tfpoly import frontier, invariants, oracles, tensionflow
 from tfpoly.algebra import MultiPoly
 from tfpoly.arrangements import graphic_semilattice
 from tfpoly.config import GuardExceeded, guarded
@@ -75,7 +75,6 @@ from tfpoly.graph import (
     MultiGraph,
     Orientation,
     arc,
-    is_edge_cyclic,
     rank_nullity,
     subset_rank_table,
 )
@@ -86,34 +85,38 @@ from tfpoly.invariants import (
     integral_flow_poly,
     integral_tension_poly,
     omega,
-    omega_by_subsets,
     QUADRANTS,
-    orientation_sums,
-    psi_by_cyclic_flats,
-    psi_by_orientations,
     psi_family,
     tutte,
     tutte_value,
-    tutte_value_triples,
     whitney,
+)
+from tfpoly.oracles import (
+    boundary,
+    coboundary,
+    cut_eulerian_classes_by_moves,
+    enumerate_flows,
+    enumerate_integral_flows,
+    enumerate_integral_tensions,
+    enumerate_tensions,
+    is_edge_cyclic,
+    is_flow,
+    is_tension,
+    lattice_index,
+    omega_by_subsets,
+    orientation_sums,
+    psi_by_cyclic_flats,
+    psi_by_orientations,
+    tutte_value_triples,
     whitney_by_subsets,
 )
-from tfpoly.orientations import cut_eulerian_classes, cut_eulerian_classes_by_moves
+from tfpoly.orientations import cut_eulerian_classes
 from tfpoly.tensionflow import (
     INTEGRAL_MODES,
     FiniteAbelianGroup,
     GroupElementFunction,
     IntegerEdgeFunction,
-    boundary,
-    coboundary,
-    enumerate_flows,
-    enumerate_integral_flows,
-    enumerate_integral_tensions,
-    enumerate_tensions,
     integral_window_counts,
-    is_flow,
-    is_tension,
-    lattice_index,
 )
 
 from graph_strategies import glued_multigraphs, multigraphs
@@ -484,8 +487,8 @@ def charged_supports(g: MultiGraph, tensions: bool, of):
     """The support count of the tensions (or flows) over the group `of`,
     or in the box at bound `of`, charged against the active guard."""
     if isinstance(of, FiniteAbelianGroup):
-        return tensionflow._modular_supports(g, of, tensions)
-    return tensionflow._integral_supports(g, of, tensions)
+        return oracles._modular_supports(g, of, tensions)
+    return oracles._integral_supports(g, of, tensions)
 
 
 def generated(g: MultiGraph, tensions: bool, of):
@@ -502,8 +505,8 @@ def test_support_walk_counts_a_product_from_its_factors():
     z6, product = FiniteAbelianGroup.cyclic(6), FiniteAbelianGroup((2, 3))
     for g in (MultiGraph(4, tuple(itertools.combinations(range(4), 2))), small_ladder()[0][1]):
         for tensions in (True, False):
-            counts = tensionflow._modular_supports(g, product, tensions)
-            assert counts == tensionflow._modular_supports(g, z6, tensions)
+            counts = oracles._modular_supports(g, product, tensions)
+            assert counts == oracles._modular_supports(g, z6, tensions)
             assert sum(counts.values()) == 6 ** rank_nullity(g)[not tensions]
 
 

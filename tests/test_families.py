@@ -11,7 +11,7 @@ from graph_families import FAMILIES
 from tfpoly.algebra import MultiPoly
 from tfpoly.cli import COMMANDS, main
 from tfpoly.graphio import format_graph
-from tfpoly.invariants import _tutte_recursion
+from tfpoly.oracles import _tutte_recursion
 
 SIZE = 5
 

@@ -13,18 +13,20 @@ from tfpoly.graph import (
     Orientation,
     arc,
     blocks,
+    components_count,
+    rank_nullity,
+    subset_rank_table,
+)
+from tfpoly.oracles import (
     bond_side,
     bonds,
     circuits,
-    components_count,
     directed_bonds,
     directed_circuits,
     incidence_matrix,
     is_acyclic,
     is_totally_cyclic,
-    rank_nullity,
     restriction,
-    subset_rank_table,
 )
 
 RANKS = {

@@ -10,7 +10,8 @@ import tfpoly
 from tfpoly.config import DEFAULT_STATE_GUARD, GuardExceeded, guarded, state_guard
 from tfpoly.fixtures import fixture
 from tfpoly.graph import Orientation
-from tfpoly.tensionflow import FiniteAbelianGroup, enumerate_tensions
+from tfpoly.oracles import enumerate_tensions
+from tfpoly.tensionflow import FiniteAbelianGroup
 
 SRC = Path(tfpoly.__file__).parent
 

@@ -20,36 +20,36 @@ from tfpoly.fixtures import fixture, fixture_names
 from tfpoly.graph import MultiGraph, Orientation, components_count, subset_rank_table
 from tfpoly.invariants import (
     _shifted_down,
-    _tutte_recursion,
     PSI_KINDS,
     QUADRANTS,
     chromatic_poly,
     flow_poly,
-    flow_poly_by_enumeration,
-    integral_complementary_count,
     integral_flow_poly,
     integral_tension_poly,
+    omega,
+    psi_family,
+    tension_poly,
+    tutte,
+    whitney,
+)
+from tfpoly.oracles import (
+    flow_poly_by_enumeration,
+    integral_complementary_count,
+    integral_support_classes,
     kappa_rho,
     modular_complementary_count,
-    omega,
     omega_by_subsets,
     omega_value,
+    pair_support_classes,
     psi_by_orientations,
-    psi_family,
-    whitney_weighted_sums,
-    tension_poly,
     tension_poly_by_enumeration,
-    tutte,
+    _tutte_recursion,
     tutte_value_triples,
-    whitney,
     whitney_by_subsets,
+    whitney_weighted_sums,
 )
 from tfpoly.orientations import cut_eulerian_classes
-from tfpoly.tensionflow import (
-    FiniteAbelianGroup,
-    integral_support_classes,
-    pair_support_classes,
-)
+from tfpoly.tensionflow import FiniteAbelianGroup
 from tfpoly.verification import (
     pair_integral_identities,
     reciprocity_check,

@@ -12,28 +12,24 @@ import time
 
 import pytest
 
-from tfpoly import orientations
+from tfpoly import oracles
 from tfpoly.fixtures import fixture, fixture_names
-from tfpoly.graph import (
-    MultiGraph,
-    Orientation,
+from tfpoly.graph import MultiGraph, Orientation
+from tfpoly.invariants import tutte
+from tfpoly.oracles import (
+    all_orientations,
     bonds,
     circuits,
+    class_bc_profile,
+    class_size_check,
+    cut_eulerian_classes_by_moves,
     is_acyclic,
     is_edge_cyclic,
     is_totally_cyclic,
     restriction,
-)
-from tfpoly.invariants import tutte
-from tfpoly.orientations import (
-    all_orientations,
-    class_bc_profile,
-    class_size_check,
-    classify_edges,
-    cut_eulerian_classes,
-    cut_eulerian_classes_by_moves,
     zero_one_pair_count,
 )
+from tfpoly.orientations import classify_edges, cut_eulerian_classes
 
 # class size multisets, one entry per class
 CLASS_SIZES = {
@@ -136,13 +132,13 @@ def test_loop_class_is_singleton():
 
 def test_class_closure_computes_bonds_once(monkeypatch):
     calls = []
-    real = orientations.bonds
+    real = oracles.bonds
 
     def counted(g):
         calls.append(g)
         return real(g)
 
-    monkeypatch.setattr(orientations, "bonds", counted)
+    monkeypatch.setattr(oracles, "bonds", counted)
     # a 4-cycle with a chord
     g = MultiGraph(4, ((2, 3), (0, 2), (1, 2), (3, 0), (0, 1)))
     classes = cut_eulerian_classes_by_moves(g)
@@ -152,13 +148,13 @@ def test_class_closure_computes_bonds_once(monkeypatch):
 
 def test_class_closure_finds_each_bond_side_once(monkeypatch):
     calls = []
-    real = orientations.bond_side
+    real = oracles.bond_side
 
     def counted(g, bond):
         calls.append(bond.mask)
         return real(g, bond)
 
-    monkeypatch.setattr(orientations, "bond_side", counted)
+    monkeypatch.setattr(oracles, "bond_side", counted)
     # K3,3: 24 bonds and 512 orientations, but a bond's shores do not
     # depend on the orientation
     g = MultiGraph(6, tuple((i, 3 + j) for j in range(3) for i in range(3)))
@@ -170,13 +166,13 @@ def test_class_closure_finds_each_bond_side_once(monkeypatch):
 
 def test_class_closure_finds_circuits_once(monkeypatch):
     calls = []
-    real = orientations.circuits
+    real = oracles.circuits
 
     def counted(g):
         calls.append(g)
         return real(g)
 
-    monkeypatch.setattr(orientations, "circuits", counted)
+    monkeypatch.setattr(oracles, "circuits", counted)
     # K4: 64 orientations, but the circuits of g do not depend on them
     g = fixture("k4")
     classes = cut_eulerian_classes_by_moves(g)

@@ -14,7 +14,8 @@ from tfpoly.config import GuardExceeded, guarded
 from tfpoly.fixtures import all_fixtures, small_ladder
 from tfpoly.frontier import omega_at, omega_terms, psi_terms, whitney_at, whitney_terms
 from tfpoly.graph import MultiGraph
-from tfpoly.invariants import QUADRANTS, _tutte_recursion, omega_by_subsets, tutte_value
+from tfpoly.invariants import QUADRANTS, tutte_value
+from tfpoly.oracles import omega_by_subsets, _tutte_recursion
 from tfpoly.verification import SPECIALIZATION_GRID
 
 GRAPHS = all_fixtures() + small_ladder()

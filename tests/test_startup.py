@@ -3,7 +3,8 @@
 `import tfpoly.cli` leaves out `dataclasses` (which brings `inspect`
 with it) and the modules only `verify` and `omega --via arrangement`
 need; those two still answer in the same fresh interpreter, loading
-their modules as they start.
+their modules as they start.  The oracles load only for `verify` and
+`omega --via brute`.
 """
 
 import json
@@ -24,6 +25,7 @@ LEFT_OUT = (
     "tfpoly.verification",
     "tfpoly.arrangements",
     "tfpoly.fixtures",
+    "tfpoly.oracles",
 )
 
 SCRIPT = """
@@ -57,4 +59,43 @@ def test_a_fresh_cli_import_leaves_out_verify_and_the_arrangement():
         "PASS criterion 19",
     ]
     assert (omega_code, omega_out) == (0, f"{omega(parse_graph_file(str(K4)))}\n")
-    assert {"tfpoly.verification", "tfpoly.arrangements"} <= set(seen["after"])
+    assert {"tfpoly.verification", "tfpoly.arrangements", "tfpoly.oracles"} <= set(seen["after"])
+
+
+# every command but verify, each --via and a point of omega, then the brute route
+COMMANDS_SCRIPT = """
+import contextlib, io, json, sys
+import tfpoly.cli
+
+graph = sys.argv[1]
+runs = []
+for argv in [
+    [name, graph]
+    for name in tfpoly.cli.COMMANDS
+    if name not in ("verify", "tutte-values")
+] + [
+    ["tutte-values", "--p", "2", "--q", "3", graph],
+    ["kappa", "--integral", graph],
+    ["psi", "--integral", "--dual", graph],
+    ["omega", "--p", "2", "--q", "3", graph],
+    ["omega", "--via", "arrangement", graph],
+    ["omega", "--via", "brute", "--p", "2", "--q", "3", graph],
+]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = tfpoly.cli.main(argv)
+    runs.append([argv[:-1], code, "tfpoly.oracles" in sys.modules])
+print(json.dumps(runs))
+"""
+
+
+def test_only_verify_and_the_brute_route_load_the_oracles():
+    src = os.path.dirname(os.path.dirname(tfpoly.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = [sys.executable, "-c", COMMANDS_SCRIPT, str(K4)]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(proc.stdout)
+    assert [code for _, code, _ in runs] == [0] * len(runs)
+    assert [command for command, _, loaded in runs if loaded] == [
+        ["omega", "--via", "brute", "--p", "2", "--q", "3"]
+    ]

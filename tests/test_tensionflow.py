@@ -10,23 +10,22 @@ from graph_strategies import multigraphs
 from tfpoly.config import GuardExceeded, guarded
 from tfpoly.fixtures import fixture, fixture_names
 from tfpoly.graph import EdgeSubset, MultiGraph, Orientation, rank_nullity
-from tfpoly.invariants import omega_value, tutte
-from tfpoly.orientations import classify_edges
-from tfpoly.tensionflow import (
-    INTEGRAL_MODES,
-    FiniteAbelianGroup,
+from tfpoly.invariants import tutte
+from tfpoly.oracles import (
     boundary,
     coboundary,
     enumerate_flows,
     enumerate_integral_flows,
     enumerate_integral_tensions,
     enumerate_tensions,
-    integral_window_counts,
     is_flow,
     is_tension,
     lattice_index,
+    omega_value,
     support_pair_classes,
 )
+from tfpoly.orientations import classify_edges
+from tfpoly.tensionflow import INTEGRAL_MODES, FiniteAbelianGroup, integral_window_counts
 
 Z2 = FiniteAbelianGroup.cyclic(2)
 Z3 = FiniteAbelianGroup.cyclic(3)

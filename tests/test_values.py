@@ -16,7 +16,8 @@ import pytest
 from tfpoly.arrangements import FiniteCosetProduct, IntersectionPoset, finite_semilattice
 from tfpoly.config import Record, run_scope
 from tfpoly.graph import EdgeSubset, MultiGraph, Orientation
-from tfpoly.invariants import omega_value, tutte
+from tfpoly.invariants import tutte
+from tfpoly.oracles import omega_value
 from tfpoly.orientations import OrientationClass
 from tfpoly.tensionflow import FiniteAbelianGroup, GroupElementFunction, IntegerEdgeFunction
 from tfpoly.verification import CheckResult
