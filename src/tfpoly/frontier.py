@@ -22,20 +22,24 @@ size" (ISAAC 1995), and of Bedini and Jacobsen, J. Phys. A 43 (2010)
   over subsets (U contains X, A lies within X) and summed over every X,
   as tau(G/X) phi(G|X) = 0 unless X is a cyclic flat.
 
-One driver (`_frontier`) takes the edges in order, keeps the frontier,
-moves each distinct partition of a layer once, and charges each layer
-against the state guard.  What a state carries is the client's:
+One driver (`_frontier`) takes the edges in order, keeps the frontier
+and charges each layer against the state guard.  Each sum is one layer
+step, called once per edge with the layer and the edge's move of a
+partition (`_moves`), that writes out what the edge does in each
+branch.  A Whitney state is the bare partition of X; an omega or psi
+state is a pair of partitions, each distinct one moved once a layer.
+What a state carries:
 
-* the term client (`_frontier_sum`) carries a dict of integer terms
-  keyed by counters packed into one int, such as rank * stride +
+* terms (`whitney_terms`, `omega_terms`, `_psi_sum`): a dict of integer
+  terms keyed by counters packed into one int, such as rank * stride +
   nullity, the packing the Tutte recursion uses.  A layer is charged
   its states plus their terms;
-* the int client (`_frontier_value`) carries the sum's value at one
-  point, for `tutte_value` and `omega --p --q`.  x^(r - r<X>) is
-  x^(k(X) - c): a factor x for each block of X's partition that retires
-  (has no vertex left on the frontier), but the last of each component
-  of G; y^(n) is a factor y per closed cycle.  Nothing is divided, so
-  x = 0 and y = 0 work.  A layer is charged its states.
+* the sum's value at one point (`whitney_at`, `omega_at`), one int, for
+  `tutte_value` and `omega --p --q`.  x^(r - r<X>) is x^(k(X) - c): a
+  factor x for each block of X's partition that retires (has no vertex
+  left on the frontier), but the last of each component of G; y^(n) is
+  a factor y per closed cycle.  Nothing is divided, so x = 0 and y = 0
+  work.  A layer is charged its states.
 
 Edge order decides the width, so the order is greedy (`edge_order`).
 Every layer of states is charged as it is made, summed over the layers.
@@ -49,27 +53,24 @@ from typing import Sequence
 from .config import check_state_space, memoised_in_run, state_guard
 from .graph import MultiGraph, rank_nullity
 
-# What an edge does in one branch of a term sum: for each partition it
-# joins, (partition, key shift when it joins two blocks, key shift when
-# it closes a cycle); then a key shift it always adds, and the sign it
-# gives the terms.
-Role = tuple[tuple[tuple[int, int, int], ...], int, int]
-# The same at a point: for each partition it joins, (partition, factor
-# when it closes a cycle); then the factor it always multiplies by.
-PointRole = tuple[tuple[tuple[int, int], ...], int]
-
 
 def edge_order(g: MultiGraph) -> list[int]:
     """Greedy minimum-frontier order: next comes the edge that brings
     the fewest new vertices into the frontier, then the one whose ends
     have the fewest other edges still to come (the most vertices
     retired), then the lowest id."""
-    left = [0] * g.vertex_count  # edges still to come at each vertex
+    return _ordered(g)[0]
+
+
+def _ordered(g: MultiGraph) -> tuple[list[int], list[int]]:
+    """`edge_order`, and each vertex's number of edges (a loop once)."""
+    degrees = [0] * g.vertex_count
     incident: list[list[int]] = [[] for _ in range(g.vertex_count)]
     for e, ends in enumerate(g.edges):
         for v in set(ends):
-            left[v] += 1
+            degrees[v] += 1
             incident[v].append(e)
+    left = degrees.copy()  # edges still to come at each vertex
     seen = [False] * g.vertex_count
     done = [False] * g.edge_count
 
@@ -101,7 +102,7 @@ def edge_order(g: MultiGraph) -> list[int]:
                 for e in incident[v]:
                     if not done[e]:
                         heappush(heap, score(e))
-    return order
+    return order, degrees
 
 
 def _merged(p: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
@@ -144,50 +145,39 @@ def _moves(
     return kept, _merged(kept, a, b), gone, gone
 
 
-class _Moves(dict):
-    """One layer's moves, keyed by partition: each distinct partition
-    moves once, when a state first asks for it."""
-
-    __slots__ = ("edge",)
-
-    def __init__(self, fresh: int, pu: int, pv: int, keep: Sequence[int] | None):
-        self.edge = (fresh, pu, pv, keep)
-
-    def __missing__(self, p: tuple[int, ...]):
-        m = self[p] = _moves(p, *self.edge)
-        return m
-
-
-def _frontier(g: MultiGraph, partitions: int, start, step, what: str):
-    """The driver of every frontier sum, over one partition or two.  It
-    takes the edges in `edge_order`, keeps the frontier's vertices,
-    moves each distinct partition of a layer once, and hands the layer
-    to the client's `step`, as (value, moves, kept forms) per state.
-    `step` returns the next layer and what it is charged, and the
-    charges are summed against the state guard.  A state maps to what
-    the client carries, start at first; at the end one state is left,
-    and its value is returned."""
+def _frontier(g: MultiGraph, start: dict, step, what: str):
+    """The driver of every frontier sum: for each edge, in `edge_order`,
+    `step(layer, move)` returns the next layer and its charge, where
+    `move(p)` is `_moves` of partition p for that edge.  The charges are
+    summed against the state guard.  A layer maps each state to what its
+    sum carries, `start` at first; what the one state left at the end
+    carries is returned."""
     limit = state_guard()
-    left = [0] * g.vertex_count
-    for ends in g.edges:
-        for v in set(ends):
-            left[v] += 1
+    order, left = _ordered(g)
     front: list[int] = []  # the frontier's vertices, in the states' order
-    layer = {((),) * partitions: start}
+    layer = start
     spent = 0
-    for e in edge_order(g):
+
+    def move(p: tuple[int, ...]):
+        return _moves(p, fresh, pu, pv, keep)
+
+    for e in order:
         u, v = g.edges[e]
-        fresh = [w for w in dict.fromkeys((u, v)) if w not in front]
-        front.extend(fresh)
+        width = len(front)
+        if u not in front:
+            front.append(u)
+        if v not in front:
+            front.append(v)
+        fresh = len(front) - width
         pu, pv = front.index(u), front.index(v)
-        for w in {u, v}:
-            left[w] -= 1
-        keep: list[int] | None = [i for i, w in enumerate(front) if left[w]]
-        if len(keep) < len(front):
+        left[u] -= 1
+        if v != u:
+            left[v] -= 1
+        keep: list[int] | None = None
+        if not (left[u] and left[v]):
+            keep = [i for i, w in enumerate(front) if left[w]]
             front = [front[i] for i in keep]
-        else:
-            keep = None
-        layer, size = step(_moved(layer, _Moves(len(fresh), pu, pv, keep)))
+        layer, size = step(layer, move)
         spent += size
         if spent > limit:
             check_state_space(spent, what)
@@ -196,116 +186,41 @@ def _frontier(g: MultiGraph, partitions: int, start, step, what: str):
     return value
 
 
-def _moved(layer: dict, moves: _Moves):
-    """Each state's value, its partitions' moves and their kept forms."""
-    for state, value in layer.items():
-        if len(state) == 1:
-            m = moves[state[0]]
-            yield value, (m,), (m[0],)
-        else:
-            p, q = state
-            m, n = moves[p], moves[q]
-            yield value, (m, n), (m[0], n[0])
-
-
-def _replaced(kept: tuple, which: int, joined: tuple[int, ...]) -> tuple:
-    """kept with partition `which` (of one or two) joined."""
-    if len(kept) == 1:
-        return (joined,)
-    return (joined, kept[1]) if which == 0 else (kept[0], joined)
-
-
-def _frontier_sum(
-    g: MultiGraph, partitions: int, roles: Sequence[Role], what: str
-) -> dict[int, int]:
-    """The term client: sum over the role of every edge, the terms keyed
-    by the summed shifts, with the product of the signs as coefficients.
-    Each layer is charged its states plus their terms."""
-
-    def step(states):
-        nxt: dict[tuple[tuple[int, ...], ...], dict[int, int]] = {}
-        for terms, moved, kept in states:
-            for joins, shift, sign in roles:
-                target = kept
-                for which, join, close in joins:
-                    joined = moved[which][1]
-                    if joined is None:
-                        shift += close
-                    else:
-                        target = _replaced(target, which, joined)
-                        shift += join
-                into = nxt.get(target)
-                if into is None:
-                    if sign < 0:
-                        nxt[target] = {k + shift: -c for k, c in terms.items()}
-                    elif shift:
-                        nxt[target] = {k + shift: c for k, c in terms.items()}
-                    else:
-                        nxt[target] = terms.copy()
-                elif sign < 0:
-                    for k, c in terms.items():
-                        k += shift
-                        into[k] = into.get(k, 0) - c
-                else:
-                    for k, c in terms.items():
-                        k += shift
-                        into[k] = into.get(k, 0) + c
-        return nxt, len(nxt) + sum(map(len, nxt.values()))
-
-    return _frontier(g, partitions, {0: 1}, step, what)
-
-
-def _frontier_value(
-    g: MultiGraph, partitions: int, roles: Sequence[PointRole], x: int, what: str
-) -> int:
-    """The int client: the same kind of sum at one point, one int per
-    state.  A role multiplies by its factor and by the close factor of
-    each partition whose cycle the edge closes, and each block of
-    partition 0 that retires multiplies by x.  Nothing is divided, so x
-    or a factor may be 0.  Each layer is charged its states."""
-
-    def step(states):
-        nxt: dict[tuple[tuple[int, ...], ...], int] = {}
-        for value, moved, kept in states:
-            for joins, factor in roles:
-                target, gone, v = kept, moved[0][2], value * factor
-                for which, close in joins:
-                    m = moved[which]
-                    if m[1] is None:
-                        v *= close
-                    else:
-                        target = _replaced(target, which, m[1])
-                        if which == 0:
-                            gone = m[3]
-                if gone:
-                    v *= x**gone
-                nxt[target] = nxt.get(target, 0) + v
-        return nxt, len(nxt)
-
-    return _frontier(g, partitions, 1, step, what)
-
-
 @memoised_in_run
 def whitney_terms(g: MultiGraph) -> dict[tuple[int, int], int]:
     """The terms of Whitney's corank-nullity polynomial R(G;x,y), as
     {(r - r<X>, n<X>): number of subsets X}.  Within a run scope the
     tension, flow, chromatic, Tutte and Whitney polynomials of a graph
-    all read one dict, so no caller may change it."""
+    all read one dict, so no caller may change it.  A state is X's
+    partition; its key packs r<X> * stride + n<X>."""
     stride = g.edge_count + 1
     r, _ = rank_nullity(g)
-    roles = (((), 0, 1), (((0, stride, 1),), 0, 1))
-    terms = _frontier_sum(g, 1, roles, "Whitney frontier sum")
+
+    def step(layer, move):
+        nxt: dict[tuple[int, ...], dict[int, int]] = {}
+        for p, terms in layer.items():
+            kept, joined, _, _ = move(p)
+            # X takes the edge: it joins two blocks or closes a cycle
+            target, shift = (kept, 1) if joined is None else (joined, stride)
+            # X leaves it out: the first at its state takes the dict
+            # itself, unless the edge taken adds to that state too
+            into = nxt.get(kept)
+            if into is None:
+                nxt[kept] = terms.copy() if target == kept else terms
+            else:
+                for k, c in terms.items():
+                    into[k] = into.get(k, 0) + c
+            into = nxt.get(target)
+            if into is None:
+                nxt[target] = {k + shift: c for k, c in terms.items()}
+            else:
+                for k, c in terms.items():
+                    k += shift
+                    into[k] = into.get(k, 0) + c
+        return nxt, len(nxt) + sum(map(len, nxt.values()))
+
+    terms = _frontier(g, {(): {0: 1}}, step, "Whitney frontier sum")
     return {(r - k // stride, k % stride): c for k, c in terms.items()}
-
-
-def omega_terms(g: MultiGraph) -> dict[tuple[int, int], int]:
-    """The terms of omega(G;x,y), as {(r - r<X>, n<E - X>): signed
-    count of the subsets X}; cancelled terms are dropped."""
-    stride = g.edge_count + 1
-    r, _ = rank_nullity(g)
-    roles = ((((0, stride, 0),), 0, -1), (((1, 0, 1),), 0, 1))
-    terms = _frontier_sum(g, 2, roles, "omega frontier sum")
-    return {(r - k // stride, k % stride): c for k, c in terms.items() if c}
 
 
 def whitney_at(g: MultiGraph, x: int, y: int) -> int:
@@ -313,31 +228,152 @@ def whitney_at(g: MultiGraph, x: int, y: int) -> int:
     a factor x for each block of X that retires but the last of each
     component of G; y^(n<X>) is a factor y for each edge of X that
     closes a cycle."""
-    roles = (((), 1), (((0, y),), 1))
-    return _frontier_value(g, 1, roles, x, "Whitney frontier value")
+    y1 = y + 1
+
+    def step(layer, move):
+        nxt: dict[tuple[int, ...], int] = {}
+        for p, value in layer.items():
+            kept, joined, gone, gone_joined = move(p)
+            out = value * x**gone if gone else value
+            if joined is None:
+                # left out, or taken to close a cycle: one state
+                nxt[kept] = nxt.get(kept, 0) + out * y1
+            else:
+                nxt[kept] = nxt.get(kept, 0) + out
+                v = value * x**gone_joined if gone_joined else value
+                nxt[joined] = nxt.get(joined, 0) + v
+        return nxt, len(nxt)
+
+    return _frontier(g, {(): 1}, step, "Whitney frontier value")
+
+
+def omega_terms(g: MultiGraph) -> dict[tuple[int, int], int]:
+    """The terms of omega(G;x,y), as {(r - r<X>, n<E - X>): signed
+    count of the subsets X}; cancelled terms are dropped.  A state is
+    the partitions of X and of E - X; its key packs r<X> * stride +
+    n<E - X>."""
+    stride = g.edge_count + 1
+    r, _ = rank_nullity(g)
+
+    def step(layer, move):
+        nxt: dict[tuple[tuple[int, ...], tuple[int, ...]], dict[int, int]] = {}
+        moved: dict[tuple[int, ...], tuple] = {}
+        for (p, q), terms in layer.items():
+            mp = moved.get(p) or moved.setdefault(p, move(p))
+            mq = moved.get(q) or moved.setdefault(q, move(q))
+            kp, jp = mp[0], mp[1]
+            kq, jq = mq[0], mq[1]
+            # X takes the edge, with a sign: a rank step when it joins
+            # two blocks of X
+            target, shift = ((kp, kq), 0) if jp is None else ((jp, kq), stride)
+            into = nxt.get(target)
+            if into is None:
+                nxt[target] = {k + shift: -c for k, c in terms.items()}
+            else:
+                for k, c in terms.items():
+                    k += shift
+                    into[k] = into.get(k, 0) - c
+            # E - X takes it: a nullity step when it closes a cycle there
+            target, shift = ((kp, kq), 1) if jq is None else ((kp, jq), 0)
+            into = nxt.get(target)
+            if into is None:  # unshifted, the dict itself
+                nxt[target] = {k + 1: c for k, c in terms.items()} if shift else terms
+            else:
+                for k, c in terms.items():
+                    k += shift
+                    into[k] = into.get(k, 0) + c
+        return nxt, len(nxt) + sum(map(len, nxt.values()))
+
+    terms = _frontier(g, {((), ()): {0: 1}}, step, "omega frontier sum")
+    return {(r - k // stride, k % stride): c for k, c in terms.items() if c}
 
 
 def omega_at(g: MultiGraph, x: int, y: int) -> int:
     """omega(G; x, y) from one int per state: x per block of X that
     retires, as in `whitney_at`, y per edge of E - X that closes a
     cycle, and -1 per edge of X."""
-    roles = ((((0, 1),), -1), (((1, y),), 1))
-    return _frontier_value(g, 2, roles, x, "omega frontier value")
+
+    def step(layer, move):
+        nxt: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+        moved: dict[tuple[int, ...], tuple] = {}
+        for (p, q), value in layer.items():
+            mp = moved.get(p) or moved.setdefault(p, move(p))
+            mq = moved.get(q) or moved.setdefault(q, move(q))
+            kp, jp, gone, gone_joined = mp
+            kq, jq = mq[0], mq[1]
+            out = value * x**gone if gone else value
+            # X takes the edge (gone_joined is gone when it closes a cycle)
+            target = (kp, kq) if jp is None else (jp, kq)
+            v = out if gone_joined == gone else value * x**gone_joined
+            nxt[target] = nxt.get(target, 0) - v
+            # E - X takes it
+            target, out = ((kp, kq), out * y) if jq is None else ((kp, jq), out)
+            nxt[target] = nxt.get(target, 0) + out
+        return nxt, len(nxt)
+
+    return _frontier(g, {((), ()): 1}, step, "omega frontier value")
+
+
+def _psi_sum(g: MultiGraph) -> dict[int, int]:
+    """The raw sum of the modular psi: {key: number of pairs A within U},
+    the key packing r<U>, n<A>, |A| and |U - A|, in that order, stride
+    E + 1.  A state is the partitions of U and of A."""
+    stride = g.edge_count + 1
+    rank_step, close_a = stride**3, stride**2
+
+    def step(layer, move):
+        nxt: dict[tuple[tuple[int, ...], tuple[int, ...]], dict[int, int]] = {}
+        moved: dict[tuple[int, ...], tuple] = {}
+        for (p, q), terms in layer.items():
+            mp = moved.get(p) or moved.setdefault(p, move(p))
+            mq = moved.get(q) or moved.setdefault(q, move(q))
+            kp, jp = mp[0], mp[1]
+            kq, jq = mq[0], mq[1]
+            # U takes the edge: a rank step when it joins two blocks of U
+            u, shift = (kp, 0) if jp is None else (jp, rank_step)
+            # out of U: the first at its state takes the dict itself,
+            # unless the edge taken into U adds to that state too
+            target = (kp, kq)
+            into = nxt.get(target)
+            if into is None:
+                nxt[target] = terms.copy() if u == kp else terms
+            else:
+                for k, c in terms.items():
+                    into[k] = into.get(k, 0) + c
+            # in U - A
+            target = (u, kq)
+            into = nxt.get(target)
+            if into is None:
+                nxt[target] = {k + shift + 1: c for k, c in terms.items()}
+            else:
+                for k, c in terms.items():
+                    k += shift + 1
+                    into[k] = into.get(k, 0) + c
+            # in A as well: a nullity step when it closes a cycle of A
+            target = (u, kq if jq is None else jq)
+            shift += (stride + close_a) if jq is None else stride
+            into = nxt.get(target)
+            if into is None:
+                nxt[target] = {k + shift: c for k, c in terms.items()}
+            else:
+                for k, c in terms.items():
+                    k += shift
+                    into[k] = into.get(k, 0) + c
+        return nxt, len(nxt) + sum(map(len, nxt.values()))
+
+    return _frontier(g, {((), ()): {0: 1}}, step, "psi frontier sum")
 
 
 def psi_terms(g: MultiGraph) -> dict[tuple[int, int, int, int], int]:
     """The terms of the modular psi(G;x,y,z,w), as {(i, j, k, l):
     coefficient of x^i y^j z^k w^l}; cancelled terms are dropped.
 
-    Partition 0 is that of U, partition 1 that of A, within U.  The key
-    packs r<U>, n<A>, |A| and |U - A|, in that order, stride E + 1;
-    (-(w + z))^|U - A| is expanded by the binomial theorem at the end,
-    in integers rather than by `MultiPoly.substitute`, as the step runs
-    on every key of the sum, from one row of binomials per exponent.
-    A loop adds z - (w + z) + wy = w(y - 1) over its three roles, so
+    (-(w + z))^|U - A| is expanded here, on every key of the raw sum
+    (`_psi_sum`), by the binomial theorem in integers rather than by
+    `MultiPoly.substitute`, from one row of binomials per exponent.  A
+    loop adds z - (w + z) + wy = w(y - 1) over its three branches, so
     the loops are factored out: the sum runs on the rest, and its terms
-    are multiplied by (w(y - 1))^L.
-    """
+    are multiplied by (w(y - 1))^L."""
     loops = len(g.loop_ids())
     if loops:
         rest = MultiGraph(g.vertex_count, tuple(g.edges[e] for e in g.non_loop_ids()))
@@ -351,16 +387,10 @@ def psi_terms(g: MultiGraph) -> dict[tuple[int, int, int, int], int]:
         return {exps: c for exps, c in out.items() if c}
     m = g.edge_count
     stride = m + 1
-    rank_step = stride**3
     r, _ = rank_nullity(g)
-    roles = (
-        ((), 0, 1),  # out of U: z
-        (((0, rank_step, 0),), 1, 1),  # in U - A: -(w + z)
-        (((0, rank_step, 0), (1, 0, stride**2)), stride, 1),  # in A: w
-    )
     out = {}
     rows: dict[int, list[int]] = {}
-    for key, c in _frontier_sum(g, 2, roles, "psi frontier sum").items():
+    for key, c in _psi_sum(g).items():
         key, b = divmod(key, stride)
         key, a = divmod(key, stride)
         rank, nullity = divmod(key, stride)

@@ -12,12 +12,14 @@ Conventions used throughout:
   counts nowhere-zero (tension, flow) pairs when x, y are the group
   orders; the count depends only on the orders, not the group
   structures.
-* Both sums are computed edge by edge over frontier partitions
+* Both sums are computed edge by edge over frontier partitions, each
+  by its own layer step of the one frontier driver
   (`frontier.whitney_terms`, `frontier.omega_terms`).  R gives T by a
   binomial shift in integers, the tension polynomial as
   (-1)^r R(-t,-1) and the flow polynomial as (-1)^n R(-1,-t).  The
-  values of `tutte_value` come from the same sum at one point, one int
-  per state (`frontier.whitney_at`), with no polynomial built.
+  values of `tutte_value` come from the same sum at one point, by a
+  step that carries one int per state (`frontier.whitney_at`), with no
+  polynomial built.
 * For an orientation rho with bond part B and circuit part C,
   kappa_rho(G;x,y) is the product of the open window counts
       #{integer tensions: f = 0 on C, 0 < f < x on B} and

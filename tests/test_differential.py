@@ -119,7 +119,7 @@ from tfpoly.tensionflow import (
     integral_window_counts,
 )
 
-from graph_strategies import glued_multigraphs, multigraphs
+from graph_strategies import disjoint_multigraphs, glued_multigraphs, multigraphs
 
 SMALL = multigraphs(max_edges=6).filter(lambda g: rank_nullity(g)[1] <= 3)
 GROUPS = (FiniteAbelianGroup.cyclic(3), FiniteAbelianGroup((2, 2)))
@@ -201,8 +201,9 @@ def test_psi_z_by_blocks_matches_the_whole_convolution(g):
 
 
 def _psi_terms_by_comb(g: MultiGraph) -> dict:
-    """`psi_terms` as it was, with one math.comb per key and power for
-    (-(w + z))^b and for the loop factor (y - 1)^L."""
+    """`psi_terms` as it was, expanding the raw sum `frontier._psi_sum`
+    with one math.comb per key and power for (-(w + z))^b and for the
+    loop factor (y - 1)^L."""
     loops = len(g.loop_ids())
     if loops:
         rest = MultiGraph(g.vertex_count, tuple(g.edges[e] for e in g.non_loop_ids()))
@@ -215,15 +216,9 @@ def _psi_terms_by_comb(g: MultiGraph) -> dict:
         return {exps: c for exps, c in out.items() if c}
     m = g.edge_count
     stride = m + 1
-    rank_step = stride**3
     r, _ = rank_nullity(g)
-    roles = (
-        ((), 0, 1),
-        (((0, rank_step, 0),), 1, 1),
-        (((0, rank_step, 0), (1, 0, stride**2)), stride, 1),
-    )
     out = {}
-    for key, c in frontier._frontier_sum(g, 2, roles, "psi frontier sum").items():
+    for key, c in frontier._psi_sum(g).items():
         key, b = divmod(key, stride)
         key, a = divmod(key, stride)
         rank, nullity = divmod(key, stride)
@@ -383,12 +378,14 @@ def test_omega_routes_agree(g):
 
 
 @settings(max_examples=100, deadline=None)
-@given(multigraphs(max_edges=10))
+@given(st.one_of(multigraphs(max_edges=10), disjoint_multigraphs()))
 def test_frontier_sums_match_the_subset_expansions(g):
+    # disjoint unions empty the frontier between components
     assert whitney(g) == whitney_by_subsets(g)
     assert omega(g) == omega_by_subsets(g)
     # T(x, y) = R(x - 1, y - 1), shifted in integers by `tutte`
     assert tutte(g) == whitney_by_subsets(g).substitute({"x": X - 1, "y": Y - 1})
+    assert MultiPoly(("x", "y", "z", "w"), psi_terms(g)) == psi_by_cyclic_flats(g)
 
 
 @settings(max_examples=60, deadline=None)
